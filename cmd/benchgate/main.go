@@ -21,7 +21,8 @@
 //   - Relative (default): gates machine-independent quantities — the
 //     prefetch pipeline's speedup over the synchronous engine, the tiled
 //     Phase-1 overhead versus in-memory, the ALS workspace allocation
-//     count and its speed relative to the fresh path, the swap-count
+//     count, its speed relative to the fresh path and to one standalone
+//     MTTKRP per mode, the swap-count
 //     invariance of the prefetch pipeline, and the Phase-0 sketch
 //     acceleration (warm-start speedup over brute-force Phase 1, fit
 //     parity, and the cost of a structural fallback). These hold on any
@@ -338,6 +339,24 @@ func evaluate(meas map[string]*measurement, baselineDir string, tol float64, abs
 					Limit: nnLimit, Pass: overhead <= nnLimit,
 					Detail: fmt.Sprintf("nonneg %.0f ns/op vs workspace %.0f ns/op; constrained sweeps must cost <= 2x unconstrained", nn.NsPerOp, ws.NsPerOp),
 				})
+			}
+			if pm, okP := meas["BenchmarkALSSweep/mttkrp-per-mode"]; okP {
+				// A sweep shares the mode-0 fiber products between modes
+				// 1..N-1, so the whole sweep — MTTKRPs, Grams, solves —
+				// must cost less than its MTTKRPs alone would at one
+				// tensor pass per mode. Both sides stream the same block
+				// on the same machine, so the ratio is gated everywhere:
+				// at the recorded value plus tolerance, and never above 1.
+				if base, ok := digFloat(kf, "benchmarks", "ALSSweep_dense_64x64x64_rank16_2sweeps", "sweep_vs_mttkrp_per_mode"); ok {
+					ratio := ws.NsPerOp / pm.NsPerOp
+					gtol := gateTol(kf, "als-sweep-vs-mttkrp-per-mode", tol)
+					limit := math.Min(1, base*(1+gtol))
+					add(gate{
+						Name: "als-sweep-vs-mttkrp-per-mode", Measured: ratio, Baseline: base,
+						Limit: limit, Tolerance: gtol, Pass: ratio <= limit,
+						Detail: fmt.Sprintf("workspace sweep %.0f ns/op vs per-mode MTTKRPs %.0f ns/op; a rise toward 1 means the modes stopped sharing fiber products", ws.NsPerOp, pm.NsPerOp),
+					})
+				}
 			}
 			if absolute {
 				if base, ok := digFloat(kf, "benchmarks", "ALSSweep_dense_64x64x64_rank16_2sweeps", "new_workspace", "ns_per_op"); ok {

@@ -17,6 +17,7 @@ BenchmarkPhase1Tiled/InMemory-2        	       5	 44944373 ns/op	        19.69 M
 BenchmarkPhase1Tiled/Tiled-2           	       5	 45664951 ns/op	        19.38 MB/s	         3.710 peakHeap-MB
 BenchmarkALSSweep/fresh-2              	       3	  9771654 ns/op	   53150 B/op	      41 allocs/op
 BenchmarkALSSweep/workspace-2          	       3	  9655172 ns/op	   26938 B/op	      20 allocs/op
+BenchmarkALSSweep/mttkrp-per-mode-2    	       3	 12872000 ns/op
 BenchmarkPhase0Sketch/lowmlrank-2      	       1	721677487 ns/op	         0.0004354 fit-delta	        21.59 speedup-x
 BenchmarkPhase0Sketch/fallback-brute-2 	       1	  9748907 ns/op
 BenchmarkPhase0Sketch/fallback-accel-2 	       1	  9556311 ns/op
@@ -25,8 +26,8 @@ PASS
 
 func TestParseBenchOutput(t *testing.T) {
 	meas := parseBenchOutput(sampleLog)
-	if len(meas) != 10 {
-		t.Fatalf("parsed %d benchmarks, want 10", len(meas))
+	if len(meas) != 11 {
+		t.Fatalf("parsed %d benchmarks, want 11", len(meas))
 	}
 	sync := meas["BenchmarkPhase2Prefetch/sync"]
 	if sync == nil || sync.NsPerOp != 181770968 {
@@ -80,7 +81,8 @@ func writeBaselines(t *testing.T, dir string) {
 		"BENCH_kernels.json": map[string]any{
 			"benchmarks": map[string]any{
 				"ALSSweep_dense_64x64x64_rank16_2sweeps": map[string]any{
-					"new_workspace": map[string]any{"ns_per_op": 9655172.0, "allocs_per_op": 20.0},
+					"new_workspace":            map[string]any{"ns_per_op": 9655172.0, "allocs_per_op": 20.0},
+					"sweep_vs_mttkrp_per_mode": 0.75,
 				},
 			},
 		},
@@ -128,6 +130,7 @@ func TestGatesPassOnBaselineNumbers(t *testing.T) {
 		"phase2-prefetch-speedup", "phase2-prefetch-swap-invariance",
 		"phase2-checkpoint-overhead",
 		"phase1-tiled-overhead", "als-workspace-allocs", "als-workspace-vs-fresh",
+		"als-sweep-vs-mttkrp-per-mode",
 		"phase2-prefetch-abs-ns/sync", "phase1-tiled-abs-ns/tiled", "als-workspace-abs-ns",
 		"phase0-sketch-speedup", "phase0-sketch-fit-delta", "phase0-fallback-overhead",
 	} {
@@ -246,6 +249,20 @@ BenchmarkALSSweep/workspace-2   3  9655172 ns/op  131 allocs/op
 	}
 	if g := gateByName(gates, "als-workspace-allocs"); g == nil || g.Pass {
 		t.Errorf("alloc regression not caught: %+v", g)
+	}
+
+	// One tensor pass per mode again: the sweep costs more than its
+	// standalone MTTKRPs (1.1x, the ratio before the products were shared).
+	perMode := `BenchmarkALSSweep/fresh-2   3  9771654 ns/op  41 allocs/op
+BenchmarkALSSweep/workspace-2   3  9655172 ns/op  20 allocs/op
+BenchmarkALSSweep/mttkrp-per-mode-2   3  8777000 ns/op
+`
+	gates, err = evaluate(parseBenchOutput(perMode), dir, 0.25, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := gateByName(gates, "als-sweep-vs-mttkrp-per-mode"); g == nil || g.Pass {
+		t.Errorf("lost fiber-product sharing not caught: %+v", g)
 	}
 
 	// Phase-0 speedup eroding below the 3x acceptance floor, the warm

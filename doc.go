@@ -91,7 +91,13 @@
 // rows are split into fixed-size panels — a constant, never derived from
 // the worker count — and the per-panel partials are added in ascending
 // panel order. Worker counts and scheduling therefore change wall-clock
-// time only. Combined with the per-block seeding of Phase 1 and the
+// time only. The same holds for the one cache on the kernel path: an ALS
+// sweep computes the mode-0 fiber products X_(0)ᵀ·A(0) once and shares
+// them between modes 1..N-1 (tensor.Sweep), but every product is computed
+// by the same call from the same zero and folded in the same fiber order
+// as a standalone MTTKRP, so holding it never changes a bit — with or
+// without the cache, and whether or not a shape is large enough to use it.
+// Combined with the per-block seeding of Phase 1 and the
 // depth-invariant Phase-2 pipeline, an entire run is reproducible from
 // Options.Seed alone regardless of Workers, KernelWorkers, IOWorkers or
 // PrefetchDepth. This contract is also what makes crash recovery exact:

@@ -84,20 +84,40 @@ func (o *Options) normalize(dims []int) (Options, error) {
 	return out, nil
 }
 
-// Decompose runs CP-ALS on a dense tensor.
+// kernel is the MTTKRP an ALS run is built on. alsCore reports every write
+// to factor 0 so a kernel may keep state derived from it across modes.
+type kernel interface {
+	Into(dst *mat.Matrix, factors []*mat.Matrix, n int)
+	Factor0Changed()
+}
+
+// sparseKernel is the COO MTTKRP; it keeps nothing between calls.
+type sparseKernel struct{ x *tensor.COO }
+
+func (k sparseKernel) Into(dst *mat.Matrix, factors []*mat.Matrix, n int) {
+	tensor.MTTKRPSparseInto(dst, k.x, factors, n)
+}
+func (sparseKernel) Factor0Changed() {}
+
+// Decompose runs CP-ALS on a dense tensor. The MTTKRPs go through the
+// workspace's tensor.Sweep, so each sweep reads x twice (the mode-0 pass
+// and the fiber-product pass shared by modes 1..N-1) instead of once per
+// mode, with bit-identical results.
 func Decompose(x *tensor.Dense, opts Options) (*KTensor, Info, error) {
-	return alsCore(x.Dims, x.Norm(), func(dst *mat.Matrix, factors []*mat.Matrix, n int) {
-		tensor.MTTKRPInto(dst, x, factors, n)
-	}, x, opts)
+	if opts.Workspace == nil {
+		opts.Workspace = NewWorkspace()
+	}
+	sw := &opts.Workspace.sweep
+	sw.Bind(x)
+	defer sw.Bind(nil) // a long-lived workspace must not pin the block
+	return alsCore(x.Dims, x.Norm(), sw, x, opts)
 }
 
 // DecomposeSparse runs CP-ALS on a sparse tensor. A Sketched solver's
 // sampled path needs random fiber access and does not apply here: it
 // degrades to its inner solver (see Sketched).
 func DecomposeSparse(x *tensor.COO, opts Options) (*KTensor, Info, error) {
-	return alsCore(x.Dims, x.Norm(), func(dst *mat.Matrix, factors []*mat.Matrix, n int) {
-		tensor.MTTKRPSparseInto(dst, x, factors, n)
-	}, nil, opts)
+	return alsCore(x.Dims, x.Norm(), sparseKernel{x}, nil, opts)
 }
 
 // alsCore is the shared ALS loop, parameterized only by the MTTKRP kernel
@@ -109,7 +129,7 @@ func DecomposeSparse(x *tensor.COO, opts Options) (*KTensor, Info, error) {
 // x carries the dense tensor when there is one: a Sketched solver's
 // leverage-sampled mode updates need random fiber access, which only a
 // dense tensor provides (sparse runs pass nil and stay exact).
-func alsCore(dims []int, normX float64, mttkrp func(*mat.Matrix, []*mat.Matrix, int), x *tensor.Dense, opts Options) (*KTensor, Info, error) {
+func alsCore(dims []int, normX float64, mttkrp kernel, x *tensor.Dense, opts Options) (*KTensor, Info, error) {
 	o, err := opts.normalize(dims)
 	if err != nil {
 		return nil, Info{}, err
@@ -157,7 +177,7 @@ func alsCore(dims []int, normX float64, mttkrp func(*mat.Matrix, []*mat.Matrix, 
 			if sketching && x != nil && mode != n-1 && sketch.sampledApplicable(dims, mode, f) {
 				sketch.sampleSystem(m, v, x, factors, grams, mode, iter)
 			} else {
-				mttkrp(m, factors, mode)
+				mttkrp.Into(m, factors, mode)
 				// V = ⊛_{k≠mode} A(k)ᵀA(k)
 				v.Fill(1)
 				for k := 0; k < n; k++ {
@@ -183,6 +203,11 @@ func alsCore(dims []int, normX float64, mttkrp func(*mat.Matrix, []*mat.Matrix, 
 			// TestFitMatchesDirectNorm regression pins this against the
 			// direct-norm fit).
 			mat.GramInto(grams[mode], a)
+			if mode == 0 {
+				// Every solver path writes factor 0 here, including the
+				// sampled one that never called the mode-0 MTTKRP.
+				mttkrp.Factor0Changed()
+			}
 			lastM = m
 		}
 		// Fit via the last mode's MTTKRP: ⟨X,X̂⟩ = Σ_f λ_f Σ_i M[i,f]A[i,f],

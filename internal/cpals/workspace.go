@@ -2,11 +2,14 @@ package cpals
 
 import (
 	"twopcp/internal/mat"
+	"twopcp/internal/tensor"
 )
 
 // Workspace holds the reusable scratch of a CP-ALS run: the per-mode MTTKRP
-// accumulators, the Hadamard-of-Grams system matrix V, the Gram cache, the
-// normal-equation solve buffers and the column-normalization scratch.
+// accumulators, the dense MTTKRP sweep with its fiber-product buffer
+// (cells·F/I_0 floats, unused when F > I_0), the Hadamard-of-Grams system
+// matrix V, the Gram cache, the normal-equation solve buffers and the
+// column-normalization scratch.
 //
 // A Phase-1 run decomposes thousands of blocks; without a workspace every
 // block's every sweep allocates fresh matrices for all of these. Passing a
@@ -20,6 +23,7 @@ import (
 // fully overwritten before use.
 type Workspace struct {
 	mttkrp map[int]*mat.Matrix // MTTKRP accumulators keyed by row count
+	sweep  tensor.Sweep        // dense MTTKRP kernel; bound only during Decompose
 	rank   int                 // column count the cached buffers were built for
 	v      *mat.Matrix         // Hadamard of Grams (rank×rank)
 	grams  []*mat.Matrix       // per-mode Gram cache (rank×rank each)

@@ -22,6 +22,9 @@ func TestWorkspaceReuseIsBitNeutral(t *testing.T) {
 		{[]int{6, 6, 6}, 3},
 		{[]int{12, 10, 8}, 4}, // repeat: buffers warm
 		{[]int{5, 4, 3, 2}, 2},
+		{[]int{3, 9, 7}, 5},   // rank > I_0: fiber products streamed, not stored
+		{[]int{9, 1, 7}, 2},   // size-1 mode
+		{[]int{12, 10, 8}, 6}, // same shape, new rank: product buffer regrown
 	}
 	for i, tc := range cases {
 		x := tensor.RandomDense(rand.New(rand.NewSource(int64(100+i))), tc.dims...)
@@ -45,6 +48,63 @@ func TestWorkspaceReuseIsBitNeutral(t *testing.T) {
 		for j, f := range freshInfo.FitTrace {
 			if reusedInfo.FitTrace[j] != f {
 				t.Fatalf("case %d: FitTrace[%d] %v != %v", i, j, reusedInfo.FitTrace[j], f)
+			}
+		}
+	}
+}
+
+// standaloneKernel is the dense MTTKRP with nothing shared between modes:
+// what Decompose ran before the workspace carried a tensor.Sweep.
+type standaloneKernel struct{ x *tensor.Dense }
+
+func (k standaloneKernel) Into(dst *mat.Matrix, factors []*mat.Matrix, n int) {
+	tensor.MTTKRPInto(dst, k.x, factors, n)
+}
+func (standaloneKernel) Factor0Changed() {}
+
+// TestSweepKernelBitIdenticalToStandalone runs whole decompositions on the
+// shared-fiber-product kernel and on standalone per-mode MTTKRPs and
+// requires identical factors, λ and fit traces under every solver. The
+// Sketched case is the stale-cache regression: it rewrites factor 0 from a
+// sampled system without ever calling the mode-0 MTTKRP, so the products
+// must be dropped because factor 0 was written, not because mode 0 ran.
+func TestSweepKernelBitIdenticalToStandalone(t *testing.T) {
+	solvers := []Solver{nil, Ridge{Lambda: 1e-3}, Nonnegative{}, Sketched{Samples: 60, Seed: 3}}
+	for _, dims := range [][]int{{14, 12, 10}, {9, 6, 5, 4}} {
+		x := lowRankDense(dims, 3, 17)
+		for _, solver := range solvers {
+			opts := func() Options {
+				return Options{Rank: 4, MaxIters: 6, Tol: 1e-16, Rng: rand.New(rand.NewSource(5)), Solver: solver}
+			}
+			got, gotInfo, err := Decompose(x, opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantInfo, err := alsCore(x.Dims, x.Norm(), standaloneKernel{x}, x, opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := "ls"
+			if solver != nil {
+				name = solver.Name()
+			}
+			for k := range want.Factors {
+				if !got.Factors[k].Equal(want.Factors[k]) {
+					t.Fatalf("dims %v solver %s: factor %d differs from the standalone-kernel run", dims, name, k)
+				}
+			}
+			for i, l := range want.Lambda {
+				if got.Lambda[i] != l {
+					t.Fatalf("dims %v solver %s: λ[%d] differs", dims, name, i)
+				}
+			}
+			if len(gotInfo.FitTrace) != len(wantInfo.FitTrace) {
+				t.Fatalf("dims %v solver %s: %d sweeps vs %d", dims, name, len(gotInfo.FitTrace), len(wantInfo.FitTrace))
+			}
+			for i, fit := range wantInfo.FitTrace {
+				if gotInfo.FitTrace[i] != fit {
+					t.Fatalf("dims %v solver %s: FitTrace[%d] %v != %v", dims, name, i, gotInfo.FitTrace[i], fit)
+				}
 			}
 		}
 	}
@@ -102,8 +162,11 @@ func TestDecomposeKernelWorkersBitExact(t *testing.T) {
 // BenchmarkALSSweep measures full CP-ALS sweeps on a 64³ rank-16 block —
 // the Phase-1 inner loop — with and without workspace reuse, plus the
 // nonnegative HALS solver on the workspace path (benchgate holds its
-// overhead over the unconstrained workspace sweep to ≤ 2×). The recorded
-// baselines live in BENCH_kernels.json at the repo root.
+// overhead over the unconstrained workspace sweep to ≤ 2×), plus the
+// yardstick for the shared fiber products: the same two sweeps' MTTKRPs as
+// standalone calls, one tensor pass per mode (benchgate holds the whole
+// workspace sweep below that). The recorded baselines live in
+// BENCH_kernels.json at the repo root.
 func BenchmarkALSSweep(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	x := tensor.RandomDense(rng, 64, 64, 64)
@@ -138,4 +201,15 @@ func BenchmarkALSSweep(b *testing.B) {
 			}
 		})
 	}
+	b.Run("mttkrp-per-mode", func(b *testing.B) {
+		dst := mat.New(64, 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for sweep := 0; sweep < 2; sweep++ {
+				for n := range init {
+					tensor.MTTKRPInto(dst, x, init, n)
+				}
+			}
+		}
+	})
 }

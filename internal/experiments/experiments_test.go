@@ -90,10 +90,12 @@ func TestTable2SmallScale(t *testing.T) {
 			t.Fatalf("%s: FOR swaps %d > LRU %d", row.Label, row.SwapsFOR, row.SwapsLRU)
 		}
 	}
-	// Per-block Phase-1 time shrinks with more partitions (smaller blocks).
-	if res.Rows[1].Phase1PerBlock >= res.Rows[0].Phase1PerBlock {
-		t.Fatalf("per-block time should shrink: %v vs %v",
-			res.Rows[0].Phase1PerBlock, res.Rows[1].Phase1PerBlock)
+	// Per-block Phase-1 work shrinks with more partitions (smaller blocks).
+	// Asserted on cells × sweeps, not on Phase1PerBlock: the wall times
+	// here are ~100 µs and invert under parallel package load.
+	if res.Rows[1].Phase1WorkPerBlock >= res.Rows[0].Phase1WorkPerBlock {
+		t.Fatalf("per-block work should shrink: %d vs %d",
+			res.Rows[0].Phase1WorkPerBlock, res.Rows[1].Phase1WorkPerBlock)
 	}
 	if s := res.String(); !strings.Contains(s, "Naive CP") {
 		t.Fatalf("render: %s", s)

@@ -84,6 +84,10 @@ type Table2Row struct {
 	TotalFOR       time.Duration
 	SwapsLRU       int64
 	SwapsFOR       int64
+
+	// Phase1WorkPerBlock is cells × ALS sweeps per block, averaged over the
+	// blocks: what Phase1PerBlock measures, without the clock.
+	Phase1WorkPerBlock int64
 }
 
 // Table2Result is the full table.
@@ -133,6 +137,8 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 			return nil, err
 		}
 		row.Phase1PerBlock = time.Since(p1Start) / time.Duration(p.NumBlocks())
+		nb := int64(p.NumBlocks())
+		row.Phase1WorkPerBlock = int64(len(x.Data)) / nb * int64(p1.TotalSweeps()) / nb
 
 		// Phase 2 under LRU and FOR, both over latency-injected stores.
 		for _, pol := range []buffer.Policy{buffer.LRU, buffer.Forward} {

@@ -3,10 +3,9 @@ package mat
 // This file holds the innermost compute primitives shared by the matrix and
 // tensor kernels. They are written so the compiler keeps the accumulator
 // blocks in registers: the column dimension is processed in blocks of four
-// (plus a fully unrolled 16-wide fast path for OuterAdd, the common CP rank
-// in the benchmarks), which is where the dense MTTKRP/GEMM speedup comes
-// from — the blocked loops run several times faster than a naive
-// element-at-a-time sweep.
+// (eight, then four, for OuterAdd's weights), which is where the dense
+// MTTKRP/GEMM speedup comes from — the blocked loops run several times
+// faster than a naive element-at-a-time sweep.
 //
 // All primitives are strictly sequential left-to-right accumulations per
 // output element, so parallel callers that assign each output region to one
@@ -73,55 +72,53 @@ func VecMatMulAdd(dst []float64, rows []float64, x []float64, f int) {
 // OuterAdd computes M += x ⊗ w for a row-major panel M with len(x) rows of
 // f columns: rows[i*f+c] += x[i]·w[c]. This is the mode-0 MTTKRP fiber
 // kernel: whole fibers accumulate into the output panel as rank-one
-// updates.
+// updates. Every element of M receives exactly one addition, so the loop
+// order is free: columns go in blocks of eight, then four, with the
+// block's weights held in registers down the whole fiber.
 func OuterAdd(rows []float64, w []float64, x []float64, f int) {
-	if f == 16 {
-		outerAdd16(rows, w, x)
+	if len(x) == 0 || f == 0 {
 		return
 	}
+	_ = rows[len(x)*f-1]
 	w = w[:f:f]
-	p := 0
-	for _, v := range x {
-		r := rows[p : p+f : p+f]
-		c0 := 0
-		for ; c0+4 <= f; c0 += 4 {
-			d := r[c0 : c0+4 : c0+4]
-			s := w[c0 : c0+4 : c0+4]
-			d[0] += v * s[0]
-			d[1] += v * s[1]
-			d[2] += v * s[2]
-			d[3] += v * s[3]
+	c0 := 0
+	for ; c0+8 <= f; c0 += 8 {
+		s := w[c0 : c0+8 : c0+8]
+		w0, w1, w2, w3, w4, w5, w6, w7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+		p := c0
+		for _, v := range x {
+			r := rows[p : p+8 : p+8]
+			r[0] += v * w0
+			r[1] += v * w1
+			r[2] += v * w2
+			r[3] += v * w3
+			r[4] += v * w4
+			r[5] += v * w5
+			r[6] += v * w6
+			r[7] += v * w7
+			p += f
 		}
-		for ; c0 < f; c0++ {
-			r[c0] += v * w[c0]
-		}
-		p += f
 	}
-}
-
-// outerAdd16 is OuterAdd fully unrolled for f = 16.
-func outerAdd16(rows []float64, w []float64, x []float64) {
-	w = w[:16:16]
-	p := 0
-	for _, v := range x {
-		r := rows[p : p+16 : p+16]
-		r[0] += v * w[0]
-		r[1] += v * w[1]
-		r[2] += v * w[2]
-		r[3] += v * w[3]
-		r[4] += v * w[4]
-		r[5] += v * w[5]
-		r[6] += v * w[6]
-		r[7] += v * w[7]
-		r[8] += v * w[8]
-		r[9] += v * w[9]
-		r[10] += v * w[10]
-		r[11] += v * w[11]
-		r[12] += v * w[12]
-		r[13] += v * w[13]
-		r[14] += v * w[14]
-		r[15] += v * w[15]
-		p += 16
+	for ; c0+4 <= f; c0 += 4 {
+		s := w[c0 : c0+4 : c0+4]
+		w0, w1, w2, w3 := s[0], s[1], s[2], s[3]
+		p := c0
+		for _, v := range x {
+			r := rows[p : p+4 : p+4]
+			r[0] += v * w0
+			r[1] += v * w1
+			r[2] += v * w2
+			r[3] += v * w3
+			p += f
+		}
+	}
+	for ; c0 < f; c0++ {
+		wc := w[c0]
+		p := c0
+		for _, v := range x {
+			rows[p] += v * wc
+			p += f
+		}
 	}
 }
 

@@ -215,23 +215,3 @@ func TestMulAssociativity(t *testing.T) {
 		t.Fatal("(ab)c != a(bc)")
 	}
 }
-
-func BenchmarkMul64(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x, y := Random(64, 64, rng), Random(64, 64, rng)
-	dst := New(64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulInto(dst, x, y)
-	}
-}
-
-func BenchmarkGram256x32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := Random(256, 32, rng)
-	dst := New(32, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GramInto(dst, x)
-	}
-}

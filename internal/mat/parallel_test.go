@@ -131,7 +131,7 @@ func TestAxpyKernels(t *testing.T) {
 
 func TestVecMatMulAddAndOuterAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	for _, f := range []int{1, 2, 3, 4, 5, 7, 8, 16, 19} {
+	for _, f := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 19} {
 		rows := 11
 		m := make([]float64, rows*f)
 		x := make([]float64, rows)

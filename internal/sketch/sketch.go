@@ -277,6 +277,12 @@ func rangeBases(src Source, dims []int, s int, coreDims []int, seed int64) (qs [
 	}
 	empty = true
 	slices := make([]*mat.Matrix, n)
+	// Every mode of a block is sketched against the same factor slices, so
+	// the dense MTTKRPs share one tensor.Sweep (two passes over the block
+	// instead of n); tmps is each mode's contribution buffer, kept from
+	// block to block.
+	var sweep tensor.Sweep
+	tmps := make([]*mat.Matrix, n)
 	for _, vec := range src.Pattern().Positions() {
 		from, size := src.Pattern().Block(vec)
 		block, err := src.Block(vec)
@@ -303,10 +309,15 @@ func rangeBases(src Source, dims []int, s int, coreDims []int, seed int64) (qs [
 		for k := range slices {
 			slices[k] = omega[k].SliceRows(from[k], from[k]+size[k])
 		}
+		sweep.Bind(dense)
 		for mode := 0; mode < n; mode++ {
-			tmp := mat.New(size[mode], s)
+			tmp := tmps[mode]
+			if tmp == nil || tmp.Rows != size[mode] {
+				tmp = mat.New(size[mode], s)
+				tmps[mode] = tmp
+			}
 			if dense != nil {
-				tensor.MTTKRPInto(tmp, dense, slices, mode)
+				sweep.Into(tmp, slices, mode)
 			} else {
 				tensor.MTTKRPSparseInto(tmp, coo, slices, mode)
 			}

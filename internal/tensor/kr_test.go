@@ -148,15 +148,3 @@ func TestMTTKRPChecksShapes(t *testing.T) {
 		}()
 	}
 }
-
-func BenchmarkMTTKRPDense32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := RandomDense(rng, 32, 32, 32)
-	factors := []*mat.Matrix{
-		mat.Random(32, 10, rng), mat.Random(32, 10, rng), mat.Random(32, 10, rng),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MTTKRP(x, factors, 0)
-	}
-}

@@ -11,25 +11,33 @@ import (
 // Dense MTTKRP, fiber-blocked.
 //
 // The tensor is Fortran-ordered, so a mode-0 fiber — the I_0 elements that
-// differ only in their first index — is a contiguous slice of Data. The
-// kernels below iterate whole fibers instead of scalars:
+// differ only in their first index — is a contiguous slice of Data. Every
+// mode is computed by one of three routines over whole fibers:
 //
-//   - the Hadamard product w of the outer-mode factor rows (everything but
-//     mode 0 and mode n) is constant along a fiber and is hoisted out of
-//     the inner loop;
-//   - for n > 0 every fiber belongs to exactly one output row, and its
-//     contribution is the panel product s = fiberᵀ·A(0) folded with w:
-//     out[j] += s ⊛ w (mat.VecMatMulAdd);
-//   - for n == 0 a whole fiber accumulates into the output panel as the
-//     rank-one update out += fiber ⊗ w (mat.OuterAdd).
+//   - the mode-0 pass (mode0Pass): the Hadamard product w of the factor
+//     rows of modes 1..N-1 is constant along a fiber, and the whole fiber
+//     accumulates into the output panel as the rank-one update
+//     out += fiber ⊗ w (mat.OuterAdd);
+//   - the S pass (fiberProduct): the product s = fiberᵀ·A(0) of a fiber
+//     with the mode-0 factor (mat.VecMatMulAdd, from zero). It depends on
+//     nothing but X and A(0), so it is the same for every mode n ≥ 1;
+//   - the fold (foldFibers): for n ≥ 1 every fiber belongs to exactly one
+//     output row, out[j] += s ⊛ w with w the Hadamard product of the
+//     remaining factor rows (everything but modes 0 and n).
 //
-// A specialized path handles 3-mode tensors (the paper's benchmark shape)
-// without any fiber-weight precomputation; the generic N-way loop handles
-// everything else.
+// A standalone MTTKRPInto(n ≥ 1) folds while it streams the S pass, a
+// fiber at a time, and keeps no product. Through a Sweep the first fold
+// after A(0) changed does the same but stores each s as a row of
+// S = X_(0)ᵀ·A(0), and the remaining modes fold from S without touching
+// X, so an ALS sweep reads the tensor twice instead of N times. Each s
+// comes from the same call on the same zero and is folded in the same
+// fiber order whichever way it is reached, so the outputs are
+// bit-identical.
 //
-// Parallelism and determinism: work is distributed over contiguous mode-n
-// output-row panels, each output row is owned by exactly one worker
-// invocation, and every row is accumulated in the same fiber order as a
+// Parallelism and determinism: work is distributed over mode-n output
+// rows (contiguous panels of them for mode 0), each owned by exactly one
+// worker invocation — as is each row of S, by the owner of its fiber's
+// output row — and every row is accumulated in the same fiber order as a
 // serial sweep. The floating-point output is therefore bit-identical at
 // every worker count, including 1.
 
@@ -69,43 +77,121 @@ var wPool = sync.Pool{New: func() any { s := make([]float64, 0, 1<<14); return &
 func MTTKRP(t *Dense, factors []*mat.Matrix, n int) *mat.Matrix {
 	checkFactors(t.Dims, factors, n)
 	out := mat.New(t.Dims[n], factors[(n+1)%len(factors)].Cols)
-	mttkrpInto(out, t, factors, n)
+	mttkrpInto(out, t, factors, n, nil)
 	return out
 }
 
 // MTTKRPInto is MTTKRP writing into dst (Dims[n]×F), which is zeroed first.
-// Hot loops (CP-ALS sweeps) use it to reuse one accumulator per mode.
+// Callers that compute several modes against the same factors[0] (an ALS
+// sweep) should go through a Sweep instead.
 func MTTKRPInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int) {
+	checkMTTKRPArgs(dst, t, factors, n)
+	mttkrpInto(dst, t, factors, n, nil)
+}
+
+func checkMTTKRPArgs(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int) {
 	checkFactors(t.Dims, factors, n)
 	f := factors[(n+1)%len(factors)].Cols
 	if dst.Rows != t.Dims[n] || dst.Cols != f {
 		panic(fmt.Sprintf("tensor: MTTKRPInto: dst %d×%d, want %d×%d", dst.Rows, dst.Cols, t.Dims[n], f))
 	}
-	mttkrpInto(dst, t, factors, n)
 }
 
-func mttkrpInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int) {
+// Sweep computes the MTTKRPs of one dense tensor across the modes of ALS
+// sweeps, sharing the fiber products S = X_(0)ᵀ·A(0) between modes
+// 1..N-1: the first Into(n ≥ 1) after Bind or Factor0Changed streams the
+// tensor and stores S, later ones fold from S alone. Every output is
+// bit-identical to MTTKRPInto's.
+//
+// S holds len(Data)/Dims[0] rows of F floats. When F > Dims[0] that is
+// more than the tensor itself, so such shapes stream exactly like
+// MTTKRPInto. The buffer is kept across Bind calls (growing on demand), so
+// one Sweep serves tensors of any shapes and ranks without steady-state
+// allocation; it must not be used concurrently. The zero value is ready
+// for Bind.
+type Sweep struct {
+	t     *Dense
+	s     []float64
+	valid bool // s holds the products of the current factors[0]
+}
+
+// Bind points the sweep at t and drops the cached products. Bind(nil)
+// releases the tensor while keeping the buffer.
+func (sw *Sweep) Bind(t *Dense) {
+	sw.t = t
+	sw.valid = false
+}
+
+// Factor0Changed tells the sweep that factors[0] no longer holds the
+// values the last Into saw. Callers must invoke it after every write to
+// factor 0, whether or not a mode-0 MTTKRP preceded the write.
+func (sw *Sweep) Factor0Changed() { sw.valid = false }
+
+// Into is MTTKRPInto on the bound tensor.
+func (sw *Sweep) Into(dst *mat.Matrix, factors []*mat.Matrix, n int) {
+	checkMTTKRPArgs(dst, sw.t, factors, n)
+	mttkrpInto(dst, sw.t, factors, n, sw)
+}
+
+// products returns the S buffer for nf fibers of f floats and whether its
+// rows still have to be computed (after which they count as current).
+// A nil sweep, or a shape whose S would outgrow the tensor, gets
+// (nil, true): compute every product into scratch, keep none.
+func (sw *Sweep) products(nf, f, i0n int) (sp []float64, compute bool) {
+	if sw == nil || f > i0n {
+		return nil, true
+	}
+	if !sw.valid {
+		if cap(sw.s) < nf*f {
+			sw.s = make([]float64, nf*f)
+		}
+		sw.s = sw.s[:nf*f]
+		compute = true
+		sw.valid = true
+	}
+	return sw.s, compute
+}
+
+// mttkrpInto zeroes dst and accumulates the mode-n MTTKRP into it. sw is
+// the sweep whose fiber products modes n ≥ 1 share; nil keeps none.
+func mttkrpInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Sweep) {
 	dst.Zero()
 	f := dst.Cols
 	if len(t.Data) == 0 || f == 0 {
 		return
 	}
-	if len(t.Dims) == 3 {
-		mttkrp3(dst, t, factors, n, f)
-		return
+	switch {
+	case len(t.Dims) == 1:
+		// Degenerate: the Khatri-Rao chain is empty, M[i,c] = x[i].
+		for i0, v := range t.Data {
+			orow := dst.Row(i0)
+			for c := range orow {
+				orow[c] += v
+			}
+		}
+	case n == 0:
+		mode0Pass(dst, t, factors, f)
+	default:
+		foldFibers(dst, t, factors, n, sw)
 	}
-	mttkrpN(dst, t, factors, n, f)
 }
 
-// mttkrp3 is the 3-way fast path: the single outer-mode factor row is used
-// directly as the fiber weight (n > 0), or the two outer rows are Hadamard
-// multiplied once per fiber (n == 0).
-func mttkrp3(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n, f int) {
-	i0n, i1n, i2n := t.Dims[0], t.Dims[1], t.Dims[2]
+// wChunkFibers is how many fiber weights the generic mode-0 path
+// materializes per chunk (bounding scratch at wChunkFibers×F floats).
+const wChunkFibers = 4096
+
+// mode0Pass accumulates the mode-0 MTTKRP as rank-one fiber updates over
+// output-row panels. Every output row sees the fibers in ascending order
+// regardless of panel bounds.
+func mode0Pass(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, f int) {
+	dims := t.Dims
+	i0n := dims[0]
 	x := t.Data
 	workers := par.WorkersFor(len(x) * 2 * f)
-	switch n {
-	case 0:
+	if len(dims) == 3 {
+		// 3-way fast path (the paper's benchmark shape): the two outer
+		// rows are Hadamard multiplied once per fiber, no weight chunks.
+		i1n, i2n := dims[1], dims[2]
 		a1, a2 := factors[1], factors[2]
 		parRowPanels(workers, i0n, func(lo, hi int) {
 			fs := getFiberScratch(f, 3)
@@ -122,104 +208,52 @@ func mttkrp3(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n, f int) {
 			}
 			fiberPool.Put(fs)
 		})
-	case 1:
-		a0, a2 := factors[0], factors[2]
-		par.DoWorkers(workers, i1n, func(j int) {
-			fs := getFiberScratch(f, 3)
-			s := fs.s
-			orow := dst.Row(j)
-			for i2 := 0; i2 < i2n; i2++ {
-				fb := (i2*i1n + j) * i0n
-				for c := range s {
-					s[c] = 0
-				}
-				mat.VecMatMulAdd(s, a0.Data, x[fb:fb+i0n], f)
-				w := a2.Row(i2)
-				for c, sv := range s {
-					orow[c] += sv * w[c]
-				}
+		return
+	}
+	// Generic N-way: materialize fiber weights in chunks, then apply each
+	// chunk's updates.
+	nf := len(x) / i0n
+	sp := wPool.Get().(*[]float64)
+	if cap(*sp) < wChunkFibers*f {
+		*sp = make([]float64, wChunkFibers*f)
+	}
+	wchunk := (*sp)[:wChunkFibers*f]
+	for cf0 := 0; cf0 < nf; cf0 += wChunkFibers {
+		cf1 := min(cf0+wChunkFibers, nf)
+		buildFiberWeights(wchunk, factors, dims[1:], cf0, cf1, f, workers)
+		parRowPanels(workers, i0n, func(lo, hi int) {
+			panel := dst.Data[lo*f : hi*f]
+			for fi := cf0; fi < cf1; fi++ {
+				fb := fi * i0n
+				mat.OuterAdd(panel, wchunk[(fi-cf0)*f:(fi-cf0+1)*f], x[fb+lo:fb+hi], f)
 			}
-			fiberPool.Put(fs)
-		})
-	case 2:
-		a0, a1 := factors[0], factors[1]
-		par.DoWorkers(workers, i2n, func(j int) {
-			fs := getFiberScratch(f, 3)
-			s := fs.s
-			orow := dst.Row(j)
-			base := j * i1n * i0n
-			for i1 := 0; i1 < i1n; i1++ {
-				fb := base + i1*i0n
-				for c := range s {
-					s[c] = 0
-				}
-				mat.VecMatMulAdd(s, a0.Data, x[fb:fb+i0n], f)
-				w := a1.Row(i1)
-				for c, sv := range s {
-					orow[c] += sv * w[c]
-				}
-			}
-			fiberPool.Put(fs)
 		})
 	}
+	wPool.Put(sp)
 }
 
-// wChunkFibers is how many fiber weights the generic mode-0 path
-// materializes per chunk (bounding scratch at wChunkFibers×F floats).
-const wChunkFibers = 4096
+// fiberProduct is the S pass for one fiber: s = fiberᵀ·A(0), accumulated
+// from zero.
+func fiberProduct(s, a0, fiber []float64, f int) {
+	clear(s)
+	mat.VecMatMulAdd(s, a0, fiber, f)
+}
 
-// mttkrpN is the generic N-way fiber loop.
-func mttkrpN(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n, f int) {
+// foldFibers accumulates the mode-n (n ≥ 1) MTTKRP: output row j adds
+// s ⊛ w for each of its fibers in ascending fiber order. s is the fiber's
+// row of sw's product matrix S — computed here, by the one invocation that
+// owns the fiber, on the first fold since factor 0 changed and only read
+// on later ones — or a scratch row computed on the spot when there is no
+// S. Either way a fold that computes products streams the tensor once.
+//
+// Fiber-space geometry: fibers are indexed by (i_1, ..., i_{N-1}) in
+// Fortran order, so the fibers of row j are runs of sfn consecutive fibers
+// repeated outerN times.
+func foldFibers(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Sweep) {
 	dims := t.Dims
-	nModes := len(dims)
-	i0n := dims[0]
+	i0n, f := dims[0], dst.Cols
 	x := t.Data
-	if nModes == 1 {
-		// Degenerate: the Khatri-Rao chain is empty, M[i,c] = x[i].
-		for i0 := 0; i0 < i0n; i0++ {
-			orow := dst.Row(i0)
-			v := x[i0]
-			for c := range orow {
-				orow[c] += v
-			}
-		}
-		return
-	}
 	nf := len(x) / i0n
-	fdims := dims[1:]
-	workers := par.WorkersFor(len(x) * 2 * f)
-
-	if n == 0 {
-		// Materialize fiber weights in chunks, then apply each chunk's
-		// rank-one fiber updates over output-row panels. Every output row
-		// sees the fibers in ascending order regardless of panel bounds.
-		sp := wPool.Get().(*[]float64)
-		if cap(*sp) < wChunkFibers*f {
-			*sp = make([]float64, wChunkFibers*f)
-		}
-		wchunk := (*sp)[:wChunkFibers*f]
-		for cf0 := 0; cf0 < nf; cf0 += wChunkFibers {
-			cf1 := cf0 + wChunkFibers
-			if cf1 > nf {
-				cf1 = nf
-			}
-			buildFiberWeights(wchunk, factors, fdims, cf0, cf1, f, workers)
-			parRowPanels(workers, i0n, func(lo, hi int) {
-				panel := dst.Data[lo*f : hi*f]
-				for fi := cf0; fi < cf1; fi++ {
-					fb := fi * i0n
-					mat.OuterAdd(panel, wchunk[(fi-cf0)*f:(fi-cf0+1)*f], x[fb+lo:fb+hi], f)
-				}
-			})
-		}
-		wPool.Put(sp)
-		return
-	}
-
-	// n ≥ 1: every fiber belongs to exactly one output row j = idx[n].
-	// Fiber-space geometry: fibers are indexed by (i_1, ..., i_{N-1}) in
-	// Fortran order, so the fibers of row j are runs of sfn consecutive
-	// fibers repeated outerN times.
 	sfn := 1
 	for k := 1; k < n; k++ {
 		sfn *= dims[k]
@@ -227,29 +261,33 @@ func mttkrpN(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n, f int) {
 	outerN := nf / (sfn * dims[n])
 	lowDims := dims[1:n]   // decoded along q
 	highDims := dims[n+1:] // decoded along outer
-	hasW := len(lowDims)+len(highDims) > 0
-	par.DoWorkers(workers, dims[n], func(j int) {
-		fs := getFiberScratch(f, nModes)
-		s, w := fs.s, fs.w
+	sp, compute := sw.products(nf, f, i0n)
+	work := nf * 2 * f
+	if compute {
+		work *= i0n
+	}
+	par.DoWorkers(par.WorkersFor(work), dims[n], func(j int) {
+		fs := getFiberScratch(f, len(dims))
+		s := fs.s
 		idxHigh := fs.idx[:len(highDims)]
 		idxLow := fs.idx[len(highDims) : len(highDims)+len(lowDims)]
 		for k := range idxHigh {
 			idxHigh[k] = 0
 		}
+		orow := dst.Row(j)
 		for outer := 0; outer < outerN; outer++ {
 			for k := range idxLow {
 				idxLow[k] = 0
 			}
 			for q := 0; q < sfn; q++ {
 				fi := (outer*dims[n]+j)*sfn + q
-				fb := fi * i0n
-				for c := range s {
-					s[c] = 0
+				if sp != nil {
+					s = sp[fi*f : (fi+1)*f]
 				}
-				mat.VecMatMulAdd(s, factors[0].Data, x[fb:fb+i0n], f)
-				orow := dst.Row(j)
-				if hasW {
-					fiberWeight(w, factors, idxLow, idxHigh, n)
+				if compute {
+					fiberProduct(s, factors[0].Data, x[fi*i0n:(fi+1)*i0n], f)
+				}
+				if w := fiberWeight(fs.w, factors, idxLow, idxHigh, n); w != nil {
 					for c, sv := range s {
 						orow[c] += sv * w[c]
 					}
@@ -266,33 +304,37 @@ func mttkrpN(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n, f int) {
 	})
 }
 
-// fiberWeight writes the Hadamard product of the outer-mode factor rows
-// (modes 1..n-1 at idxLow, modes n+1.. at idxHigh) into w, multiplying in
-// ascending mode order.
-func fiberWeight(w []float64, factors []*mat.Matrix, idxLow, idxHigh []int, n int) {
-	first := true
-	for k, i := range idxLow {
-		row := factors[k+1].Row(i)
-		if first {
-			copy(w, row)
-			first = false
+// fiberWeight returns the Hadamard product of the outer-mode factor rows
+// (modes 1..n-1 at idxLow, modes n+1.. at idxHigh), multiplied in
+// ascending mode order: nil when there is no outer mode, the factor row
+// itself when there is one, buf otherwise.
+func fiberWeight(buf []float64, factors []*mat.Matrix, idxLow, idxHigh []int, n int) []float64 {
+	var w []float64
+	rows := 0
+	for k := 1; k < len(factors); k++ {
+		if k == n {
 			continue
 		}
-		for c := range w {
-			w[c] *= row[c]
+		var row []float64
+		if k < n {
+			row = factors[k].Row(idxLow[k-1])
+		} else {
+			row = factors[k].Row(idxHigh[k-n-1])
 		}
+		switch rows {
+		case 0:
+			w = row
+		case 1:
+			mat.HadamardVec(buf, w, row)
+			w = buf
+		default:
+			for c := range buf {
+				buf[c] *= row[c]
+			}
+		}
+		rows++
 	}
-	for k, i := range idxHigh {
-		row := factors[n+1+k].Row(i)
-		if first {
-			copy(w, row)
-			first = false
-			continue
-		}
-		for c := range w {
-			w[c] *= row[c]
-		}
-	}
+	return w
 }
 
 // buildFiberWeights fills wchunk with the fiber weights of fibers

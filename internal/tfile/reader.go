@@ -146,10 +146,28 @@ func (r *Reader) Compressed() bool { return r.flags&FlagGzip != 0 }
 // ReadTile reads the tile at grid position vec into a fresh dense
 // tensor of the tile's extents, verifying its CRC when present.
 func (r *Reader) ReadTile(vec []int) (*tensor.Dense, error) {
+	return r.ReadTileInto(nil, vec)
+}
+
+// ReadTileInto is ReadTile into buf's storage when buf holds exactly the
+// tile's cell count; a nil or differently sized buf is replaced by a fresh
+// tensor. A caller that streams tiles one at a time hands the previous
+// tile back, so a pass over the file allocates once instead of once per
+// tile. After an error buf's contents are unspecified.
+func (r *Reader) ReadTileInto(buf *tensor.Dense, vec []int) (*tensor.Dense, error) {
 	id := r.pattern.Linear(vec)
 	e := r.index[id]
 	_, size := r.pattern.Block(vec)
-	out := tensor.NewDense(size...)
+	cells := 1
+	for _, d := range size {
+		cells *= d
+	}
+	out := buf
+	if out == nil || len(out.Data) != cells {
+		out = tensor.NewDense(size...)
+	} else {
+		out.Dims = append(out.Dims[:0], size...)
+	}
 
 	var src io.Reader = io.NewSectionReader(r.ra, int64(e.Offset), int64(e.Size))
 	var crc *crcReader

@@ -48,12 +48,20 @@ func readBack(t *testing.T, path string) *tensor.Dense {
 	defer r.Close()
 	out := tensor.NewDense(r.Dims()...)
 	p := r.Tiling()
+	// One tile buffer handed back on every read: equal-sized tiles reuse
+	// it, ragged ones replace it.
+	var tile *tensor.Dense
 	for _, vec := range p.Positions() {
-		tile, err := r.ReadTile(vec)
+		tile, err = r.ReadTileInto(tile, vec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		from, _ := p.Block(vec)
+		from, size := p.Block(vec)
+		for m, d := range size {
+			if tile.Dims[m] != d {
+				t.Fatalf("tile %v has dims %v, want %v", vec, tile.Dims, size)
+			}
+		}
 		out.SetSubTensor(tile, from)
 	}
 	return out
@@ -82,6 +90,43 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatal("round trip changed cell values")
 			}
 		})
+	}
+}
+
+// TestReadTileIntoReusesStorage: a buffer with the tile's cell count is
+// filled in place and returned; any other buffer is left alone and
+// replaced.
+func TestReadTileIntoReusesStorage(t *testing.T) {
+	x := tensor.RandomDense(rand.New(rand.NewSource(3)), 8, 6, 4)
+	path := filepath.Join(t.TempDir(), "x.tptl")
+	writeTensor(t, path, x, []int{2, 2, 2}, nil)
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	buf, err := r.ReadTile([]int{0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := r.ReadTile([]int{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.ReadTileInto(buf, []int{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != buf || !got.EqualApprox(want, 0) {
+		t.Fatal("equal-sized buffer was not refilled in place with the tile's cells")
+	}
+	small := tensor.NewDense(2, 2)
+	got, err = r.ReadTileInto(small, []int{0, 1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == small || len(got.Data) != 4*3*2 {
+		t.Fatalf("mis-sized buffer not replaced: %v", got.Dims)
 	}
 }
 

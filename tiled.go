@@ -103,8 +103,13 @@ func LoadTiled(path string) (*Dense, error) {
 func tiledFit(r *tfile.Reader, model *KTensor) (float64, error) {
 	tiling := r.Tiling()
 	var normX2, inner float64
+	// One tile buffer for the whole pass: this loop reads tiles faster than
+	// the collector reclaims them, so a fresh tile per read is an allocation
+	// burst that sets the run's peak RSS.
+	var tile *tensor.Dense
 	for _, vec := range tiling.Positions() {
-		tile, err := r.ReadTile(vec)
+		var err error
+		tile, err = r.ReadTileInto(tile, vec)
 		if err != nil {
 			return 0, err
 		}
