@@ -5,7 +5,6 @@ import (
 
 	"twopcp/internal/cpals"
 	"twopcp/internal/obs"
-	"twopcp/internal/phase1"
 	"twopcp/internal/sketch"
 )
 
@@ -49,62 +48,59 @@ func phase0Rank(opts Options) int {
 	return opts.Rank
 }
 
-// runPhase0 applies the configured accelerator ahead of Phase 1: for
-// AccelTucker it computes the compress-then-refine warm start (possibly
-// falling back to brute force) and installs it as p1opts.Init; for
-// AccelSketched it wraps the Phase-1 row solver with leverage-score
-// sampling. It mutates p1opts in place and reports whether a warm start
-// or sampled solver was actually installed.
+// phase0 is the pipeline's Phase-0 stage: it applies the configured
+// accelerator ahead of Phase 1. For AccelTucker it computes the
+// compress-then-refine warm start (possibly falling back to brute force)
+// and installs it as the Phase-1 Init; for AccelSketched it wraps the
+// Phase-1 row solver with leverage-score sampling. It records in RunStats
+// whether a warm start or sampled solver was actually installed.
 //
 // Phase 0 is deterministic given the options (seeded sketches, serial
 // block streaming), so a resumed run recomputes bit-identical warm
-// starts — no Phase-0 state is checkpointed. Callers skip it entirely
-// once the manifest has advanced past Phase 1 (the warm start can no
-// longer influence anything).
-func runPhase0(src phase1.Source, opts Options, solver cpals.Solver, p1opts *phase1.Options, ob *obs.Observer) (accelerated bool, err error) {
-	switch opts.Accelerator {
-	case AccelNone:
-		return false, nil
-	case AccelSketched:
-		p1opts.Solver = cpals.Sketched{Inner: solver, Seed: opts.Seed}
-		if ob.Tracing() {
-			ob.Emit("phase0.sketch",
+// starts — no Phase-0 state is checkpointed. The stage is not due once
+// the manifest has advanced past Phase 1 (the warm start can no longer
+// influence anything).
+func (r *runCtx) phase0() error {
+	if r.opts.Accelerator == AccelSketched {
+		r.p1opts.Solver = cpals.Sketched{Inner: r.solver, Seed: r.opts.Seed}
+		if r.ob.Tracing() {
+			r.ob.Emit("phase0.sketch",
 				obs.Str("accelerator", "sketched"), obs.Bool("active", true))
 		}
-		return true, nil
-	case AccelTucker:
-		res, err := sketch.TuckerWarmStart(src, sketchOptions(opts, solver))
-		if err != nil {
-			return false, err
-		}
-		if res.Fallback {
-			if ob.Tracing() {
-				ob.Emit("phase0.sketch",
-					obs.Str("accelerator", "tucker"), obs.Bool("active", false),
-					obs.Str("reason", res.Reason))
-			}
-			return false, nil
-		}
-		if ob.Tracing() {
-			ob.Emit("phase0.sketch",
-				obs.Str("accelerator", "tucker"), obs.Bool("active", true),
-				obs.Str("core_dims", dimsLabel(res.CoreDims)),
-				obs.F64("core_fit", res.CoreFit),
-				obs.Int("core_iters", res.CoreIters))
-		}
-		p1opts.Init = res.Init
-		// The compress-then-refine contract: the core solve already did
-		// the slow convergence work, so the standard Phase-1 pass is a
-		// short polish from the warm start (Phase 2 then refines
-		// globally as usual). An explicit Phase1MaxIters overrides the
-		// short default — the derivation depends only on the options, so
-		// resumed runs reproduce it exactly.
-		if opts.Phase1MaxIters == 0 {
-			p1opts.MaxIters = warmPhase1MaxIters
-		}
-		return true, nil
+		r.res.RunStats.Accelerated = true
+		return nil
 	}
-	return false, fmt.Errorf("twopcp: unknown accelerator %d", int(opts.Accelerator))
+	res, err := sketch.TuckerWarmStart(r.src, sketchOptions(r.opts, r.solver))
+	if err != nil {
+		return err
+	}
+	if res.Fallback {
+		if r.ob.Tracing() {
+			r.ob.Emit("phase0.sketch",
+				obs.Str("accelerator", "tucker"), obs.Bool("active", false),
+				obs.Str("reason", res.Reason))
+		}
+		return nil
+	}
+	if r.ob.Tracing() {
+		r.ob.Emit("phase0.sketch",
+			obs.Str("accelerator", "tucker"), obs.Bool("active", true),
+			obs.Str("core_dims", dimsLabel(res.CoreDims)),
+			obs.F64("core_fit", res.CoreFit),
+			obs.Int("core_iters", res.CoreIters))
+	}
+	r.p1opts.Init = res.Init
+	// The compress-then-refine contract: the core solve already did
+	// the slow convergence work, so the standard Phase-1 pass is a
+	// short polish from the warm start (Phase 2 then refines
+	// globally as usual). An explicit Phase1MaxIters overrides the
+	// short default — the derivation depends only on the options, so
+	// resumed runs reproduce it exactly.
+	if r.opts.Phase1MaxIters == 0 {
+		r.p1opts.MaxIters = warmPhase1MaxIters
+	}
+	r.res.RunStats.Accelerated = true
+	return nil
 }
 
 // sketchOptions maps the public accelerator knobs to the sketch layer.
@@ -129,36 +125,4 @@ func corePhaseIters(opts Options) int {
 		return opts.Phase1MaxIters
 	}
 	return 100
-}
-
-// WarmStartFit is a diagnostic hook for tests and the experiment CLI: it
-// runs Phase 0 alone over a dense tensor with the given options and
-// returns the expanded warm-start model (nil when Phase 0 fell back).
-func WarmStartFit(x *Dense, opts Options) (*KTensor, bool, error) {
-	if err := validateAccelOptions(opts); err != nil {
-		return nil, false, err
-	}
-	if opts.Accelerator != AccelTucker {
-		return nil, false, fmt.Errorf("twopcp: WarmStartFit requires AccelTucker, got %s", opts.Accelerator)
-	}
-	p, err := patternFor(x.Dims, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	src, err := phase1.NewDenseSource(x, p)
-	if err != nil {
-		return nil, false, err
-	}
-	solver, err := opts.Constraint.solver(opts.Lambda)
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := sketch.TuckerWarmStart(src, sketchOptions(opts, solver))
-	if err != nil {
-		return nil, false, err
-	}
-	if res.Fallback {
-		return nil, false, nil
-	}
-	return cpals.NewKTensor(res.Init), true, nil
 }

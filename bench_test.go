@@ -209,46 +209,6 @@ func BenchmarkAblationPolicies(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPQTracker compares the two P/Q bookkeeping strategies
-// (DESIGN.md ablation): the per-mode component store vs the paper's
-// literal in-place Hadamard-division rule. Both produce identical factors;
-// this measures their Phase-2 cost difference.
-func BenchmarkAblationPQTracker(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	x := denseUniform(rng, 0.5, 24)
-	p := gridCube(24, 4)
-	src, err := phase1.NewDenseSource(x, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p1, err := phase1.Run(src, phase1.Options{Rank: 8, MaxIters: 10, Seed: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, divide := range []bool{false, true} {
-		name := "components"
-		if divide {
-			name = "divide"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng, err := refine.New(refine.Config{
-					Phase1: p1, Store: blockstore.NewMemStore(),
-					Schedule: schedule.HilbertOrder, Policy: buffer.Forward,
-					BufferFraction: 0.5, MaxVirtualIters: 12, Tol: -1,
-					DivideUpdate: divide,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPhase0Sketch is the speed half of the Phase-0 acceptance
 // criterion, baselined in BENCH_phase0_sketch.json and gated by
 // cmd/benchgate:

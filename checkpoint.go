@@ -1,7 +1,6 @@
 package twopcp
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -16,13 +15,10 @@ import (
 // KernelWorkers / PrefetchDepth / IOWorkers settings (results are
 // bit-identical at every setting — see the determinism contract in the
 // package documentation).
-func openRunState(opts Options, p *Pattern, inputKind string) (*runstate.Run, error) {
-	solver, err := opts.Constraint.solver(opts.Lambda)
-	if err != nil {
-		return nil, err
-	}
+func openRunState(r *runCtx) (*runstate.Run, error) {
+	opts, p := r.opts, r.pattern
 	meta := runstate.Meta{
-		InputKind:      inputKind,
+		InputKind:      r.in.kind,
 		Dims:           append([]int(nil), p.Dims...),
 		Partitions:     append([]int(nil), p.K...),
 		Rank:           opts.Rank,
@@ -35,7 +31,7 @@ func openRunState(opts Options, p *Pattern, inputKind string) (*runstate.Run, er
 		Phase1MaxIters: opts.Phase1MaxIters,
 		Phase1Tol:      finiteTol(opts.Phase1Tol),
 		Seed:           opts.Seed,
-		Constraint:     cpals.FingerprintName(solver),
+		Constraint:     cpals.FingerprintName(r.solver),
 		Lambda:         opts.Lambda,
 		// Accelerator knobs are recorded as passed (zero = default): Phase 0
 		// is recomputed from them on resume, so any drift would silently
@@ -61,45 +57,35 @@ func finiteTol(tol float64) float64 {
 	return tol
 }
 
-// finishRun records the completed Result in the checkpoint directory (when
-// checkpointing) and returns res. Called by the Decompose front-ends after
-// the final fit is in; once SaveResult succeeds, resuming the directory is
-// a no-op that returns this Result.
-func finishRun(rs *runstate.Run, ob *Observer, res *Result) (*Result, error) {
-	defer emitRunDone(ob, res)
-	if rs == nil {
-		return res, nil
-	}
-	st := &runstate.ResultState{
+// resultToState is the persisted form of a completed run's Result;
+// resultFromState is its inverse (the no-op resume path). A RunStats field
+// added to one belongs in both.
+func resultToState(res *Result) *runstate.ResultState {
+	st := res.RunStats
+	return &runstate.ResultState{
 		Fit:           res.Fit,
-		Phase0NS:      int64(res.RunStats.Phase0Time),
-		Accelerated:   res.RunStats.Accelerated,
-		Phase1NS:      int64(res.RunStats.Phase1Time),
-		Phase2NS:      int64(res.RunStats.Phase2Time),
 		VirtualIters:  res.VirtualIters,
 		Converged:     res.Converged,
 		FitTrace:      res.FitTrace,
-		Blocks:        res.RunStats.Blocks,
-		Phase1Sweeps:  res.RunStats.Phase1Sweeps,
-		Swaps:         res.RunStats.Swaps,
-		SwapsPerIter:  res.RunStats.SwapsPerIter,
-		BufferHits:    res.RunStats.BufferHits,
-		BufferHitRate: res.RunStats.BufferHitRate,
-		Evictions:     res.RunStats.Evictions,
-		WriteBacks:    res.RunStats.WriteBacks,
-		BytesRead:     res.RunStats.BytesRead,
-		BytesWritten:  res.RunStats.BytesWritten,
-		Retries:       res.RunStats.Retries,
 		Factors:       res.Model.Factors,
+		Phase0NS:      int64(st.Phase0Time),
+		Accelerated:   st.Accelerated,
+		Phase1NS:      int64(st.Phase1Time),
+		Phase2NS:      int64(st.Phase2Time),
+		Blocks:        st.Blocks,
+		Phase1Sweeps:  st.Phase1Sweeps,
+		Swaps:         st.Swaps,
+		SwapsPerIter:  st.SwapsPerIter,
+		BufferHits:    st.BufferHits,
+		BufferHitRate: st.BufferHitRate,
+		Evictions:     st.Evictions,
+		WriteBacks:    st.WriteBacks,
+		BytesRead:     st.BytesRead,
+		BytesWritten:  st.BytesWritten,
+		Retries:       st.Retries,
 	}
-	if err := rs.SaveResult(st); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
-// resultFromState reconstructs the public Result of a completed run from
-// its checkpoint (the no-op resume path).
 func resultFromState(st *runstate.ResultState) *Result {
 	return &Result{
 		Model:        cpals.NewKTensor(st.Factors),
@@ -125,13 +111,4 @@ func resultFromState(st *runstate.ResultState) *Result {
 			Retries:       st.Retries,
 		},
 	}
-}
-
-// validateCheckpointOptions rejects option combinations the durability
-// layer cannot honor.
-func validateCheckpointOptions(opts Options) error {
-	if opts.Resume && opts.Checkpoint == "" {
-		return fmt.Errorf("twopcp: Resume requires Checkpoint to name the checkpoint directory")
-	}
-	return nil
 }

@@ -197,404 +197,353 @@ func loadJSON(dir, name string) (any, error) {
 	return root, nil
 }
 
-// evaluate runs every gate the measurements and baselines support.
-func evaluate(meas map[string]*measurement, baselineDir string, tol float64, absolute bool) ([]gate, error) {
-	var gates []gate
-	add := func(g gate) { gates = append(gates, g) }
-	missing := func(name, what string) {
-		add(gate{Name: name, Skipped: true, Pass: true, Detail: "missing " + what})
-	}
+// reading picks one number off a parsed benchmark line; ok is false when
+// the line does not carry it.
+type reading func(*measurement) (float64, bool)
 
-	// --- Prefetch pipeline (BENCH_phase2_prefetch.json) ---
-	if pf, err := loadJSON(baselineDir, "BENCH_phase2_prefetch.json"); err == nil {
-		sync, okS := meas["BenchmarkPhase2Prefetch/sync"]
-		pre, okP := meas["BenchmarkPhase2Prefetch/prefetch"]
-		baseSpeedup, okB := digFloat(pf, "speedup")
-		if okS && okP && okB {
-			speedup := sync.NsPerOp / pre.NsPerOp
-			gtol := gateTol(pf, "phase2-prefetch-speedup", tol)
-			limit := baseSpeedup * (1 - gtol)
-			add(gate{
-				Name: "phase2-prefetch-speedup", Measured: speedup, Baseline: baseSpeedup,
-				Limit: limit, Tolerance: gtol, Pass: speedup >= limit,
-				Detail: fmt.Sprintf("sync %.0f ns/op vs prefetch %.0f ns/op; must stay >= %.2fx", sync.NsPerOp, pre.NsPerOp, limit),
-			})
-			if s1, ok1 := sync.Metrics["swaps"]; ok1 {
-				if s2, ok2 := pre.Metrics["swaps"]; ok2 {
-					add(gate{
-						Name: "phase2-prefetch-swap-invariance", Measured: s2, Baseline: s1,
-						Limit: s1, Pass: s1 == s2,
-						Detail: "prefetching must not change the swap count",
-					})
-				}
-			}
-			if ck, okC := meas["BenchmarkPhase2Prefetch/prefetch+checkpoint"]; okC {
-				overhead := ck.NsPerOp/pre.NsPerOp - 1
-				baseOverhead, _ := digFloat(pf, "checkpoint_overhead")
-				// 5% is the acceptance criterion for the true overhead; the
-				// margin (default 3%, overridable via gate_tolerances)
-				// absorbs shared-runner jitter on a ratio of two ~90 ms
-				// wall-clock timings (run the benchmark with -count >= 3 —
-				// the parser keeps the min of each side, which is what
-				// makes this margin sufficient).
-				margin := gateTol(pf, "phase2-checkpoint-overhead", 0.03)
-				limit := 0.05 + margin
-				add(gate{
-					Name: "phase2-checkpoint-overhead", Measured: overhead, Baseline: baseOverhead,
-					Limit: limit, Tolerance: margin, Pass: overhead <= limit,
-					Detail: fmt.Sprintf("prefetch %.0f ns/op vs +checkpoint %.0f ns/op; durable checkpoints must cost <= 5%% (+%.0f%% measurement margin)", pre.NsPerOp, ck.NsPerOp, margin*100),
-				})
-			}
-			if absolute {
-				for name, m := range map[string]*measurement{"sync": sync, "prefetch": pre} {
-					base, ok := digFloat(pf, "results", name, "ns_per_op")
-					if !ok {
-						continue
-					}
-					gname := "phase2-prefetch-abs-ns/" + name
-					gtol := gateTol(pf, gname, tol)
-					limit := base * (1 + gtol)
-					add(gate{
-						Name: gname, Measured: m.NsPerOp, Tolerance: gtol,
-						Baseline: base, Limit: limit, Pass: m.NsPerOp <= limit,
-					})
-				}
-			}
-		} else {
-			missing("phase2-prefetch-speedup", "BenchmarkPhase2Prefetch sync/prefetch measurements")
-		}
-	} else {
-		missing("phase2-prefetch-speedup", "BENCH_phase2_prefetch.json")
-	}
+func nsPerOp(m *measurement) (float64, bool)     { return m.NsPerOp, true }
+func allocsPerOp(m *measurement) (float64, bool) { return m.AllocsPerOp, m.hasAllocs }
+func metric(unit string) reading {
+	return func(m *measurement) (float64, bool) { v, ok := m.Metrics[unit]; return v, ok }
+}
 
-	// --- Tiled Phase 1 (BENCH_phase1_tiled.json) ---
-	if tf, err := loadJSON(baselineDir, "BENCH_phase1_tiled.json"); err == nil {
-		mem, okM := meas["BenchmarkPhase1Tiled/InMemory"]
-		tiled, okT := meas["BenchmarkPhase1Tiled/Tiled"]
-		if okM && okT {
-			baseOverhead, _ := digFloat(tf, "overhead")
-			overhead := tiled.NsPerOp/mem.NsPerOp - 1
-			gtol := gateTol(tf, "phase1-tiled-overhead", tol)
-			limit := baseOverhead + gtol
-			add(gate{
-				Name: "phase1-tiled-overhead", Measured: overhead, Baseline: baseOverhead,
-				Limit: limit, Tolerance: gtol, Pass: overhead <= limit,
-				Detail: fmt.Sprintf("tiled %.0f ns/op vs in-memory %.0f ns/op; overhead must stay <= %.0f%%", tiled.NsPerOp, mem.NsPerOp, limit*100),
-			})
-			if absolute {
-				for name, pair := range map[string]*measurement{"in_memory": mem, "tiled": tiled} {
-					base, ok := digFloat(tf, "results", name, "ns_per_op")
-					if !ok {
-						continue
-					}
-					gname := "phase1-tiled-abs-ns/" + name
-					gtol := gateTol(tf, gname, tol)
-					limit := base * (1 + gtol)
-					add(gate{
-						Name: gname, Measured: pair.NsPerOp, Tolerance: gtol,
-						Baseline: base, Limit: limit, Pass: pair.NsPerOp <= limit,
-					})
-				}
-			}
-		} else {
-			missing("phase1-tiled-overhead", "BenchmarkPhase1Tiled measurements")
-		}
-	} else {
-		missing("phase1-tiled-overhead", "BENCH_phase1_tiled.json")
-	}
+// form says how a gate's two readings become its measured value.
+type form int
 
-	// --- ALS workspace kernels (BENCH_kernels.json) ---
-	if kf, err := loadJSON(baselineDir, "BENCH_kernels.json"); err == nil {
-		fresh, okF := meas["BenchmarkALSSweep/fresh"]
-		ws, okW := meas["BenchmarkALSSweep/workspace"]
-		if okF && okW {
-			if baseAllocs, ok := digFloat(kf, "benchmarks", "ALSSweep_dense_64x64x64_rank16_2sweeps", "new_workspace", "allocs_per_op"); ok && ws.hasAllocs {
-				gtol := gateTol(kf, "als-workspace-allocs", tol)
-				limit := math.Ceil(baseAllocs * (1 + gtol))
-				add(gate{
-					Name: "als-workspace-allocs", Measured: ws.AllocsPerOp, Baseline: baseAllocs,
-					Limit: limit, Tolerance: gtol, Pass: ws.AllocsPerOp <= limit,
-					Detail: "allocation count is hardware-independent; a rise means per-sweep scratch regressed",
-				})
-			}
-			gtol := gateTol(kf, "als-workspace-vs-fresh", tol)
-			limit := fresh.NsPerOp * (1 + gtol)
-			add(gate{
-				Name: "als-workspace-vs-fresh", Measured: ws.NsPerOp, Baseline: fresh.NsPerOp,
-				Limit: limit, Tolerance: gtol, Pass: ws.NsPerOp <= limit,
-				Detail: "the reusable workspace must never be slower than fresh allocation",
-			})
-			if nn, okN := meas["BenchmarkALSSweep/nonneg"]; okN {
-				// The constrained-solver acceptance bound: a nonnegative
-				// (HALS) ALS sweep must cost at most 2× the unconstrained
-				// workspace sweep. The ratio is machine-independent (both
-				// sides run the same MTTKRP/Gram kernels; only the row
-				// solve differs), so it is gated on every runner. The
-				// recorded baseline is informational.
-				overhead := nn.NsPerOp / ws.NsPerOp
-				baseOverhead, _ := digFloat(kf, "benchmarks", "ALSSweep_dense_64x64x64_rank16_2sweeps", "nonneg", "overhead_vs_workspace")
-				const nnLimit = 2.0
-				add(gate{
-					Name: "als-nonneg-overhead", Measured: overhead, Baseline: baseOverhead,
-					Limit: nnLimit, Pass: overhead <= nnLimit,
-					Detail: fmt.Sprintf("nonneg %.0f ns/op vs workspace %.0f ns/op; constrained sweeps must cost <= 2x unconstrained", nn.NsPerOp, ws.NsPerOp),
-				})
-			}
-			if pm, okP := meas["BenchmarkALSSweep/mttkrp-per-mode"]; okP {
-				// A sweep shares the mode-0 fiber products between modes
-				// 1..N-1, so the whole sweep — MTTKRPs, Grams, solves —
-				// must cost less than its MTTKRPs alone would at one
-				// tensor pass per mode. Both sides stream the same block
-				// on the same machine, so the ratio is gated everywhere:
-				// at the recorded value plus tolerance, and never above 1.
-				if base, ok := digFloat(kf, "benchmarks", "ALSSweep_dense_64x64x64_rank16_2sweeps", "sweep_vs_mttkrp_per_mode"); ok {
-					ratio := ws.NsPerOp / pm.NsPerOp
-					gtol := gateTol(kf, "als-sweep-vs-mttkrp-per-mode", tol)
-					limit := math.Min(1, base*(1+gtol))
-					add(gate{
-						Name: "als-sweep-vs-mttkrp-per-mode", Measured: ratio, Baseline: base,
-						Limit: limit, Tolerance: gtol, Pass: ratio <= limit,
-						Detail: fmt.Sprintf("workspace sweep %.0f ns/op vs per-mode MTTKRPs %.0f ns/op; a rise toward 1 means the modes stopped sharing fiber products", ws.NsPerOp, pm.NsPerOp),
-					})
-				}
-			}
-			if absolute {
-				if base, ok := digFloat(kf, "benchmarks", "ALSSweep_dense_64x64x64_rank16_2sweeps", "new_workspace", "ns_per_op"); ok {
-					gtol := gateTol(kf, "als-workspace-abs-ns", tol)
-					limit := base * (1 + gtol)
-					add(gate{
-						Name: "als-workspace-abs-ns", Measured: ws.NsPerOp, Tolerance: gtol,
-						Baseline: base, Limit: limit, Pass: ws.NsPerOp <= limit,
-					})
-				}
-			}
-		} else {
-			missing("als-workspace", "BenchmarkALSSweep measurements")
-		}
-	} else {
-		missing("als-workspace", "BENCH_kernels.json")
-	}
+const (
+	single   form = iota // read(a)
+	ratio                // read(a) / read(b)
+	overhead             // read(a)/read(b) − 1
+	versus               // read(a), held against read(b) as the baseline
+)
 
-	// --- Telemetry overhead (BENCH_obs.json) ---
-	if of, err := loadJSON(baselineDir, "BENCH_obs.json"); err == nil {
-		off, okO := meas["BenchmarkObsOverhead/off"]
-		ctr, okC := meas["BenchmarkObsOverhead/counters"]
-		if okO && okC {
-			overhead := ctr.NsPerOp/off.NsPerOp - 1
-			baseOverhead, _ := digFloat(of, "counters_overhead")
+// limitRule computes a gate's limit from its baseline and tolerance.
+type limitRule func(base, tol float64) float64
+
+func relUp(base, tol float64) float64   { return base * (1 + tol) }
+func relDown(base, tol float64) float64 { return base * (1 - tol) }
+func plusTol(base, tol float64) float64 { return base + tol }
+func ceilUp(base, tol float64) float64  { return math.Ceil(base * (1 + tol)) }
+func same(base, _ float64) float64      { return base }
+func fixed(bound float64) limitRule     { return func(_, _ float64) float64 { return bound } }
+
+// accept is a fixed acceptance criterion plus a measurement margin (the
+// gate's tolerance).
+func accept(bound float64) limitRule { return func(_, tol float64) float64 { return bound + tol } }
+
+const (
+	atMost  = iota // pass when measured <= limit
+	atLeast        // pass when measured >= limit
+	equal          // pass when measured == limit
+)
+
+// spec is one row of the gate table.
+type spec struct {
+	name string
+	// a and b name the benchmarks read, less the section's prefix (b is
+	// empty for single readings); read picks the number off each (nil:
+	// ns/op) and form combines them.
+	a, b string
+	read reading
+	form form
+	// base is the key path of the recorded baseline in the section's file.
+	// It is informational unless needBase, which omits the gate without it.
+	base     []string
+	needBase bool
+	limit    limitRule
+	// margin is the gate's own default tolerance (0: the -tolerance flag);
+	// either way the baseline file's gate_tolerances entry overrides it.
+	// noTol marks a fixed bound, which takes and records no tolerance.
+	margin float64
+	noTol  bool
+	cmp    int
+	// detail is the report text: a fmt format over the fixed arguments
+	// 1: a's ns/op, 2: b's ns/op, 3: the limit, 4: the limit in percent,
+	// 5: the tolerance in percent, 6: a's rate in millions per second.
+	detail   string
+	absolute bool // evaluated only under -absolute
+	// skip, when set, is reported as a SKIP if the gate's inputs are
+	// missing; otherwise such a gate is silently left out.
+	skip string
+}
+
+// section is the gates sharing one baseline file and one set of required
+// inputs. Without the file, the file's first section reports one SKIP under
+// its skip name; without the needed benchmarks (or baseline key), the
+// section reports one SKIP naming what.
+type section struct {
+	file     string
+	bench    string   // prefix of every benchmark name in the section
+	needs    []string // benchmarks every gate of the section reads
+	needBase []string
+	skip     string
+	what     string
+	gates    []spec
+}
+
+// abs is a raw ns/op gate against the recorded value (-absolute only).
+func abs(name, bench string, base ...string) spec {
+	return spec{name: name, a: bench, base: base, needBase: true, limit: relUp, absolute: true}
+}
+
+// alsKey is the ALS sweep's entry in BENCH_kernels.json.
+const alsKey = "ALSSweep_dense_64x64x64_rank16_2sweeps"
+
+// sections is the gate table, in report order.
+var sections = []section{
+	{
+		file: "BENCH_phase2_prefetch.json", bench: "BenchmarkPhase2Prefetch/", needs: []string{"sync", "prefetch"}, needBase: []string{"speedup"},
+		skip: "phase2-prefetch-speedup", what: "BenchmarkPhase2Prefetch sync/prefetch measurements",
+		gates: []spec{
+			{name: "phase2-prefetch-speedup", a: "sync", b: "prefetch", form: ratio, base: []string{"speedup"}, limit: relDown, cmp: atLeast,
+				detail: "sync %.0[1]f ns/op vs prefetch %.0[2]f ns/op; must stay >= %.2[3]fx"},
+			{name: "phase2-prefetch-swap-invariance", a: "prefetch", b: "sync", read: metric("swaps"), form: versus, limit: same, noTol: true, cmp: equal,
+				detail: "prefetching must not change the swap count"},
+			// 5% is the acceptance criterion for the true overhead; the
+			// margin (default 3%, overridable via gate_tolerances) absorbs
+			// shared-runner jitter on a ratio of two ~90 ms wall-clock
+			// timings (run the benchmark with -count >= 3 — the parser keeps
+			// the min of each side, which is what makes this margin
+			// sufficient).
+			{name: "phase2-checkpoint-overhead", a: "prefetch+checkpoint", b: "prefetch", form: overhead, base: []string{"checkpoint_overhead"}, limit: accept(0.05), margin: 0.03,
+				detail: "prefetch %.0[2]f ns/op vs +checkpoint %.0[1]f ns/op; durable checkpoints must cost <= 5%% (+%.0[5]f%% measurement margin)"},
+			abs("phase2-prefetch-abs-ns/sync", "sync", "results", "sync", "ns_per_op"),
+			abs("phase2-prefetch-abs-ns/prefetch", "prefetch", "results", "prefetch", "ns_per_op"),
+		},
+	},
+	{
+		file: "BENCH_phase1_tiled.json", bench: "BenchmarkPhase1Tiled/", needs: []string{"InMemory", "Tiled"},
+		skip: "phase1-tiled-overhead", what: "BenchmarkPhase1Tiled measurements",
+		gates: []spec{
+			{name: "phase1-tiled-overhead", a: "Tiled", b: "InMemory", form: overhead, base: []string{"overhead"}, limit: plusTol,
+				detail: "tiled %.0[1]f ns/op vs in-memory %.0[2]f ns/op; overhead must stay <= %.0[4]f%%"},
+			abs("phase1-tiled-abs-ns/in_memory", "InMemory", "results", "in_memory", "ns_per_op"),
+			abs("phase1-tiled-abs-ns/tiled", "Tiled", "results", "tiled", "ns_per_op"),
+		},
+	},
+	{
+		file: "BENCH_kernels.json", bench: "BenchmarkALSSweep/", needs: []string{"fresh", "workspace"},
+		skip: "als-workspace", what: "BenchmarkALSSweep measurements",
+		gates: []spec{
+			{name: "als-workspace-allocs", a: "workspace", read: allocsPerOp, base: []string{"benchmarks", alsKey, "new_workspace", "allocs_per_op"}, needBase: true, limit: ceilUp,
+				detail: "allocation count is hardware-independent; a rise means per-sweep scratch regressed"},
+			{name: "als-workspace-vs-fresh", a: "workspace", b: "fresh", form: versus, limit: relUp,
+				detail: "the reusable workspace must never be slower than fresh allocation"},
+			// The constrained-solver acceptance bound: a nonnegative (HALS)
+			// ALS sweep must cost at most 2× the unconstrained workspace
+			// sweep. The ratio is machine-independent (both sides run the
+			// same MTTKRP/Gram kernels; only the row solve differs), so it
+			// is gated on every runner. The recorded baseline is
+			// informational.
+			{name: "als-nonneg-overhead", a: "nonneg", b: "workspace", form: ratio, base: []string{"benchmarks", alsKey, "nonneg", "overhead_vs_workspace"}, limit: fixed(2.0), noTol: true,
+				detail: "nonneg %.0[1]f ns/op vs workspace %.0[2]f ns/op; constrained sweeps must cost <= 2x unconstrained"},
+			// A sweep shares the mode-0 fiber products between modes 1..N-1,
+			// so the whole sweep — MTTKRPs, Grams, solves — must cost less
+			// than its MTTKRPs alone would at one tensor pass per mode. Both
+			// sides stream the same block on the same machine, so the ratio
+			// is gated everywhere: at the recorded value plus tolerance, and
+			// never above 1.
+			{name: "als-sweep-vs-mttkrp-per-mode", a: "workspace", b: "mttkrp-per-mode", form: ratio, base: []string{"benchmarks", alsKey, "sweep_vs_mttkrp_per_mode"}, needBase: true,
+				limit:  func(base, tol float64) float64 { return math.Min(1, relUp(base, tol)) },
+				detail: "workspace sweep %.0[1]f ns/op vs per-mode MTTKRPs %.0[2]f ns/op; a rise toward 1 means the modes stopped sharing fiber products"},
+			abs("als-workspace-abs-ns", "workspace", "benchmarks", alsKey, "new_workspace", "ns_per_op"),
+		},
+	},
+	{
+		file: "BENCH_obs.json", bench: "BenchmarkObsOverhead/", needs: []string{"off", "counters"},
+		skip: "obs-counters-overhead", what: "BenchmarkObsOverhead off/counters measurements",
+		gates: []spec{
 			// 2% is the acceptance criterion for a live metrics registry on
 			// the in-memory engine; the margin (default 10%, overridable via
-			// gate_tolerances) absorbs shared-runner jitter on a ratio of
-			// two ~2 ms wall-clock timings (run with -count >= 3 — the
-			// parser keeps the min of each side).
-			margin := gateTol(of, "obs-counters-overhead", 0.10)
-			limit := 0.02 + margin
-			add(gate{
-				Name: "obs-counters-overhead", Measured: overhead, Baseline: baseOverhead,
-				Limit: limit, Tolerance: margin, Pass: overhead <= limit,
-				Detail: fmt.Sprintf("off %.0f ns/op vs counters %.0f ns/op; live metrics must cost <= 2%% (+%.0f%% measurement margin)", off.NsPerOp, ctr.NsPerOp, margin*100),
-			})
-			if baseAllocs, ok := digFloat(of, "results", "off", "allocs_per_op"); ok && off.hasAllocs {
-				// Allocation counts are deterministic, so the disabled
-				// observer's allocs/op gate runs tight: any allocation added
-				// to the nil-observer path shows up here exactly.
-				gtol := gateTol(of, "obs-off-allocs", tol)
-				limit := math.Ceil(baseAllocs * (1 + gtol))
-				add(gate{
-					Name: "obs-off-allocs", Measured: off.AllocsPerOp, Baseline: baseAllocs,
-					Limit: limit, Tolerance: gtol, Pass: off.AllocsPerOp <= limit,
-					Detail: "a nil observer must not allocate; a rise means telemetry leaked into the disabled path",
-				})
-			}
-			if tr, okT := meas["BenchmarkObsOverhead/trace"]; okT {
-				overhead := tr.NsPerOp/off.NsPerOp - 1
-				baseOverhead, _ := digFloat(of, "trace_overhead")
-				// Tracing is opt-in, so its bound is the recorded baseline
-				// plus tolerance rather than a fixed acceptance — the gate
-				// catches an encoder regression, not a policy limit.
-				gtol := gateTol(of, "obs-trace-overhead", tol)
-				limit := baseOverhead + gtol
-				add(gate{
-					Name: "obs-trace-overhead", Measured: overhead, Baseline: baseOverhead,
-					Limit: limit, Tolerance: gtol, Pass: overhead <= limit,
-					Detail: fmt.Sprintf("off %.0f ns/op vs trace %.0f ns/op; full event tracing must stay within %.0f%% of the recorded overhead", off.NsPerOp, tr.NsPerOp, gtol*100),
-				})
-			}
-			if s1, ok1 := off.Metrics["swaps"]; ok1 {
-				if s2, ok2 := ctr.Metrics["swaps"]; ok2 {
-					add(gate{
-						Name: "obs-swap-invariance", Measured: s2, Baseline: s1,
-						Limit: s1, Pass: s1 == s2,
-						Detail: "telemetry must not change the swap count",
-					})
-				}
-			}
-		} else {
-			missing("obs-counters-overhead", "BenchmarkObsOverhead off/counters measurements")
-		}
-	} else {
-		missing("obs-counters-overhead", "BENCH_obs.json")
-	}
-
-	// --- Resilience-layer overhead (BENCH_resilience.json) ---
-	if rf, err := loadJSON(baselineDir, "BENCH_resilience.json"); err == nil {
-		off, okO := meas["BenchmarkResilienceOverhead/off"]
-		ret, okR := meas["BenchmarkResilienceOverhead/retry"]
-		if okO && okR {
-			overhead := ret.NsPerOp/off.NsPerOp - 1
-			baseOverhead, _ := digFloat(rf, "retry_overhead")
+			// gate_tolerances) absorbs shared-runner jitter on a ratio of two
+			// ~2 ms wall-clock timings (run with -count >= 3 — the parser
+			// keeps the min of each side).
+			{name: "obs-counters-overhead", a: "counters", b: "off", form: overhead, base: []string{"counters_overhead"}, limit: accept(0.02), margin: 0.10,
+				detail: "off %.0[2]f ns/op vs counters %.0[1]f ns/op; live metrics must cost <= 2%% (+%.0[5]f%% measurement margin)"},
+			// Allocation counts are deterministic, so the disabled observer's
+			// allocs/op gate runs tight: any allocation added to the
+			// nil-observer path shows up here exactly.
+			{name: "obs-off-allocs", a: "off", read: allocsPerOp, base: []string{"results", "off", "allocs_per_op"}, needBase: true, limit: ceilUp,
+				detail: "a nil observer must not allocate; a rise means telemetry leaked into the disabled path"},
+			// Tracing is opt-in, so its bound is the recorded baseline plus
+			// tolerance rather than a fixed acceptance — the gate catches an
+			// encoder regression, not a policy limit.
+			{name: "obs-trace-overhead", a: "trace", b: "off", form: overhead, base: []string{"trace_overhead"}, limit: plusTol,
+				detail: "off %.0[2]f ns/op vs trace %.0[1]f ns/op; full event tracing must stay within %.0[5]f%% of the recorded overhead"},
+			{name: "obs-swap-invariance", a: "counters", b: "off", read: metric("swaps"), form: versus, limit: same, noTol: true, cmp: equal,
+				detail: "telemetry must not change the swap count"},
+		},
+	},
+	{
+		file: "BENCH_resilience.json", bench: "BenchmarkResilienceOverhead/", needs: []string{"off", "retry"},
+		skip: "resilience-overhead", what: "BenchmarkResilienceOverhead off/retry measurements",
+		gates: []spec{
 			// 2% is the acceptance criterion for the armed-but-idle retry
-			// layer (wrapper fast path, zero faults) on the in-memory
-			// engine; the margin absorbs shared-runner jitter on a ratio of
-			// two wall-clock timings, exactly like obs-counters-overhead.
-			margin := gateTol(rf, "resilience-overhead", 0.10)
-			limit := 0.02 + margin
-			add(gate{
-				Name: "resilience-overhead", Measured: overhead, Baseline: baseOverhead,
-				Limit: limit, Tolerance: margin, Pass: overhead <= limit,
-				Detail: fmt.Sprintf("off %.0f ns/op vs retry %.0f ns/op; the idle retry layer must cost <= 2%% (+%.0f%% measurement margin)", off.NsPerOp, ret.NsPerOp, margin*100),
-			})
-			if s1, ok1 := off.Metrics["swaps"]; ok1 {
-				if s2, ok2 := ret.Metrics["swaps"]; ok2 {
-					add(gate{
-						Name: "resilience-swap-invariance", Measured: s2, Baseline: s1,
-						Limit: s1, Pass: s1 == s2,
-						Detail: "the retry layer must not change the swap count",
-					})
-				}
-			}
-		} else {
-			missing("resilience-overhead", "BenchmarkResilienceOverhead off/retry measurements")
-		}
-	} else {
-		missing("resilience-overhead", "BENCH_resilience.json")
-	}
-
-	// --- Phase-0 sketch acceleration (BENCH_phase0_sketch.json) ---
-	if sf, err := loadJSON(baselineDir, "BENCH_phase0_sketch.json"); err == nil {
-		if lm, ok := meas["BenchmarkPhase0Sketch/lowmlrank"]; ok {
-			speedup, okS := lm.Metrics["speedup-x"]
-			delta, okD := lm.Metrics["fit-delta"]
-			baseSpeedup, okB := digFloat(sf, "speedup")
-			if okS && okB {
-				// The acceptance criterion is the 3x floor; the baseline
-				// bound on top catches a regression from the recorded
-				// speedup long before it erodes down to the floor. The
-				// speedup of a warm start over cold ALS swings more
-				// between runs than a pure kernel ratio (iteration counts
-				// quantize), so this gate's tolerance lives in the
-				// baseline file rather than inheriting the CLI default.
-				gtol := gateTol(sf, "phase0-sketch-speedup", tol)
-				limit := math.Max(3.0, baseSpeedup*(1-gtol))
-				add(gate{
-					Name: "phase0-sketch-speedup", Measured: speedup, Baseline: baseSpeedup,
-					Limit: limit, Tolerance: gtol, Pass: speedup >= limit,
-					Detail: fmt.Sprintf("phase0+phase1 vs brute phase1; must stay >= max(3x acceptance floor, %.1fx)", limit),
-				})
-			} else {
-				missing("phase0-sketch-speedup", "speedup-x metric or baseline speedup")
-			}
-			if okD {
-				baseDelta, _ := digFloat(sf, "fit_delta")
-				const limit = 1e-3 // acceptance criterion: |fit_accel - fit_brute|
-				add(gate{
-					Name: "phase0-sketch-fit-delta", Measured: delta, Baseline: baseDelta,
-					Limit: limit, Pass: delta <= limit,
-					Detail: "the warm start must not change the converged fit beyond 1e-3",
-				})
-			}
-		} else {
-			missing("phase0-sketch-speedup", "BenchmarkPhase0Sketch/lowmlrank measurement")
-		}
-		brute, okB := meas["BenchmarkPhase0Sketch/fallback-brute"]
-		fb, okF := meas["BenchmarkPhase0Sketch/fallback-accel"]
-		if okB && okF {
-			overhead := fb.NsPerOp/brute.NsPerOp - 1
-			baseOverhead, _ := digFloat(sf, "fallback_overhead")
+			// layer (wrapper fast path, zero faults) on the in-memory engine;
+			// the margin absorbs shared-runner jitter on a ratio of two
+			// wall-clock timings, exactly like obs-counters-overhead.
+			{name: "resilience-overhead", a: "retry", b: "off", form: overhead, base: []string{"retry_overhead"}, limit: accept(0.02), margin: 0.10,
+				detail: "off %.0[2]f ns/op vs retry %.0[1]f ns/op; the idle retry layer must cost <= 2%% (+%.0[5]f%% measurement margin)"},
+			{name: "resilience-swap-invariance", a: "retry", b: "off", read: metric("swaps"), form: versus, limit: same, noTol: true, cmp: equal,
+				detail: "the retry layer must not change the swap count"},
+		},
+	},
+	{
+		file: "BENCH_phase0_sketch.json", bench: "BenchmarkPhase0Sketch/", needs: []string{"lowmlrank"},
+		skip: "phase0-sketch-speedup", what: "BenchmarkPhase0Sketch/lowmlrank measurement",
+		gates: []spec{
+			// The acceptance criterion is the 3x floor; the baseline bound on
+			// top catches a regression from the recorded speedup long before
+			// it erodes down to the floor. The speedup of a warm start over
+			// cold ALS swings more between runs than a pure kernel ratio
+			// (iteration counts quantize), so this gate's tolerance lives in
+			// the baseline file rather than inheriting the CLI default.
+			{name: "phase0-sketch-speedup", a: "lowmlrank", read: metric("speedup-x"), base: []string{"speedup"}, needBase: true, cmp: atLeast,
+				limit:  func(base, tol float64) float64 { return math.Max(3.0, relDown(base, tol)) },
+				detail: "phase0+phase1 vs brute phase1; must stay >= max(3x acceptance floor, %.1[3]fx)",
+				skip:   "speedup-x metric or baseline speedup"},
+			// 1e-3 is the acceptance criterion: |fit_accel - fit_brute|.
+			{name: "phase0-sketch-fit-delta", a: "lowmlrank", read: metric("fit-delta"), base: []string{"fit_delta"}, limit: fixed(1e-3), noTol: true,
+				detail: "the warm start must not change the converged fit beyond 1e-3"},
+		},
+	},
+	{
+		file: "BENCH_phase0_sketch.json", bench: "BenchmarkPhase0Sketch/", needs: []string{"fallback-brute", "fallback-accel"},
+		skip: "phase0-fallback-overhead", what: "BenchmarkPhase0Sketch fallback measurements",
+		gates: []spec{
 			// 5% is the acceptance criterion; the margin absorbs runner
 			// jitter on a ratio of two full pipeline runs (the structural
 			// fallback itself is decided from the dims alone, before any
 			// block is read, so the true overhead is near zero).
-			margin := gateTol(sf, "phase0-fallback-overhead", 0.03)
-			limit := 0.05 + margin
-			add(gate{
-				Name: "phase0-fallback-overhead", Measured: overhead, Baseline: baseOverhead,
-				Limit: limit, Tolerance: margin, Pass: overhead <= limit,
-				Detail: fmt.Sprintf("accel-requested fallback %.0f ns/op vs brute %.0f ns/op; must cost <= 5%% (+%.0f%% measurement margin)", fb.NsPerOp, brute.NsPerOp, margin*100),
-			})
-		} else {
-			missing("phase0-fallback-overhead", "BenchmarkPhase0Sketch fallback measurements")
-		}
-	} else {
-		missing("phase0-sketch-speedup", "BENCH_phase0_sketch.json")
-	}
-
-	// --- Factor serving (BENCH_serve.json) ---
-	if sv, err := loadJSON(baselineDir, "BENCH_serve.json"); err == nil {
-		if pr, ok := meas["BenchmarkPointRead"]; ok {
+			{name: "phase0-fallback-overhead", a: "fallback-accel", b: "fallback-brute", form: overhead, base: []string{"fallback_overhead"}, limit: accept(0.05), margin: 0.03,
+				detail: "accel-requested fallback %.0[1]f ns/op vs brute %.0[2]f ns/op; must cost <= 5%% (+%.0[5]f%% measurement margin)"},
+		},
+	},
+	{
+		file: "BENCH_serve.json", bench: "Benchmark", needs: []string{"PointRead"},
+		skip: "serve-point-read-rate", what: "BenchmarkPointRead measurement",
+		gates: []spec{
 			// The acceptance criterion is the roadmap's interactive-latency
 			// bar: >= 1M single-cell reconstructs/sec on one core, i.e.
 			// <= 1000 ns per point read. The bound is fixed (not
 			// baseline-relative) — ~10x headroom over the recorded ns/op
 			// absorbs runner variance, so the gate holds on any CI box.
-			basePoint, _ := digFloat(sv, "results", "point_read", "ns_per_op")
-			const pointLimit = 1000.0
-			add(gate{
-				Name: "serve-point-read-rate", Measured: pr.NsPerOp, Baseline: basePoint,
-				Limit: pointLimit, Pass: pr.NsPerOp <= pointLimit,
-				Detail: fmt.Sprintf("point read %.0f ns/op = %.2fM reconstructs/sec; must sustain >= 1M/sec (<= 1000 ns/op)", pr.NsPerOp, 1e3/pr.NsPerOp),
-			})
-			if baseAllocs, ok := digFloat(sv, "results", "point_read", "allocs_per_op"); ok && pr.hasAllocs {
-				// The baseline records 0, so the ceil'd limit stays 0 for
-				// any tolerance: one allocation on the steady-state read
-				// path fails the gate exactly.
-				gtol := gateTol(sv, "serve-point-read-allocs", tol)
-				limit := math.Ceil(baseAllocs * (1 + gtol))
-				add(gate{
-					Name: "serve-point-read-allocs", Measured: pr.AllocsPerOp, Baseline: baseAllocs,
-					Limit: limit, Tolerance: gtol, Pass: pr.AllocsPerOp <= limit,
-					Detail: "steady-state point reads must not allocate; a rise means the workspace pool or row cache leaked",
-				})
-			}
-			if absolute && basePoint > 0 {
-				gtol := gateTol(sv, "serve-point-read-abs-ns", tol)
-				limit := basePoint * (1 + gtol)
-				add(gate{
-					Name: "serve-point-read-abs-ns", Measured: pr.NsPerOp, Tolerance: gtol,
-					Baseline: basePoint, Limit: limit, Pass: pr.NsPerOp <= limit,
-				})
-			}
-		} else {
-			missing("serve-point-read-rate", "BenchmarkPointRead measurement")
-		}
-		if tk, ok := meas["BenchmarkTopK"]; ok {
-			if baseAllocs, ok := digFloat(sv, "results", "topk", "allocs_per_op"); ok && tk.hasAllocs {
-				gtol := gateTol(sv, "serve-topk-allocs", tol)
-				limit := math.Ceil(baseAllocs * (1 + gtol))
-				add(gate{
-					Name: "serve-topk-allocs", Measured: tk.AllocsPerOp, Baseline: baseAllocs,
-					Limit: limit, Tolerance: gtol, Pass: tk.AllocsPerOp <= limit,
-					Detail: "top-k sweeps reuse the caller's result slice and the pooled heap; a rise means the partial sort regressed",
-				})
-			}
-			if absolute {
-				if base, ok := digFloat(sv, "results", "topk", "ns_per_op"); ok {
-					gtol := gateTol(sv, "serve-topk-abs-ns", tol)
-					limit := base * (1 + gtol)
-					add(gate{
-						Name: "serve-topk-abs-ns", Measured: tk.NsPerOp, Tolerance: gtol,
-						Baseline: base, Limit: limit, Pass: tk.NsPerOp <= limit,
-					})
-				}
-			}
-		} else {
-			missing("serve-topk-allocs", "BenchmarkTopK measurement")
-		}
-	} else {
-		missing("serve-point-read-rate", "BENCH_serve.json")
-	}
+			{name: "serve-point-read-rate", a: "PointRead", base: []string{"results", "point_read", "ns_per_op"}, limit: fixed(1000), noTol: true,
+				detail: "point read %.0[1]f ns/op = %.2[6]fM reconstructs/sec; must sustain >= 1M/sec (<= 1000 ns/op)"},
+			// The baseline records 0, so the ceil'd limit stays 0 for any
+			// tolerance: one allocation on the steady-state read path fails
+			// the gate exactly.
+			{name: "serve-point-read-allocs", a: "PointRead", read: allocsPerOp, base: []string{"results", "point_read", "allocs_per_op"}, needBase: true, limit: ceilUp,
+				detail: "steady-state point reads must not allocate; a rise means the workspace pool or row cache leaked"},
+			abs("serve-point-read-abs-ns", "PointRead", "results", "point_read", "ns_per_op"),
+		},
+	},
+	{
+		file: "BENCH_serve.json", bench: "Benchmark", needs: []string{"TopK"},
+		skip: "serve-topk-allocs", what: "BenchmarkTopK measurement",
+		gates: []spec{
+			{name: "serve-topk-allocs", a: "TopK", read: allocsPerOp, base: []string{"results", "topk", "allocs_per_op"}, needBase: true, limit: ceilUp,
+				detail: "top-k sweeps reuse the caller's result slice and the pooled heap; a rise means the partial sort regressed"},
+			abs("serve-topk-abs-ns", "TopK", "results", "topk", "ns_per_op"),
+		},
+	},
+}
 
-	return gates, nil
+// ready reports whether the section's shared inputs are all present.
+func (s section) ready(meas map[string]*measurement, root any) bool {
+	for _, name := range s.needs {
+		if meas[s.bench+name] == nil {
+			return false
+		}
+	}
+	if s.needBase != nil {
+		_, ok := digFloat(root, s.needBase...)
+		return ok
+	}
+	return true
+}
+
+// eval evaluates one gate of section s; ok is false when an input it needs
+// is missing (or it is an -absolute gate and the flag is off).
+func (sp spec) eval(s section, meas map[string]*measurement, root any, cliTol float64, absolute bool) (g gate, ok bool) {
+	a, b := meas[s.bench+sp.a], meas[s.bench+sp.b]
+	if sp.absolute && !absolute || a == nil || sp.b != "" && b == nil {
+		return g, false
+	}
+	read := sp.read
+	if read == nil {
+		read = nsPerOp
+	}
+	measured, okA := read(a)
+	base, okBase := digFloat(root, sp.base...)
+	var nsB float64
+	if b != nil {
+		other, okB := read(b)
+		okA, nsB = okA && okB, b.NsPerOp
+		switch sp.form {
+		case ratio:
+			measured /= other
+		case overhead:
+			measured = measured/other - 1
+		case versus:
+			base, okBase = other, true
+		}
+	}
+	if !okA || sp.needBase && !okBase {
+		return g, false
+	}
+	var tol float64
+	if !sp.noTol {
+		tol = cliTol
+		if sp.margin > 0 {
+			tol = sp.margin
+		}
+		tol = gateTol(root, sp.name, tol)
+	}
+	limit := sp.limit(base, tol)
+	pass := measured <= limit
+	switch sp.cmp {
+	case atLeast:
+		pass = measured >= limit
+	case equal:
+		pass = measured == limit
+	}
+	g = gate{Name: sp.name, Measured: measured, Limit: limit, Baseline: base, Tolerance: tol, Pass: pass, Detail: sp.detail}
+	if strings.Contains(sp.detail, "%") {
+		g.Detail = fmt.Sprintf(sp.detail, a.NsPerOp, nsB, limit, limit*100, tol*100, 1e3/a.NsPerOp)
+	}
+	return g, true
+}
+
+// evaluate walks the gate table: every gate the measurements and baselines
+// support is evaluated, and a section whose inputs are missing is reported
+// as one SKIP rather than a failure.
+func evaluate(meas map[string]*measurement, baselineDir string, tol float64, absolute bool) []gate {
+	var gates []gate
+	missing := func(name, what string) {
+		gates = append(gates, gate{Name: name, Skipped: true, Pass: true, Detail: "missing " + what})
+	}
+	for i, s := range sections {
+		root, err := loadJSON(baselineDir, s.file)
+		if err != nil {
+			if i == 0 || sections[i-1].file != s.file {
+				missing(s.skip, s.file)
+			}
+			continue
+		}
+		if !s.ready(meas, root) {
+			missing(s.skip, s.what)
+			continue
+		}
+		for _, sp := range s.gates {
+			if g, ok := sp.eval(s, meas, root, tol, absolute); ok {
+				gates = append(gates, g)
+			} else if sp.skip != "" {
+				missing(sp.name, sp.skip)
+			}
+		}
+	}
+	return gates
 }
 
 func main() {
@@ -625,32 +574,48 @@ func main() {
 		log.Fatal("no benchmark result lines found in the given logs")
 	}
 
-	gates, err := evaluate(meas, *baselineDir, *tolerance, *absolute)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep := report{Tolerance: *tolerance, Absolute: *absolute, Gates: gates, Raw: meas, Pass: true}
-	for _, g := range gates {
+	rep := buildReport(meas, *baselineDir, *tolerance, *absolute)
+	for _, g := range rep.Gates {
 		status := "PASS"
 		if g.Skipped {
 			status = "SKIP"
 		} else if !g.Pass {
 			status = "FAIL"
-			rep.Pass = false
 		}
 		fmt.Printf("%-4s %-32s measured=%.4g limit=%.4g baseline=%.4g %s\n",
 			status, g.Name, g.Measured, g.Limit, g.Baseline, g.Detail)
 	}
 	if *out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
+		data, err := rep.encode()
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(*out, data, 0o644); err != nil {
 			log.Fatal(err)
 		}
 	}
 	if !rep.Pass {
 		log.Fatal("perf gate failed")
 	}
+}
+
+// buildReport evaluates every gate and folds the verdicts into the -out
+// report.
+func buildReport(meas map[string]*measurement, baselineDir string, tol float64, absolute bool) report {
+	rep := report{Tolerance: tol, Absolute: absolute, Gates: evaluate(meas, baselineDir, tol, absolute), Raw: meas, Pass: true}
+	for _, g := range rep.Gates {
+		if !g.Skipped && !g.Pass {
+			rep.Pass = false
+		}
+	}
+	return rep
+}
+
+// encode renders the report as the -out file's bytes.
+func (r report) encode() ([]byte, error) {
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }

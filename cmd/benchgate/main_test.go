@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden reports under testdata")
 
 const sampleLog = `goos: linux
 goarch: amd64
@@ -65,7 +69,8 @@ func writeBaselines(t *testing.T, dir string) {
 	t.Helper()
 	files := map[string]any{
 		"BENCH_phase2_prefetch.json": map[string]any{
-			"speedup": 2.08,
+			"speedup":             2.08,
+			"checkpoint_overhead": 0.01,
 			"results": map[string]any{
 				"sync":     map[string]any{"ns_per_op": []float64{181770968}},
 				"prefetch": map[string]any{"ns_per_op": []float64{87090878}},
@@ -82,6 +87,7 @@ func writeBaselines(t *testing.T, dir string) {
 			"benchmarks": map[string]any{
 				"ALSSweep_dense_64x64x64_rank16_2sweeps": map[string]any{
 					"new_workspace":            map[string]any{"ns_per_op": 9655172.0, "allocs_per_op": 20.0},
+					"nonneg":                   map[string]any{"overhead_vs_workspace": 1.03},
 					"sweep_vs_mttkrp_per_mode": 0.75,
 				},
 			},
@@ -91,6 +97,25 @@ func writeBaselines(t *testing.T, dir string) {
 			"fit_delta":         0.00044,
 			"fallback_overhead": 0.0,
 			"gate_tolerances":   map[string]any{"phase0-sketch-speedup": 0.5},
+		},
+		"BENCH_obs.json": map[string]any{
+			"counters_overhead": 0.0,
+			"trace_overhead":    0.1,
+			"results":           map[string]any{"off": map[string]any{"allocs_per_op": 56850.0}},
+			"gate_tolerances": map[string]any{
+				"obs-counters-overhead": 0.05, "obs-off-allocs": 0.02, "obs-trace-overhead": 0.5,
+			},
+		},
+		"BENCH_resilience.json": map[string]any{
+			"retry_overhead":  0.0,
+			"gate_tolerances": map[string]any{"resilience-overhead": 0.05},
+		},
+		"BENCH_serve.json": map[string]any{
+			"results": map[string]any{
+				"point_read": map[string]any{"ns_per_op": []float64{87.09, 91.26, 94.84}, "allocs_per_op": 0.0},
+				"topk":       map[string]any{"ns_per_op": []float64{1025, 1100, 1159}, "allocs_per_op": 0.0},
+			},
+			"gate_tolerances": map[string]any{"serve-point-read-allocs": 0.0, "serve-topk-allocs": 0.0},
 		},
 	}
 	for name, content := range files {
@@ -117,10 +142,7 @@ func TestGatesPassOnBaselineNumbers(t *testing.T) {
 	dir := t.TempDir()
 	writeBaselines(t, dir)
 	meas := parseBenchOutput(sampleLog)
-	gates, err := evaluate(meas, dir, 0.25, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gates := evaluate(meas, dir, 0.25, true)
 	for _, g := range gates {
 		if !g.Pass {
 			t.Errorf("gate %s failed on baseline-identical numbers: %+v", g.Name, g)
@@ -149,10 +171,7 @@ func TestPerGateTolerance(t *testing.T) {
 	// 13x against a 21.59x baseline: dead under the default 25% tolerance
 	// (limit 16.2x), alive under the baseline's 50% override (limit 10.8x).
 	log := `BenchmarkPhase0Sketch/lowmlrank-2   1  721677487 ns/op   0.0004 fit-delta   13.0 speedup-x`
-	gates, err := evaluate(parseBenchOutput(log), dir, 0.25, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gates := evaluate(parseBenchOutput(log), dir, 0.25, false)
 	g := gateByName(gates, "phase0-sketch-speedup")
 	if g == nil || !g.Pass {
 		t.Fatalf("override to 0.5 should pass 13x: %+v", g)
@@ -174,10 +193,7 @@ func TestPerGateTolerance(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "BENCH_phase0_sketch.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	gates, err = evaluate(parseBenchOutput(sampleLog+log), dir, 0.25, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gates = evaluate(parseBenchOutput(sampleLog+log), dir, 0.25, false)
 	if g := gateByName(gates, "phase0-sketch-speedup"); g == nil || g.Pass {
 		t.Fatalf("tolerance 0.1 (limit 19.4x) should fail 13x: %+v", g)
 	}
@@ -194,10 +210,7 @@ func TestGatesCatchRegressions(t *testing.T) {
 	slow := `BenchmarkPhase2Prefetch/sync-2   10  181770968 ns/op  34.0 swaps
 BenchmarkPhase2Prefetch/prefetch-2   10  180000000 ns/op  34.0 swaps
 `
-	gates, err := evaluate(parseBenchOutput(slow), dir, 0.25, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gates := evaluate(parseBenchOutput(slow), dir, 0.25, false)
 	if g := gateByName(gates, "phase2-prefetch-speedup"); g == nil || g.Pass {
 		t.Errorf("speedup collapse not caught: %+v", g)
 	}
@@ -207,10 +220,7 @@ BenchmarkPhase2Prefetch/prefetch-2   10  180000000 ns/op  34.0 swaps
 BenchmarkPhase2Prefetch/prefetch-2   10  87090878 ns/op  34.0 swaps
 BenchmarkPhase2Prefetch/prefetch+checkpoint-2   10  95000000 ns/op  34.0 swaps
 `
-	gates, err = evaluate(parseBenchOutput(heavy), dir, 0.25, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gates = evaluate(parseBenchOutput(heavy), dir, 0.25, false)
 	if g := gateByName(gates, "phase2-checkpoint-overhead"); g == nil || g.Pass {
 		t.Errorf("checkpoint overhead not caught: %+v", g)
 	}
@@ -219,10 +229,7 @@ BenchmarkPhase2Prefetch/prefetch+checkpoint-2   10  95000000 ns/op  34.0 swaps
 	drift := `BenchmarkPhase2Prefetch/sync-2   10  181770968 ns/op  34.0 swaps
 BenchmarkPhase2Prefetch/prefetch-2   10  87090878 ns/op  36.0 swaps
 `
-	gates, err = evaluate(parseBenchOutput(drift), dir, 0.25, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gates = evaluate(parseBenchOutput(drift), dir, 0.25, false)
 	if g := gateByName(gates, "phase2-prefetch-swap-invariance"); g == nil || g.Pass {
 		t.Errorf("swap drift not caught: %+v", g)
 	}
@@ -231,10 +238,7 @@ BenchmarkPhase2Prefetch/prefetch-2   10  87090878 ns/op  36.0 swaps
 	fat := `BenchmarkPhase1Tiled/InMemory-2   5  44944373 ns/op
 BenchmarkPhase1Tiled/Tiled-2   5  60000000 ns/op
 `
-	gates, err = evaluate(parseBenchOutput(fat), dir, 0.25, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gates = evaluate(parseBenchOutput(fat), dir, 0.25, false)
 	if g := gateByName(gates, "phase1-tiled-overhead"); g == nil || g.Pass {
 		t.Errorf("tiled overhead not caught: %+v", g)
 	}
@@ -243,10 +247,7 @@ BenchmarkPhase1Tiled/Tiled-2   5  60000000 ns/op
 	leaky := `BenchmarkALSSweep/fresh-2   3  9771654 ns/op  41 allocs/op
 BenchmarkALSSweep/workspace-2   3  9655172 ns/op  131 allocs/op
 `
-	gates, err = evaluate(parseBenchOutput(leaky), dir, 0.25, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gates = evaluate(parseBenchOutput(leaky), dir, 0.25, false)
 	if g := gateByName(gates, "als-workspace-allocs"); g == nil || g.Pass {
 		t.Errorf("alloc regression not caught: %+v", g)
 	}
@@ -257,10 +258,7 @@ BenchmarkALSSweep/workspace-2   3  9655172 ns/op  131 allocs/op
 BenchmarkALSSweep/workspace-2   3  9655172 ns/op  20 allocs/op
 BenchmarkALSSweep/mttkrp-per-mode-2   3  8777000 ns/op
 `
-	gates, err = evaluate(parseBenchOutput(perMode), dir, 0.25, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gates = evaluate(parseBenchOutput(perMode), dir, 0.25, false)
 	if g := gateByName(gates, "als-sweep-vs-mttkrp-per-mode"); g == nil || g.Pass {
 		t.Errorf("lost fiber-product sharing not caught: %+v", g)
 	}
@@ -271,10 +269,7 @@ BenchmarkALSSweep/mttkrp-per-mode-2   3  8777000 ns/op
 BenchmarkPhase0Sketch/fallback-brute-2   1  9748907 ns/op
 BenchmarkPhase0Sketch/fallback-accel-2   1  11000000 ns/op
 `
-	gates, err = evaluate(parseBenchOutput(accel), dir, 0.25, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gates = evaluate(parseBenchOutput(accel), dir, 0.25, false)
 	if g := gateByName(gates, "phase0-sketch-speedup"); g == nil || g.Pass {
 		t.Errorf("phase0 speedup collapse not caught: %+v", g)
 	}
@@ -288,13 +283,56 @@ BenchmarkPhase0Sketch/fallback-accel-2   1  11000000 ns/op
 
 func TestMissingInputsSkipNotFail(t *testing.T) {
 	dir := t.TempDir() // no baseline files at all
-	gates, err := evaluate(parseBenchOutput(sampleLog), dir, 0.25, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gates := evaluate(parseBenchOutput(sampleLog), dir, 0.25, false)
 	for _, g := range gates {
 		if !g.Skipped || !g.Pass {
 			t.Errorf("gate %s should skip without baselines: %+v", g.Name, g)
 		}
+	}
+}
+
+// TestReportGolden pins the whole -out report — gate names, order, limits,
+// tolerances, details and skips — for a recorded run of the CI perf job
+// (testdata/perf.log): every gate evaluated, relative and -absolute; a
+// partial log, where a section's measurements are missing; and no baseline
+// files at all. Regenerate with -update after a deliberate change.
+func TestReportGolden(t *testing.T) {
+	full, err := os.ReadFile(filepath.Join("testdata", "perf.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, log           string
+		baselines, absolute bool
+	}{
+		{"relative", string(full), true, false},
+		{"absolute", string(full), true, true},
+		{"partial", sampleLog, true, true},
+		{"nobaselines", string(full), false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.baselines {
+				writeBaselines(t, dir)
+			}
+			got, err := buildReport(parseBenchOutput(tc.log), dir, 0.25, tc.absolute).encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", "report-"+tc.name+".golden.json")
+			if *update {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("report differs from %s:\n%s", golden, got)
+			}
+		})
 	}
 }

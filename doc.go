@@ -263,7 +263,12 @@
 //     seeded jitter. Both phases go through the same retry core
 //     (blockstore.Retryer): Phase 2's store reads and writes via the
 //     blockstore.Resilient wrapper, Phase 1's block loads and
-//     checkpoint saves directly. Per-op deadlines (Retry.OpTimeout) are
+//     checkpoint saves directly. The wrapper is one layer of the
+//     Phase-2 store stack, which one function builds under one rule —
+//     a layer that is off is not in the stack: base store, then the
+//     chaos fault injector (Options.Chaos), then the resilience wrapper
+//     (Options.Retry), then instrumentation (Options.Observer), closed
+//     together when Phase 2 ends however it ends. Per-op deadlines (Retry.OpTimeout) are
 //     enforced cooperatively — stores implementing DeadlineStore bound
 //     their own work and return an ErrTimeout-wrapped error — so there
 //     are no watchdog goroutines and no abandoned I/O. The buffer

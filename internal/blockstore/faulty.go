@@ -58,7 +58,7 @@ func (p FaultPlan) enabled() bool {
 // default transient (wrapping ErrTransient) so ResilientStore retries
 // heal them.
 type FaultyStore struct {
-	inner Store
+	Store // the wrapped store; Stats, ResetStats and Close are its own
 
 	mu         sync.Mutex
 	rng        *rand.Rand
@@ -74,7 +74,7 @@ type FaultyStore struct {
 // NewFaultyStore wraps inner; configure FailRead/FailWrite or SetPlan
 // before use.
 func NewFaultyStore(inner Store) *FaultyStore {
-	return &FaultyStore{inner: inner}
+	return &FaultyStore{Store: inner}
 }
 
 // SetPlan installs (or, with a zero plan, clears) a fault program. Not
@@ -124,7 +124,7 @@ func (s *FaultyStore) Put(u *Unit) error {
 	if err != nil {
 		return err
 	}
-	return s.inner.Put(u)
+	return s.Store.Put(u)
 }
 
 // Get implements Store.
@@ -137,7 +137,7 @@ func (s *FaultyStore) Get(mode, part int) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.inner.Get(mode, part)
+	return s.Store.Get(mode, part)
 }
 
 // Fails returns the injected read and write failure counts.
@@ -146,12 +146,3 @@ func (s *FaultyStore) Fails() (reads, writes int64) {
 	defer s.mu.Unlock()
 	return s.ReadFails, s.WriteFails
 }
-
-// Stats implements Store.
-func (s *FaultyStore) Stats() Stats { return s.inner.Stats() }
-
-// ResetStats implements Store.
-func (s *FaultyStore) ResetStats() { s.inner.ResetStats() }
-
-// Close implements Store.
-func (s *FaultyStore) Close() error { return s.inner.Close() }

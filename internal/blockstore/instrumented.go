@@ -4,62 +4,56 @@ import "twopcp/internal/obs"
 
 // InstrumentedStore wraps a Store with telemetry: every operation feeds
 // the observer's metrics registry (monotonic raw counters and byte-size
-// histograms, unaffected by ResetStats on the inner store) and emits
-// blockstore.get/put trace events with byte counts.
+// histograms, unaffected by ResetStats on the wrapped store) and every Put
+// emits a blockstore.put trace event with its byte count.
 //
-// Trace determinism: raw Get counts vary with prefetch depth (the
-// asynchronous pipeline issues extra reads), so buffer-mediated reads
-// must go through the Quiet view — it updates metrics but suppresses the
-// get events, and the buffer's own deterministic buffer.fetch events
-// carry the read information instead. Puts are traced on both views:
-// every Put is the consequence of a deterministic decision (unit
-// seeding, buffer eviction, final flush), so their multiset is invariant
-// across concurrency settings.
+// Trace determinism: Gets are counted but not traced. Raw Get counts vary
+// with prefetch depth (the asynchronous pipeline issues extra reads); the
+// buffer's own deterministic buffer.fetch events carry the read
+// information instead. Every Put is the consequence of a deterministic
+// decision (unit seeding, buffer eviction, final flush), so the put
+// events' multiset is invariant across concurrency settings.
 type InstrumentedStore struct {
-	inner     Store
-	obs       *obs.Observer
-	quietGets bool
+	Store // the wrapped store; Stats, ResetStats and Close are its own
+	obs   *obs.Observer
 
-	reads, writes, bytesRead, bytesWritten *obs.Counter
-	getBytes, putBytes                     *obs.Histogram
+	reads, writes traffic
 }
 
-// Instrument wraps inner with the observer. A nil or fully disabled
-// observer is valid; the wrapper then delegates with one nil check per
-// counter.
-func Instrument(inner Store, ob *obs.Observer) *InstrumentedStore {
-	return &InstrumentedStore{
-		inner:        inner,
-		obs:          ob,
-		reads:        ob.Counter("blockstore.reads"),
-		writes:       ob.Counter("blockstore.writes"),
-		bytesRead:    ob.Counter("blockstore.bytes_read"),
-		bytesWritten: ob.Counter("blockstore.bytes_written"),
-		getBytes:     ob.Histogram("blockstore.get_bytes"),
-		putBytes:     ob.Histogram("blockstore.put_bytes"),
+// traffic is one direction's metric handles. With metrics disabled all
+// three are nil.
+type traffic struct {
+	ops, bytes *obs.Counter
+	sizes      *obs.Histogram
+}
+
+func (t traffic) observe(n int64) {
+	if t.ops != nil {
+		t.ops.Inc()
+		t.bytes.Add(n)
+		t.sizes.Observe(float64(n))
 	}
 }
 
-// Quiet returns a view of the same store (same inner store, same metric
-// handles) whose Gets update metrics but emit no trace events. The
-// buffer manager reads through this view.
-func (s *InstrumentedStore) Quiet() *InstrumentedStore {
-	q := *s
-	q.quietGets = true
-	return &q
+// Instrument wraps inner with the observer. An observer with only some of
+// its sinks set is valid; the wrapper costs one nil check per direction
+// for the ones that are off.
+func Instrument(inner Store, ob *obs.Observer) *InstrumentedStore {
+	return &InstrumentedStore{
+		Store:  inner,
+		obs:    ob,
+		reads:  traffic{ob.Counter("blockstore.reads"), ob.Counter("blockstore.bytes_read"), ob.Histogram("blockstore.get_bytes")},
+		writes: traffic{ob.Counter("blockstore.writes"), ob.Counter("blockstore.bytes_written"), ob.Histogram("blockstore.put_bytes")},
+	}
 }
 
 // Put implements Store.
 func (s *InstrumentedStore) Put(u *Unit) error {
-	if err := s.inner.Put(u); err != nil {
+	if err := s.Store.Put(u); err != nil {
 		return err
 	}
 	n := u.Bytes()
-	if s.writes != nil {
-		s.writes.Inc()
-		s.bytesWritten.Add(n)
-		s.putBytes.Observe(float64(n))
-	}
+	s.writes.observe(n)
 	if s.obs.Tracing() {
 		s.obs.Emit("blockstore.put",
 			obs.Int("mode", u.Mode), obs.Int("part", u.Part), obs.I64("bytes", n))
@@ -69,30 +63,10 @@ func (s *InstrumentedStore) Put(u *Unit) error {
 
 // Get implements Store.
 func (s *InstrumentedStore) Get(mode, part int) (*Unit, error) {
-	u, err := s.inner.Get(mode, part)
+	u, err := s.Store.Get(mode, part)
 	if err != nil {
 		return nil, err
 	}
-	n := u.Bytes()
-	if s.reads != nil {
-		s.reads.Inc()
-		s.bytesRead.Add(n)
-		s.getBytes.Observe(float64(n))
-	}
-	if !s.quietGets && s.obs.Tracing() {
-		s.obs.Emit("blockstore.get",
-			obs.Int("mode", mode), obs.Int("part", part), obs.I64("bytes", n))
-	}
+	s.reads.observe(u.Bytes())
 	return u, nil
 }
-
-// Stats implements Store.
-func (s *InstrumentedStore) Stats() Stats { return s.inner.Stats() }
-
-// ResetStats implements Store. It resets only the inner store's
-// resettable counters (the Result-accounting mechanism); the registry's
-// raw counters stay monotonic.
-func (s *InstrumentedStore) ResetStats() { s.inner.ResetStats() }
-
-// Close implements Store.
-func (s *InstrumentedStore) Close() error { return s.inner.Close() }

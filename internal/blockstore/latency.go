@@ -12,7 +12,7 @@ import (
 // it; experiments calibrate the delay accordingly so wall-clock comparisons
 // (Table II) are I/O-bound like the original system.
 type LatencyStore struct {
-	inner Store
+	Store // the wrapped store; Stats, ResetStats and Close are its own
 	read  time.Duration
 	write time.Duration
 
@@ -23,7 +23,7 @@ type LatencyStore struct {
 
 // WithLatency wraps inner so every Get costs read and every Put costs write.
 func WithLatency(inner Store, read, write time.Duration) *LatencyStore {
-	return &LatencyStore{inner: inner, read: read, write: write, sleeper: time.Sleep}
+	return &LatencyStore{Store: inner, read: read, write: write, sleeper: time.Sleep}
 }
 
 func (s *LatencyStore) delay(d time.Duration) {
@@ -37,26 +37,46 @@ func (s *LatencyStore) delay(d time.Duration) {
 	sleep(d)
 }
 
+// do pays the operation's latency, then runs it against the wrapped store.
+// Under a deadline (DeadlineStore): when the injected latency exceeds the
+// budget, the store sleeps only the remaining budget and fails with
+// ErrTimeout (transient — the data is fine, the store was slow); otherwise
+// it sleeps the full latency and passes the remaining budget down when the
+// wrapped store also honors deadlines.
+func (s *LatencyStore) do(o op) (*Unit, error) {
+	latency := s.read
+	if o.put {
+		latency = s.write
+	}
+	if o.timed && latency >= o.budget {
+		s.delay(o.budget)
+		return nil, fmt.Errorf("%w: %s ⟨%d,%d⟩ (%v latency over %v budget)",
+			ErrTimeout, o.name(), o.mode, o.part, latency, o.budget)
+	}
+	s.delay(latency)
+	o.budget -= latency
+	return o.do(s.Store)
+}
+
 // Put implements Store.
 func (s *LatencyStore) Put(u *Unit) error {
-	s.delay(s.write)
-	return s.inner.Put(u)
+	_, err := s.do(putOp(u))
+	return err
 }
 
 // Get implements Store.
-func (s *LatencyStore) Get(mode, part int) (*Unit, error) {
-	s.delay(s.read)
-	return s.inner.Get(mode, part)
+func (s *LatencyStore) Get(mode, part int) (*Unit, error) { return s.do(getOp(mode, part)) }
+
+// PutDeadline implements DeadlineStore; see do.
+func (s *LatencyStore) PutDeadline(u *Unit, budget time.Duration) error {
+	_, err := s.do(putOp(u).within(budget))
+	return err
 }
 
-// Stats implements Store.
-func (s *LatencyStore) Stats() Stats { return s.inner.Stats() }
-
-// ResetStats implements Store.
-func (s *LatencyStore) ResetStats() { s.inner.ResetStats() }
-
-// Close implements Store.
-func (s *LatencyStore) Close() error { return s.inner.Close() }
+// GetDeadline implements DeadlineStore; see do.
+func (s *LatencyStore) GetDeadline(mode, part int, budget time.Duration) (*Unit, error) {
+	return s.do(getOp(mode, part).within(budget))
+}
 
 // Waited returns the cumulative injected latency (for reporting the I/O
 // share of a run's wall time).
@@ -64,36 +84,4 @@ func (s *LatencyStore) Waited() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.waited
-}
-
-// GetDeadline implements DeadlineStore: when the injected read latency
-// exceeds the budget, the store sleeps only the remaining budget and
-// fails with ErrTimeout (transient — the data is fine, the store was
-// slow); otherwise it sleeps the full latency and delegates, passing the
-// remaining budget down when the inner store also honors deadlines.
-func (s *LatencyStore) GetDeadline(mode, part int, budget time.Duration) (*Unit, error) {
-	if s.read >= budget {
-		s.delay(budget)
-		return nil, fmt.Errorf("%w: get ⟨%d,%d⟩ (%v latency over %v budget)",
-			ErrTimeout, mode, part, s.read, budget)
-	}
-	s.delay(s.read)
-	if ds, ok := s.inner.(DeadlineStore); ok {
-		return ds.GetDeadline(mode, part, budget-s.read)
-	}
-	return s.inner.Get(mode, part)
-}
-
-// PutDeadline implements DeadlineStore; see GetDeadline.
-func (s *LatencyStore) PutDeadline(u *Unit, budget time.Duration) error {
-	if s.write >= budget {
-		s.delay(budget)
-		return fmt.Errorf("%w: put ⟨%d,%d⟩ (%v latency over %v budget)",
-			ErrTimeout, u.Mode, u.Part, s.write, budget)
-	}
-	s.delay(s.write)
-	if ds, ok := s.inner.(DeadlineStore); ok {
-		return ds.PutDeadline(u, budget-s.write)
-	}
-	return s.inner.Put(u)
 }

@@ -162,6 +162,50 @@ type DeadlineStore interface {
 	PutDeadline(u *Unit, budget time.Duration) error
 }
 
+// op is one store operation as a value, so a wrapper whose rule is the
+// same for reads and writes (ResilientStore's breaker and retries,
+// LatencyStore's budget) states it once, in a do(op) method.
+type op struct {
+	put        bool
+	mode, part int
+	unit       *Unit // a put's payload
+	// timed says the operation runs under a deadline of budget.
+	timed  bool
+	budget time.Duration
+}
+
+func getOp(mode, part int) op { return op{mode: mode, part: part} }
+func putOp(u *Unit) op        { return op{put: true, mode: u.Mode, part: u.Part, unit: u} }
+
+// within returns o bounded by a deadline of budget.
+func (o op) within(budget time.Duration) op {
+	o.timed, o.budget = true, budget
+	return o
+}
+
+// name is the operation's label in errors and events.
+func (o op) name() string {
+	if o.put {
+		return "put"
+	}
+	return "get"
+}
+
+// do runs the operation against s, threading its deadline when it has one
+// and s cooperates. A put returns a nil unit.
+func (o op) do(s Store) (*Unit, error) {
+	if ds, ok := s.(DeadlineStore); ok && o.timed {
+		if o.put {
+			return nil, ds.PutDeadline(o.unit, o.budget)
+		}
+		return ds.GetDeadline(o.mode, o.part, o.budget)
+	}
+	if o.put {
+		return nil, s.Put(o.unit)
+	}
+	return s.Get(o.mode, o.part)
+}
+
 // ResilientStore wraps a Store with the recovery mechanisms a remote or
 // failure-prone backend needs: per-op deadlines (cooperative, via
 // DeadlineStore), capped exponential backoff with deterministic seeded
@@ -172,7 +216,7 @@ type DeadlineStore interface {
 // run totals reconcile with the trace) and emitted as store.retry /
 // store.breaker events.
 type ResilientStore struct {
-	inner Store
+	Store // the wrapped store; ResetStats and Close are its own
 	pol   RetryPolicy
 	retry *Retryer
 	ob    *obs.Observer
@@ -187,7 +231,7 @@ type ResilientStore struct {
 // Resilient wraps inner under pol. A nil observer is valid.
 func Resilient(inner Store, pol RetryPolicy, ob *obs.Observer) *ResilientStore {
 	return &ResilientStore{
-		inner: inner,
+		Store: inner,
 		pol:   pol.withDefaults(),
 		retry: NewRetryer(pol, ob),
 		ob:    ob,
@@ -200,17 +244,6 @@ func (s *ResilientStore) SetSleep(f func(time.Duration)) {
 	s.retry.mu.Lock()
 	s.retry.sleep = f
 	s.retry.mu.Unlock()
-}
-
-// checkBreaker fails fast while the breaker is open.
-func (s *ResilientStore) checkBreaker(opName string, mode, part int) error {
-	s.mu.Lock()
-	open := s.open
-	s.mu.Unlock()
-	if open {
-		return fmt.Errorf("%w: %s ⟨%d,%d⟩", ErrBreakerOpen, opName, mode, part)
-	}
-	return nil
 }
 
 // record updates the breaker after an operation's final outcome: success
@@ -250,75 +283,48 @@ func (s *ResilientStore) Reset() {
 	s.mu.Unlock()
 }
 
-// get runs one read attempt, threading the deadline when the inner store
-// cooperates.
-func (s *ResilientStore) get(mode, part int) (*Unit, error) {
-	if d := s.pol.OpTimeout; d > 0 {
-		if ds, ok := s.inner.(DeadlineStore); ok {
-			return ds.GetDeadline(mode, part, d)
-		}
+// do is the one path every operation takes: fail fast while the breaker
+// is open, then the attempt — under the policy's deadline — retried while
+// it fails transiently, then the breaker update, then the error annotated
+// with the operation.
+func (s *ResilientStore) do(o op) (u *Unit, err error) {
+	s.mu.Lock()
+	open := s.open
+	s.mu.Unlock()
+	if open {
+		return nil, fmt.Errorf("%w: %s ⟨%d,%d⟩", ErrBreakerOpen, o.name(), o.mode, o.part)
 	}
-	return s.inner.Get(mode, part)
-}
-
-// put runs one write attempt, threading the deadline when the inner store
-// cooperates.
-func (s *ResilientStore) put(u *Unit) error {
-	if d := s.pol.OpTimeout; d > 0 {
-		if ds, ok := s.inner.(DeadlineStore); ok {
-			return ds.PutDeadline(u, d)
-		}
+	if s.pol.OpTimeout > 0 {
+		o = o.within(s.pol.OpTimeout)
 	}
-	return s.inner.Put(u)
-}
-
-// Get implements Store.
-func (s *ResilientStore) Get(mode, part int) (*Unit, error) {
-	if err := s.checkBreaker("get", mode, part); err != nil {
-		return nil, err
-	}
-	var u *Unit
-	err := s.retry.Do("get", mode, part, func() error {
+	err = s.retry.Do(o.name(), o.mode, o.part, func() error {
 		var e error
-		u, e = s.get(mode, part)
+		u, e = o.do(s.Store)
 		return e
 	})
-	s.record("get", err)
+	s.record(o.name(), err)
 	if err != nil {
-		return nil, fmt.Errorf("blockstore: get ⟨%d,%d⟩: %w", mode, part, err)
+		return nil, fmt.Errorf("blockstore: %s ⟨%d,%d⟩: %w", o.name(), o.mode, o.part, err)
 	}
 	return u, nil
 }
 
+// Get implements Store.
+func (s *ResilientStore) Get(mode, part int) (*Unit, error) { return s.do(getOp(mode, part)) }
+
 // Put implements Store.
 func (s *ResilientStore) Put(u *Unit) error {
-	if err := s.checkBreaker("put", u.Mode, u.Part); err != nil {
-		return err
-	}
-	err := s.retry.Do("put", u.Mode, u.Part, func() error {
-		return s.put(u)
-	})
-	s.record("put", err)
-	if err != nil {
-		return fmt.Errorf("blockstore: put ⟨%d,%d⟩: %w", u.Mode, u.Part, err)
-	}
-	return nil
+	_, err := s.do(putOp(u))
+	return err
 }
 
-// Stats implements Store: the inner store's counters plus this layer's
-// monotonic recovery counters.
+// Stats implements Store: the wrapped store's counters plus this layer's
+// monotonic recovery counters (its ResetStats zeroes only the former).
 func (s *ResilientStore) Stats() Stats {
-	st := s.inner.Stats()
+	st := s.Store.Stats()
 	st.Retries += s.retry.Retries()
 	s.mu.Lock()
 	st.BreakerTrips += s.nTrips
 	s.mu.Unlock()
 	return st
 }
-
-// ResetStats implements Store. Only the inner store's I/O counters reset;
-// Retries/BreakerTrips stay monotonic (see Stats).
-func (s *ResilientStore) ResetStats() { s.inner.ResetStats() }
-
-// Close implements Store.
-func (s *ResilientStore) Close() error { return s.inner.Close() }

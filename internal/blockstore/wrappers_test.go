@@ -135,3 +135,56 @@ func TestLatencyStoreZeroLatency(t *testing.T) {
 		t.Fatal("zero latency should not accumulate wait")
 	}
 }
+
+// TestWrapperContract runs every wrapper over a MemStore through the one
+// contract they share: operations reach the wrapped store and come back
+// unchanged, Stats/ResetStats/Close are the wrapped store's own, a wrapped
+// store's error stays errors.Is-intact, and wrapping does not forward the
+// optional DeadlineStore interface (LatencyStore, which implements it
+// itself, is the one exception by design).
+func TestWrapperContract(t *testing.T) {
+	for name, tc := range map[string]struct {
+		wrap     func(Store) Store
+		deadline bool
+	}{
+		"faulty":       {wrap: func(s Store) Store { return NewFaultyStore(s) }},
+		"latency":      {wrap: func(s Store) Store { return WithLatency(s, 0, 0) }, deadline: true},
+		"resilient":    {wrap: func(s Store) Store { return Resilient(s, RetryPolicy{MaxRetries: 2, OpTimeout: time.Second}, nil) }},
+		"instrumented": {wrap: func(s Store) Store { return Instrument(s, nil) }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := NewMemStore()
+			s := tc.wrap(base)
+			u := testUnit(rand.New(rand.NewSource(31)))
+			if err := s.Put(u); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Get(u.Mode, u.Part)
+			if err != nil || !unitsEqual(got, u) {
+				t.Fatalf("round trip: %v", err)
+			}
+			if _, err := s.Get(u.Mode, u.Part+1); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("missing unit: err = %v, want ErrNotFound", err)
+			}
+			if st := s.Stats(); st != base.Stats() || st.Reads != 1 || st.Writes != 1 {
+				t.Fatalf("Stats = %+v, wrapped store's = %+v", st, base.Stats())
+			}
+			s.ResetStats()
+			if st := base.Stats(); st != (Stats{}) {
+				t.Fatalf("ResetStats did not reach the wrapped store: %+v", st)
+			}
+			if _, ok := s.(DeadlineStore); ok != tc.deadline {
+				t.Fatalf("DeadlineStore = %v over a MemStore, want %v", ok, tc.deadline)
+			}
+			if _, ok := tc.wrap(WithLatency(base, 0, 0)).(DeadlineStore); ok != tc.deadline {
+				t.Fatalf("DeadlineStore = %v over a LatencyStore, want %v", ok, tc.deadline)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := base.Get(u.Mode, u.Part); !errors.Is(err, ErrNotFound) {
+				t.Fatal("Close did not reach the wrapped store")
+			}
+		})
+	}
+}

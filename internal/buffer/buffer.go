@@ -221,19 +221,33 @@ type Config struct {
 	Obs *obs.Observer
 }
 
+// Check validates the settings that do not depend on a store, a pattern or
+// a schedule: the policy, the capacity and the I/O pool size. NewManager
+// runs it; callers that want to fail before any data exists (the Phase-2
+// engine's own pre-flight) run it earlier.
+func (cfg Config) Check() error {
+	if cfg.Policy < LRU || cfg.Policy > Forward {
+		return fmt.Errorf("buffer: unknown policy %d", int(cfg.Policy))
+	}
+	if cfg.CapacityBytes <= 0 {
+		return fmt.Errorf("buffer: capacity %d must be positive", cfg.CapacityBytes)
+	}
+	if cfg.Workers < 0 {
+		return fmt.Errorf("buffer: Workers %d must be non-negative", cfg.Workers)
+	}
+	if cfg.Workers > 0 && cfg.Rank <= 0 {
+		return fmt.Errorf("buffer: Rank is required when Workers > 0 (sizes prefetch reservations)")
+	}
+	return nil
+}
+
 // NewManager validates cfg and builds the manager.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Store == nil || cfg.Pattern == nil {
 		return nil, fmt.Errorf("buffer: Store and Pattern are required")
 	}
-	if cfg.CapacityBytes <= 0 {
-		return nil, fmt.Errorf("buffer: capacity %d must be positive", cfg.CapacityBytes)
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("buffer: Workers %d must be non-negative", cfg.Workers)
-	}
-	if cfg.Workers > 0 && cfg.Rank <= 0 {
-		return nil, fmt.Errorf("buffer: Rank is required when Workers > 0 (sizes prefetch reservations)")
+	if err := cfg.Check(); err != nil {
+		return nil, err
 	}
 	m := &Manager{
 		store:     cfg.Store,

@@ -101,14 +101,8 @@ var Schema = map[string][]FieldSpec{
 		{Name: "part", Type: TypeNum},
 		{Name: "bytes", Type: TypeNum},
 	},
-	// Raw store traffic. Gets are traced only on the direct paths
-	// (factor assembly); buffer-mediated reads surface as buffer.fetch
-	// instead, because raw read counts vary with prefetch depth.
-	"blockstore.get": {
-		{Name: "mode", Type: TypeNum},
-		{Name: "part", Type: TypeNum},
-		{Name: "bytes", Type: TypeNum},
-	},
+	// Raw store traffic. Only Puts are traced: raw read counts vary with
+	// prefetch depth, so reads surface as buffer.fetch instead.
 	"blockstore.put": {
 		{Name: "mode", Type: TypeNum},
 		{Name: "part", Type: TypeNum},

@@ -66,11 +66,6 @@ type Config struct {
 	// Init selects factor seeding; Seed drives InitRandom.
 	Init InitKind
 	Seed int64
-	// DivideUpdate switches the P/Q bookkeeping to the paper's literal
-	// in-place Hadamard-division rule instead of the per-mode component
-	// store (see divide.go). Results are identical; this exists for the
-	// ablation benchmarks.
-	DivideUpdate bool
 	// WarmupVirtualIters runs this many virtual iterations before swap
 	// counting starts (buffer statistics are reset at the boundary), so
 	// experiments can report steady-state swaps per iteration without
@@ -106,9 +101,7 @@ type Config struct {
 	// checkpoints its complete mutable state at schedule-step boundaries
 	// (see Checkpointer) and, when the Checkpointer already holds a
 	// checkpoint, resumes from it — skipping every step up to the
-	// checkpoint and replaying the rest bit-for-bit. Incompatible with
-	// DivideUpdate (that tracker's state is accumulated in place and is
-	// not reconstructible from a checkpoint).
+	// checkpoint and replaying the rest bit-for-bit.
 	Checkpoint Checkpointer
 	// CheckpointEverySteps is the checkpoint cadence in schedule steps
 	// (default: one full cycle; 1 checkpoints after every block position).
@@ -156,7 +149,7 @@ type Engine struct {
 	cfg     Config
 	pattern *grid.Pattern
 	sched   *schedule.Schedule
-	comps   tracker
+	comps   *components
 	mgr     *buffer.Manager
 	solver  cpals.Solver
 
@@ -193,12 +186,10 @@ type Engine struct {
 	startWarmupLeft int
 }
 
-// New validates cfg, prepares the data units in the store, initializes the
-// in-memory components and builds the buffer manager.
-func New(cfg Config) (*Engine, error) {
-	if cfg.Phase1 == nil || cfg.Store == nil {
-		return nil, fmt.Errorf("refine: Phase1 and Store are required")
-	}
+// settle fills cfg's defaults and validates every setting that can be
+// judged from the pattern and the rank alone — no Phase-1 result, store or
+// checkpoint needed. It returns the buffer capacity in bytes.
+func (cfg *Config) settle(p *grid.Pattern, rank int) (capacity int64, err error) {
 	if cfg.MaxVirtualIters <= 0 {
 		cfg.MaxVirtualIters = 100
 	}
@@ -211,11 +202,37 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.PrefetchDepth > 0 && cfg.IOWorkers <= 0 {
 		cfg.IOWorkers = 2
 	}
-	if cfg.Checkpoint != nil && cfg.DivideUpdate {
-		return nil, fmt.Errorf("refine: Checkpoint is incompatible with DivideUpdate (in-place tracker state is not restorable)")
+	if err := cfg.Schedule.Check(); err != nil {
+		return 0, err
 	}
 	if err := cpals.ValidateSolver(cfg.Solver); err != nil {
-		return nil, fmt.Errorf("refine: %w", err)
+		return 0, fmt.Errorf("refine: %w", err)
+	}
+	capacity = cfg.CapacityBytes
+	if capacity <= 0 {
+		capacity = int64(cfg.BufferFraction * float64(schedule.TotalBytes(p, rank)))
+	}
+	return capacity, buffer.Config{CapacityBytes: capacity, Policy: cfg.Policy, Workers: cfg.IOWorkers, Rank: rank}.Check()
+}
+
+// Preflight reports the error New would return for cfg's schedule, policy,
+// buffer sizing, I/O pool and solver on a pattern p at the given rank. It
+// needs no Phase-1 result and no store, so a caller can reject bad
+// settings before Phase 1 has read a single block.
+func Preflight(cfg Config, p *grid.Pattern, rank int) error {
+	_, err := cfg.settle(p, rank)
+	return err
+}
+
+// New validates cfg, prepares the data units in the store, initializes the
+// in-memory components and builds the buffer manager.
+func New(cfg Config) (*Engine, error) {
+	if cfg.Phase1 == nil || cfg.Store == nil {
+		return nil, fmt.Errorf("refine: Phase1 and Store are required")
+	}
+	capacity, err := cfg.settle(cfg.Phase1.Pattern, cfg.Phase1.Rank)
+	if err != nil {
+		return nil, err
 	}
 	p := cfg.Phase1.Pattern
 	e := &Engine{
@@ -258,17 +275,9 @@ func New(cfg Config) (*Engine, error) {
 	if err := e.prepareUnits(e.factorSeeder(restored)); err != nil {
 		return nil, err
 	}
-	if cfg.DivideUpdate {
-		e.comps = newProdComponents(cfg.Phase1)
-	} else {
-		e.comps = newComponents(cfg.Phase1)
-	}
+	e.comps = newComponents(cfg.Phase1)
 	e.seedComponents(e.factorSeeder(restored))
 
-	capacity := cfg.CapacityBytes
-	if capacity <= 0 {
-		capacity = int64(cfg.BufferFraction * float64(schedule.TotalBytes(p, cfg.Phase1.Rank)))
-	}
 	mgr, err := buffer.NewManager(buffer.Config{
 		Store:            cfg.Store,
 		Pattern:          p,
@@ -365,7 +374,7 @@ func (e *Engine) seedComponents(seed func(mode, part int) *mat.Matrix) {
 				slabU[id] = e.cfg.Phase1.Sub[id][mode]
 			}
 			a := seed(mode, part)
-			e.comps.SetA(mode, part, a, slabU)
+			e.comps.setA(mode, part, a, slabU)
 			if e.curA != nil {
 				e.curA[mode][part] = a
 			}
@@ -400,10 +409,10 @@ func (e *Engine) update(u *blockstore.Unit) {
 	s.Zero()
 	for _, id := range e.pattern.Slab(mode, part) {
 		e.pattern.Unlinear(id, vec)
-		e.comps.GammaInto(g, id, u)
+		e.comps.gammaInto(g, id, mode)
 		mat.MulAddInto(t, u.U[id], g)
 		term.Fill(1)
-		e.comps.STermMulInto(term, vec, mode)
+		e.comps.sTermMulInto(term, vec, mode)
 		s.AddInPlace(term)
 	}
 	aNew := mat.New(rows, rank)
@@ -412,7 +421,7 @@ func (e *Engine) update(u *blockstore.Unit) {
 	}
 	e.solver.Solve(aNew, t, s, &e.solverScratch)
 	u.A = aNew
-	e.comps.SetA(mode, part, aNew, u.U)
+	e.comps.setA(mode, part, aNew, u.U)
 	if e.curA != nil {
 		e.curA[mode][part] = aNew
 	}

@@ -82,7 +82,7 @@ func RunGridParafac(cfg Config, workers int) (*Result, error) {
 			// P and Q, write the units back.
 			for part, u := range units {
 				u.A = newA[part]
-				e.comps.SetA(mode, part, u.A, u.U)
+				e.comps.setA(mode, part, u.A, u.U)
 				if err := cfg.Store.Put(u); err != nil {
 					return nil, err
 				}
@@ -119,10 +119,10 @@ func (e *Engine) solvePartition(u *blockstore.Unit, rank int) *mat.Matrix {
 	vec := make([]int, e.pattern.NModes())
 	for _, id := range e.pattern.Slab(mode, part) {
 		e.pattern.Unlinear(id, vec)
-		e.comps.GammaInto(g, id, u)
+		e.comps.gammaInto(g, id, mode)
 		mat.MulAddInto(t, u.U[id], g)
 		term.Fill(1)
-		e.comps.STermMulInto(term, vec, mode)
+		e.comps.sTermMulInto(term, vec, mode)
 		s.AddInPlace(term)
 	}
 	return mat.RightSolveSPD(t, s)

@@ -298,19 +298,3 @@ func TestResumeWithAsyncPipeline(t *testing.T) {
 		})
 	}
 }
-
-// TestCheckpointRejectsDivideUpdate pins the documented incompatibility.
-func TestCheckpointRejectsDivideUpdate(t *testing.T) {
-	p1 := resumePhase1(t)
-	rs, err := runstate.Open(t.TempDir(), resumeMeta(), 27, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(Config{
-		Phase1: p1, Store: blockstore.NewMemStore(),
-		DivideUpdate: true, Checkpoint: rs,
-	})
-	if err == nil {
-		t.Fatal("DivideUpdate + Checkpoint accepted")
-	}
-}

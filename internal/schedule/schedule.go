@@ -63,6 +63,16 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("schedule: unknown kind %q", s)
 }
 
+// Check reports whether k is one of the schedule kinds New can build —
+// the pre-flight form of New's panic, for values that arrive from outside
+// the program.
+func (k Kind) Check() error {
+	if k < ModeCentric || k > HilbertOrder {
+		return fmt.Errorf("schedule: unknown kind %d", int(k))
+	}
+	return nil
+}
+
 // IsBlockCentric reports whether the kind schedules updates per block
 // position (Algorithm 2) rather than per mode partition (Algorithm 1).
 func (k Kind) IsBlockCentric() bool { return k != ModeCentric }
@@ -100,7 +110,8 @@ type Schedule struct {
 	flat     []Access
 }
 
-// New builds the cycle for the given kind over the given pattern.
+// New builds the cycle for the given kind over the given pattern. It
+// panics on a kind that fails Check.
 func New(kind Kind, p *grid.Pattern) *Schedule {
 	s := &Schedule{Kind: kind, Pattern: p}
 	switch kind {

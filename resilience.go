@@ -53,10 +53,5 @@ type Chaos struct {
 	Seed int64
 }
 
-// enabled reports whether any fault injection is configured.
-func (c Chaos) enabled() bool {
-	return c.ReadRate > 0 || c.WriteRate > 0 || c.BlockRate > 0 || len(c.PoisonBlocks) > 0
-}
-
 // storeFaults reports whether Phase-2 store faults are configured.
 func (c Chaos) storeFaults() bool { return c.ReadRate > 0 || c.WriteRate > 0 }

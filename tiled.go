@@ -22,32 +22,16 @@ import (
 // in the last few ulps because the tile-streamed reduction sums in a
 // different order.
 func DecomposeTiledFile(path string, opts Options) (*Result, error) {
-	defer applyKernelWorkers(opts)()
 	r, err := tfile.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	p, err := patternFor(r.Dims(), opts)
-	if err != nil {
-		return nil, err
-	}
-	src, err := phase1.NewTiledSource(r, p)
-	if err != nil {
-		return nil, err
-	}
-	res, rs, complete, err := run(src, p, opts, "tiled")
-	if err != nil {
-		return nil, err
-	}
-	if complete {
-		return res, nil
-	}
-	res.Fit, err = tiledFit(r, res.Model)
-	if err != nil {
-		return nil, err
-	}
-	return finishRun(rs, opts.Observer, res)
+	return decompose(opts, input{
+		kind: "tiled", dims: r.Dims(),
+		source: func(p *Pattern) (phase1.Source, error) { return phase1.NewTiledSource(r, p) },
+		fit:    func(m *KTensor) (float64, error) { return tiledFit(r, m) },
+	})
 }
 
 // SaveTiled writes an in-memory dense tensor as a .tptl tiled file,

@@ -191,50 +191,34 @@ func applyKernelWorkers(opts Options) func() {
 	return func() { par.PopWorkers(token) }
 }
 
+// input is what differs between the Decompose front-ends: how the tensor
+// is named in traces and manifests, its shape, how Phase 1 reads its
+// blocks under a given pattern, and how the final fit is computed.
+type input struct {
+	kind   string
+	dims   []int
+	source func(*Pattern) (phase1.Source, error)
+	fit    func(*KTensor) (float64, error)
+}
+
 // Decompose runs the full 2PCP pipeline on a dense tensor.
 func Decompose(x *Dense, opts Options) (*Result, error) {
-	defer applyKernelWorkers(opts)()
-	p, err := patternFor(x.Dims, opts)
-	if err != nil {
-		return nil, err
-	}
-	src, err := phase1.NewDenseSource(x, p)
-	if err != nil {
-		return nil, err
-	}
-	res, rs, complete, err := run(src, p, opts, "dense")
-	if err != nil {
-		return nil, err
-	}
-	if complete {
-		return res, nil
-	}
-	res.Fit = res.Model.Fit(x)
-	return finishRun(rs, opts.Observer, res)
+	return decompose(opts, input{
+		kind: "dense", dims: x.Dims,
+		source: func(p *Pattern) (phase1.Source, error) { return phase1.NewDenseSource(x, p) },
+		fit:    func(m *KTensor) (float64, error) { return m.Fit(x), nil },
+	})
 }
 
 // DecomposeSparse runs the full 2PCP pipeline on a sparse tensor. (2PCP
 // targets dense scientific tensors, but the pipeline applies unchanged;
 // per-block ALS switches to sparse MTTKRP.)
 func DecomposeSparse(x *COO, opts Options) (*Result, error) {
-	defer applyKernelWorkers(opts)()
-	p, err := patternFor(x.Dims, opts)
-	if err != nil {
-		return nil, err
-	}
-	src, err := phase1.NewCOOSource(x, p)
-	if err != nil {
-		return nil, err
-	}
-	res, rs, complete, err := run(src, p, opts, "sparse")
-	if err != nil {
-		return nil, err
-	}
-	if complete {
-		return res, nil
-	}
-	res.Fit = res.Model.FitSparse(x)
-	return finishRun(rs, opts.Observer, res)
+	return decompose(opts, input{
+		kind: "sparse", dims: x.Dims,
+		source: func(p *Pattern) (phase1.Source, error) { return phase1.NewCOOSource(x, p) },
+		fit:    func(m *KTensor) (float64, error) { return m.FitSparse(x), nil },
+	})
 }
 
 // CPALS runs plain in-memory CP-ALS (the paper's "Naive CP" baseline and
@@ -283,161 +267,59 @@ func patternFor(dims []int, opts Options) (*Pattern, error) {
 	return grid.New(dims, parts)
 }
 
-// run executes both phases. When opts.Checkpoint is set it opens (or
-// resumes) the run manifest first; complete=true means the directory holds
-// a finished run whose Result was returned without recomputation.
-func run(src phase1.Source, p *Pattern, opts Options, inputKind string) (out *Result, rs *runstate.Run, complete bool, err error) {
-	if err := validateCheckpointOptions(opts); err != nil {
-		return nil, nil, false, err
+// runCtx is the context one decomposition's stages share: the validated
+// options and everything derived from them up front, then what each stage
+// leaves for the next.
+type runCtx struct {
+	opts    Options
+	in      input
+	pattern *Pattern
+	solver  cpals.Solver
+	ob      *Observer
+	p1opts  phase1.Options
+	p2cfg   refine.Config // everything but Phase1, Store and Checkpoint
+
+	src phase1.Source
+	rs  *runstate.Run // nil without Options.Checkpoint
+	p1  *phase1.Result
+	res *Result
+	// done is set when open finds the directory already holds a finished
+	// run: res is that run's Result and no later stage runs.
+	done bool
+}
+
+// newRun checks every option — each rule in the layer that owns it — and
+// resolves the pattern, the solver and both phases' settings. Nothing has
+// been read and no directory exists yet when it returns an error.
+func newRun(opts Options, in input) (*runCtx, error) {
+	p, err := patternFor(in.dims, opts)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Resume && opts.Checkpoint == "" {
+		return nil, fmt.Errorf("twopcp: Resume requires Checkpoint to name the checkpoint directory")
 	}
 	if err := validateAccelOptions(opts); err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
 	solver, err := opts.Constraint.solver(opts.Lambda)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
-	ob := opts.Observer
-	if ob.Tracing() {
-		// The concurrency knobs (Workers, KernelWorkers, PrefetchDepth,
-		// IOWorkers) are deliberately absent from run.start: the trace's
-		// event multiset is identical across those settings, and keeping
-		// them out of the events preserves that comparability. The gauges
-		// below carry them instead.
-		ob.Emit("run.start",
-			obs.Str("kind", inputKind),
-			obs.Str("dims", dimsLabel(p.Dims)),
-			obs.Int("rank", opts.Rank),
-			obs.Bool("resumed", opts.Resume))
-	}
-	if ob != nil && ob.Metrics != nil {
-		ob.Gauge("run.workers").Set(float64(opts.Workers))
-		ob.Gauge("run.kernel_workers").Set(float64(opts.KernelWorkers))
-		ob.Gauge("run.prefetch_depth").Set(float64(opts.PrefetchDepth))
-		ob.Gauge("run.io_workers").Set(float64(opts.IOWorkers))
-	}
-	if opts.Checkpoint != "" {
-		rs, err = openRunState(opts, p, inputKind)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		rs.SetObserver(ob)
-		if opts.Resume && ob.Tracing() {
-			ob.Emit("checkpoint.resume", obs.Str("stage", string(rs.Stage())))
-		}
-		if rs.Stage() == runstate.StageDone {
-			st, err := rs.LoadResult()
-			if err != nil {
-				return nil, nil, false, err
-			}
-			res := resultFromState(st)
-			emitRunDone(ob, res)
-			return res, rs, true, nil
-		}
-	}
-	out = &Result{}
-	out.RunStats.Blocks = p.NumBlocks()
-
-	// Chaos block-read faults wrap the source before Phase 1 sees it; the
-	// injection RNG is independent of the run's numerics, so a healed run
-	// is bit-identical to a fault-free one.
-	if opts.Chaos.BlockRate > 0 || len(opts.Chaos.PoisonBlocks) > 0 {
-		src = phase1.NewFaultySource(src, opts.Chaos.BlockRate, opts.Chaos.Seed, opts.Chaos.PoisonBlocks)
-	}
-	p1opts := phase1.Options{
+	r := &runCtx{opts: opts, in: in, pattern: p, solver: solver, ob: opts.Observer, res: &Result{}}
+	r.res.RunStats.Blocks = p.NumBlocks()
+	r.p1opts = phase1.Options{
 		Rank:     opts.Rank,
 		MaxIters: opts.Phase1MaxIters,
 		Tol:      opts.Phase1Tol,
 		Seed:     opts.Seed,
 		Workers:  opts.Workers,
 		Solver:   solver,
-		Obs:      ob,
+		Obs:      r.ob,
 		Retry:    opts.Retry,
 		Stop:     opts.Stop,
 	}
-	// Phase 0: the accelerator's warm start (or sampled solver) only
-	// influences Phase-1 block decompositions. Once a resumed manifest has
-	// advanced to Phase 2 every block is checkpointed, so recomputing the
-	// warm start would be pure waste — skip it. Runs still inside Phase 1
-	// recompute it deterministically, which reproduces the interrupted
-	// run's blocks bit-for-bit without any Phase-0 checkpoint state.
-	if opts.Accelerator != AccelNone && (rs == nil || rs.Stage() == runstate.StagePhase1) {
-		start := time.Now()
-		out.RunStats.Accelerated, err = runPhase0(src, opts, solver, &p1opts, ob)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		out.RunStats.Phase0Time = time.Since(start)
-		if rs != nil {
-			if err := rs.RecordPhase0(out.RunStats.Accelerated, int64(out.RunStats.Phase0Time)); err != nil {
-				return nil, nil, false, err
-			}
-		}
-	} else if opts.Accelerator != AccelNone && rs != nil {
-		// Resumed past Phase 1: Phase 0 can no longer influence anything,
-		// so it is skipped — report the original run's recorded outcome
-		// instead of pretending the run was never accelerated.
-		accelerated, ns := rs.Phase0()
-		out.RunStats.Accelerated = accelerated
-		out.RunStats.Phase0Time = time.Duration(ns)
-	}
-
-	start := time.Now()
-	if rs != nil {
-		p1opts.Checkpoint = rs
-	}
-	p1, err := phase1.Run(src, p1opts)
-	if err != nil {
-		if errors.Is(err, phase1.ErrStopped) {
-			err = fmt.Errorf("%w: drained during phase 1: %w", ErrInterrupted, err)
-		}
-		return nil, nil, false, err
-	}
-	out.RunStats.Phase1Time = time.Since(start)
-	out.RunStats.Retries = p1.Retries
-	out.RunStats.Phase1Sweeps = p1.TotalSweeps()
-	if rs != nil {
-		if err := rs.BeginPhase2(); err != nil {
-			return nil, nil, false, err
-		}
-	}
-
-	var store blockstore.Store
-	if opts.StoreDir != "" {
-		store, err = blockstore.NewFileStore(opts.StoreDir)
-		if err != nil {
-			return nil, nil, false, err
-		}
-	} else {
-		store = blockstore.NewMemStore()
-	}
-	// Phase-2 store stack, inside out: base store → chaos fault injector
-	// (testing only) → resilience wrapper (retries, deadlines, breaker) →
-	// instrumentation. The resilience layer sits below instrumentation so
-	// the Reads/Writes/Bytes counters record only successful operations —
-	// that is what keeps a healed run's Result bit-identical to a
-	// fault-free run's.
-	engineStore := store
-	if opts.Chaos.storeFaults() {
-		fs := blockstore.NewFaultyStore(engineStore)
-		fs.SetPlan(blockstore.FaultPlan{
-			Seed:      opts.Chaos.Seed,
-			ReadRate:  opts.Chaos.ReadRate,
-			WriteRate: opts.Chaos.WriteRate,
-		})
-		engineStore = fs
-	}
-	if opts.Retry.Enabled() {
-		engineStore = blockstore.Resilient(engineStore, opts.Retry, ob)
-	}
-	// The instrumented wrapper feeds the registry's raw blockstore
-	// counters and traces Puts; Phase 2 reads through the Quiet view so
-	// prefetch-issued Gets (whose count varies with PrefetchDepth) stay
-	// out of the trace — the buffer's own deterministic buffer.fetch
-	// events carry the read information instead.
-	cfg := refine.Config{
-		Phase1:          p1,
-		Store:           blockstore.Instrument(engineStore, ob).Quiet(),
+	r.p2cfg = refine.Config{
 		Schedule:        opts.Schedule,
 		Policy:          opts.Replacement,
 		BufferFraction:  opts.BufferFraction,
@@ -448,60 +330,267 @@ func run(src phase1.Source, p *Pattern, opts Options, inputKind string) (out *Re
 		PrefetchDepth:   opts.PrefetchDepth,
 		IOWorkers:       opts.IOWorkers,
 		Solver:          solver,
-		Obs:             ob,
+		Obs:             r.ob,
+		Retry:           opts.Retry,
+		Stop:            opts.Stop,
 	}
-	cfg.Retry = opts.Retry
-	cfg.Stop = opts.Stop
-	if rs != nil {
-		cfg.Checkpoint = rs
-		cfg.CheckpointEverySteps = opts.CheckpointEverySteps
+	return r, refine.Preflight(r.p2cfg, p, opts.Rank)
+}
+
+// stage is one step of the pipeline.
+type stage struct {
+	run func() error
+	// due, when set, says whether the stage runs at all this attempt.
+	due func() bool
+	// clock, when set, is where the stage's wall time is reported.
+	clock *time.Duration
+}
+
+// stages is 2PCP's fixed chain. Phase 0 only influences Phase-1 block
+// decompositions, so it is due only while the manifest (if any) is still
+// in Phase 1 — see open for what a later resume reports instead.
+func (r *runCtx) stages() []stage {
+	st := &r.res.RunStats
+	return []stage{
+		{run: r.open},
+		{run: r.phase0, due: r.phase0Due, clock: &st.Phase0Time},
+		{run: r.phase1, clock: &st.Phase1Time},
+		{run: r.phase2, clock: &st.Phase2Time},
+		{run: r.finish},
+	}
+}
+
+// decompose is the one driver behind every front-end: validate, build the
+// block source, then run the stages in order until one fails or the run
+// is done. It is also the one place stage wall time is taken.
+func decompose(opts Options, in input) (*Result, error) {
+	defer applyKernelWorkers(opts)()
+	r, err := newRun(opts, in)
+	if err != nil {
+		return nil, err
+	}
+	if r.src, err = in.source(r.pattern); err != nil {
+		return nil, err
+	}
+	// Chaos block-read faults wrap the source before any stage sees it; the
+	// injection RNG is independent of the run's numerics, so a healed run
+	// is bit-identical to a fault-free one.
+	if opts.Chaos.BlockRate > 0 || len(opts.Chaos.PoisonBlocks) > 0 {
+		r.src = phase1.NewFaultySource(r.src, opts.Chaos.BlockRate, opts.Chaos.Seed, opts.Chaos.PoisonBlocks)
+	}
+	for _, st := range r.stages() {
+		if r.done || st.due != nil && !st.due() {
+			continue
+		}
+		start := time.Now()
+		if err := st.run(); err != nil {
+			return nil, err
+		}
+		if st.clock != nil {
+			*st.clock = time.Since(start)
+		}
+	}
+	return r.res, nil
+}
+
+// open starts the trace span, publishes the concurrency gauges and, when
+// checkpointing, opens (or resumes) the manifest. A directory that already
+// holds a finished run ends the pipeline here with the recorded Result.
+func (r *runCtx) open() (err error) {
+	if r.ob.Tracing() {
+		// The concurrency knobs (Workers, KernelWorkers, PrefetchDepth,
+		// IOWorkers) are deliberately absent from run.start: the trace's
+		// event multiset is identical across those settings, and keeping
+		// them out of the events preserves that comparability. The gauges
+		// below carry them instead.
+		r.ob.Emit("run.start",
+			obs.Str("kind", r.in.kind),
+			obs.Str("dims", dimsLabel(r.pattern.Dims)),
+			obs.Int("rank", r.opts.Rank),
+			obs.Bool("resumed", r.opts.Resume))
+	}
+	if r.ob != nil && r.ob.Metrics != nil {
+		r.ob.Gauge("run.workers").Set(float64(r.opts.Workers))
+		r.ob.Gauge("run.kernel_workers").Set(float64(r.opts.KernelWorkers))
+		r.ob.Gauge("run.prefetch_depth").Set(float64(r.opts.PrefetchDepth))
+		r.ob.Gauge("run.io_workers").Set(float64(r.opts.IOWorkers))
+	}
+	if r.opts.Checkpoint == "" {
+		return nil
+	}
+	if r.rs, err = openRunState(r); err != nil {
+		return err
+	}
+	r.rs.SetObserver(r.ob)
+	if r.opts.Resume && r.ob.Tracing() {
+		r.ob.Emit("checkpoint.resume", obs.Str("stage", string(r.rs.Stage())))
+	}
+	if r.rs.Stage() == runstate.StageDone {
+		st, err := r.rs.LoadResult()
+		if err != nil {
+			return err
+		}
+		// Copied into place: the stage clocks point into r.res.
+		*r.res, r.done = *resultFromState(st), true
+		emitRunDone(r.ob, r.res)
+		return nil
+	}
+	if r.rs.Stage() != runstate.StagePhase1 {
+		// Resumed past Phase 1: every block is checkpointed, so Phase 0 can
+		// no longer influence anything and is skipped — report the original
+		// run's recorded outcome instead of pretending the run was never
+		// accelerated.
+		accelerated, ns := r.rs.Phase0()
+		r.res.RunStats.Accelerated, r.res.RunStats.Phase0Time = accelerated, time.Duration(ns)
+	}
+	return nil
+}
+
+// phase0Due reports whether the accelerator runs this attempt. Runs still
+// inside Phase 1 recompute it deterministically, which reproduces the
+// interrupted run's blocks bit-for-bit without any Phase-0 checkpoint
+// state.
+func (r *runCtx) phase0Due() bool {
+	return r.opts.Accelerator != AccelNone && (r.rs == nil || r.rs.Stage() == runstate.StagePhase1)
+}
+
+// phase1 decomposes every block (loading the checkpointed ones) and flips
+// the manifest to Phase 2.
+func (r *runCtx) phase1() (err error) {
+	if r.rs != nil {
+		if r.phase0Due() {
+			if err := r.rs.RecordPhase0(r.res.RunStats.Accelerated, int64(r.res.RunStats.Phase0Time)); err != nil {
+				return err
+			}
+		}
+		r.p1opts.Checkpoint = r.rs
+	}
+	if r.p1, err = phase1.Run(r.src, r.p1opts); err != nil {
+		if errors.Is(err, phase1.ErrStopped) {
+			err = fmt.Errorf("%w: drained during phase 1: %w", ErrInterrupted, err)
+		}
+		return err
+	}
+	r.res.RunStats.Retries = r.p1.Retries
+	r.res.RunStats.Phase1Sweeps = r.p1.TotalSweeps()
+	if r.rs != nil {
+		return r.rs.BeginPhase2()
+	}
+	return nil
+}
+
+// storeStack builds the Phase-2 store, inside out: base store → chaos
+// fault injector (testing only) → resilience wrapper (retries, deadlines,
+// breaker) → instrumentation. One rule: a layer that is off is not in the
+// stack. The resilience layer sits below instrumentation so the
+// Reads/Writes/Bytes counters record only successful operations — that is
+// what keeps a healed run's Result bit-identical to a fault-free run's.
+// Closing the returned store closes the base store.
+func storeStack(opts Options) (blockstore.Store, error) {
+	var store blockstore.Store = blockstore.NewMemStore()
+	if opts.StoreDir != "" {
+		fs, err := blockstore.NewFileStore(opts.StoreDir)
+		if err != nil {
+			return nil, err
+		}
+		store = fs
+	}
+	if opts.Chaos.storeFaults() {
+		faulty := blockstore.NewFaultyStore(store)
+		faulty.SetPlan(blockstore.FaultPlan{
+			Seed:      opts.Chaos.Seed,
+			ReadRate:  opts.Chaos.ReadRate,
+			WriteRate: opts.Chaos.WriteRate,
+		})
+		store = faulty
+	}
+	if opts.Retry.Enabled() {
+		store = blockstore.Resilient(store, opts.Retry, opts.Observer)
+	}
+	if opts.Observer != nil {
+		store = blockstore.Instrument(store, opts.Observer)
+	}
+	return store, nil
+}
+
+// phase2 refines the Phase-1 sub-factors into the full factors through the
+// buffered store, which it owns: built here, closed on every way out.
+func (r *runCtx) phase2() (err error) {
+	store, err := storeStack(r.opts)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		// Close surfaces durability errors the store deferred (FileStore
+		// reports directory-sync failures here rather than failing Puts).
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	cfg := r.p2cfg
+	cfg.Phase1, cfg.Store = r.p1, store
+	if r.rs != nil {
+		cfg.Checkpoint = r.rs
+		cfg.CheckpointEverySteps = r.opts.CheckpointEverySteps
 	}
 	eng, err := refine.New(cfg)
 	if err != nil {
-		return nil, nil, false, err
+		return err
 	}
-	start = time.Now()
-	r, err := eng.Run()
+	out, err := eng.Run()
 	if err != nil {
-		store.Close()
 		if errors.Is(err, refine.ErrStopped) {
 			err = fmt.Errorf("%w: drained during phase 2: %w", ErrInterrupted, err)
 		}
-		return nil, nil, false, err
+		return err
 	}
-	// Close surfaces durability errors the store deferred (FileStore
-	// reports directory-sync failures here rather than failing Puts).
-	if err := store.Close(); err != nil {
-		return nil, nil, false, err
-	}
-	out.RunStats.Phase2Time = time.Since(start)
-
-	out.Model = cpals.NewKTensor(r.Factors)
-	out.VirtualIters = r.VirtualIters
-	out.Converged = r.Converged
-	out.FitTrace = r.FitTrace
-	out.RunStats.Swaps = r.BufferStats.Fetches
-	out.RunStats.SwapsPerIter = r.SwapsPerVirtualIter
-	out.RunStats.BufferHits = r.BufferStats.Hits
-	if tot := r.BufferStats.Hits + r.BufferStats.Fetches; tot > 0 {
-		out.RunStats.BufferHitRate = float64(r.BufferStats.Hits) / float64(tot)
-	}
-	out.RunStats.Evictions = r.BufferStats.Evictions
-	out.RunStats.WriteBacks = r.BufferStats.WriteBacks
-	out.RunStats.BytesRead = r.StoreStats.BytesRead
-	out.RunStats.BytesWritten = r.StoreStats.BytesWritten
-	out.RunStats.Retries += r.StoreStats.Retries
-	if ob != nil && ob.Metrics != nil {
+	r.res.Model = cpals.NewKTensor(out.Factors)
+	r.res.VirtualIters = out.VirtualIters
+	r.res.Converged = out.Converged
+	r.res.FitTrace = out.FitTrace
+	st := &r.res.RunStats
+	st.addPhase2(out)
+	if r.ob != nil && r.ob.Metrics != nil {
 		// Final authoritative gauges mirroring Result.RunStats: the raw
 		// blockstore counters are monotonic and include setup seeding
 		// (and, on resume, re-seeding), so these gauges are where the
 		// snapshot matches the Result's Phase-2-only accounting exactly.
-		ob.Gauge("run.swaps").Set(float64(out.RunStats.Swaps))
-		ob.Gauge("run.buffer_hit_rate").Set(out.RunStats.BufferHitRate)
-		ob.Gauge("run.bytes_read").Set(float64(out.RunStats.BytesRead))
-		ob.Gauge("run.bytes_written").Set(float64(out.RunStats.BytesWritten))
+		r.ob.Gauge("run.swaps").Set(float64(st.Swaps))
+		r.ob.Gauge("run.buffer_hit_rate").Set(st.BufferHitRate)
+		r.ob.Gauge("run.bytes_read").Set(float64(st.BytesRead))
+		r.ob.Gauge("run.bytes_written").Set(float64(st.BytesWritten))
 	}
-	return out, rs, false, nil
+	return nil
+}
+
+// addPhase2 folds the refinement's buffer and store statistics into st.
+// Retries accumulates: Phase 1 has already counted its own.
+func (st *RunStats) addPhase2(out *refine.Result) {
+	st.Swaps = out.BufferStats.Fetches
+	st.SwapsPerIter = out.SwapsPerVirtualIter
+	st.BufferHits = out.BufferStats.Hits
+	if tot := out.BufferStats.Hits + out.BufferStats.Fetches; tot > 0 {
+		st.BufferHitRate = float64(out.BufferStats.Hits) / float64(tot)
+	}
+	st.Evictions = out.BufferStats.Evictions
+	st.WriteBacks = out.BufferStats.WriteBacks
+	st.BytesRead = out.StoreStats.BytesRead
+	st.BytesWritten = out.StoreStats.BytesWritten
+	st.Retries += out.StoreStats.Retries
+}
+
+// finish computes the fit against the input and, when checkpointing,
+// records the Result: once SaveResult succeeds, resuming the directory is
+// a no-op that returns it.
+func (r *runCtx) finish() (err error) {
+	if r.res.Fit, err = r.in.fit(r.res.Model); err != nil {
+		return err
+	}
+	defer emitRunDone(r.ob, r.res)
+	if r.rs == nil {
+		return nil
+	}
+	return r.rs.SaveResult(resultToState(r.res))
 }
 
 // dimsLabel renders mode sizes as "I0xI1x...": a single stable string
