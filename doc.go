@@ -224,11 +224,14 @@
 // manifest; the Phase-2 state file is replaced atomically at every
 // checkpoint (cadence: Options.CheckpointEverySteps schedule steps,
 // default one cycle); the final Result file is installed before the
-// manifest flips to "done". The Phase-2 data-unit store itself needs no
-// crash consistency: on resume the units are rewritten from the
-// checkpointed factors, so even the in-memory store resumes correctly.
-// (FileStore Puts are nonetheless fsync-before-rename — see
-// internal/blockstore — with directory syncs deferred to Close.)
+// manifest flips to "done". The Phase-2 data-unit store is scratch and
+// needs no crash consistency: on resume the units are rewritten from the
+// Phase-1 sub-factors and the checkpointed factors, so even the
+// in-memory store resumes correctly. A FileStore's files are made atomic
+// by rename and are never synced; Options.StoreDir may be lost or
+// damaged across a crash — emptied, truncated, garbled — and the resume
+// is still bit-for-bit (CI destroys it between kill and resume). The
+// checkpoint directory is the only durable state of a run.
 //
 // A run killed at an arbitrary point and restarted with Options.Resume
 // skips completed blocks, replays Phase 2 from the last checkpoint, and

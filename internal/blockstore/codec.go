@@ -19,7 +19,9 @@ import (
 //	per entry: int32 block id, matrix
 //
 // Entries are written in ascending block-id order so the encoding is
-// deterministic (useful for content comparison in tests).
+// deterministic (useful for content comparison in tests). FileStore keeps
+// a unit as two such encodings: an A part (zero U entries) and a U part
+// (a 0×0 A).
 const unitMagic = "TPUN"
 
 // WriteMatrix serializes one matrix (int32 rows, int32 cols, float64 data,
@@ -117,8 +119,9 @@ func DecodeUnit(r io.Reader) (*Unit, error) {
 	return DecodeUnitWithin(r, maxDecodeBytes)
 }
 
-// DecodeUnitWithin deserializes a unit whose total matrix payload cannot
-// exceed maxBytes. FileStore.Get passes the unit file's actual size
+// DecodeUnitWithin deserializes a unit whose encoding is at most maxBytes
+// long, so neither its matrix payload nor its U count can exceed what that
+// many bytes hold. FileStore.Get passes each part file's actual size
 // (scaled by the maximum deflate expansion for compressed stores), so
 // corrupt headers fail cleanly instead of sizing allocations from garbage.
 func DecodeUnitWithin(r io.Reader, maxBytes int64) (*Unit, error) {
@@ -149,7 +152,8 @@ func DecodeUnitWithin(r io.Reader, maxBytes int64) (*Unit, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("blockstore: negative U count %d", n)
 	}
-	if n > 1<<24 {
+	// An entry is at least a block id and a matrix header: 12 bytes.
+	if n > 1<<24 || int64(n) > maxBytes/12 {
 		return nil, fmt.Errorf("blockstore: U count %d is implausibly large (corrupt header?)", n)
 	}
 	u := &Unit{Mode: int(hdr[0]), Part: int(hdr[1]), A: a, U: make(map[int]*mat.Matrix, n)}

@@ -11,19 +11,24 @@ import (
 	"twopcp/internal/mat"
 )
 
-// mkUnit builds a small unit whose payload encodes val so readers can
-// check they observed a complete, untorn version.
+// seedVal fills the U of every mkUnit, so a reader can tell the seeded U
+// from any A version a writer put.
+const seedVal = -1
+
+// mkUnit builds a small unit whose A encodes val, so readers can check
+// they observed a complete, untorn version, and whose U holds seedVal.
 func mkUnit(mode, part int, val float64) *Unit {
 	a := mat.New(4, 3)
 	u := mat.New(4, 3)
 	for i := range a.Data {
 		a.Data[i] = val
-		u.Data[i] = val
+		u.Data[i] = seedVal
 	}
 	return &Unit{Mode: mode, Part: part, A: a, U: map[int]*mat.Matrix{7: u}}
 }
 
-// checkWhole fails if the unit mixes payload values (a torn read).
+// checkWhole fails if the unit's A mixes payload values (a torn read) or
+// its U is anything but the seeded one.
 func checkWhole(t *testing.T, u *Unit) {
 	t.Helper()
 	want := u.A.Data[0]
@@ -33,19 +38,23 @@ func checkWhole(t *testing.T, u *Unit) {
 			return
 		}
 	}
-	for _, m := range u.U {
-		for _, v := range m.Data {
-			if v != want {
-				t.Errorf("torn read: U mixes %g and %g", want, v)
-				return
-			}
+	m := u.U[7]
+	if len(u.U) != 1 || m == nil || len(m.Data) != 12 {
+		t.Errorf("Get lost the seeded U: %v", u.U)
+		return
+	}
+	for _, v := range m.Data {
+		if v != seedVal {
+			t.Errorf("U holds %g, want the seeded %g", v, float64(seedVal))
+			return
 		}
 	}
 }
 
-// hammerStore drives the concurrent-use contract: parallel writers rewrite
-// the same units with distinct payload versions while parallel readers
-// assert every Get returns some complete version and a private copy.
+// hammerStore drives the concurrent-use contract: the units are seeded
+// once, then parallel writers replace their A parts with distinct payload
+// versions while parallel readers assert every Get returns one complete A
+// version with the seeded U, as a private copy.
 func hammerStore(t *testing.T, store Store) {
 	t.Helper()
 	const units = 4
@@ -67,7 +76,7 @@ func hammerStore(t *testing.T, store Store) {
 					return
 				default:
 				}
-				if err := store.Put(mkUnit(0, rng.Intn(units), float64(version))); err != nil {
+				if err := store.Put(aPart(mkUnit(0, rng.Intn(units), float64(version)))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -88,6 +97,7 @@ func hammerStore(t *testing.T, store Store) {
 				checkWhole(t, u)
 				// The copy is private: scribbling on it must not leak.
 				u.A.Data[0] = -1e9
+				u.U[7].Data[0] = -1e9
 			}
 		}(r)
 	}

@@ -4,27 +4,38 @@ import (
 	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"twopcp/internal/mat"
 	"twopcp/internal/tensor"
 )
 
-// FileStore is a Store that keeps one file per unit under a directory,
-// giving genuinely out-of-core Phase-2 runs. File names are
-// "unit-<mode>-<part>.tpun" (".tpun.gz" when compression is enabled —
+// FileStore is a Store that keeps two files per unit under a directory,
+// giving genuinely out-of-core Phase-2 runs: "unit-<mode>-<part>.u.tpun",
+// the slab's U matrices, written once by the unit's whole Put, and
+// "unit-<mode>-<part>.a.tpun", the A partition, which is all a write-back
+// replaces. Each file is an ordinary TPUN encoding (codec.go) of a unit
+// whose other half is empty. Names end ".gz" when compression is enabled —
 // §VIII-C of the paper notes that on-disk compression trades CPU for I/O
 // volume; the stats expose both logical and on-disk bytes so the trade can
-// be measured).
+// be measured.
+//
+// The directory is scratch: files are made atomic by rename and are never
+// synced, so after a crash it may hold anything. Every run rebuilds it
+// from the Phase-1 result and the checkpoint before reading it.
 type FileStore struct {
 	dir      string
 	compress bool
 	mu       sync.Mutex
 	stats    Stats
 	diskW    int64 // on-disk bytes written (= logical unless compressing)
-	needSync bool  // a Put renamed since the last directory sync
+	// replacing is held exclusively while a Put swaps a part file for its
+	// new version and shared while a Get opens one; see writePart.
+	replacing sync.RWMutex
 }
 
 // FileStoreOption configures NewFileStore.
@@ -47,85 +58,138 @@ func NewFileStore(dir string, opts ...FileStoreOption) (*FileStore, error) {
 	return s, nil
 }
 
-func (s *FileStore) unitPath(mode, part int) string {
-	name := fmt.Sprintf("unit-%d-%d.tpun", mode, part)
+// partPath names one of a unit's two files; half is "a" or "u".
+func (s *FileStore) partPath(mode, part int, half string) string {
+	name := fmt.Sprintf("unit-%d-%d.%s.tpun", mode, part, half)
 	if s.compress {
 		name += ".gz"
 	}
 	return filepath.Join(s.dir, name)
 }
 
-// Put implements Store. The unit is written to a fresh temp file,
-// fsynced, and renamed into place, so concurrent Puts of the same unit
-// serialize into one complete version, concurrent Gets never observe a
-// torn write, and a crash right after a successful Put cannot surface
-// an empty or torn unit behind the rename (the data is on disk before
-// the name ever points at it). Directory-entry durability is deferred
-// to Close — one dirsync covers every rename — keeping the hot
-// write-back path at a single file fsync per Put.
+// Put implements Store. Each file is written to a fresh temp file and
+// renamed into place (see writePart), so concurrent Puts of the same part
+// serialize into one complete version and concurrent Gets never observe a
+// torn file. A whole unit lands U part first: the A part is what makes a
+// unit exist for Get.
 func (s *FileStore) Put(u *Unit) error {
-	path := s.unitPath(u.Mode, u.Part)
-	// Genuine filesystem errors on the write path are classified
-	// transient (wrapping ErrTransient alongside the cause, so errors.Is
-	// sees both): a retried Put starts over from a fresh temp file, so
-	// repeating is safe and often heals NFS-style hiccups.
+	var disk int64
+	if u.U != nil {
+		n, err := s.writePart(s.partPath(u.Mode, u.Part, "u"), &Unit{Mode: u.Mode, Part: u.Part, A: &mat.Matrix{}, U: u.U})
+		if err != nil {
+			return err
+		}
+		disk = n
+	} else if _, err := os.Stat(s.partPath(u.Mode, u.Part, "u")); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("%w: A part of ⟨%d,%d⟩ before its whole unit", ErrNotFound, u.Mode, u.Part)
+		}
+		return fmt.Errorf("blockstore: put ⟨%d,%d⟩ (stat): %w: %w", u.Mode, u.Part, ErrTransient, err)
+	}
+	n, err := s.writePart(s.partPath(u.Mode, u.Part, "a"), &Unit{Mode: u.Mode, Part: u.Part, A: u.A})
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.stats.Writes++
+	s.stats.BytesWritten += u.Bytes()
+	s.diskW += disk + n
+	s.mu.Unlock()
+	return nil
+}
+
+// countingWriter counts the bytes that reach the file.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// writePart replaces the file at path with the encoding of u and returns
+// its size on disk. Genuine filesystem errors are classified transient
+// (wrapping ErrTransient alongside the cause, so errors.Is sees both): a
+// retried Put starts over from a fresh temp file, so repeating is safe and
+// often heals NFS-style hiccups.
+//
+// The old version is unlinked before the rename. ext4 flushes a file's
+// data to disk when it is renamed over an existing one (auto_da_alloc) —
+// crash safety for exactly this idiom, which scratch has no use for, and
+// at 100–180 µs the larger part of what a Put of an A part cost. The
+// instant in which the name has no file is hidden from Gets by replacing:
+// readPart opens under it, and a file once open outlives its name.
+func (s *FileStore) writePart(path string, u *Unit) (int64, error) {
 	transient := func(stage string, err error) error {
 		return fmt.Errorf("blockstore: put ⟨%d,%d⟩ (%s): %w: %w", u.Mode, u.Part, stage, ErrTransient, err)
 	}
 	f, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return transient("create", err)
+		return 0, transient("create", err)
 	}
-	tmp := f.Name()
-	var encodeErr error
+	out := &countingWriter{w: f}
 	if s.compress {
-		zw := gzip.NewWriter(f)
-		encodeErr = EncodeUnit(zw, u)
-		if err := zw.Close(); encodeErr == nil && err != nil {
-			encodeErr = fmt.Errorf("gzip: %w", err)
+		zw := gzip.NewWriter(out)
+		err = EncodeUnit(zw, u)
+		if cerr := zw.Close(); err == nil {
+			err = cerr
 		}
 	} else {
-		encodeErr = EncodeUnit(f, u)
+		err = EncodeUnit(out, u)
 	}
-	if encodeErr == nil {
-		if err := f.Sync(); err != nil {
-			encodeErr = fmt.Errorf("sync: %w", err)
-		}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if encodeErr != nil {
-		f.Close()
-		os.Remove(tmp)
-		return transient("encode", encodeErr)
+	if err == nil {
+		s.replacing.Lock()
+		os.Remove(path) // absent on a unit's first Put; the rename is what must succeed
+		err = os.Rename(f.Name(), path)
+		s.replacing.Unlock()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return transient("close", err)
+	if err != nil {
+		os.Remove(f.Name())
+		return 0, transient("write", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return transient("rename", err)
-	}
-	var disk int64
-	if fi, err := os.Stat(path); err == nil {
-		disk = fi.Size()
-	}
-	s.mu.Lock()
-	s.stats.Writes++
-	s.stats.BytesWritten += u.Bytes()
-	s.diskW += disk
-	s.needSync = true
-	s.mu.Unlock()
-	return nil
+	return out.n, nil
 }
 
-// Get implements Store. A unit file that exists but cannot be decoded —
-// zero-length, truncated mid-matrix, wrong magic, a damaged gzip stream or
-// a header declaring an absurd shape — yields ErrCorrupt rather than a raw
-// decode error (or, worse, an attempted allocation sized by garbage): Puts
-// are atomic, so a file in that state means on-disk damage, not an
-// in-progress write.
+// Get implements Store: the A part, then the U part it belongs to. A part
+// file that exists but cannot be decoded — zero-length, truncated
+// mid-matrix, wrong magic, a damaged gzip stream or a header declaring an
+// absurd shape — yields ErrCorrupt rather than a raw decode error (or,
+// worse, an attempted allocation sized by garbage), and so does an A part
+// whose U part is missing: Puts are atomic and lay U down first, so either
+// state means on-disk damage, not an in-progress write.
 func (s *FileStore) Get(mode, part int) (*Unit, error) {
-	f, err := os.Open(s.unitPath(mode, part))
+	u, err := s.readPart(mode, part, "a")
+	if err != nil {
+		return nil, err
+	}
+	slab, err := s.readPart(mode, part, "u")
+	if errors.Is(err, ErrNotFound) {
+		err = fmt.Errorf("%w: ⟨%d,%d⟩ has an A part but no U part", ErrCorrupt, mode, part)
+	}
+	if err != nil {
+		return nil, err
+	}
+	u.U = slab.U
+	s.mu.Lock()
+	s.stats.Reads++
+	s.stats.BytesRead += u.Bytes()
+	s.mu.Unlock()
+	return u, nil
+}
+
+// readPart decodes one of a unit's two files; a missing file is
+// ErrNotFound, an undecodable one ErrCorrupt.
+func (s *FileStore) readPart(mode, part int, half string) (*Unit, error) {
+	path := s.partPath(mode, part, half)
+	s.replacing.RLock()
+	f, err := os.Open(path)
+	s.replacing.RUnlock()
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("%w: ⟨%d,%d⟩", ErrNotFound, mode, part)
@@ -137,7 +201,7 @@ func (s *FileStore) Get(mode, part int) (*Unit, error) {
 	}
 	defer f.Close()
 	corrupt := func(err error) error {
-		return fmt.Errorf("%w: ⟨%d,%d⟩ (%s): %v", ErrCorrupt, mode, part, s.unitPath(mode, part), err)
+		return fmt.Errorf("%w: ⟨%d,%d⟩ (%s): %v", ErrCorrupt, mode, part, path, err)
 	}
 	// Bound decode allocations by what the file could actually contain, so
 	// a garbage header cannot size a multi-gigabyte allocation. 1032:1 is
@@ -149,29 +213,24 @@ func (s *FileStore) Get(mode, part int) (*Unit, error) {
 			limit *= 1032
 		}
 	}
-	var u *Unit
-	if s.compress {
-		zr, err := gzip.NewReader(f)
+	if !s.compress {
+		u, err := DecodeUnitWithin(f, limit)
 		if err != nil {
 			return nil, corrupt(err)
 		}
-		u, err = DecodeUnitWithin(zr, limit)
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		if err := zr.Close(); err != nil {
-			return nil, corrupt(err)
-		}
-	} else {
-		u, err = DecodeUnitWithin(f, limit)
-		if err != nil {
-			return nil, corrupt(err)
-		}
+		return u, nil
 	}
-	s.mu.Lock()
-	s.stats.Reads++
-	s.stats.BytesRead += u.Bytes()
-	s.mu.Unlock()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		return nil, corrupt(err)
+	}
+	u, err := DecodeUnitWithin(zr, limit)
+	if err != nil {
+		return nil, corrupt(err)
+	}
+	if err := zr.Close(); err != nil {
+		return nil, corrupt(err)
+	}
 	return u, nil
 }
 
@@ -197,34 +256,9 @@ func (s *FileStore) ResetStats() {
 	s.stats = Stats{}
 }
 
-// syncDir flushes the directory entries so completed renames survive a
-// crash.
-func (s *FileStore) syncDir() error {
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return fmt.Errorf("blockstore: dirsync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("blockstore: dirsync: %w", err)
-	}
-	return nil
-}
-
 // Close implements Store. The files are left on disk; callers that want
-// cleanup should remove the directory. Close performs the deferred
-// directory sync covering every rename since the last Close and reports
-// its failure — the one durability error Put does not surface itself.
-func (s *FileStore) Close() error {
-	s.mu.Lock()
-	dirty := s.needSync
-	s.needSync = false
-	s.mu.Unlock()
-	if !dirty {
-		return nil
-	}
-	return s.syncDir()
-}
+// cleanup should remove the directory.
+func (s *FileStore) Close() error { return nil }
 
 // ChunkStore persists dense tensor chunks (Phase-1 input blocks), one file
 // per block position, standing in for TensorDB's chunked array storage.

@@ -9,6 +9,11 @@
 // semantics (deep copies on Put/Get) for fast, precisely-counted
 // simulation, and FileStore, which writes real files through
 // encoding/binary for true out-of-core runs.
+//
+// A store is scratch space for one Phase-2 run, not a durable artefact:
+// the engine rewrites every unit when it starts and the checkpoint carries
+// every A(i)_(ki) itself, so nothing here is ever flushed to stable
+// storage and nothing may be assumed to survive a crash.
 package blockstore
 
 import (
@@ -20,6 +25,11 @@ import (
 )
 
 // Unit is the payload of one mode-partition data unit (paper Definition 4).
+//
+// Phase 2 updates A in place and never touches U, so a unit has two parts
+// with different lifetimes: U is immutable after the unit's first Put, and
+// A is what every later write-back replaces. A Unit with a nil U is an A
+// part — see Store.Put.
 type Unit struct {
 	Mode int // mode i
 	Part int // partition ki along mode i
@@ -39,11 +49,15 @@ func (u *Unit) Bytes() int64 {
 	return n * 8
 }
 
-// clone deep-copies the unit so store and caller never alias.
+// clone deep-copies the unit so store and caller never alias. A nil U (an
+// A part) stays nil.
 func (u *Unit) clone() *Unit {
-	c := &Unit{Mode: u.Mode, Part: u.Part, A: u.A.Clone(), U: make(map[int]*mat.Matrix, len(u.U))}
-	for id, m := range u.U {
-		c.U[id] = m.Clone()
+	c := &Unit{Mode: u.Mode, Part: u.Part, A: u.A.Clone()}
+	if u.U != nil {
+		c.U = make(map[int]*mat.Matrix, len(u.U))
+		for id, m := range u.U {
+			c.U[id] = m.Clone()
+		}
 	}
 	return c
 }
@@ -76,15 +90,16 @@ func (s *Stats) Add(other Stats) {
 	s.BreakerTrips += other.BreakerTrips
 }
 
-// ErrNotFound is returned by Get for units that were never Put.
+// ErrNotFound is returned by Get, and by an A-part Put, for units that
+// were never Put whole.
 var ErrNotFound = errors.New("blockstore: unit not found")
 
 // ErrCorrupt is returned by FileStore.Get for unit files that exist but
 // cannot be decoded — zero-length or truncated files, bad magic, damaged
-// gzip streams or absurd declared shapes. It is distinct from ErrNotFound
-// so callers can tell "never written" from "written but damaged": the
-// first is often a caller bug, the second is data loss that must not be
-// papered over.
+// gzip streams or absurd declared shapes — and for an A part whose U part
+// is gone. It is distinct from ErrNotFound so callers can tell "never
+// written" from "written but damaged": the first is often a caller bug,
+// the second is data loss that must not be papered over.
 var ErrCorrupt = errors.New("blockstore: corrupt unit")
 
 // Store persists data units and counts the I/O they generate.
@@ -97,10 +112,19 @@ var ErrCorrupt = errors.New("blockstore: corrupt unit")
 // Gets (prefetch workers) and Puts (background write-back) against a
 // single store. The guarantees callers may rely on:
 //
-//   - Put is atomic: a concurrent Get of the same unit observes either the
-//     previous complete version or the new complete version, never a torn
-//     write (MemStore swaps a deep copy under its mutex; FileStore writes
-//     a temp file and renames it into place).
+//   - U is immutable after the unit's first Put. That first, whole-unit
+//     Put (non-nil U) is a set-up operation: it lays down U, then A, and
+//     is not atomic as a pair against a concurrent Get of the same unit —
+//     Phase 2 seeds every unit before its buffer manager exists.
+//   - An A-part Put (nil U) replaces A and leaves the stored U in place.
+//     It is atomic: a concurrent Get of the same unit observes either the
+//     previous complete A or the new complete A, each with the seeded U,
+//     never a torn write (MemStore swaps a copy under its mutex;
+//     FileStore writes a temp file and renames it into the A part's
+//     place, and never rewrites the U part). The guarantee is between
+//     users of one store value, not between processes sharing a
+//     directory. On a unit that was never Put whole it fails with
+//     ErrNotFound — no Get ever returns a unit missing its U.
 //   - Get returns a private copy: mutating the result never affects the
 //     store or other readers, so two goroutines may fetch the same unit
 //     and diverge safely.
@@ -115,10 +139,12 @@ var ErrCorrupt = errors.New("blockstore: corrupt unit")
 //   - Close must only be called after all outstanding operations have
 //     drained; it is not a cancellation mechanism.
 type Store interface {
-	// Put durably records the unit, overwriting any previous version.
+	// Put stores the unit — whole when u.U is non-nil, only its A part
+	// when u.U is nil — replacing what was stored; see the contract
+	// above. Stats count the bytes of what was passed: u.Bytes().
 	Put(u *Unit) error
-	// Get fetches the unit for (mode, part); the result is owned by the
-	// caller (mutations do not write through).
+	// Get fetches the whole unit for (mode, part), A and U; the result is
+	// owned by the caller (mutations do not write through).
 	Get(mode, part int) (*Unit, error)
 	// Stats returns a snapshot of the I/O counters.
 	Stats() Stats
@@ -164,11 +190,12 @@ func ForEachConcurrent(n, workers int, fn func(i int) error) error {
 
 type unitKey struct{ mode, part int }
 
-// MemStore is an in-memory Store with disk semantics: units are deep-copied
-// on both Put and Get, so callers observe exactly the behaviour of a
-// file-backed store while experiments measure pure I/O counts. The deep
-// copies are made outside the lock on Put and the map swap is atomic, so
-// concurrent readers never see a partially-copied unit.
+// MemStore is an in-memory Store with disk semantics: what a Put passes is
+// deep-copied, and so is what a Get returns, so callers observe exactly the
+// behaviour of a file-backed store while experiments measure pure I/O
+// counts. The copies are made outside the lock on Put and the map swap is
+// atomic, so concurrent readers never see a partially-copied unit. Stored
+// versions of a unit share one U map: it is never written after seeding.
 type MemStore struct {
 	mu    sync.Mutex
 	units map[unitKey]*Unit
@@ -183,11 +210,19 @@ func NewMemStore() *MemStore {
 // Put implements Store.
 func (s *MemStore) Put(u *Unit) error {
 	c := u.clone()
+	key := unitKey{u.Mode, u.Part}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.units[unitKey{u.Mode, u.Part}] = c
+	if c.U == nil {
+		seeded, ok := s.units[key]
+		if !ok {
+			return fmt.Errorf("%w: A part of ⟨%d,%d⟩ before its whole unit", ErrNotFound, u.Mode, u.Part)
+		}
+		c.U = seeded.U
+	}
+	s.units[key] = c
 	s.stats.Writes++
-	s.stats.BytesWritten += c.Bytes()
+	s.stats.BytesWritten += u.Bytes()
 	return nil
 }
 

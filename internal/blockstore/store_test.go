@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,6 +55,9 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
+// aPart is the write-back payload for u: its A, no U.
+func aPart(u *Unit) *Unit { return &Unit{Mode: u.Mode, Part: u.Part, A: u.A} }
+
 // storeContract exercises the Store interface invariants on any backend.
 func storeContract(t *testing.T, s Store) {
 	t.Helper()
@@ -62,6 +66,13 @@ func storeContract(t *testing.T, s Store) {
 
 	if _, err := s.Get(1, 2); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get before Put: err = %v, want ErrNotFound", err)
+	}
+	// An A part has no U to stand on until the unit was Put whole.
+	if err := s.Put(aPart(u)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("A-part Put before the whole unit: err = %v, want ErrNotFound", err)
+	}
+	if _, err := s.Get(1, 2); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after a refused A-part Put: err = %v, want ErrNotFound", err)
 	}
 	if err := s.Put(u); err != nil {
 		t.Fatal(err)
@@ -95,12 +106,25 @@ func storeContract(t *testing.T, s Store) {
 	if got.A.At(0, 0) != -7 {
 		t.Fatal("Put did not overwrite")
 	}
-	// Stats: 1+1+1 gets (one failed — not counted), 2 puts.
+	// An A-part Put replaces A and leaves the stored U where it is.
+	u3 := testUnit(rng)
+	if err := s.Put(aPart(u3)); err != nil {
+		t.Fatal(err)
+	}
+	got, err = s.Get(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (&Unit{Mode: 1, Part: 2, A: u3.A, U: u2.U}); !unitsEqual(got, want) {
+		t.Fatal("A-part Put: Get is not the new A with the seeded U")
+	}
+	// Stats: 4 gets (the two failed ones not counted), 3 puts (the refused
+	// one not counted), bytes as passed: two whole units and one A.
 	st := s.Stats()
-	if st.Reads != 3 || st.Writes != 2 {
+	if st.Reads != 4 || st.Writes != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.BytesRead != 3*u.Bytes() || st.BytesWritten != 2*u.Bytes() {
+	if st.BytesRead != 4*u.Bytes() || st.BytesWritten != 2*u.Bytes()+aPart(u).Bytes() {
 		t.Fatalf("byte stats = %+v", st)
 	}
 	s.ResetStats()
@@ -198,7 +222,7 @@ func TestFileStorePersistsAcrossInstances(t *testing.T) {
 }
 
 func TestFileStorePutLeavesNoTempFiles(t *testing.T) {
-	// Put must land exactly one fully-written unit file per key: no
+	// Puts must land exactly the unit's two part files, fully written: no
 	// temp-file debris (a crash between create and rename is the only
 	// state that may leave one, and a fresh Put replaces it atomically).
 	dir := t.TempDir()
@@ -212,46 +236,58 @@ func TestFileStorePutLeavesNoTempFiles(t *testing.T) {
 		if err := s.Put(u); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.Put(aPart(u)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Fatalf("store dir has %v, want exactly one unit file", names)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
-	// Close reports deferred durability errors; a healthy run has none,
-	// and reporting is one-shot.
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close after clean Puts: %v", err)
+	if want := []string{"unit-1-2.a.tpun", "unit-1-2.u.tpun"}; !slices.Equal(names, want) {
+		t.Fatalf("store dir has %v, want %v", names, want)
 	}
 }
 
-func TestFileStoreCloseReportsDeferredError(t *testing.T) {
-	// Close owns the deferred directory sync; if the directory vanished
-	// after a successful Put, that durability failure must surface.
-	dir := filepath.Join(t.TempDir(), "store")
+// TestFileStoreWriteBackLeavesUPartAlone pins the write-once half of the
+// layout: an A-part Put touches no byte of the U part, and puts on disk
+// what it counts — the A part's file, nothing else.
+func TestFileStoreWriteBackLeavesUPartAlone(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(8))
 	s, err := NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(8))
 	if err := s.Put(testUnit(rng)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(dir); err != nil {
+	uPath := filepath.Join(dir, "unit-1-2.u.tpun")
+	before, err := os.Stat(uPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err == nil {
-		t.Fatal("Close swallowed the dirsync failure")
+	disk := s.DiskBytesWritten()
+	if err := s.Put(aPart(testUnit(rng))); err != nil {
+		t.Fatal(err)
 	}
-	// Reporting is one-shot: nothing new to sync after the first Close.
-	if err := s.Close(); err != nil {
-		t.Fatalf("second Close repeated the deferred error: %v", err)
+	after, err := os.Stat(uPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+		t.Fatal("A-part Put replaced or rewrote the U part")
+	}
+	a, err := os.Stat(filepath.Join(dir, "unit-1-2.a.tpun"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DiskBytesWritten() - disk; got != a.Size() {
+		t.Fatalf("A-part Put counted %d bytes on disk, the A part is %d", got, a.Size())
 	}
 }
 

@@ -579,7 +579,7 @@ func (m *Manager) evict(id int) (func(), error) {
 				obs.Int("mode", e.unit.Mode), obs.Int("part", e.unit.Part), obs.I64("bytes", e.bytes))
 		}
 		if m.workers == 0 {
-			if err := m.store.Put(e.unit); err != nil {
+			if err := m.writeBack(e.unit); err != nil {
 				return nil, err
 			}
 		} else {
@@ -623,6 +623,12 @@ func (m *Manager) evict(id int) (func(), error) {
 	return job, nil
 }
 
+// writeBack puts the unit's A part — all Phase 2 ever changes of a unit;
+// the store keeps the U part the unit was seeded with.
+func (m *Manager) writeBack(u *blockstore.Unit) error {
+	return m.store.Put(&blockstore.Unit{Mode: u.Mode, Part: u.Part, A: u.A})
+}
+
 // putWithRetry writes a unit back, repeating transient failures with
 // doubling backoff (1ms, capped at 50ms) up to Config.WriteBackRetries
 // extra attempts. Retrying inside the write-back job keeps the wbPending
@@ -630,7 +636,7 @@ func (m *Manager) evict(id int) (func(), error) {
 // the final attempt, so a re-fetch or successor write-back still waits
 // for the true outcome.
 func (m *Manager) putWithRetry(u *blockstore.Unit) error {
-	err := m.store.Put(u)
+	err := m.writeBack(u)
 	backoff := time.Millisecond
 	for i := 0; err != nil && blockstore.IsTransient(err) && i < m.wbRetries; i++ {
 		time.Sleep(backoff)
@@ -638,7 +644,7 @@ func (m *Manager) putWithRetry(u *blockstore.Unit) error {
 		if backoff > 50*time.Millisecond {
 			backoff = 50 * time.Millisecond
 		}
-		err = m.store.Put(u)
+		err = m.writeBack(u)
 	}
 	return err
 }
@@ -690,7 +696,7 @@ func (m *Manager) FlushAll() error {
 	workers := m.workers
 	m.mu.Unlock()
 	return blockstore.ForEachConcurrent(len(dirty), workers, func(i int) error {
-		return m.store.Put(dirty[i].unit)
+		return m.writeBack(dirty[i].unit)
 	})
 }
 

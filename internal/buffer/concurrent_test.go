@@ -58,6 +58,9 @@ func hammerManager(t *testing.T, p *grid.Pattern, store blockstore.Store, capaci
 	var wg sync.WaitGroup
 	var acquires int64
 	var amu sync.Mutex
+	// Two workers may hold the same unit pinned; the engine updates a unit
+	// from one goroutine, so the test's stand-in for an update takes turns.
+	var updating sync.Mutex
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -81,7 +84,9 @@ func hammerManager(t *testing.T, p *grid.Pattern, store blockstore.Store, capaci
 				}
 				dirty := rng.Intn(2) == 0
 				if dirty {
+					updating.Lock()
 					u.A.Set(0, 0, float64(w*1000+i))
+					updating.Unlock()
 				}
 				local++
 				m.Release(mode, part, dirty)

@@ -102,7 +102,9 @@ var Schema = map[string][]FieldSpec{
 		{Name: "bytes", Type: TypeNum},
 	},
 	// Raw store traffic. Only Puts are traced: raw read counts vary with
-	// prefetch depth, so reads surface as buffer.fetch instead.
+	// prefetch depth, so reads surface as buffer.fetch instead. bytes is
+	// what was written — a whole unit at seeding, the A part on a
+	// write-back — where buffer.writeback's is the evicted unit's size.
 	"blockstore.put": {
 		{Name: "mode", Type: TypeNum},
 		{Name: "part", Type: TypeNum},

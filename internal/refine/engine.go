@@ -331,12 +331,14 @@ func (e *Engine) initialA(mode, part int, rng *rand.Rand) *mat.Matrix {
 	return mat.Random(rows, rank, rng)
 }
 
-// prepareUnits writes every ⟨mode, part⟩ unit into the store: the seeded
-// (or checkpoint-restored) A(i)_(ki) plus the slab's Phase-1 U(i)_l
-// matrices. On resume this is what makes the store consistent with the
-// checkpoint regardless of where the previous process died — the store's
-// A values are never trusted across a restart, they are always rewritten
-// from the seeder.
+// prepareUnits writes every ⟨mode, part⟩ unit into the store whole: the
+// seeded (or checkpoint-restored) A(i)_(ki) plus the slab's Phase-1 U(i)_l
+// matrices — the only time a U is written; every later Put is a
+// write-back of A alone. On resume this is what makes the store consistent
+// with the checkpoint regardless of where the previous process died, or of
+// what the crash did to the store's files: nothing in the store is trusted
+// across a restart, it is always rewritten from the Phase-1 result and the
+// seeder.
 func (e *Engine) prepareUnits(seed func(mode, part int) *mat.Matrix) error {
 	for mode := 0; mode < e.pattern.NModes(); mode++ {
 		for part := 0; part < e.pattern.K[mode]; part++ {

@@ -66,7 +66,6 @@ func RunGridParafac(cfg Config, workers int) (*Result, error) {
 			newA := make([]*mat.Matrix, p.K[mode])
 			var wg sync.WaitGroup
 			sem := make(chan struct{}, workers)
-			errs := make([]error, p.K[mode])
 			for part := range units {
 				wg.Add(1)
 				sem <- struct{}{}
@@ -74,16 +73,14 @@ func RunGridParafac(cfg Config, workers int) (*Result, error) {
 					defer wg.Done()
 					defer func() { <-sem }()
 					newA[part] = e.solvePartition(units[part], rank)
-					_ = errs
 				}(part)
 			}
 			wg.Wait()
 			// Separate revision loop: install the new factors, refresh
-			// P and Q, write the units back.
+			// P and Q, write the A parts back.
 			for part, u := range units {
-				u.A = newA[part]
-				e.comps.setA(mode, part, u.A, u.U)
-				if err := cfg.Store.Put(u); err != nil {
+				e.comps.setA(mode, part, newA[part], u.U)
+				if err := cfg.Store.Put(&blockstore.Unit{Mode: mode, Part: part, A: newA[part]}); err != nil {
 					return nil, err
 				}
 			}

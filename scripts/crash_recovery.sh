@@ -34,12 +34,27 @@
 # checkpoint.resume marking the seam), and the combined trace must
 # validate against the event schema via cmd/tracecheck. CI runs a traced
 # pass in the obs job.
+#
+# TWOPCP_STORE_LOSS=wipe (or garble, truncate) proves the Phase-2 unit
+# store is scratch: the reference, killed and resumed runs all keep their
+# units in files (-store), and between the kill and the resume the script
+# destroys the store directory's contents — every file deleted,
+# overwritten with 100 random bytes, or cut to zero length. That is the
+# worst a crash could do to writes nobody flushed. The resumed run must
+# still exit 0 and match the uninterrupted run bit for bit: the checkpoint
+# is the only durable state. CI runs all three in the smoke job.
 set -euo pipefail
 
 constraint="${TWOPCP_CONSTRAINT:-none}"
 lambda="${TWOPCP_LAMBDA:-0}"
 accelerator="${TWOPCP_ACCELERATOR:-none}"
 trace="${TWOPCP_TRACE:-0}"
+store_loss="${TWOPCP_STORE_LOSS:-none}"
+case "$store_loss" in none | wipe | garble | truncate) ;; *)
+  echo "TWOPCP_STORE_LOSS=$store_loss: want wipe, garble or truncate" >&2
+  exit 2
+  ;;
+esac
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -73,10 +88,17 @@ if [ "$fault_rate" != 0 ]; then
   # only has to grant a retry budget so the injected faults heal.
   args+=(-retry 8)
 fi
-echo "== constraint: $constraint (lambda $lambda)   accelerator: $accelerator   fault rate: $fault_rate"
+# Under TWOPCP_STORE_LOSS every run spills its units to files; the
+# reference run gets a directory of its own.
+ref_store=() store=()
+if [ "$store_loss" != none ]; then
+  ref_store=(-store "$work/ref-units")
+  store=(-store "$work/units")
+fi
+echo "== constraint: $constraint (lambda $lambda)   accelerator: $accelerator   fault rate: $fault_rate   store loss: $store_loss"
 
 echo "== reference (uninterrupted) run"
-"$work/twopcp" "${args[@]}" -out-prefix "$work/ref" -json "$work/ref.json" >/dev/null
+"$work/twopcp" "${args[@]}" "${ref_store[@]}" -out-prefix "$work/ref" -json "$work/ref.json" >/dev/null
 
 echo "== checkpointed run, SIGKILLed mid-Phase-2"
 ckpt="$work/ckpt"
@@ -86,7 +108,7 @@ trace_args=()
 if [ "$trace" = 1 ]; then
   trace_args=(-trace "$work/run.jsonl")
 fi
-"$work/twopcp" "${args[@]}" "${trace_args[@]}" -checkpoint "$ckpt" -checkpoint-steps 1 >/dev/null &
+"$work/twopcp" "${args[@]}" "${store[@]}" "${trace_args[@]}" -checkpoint "$ckpt" -checkpoint-steps 1 >/dev/null &
 pid=$!
 # Wait for Phase 2 to start checkpointing, let it make some progress, then
 # kill hard (no signal handler can run: this is the power-loss case).
@@ -112,8 +134,22 @@ grep -q '"stage":"phase2"' "$ckpt/manifest.json" || {
 }
 echo "   killed pid $pid with $(ls "$ckpt" | grep -c p1-block) block checkpoints + phase2.ckpt present"
 
+if [ "$store_loss" != none ]; then
+  echo "== losing the unit store: $store_loss"
+  units=("$work/units"/*)
+  [ -f "${units[0]}" ] || { echo "FAIL: the killed run left no unit files under -store" >&2; exit 1; }
+  for f in "${units[@]}"; do
+    case "$store_loss" in
+      wipe) rm "$f" ;;
+      garble) head -c 100 /dev/urandom >"$f" ;;
+      truncate) : >"$f" ;;
+    esac
+  done
+  echo "   ${#units[@]} files: $store_loss"
+fi
+
 echo "== resuming"
-"$work/twopcp" "${args[@]}" "${trace_args[@]}" -resume "$ckpt" -out-prefix "$work/res" -json "$work/res.json" >/dev/null
+"$work/twopcp" "${args[@]}" "${store[@]}" "${trace_args[@]}" -resume "$ckpt" -out-prefix "$work/res" -json "$work/res.json" >/dev/null
 
 echo "== diffing factors and fit trace against the uninterrupted run"
 for m in 0 1 2; do

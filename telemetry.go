@@ -96,8 +96,10 @@ type RunStats struct {
 	// dirty units written back to the store.
 	Evictions  int64 `json:"evictions"`
 	WriteBacks int64 `json:"write_backs"`
-	// BytesRead and BytesWritten count store traffic during Phase-2
-	// refinement (setup seeding is excluded). BytesRead may include a
+	// BytesRead and BytesWritten count the bytes the store moved during
+	// Phase-2 refinement (setup seeding is excluded): a swap reads a
+	// whole unit, A(i)_(ki) and the slab's U(i)_l; a write-back writes
+	// only A(i)_(ki), the part Phase 2 changes. BytesRead may include a
 	// few extra reads at PrefetchDepth > 0, from prefetches issued for
 	// steps that never ran; everything else here is depth-invariant.
 	BytesRead    int64 `json:"bytes_read"`

@@ -161,6 +161,56 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a trace sink the test may read while the run writes.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRunStartIsFlushedAtOnce: by the time the run records its second
+// event, the run.start line has left the recorder's 64 KB buffer. A run
+// killed early — before that buffer first fills — must not lose the line
+// a resumed run's appended trace is read against.
+func TestRunStartIsFlushedAtOnce(t *testing.T) {
+	var sink lockedBuffer
+	var once sync.Once
+	opts := goldenOpts(twopcp.ConstraintNone, 0)
+	opts.Observer = &twopcp.Observer{
+		Trace: twopcp.NewRecorder(&sink),
+		OnEvent: func(e twopcp.Event) {
+			if e.Name == "run.start" {
+				return
+			}
+			once.Do(func() {
+				if got := sink.String(); !strings.HasPrefix(got, `{"ev":"run.start",`) || !strings.HasSuffix(got, "\n") {
+					t.Errorf("at the first %s event the trace sink holds %q, want the complete run.start line", e.Name, got)
+				}
+			})
+		},
+	}
+	if _, err := twopcp.Decompose(goldenTensor(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := opts.Observer.Trace.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(sink.String(), `"ev":"run.start"`); n != 1 {
+		t.Errorf("%d run.start lines in the trace, want 1", n)
+	}
+}
+
 // TestMetricsMatchRunStats cross-checks the registry against the run's
 // own accounting on a fresh synchronous run: the counters the subsystems
 // maintain must agree exactly with the RunStats the pipeline reports, and

@@ -48,7 +48,9 @@ type Options struct {
 	Workers int
 	// StoreDir, when non-empty, keeps the Phase-2 data units in files
 	// under this directory (true out-of-core); otherwise an in-memory
-	// store with identical semantics is used.
+	// store with identical semantics is used. The directory is scratch:
+	// every run, resumed or not, rebuilds it before reading it, and
+	// nothing in it is synced or needs to survive a crash.
 	StoreDir string
 	// Constraint selects the row-update solver applied by both phases:
 	// ConstraintNone (the default) is plain least squares, bit-for-bit the
@@ -408,6 +410,13 @@ func (r *runCtx) open() (err error) {
 			obs.Str("dims", dimsLabel(r.pattern.Dims)),
 			obs.Int("rank", r.opts.Rank),
 			obs.Bool("resumed", r.opts.Resume))
+		if r.ob.Trace != nil {
+			// A run killed before the recorder's buffer first fills must
+			// still have left its run.start behind: a resumed run appends
+			// to the same file. A write error is sticky in the recorder
+			// and surfaces at its Close.
+			_ = r.ob.Trace.Flush()
+		}
 	}
 	if r.ob != nil && r.ob.Metrics != nil {
 		r.ob.Gauge("run.workers").Set(float64(r.opts.Workers))
@@ -521,8 +530,6 @@ func (r *runCtx) phase2() (err error) {
 		return err
 	}
 	defer func() {
-		// Close surfaces durability errors the store deferred (FileStore
-		// reports directory-sync failures here rather than failing Puts).
 		if cerr := store.Close(); err == nil {
 			err = cerr
 		}

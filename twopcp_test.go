@@ -91,6 +91,42 @@ func TestDecomposeSwapAccounting(t *testing.T) {
 	}
 }
 
+// TestRunStatsCountBytesMoved pins RunStats' store traffic on both stores:
+// a write-back moves one A partition, a swap moves one whole unit, and
+// prefetching may only add whole-unit reads on top.
+func TestRunStatsCountBytesMoved(t *testing.T) {
+	x := RandomDense(rand.New(rand.NewSource(3)), 16, 16, 16)
+	const aBytes = 4 * 2 * 8            // a 4-row partition at rank 2
+	const unitBytes = aBytes * (1 + 16) // plus the slab's 16 sub-factors
+	run := func(storeDir string, depth int) RunStats {
+		res, err := Decompose(x, Options{
+			Rank: 2, Partitions: []int{4}, BufferFraction: 1.0 / 3, MaxIters: 10, Tol: 1e-9, Seed: 1,
+			StoreDir: storeDir, PrefetchDepth: depth,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.RunStats
+	}
+	mem := run("", 0)
+	if mem.WriteBacks == 0 || mem.BytesWritten != mem.WriteBacks*aBytes {
+		t.Errorf("%d write-backs wrote %d bytes, want %d each", mem.WriteBacks, mem.BytesWritten, aBytes)
+	}
+	if mem.BytesRead != mem.Swaps*unitBytes {
+		t.Errorf("%d swaps read %d bytes, want %d each", mem.Swaps, mem.BytesRead, unitBytes)
+	}
+	if file := run(t.TempDir(), 0); file.BytesRead != mem.BytesRead || file.BytesWritten != mem.BytesWritten {
+		t.Errorf("file store moved (%d, %d) bytes, mem store (%d, %d)", file.BytesRead, file.BytesWritten, mem.BytesRead, mem.BytesWritten)
+	}
+	for _, dir := range []string{"", t.TempDir()} {
+		ahead := run(dir, 2)
+		if extra := ahead.BytesRead - mem.BytesRead; ahead.BytesWritten != mem.BytesWritten || extra < 0 || extra%unitBytes != 0 {
+			t.Errorf("store %q, prefetch 2: (%d, %d) bytes; want %d written and whole units read on top of %d",
+				dir, ahead.BytesRead, ahead.BytesWritten, mem.BytesWritten, mem.BytesRead)
+		}
+	}
+}
+
 func TestDecomposeSparseEndToEnd(t *testing.T) {
 	x := RandomCOO(rand.New(rand.NewSource(4)), 0.2, 12, 10, 8)
 	res, err := DecomposeSparse(x, Options{Rank: 3, Seed: 5})
