@@ -15,14 +15,11 @@ import (
 	"time"
 
 	"twopcp"
-	"twopcp/internal/blockstore"
 	"twopcp/internal/buffer"
 	"twopcp/internal/experiments"
 	"twopcp/internal/grid"
 	"twopcp/internal/haten2"
 	"twopcp/internal/mapreduce"
-	"twopcp/internal/phase1"
-	"twopcp/internal/refine"
 	"twopcp/internal/schedule"
 	"twopcp/internal/tensor"
 )
@@ -277,60 +274,6 @@ func BenchmarkPhase0Sketch(b *testing.B) {
 				b.Fatal("expected a structural fallback on the unstructured cube")
 			}
 		}
-	})
-}
-
-func gridCube(dim, k int) *grid.Pattern { return grid.UniformCube(3, dim, k) }
-
-// BenchmarkAblationGridParafac compares the original mode-centric
-// grid-PARAFAC iteration of [22] (parallel Jacobi passes, whole-mode
-// working set) against 2PCP's buffered block-centric engine on the same
-// Phase-1 output, reporting store reads — the I/O the paper's fine-grained
-// scheduling eliminates.
-func BenchmarkAblationGridParafac(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	x := denseUniform(rng, 0.5, 24)
-	p := gridCube(24, 4)
-	src, err := phase1.NewDenseSource(x, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p1, err := phase1.Run(src, phase1.Options{Rank: 8, MaxIters: 10, Seed: 9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("gridparafac", func(b *testing.B) {
-		var reads int64
-		for i := 0; i < b.N; i++ {
-			store := blockstore.NewMemStore()
-			if _, err := refine.RunGridParafac(refine.Config{
-				Phase1: p1, Store: store,
-				MaxVirtualIters: 10, Tol: -1,
-			}, 0); err != nil {
-				b.Fatal(err)
-			}
-			reads = store.Stats().Reads
-		}
-		b.ReportMetric(float64(reads), "store-reads")
-	})
-	b.Run("buffered-2pcp", func(b *testing.B) {
-		var reads int64
-		for i := 0; i < b.N; i++ {
-			eng, err := refine.New(refine.Config{
-				Phase1: p1, Store: blockstore.NewMemStore(),
-				Schedule: schedule.HilbertOrder, Policy: buffer.Forward,
-				BufferFraction: 0.5, MaxVirtualIters: 10, Tol: -1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := eng.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			reads = res.BufferStats.Fetches
-		}
-		b.ReportMetric(float64(reads), "store-reads")
 	})
 }
 

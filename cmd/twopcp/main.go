@@ -101,7 +101,6 @@ func runLocal() {
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and a Prometheus /metrics endpoint on this address while the run executes (e.g. localhost:6060)")
 		progress   = flag.Duration("progress", 0, "print a progress line (fit, sweeps, blocks, I/O, buffer hit rate) to stderr at this interval (0 = off)")
 		retries    = flag.Int("retry", 0, "max retries per operation for transient store/block faults (0 = resilience layer off)")
-		opTimeout  = flag.Duration("op-timeout", 0, "per-operation store deadline; slow operations fail with a retryable timeout (0 = none)")
 		faultRate  = flag.Float64("fault-rate", cli.EnvFloat("TWOPCP_FAULT_RATE"), "chaos testing: per-op probability of an injected transient fault on store and block reads (default $TWOPCP_FAULT_RATE)")
 		faultWRate = flag.Float64("fault-write-rate", 0, "chaos testing: per-op probability of an injected transient fault on store writes")
 		faultSeed  = flag.Int64("fault-seed", cli.EnvInt("TWOPCP_FAULT_SEED"), "chaos testing: fault-injection RNG seed (default $TWOPCP_FAULT_SEED)")
@@ -163,7 +162,6 @@ func runLocal() {
 		CheckpointEverySteps: *ckptSteps,
 		Retry: twopcp.RetryPolicy{
 			MaxRetries: *retries,
-			OpTimeout:  *opTimeout,
 			Seed:       *seed,
 		},
 		Chaos: twopcp.Chaos{

@@ -255,11 +255,13 @@
 // # Fault tolerance
 //
 // Options.Retry arms a resilience layer for storage that fails without
-// killing the process — transient I/O errors, slow or hung operations,
-// and blocks that never load (CLI: -retry, -op-timeout). Faults divide
-// into exactly two classes (blockstore.IsTransient): transient
-// (ErrTransient, ErrTimeout) and permanent (everything else), and each
-// class has one behavior:
+// killing the process — transient I/O errors and blocks that never load
+// (CLI: -retry). Faults divide into exactly two classes
+// (blockstore.IsTransient): transient (an error wrapping ErrTransient)
+// and permanent (everything else), and each class has one behavior.
+// There is no per-operation deadline: a read of a regular file cannot be
+// cancelled cooperatively and the design refuses watchdog goroutines, so
+// an operation runs until the store answers.
 //
 //   - Transient faults are retried, up to Retry.MaxRetries per
 //     operation, with capped exponential backoff and deterministic
@@ -271,14 +273,14 @@
 //     a layer that is off is not in the stack: base store, then the
 //     chaos fault injector (Options.Chaos), then the resilience wrapper
 //     (Options.Retry), then instrumentation (Options.Observer), closed
-//     together when Phase 2 ends however it ends. Per-op deadlines (Retry.OpTimeout) are
-//     enforced cooperatively — stores implementing DeadlineStore bound
-//     their own work and return an ErrTimeout-wrapped error — so there
-//     are no watchdog goroutines and no abandoned I/O. The buffer
-//     manager degrades rather than fails: a broken prefetch falls back
-//     to a synchronous demand fetch, and a failed asynchronous
-//     write-back is retried and, if its budget runs out, surfaces at
-//     the next step boundary AFTER an emergency checkpoint is written.
+//     together when Phase 2 ends however it ends. That wrapper is the
+//     only layer that repeats a store operation, so MaxRetries is the
+//     whole budget of a Get or Put at every PrefetchDepth and IOWorkers
+//     setting. The buffer manager degrades rather than fails: a broken
+//     prefetch falls back to a synchronous demand fetch, and an
+//     asynchronous write-back that fails past the store's budget
+//     surfaces at the next step boundary AFTER an emergency checkpoint
+//     is written.
 //     A circuit breaker (Retry.BreakerThreshold consecutive permanent
 //     failures) flips the store to fail-fast so a dead backend
 //     surfaces in seconds, not after every caller burns its budget.

@@ -121,8 +121,7 @@ func DecodeUnit(r io.Reader) (*Unit, error) {
 
 // DecodeUnitWithin deserializes a unit whose encoding is at most maxBytes
 // long, so neither its matrix payload nor its U count can exceed what that
-// many bytes hold. FileStore.Get passes each part file's actual size
-// (scaled by the maximum deflate expansion for compressed stores), so
+// many bytes hold. FileStore.Get passes each part file's actual size, so
 // corrupt headers fail cleanly instead of sizing allocations from garbage.
 func DecodeUnitWithin(r io.Reader, maxBytes int64) (*Unit, error) {
 	if maxBytes <= 0 || maxBytes > maxDecodeBytes {

@@ -132,14 +132,6 @@ func TestFileStoreConcurrentContract(t *testing.T) {
 	hammerStore(t, s)
 }
 
-func TestFileStoreCompressedConcurrentContract(t *testing.T) {
-	s, err := NewFileStore(t.TempDir(), WithCompression())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hammerStore(t, s)
-}
-
 func TestLatencyStoreConcurrentContract(t *testing.T) {
 	hammerStore(t, WithLatency(NewMemStore(), time.Microsecond, time.Microsecond))
 }
@@ -150,7 +142,7 @@ func TestFaultyStoreConcurrentCountsExactlyOneFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty := NewFaultyStore(inner)
-	faulty.FailRead = 25
+	faulty.SetPlan(FaultPlan{ReadOutageFrom: 25, ReadOutageLen: 1, Permanent: true})
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	injected := 0
@@ -173,8 +165,8 @@ func TestFaultyStoreConcurrentCountsExactlyOneFault(t *testing.T) {
 	if injected != 1 {
 		t.Fatalf("injected faults observed = %d, want exactly 1", injected)
 	}
-	if faulty.ReadFails != 1 {
-		t.Fatalf("ReadFails = %d, want 1", faulty.ReadFails)
+	if reads, _ := faulty.Fails(); reads != 1 {
+		t.Fatalf("injected read failures = %d, want 1", reads)
 	}
 }
 

@@ -24,28 +24,27 @@ func corruptTestUnit() *Unit {
 
 // TestFileStoreGetCorruptUnit pins the typed-error contract: every way
 // either of a unit's two part files can be damaged on disk — zero-length,
-// truncated at several depths, wrong magic, garbage header sizes, a broken
-// gzip stream, a U part that is gone — surfaces as ErrCorrupt from Get,
-// never as a panic, an allocation blowup, an untyped decode error or a
-// unit with half its payload. ErrNotFound stays reserved for units that
-// were never written.
+// truncated at several depths, wrong magic, garbage header sizes, a U part
+// that is gone — surfaces as ErrCorrupt from Get, never as a panic, an
+// allocation blowup, an untyped decode error or a unit with half its
+// payload. ErrNotFound stays reserved for units that were never written.
 func TestFileStoreGetCorruptUnit(t *testing.T) {
 	// damaged runs the case once per part file, each time on a fresh store
 	// holding one good unit: damage receives the part's path and good
 	// bytes, and after every write it makes the caller's Get must fail
 	// with ErrCorrupt.
-	damaged := func(t *testing.T, ext string, damage func(t *testing.T, path string, good []byte, get func(what string)), opts ...FileStoreOption) {
+	damaged := func(t *testing.T, damage func(t *testing.T, path string, good []byte, get func(what string))) {
 		for _, half := range []string{"a", "u"} {
 			t.Run(half+"-part", func(t *testing.T) {
 				dir := t.TempDir()
-				s, err := NewFileStore(dir, opts...)
+				s, err := NewFileStore(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := s.Put(corruptTestUnit()); err != nil {
 					t.Fatal(err)
 				}
-				path := filepath.Join(dir, "unit-1-2."+half+ext)
+				path := filepath.Join(dir, "unit-1-2."+half+".tpun")
 				good, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -67,14 +66,14 @@ func TestFileStoreGetCorruptUnit(t *testing.T) {
 	}
 
 	t.Run("zero-length", func(t *testing.T) {
-		damaged(t, ".tpun", func(t *testing.T, path string, _ []byte, get func(string)) {
+		damaged(t, func(t *testing.T, path string, _ []byte, get func(string)) {
 			write(t, path, nil)
 			get("zero-length part")
 		})
 	})
 
 	t.Run("truncated", func(t *testing.T) {
-		damaged(t, ".tpun", func(t *testing.T, path string, good []byte, get func(string)) {
+		damaged(t, func(t *testing.T, path string, good []byte, get func(string)) {
 			for _, keep := range []int{1, 3, 4, 9, 12, len(good) / 2, len(good) - 1} {
 				write(t, path, good[:keep])
 				get(fmt.Sprintf("truncated to %d bytes", keep))
@@ -83,7 +82,7 @@ func TestFileStoreGetCorruptUnit(t *testing.T) {
 	})
 
 	t.Run("bad-magic", func(t *testing.T) {
-		damaged(t, ".tpun", func(t *testing.T, path string, good []byte, get func(string)) {
+		damaged(t, func(t *testing.T, path string, good []byte, get func(string)) {
 			copy(good, "XXXX")
 			write(t, path, good)
 			get("bad magic")
@@ -96,7 +95,7 @@ func TestFileStoreGetCorruptUnit(t *testing.T) {
 		// astronomically large (~2^60 elements) and the "plausible" kind
 		// (40000×50000 ≈ 16 GB) that a loose element cap would wave through
 		// — and so must a U count no file of that size could hold.
-		damaged(t, ".tpun", func(t *testing.T, path string, _ []byte, get func(string)) {
+		damaged(t, func(t *testing.T, path string, _ []byte, get func(string)) {
 			for _, shape := range [][2]int32{{1 << 30, 1 << 30}, {40000, 50000}} {
 				var buf bytes.Buffer
 				buf.WriteString("TPUN")
@@ -111,15 +110,6 @@ func TestFileStoreGetCorruptUnit(t *testing.T) {
 			write(t, path, buf.Bytes())
 			get("absurd U count")
 		})
-	})
-
-	t.Run("gzip-damage", func(t *testing.T) {
-		damaged(t, ".tpun.gz", func(t *testing.T, path string, good []byte, get func(string)) {
-			write(t, path, nil)
-			get("zero-length gzip part")
-			write(t, path, good[:len(good)/2])
-			get("truncated gzip part")
-		}, WithCompression())
 	})
 
 	t.Run("missing-u-part", func(t *testing.T) {

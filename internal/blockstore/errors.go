@@ -6,9 +6,8 @@ import "errors"
 // returns falls in one of two classes:
 //
 //   - Transient: the operation may succeed if repeated — an injected
-//     probabilistic fault, a genuine I/O hiccup from the filesystem, or an
-//     op deadline that expired while the store was slow. Transient errors
-//     wrap ErrTransient (or ErrTimeout) and are the only errors
+//     probabilistic fault or a genuine I/O hiccup from the filesystem.
+//     Transient errors wrap ErrTransient and are the only errors
 //     ResilientStore retries.
 //   - Permanent: repeating cannot help. ErrNotFound (the unit was never
 //     written — usually a caller bug), ErrCorrupt (on-disk damage; retrying
@@ -21,9 +20,6 @@ import "errors"
 var (
 	// ErrTransient marks a fault that may heal on retry.
 	ErrTransient = errors.New("blockstore: transient fault")
-	// ErrTimeout marks an operation that exceeded its per-op deadline.
-	// Timeouts are transient: the store was slow, not wrong.
-	ErrTimeout = errors.New("blockstore: op deadline exceeded")
 	// ErrBreakerOpen is returned by ResilientStore once its circuit
 	// breaker has tripped: the store keeps failing permanently, so every
 	// subsequent operation fails fast instead of burning its retry budget
@@ -32,8 +28,6 @@ var (
 )
 
 // IsTransient reports whether err is worth retrying: it wraps
-// ErrTransient or ErrTimeout. Everything else — ErrNotFound, ErrCorrupt,
-// ErrInjected, ErrBreakerOpen, unclassified errors — is permanent.
-func IsTransient(err error) bool {
-	return errors.Is(err, ErrTransient) || errors.Is(err, ErrTimeout)
-}
+// ErrTransient. Everything else — ErrNotFound, ErrCorrupt, ErrInjected,
+// ErrBreakerOpen, unclassified errors — is permanent.
+func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }

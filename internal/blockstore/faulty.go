@@ -10,9 +10,8 @@ import (
 // ErrInjected marks a permanent fault produced by a FaultyStore.
 var ErrInjected = errors.New("blockstore: injected fault")
 
-// FaultPlan programs a FaultyStore beyond the legacy "fail the n-th op
-// once" fields: seeded probabilistic faults and outage windows, so chaos
-// runs are reproducible from a single seed.
+// FaultPlan programs a FaultyStore: seeded probabilistic faults and outage
+// windows, so chaos runs are reproducible from a single seed.
 //
 // Three fault shapes compose:
 //
@@ -23,6 +22,7 @@ var ErrInjected = errors.New("blockstore: injected fault")
 //     [ReadOutageFrom, ReadOutageFrom+ReadOutageLen) fails (likewise for
 //     writes) — the model of a backend that goes down and comes back
 //     (transient-then-heal), or, with a huge Len, one that never heals.
+//     Len 1 fails exactly the n-th operation, once.
 //   - Permanent: when set, injected faults wrap ErrInjected (permanent,
 //     never retried) instead of ErrTransient — the model of poison data.
 type FaultPlan struct {
@@ -51,12 +51,9 @@ func (p FaultPlan) enabled() bool {
 // manager (a real disk can fail mid-run; the engine must recover or
 // surface that instead of corrupting factors).
 //
-// Two generations of programming coexist: the legacy FailRead/FailWrite
-// fields fail the n-th operation once with a permanent ErrInjected
-// (preserved for the deterministic error-path tests), and SetPlan
-// installs a seeded FaultPlan of probabilistic and outage faults, by
-// default transient (wrapping ErrTransient) so ResilientStore retries
-// heal them.
+// SetPlan is the one way to program it: a seeded FaultPlan of
+// probabilistic and outage faults, by default transient (wrapping
+// ErrTransient) so ResilientStore retries heal them.
 type FaultyStore struct {
 	Store // the wrapped store; Stats, ResetStats and Close are its own
 
@@ -65,14 +62,11 @@ type FaultyStore struct {
 	plan       FaultPlan
 	reads      int64
 	writes     int64
-	FailRead   int64 // 1-based index of the read to fail; 0 = never
-	FailWrite  int64 // 1-based index of the write to fail; 0 = never
-	ReadFails  int64 // count of injected read failures
-	WriteFails int64 // count of injected write failures
+	readFails  int64 // count of injected read failures
+	writeFails int64 // count of injected write failures
 }
 
-// NewFaultyStore wraps inner; configure FailRead/FailWrite or SetPlan
-// before use.
+// NewFaultyStore wraps inner; it injects nothing until SetPlan.
 func NewFaultyStore(inner Store) *FaultyStore {
 	return &FaultyStore{Store: inner}
 }
@@ -92,11 +86,8 @@ func (s *FaultyStore) SetPlan(p FaultPlan) {
 
 // inject decides under the mutex whether op index n of kind "get"/"put"
 // fails, and returns the injected error (nil = pass through).
-func (s *FaultyStore) inject(kind string, n int64, legacy bool, rate float64, outFrom, outLen int64, mode, part int) error {
-	fail := legacy
-	if !fail && outLen > 0 && n >= outFrom && n < outFrom+outLen {
-		fail = true
-	}
+func (s *FaultyStore) inject(kind string, n int64, rate float64, outFrom, outLen int64, mode, part int) error {
+	fail := outLen > 0 && n >= outFrom && n < outFrom+outLen
 	if !fail && rate > 0 && s.rng != nil && s.rng.Float64() < rate {
 		fail = true
 	}
@@ -104,11 +95,11 @@ func (s *FaultyStore) inject(kind string, n int64, legacy bool, rate float64, ou
 		return nil
 	}
 	if kind == "get" {
-		s.ReadFails++
+		s.readFails++
 	} else {
-		s.WriteFails++
+		s.writeFails++
 	}
-	if legacy || s.plan.Permanent {
+	if s.plan.Permanent {
 		return fmt.Errorf("%w: %s ⟨%d,%d⟩ (op %d)", ErrInjected, kind, mode, part, n)
 	}
 	return fmt.Errorf("%w: injected %s fault ⟨%d,%d⟩ (op %d)", ErrTransient, kind, mode, part, n)
@@ -118,7 +109,7 @@ func (s *FaultyStore) inject(kind string, n int64, legacy bool, rate float64, ou
 func (s *FaultyStore) Put(u *Unit) error {
 	s.mu.Lock()
 	s.writes++
-	err := s.inject("put", s.writes, s.FailWrite > 0 && s.writes == s.FailWrite,
+	err := s.inject("put", s.writes,
 		s.plan.WriteRate, s.plan.WriteOutageFrom, s.plan.WriteOutageLen, u.Mode, u.Part)
 	s.mu.Unlock()
 	if err != nil {
@@ -131,7 +122,7 @@ func (s *FaultyStore) Put(u *Unit) error {
 func (s *FaultyStore) Get(mode, part int) (*Unit, error) {
 	s.mu.Lock()
 	s.reads++
-	err := s.inject("get", s.reads, s.FailRead > 0 && s.reads == s.FailRead,
+	err := s.inject("get", s.reads,
 		s.plan.ReadRate, s.plan.ReadOutageFrom, s.plan.ReadOutageLen, mode, part)
 	s.mu.Unlock()
 	if err != nil {
@@ -144,5 +135,5 @@ func (s *FaultyStore) Get(mode, part int) (*Unit, error) {
 func (s *FaultyStore) Fails() (reads, writes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ReadFails, s.WriteFails
+	return s.readFails, s.writeFails
 }

@@ -1,10 +1,8 @@
 package blockstore
 
 import (
-	"compress/gzip"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -19,52 +17,31 @@ import (
 // the slab's U matrices, written once by the unit's whole Put, and
 // "unit-<mode>-<part>.a.tpun", the A partition, which is all a write-back
 // replaces. Each file is an ordinary TPUN encoding (codec.go) of a unit
-// whose other half is empty. Names end ".gz" when compression is enabled —
-// §VIII-C of the paper notes that on-disk compression trades CPU for I/O
-// volume; the stats expose both logical and on-disk bytes so the trade can
-// be measured.
+// whose other half is empty.
 //
 // The directory is scratch: files are made atomic by rename and are never
 // synced, so after a crash it may hold anything. Every run rebuilds it
 // from the Phase-1 result and the checkpoint before reading it.
 type FileStore struct {
-	dir      string
-	compress bool
-	mu       sync.Mutex
-	stats    Stats
-	diskW    int64 // on-disk bytes written (= logical unless compressing)
+	dir   string
+	mu    sync.Mutex
+	stats Stats
 	// replacing is held exclusively while a Put swaps a part file for its
 	// new version and shared while a Get opens one; see writePart.
 	replacing sync.RWMutex
 }
 
-// FileStoreOption configures NewFileStore.
-type FileStoreOption func(*FileStore)
-
-// WithCompression stores units gzip-compressed.
-func WithCompression() FileStoreOption {
-	return func(s *FileStore) { s.compress = true }
-}
-
 // NewFileStore creates (if needed) dir and returns a store rooted there.
-func NewFileStore(dir string, opts ...FileStoreOption) (*FileStore, error) {
+func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("blockstore: %w", err)
 	}
-	s := &FileStore{dir: dir}
-	for _, o := range opts {
-		o(s)
-	}
-	return s, nil
+	return &FileStore{dir: dir}, nil
 }
 
 // partPath names one of a unit's two files; half is "a" or "u".
 func (s *FileStore) partPath(mode, part int, half string) string {
-	name := fmt.Sprintf("unit-%d-%d.%s.tpun", mode, part, half)
-	if s.compress {
-		name += ".gz"
-	}
-	return filepath.Join(s.dir, name)
+	return filepath.Join(s.dir, fmt.Sprintf("unit-%d-%d.%s.tpun", mode, part, half))
 }
 
 // Put implements Store. Each file is written to a fresh temp file and
@@ -73,48 +50,31 @@ func (s *FileStore) partPath(mode, part int, half string) string {
 // torn file. A whole unit lands U part first: the A part is what makes a
 // unit exist for Get.
 func (s *FileStore) Put(u *Unit) error {
-	var disk int64
 	if u.U != nil {
-		n, err := s.writePart(s.partPath(u.Mode, u.Part, "u"), &Unit{Mode: u.Mode, Part: u.Part, A: &mat.Matrix{}, U: u.U})
-		if err != nil {
+		if err := s.writePart(s.partPath(u.Mode, u.Part, "u"), &Unit{Mode: u.Mode, Part: u.Part, A: &mat.Matrix{}, U: u.U}); err != nil {
 			return err
 		}
-		disk = n
 	} else if _, err := os.Stat(s.partPath(u.Mode, u.Part, "u")); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("%w: A part of ⟨%d,%d⟩ before its whole unit", ErrNotFound, u.Mode, u.Part)
 		}
 		return fmt.Errorf("blockstore: put ⟨%d,%d⟩ (stat): %w: %w", u.Mode, u.Part, ErrTransient, err)
 	}
-	n, err := s.writePart(s.partPath(u.Mode, u.Part, "a"), &Unit{Mode: u.Mode, Part: u.Part, A: u.A})
-	if err != nil {
+	if err := s.writePart(s.partPath(u.Mode, u.Part, "a"), &Unit{Mode: u.Mode, Part: u.Part, A: u.A}); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	s.stats.Writes++
 	s.stats.BytesWritten += u.Bytes()
-	s.diskW += disk + n
 	s.mu.Unlock()
 	return nil
 }
 
-// countingWriter counts the bytes that reach the file.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// writePart replaces the file at path with the encoding of u and returns
-// its size on disk. Genuine filesystem errors are classified transient
-// (wrapping ErrTransient alongside the cause, so errors.Is sees both): a
-// retried Put starts over from a fresh temp file, so repeating is safe and
-// often heals NFS-style hiccups.
+// writePart replaces the file at path with the encoding of u. Genuine
+// filesystem errors are classified transient (wrapping ErrTransient
+// alongside the cause, so errors.Is sees both): a retried Put starts over
+// from a fresh temp file, so repeating is safe and often heals NFS-style
+// hiccups.
 //
 // The old version is unlinked before the rename. ext4 flushes a file's
 // data to disk when it is renamed over an existing one (auto_da_alloc) —
@@ -122,24 +82,15 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // at 100–180 µs the larger part of what a Put of an A part cost. The
 // instant in which the name has no file is hidden from Gets by replacing:
 // readPart opens under it, and a file once open outlives its name.
-func (s *FileStore) writePart(path string, u *Unit) (int64, error) {
+func (s *FileStore) writePart(path string, u *Unit) error {
 	transient := func(stage string, err error) error {
 		return fmt.Errorf("blockstore: put ⟨%d,%d⟩ (%s): %w: %w", u.Mode, u.Part, stage, ErrTransient, err)
 	}
 	f, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return 0, transient("create", err)
+		return transient("create", err)
 	}
-	out := &countingWriter{w: f}
-	if s.compress {
-		zw := gzip.NewWriter(out)
-		err = EncodeUnit(zw, u)
-		if cerr := zw.Close(); err == nil {
-			err = cerr
-		}
-	} else {
-		err = EncodeUnit(out, u)
-	}
+	err = EncodeUnit(f, u)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -151,18 +102,18 @@ func (s *FileStore) writePart(path string, u *Unit) (int64, error) {
 	}
 	if err != nil {
 		os.Remove(f.Name())
-		return 0, transient("write", err)
+		return transient("write", err)
 	}
-	return out.n, nil
+	return nil
 }
 
 // Get implements Store: the A part, then the U part it belongs to. A part
 // file that exists but cannot be decoded — zero-length, truncated
-// mid-matrix, wrong magic, a damaged gzip stream or a header declaring an
-// absurd shape — yields ErrCorrupt rather than a raw decode error (or,
-// worse, an attempted allocation sized by garbage), and so does an A part
-// whose U part is missing: Puts are atomic and lay U down first, so either
-// state means on-disk damage, not an in-progress write.
+// mid-matrix, wrong magic or a header declaring an absurd shape — yields
+// ErrCorrupt rather than a raw decode error (or, worse, an attempted
+// allocation sized by garbage), and so does an A part whose U part is
+// missing: Puts are atomic and lay U down first, so either state means
+// on-disk damage, not an in-progress write.
 func (s *FileStore) Get(mode, part int) (*Unit, error) {
 	u, err := s.readPart(mode, part, "a")
 	if err != nil {
@@ -200,46 +151,17 @@ func (s *FileStore) readPart(mode, part int, half string) (*Unit, error) {
 		return nil, fmt.Errorf("blockstore: get ⟨%d,%d⟩ (open): %w: %w", mode, part, ErrTransient, err)
 	}
 	defer f.Close()
-	corrupt := func(err error) error {
-		return fmt.Errorf("%w: ⟨%d,%d⟩ (%s): %v", ErrCorrupt, mode, part, path, err)
-	}
 	// Bound decode allocations by what the file could actually contain, so
-	// a garbage header cannot size a multi-gigabyte allocation. 1032:1 is
-	// deflate's maximum expansion ratio.
+	// a garbage header cannot size a multi-gigabyte allocation.
 	var limit int64
 	if fi, err := f.Stat(); err == nil {
 		limit = fi.Size()
-		if s.compress {
-			limit *= 1032
-		}
 	}
-	if !s.compress {
-		u, err := DecodeUnitWithin(f, limit)
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		return u, nil
-	}
-	zr, err := gzip.NewReader(f)
+	u, err := DecodeUnitWithin(f, limit)
 	if err != nil {
-		return nil, corrupt(err)
-	}
-	u, err := DecodeUnitWithin(zr, limit)
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	if err := zr.Close(); err != nil {
-		return nil, corrupt(err)
+		return nil, fmt.Errorf("%w: ⟨%d,%d⟩ (%s): %v", ErrCorrupt, mode, part, path, err)
 	}
 	return u, nil
-}
-
-// DiskBytesWritten reports the cumulative on-disk bytes of all Puts (lower
-// than Stats().BytesWritten when compression is on).
-func (s *FileStore) DiskBytesWritten() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.diskW
 }
 
 // Stats implements Store.

@@ -1,7 +1,6 @@
 package blockstore
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -37,45 +36,16 @@ func (s *LatencyStore) delay(d time.Duration) {
 	sleep(d)
 }
 
-// do pays the operation's latency, then runs it against the wrapped store.
-// Under a deadline (DeadlineStore): when the injected latency exceeds the
-// budget, the store sleeps only the remaining budget and fails with
-// ErrTimeout (transient — the data is fine, the store was slow); otherwise
-// it sleeps the full latency and passes the remaining budget down when the
-// wrapped store also honors deadlines.
-func (s *LatencyStore) do(o op) (*Unit, error) {
-	latency := s.read
-	if o.put {
-		latency = s.write
-	}
-	if o.timed && latency >= o.budget {
-		s.delay(o.budget)
-		return nil, fmt.Errorf("%w: %s ⟨%d,%d⟩ (%v latency over %v budget)",
-			ErrTimeout, o.name(), o.mode, o.part, latency, o.budget)
-	}
-	s.delay(latency)
-	o.budget -= latency
-	return o.do(s.Store)
-}
-
 // Put implements Store.
 func (s *LatencyStore) Put(u *Unit) error {
-	_, err := s.do(putOp(u))
-	return err
+	s.delay(s.write)
+	return s.Store.Put(u)
 }
 
 // Get implements Store.
-func (s *LatencyStore) Get(mode, part int) (*Unit, error) { return s.do(getOp(mode, part)) }
-
-// PutDeadline implements DeadlineStore; see do.
-func (s *LatencyStore) PutDeadline(u *Unit, budget time.Duration) error {
-	_, err := s.do(putOp(u).within(budget))
-	return err
-}
-
-// GetDeadline implements DeadlineStore; see do.
-func (s *LatencyStore) GetDeadline(mode, part int, budget time.Duration) (*Unit, error) {
-	return s.do(getOp(mode, part).within(budget))
+func (s *LatencyStore) Get(mode, part int) (*Unit, error) {
+	s.delay(s.read)
+	return s.Store.Get(mode, part)
 }
 
 // Waited returns the cumulative injected latency (for reporting the I/O

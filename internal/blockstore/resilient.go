@@ -10,11 +10,10 @@ import (
 )
 
 // RetryPolicy configures the resilience layer: how many times a transient
-// fault is retried, how backoff grows between attempts, the per-op
-// deadline, and when the circuit breaker gives up on the store entirely.
-// The zero value disables retries and deadlines (Enabled() == false);
-// MaxRetries > 0 or OpTimeout > 0 turns the layer on with sane defaults
-// for the unset knobs.
+// fault is retried, how backoff grows between attempts, and when the
+// circuit breaker gives up on the store entirely. The zero value disables
+// the layer (Enabled() == false); MaxRetries > 0 turns it on with sane
+// defaults for the unset knobs.
 //
 // The policy is an execution knob like Workers or PrefetchDepth: it can
 // change what a run survives, never what it computes. Retried operations
@@ -31,11 +30,6 @@ type RetryPolicy struct {
 	// to MaxBackoff. Defaults: 1ms base, 100ms cap.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// OpTimeout is the per-operation deadline, enforced cooperatively:
-	// stores implementing DeadlineStore (e.g. LatencyStore) bound their
-	// own work by it; stores without deadline support run to completion.
-	// 0 disables deadlines.
-	OpTimeout time.Duration
 	// BreakerThreshold is the number of consecutive operations that must
 	// fail permanently (a permanent fault, or a transient fault that
 	// exhausted its retry budget) before the breaker trips to fail-fast.
@@ -46,7 +40,7 @@ type RetryPolicy struct {
 }
 
 // Enabled reports whether the policy does anything at all.
-func (p RetryPolicy) Enabled() bool { return p.MaxRetries > 0 || p.OpTimeout > 0 }
+func (p RetryPolicy) Enabled() bool { return p.MaxRetries > 0 }
 
 // withDefaults fills the unset knobs.
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -138,9 +132,7 @@ func (r *Retryer) note(opName string, mode, part, attempt int, backoff time.Dura
 	r.mu.Lock()
 	r.nRetries++
 	r.mu.Unlock()
-	if r.retries != nil {
-		r.retries.Inc()
-	}
+	r.retries.Inc()
 	if r.ob.Tracing() {
 		r.ob.Emit("store.retry",
 			obs.Str("op", opName), obs.Int("mode", mode), obs.Int("part", part),
@@ -149,72 +141,15 @@ func (r *Retryer) note(opName string, mode, part, attempt int, backoff time.Dura
 	}
 }
 
-// DeadlineStore is the optional interface through which ResilientStore
-// enforces per-op deadlines cooperatively: the store bounds its own work
-// by the budget (sleeping at most the remainder, returning an error
-// wrapping ErrTimeout when it expires) instead of being raced by a
-// watchdog goroutine — no goroutine leaks, no abandoned I/O mutating
-// state after the caller moved on. Stores that do not implement it run
-// their operations to completion; the deadline is then simply not
-// enforced at that layer.
-type DeadlineStore interface {
-	GetDeadline(mode, part int, budget time.Duration) (*Unit, error)
-	PutDeadline(u *Unit, budget time.Duration) error
-}
-
-// op is one store operation as a value, so a wrapper whose rule is the
-// same for reads and writes (ResilientStore's breaker and retries,
-// LatencyStore's budget) states it once, in a do(op) method.
-type op struct {
-	put        bool
-	mode, part int
-	unit       *Unit // a put's payload
-	// timed says the operation runs under a deadline of budget.
-	timed  bool
-	budget time.Duration
-}
-
-func getOp(mode, part int) op { return op{mode: mode, part: part} }
-func putOp(u *Unit) op        { return op{put: true, mode: u.Mode, part: u.Part, unit: u} }
-
-// within returns o bounded by a deadline of budget.
-func (o op) within(budget time.Duration) op {
-	o.timed, o.budget = true, budget
-	return o
-}
-
-// name is the operation's label in errors and events.
-func (o op) name() string {
-	if o.put {
-		return "put"
-	}
-	return "get"
-}
-
-// do runs the operation against s, threading its deadline when it has one
-// and s cooperates. A put returns a nil unit.
-func (o op) do(s Store) (*Unit, error) {
-	if ds, ok := s.(DeadlineStore); ok && o.timed {
-		if o.put {
-			return nil, ds.PutDeadline(o.unit, o.budget)
-		}
-		return ds.GetDeadline(o.mode, o.part, o.budget)
-	}
-	if o.put {
-		return nil, s.Put(o.unit)
-	}
-	return s.Get(o.mode, o.part)
-}
-
 // ResilientStore wraps a Store with the recovery mechanisms a remote or
-// failure-prone backend needs: per-op deadlines (cooperative, via
-// DeadlineStore), capped exponential backoff with deterministic seeded
-// jitter, a per-op retry budget for transient faults, and a circuit
-// breaker that trips to fail-fast once BreakerThreshold consecutive
-// operations have failed permanently. Retries and breaker trips are
-// counted in Stats (monotonically — ResetStats does not zero them, so
-// run totals reconcile with the trace) and emitted as store.retry /
-// store.breaker events.
+// failure-prone backend needs: a per-op retry budget for transient faults,
+// capped exponential backoff with deterministic seeded jitter between the
+// attempts, and a circuit breaker that trips to fail-fast once
+// BreakerThreshold consecutive operations have failed permanently. It is
+// the only layer of the Phase-2 stack that repeats a store operation.
+// Retries and breaker trips are counted in Stats (monotonically —
+// ResetStats does not zero them, so run totals reconcile with the trace)
+// and emitted as store.retry / store.breaker events.
 type ResilientStore struct {
 	Store // the wrapped store; ResetStats and Close are its own
 	pol   RetryPolicy
@@ -263,9 +198,7 @@ func (s *ResilientStore) record(opName string, err error) {
 	if s.consecutive >= s.pol.BreakerThreshold && !s.open {
 		s.open = true
 		s.nTrips++
-		if s.trips != nil {
-			s.trips.Inc()
-		}
+		s.trips.Inc()
 		if s.ob.Tracing() {
 			s.ob.Emit("store.breaker",
 				obs.Str("state", "open"), obs.Str("op", opName),
@@ -284,38 +217,35 @@ func (s *ResilientStore) Reset() {
 }
 
 // do is the one path every operation takes: fail fast while the breaker
-// is open, then the attempt — under the policy's deadline — retried while
-// it fails transiently, then the breaker update, then the error annotated
-// with the operation.
-func (s *ResilientStore) do(o op) (u *Unit, err error) {
+// is open, then the attempt, retried while it fails transiently, then the
+// breaker update, then the error annotated with the operation.
+func (s *ResilientStore) do(opName string, mode, part int, op func() error) error {
 	s.mu.Lock()
 	open := s.open
 	s.mu.Unlock()
 	if open {
-		return nil, fmt.Errorf("%w: %s ⟨%d,%d⟩", ErrBreakerOpen, o.name(), o.mode, o.part)
+		return fmt.Errorf("%w: %s ⟨%d,%d⟩", ErrBreakerOpen, opName, mode, part)
 	}
-	if s.pol.OpTimeout > 0 {
-		o = o.within(s.pol.OpTimeout)
-	}
-	err = s.retry.Do(o.name(), o.mode, o.part, func() error {
-		var e error
-		u, e = o.do(s.Store)
-		return e
-	})
-	s.record(o.name(), err)
+	err := s.retry.Do(opName, mode, part, op)
+	s.record(opName, err)
 	if err != nil {
-		return nil, fmt.Errorf("blockstore: %s ⟨%d,%d⟩: %w", o.name(), o.mode, o.part, err)
+		return fmt.Errorf("blockstore: %s ⟨%d,%d⟩: %w", opName, mode, part, err)
 	}
-	return u, nil
+	return nil
 }
 
 // Get implements Store.
-func (s *ResilientStore) Get(mode, part int) (*Unit, error) { return s.do(getOp(mode, part)) }
+func (s *ResilientStore) Get(mode, part int) (u *Unit, err error) {
+	err = s.do("get", mode, part, func() (e error) {
+		u, e = s.Store.Get(mode, part)
+		return e
+	})
+	return u, err
+}
 
 // Put implements Store.
 func (s *ResilientStore) Put(u *Unit) error {
-	_, err := s.do(putOp(u))
-	return err
+	return s.do("put", u.Mode, u.Part, func() error { return s.Store.Put(u) })
 }
 
 // Stats implements Store: the wrapped store's counters plus this layer's

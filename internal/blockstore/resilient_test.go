@@ -20,7 +20,6 @@ func TestIsTransientClassification(t *testing.T) {
 		want bool
 	}{
 		{fmt.Errorf("wrap: %w", ErrTransient), true},
-		{fmt.Errorf("wrap: %w", ErrTimeout), true},
 		{fmt.Errorf("wrap: %w: %w", ErrTransient, errors.New("io")), true},
 		{fmt.Errorf("wrap: %w", ErrInjected), false},
 		{fmt.Errorf("wrap: %w", ErrNotFound), false},
@@ -302,63 +301,5 @@ func TestFaultPlanDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("fault %d at op %d vs %d", i, a[i], b[i])
 		}
-	}
-}
-
-// TestLatencyDeadline: LatencyStore implements DeadlineStore — an op whose
-// configured latency exceeds the budget sleeps only the budget and fails
-// with a retryable timeout; under budget it delegates normally.
-func TestLatencyDeadline(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	mem := NewMemStore()
-	u := testUnit(rng)
-	if err := mem.Put(u); err != nil {
-		t.Fatal(err)
-	}
-	slow := WithLatency(mem, 50*time.Millisecond, 50*time.Millisecond)
-
-	start := time.Now()
-	_, err := slow.GetDeadline(u.Mode, u.Part, 5*time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("over-budget read: err = %v, want ErrTimeout", err)
-	}
-	if !IsTransient(err) {
-		t.Fatal("timeout must classify as transient (retryable)")
-	}
-	if elapsed := time.Since(start); elapsed > 40*time.Millisecond {
-		t.Fatalf("over-budget read slept %v — must sleep at most the remaining budget", elapsed)
-	}
-	if err := slow.PutDeadline(u, 5*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("over-budget write: err = %v, want ErrTimeout", err)
-	}
-	if got, err := slow.GetDeadline(u.Mode, u.Part, time.Second); err != nil || !unitsEqual(got, u) {
-		t.Fatalf("under-budget read failed: %v", err)
-	}
-}
-
-// TestResilientDeadlineComposition: ResilientStore + OpTimeout over a
-// LatencyStore: a slow store fails fast with timeouts (counted as
-// retries), and the error that surfaces is the timeout, not a hang.
-func TestResilientDeadlineComposition(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	mem := NewMemStore()
-	u := testUnit(rng)
-	if err := mem.Put(u); err != nil {
-		t.Fatal(err)
-	}
-	slow := WithLatency(mem, 30*time.Millisecond, 0)
-	rs := Resilient(slow, RetryPolicy{MaxRetries: 2, OpTimeout: 2 * time.Millisecond, Seed: 7}, nil)
-	rs.SetSleep(noSleep)
-
-	_, err := rs.Get(u.Mode, u.Part)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if got := rs.Stats().Retries; got != 2 {
-		t.Fatalf("Retries = %d, want 2", got)
-	}
-	// Writes are unaffected (write latency 0): they pass the deadline.
-	if err := rs.Put(u); err != nil {
-		t.Fatalf("fast write failed: %v", err)
 	}
 }

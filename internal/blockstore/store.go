@@ -95,11 +95,11 @@ func (s *Stats) Add(other Stats) {
 var ErrNotFound = errors.New("blockstore: unit not found")
 
 // ErrCorrupt is returned by FileStore.Get for unit files that exist but
-// cannot be decoded — zero-length or truncated files, bad magic, damaged
-// gzip streams or absurd declared shapes — and for an A part whose U part
-// is gone. It is distinct from ErrNotFound so callers can tell "never
-// written" from "written but damaged": the first is often a caller bug,
-// the second is data loss that must not be papered over.
+// cannot be decoded — zero-length or truncated files, bad magic or absurd
+// declared shapes — and for an A part whose U part is gone. It is distinct
+// from ErrNotFound so callers can tell "never written" from "written but
+// damaged": the first is often a caller bug, the second is data loss that
+// must not be papered over.
 var ErrCorrupt = errors.New("blockstore: corrupt unit")
 
 // Store persists data units and counts the I/O they generate.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -266,28 +265,44 @@ func TestFileStoreWriteBackLeavesUPartAlone(t *testing.T) {
 	if err := s.Put(testUnit(rng)); err != nil {
 		t.Fatal(err)
 	}
-	uPath := filepath.Join(dir, "unit-1-2.u.tpun")
-	before, err := os.Stat(uPath)
-	if err != nil {
+	list := func() map[string]os.FileInfo {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos := make(map[string]os.FileInfo)
+		for _, e := range entries {
+			if infos[e.Name()], err = e.Info(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return infos
+	}
+	before := list()
+	part := aPart(testUnit(rng))
+	if err := s.Put(part); err != nil {
 		t.Fatal(err)
 	}
-	disk := s.DiskBytesWritten()
-	if err := s.Put(aPart(testUnit(rng))); err != nil {
+	after := list()
+	if len(after) != len(before) {
+		t.Fatalf("A-part Put changed the file set: %d files, was %d", len(after), len(before))
+	}
+	for name, was := range before {
+		is, ok := after[name]
+		if !ok {
+			t.Fatalf("A-part Put removed %s", name)
+		}
+		same := os.SameFile(was, is) && is.ModTime().Equal(was.ModTime())
+		if replaced := name == "unit-1-2.a.tpun"; same == replaced {
+			t.Fatalf("%s: unchanged = %v, want the A part and only the A part replaced", name, same)
+		}
+	}
+	var enc bytes.Buffer
+	if err := EncodeUnit(&enc, part); err != nil {
 		t.Fatal(err)
 	}
-	after, err := os.Stat(uPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
-		t.Fatal("A-part Put replaced or rewrote the U part")
-	}
-	a, err := os.Stat(filepath.Join(dir, "unit-1-2.a.tpun"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.DiskBytesWritten() - disk; got != a.Size() {
-		t.Fatalf("A-part Put counted %d bytes on disk, the A part is %d", got, a.Size())
+	if got := after["unit-1-2.a.tpun"].Size(); got != int64(enc.Len()) {
+		t.Fatalf("A part is %d bytes on disk, its encoding is %d", got, enc.Len())
 	}
 }
 
@@ -351,70 +366,4 @@ func TestMemStoreConcurrentAccess(t *testing.T) {
 	if st := s.Stats(); st.Reads != 400 || st.Writes != 401 {
 		t.Fatalf("concurrent stats = %+v", st)
 	}
-}
-
-func TestFileStoreCompression(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	u := testUnit(rng)
-	plain, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gz, err := NewFileStore(t.TempDir(), WithCompression())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Put(u); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Put(u); err != nil {
-		t.Fatal(err)
-	}
-	// Round trip through the compressed store.
-	got, err := gz.Get(u.Mode, u.Part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !unitsEqual(got, u) {
-		t.Fatal("compressed round trip failed")
-	}
-	// Logical byte accounting identical; on-disk differs.
-	if plain.Stats().BytesWritten != gz.Stats().BytesWritten {
-		t.Fatal("logical byte accounting should not depend on compression")
-	}
-	if gz.DiskBytesWritten() <= 0 || plain.DiskBytesWritten() <= 0 {
-		t.Fatal("disk byte accounting missing")
-	}
-	// A highly compressible unit (all-zero factors) must shrink on disk.
-	zero := testUnit(rng)
-	zero.A.Zero()
-	for _, m := range zero.U {
-		m.Zero()
-	}
-	gz2, err := NewFileStore(t.TempDir(), WithCompression())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain2, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gz2.Put(zero); err != nil {
-		t.Fatal(err)
-	}
-	if err := plain2.Put(zero); err != nil {
-		t.Fatal(err)
-	}
-	if gz2.DiskBytesWritten() >= plain2.DiskBytesWritten() {
-		t.Fatalf("compression did not shrink zero unit: %d vs %d",
-			gz2.DiskBytesWritten(), plain2.DiskBytesWritten())
-	}
-}
-
-func TestFileStoreCompressedContract(t *testing.T) {
-	s, err := NewFileStore(t.TempDir(), WithCompression())
-	if err != nil {
-		t.Fatal(err)
-	}
-	storeContract(t, s)
 }

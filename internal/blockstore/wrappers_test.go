@@ -68,8 +68,11 @@ func TestFaultyStoreInjectsAtIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	u := testUnit(rng)
 	s := NewFaultyStore(NewMemStore())
-	s.FailWrite = 2
-	s.FailRead = 3
+	s.SetPlan(FaultPlan{
+		WriteOutageFrom: 2, WriteOutageLen: 1,
+		ReadOutageFrom: 3, ReadOutageLen: 1,
+		Permanent: true,
+	})
 	if err := s.Put(u); err != nil {
 		t.Fatal(err) // write 1 passes
 	}
@@ -89,8 +92,8 @@ func TestFaultyStoreInjectsAtIndex(t *testing.T) {
 			t.Fatalf("read %d: %v", i, err)
 		}
 	}
-	if s.ReadFails != 1 || s.WriteFails != 1 {
-		t.Fatalf("fail counters = %d/%d", s.ReadFails, s.WriteFails)
+	if reads, writes := s.Fails(); reads != 1 || writes != 1 {
+		t.Fatalf("fail counters = %d/%d", reads, writes)
 	}
 }
 
@@ -138,23 +141,18 @@ func TestLatencyStoreZeroLatency(t *testing.T) {
 
 // TestWrapperContract runs every wrapper over a MemStore through the one
 // contract they share: operations reach the wrapped store and come back
-// unchanged, Stats/ResetStats/Close are the wrapped store's own, a wrapped
-// store's error stays errors.Is-intact, and wrapping does not forward the
-// optional DeadlineStore interface (LatencyStore, which implements it
-// itself, is the one exception by design).
+// unchanged, Stats/ResetStats/Close are the wrapped store's own, and a
+// wrapped store's error stays errors.Is-intact.
 func TestWrapperContract(t *testing.T) {
-	for name, tc := range map[string]struct {
-		wrap     func(Store) Store
-		deadline bool
-	}{
-		"faulty":       {wrap: func(s Store) Store { return NewFaultyStore(s) }},
-		"latency":      {wrap: func(s Store) Store { return WithLatency(s, 0, 0) }, deadline: true},
-		"resilient":    {wrap: func(s Store) Store { return Resilient(s, RetryPolicy{MaxRetries: 2, OpTimeout: time.Second}, nil) }},
-		"instrumented": {wrap: func(s Store) Store { return Instrument(s, nil) }},
+	for name, wrap := range map[string]func(Store) Store{
+		"faulty":       func(s Store) Store { return NewFaultyStore(s) },
+		"latency":      func(s Store) Store { return WithLatency(s, 0, 0) },
+		"resilient":    func(s Store) Store { return Resilient(s, RetryPolicy{MaxRetries: 2}, nil) },
+		"instrumented": func(s Store) Store { return Instrument(s, nil) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			base := NewMemStore()
-			s := tc.wrap(base)
+			s := wrap(base)
 			u := testUnit(rand.New(rand.NewSource(31)))
 			if err := s.Put(u); err != nil {
 				t.Fatal(err)
@@ -172,12 +170,6 @@ func TestWrapperContract(t *testing.T) {
 			s.ResetStats()
 			if st := base.Stats(); st != (Stats{}) {
 				t.Fatalf("ResetStats did not reach the wrapped store: %+v", st)
-			}
-			if _, ok := s.(DeadlineStore); ok != tc.deadline {
-				t.Fatalf("DeadlineStore = %v over a MemStore, want %v", ok, tc.deadline)
-			}
-			if _, ok := tc.wrap(WithLatency(base, 0, 0)).(DeadlineStore); ok != tc.deadline {
-				t.Fatalf("DeadlineStore = %v over a LatencyStore, want %v", ok, tc.deadline)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)

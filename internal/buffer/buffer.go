@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"twopcp/internal/blockstore"
 	"twopcp/internal/grid"
@@ -132,13 +131,12 @@ type inflight struct {
 // Manager is the buffer manager. See the package comment for the
 // concurrency contract.
 type Manager struct {
-	store     blockstore.Store
-	pattern   *grid.Pattern
-	capacity  int64
-	policy    Policy
-	workers   int
-	wbRetries int
-	rank      int
+	store    blockstore.Store
+	pattern  *grid.Pattern
+	capacity int64
+	policy   Policy
+	workers  int
+	rank     int
 
 	mu       sync.Mutex
 	resident map[int]*entry // unit id → entry
@@ -210,12 +208,6 @@ type Config struct {
 	// Rank is the decomposition rank, used to estimate unit sizes for
 	// prefetch capacity reservations. Required when Workers > 0.
 	Rank int
-	// WriteBackRetries is the number of extra attempts a background
-	// write-back job makes on a transient Put failure (doubling backoff,
-	// 1ms..50ms) before poisoning the pipeline. The retries run inside
-	// the job, so the per-unit write-back ordering chain is untouched.
-	// 0 disables (the first failure surfaces, as before).
-	WriteBackRetries int
 	// Obs receives telemetry (buffer.fetch/evict/writeback trace events
 	// and mirrored counters). Nil disables it at ~zero cost.
 	Obs *obs.Observer
@@ -255,7 +247,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		capacity:  cfg.CapacityBytes,
 		policy:    cfg.Policy,
 		workers:   cfg.Workers,
-		wbRetries: cfg.WriteBackRetries,
 		rank:      cfg.Rank,
 		resident:  make(map[int]*entry),
 		infl:      make(map[int]*inflight),
@@ -353,9 +344,7 @@ func (m *Manager) Prefetch(mode, part int) {
 		m.infl[id] = inf
 		m.reserved += est
 		m.stats.Prefetches++
-		if m.cPrefetches != nil {
-			m.cPrefetches.Inc()
-		}
+		m.cPrefetches.Inc()
 	default:
 		// Pool saturated: drop the hint rather than stall the caller's
 		// compute thread behind store I/O.
@@ -394,9 +383,7 @@ func (m *Manager) Acquire(mode, part int) (*blockstore.Unit, error) {
 			}
 			e.pins++
 			m.stats.Hits++
-			if m.cHits != nil {
-				m.cHits.Inc()
-			}
+			m.cHits.Inc()
 			m.mu.Unlock()
 			return e.unit, nil
 		}
@@ -436,9 +423,7 @@ func (m *Manager) Acquire(mode, part int) (*blockstore.Unit, error) {
 				// if any, applies to that attempt). Only a demand fetch's
 				// error surfaces.
 				m.stats.DegradedFetches++
-				if m.cDegraded != nil {
-					m.cDegraded.Inc()
-				}
+				m.cDegraded.Inc()
 				continue
 			}
 			m.mu.Unlock()
@@ -456,10 +441,8 @@ func (m *Manager) Acquire(mode, part int) (*blockstore.Unit, error) {
 		}
 		e.pins++
 		m.stats.Fetches++
-		if m.cFetches != nil {
-			m.cFetches.Inc()
-			m.gUsed.Set(float64(m.used))
-		}
+		m.cFetches.Inc()
+		m.gUsed.Set(float64(m.used))
 		if m.tele.Tracing() {
 			m.tele.Emit("buffer.fetch",
 				obs.Int("mode", mode), obs.Int("part", part), obs.I64("bytes", e.bytes))
@@ -503,9 +486,7 @@ func (m *Manager) shrink(pos int) ([]func(), error) {
 		victim := m.pickVictim(pos)
 		if victim == -1 {
 			m.stats.Overflows++
-			if m.cOverflows != nil {
-				m.cOverflows.Inc()
-			}
+			m.cOverflows.Inc()
 			return jobs, nil
 		}
 		job, err := m.evict(victim)
@@ -571,9 +552,7 @@ func (m *Manager) evict(id int) (func(), error) {
 	var job func()
 	if e.dirty {
 		m.stats.WriteBacks++
-		if m.cWriteBacks != nil {
-			m.cWriteBacks.Inc()
-		}
+		m.cWriteBacks.Inc()
 		if m.tele.Tracing() {
 			m.tele.Emit("buffer.writeback",
 				obs.Int("mode", e.unit.Mode), obs.Int("part", e.unit.Part), obs.I64("bytes", e.bytes))
@@ -596,7 +575,7 @@ func (m *Manager) evict(id int) (func(), error) {
 				if prev != nil {
 					<-prev
 				}
-				err := m.putWithRetry(u)
+				err := m.writeBack(u)
 				m.mu.Lock()
 				if err != nil && m.wbErr == nil {
 					m.wbErr = err
@@ -612,10 +591,8 @@ func (m *Manager) evict(id int) (func(), error) {
 	delete(m.resident, id)
 	m.used -= e.bytes
 	m.stats.Evictions++
-	if m.cEvictions != nil {
-		m.cEvictions.Inc()
-		m.gUsed.Set(float64(m.used))
-	}
+	m.cEvictions.Inc()
+	m.gUsed.Set(float64(m.used))
 	if m.tele.Tracing() {
 		m.tele.Emit("buffer.evict",
 			obs.Int("mode", e.unit.Mode), obs.Int("part", e.unit.Part))
@@ -624,29 +601,12 @@ func (m *Manager) evict(id int) (func(), error) {
 }
 
 // writeBack puts the unit's A part — all Phase 2 ever changes of a unit;
-// the store keeps the U part the unit was seeded with.
+// the store keeps the U part the unit was seeded with. One Put, on every
+// path (inline eviction, background job, FlushAll): whether a transient
+// failure is retried is the store's business (blockstore.Resilient), so
+// the retry budget is the same at every Workers setting.
 func (m *Manager) writeBack(u *blockstore.Unit) error {
 	return m.store.Put(&blockstore.Unit{Mode: u.Mode, Part: u.Part, A: u.A})
-}
-
-// putWithRetry writes a unit back, repeating transient failures with
-// doubling backoff (1ms, capped at 50ms) up to Config.WriteBackRetries
-// extra attempts. Retrying inside the write-back job keeps the wbPending
-// ordering chain intact: the unit's completion channel closes only after
-// the final attempt, so a re-fetch or successor write-back still waits
-// for the true outcome.
-func (m *Manager) putWithRetry(u *blockstore.Unit) error {
-	err := m.writeBack(u)
-	backoff := time.Millisecond
-	for i := 0; err != nil && blockstore.IsTransient(err) && i < m.wbRetries; i++ {
-		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > 50*time.Millisecond {
-			backoff = 50 * time.Millisecond
-		}
-		err = m.writeBack(u)
-	}
-	return err
 }
 
 // Drain blocks until every background fetch and write-back has settled.
@@ -683,9 +643,7 @@ func (m *Manager) FlushAll() error {
 			continue
 		}
 		m.stats.WriteBacks++
-		if m.cWriteBacks != nil {
-			m.cWriteBacks.Inc()
-		}
+		m.cWriteBacks.Inc()
 		if m.tele.Tracing() {
 			m.tele.Emit("buffer.writeback",
 				obs.Int("mode", e.unit.Mode), obs.Int("part", e.unit.Part), obs.I64("bytes", e.bytes))
@@ -749,14 +707,6 @@ func (m *Manager) UsedBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.used
-}
-
-// ReservedBytes returns the capacity currently reserved by in-flight
-// prefetches.
-func (m *Manager) ReservedBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reserved
 }
 
 // Capacity returns the configured capacity in bytes.

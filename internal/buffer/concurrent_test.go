@@ -258,7 +258,7 @@ func TestBackgroundWriteBackBarrier(t *testing.T) {
 func TestAsyncWriteBackErrorSurfaces(t *testing.T) {
 	p, mem, ub := fixture(t, []int{4, 4}, []int{2, 2}, 2)
 	faulty := blockstore.NewFaultyStore(mem)
-	faulty.FailWrite = 1
+	faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 1, WriteOutageLen: 1, Permanent: true})
 	m, err := NewManager(Config{
 		Store: faulty, Pattern: p, CapacityBytes: 1 * ub,
 		Policy: LRU, Workers: 2, Rank: 2,

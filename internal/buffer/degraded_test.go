@@ -15,7 +15,8 @@ import (
 func TestDegradedPrefetchFallsBackToSyncFetch(t *testing.T) {
 	p, mem, ub := fixture(t, []int{4, 4}, []int{2, 2}, 2)
 	faulty := blockstore.NewFaultyStore(mem)
-	faulty.FailRead = 1 // the prefetch's background read
+	// Read 1 is the prefetch's background read.
+	faulty.SetPlan(blockstore.FaultPlan{ReadOutageFrom: 1, ReadOutageLen: 1, Permanent: true})
 	reg := obs.NewRegistry()
 	m, err := NewManager(Config{
 		Store: faulty, Pattern: p, CapacityBytes: 10 * ub,
@@ -74,16 +75,23 @@ func TestDegradedFetchSurfacesDemandError(t *testing.T) {
 	}
 }
 
-// TestWriteBackRetryHeals: a transient write outage shorter than
-// WriteBackRetries heals inside the background write-back job — no
+// resilient wraps s the way production does (storeStack): the store's
+// retry layer owns the one retry budget, here without the backoff sleeps.
+func resilient(s blockstore.Store, maxRetries int) *blockstore.ResilientStore {
+	rs := blockstore.Resilient(s, blockstore.RetryPolicy{MaxRetries: maxRetries, Seed: 7}, nil)
+	rs.SetSleep(func(time.Duration) {})
+	return rs
+}
+
+// TestWriteBackRetryHeals: a transient write outage shorter than the
+// store's retry budget heals inside the background write-back job — no
 // ErrAsyncWriteBack, and the written unit is intact in the store.
 func TestWriteBackRetryHeals(t *testing.T) {
 	p, mem, ub := fixture(t, []int{4, 4}, []int{2, 2}, 2)
 	faulty := blockstore.NewFaultyStore(mem)
 	m, err := NewManager(Config{
-		Store: faulty, Pattern: p, CapacityBytes: 1 * ub, // capacity 1: every new unit evicts
+		Store: resilient(faulty, 5), Pattern: p, CapacityBytes: 1 * ub, // capacity 1: every new unit evicts
 		Policy: LRU, Workers: 2, Rank: 2,
-		WriteBackRetries: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,15 +128,14 @@ func TestWriteBackRetryHeals(t *testing.T) {
 }
 
 // TestWriteBackBudgetExhaustedSurfaces: a write outage longer than the
-// retry budget surfaces as ErrAsyncWriteBack from the next Acquire (the
-// emergency-checkpoint trigger in the engine) and from FlushAll.
+// store's retry budget surfaces as ErrAsyncWriteBack from the next Acquire
+// (the emergency-checkpoint trigger in the engine) and from FlushAll.
 func TestWriteBackBudgetExhaustedSurfaces(t *testing.T) {
 	p, mem, ub := fixture(t, []int{4, 4}, []int{2, 2}, 2)
 	faulty := blockstore.NewFaultyStore(mem)
 	m, err := NewManager(Config{
-		Store: faulty, Pattern: p, CapacityBytes: 1 * ub,
+		Store: resilient(faulty, 1), Pattern: p, CapacityBytes: 1 * ub,
 		Policy: LRU, Workers: 2, Rank: 2,
-		WriteBackRetries: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,11 +163,53 @@ func TestWriteBackBudgetExhaustedSurfaces(t *testing.T) {
 	}
 }
 
+// TestWriteBackHasOneRetryBudget: a dirty eviction against a store that
+// fails every write, behind a retry layer with MaxRetries 3, reaches the
+// store exactly 1+3 times — whether the write-back runs inline or on the
+// background pool. The retry layer is the only one that repeats a Put.
+func TestWriteBackHasOneRetryBudget(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		p, mem, ub := fixture(t, []int{4, 4}, []int{2, 2}, 2)
+		faulty := blockstore.NewFaultyStore(mem)
+		m, err := NewManager(Config{
+			Store: resilient(faulty, 3), Pattern: p, CapacityBytes: 1 * ub,
+			Policy: LRU, Workers: workers, Rank: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Acquire(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		m.Release(0, 0, true)
+		faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 1, WriteOutageLen: 1 << 40})
+		// Evicts dirty ⟨0,0⟩: inline the failed write-back is this
+		// Acquire's error, in the background it is the pipeline's.
+		_, err = m.Acquire(0, 1)
+		if workers > 0 {
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Release(0, 1, false)
+			m.Drain()
+			err = m.Close()
+		} else {
+			m.Close()
+		}
+		if !blockstore.IsTransient(err) {
+			t.Fatalf("Workers %d: err = %v, want the write-back's transient fault", workers, err)
+		}
+		if _, writes := faulty.Fails(); writes != 4 {
+			t.Fatalf("Workers %d: the store saw %d Put attempts, want 4 (1 + MaxRetries 3)", workers, writes)
+		}
+	}
+}
+
 // TestConcurrentResilientSandwich is the satellite -race test: the full
 // wrapper sandwich Resilient→Latency→Faulty→MemStore under a concurrent
-// Acquire/Prefetch/Release storm with seeded transient faults and op
-// deadlines. The retry layer heals every injected fault, so the hammer's
-// integrity assertions (every unit complete after the storm) must hold.
+// Acquire/Prefetch/Release storm with seeded transient faults. The retry
+// layer heals every injected fault, so the hammer's integrity assertions
+// (every unit complete after the storm) must hold.
 func TestConcurrentResilientSandwich(t *testing.T) {
 	p, mem, ub := fixture(t, []int{12, 12, 12}, []int{3, 3, 3}, 2)
 	faulty := blockstore.NewFaultyStore(mem)
@@ -170,7 +219,6 @@ func TestConcurrentResilientSandwich(t *testing.T) {
 		MaxRetries:  20,
 		BaseBackoff: 10 * time.Microsecond,
 		MaxBackoff:  100 * time.Microsecond,
-		OpTimeout:   time.Second,
 		Seed:        7,
 	}, nil)
 	hammerManager(t, p, rs, 4*ub, 2)

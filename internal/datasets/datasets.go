@@ -211,19 +211,13 @@ func EnsembleSimulation(rng *rand.Rand, configs, params, steps int) *tensor.Dens
 	return out
 }
 
-// DenseLowMLRank generates a dense tensor of multilinear rank r per mode
-// plus optional relative Gaussian noise: a random r×r×...×r Tucker core
-// multiplied by per-mode orthonormal factors. These are the honest
-// low-multilinear-rank inputs the Phase-0 compress-then-refine
-// accelerator targets — the compressed core captures (1−noise)-ish of
-// the energy, so CP on the core matches CP on the tensor.
-func DenseLowMLRank(rng *rand.Rand, r int, noise float64, dims ...int) *tensor.Dense {
-	return LowMLRankSpec{R: r, Noise: noise}.Generate(rng, dims...)
-}
-
-// LowMLRankSpec configures the lowmlrank synthetic generator beyond the
-// DenseLowMLRank defaults. The zero value of the optional knobs
-// reproduces DenseLowMLRank exactly.
+// LowMLRankSpec configures the lowmlrank synthetic generator: a dense
+// tensor of multilinear rank R per mode plus optional relative Gaussian
+// noise — a random R×R×...×R Tucker core multiplied by per-mode
+// orthonormal factors. These are the honest low-multilinear-rank inputs
+// the Phase-0 compress-then-refine accelerator targets — the compressed
+// core captures (1−noise)-ish of the energy, so CP on the core matches CP
+// on the tensor. The optional knobs default to off.
 type LowMLRankSpec struct {
 	// R is the multilinear rank per mode (capped at the mode size).
 	R int

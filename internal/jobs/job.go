@@ -130,9 +130,6 @@ type Spec struct {
 	// MaxRetries is the transient-fault retry budget per operation
 	// (0 = resilience layer off).
 	MaxRetries int `json:"retry,omitempty"`
-	// OpTimeoutMS is the per-operation store deadline in milliseconds
-	// (0 = none).
-	OpTimeoutMS int64 `json:"op_timeout_ms,omitempty"`
 }
 
 // normalize fills defaulted fields in place so the persisted record shows
@@ -217,7 +214,6 @@ func (s *Spec) options(ckptDir, storeDir string, resume bool) (twopcp.Options, e
 		CheckpointEverySteps: s.CheckpointEverySteps,
 		Retry: twopcp.RetryPolicy{
 			MaxRetries: s.MaxRetries,
-			OpTimeout:  time.Duration(s.OpTimeoutMS) * time.Millisecond,
 			Seed:       s.Seed,
 		},
 	}

@@ -361,9 +361,7 @@ func (m *Manager) runJob(id string) {
 	default:
 	}
 	m.running[id] = r
-	if m.jobsRunning != nil {
-		m.jobsRunning.Set(float64(len(m.running)))
-	}
+	m.jobsRunning.Set(float64(len(m.running)))
 	// A re-run is about to replace the job's outputs; drop any cached
 	// query model so readers never see a stale snapshot.
 	if mdl := m.models[id]; mdl != nil {
@@ -378,9 +376,7 @@ func (m *Manager) runJob(id string) {
 		job.Error = err.Error()
 		job.Finished = m.clock()
 		delete(m.running, id)
-		if m.jobsRunning != nil {
-			m.jobsRunning.Set(float64(len(m.running)))
-		}
+		m.jobsRunning.Set(float64(len(m.running)))
 		m.publishState(job)
 		m.mu.Unlock()
 		return
@@ -404,9 +400,7 @@ func (m *Manager) runJob(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.running, id)
-	if m.jobsRunning != nil {
-		m.jobsRunning.Set(float64(len(m.running)))
-	}
+	m.jobsRunning.Set(float64(len(m.running)))
 	job.Finished = m.clock()
 	var qe *twopcp.QuarantineError
 	switch {

@@ -385,6 +385,62 @@ func TestServerUploadQueryParams(t *testing.T) {
 	}
 }
 
+// TestRetiredDeadlineFieldIsIgnored: op_timeout_ms was a Spec field until
+// the per-operation deadline it configured — one no store could enforce —
+// was removed. A job.json written while the field existed and a client
+// that still sends it must both keep working: the field is ignored, which
+// is all it ever did.
+func TestRetiredDeadlineFieldIsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	tensor := filepath.Join(dir, "x.tptl")
+	writeTensor(t, tensor, 1, 12, 12, 12)
+	store, err := OpenStore(filepath.Join(dir, "data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A record an older daemon stored and never got to run.
+	spec := Spec{Input: tensor, Rank: 2, Seed: 7, MaxRetries: 2}
+	spec.normalize()
+	stored, err := store.Create(spec, nil, time.Unix(100, 0).UTC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := filepath.Join(store.Dir(stored.ID), recordName)
+	data, err := os.ReadFile(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(data, []byte(`"retry": 2`), []byte(`"retry": 2, "op_timeout_ms": 30000`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatalf("record has no retry field to extend:\n%s", data)
+	}
+	if err := os.WriteFile(record, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(store, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain()
+	waitState(t, m, stored.ID, StateDone)
+
+	// A submission that still carries the field.
+	ts := httptest.NewServer(NewServer(m).Handler())
+	defer ts.Close()
+	body := fmt.Sprintf(`{"input": %q, "rank": 2, "seed": 7, "retry": 2, "op_timeout_ms": 30000}`, tensor)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job Job
+	decodeBody(t, resp, http.StatusCreated, &job)
+	if job.Spec.MaxRetries != 2 {
+		t.Fatalf("submitted spec = %+v", job.Spec)
+	}
+	waitHTTPState(t, ts.URL, job.ID, StateDone)
+}
+
 // getJSON fetches url and decodes the 200 response into v.
 func getJSON(t *testing.T, url string, v any) {
 	t.Helper()

@@ -12,14 +12,21 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter.
+// Counter is a monotonically increasing atomic counter. Like the Observer
+// that hands it out, a nil handle is valid and disabled: the writing
+// methods of Counter, Gauge and Histogram return on a nil receiver, so
+// subsystems bind handles once and use them unguarded.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
@@ -33,7 +40,11 @@ func (c *Counter) set(n int64) { c.v.Store(n) }
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set overwrites the gauge.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Load returns the current value.
 func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -64,6 +75,9 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	for i, le := range histBuckets {
 		if v <= le {
 			h.counts[i].Add(1)

@@ -135,8 +135,8 @@ func (o *Observer) emit(e Event) {
 	}
 }
 
-// Counter returns the named counter, or nil when no registry is attached;
-// subsystems bind the handle once and nil-check it on the hot path.
+// Counter returns the named counter, or nil — a valid, disabled handle —
+// when no registry is attached; subsystems bind the handle once.
 func (o *Observer) Counter(name string) *Counter {
 	if o == nil || o.Metrics == nil {
 		return nil

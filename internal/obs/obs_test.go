@@ -89,6 +89,12 @@ func TestNilObserver(t *testing.T) {
 	if o.Counter("x") != nil || o.Gauge("x") != nil || o.Histogram("x") != nil {
 		t.Error("nil observer returned non-nil metric handles")
 	}
+	// The nil handles it hands out are disabled, not dangerous: callers
+	// write to them unguarded.
+	o.Counter("x").Inc()
+	o.Counter("x").Add(3)
+	o.Gauge("x").Set(1.5)
+	o.Histogram("x").Observe(2)
 
 	// Zero-value observer: same deal, plus metric lookups with no registry.
 	z := &Observer{}

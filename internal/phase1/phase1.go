@@ -270,10 +270,8 @@ func Run(src Source, opts Options) (*Result, error) {
 	cBlocks := opts.Obs.Counter("phase1.blocks_done")
 	cSweeps := opts.Obs.Counter("phase1.sweeps")
 	blockDone := func(id int, fit float64, sweeps int, cached bool) {
-		if cBlocks != nil {
-			cBlocks.Inc()
-			cSweeps.Add(int64(sweeps))
-		}
+		cBlocks.Inc()
+		cSweeps.Add(int64(sweeps))
 		if opts.Obs.Tracing() {
 			opts.Obs.Emit("phase1.block",
 				obs.Int("block", id), obs.F64("fit", fit),

@@ -210,7 +210,6 @@ func BenchmarkResilienceOverhead(b *testing.B) {
 			}
 			if resilient {
 				cfg.Store = blockstore.Resilient(cfg.Store, pol, nil)
-				cfg.Retry = pol
 			}
 			eng, err := New(cfg)
 			if err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"twopcp/internal/blockstore"
 	"twopcp/internal/buffer"
@@ -120,7 +119,7 @@ func TestStopWithoutCheckpointReturnsErrStopped(t *testing.T) {
 }
 
 // TestEmergencyCheckpointOnWriteBackFailure: when an asynchronous
-// write-back fails past its retry budget, the engine writes an emergency
+// write-back fails for good, the engine writes an emergency
 // checkpoint before surfacing the error — and resuming that checkpoint
 // over a healed store finishes bit-identical to an uninterrupted run.
 func TestEmergencyCheckpointOnWriteBackFailure(t *testing.T) {
@@ -153,15 +152,12 @@ func TestEmergencyCheckpointOnWriteBackFailure(t *testing.T) {
 	failCfg.Store = faulty
 	failCfg.Checkpoint = rs
 	failCfg.CheckpointEverySteps = 4
-	failCfg.Retry = blockstore.RetryPolicy{
-		MaxRetries: 1, BaseBackoff: 10 * time.Microsecond, MaxBackoff: 50 * time.Microsecond, Seed: 3,
-	}
 	eng2, err := New(failCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Unbounded write outage starting mid-run: the background write-back
-	// exhausts its budget and the next step-boundary Acquire surfaces it.
+	// fails and the next step-boundary Acquire surfaces it.
 	faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 20, WriteOutageLen: 1 << 40})
 	_, err = eng2.Run()
 	if err == nil {

@@ -23,19 +23,6 @@ import (
 // with the same Checkpointer resumes bit-exactly from that boundary.
 var ErrStopped = errors.New("refine: stopped before completion")
 
-// InitKind selects how the full-factor partitions A(i)_(ki) are seeded.
-type InitKind int
-
-const (
-	// InitReference seeds A(i)_(ki) with the mode-i sub-factor of a
-	// reference block in the partition's slab (falling back to random for
-	// empty slabs). This matches the grid-PARAFAC practice of starting the
-	// stitching from Phase-1 output.
-	InitReference InitKind = iota
-	// InitRandom seeds every partition with uniform [0,1) noise.
-	InitRandom
-)
-
 // Config assembles a Phase-2 engine.
 type Config struct {
 	// Phase1 supplies the per-block sub-factors (required).
@@ -63,8 +50,8 @@ type Config struct {
 	// MaxVirtualIters (used by the I/O-measurement experiments, which run
 	// "without any bound on iterations").
 	Tol float64
-	// Init selects factor seeding; Seed drives InitRandom.
-	Init InitKind
+	// Seed drives the random seeding of a partition whose slab holds no
+	// usable Phase-1 sub-factor (see initialA).
 	Seed int64
 	// WarmupVirtualIters runs this many virtual iterations before swap
 	// counting starts (buffer statistics are reset at the boundary), so
@@ -113,13 +100,6 @@ type Config struct {
 	// into the Phase-2 state and restored on resume. Nil disables it at
 	// ~zero cost.
 	Obs *obs.Observer
-	// Retry threads the resilience policy into the buffer manager: its
-	// MaxRetries budget bounds the in-job retries of background
-	// write-backs. (Per-Get/Put retrying itself lives in the store stack —
-	// wrap Store with blockstore.Resilient; the engine is agnostic to
-	// it.) Like the parallelism knobs, Retry cannot change what the run
-	// computes.
-	Retry blockstore.RetryPolicy
 	// Stop, when non-nil and closed, drains the run gracefully: the
 	// in-flight step finishes, a checkpoint is written at the boundary
 	// (when Checkpoint is set) and Run returns ErrStopped.
@@ -173,7 +153,7 @@ type Engine struct {
 	statsOffset blockstore.Stats
 	resumed     bool
 
-	// Telemetry handles (nil-checked on the hot path).
+	// Telemetry handles (nil when metrics are off).
 	cUpdates        *obs.Counter
 	gFit            *obs.Gauge
 	gIters          *obs.Gauge
@@ -279,15 +259,14 @@ func New(cfg Config) (*Engine, error) {
 	e.seedComponents(e.factorSeeder(restored))
 
 	mgr, err := buffer.NewManager(buffer.Config{
-		Store:            cfg.Store,
-		Pattern:          p,
-		CapacityBytes:    capacity,
-		Policy:           cfg.Policy,
-		Schedule:         e.sched,
-		Workers:          cfg.IOWorkers,
-		Rank:             cfg.Phase1.Rank,
-		WriteBackRetries: cfg.Retry.MaxRetries,
-		Obs:              cfg.Obs,
+		Store:         cfg.Store,
+		Pattern:       p,
+		CapacityBytes: capacity,
+		Policy:        cfg.Policy,
+		Schedule:      e.sched,
+		Workers:       cfg.IOWorkers,
+		Rank:          cfg.Phase1.Rank,
+		Obs:           cfg.Obs,
 	})
 	if err != nil {
 		return nil, err
@@ -314,21 +293,19 @@ func (e *Engine) factorSeeder(restored *runstate.Phase2State) func(mode, part in
 	return func(mode, part int) *mat.Matrix { return e.initialA(mode, part, rng) }
 }
 
-// initialA builds the seed for A(mode)_(part).
+// initialA builds the seed for A(mode)_(part): the mode's sub-factor of a
+// reference block — the first in the partition's slab with a non-empty
+// U(mode) — which is the grid-PARAFAC practice of starting the stitching
+// from Phase-1 output, or uniform [0,1) noise for a slab that has none.
 func (e *Engine) initialA(mode, part int, rng *rand.Rand) *mat.Matrix {
-	_, rows := e.pattern.ModeRange(mode, part)
-	rank := e.cfg.Phase1.Rank
-	if e.cfg.Init == InitRandom {
-		return mat.Random(rows, rank, rng)
-	}
-	// Reference: the first block in the slab with a non-empty U(mode).
 	for _, id := range e.pattern.Slab(mode, part) {
 		u := e.cfg.Phase1.Sub[id][mode]
 		if u.MaxAbs() > 0 {
 			return u.Clone()
 		}
 	}
-	return mat.Random(rows, rank, rng)
+	_, rows := e.pattern.ModeRange(mode, part)
+	return mat.Random(rows, e.cfg.Phase1.Rank, rng)
 }
 
 // prepareUnits writes every ⟨mode, part⟩ unit into the store whole: the
@@ -539,9 +516,7 @@ func (e *Engine) Run() (*Result, error) {
 				}
 				e.update(u)
 				updates++
-				if e.cUpdates != nil {
-					e.cUpdates.Inc()
-				}
+				e.cUpdates.Inc()
 				if updates%virtLen == 0 {
 					if warmupLeft > 0 {
 						warmupLeft--
@@ -554,10 +529,8 @@ func (e *Engine) Run() (*Result, error) {
 					res.VirtualIters++
 					fit := e.comps.SurrogateFit()
 					res.FitTrace = append(res.FitTrace, fit)
-					if e.gFit != nil {
-						e.gFit.Set(fit)
-						e.gIters.Set(float64(res.VirtualIters))
-					}
+					e.gFit.Set(fit)
+					e.gIters.Set(float64(res.VirtualIters))
 					if e.cfg.Obs.Tracing() {
 						e.cfg.Obs.Emit("phase2.iter",
 							obs.Int("iter", res.VirtualIters), obs.F64("fit", fit))

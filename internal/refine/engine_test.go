@@ -337,30 +337,6 @@ func TestFileStoreBackedRun(t *testing.T) {
 	}
 }
 
-func TestRandomInit(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	x := lowRank(rng, 2, 8, 8, 8)
-	p := grid.UniformCube(3, 8, 2)
-	p1 := runPhase1(t, x, p, 2)
-	e, err := New(Config{
-		Phase1: p1, Store: blockstore.NewMemStore(),
-		Schedule: schedule.HilbertOrder, Policy: buffer.LRU,
-		Init: InitRandom, Seed: 99,
-		MaxVirtualIters: 200, Tol: 1e-9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kt := cpals.NewKTensor(res.Factors)
-	if fit := kt.Fit(x); fit < 0.95 {
-		t.Fatalf("random-init fit = %g", fit)
-	}
-}
-
 func TestEmptyBlocksDoNotBreakRefinement(t *testing.T) {
 	// Sparse tensor with whole empty blocks: the zero U factors must flow
 	// through T/S without NaNs.

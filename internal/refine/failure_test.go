@@ -43,7 +43,7 @@ func TestEngineSurfacesReadFault(t *testing.T) {
 	}
 	// Setup performs no reads (the initial A is regenerated rather than
 	// re-read), so every read is a run-time fetch.
-	faulty.FailRead = 10
+	faulty.SetPlan(blockstore.FaultPlan{ReadOutageFrom: 10, ReadOutageLen: 1, Permanent: true})
 	_, err = eng.Run()
 	if !errors.Is(err, blockstore.ErrInjected) {
 		t.Fatalf("err = %v, want injected read fault", err)
@@ -63,20 +63,20 @@ func TestEngineSurfacesWriteBackFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// prepareUnits used the first ΣK=6 writes; fail the first write-back.
-	faulty.FailWrite = 7
+	faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 7, WriteOutageLen: 1, Permanent: true})
 	_, err = eng.Run()
 	if !errors.Is(err, blockstore.ErrInjected) {
 		t.Fatalf("err = %v, want injected write fault", err)
 	}
-	if faulty.WriteFails != 1 {
-		t.Fatalf("write fails = %d", faulty.WriteFails)
+	if _, writes := faulty.Fails(); writes != 1 {
+		t.Fatalf("write fails = %d", writes)
 	}
 }
 
 func TestEngineSetupFaultFailsConstruction(t *testing.T) {
 	p1 := failingPhase1(t)
 	faulty := blockstore.NewFaultyStore(blockstore.NewMemStore())
-	faulty.FailWrite = 1 // the very first unit Put during prepareUnits
+	faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 1, WriteOutageLen: 1, Permanent: true}) // the very first unit Put during prepareUnits
 	if _, err := New(Config{
 		Phase1: p1, Store: faulty,
 		Schedule: schedule.ModeCentric, Policy: buffer.LRU,
@@ -98,7 +98,7 @@ func TestStoreIsConsistentAfterFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty.FailRead = 8
+	faulty.SetPlan(blockstore.FaultPlan{ReadOutageFrom: 8, ReadOutageLen: 1, Permanent: true})
 	if _, err := eng.Run(); !errors.Is(err, blockstore.ErrInjected) {
 		t.Fatalf("expected injected fault, got %v", err)
 	}

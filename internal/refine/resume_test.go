@@ -163,7 +163,7 @@ func TestResumeBitForBitAcrossInterruptionPoints(t *testing.T) {
 					t.Fatal(err)
 				}
 				faulty := blockstore.NewFaultyStore(blockstore.NewMemStore())
-				faulty.FailRead = failAfter
+				faulty.SetPlan(blockstore.FaultPlan{ReadOutageFrom: failAfter, ReadOutageLen: 1, Permanent: true})
 				killedCfg := base
 				killedCfg.Store = faulty
 				killedCfg.Checkpoint = rs
@@ -253,7 +253,7 @@ func TestResumeWithAsyncPipeline(t *testing.T) {
 					t.Fatal(err)
 				}
 				faulty := blockstore.NewFaultyStore(blockstore.NewMemStore())
-				faulty.FailRead = failAfter
+				faulty.SetPlan(blockstore.FaultPlan{ReadOutageFrom: failAfter, ReadOutageLen: 1, Permanent: true})
 				killedCfg := base
 				killedCfg.Store = faulty
 				killedCfg.Checkpoint = rs

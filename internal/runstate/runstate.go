@@ -161,8 +161,7 @@ type envelope struct {
 // Run is a handle on one checkpoint directory. It is safe for concurrent
 // use (Phase-1 workers checkpoint blocks in parallel).
 type Run struct {
-	dir     string
-	resumed bool
+	dir string
 
 	mu   sync.Mutex
 	body manifestBody
@@ -190,10 +189,8 @@ func (r *Run) SetObserver(ob *obs.Observer) {
 
 // noteCheckpointWrite reports one installed checkpoint file to telemetry.
 func (r *Run) noteCheckpointWrite(name string, bytes int) {
-	if r.cCkptWrites != nil {
-		r.cCkptWrites.Inc()
-		r.cCkptBytes.Add(int64(bytes))
-	}
+	r.cCkptWrites.Inc()
+	r.cCkptBytes.Add(int64(bytes))
 	if r.tele.Tracing() {
 		r.tele.Emit("checkpoint.write", obs.Str("file", name), obs.Int("bytes", bytes))
 	}
@@ -211,7 +208,7 @@ func Open(dir string, meta Meta, numBlocks int, resume bool) (*Run, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runstate: create checkpoint dir: %w", err)
 	}
-	r := &Run{dir: dir, resumed: resume, done: make(map[int]bool)}
+	r := &Run{dir: dir, done: make(map[int]bool)}
 	path := r.manifestPath()
 	// A SIGKILL can land between WriteFileAtomic's CreateTemp and rename;
 	// no writer is live at Open time, so any temp file here is dead weight
@@ -253,9 +250,6 @@ func Open(dir string, meta Meta, numBlocks int, resume bool) (*Run, error) {
 
 // Dir returns the checkpoint directory.
 func (r *Run) Dir() string { return r.dir }
-
-// Resumed reports whether this handle was opened in resume mode.
-func (r *Run) Resumed() bool { return r.resumed }
 
 // Stage returns the run's current stage.
 func (r *Run) Stage() Stage {
@@ -323,9 +317,7 @@ func (r *Run) saveManifestLocked() error {
 	if err != nil {
 		return fmt.Errorf("runstate: marshal manifest envelope: %w", err)
 	}
-	if r.cManifest != nil {
-		r.cManifest.Inc()
-	}
+	r.cManifest.Inc()
 	return WriteFileAtomic(r.dir, "manifest.json", append(env, '\n'))
 }
 

@@ -140,9 +140,6 @@ func (r *Reader) Tiling() *grid.Pattern { return r.pattern }
 // NumTiles returns the tile count.
 func (r *Reader) NumTiles() int { return len(r.index) }
 
-// Compressed reports whether tile payloads are gzip-compressed.
-func (r *Reader) Compressed() bool { return r.flags&FlagGzip != 0 }
-
 // ReadTile reads the tile at grid position vec into a fresh dense
 // tensor of the tile's extents, verifying its CRC when present.
 func (r *Reader) ReadTile(vec []int) (*tensor.Dense, error) {

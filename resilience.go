@@ -12,9 +12,9 @@ import (
 // retries never change what the run computes, quarantine is typed and
 // resumable, and a graceful drain leaves a valid checkpoint behind.
 type (
-	// RetryPolicy configures transient-fault retries and per-operation
-	// deadlines for both phases (Options.Retry). The zero value disables
-	// the resilience layer entirely — bit-for-bit the historical behavior.
+	// RetryPolicy configures transient-fault retries for both phases
+	// (Options.Retry). The zero value disables the resilience layer
+	// entirely — bit-for-bit the historical behavior.
 	RetryPolicy = blockstore.RetryPolicy
 	// QuarantineError reports Phase-1 blocks that exhausted the retry
 	// budget on a permanent fault. The run's other blocks completed and

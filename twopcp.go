@@ -139,14 +139,13 @@ type Options struct {
 	Observer *Observer
 	// Retry configures the resilience layer: transient store and block
 	// faults are retried with capped exponential backoff (seeded jitter),
-	// per-operation deadlines bound slow I/O, and a circuit breaker trips
-	// to fail-fast after repeated permanent faults. Retries never change
-	// what the run computes — factors, FitTrace and the Result's I/O
-	// counters are bit-identical to a fault-free run (only successful
-	// operations count). The zero value disables the layer entirely.
-	// Excluded from the checkpoint fingerprint: a run may be resumed with
-	// different retry settings. See the "Fault tolerance" section of the
-	// package documentation.
+	// and a circuit breaker trips to fail-fast after repeated permanent
+	// faults. Retries never change what the run computes — factors,
+	// FitTrace and the Result's I/O counters are bit-identical to a
+	// fault-free run (only successful operations count). The zero value
+	// disables the layer entirely. Excluded from the checkpoint
+	// fingerprint: a run may be resumed with different retry settings. See
+	// the "Fault tolerance" section of the package documentation.
 	Retry RetryPolicy
 	// Stop, when non-nil, requests a graceful drain when closed: the run
 	// finishes its in-flight step, writes a checkpoint (when Checkpoint is
@@ -221,19 +220,6 @@ func DecomposeSparse(x *COO, opts Options) (*Result, error) {
 		source: func(p *Pattern) (phase1.Source, error) { return phase1.NewCOOSource(x, p) },
 		fit:    func(m *KTensor) (float64, error) { return m.FitSparse(x), nil },
 	})
-}
-
-// CPALS runs plain in-memory CP-ALS (the paper's "Naive CP" baseline and
-// the right tool for tensors that fit comfortably in memory). It returns
-// the Kruskal model, its fit and the number of sweeps.
-func CPALS(x *Dense, rank int, seed int64) (*KTensor, float64, int, error) {
-	kt, info, err := cpals.Decompose(x, cpals.Options{
-		Rank: rank, MaxIters: 100, Tol: 1e-6, Rng: newSeeded(seed),
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return kt, info.Fit, info.Iters, nil
 }
 
 func patternFor(dims []int, opts Options) (*Pattern, error) {
@@ -333,7 +319,6 @@ func newRun(opts Options, in input) (*runCtx, error) {
 		IOWorkers:       opts.IOWorkers,
 		Solver:          solver,
 		Obs:             r.ob,
-		Retry:           opts.Retry,
 		Stop:            opts.Stop,
 	}
 	return r, refine.Preflight(r.p2cfg, p, opts.Rank)
@@ -489,11 +474,11 @@ func (r *runCtx) phase1() (err error) {
 }
 
 // storeStack builds the Phase-2 store, inside out: base store → chaos
-// fault injector (testing only) → resilience wrapper (retries, deadlines,
-// breaker) → instrumentation. One rule: a layer that is off is not in the
-// stack. The resilience layer sits below instrumentation so the
-// Reads/Writes/Bytes counters record only successful operations — that is
-// what keeps a healed run's Result bit-identical to a fault-free run's.
+// fault injector (testing only) → resilience wrapper (retries, breaker) →
+// instrumentation. One rule: a layer that is off is not in the stack. The
+// resilience layer sits below instrumentation so the Reads/Writes/Bytes
+// counters record only successful operations — that is what keeps a
+// healed run's Result bit-identical to a fault-free run's.
 // Closing the returned store closes the base store.
 func storeStack(opts Options) (blockstore.Store, error) {
 	var store blockstore.Store = blockstore.NewMemStore()

@@ -183,17 +183,6 @@ func TestPartitionsBroadcastAndClamp(t *testing.T) {
 	}
 }
 
-func TestCPALSBaseline(t *testing.T) {
-	x := lowRankDense(7, 2, 10, 10, 10)
-	kt, fit, iters, err := CPALS(x, 2, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit < 0.95 || iters == 0 || kt.Rank() != 2 {
-		t.Fatalf("CPALS: fit=%g iters=%d", fit, iters)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	x := RandomDense(rand.New(rand.NewSource(8)), 10, 10, 10)
 	r1, err := Decompose(x, Options{Rank: 2, Seed: 42})

@@ -64,13 +64,6 @@ func TestDecomposeSparseValidation(t *testing.T) {
 	}
 }
 
-func TestCPALSValidation(t *testing.T) {
-	x := NewDense(3, 3)
-	if _, _, _, err := CPALS(x, 0, 1); err == nil {
-		t.Fatal("rank 0 accepted")
-	}
-}
-
 func TestCongruencePublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	factors := make([]*Matrix, 2)
