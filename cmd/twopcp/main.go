@@ -48,6 +48,7 @@ import (
 	"twopcp"
 	"twopcp/internal/buffer"
 	"twopcp/internal/cli"
+	"twopcp/internal/mat"
 	"twopcp/internal/schedule"
 )
 
@@ -216,6 +217,7 @@ func runLocal() {
 	summary("tensor     : %v\n", dims)
 	summary("rank       : %d   partitions: %d per mode\n", *rank, *parts)
 	summary("schedule   : %s   replacement: %s   buffer: %.2g×total\n", kind, pol, *frac)
+	summary("kernels    : %s\n", mat.KernelPath())
 	if constraint != twopcp.ConstraintNone {
 		if constraint == twopcp.ConstraintRidge {
 			summary("constraint : %s (lambda %g)\n", constraint, *lambda)

@@ -33,6 +33,7 @@ import (
 	"twopcp"
 	"twopcp/internal/cli"
 	"twopcp/internal/jobs"
+	"twopcp/internal/mat"
 )
 
 func main() {
@@ -68,6 +69,7 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe() }()
 	log.Printf("serving on %s (data %s)", *listen, *dataDir)
+	log.Printf("kernels: %s", mat.KernelPath())
 
 	// The shared drain contract: first SIGTERM/SIGINT starts the drain,
 	// a second one kills the process. Running jobs checkpoint and land in

@@ -93,11 +93,21 @@
 // panel order. Worker counts and scheduling therefore change wall-clock
 // time only. The same holds for the one cache on the kernel path: an ALS
 // sweep computes the mode-0 fiber products X_(0)ᵀ·A(0) once and shares
-// them between modes 1..N-1 (tensor.Sweep), but every product is computed
-// by the same call from the same zero and folded in the same fiber order
-// as a standalone MTTKRP, so holding it never changes a bit — with or
-// without the cache, and whether or not a shape is large enough to use it.
-// Combined with the per-block seeding of Phase 1 and the
+// them between modes 1..N-1 (tensor.Sweep), but every product is the same
+// front-to-back sum from the same zero and is folded in the same fiber
+// order as a standalone MTTKRP, so holding it never changes a bit — with
+// or without the cache, and whether or not a shape is large enough to use
+// it. And it holds across the two implementations of the innermost loops:
+// on amd64 CPUs with AVX2, internal/mat runs assembly kernels that
+// vectorise across the column index with a separate multiply and add —
+// never a fused one — so every lane rounds exactly as the Go loop does,
+// and the bits are identical between the vector kernels and the pure-Go
+// ones (the -tags purego build, and every other platform). That identity
+// is what the committed golden fixtures assume, and it is a property of
+// amd64: where the Go compiler itself fuses a multiply into an add
+// (arm64, ppc64le, s390x) results are still identical at every worker
+// count on that platform, but the goldens recorded on amd64 were never
+// guaranteed there. Combined with the per-block seeding of Phase 1 and the
 // depth-invariant Phase-2 pipeline, an entire run is reproducible from
 // Options.Seed alone regardless of Workers, KernelWorkers, IOWorkers or
 // PrefetchDepth. This contract is also what makes crash recovery exact:

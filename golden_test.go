@@ -24,7 +24,8 @@ import (
 //
 // and commit the diff (including testdata/golden.tptl). The fixtures were
 // recorded on linux/amd64; Go's float64 semantics make them stable across
-// the toolchains CI runs.
+// the toolchains CI runs, and across internal/mat's vector and pure-Go
+// kernels (TestGoldenVectorWidthFactors).
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fixtures")
 
@@ -79,6 +80,23 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden-"+name+".txt")
 }
 
+// goldenWant returns the committed fixture for name, first rewriting it
+// with dump under -update-golden.
+func goldenWant(t *testing.T, name, dump string) string {
+	t.Helper()
+	path := goldenPath(name)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(dump), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to regenerate)", err)
+	}
+	return string(want)
+}
+
 // TestGoldenFixtureTensor pins the committed .tptl fixture to the
 // generator: testdata/golden.tptl must hold exactly goldenTensor().
 func TestGoldenFixtureTensor(t *testing.T) {
@@ -120,28 +138,18 @@ func TestGoldenFactors(t *testing.T) {
 				t.Fatal(err)
 			}
 			dump := goldenDump(dense)
-
-			path := goldenPath(tc.name)
-			if *updateGolden {
-				if err := os.WriteFile(path, []byte(dump), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update-golden to regenerate)", err)
-			}
-			if dump != string(want) {
+			want := goldenWant(t, tc.name, dump)
+			if dump != want {
 				t.Fatalf("dense %s run drifted from golden %s:\ngot:\n%s\nwant:\n%s",
-					tc.name, path, dump, want)
+					tc.name, goldenPath(tc.name), dump, want)
 			}
 
 			tiled, err := twopcp.DecomposeTiledFile(tiledPath, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tdump := goldenDump(tiled); tdump != string(want) {
-				t.Fatalf("tiled %s run drifted from golden %s", tc.name, path)
+			if tdump := goldenDump(tiled); tdump != want {
+				t.Fatalf("tiled %s run drifted from golden %s", tc.name, goldenPath(tc.name))
 			}
 		})
 	}
@@ -180,29 +188,49 @@ func TestGoldenAcceleratedFactors(t *testing.T) {
 				t.Fatalf("%s golden run fell back — the fixture would pin the unaccelerated pipeline", tc.name)
 			}
 			dump := goldenDump(dense)
-
-			path := goldenPath(tc.name)
-			if *updateGolden {
-				if err := os.WriteFile(path, []byte(dump), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update-golden to regenerate)", err)
-			}
-			if dump != string(want) {
+			want := goldenWant(t, tc.name, dump)
+			if dump != want {
 				t.Fatalf("dense %s run drifted from golden %s:\ngot:\n%s\nwant:\n%s",
-					tc.name, path, dump, want)
+					tc.name, goldenPath(tc.name), dump, want)
 			}
 
 			tiled, err := twopcp.DecomposeTiledFile(tiledPath, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tdump := goldenDump(tiled); tdump != string(want) {
-				t.Fatalf("tiled %s run drifted from golden %s", tc.name, path)
+			if tdump := goldenDump(tiled); tdump != want {
+				t.Fatalf("tiled %s run drifted from golden %s", tc.name, goldenPath(tc.name))
 			}
 		})
+	}
+}
+
+// TestGoldenVectorWidthFactors pins runs wide enough to reach internal/mat's
+// vector kernels. At the rank 3 of the fixtures above no kernel call ever
+// enters an 8- or 4-column block or an Axpy of four elements, so those
+// goldens would pass with a wrong vector kernel; ranks 8 and 16 on a
+// 20×18×16 tensor go through every block width. The fixtures were recorded
+// with the pure-Go loops (the only kernels there were at the time, today's
+// -tags purego build) and have to hold on both builds.
+func TestGoldenVectorWidthFactors(t *testing.T) {
+	x := twopcp.RandomDense(rand.New(rand.NewSource(43)), 20, 18, 16)
+	for _, rank := range []int{8, 16} {
+		for _, tc := range []struct {
+			name       string
+			constraint twopcp.Constraint
+		}{{"ls", twopcp.ConstraintNone}, {"nonneg", twopcp.ConstraintNonneg}} {
+			name := fmt.Sprintf("r%d-%s", rank, tc.name)
+			t.Run(name, func(t *testing.T) {
+				opts := goldenOpts(tc.constraint, 0)
+				opts.Rank = rank
+				res, err := twopcp.Decompose(x, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dump := goldenDump(res); dump != goldenWant(t, name, dump) {
+					t.Fatalf("%s run drifted from golden %s", name, goldenPath(name))
+				}
+			})
+		}
 	}
 }

@@ -130,30 +130,34 @@ func TestWorkspaceSparse(t *testing.T) {
 }
 
 // TestDecomposeKernelWorkersBitExact sweeps the kernel worker grid over a
-// full dense CP-ALS run.
+// full dense CP-ALS run, at the two ranks the benchmark workloads use: 16 is
+// two eight-column kernel blocks, 8 is one, and both split the S pass's 360
+// fibers into groups that do not fill the last four-fiber batch evenly.
 func TestDecomposeKernelWorkersBitExact(t *testing.T) {
 	x := tensor.RandomDense(rand.New(rand.NewSource(42)), 24, 20, 18)
-	run := func(w int) (*KTensor, Info) {
-		defer par.SetWorkers(par.SetWorkers(w))
-		kt, info, err := Decompose(x, Options{
-			Rank: 16, MaxIters: 4, Rng: rand.New(rand.NewSource(2)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return kt, info
-	}
-	serialKT, serialInfo := run(1)
-	for _, w := range []int{2, 7} {
-		kt, info := run(w)
-		for k := range kt.Factors {
-			if !kt.Factors[k].Equal(serialKT.Factors[k]) {
-				t.Fatalf("workers=%d: factor %d differs from serial", w, k)
+	for _, rank := range []int{8, 16} {
+		run := func(w int) (*KTensor, Info) {
+			defer par.SetWorkers(par.SetWorkers(w))
+			kt, info, err := Decompose(x, Options{
+				Rank: rank, MaxIters: 4, Rng: rand.New(rand.NewSource(2)),
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
+			return kt, info
 		}
-		for j, f := range serialInfo.FitTrace {
-			if info.FitTrace[j] != f {
-				t.Fatalf("workers=%d: FitTrace[%d] differs", w, j)
+		serialKT, serialInfo := run(1)
+		for _, w := range []int{2, 7, 0} {
+			kt, info := run(w)
+			for k := range kt.Factors {
+				if !kt.Factors[k].Equal(serialKT.Factors[k]) {
+					t.Fatalf("rank %d workers=%d: factor %d differs from serial", rank, w, k)
+				}
+			}
+			for j, f := range serialInfo.FitTrace {
+				if info.FitTrace[j] != f {
+					t.Fatalf("rank %d workers=%d: FitTrace[%d] differs", rank, w, j)
+				}
 			}
 		}
 	}

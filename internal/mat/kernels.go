@@ -1,21 +1,43 @@
 package mat
 
 // This file holds the innermost compute primitives shared by the matrix and
-// tensor kernels. They are written so the compiler keeps the accumulator
-// blocks in registers: the column dimension is processed in blocks of four
-// (eight, then four, for OuterAdd's weights), which is where the dense
-// MTTKRP/GEMM speedup comes from — the blocked loops run several times
-// faster than a naive element-at-a-time sweep.
+// tensor kernels. Each has two implementations: the Go loops below, which
+// run everywhere, and AVX2 assembly (kernels_amd64.s) that takes over the
+// bulk of the work where package init finds, by CPUID, that the CPU and the
+// OS support it. Building with -tags purego leaves only the Go loops.
 //
-// All primitives are strictly sequential left-to-right accumulations per
+// The Go loops are written so the compiler keeps the accumulator blocks in
+// registers: the column dimension is processed in blocks of four (eight,
+// then four, for OuterAdd's weights). The assembly vectorises across that
+// same column index — the one dimension in which all of these are
+// element-wise — with a separate multiply and add, never a fused one, so
+// every lane rounds exactly as the scalar loop does and the two
+// implementations agree bit for bit.
+//
+// All primitives are strictly sequential front-to-back accumulations per
 // output element, so parallel callers that assign each output region to one
 // invocation get bit-identical results at any worker count.
+
+// KernelPath names the implementation behind Axpy, OuterAdd, VecMatMulAdd
+// and FibersMatMulAdd in this process: "avx2" or "generic".
+func KernelPath() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "generic"
+}
 
 // Axpy computes dst[i] += a*x[i] over len(x) elements.
 // dst must have at least len(x) elements.
 func Axpy(dst, x []float64, a float64) {
 	n := len(x)
 	dst = dst[:n]
+	// The Gram and TMul kernels call this on rows of 1 to 16 elements; below
+	// two vectors the call into assembly does not pay for itself.
+	if useAVX2 && n >= 8 {
+		axpyAVX2(dst, x, a)
+		return
+	}
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		d := dst[i : i+4 : i+4]
@@ -32,15 +54,42 @@ func Axpy(dst, x []float64, a float64) {
 
 // VecMatMulAdd computes dst += xᵀ·M for a row-major panel M with len(x)
 // rows of f columns: dst[c] += Σ_i x[i]·rows[i*f+c]. The accumulation over
-// i runs front to back independently per column, in four-column register
-// blocks. This is the fiber kernel of mode-n MTTKRP (n > 0): x is a
-// contiguous mode-0 fiber and M the mode-0 factor panel.
+// i runs front to back from zero, independently per column. This is the
+// fiber kernel of mode-n MTTKRP (n > 0): x is a contiguous mode-0 fiber
+// and M the mode-0 factor panel.
 func VecMatMulAdd(dst []float64, rows []float64, x []float64, f int) {
-	if len(x) == 0 || f == 0 {
+	FibersMatMulAdd(dst, rows, x, len(x), f)
+}
+
+// FibersMatMulAdd is VecMatMulAdd over the len(x)/n consecutive fibers of n
+// elements in x, fiber k accumulating into dst[k*f:(k+1)*f]. The vector
+// implementation works on four fibers at a time — one fiber's columns are
+// too few independent sums to keep the adders busy — but every sum is still
+// its own front-to-back chain, so a fiber's result does not depend on the
+// fibers it is batched with.
+func FibersMatMulAdd(dst, rows, x []float64, n, f int) {
+	if n == 0 || f == 0 || len(x) == 0 {
 		return
 	}
-	_ = rows[len(x)*f-1]
+	nf := len(x) / n
+	_ = rows[n*f-1]
+	_ = dst[nf*f-1]
 	c0 := 0
+	if useAVX2 && f >= 4 {
+		fibersMulAddAVX2(dst, rows, x, nf, n, f)
+		c0 = f &^ 3
+	}
+	if c0 == f {
+		return
+	}
+	for k := 0; k < nf; k++ {
+		vecMatMulAddFrom(dst[k*f:(k+1)*f], rows, x[k*n:(k+1)*n], f, c0)
+	}
+}
+
+// vecMatMulAddFrom is VecMatMulAdd over columns [c0, f), in four-column
+// register blocks and then single columns.
+func vecMatMulAddFrom(dst []float64, rows []float64, x []float64, f, c0 int) {
 	for ; c0+4 <= f; c0 += 4 {
 		var s0, s1, s2, s3 float64
 		p := c0
@@ -82,6 +131,10 @@ func OuterAdd(rows []float64, w []float64, x []float64, f int) {
 	_ = rows[len(x)*f-1]
 	w = w[:f:f]
 	c0 := 0
+	if useAVX2 && f >= 4 {
+		outerAddAVX2(rows, w, x, f)
+		c0 = f &^ 3
+	}
 	for ; c0+8 <= f; c0 += 8 {
 		s := w[c0 : c0+8 : c0+8]
 		w0, w1, w2, w3, w4, w5, w6, w7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]

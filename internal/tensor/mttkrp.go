@@ -18,8 +18,9 @@ import (
 //     rows of modes 1..N-1 is constant along a fiber, and the whole fiber
 //     accumulates into the output panel as the rank-one update
 //     out += fiber ⊗ w (mat.OuterAdd);
-//   - the S pass (fiberProduct): the product s = fiberᵀ·A(0) of a fiber
-//     with the mode-0 factor (mat.VecMatMulAdd, from zero). It depends on
+//   - the S pass: the product s = fiberᵀ·A(0) of a fiber with the mode-0
+//     factor, accumulated front to back from zero (mat.FibersMatMulAdd
+//     over a run of fibers, mat.VecMatMulAdd for one). It depends on
 //     nothing but X and A(0), so it is the same for every mode n ≥ 1;
 //   - the fold (foldFibers): for n ≥ 1 every fiber belongs to exactly one
 //     output row, out[j] += s ⊛ w with w the Hadamard product of the
@@ -27,19 +28,19 @@ import (
 //
 // A standalone MTTKRPInto(n ≥ 1) folds while it streams the S pass, a
 // fiber at a time, and keeps no product. Through a Sweep the first fold
-// after A(0) changed does the same but stores each s as a row of
-// S = X_(0)ᵀ·A(0), and the remaining modes fold from S without touching
-// X, so an ALS sweep reads the tensor twice instead of N times. Each s
-// comes from the same call on the same zero and is folded in the same
-// fiber order whichever way it is reached, so the outputs are
-// bit-identical.
+// after A(0) changed is preceded by an S pass over the whole tensor, in
+// memory order, that stores every s as a row of S = X_(0)ᵀ·A(0); that
+// fold and the remaining modes' then read S without touching X, so an ALS
+// sweep reads the tensor twice instead of N times. Each s is the same
+// front-to-back sum from the same zero and is folded in the same fiber
+// order whichever way it is reached, so the outputs are bit-identical.
 //
 // Parallelism and determinism: work is distributed over mode-n output
 // rows (contiguous panels of them for mode 0), each owned by exactly one
-// worker invocation — as is each row of S, by the owner of its fiber's
-// output row — and every row is accumulated in the same fiber order as a
-// serial sweep. The floating-point output is therefore bit-identical at
-// every worker count, including 1.
+// worker invocation, and every row is accumulated in the same fiber order
+// as a serial sweep; the rows of S depend on one fiber each and are built
+// in fixed groups of consecutive fibers. The floating-point output is
+// therefore bit-identical at every worker count, including 1.
 
 // fiberScratch bundles the per-worker-invocation buffers of the fiber
 // kernels so steady-state sweeps allocate nothing.
@@ -113,6 +114,12 @@ type Sweep struct {
 	t     *Dense
 	s     []float64
 	valid bool // s holds the products of the current factors[0]
+
+	// The S pass's argument and its task, bound to the sweep on first use:
+	// a fresh closure per pass would be the sweep's one steady-state
+	// allocation.
+	a0    *mat.Matrix
+	group func(g int)
 }
 
 // Bind points the sweep at t and drops the cached products. Bind(nil)
@@ -133,23 +140,47 @@ func (sw *Sweep) Into(dst *mat.Matrix, factors []*mat.Matrix, n int) {
 	mttkrpInto(dst, sw.t, factors, n, sw)
 }
 
-// products returns the S buffer for nf fibers of f floats and whether its
-// rows still have to be computed (after which they count as current).
-// A nil sweep, or a shape whose S would outgrow the tensor, gets
-// (nil, true): compute every product into scratch, keep none.
-func (sw *Sweep) products(nf, f, i0n int) (sp []float64, compute bool) {
-	if sw == nil || f > i0n {
-		return nil, true
+// products returns S = X_(0)ᵀ·a0 for the bound tensor, running the S pass
+// first if the rows are not current. A nil sweep, or a shape whose S would
+// outgrow the tensor, gets nil: compute each product on the spot, keep
+// none.
+func (sw *Sweep) products(a0 *mat.Matrix) []float64 {
+	if sw == nil || a0.Cols > a0.Rows {
+		return nil
 	}
 	if !sw.valid {
+		i0n, f := a0.Rows, a0.Cols
+		nf := len(sw.t.Data) / i0n
 		if cap(sw.s) < nf*f {
 			sw.s = make([]float64, nf*f)
 		}
 		sw.s = sw.s[:nf*f]
-		compute = true
+		sw.a0 = a0
+		if sw.group == nil {
+			sw.group = sw.productGroup
+		}
+		groups := (nf + productGroupFibers - 1) / productGroupFibers
+		par.DoWorkers(par.WorkersFor(nf*i0n*2*f), groups, sw.group)
+		sw.a0 = nil
 		sw.valid = true
 	}
-	return sw.s, compute
+	return sw.s
+}
+
+// productGroupFibers is how many consecutive fibers one task of the S pass
+// covers: a constant, so the groups are the same at every worker count
+// (each row of S is one fiber's sum either way), and a multiple of the
+// kernel's fiber batch.
+const productGroupFibers = 128
+
+// productGroup fills the rows of S for fiber group g.
+func (sw *Sweep) productGroup(g int) {
+	i0n, f := sw.a0.Rows, sw.a0.Cols
+	lo := g * productGroupFibers
+	hi := min(lo+productGroupFibers, len(sw.s)/f)
+	s := sw.s[lo*f : hi*f]
+	clear(s)
+	mat.FibersMatMulAdd(s, sw.a0.Data, sw.t.Data[lo*i0n:hi*i0n], i0n, f)
 }
 
 // mttkrpInto zeroes dst and accumulates the mode-n MTTKRP into it. sw is
@@ -232,19 +263,10 @@ func mode0Pass(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, f int) {
 	wPool.Put(sp)
 }
 
-// fiberProduct is the S pass for one fiber: s = fiberᵀ·A(0), accumulated
-// from zero.
-func fiberProduct(s, a0, fiber []float64, f int) {
-	clear(s)
-	mat.VecMatMulAdd(s, a0, fiber, f)
-}
-
 // foldFibers accumulates the mode-n (n ≥ 1) MTTKRP: output row j adds
 // s ⊛ w for each of its fibers in ascending fiber order. s is the fiber's
-// row of sw's product matrix S — computed here, by the one invocation that
-// owns the fiber, on the first fold since factor 0 changed and only read
-// on later ones — or a scratch row computed on the spot when there is no
-// S. Either way a fold that computes products streams the tensor once.
+// row of sw's product matrix S, or, when there is no S, a scratch row
+// computed on the spot — in which case the fold streams the tensor once.
 //
 // Fiber-space geometry: fibers are indexed by (i_1, ..., i_{N-1}) in
 // Fortran order, so the fibers of row j are runs of sfn consecutive fibers
@@ -261,9 +283,10 @@ func foldFibers(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 	outerN := nf / (sfn * dims[n])
 	lowDims := dims[1:n]   // decoded along q
 	highDims := dims[n+1:] // decoded along outer
-	sp, compute := sw.products(nf, f, i0n)
+	a0 := factors[0]
+	sp := sw.products(a0)
 	work := nf * 2 * f
-	if compute {
+	if sp == nil {
 		work *= i0n
 	}
 	par.DoWorkers(par.WorkersFor(work), dims[n], func(j int) {
@@ -283,9 +306,9 @@ func foldFibers(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 				fi := (outer*dims[n]+j)*sfn + q
 				if sp != nil {
 					s = sp[fi*f : (fi+1)*f]
-				}
-				if compute {
-					fiberProduct(s, factors[0].Data, x[fi*i0n:(fi+1)*i0n], f)
+				} else {
+					clear(s)
+					mat.VecMatMulAdd(s, a0.Data, x[fi*i0n:(fi+1)*i0n], f)
 				}
 				if w := fiberWeight(fs.w, factors, idxLow, idxHigh, n); w != nil {
 					for c, sv := range s {

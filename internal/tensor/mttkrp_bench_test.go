@@ -56,3 +56,38 @@ func BenchmarkMTTKRP4Mode(b *testing.B) {
 		MTTKRPInto(out, x, factors, 1)
 	}
 }
+
+// BenchmarkSweepPasses times the three passes an ALS sweep over a 64³ block
+// is made of, one at a time, kernels serial: the mode-0 pass, the S pass
+// with the first fold (mode 1 after factor 0 changed), and a fold from S
+// alone (mode 2). docs/performance.md's per-pass table is this benchmark.
+func BenchmarkSweepPasses(b *testing.B) {
+	defer par.SetWorkers(par.SetWorkers(1))
+	rng := rand.New(rand.NewSource(3))
+	dims := []int{64, 64, 64}
+	x := RandomDense(rng, dims...)
+	for _, f := range []int{4, 8, 16} {
+		factors := randomFactors(rng, dims, f)
+		out := mat.New(64, f)
+		var sw Sweep
+		sw.Bind(x)
+		b.Run(fmt.Sprintf("r%d/mode0", f), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sw.Into(out, factors, 0)
+			}
+		})
+		b.Run(fmt.Sprintf("r%d/S+fold", f), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sw.Factor0Changed()
+				sw.Into(out, factors, 1)
+			}
+		})
+		b.Run(fmt.Sprintf("r%d/fold", f), func(b *testing.B) {
+			sw.Into(out, factors, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sw.Into(out, factors, 2)
+			}
+		})
+	}
+}

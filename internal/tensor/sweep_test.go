@@ -21,11 +21,17 @@ func randomFactors(rng *rand.Rand, dims []int, f int) []*mat.Matrix {
 // dims (a size-1 mode in every position, ranks on both sides of I_0, which
 // decides between storing S and streaming), a Sweep reused across all of
 // them must reproduce MTTKRPInto bit for bit for every mode, at every
-// worker count, and both must agree with unfold × Khatri-Rao.
+// worker count, and both must agree with unfold × Khatri-Rao. The sweep
+// builds S four fibers to a kernel batch in groups of productGroupFibers
+// and the standalone call one fiber at a time, so the ranks cover every
+// mix of the kernels' eight- and four-column blocks and leftover columns,
+// and the first two shapes have fiber counts (195, 133) that fill neither
+// the last group nor the last batch.
 func TestSweepMatchesStandaloneBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	shapes := [][]int{
 		{33, 15, 13}, // large enough to dispatch in parallel at F ≥ 8
+		{24, 7, 19},
 		{1, 9, 7},
 		{5, 1, 11},
 		{7, 5, 1},
@@ -40,7 +46,7 @@ func TestSweepMatchesStandaloneBitForBit(t *testing.T) {
 	var sw Sweep // one sweep for every shape and rank, as Phase 1 reuses it
 	for _, dims := range shapes {
 		x := RandomDense(rng, dims...)
-		for _, f := range []int{1, 3, 8, 16, 17} {
+		for _, f := range []int{1, 3, 4, 8, 12, 16, 17, 20} {
 			factors := randomFactors(rng, dims, f)
 			want := make([]*mat.Matrix, len(dims))
 			for n := range dims {
