@@ -67,9 +67,11 @@
 // order — so FitTrace, the factors and the swap counts are bit-for-bit
 // identical at every depth (raw store byte counters may include a few
 // wasted prefetch reads); only wall-clock time changes. Stores
-// (blockstore) are safe for concurrent use with atomic Puts and
-// private-copy Gets; the buffer manager documents its own contract in
-// internal/buffer. The top-level API itself follows the usual Go rule:
+// (blockstore) are safe for concurrent use with private-copy Gets and
+// write-backs that are atomic when they succeed; one that fails may leave
+// its unit's A torn until the retry rewrites it, which the store contract
+// (internal/blockstore.Store) shows nothing can read. The buffer manager
+// documents its own contract in internal/buffer. The top-level API itself follows the usual Go rule:
 // distinct Decompose calls may run concurrently (give each its own
 // StoreDir), but a single Options/Result value is not for shared mutation.
 // One caveat: the kernel-parallelism cap is a single process-global value,
@@ -237,8 +239,8 @@
 // manifest flips to "done". The Phase-2 data-unit store is scratch and
 // needs no crash consistency: on resume the units are rewritten from the
 // Phase-1 sub-factors and the checkpointed factors, so even the
-// in-memory store resumes correctly. A FileStore's files are made atomic
-// by rename and are never synced; Options.StoreDir may be lost or
+// in-memory store resumes correctly. A FileStore's files are written in
+// place and never synced; Options.StoreDir may be lost or
 // damaged across a crash — emptied, truncated, garbled — and the resume
 // is still bit-for-bit (CI destroys it between kill and resume). The
 // checkpoint directory is the only durable state of a run.

@@ -1,37 +1,40 @@
 package blockstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"math/bits"
+	"sync"
 
 	"twopcp/internal/mat"
 )
 
-// Binary layout of a serialized unit (little-endian):
+// Binary layout of a serialized unit (little-endian), the whole of a
+// FileStore unit file:
 //
-//	magic "TPUN"
-//	int32 mode, int32 part
-//	matrix A            (int32 rows, int32 cols, rows·cols float64)
-//	int32 number of U entries
-//	per entry: int32 block id, matrix
+//	magic "TPU2"
+//	int32 mode, part, rows, F (≥ 1), L
+//	A     rows·F float64, row-major
+//	slab  rows·(L·F) float64, row-major (Unit.Slab)
 //
-// Entries are written in ascending block-id order so the encoding is
-// deterministic (useful for content comparison in tests). FileStore keeps
-// a unit as two such encodings: an A part (zero U entries) and a U part
-// (a 0×0 A).
-const unitMagic = "TPUN"
+// The header fixes every offset, so the file's size is known from it to the
+// byte and A can be overwritten in place.
+const (
+	unitMagic       = "TPU2"
+	unitHeaderBytes = len(unitMagic) + 5*4
+	// codecChunk float64 move through a pooled byte buffer at a time: a
+	// unit of up to 128 KiB is one Read or one Write.
+	codecChunk = 16 << 10
+)
+
+// codecBuf pools byte buffers of a header and codecChunk values.
+var codecBuf = sync.Pool{New: func() any { b := make([]byte, unitHeaderBytes+8*codecChunk); return &b }}
 
 // WriteMatrix serializes one matrix (int32 rows, int32 cols, float64 data,
 // little-endian); shared with Phase-1's MapReduce sub-factor shuffle.
-func WriteMatrix(w io.Writer, m *mat.Matrix) error { return writeMatrix(w, m) }
-
-// ReadMatrix deserializes a matrix written by WriteMatrix.
-func ReadMatrix(r io.Reader) (*mat.Matrix, error) { return readMatrix(r) }
-
-func writeMatrix(w io.Writer, m *mat.Matrix) error {
+func WriteMatrix(w io.Writer, m *mat.Matrix) error {
 	hdr := [2]int32{int32(m.Rows), int32(m.Cols)}
 	if err := binary.Write(w, binary.LittleEndian, hdr[:]); err != nil {
 		return fmt.Errorf("blockstore: write matrix header: %w", err)
@@ -42,24 +45,14 @@ func writeMatrix(w io.Writer, m *mat.Matrix) error {
 	return nil
 }
 
-// maxDecodeBytes is the fallback matrix-payload budget when the caller
-// cannot bound the decode by an actual file size (2^34 bytes = 16 GiB of
-// float64). FileStore.Get always can, and passes the file's size instead,
-// so a damaged header can never trigger an allocation the file could not
-// possibly back.
+// maxDecodeBytes bounds the payload one matrix header may declare (2^34
+// bytes = 16 GiB of float64): ReadMatrix cannot know how long its input
+// is, so a damaged header fails as a decode error before it sizes an
+// allocation nothing could back.
 const maxDecodeBytes = int64(1) << 34
 
-func readMatrix(r io.Reader) (*mat.Matrix, error) {
-	budget := maxDecodeBytes
-	return readMatrixBudget(r, &budget)
-}
-
-// readMatrixBudget decodes one matrix, charging its declared payload
-// against *budget before allocating: a header that declares more float64
-// data than the budget has left is corrupt by construction (the budget is
-// the file size when known), and failing here turns what would be a fatal
-// multi-gigabyte allocation attempt into an ordinary decode error.
-func readMatrixBudget(r io.Reader, budget *int64) (*mat.Matrix, error) {
+// ReadMatrix deserializes a matrix written by WriteMatrix.
+func ReadMatrix(r io.Reader) (*mat.Matrix, error) {
 	var hdr [2]int32
 	if err := binary.Read(r, binary.LittleEndian, hdr[:]); err != nil {
 		return nil, fmt.Errorf("blockstore: read matrix header: %w", err)
@@ -69,12 +62,10 @@ func readMatrixBudget(r io.Reader, budget *int64) (*mat.Matrix, error) {
 	}
 	// Compare in elements to stay overflow-safe: rows·cols of two int32s
 	// fits int64, but the byte count may not.
-	elems := int64(hdr[0]) * int64(hdr[1])
-	if elems > *budget/8 {
-		return nil, fmt.Errorf("blockstore: matrix shape %d×%d declares %d elements, more than the %d-byte decode budget holds (corrupt header?)",
-			hdr[0], hdr[1], elems, *budget)
+	if elems := int64(hdr[0]) * int64(hdr[1]); elems > maxDecodeBytes/8 {
+		return nil, fmt.Errorf("blockstore: matrix shape %d×%d declares %d elements, more than the %d-byte decode limit holds (corrupt header?)",
+			hdr[0], hdr[1], elems, maxDecodeBytes)
 	}
-	*budget -= elems * 8
 	m := mat.New(int(hdr[0]), int(hdr[1]))
 	if err := binary.Read(r, binary.LittleEndian, m.Data); err != nil {
 		return nil, fmt.Errorf("blockstore: read matrix data: %w", err)
@@ -82,90 +73,104 @@ func readMatrixBudget(r io.Reader, budget *int64) (*mat.Matrix, error) {
 	return m, nil
 }
 
-// EncodeUnit serializes u to w.
+// writeFloats writes head, then the values of parts 8 bytes each, to w
+// through a pooled buffer: one Write when it all fits.
+func writeFloats(w io.Writer, head []byte, parts ...[]float64) error {
+	bp := codecBuf.Get().(*[]byte)
+	defer codecBuf.Put(bp)
+	buf := *bp
+	n := copy(buf, head)
+	for _, vals := range parts {
+		for len(vals) > 0 {
+			if len(buf)-n < 8 {
+				if _, err := w.Write(buf[:n]); err != nil {
+					return err
+				}
+				n = 0
+			}
+			k := min(len(vals), (len(buf)-n)/8)
+			for i, v := range vals[:k] {
+				binary.LittleEndian.PutUint64(buf[n+8*i:], math.Float64bits(v))
+			}
+			vals, n = vals[k:], n+8*k
+		}
+	}
+	_, err := w.Write(buf[:n])
+	return err
+}
+
+// EncodeUnit serializes u, whole, to w; a per-block U is packed first.
 func EncodeUnit(w io.Writer, u *Unit) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(unitMagic); err != nil {
-		return fmt.Errorf("blockstore: write magic: %w", err)
-	}
-	hdr := [2]int32{int32(u.Mode), int32(u.Part)}
-	if err := binary.Write(bw, binary.LittleEndian, hdr[:]); err != nil {
-		return fmt.Errorf("blockstore: write unit header: %w", err)
-	}
-	if err := writeMatrix(bw, u.A); err != nil {
+	slab, err := PackSlab(u)
+	if err != nil {
 		return err
 	}
-	ids := make([]int, 0, len(u.U))
-	for id := range u.U {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	if err := binary.Write(bw, binary.LittleEndian, int32(len(ids))); err != nil {
-		return fmt.Errorf("blockstore: write U count: %w", err)
-	}
-	for _, id := range ids {
-		if err := binary.Write(bw, binary.LittleEndian, int32(id)); err != nil {
-			return fmt.Errorf("blockstore: write block id: %w", err)
+	head := []byte(unitMagic)
+	for _, v := range [5]int{u.Mode, u.Part, u.A.Rows, u.A.Cols, slab.Cols / u.A.Cols} {
+		if int(int32(v)) != v {
+			return fmt.Errorf("%w: encode ⟨%d,%d⟩: header field %d does not fit int32", ErrShape, u.Mode, u.Part, v)
 		}
-		if err := writeMatrix(bw, u.U[id]); err != nil {
-			return err
-		}
+		head = binary.LittleEndian.AppendUint32(head, uint32(v))
 	}
-	return bw.Flush()
+	if err := writeFloats(w, head, u.A.Data, slab.Data); err != nil {
+		return fmt.Errorf("blockstore: write unit: %w", err)
+	}
+	return nil
 }
 
-// DecodeUnit deserializes a unit from r with the fallback decode budget.
-func DecodeUnit(r io.Reader) (*Unit, error) {
-	return DecodeUnitWithin(r, maxDecodeBytes)
+// parseUnitHeader checks the magic and returns the header's mode, part,
+// rows, F and L, none negative.
+func parseUnitHeader(b []byte) (hdr [5]int64, err error) {
+	if string(b[:len(unitMagic)]) != unitMagic {
+		return hdr, fmt.Errorf("blockstore: bad magic %q", b[:len(unitMagic)])
+	}
+	for i := range hdr {
+		hdr[i] = int64(int32(binary.LittleEndian.Uint32(b[len(unitMagic)+4*i:])))
+		if hdr[i] < 0 {
+			return hdr, fmt.Errorf("blockstore: negative unit header field %d", hdr[i])
+		}
+	}
+	return hdr, nil
 }
 
-// DecodeUnitWithin deserializes a unit whose encoding is at most maxBytes
-// long, so neither its matrix payload nor its U count can exceed what that
-// many bytes hold. FileStore.Get passes each part file's actual size, so
-// corrupt headers fail cleanly instead of sizing allocations from garbage.
-func DecodeUnitWithin(r io.Reader, maxBytes int64) (*Unit, error) {
-	if maxBytes <= 0 || maxBytes > maxDecodeBytes {
-		maxBytes = maxDecodeBytes
+// DecodeUnitWithin deserializes a unit from the size bytes r holds (a
+// file's real size). The header must account for size to the byte, and is
+// checked before anything is sized by it, so a damaged one fails cleanly
+// instead of attempting an allocation the input could not back. The unit's
+// A and Slab are two views of the one allocation.
+func DecodeUnitWithin(r io.Reader, size int64) (*Unit, error) {
+	if size < int64(unitHeaderBytes) {
+		return nil, fmt.Errorf("blockstore: %d bytes cannot hold a unit header", size)
 	}
-	budget := maxBytes
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(unitMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("blockstore: read magic: %w", err)
+	bp := codecBuf.Get().(*[]byte)
+	defer codecBuf.Put(bp)
+	buf := (*bp)[:min(size, int64(len(*bp)))]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, fmt.Errorf("blockstore: read unit: %w", err)
 	}
-	if string(magic) != unitMagic {
-		return nil, fmt.Errorf("blockstore: bad magic %q", magic)
-	}
-	var hdr [2]int32
-	if err := binary.Read(br, binary.LittleEndian, hdr[:]); err != nil {
-		return nil, fmt.Errorf("blockstore: read unit header: %w", err)
-	}
-	a, err := readMatrixBudget(br, &budget)
+	hdr, err := parseUnitHeader(buf)
 	if err != nil {
 		return nil, err
 	}
-	var n int32
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("blockstore: read U count: %w", err)
+	// 8·rows·F·(1+L) must be the payload's size; the product can pass 2^64.
+	over, want := bits.Mul64(uint64(hdr[2]*hdr[3]), uint64(8*(1+hdr[4])))
+	if hdr[3] == 0 || over != 0 || want != uint64(size-int64(unitHeaderBytes)) {
+		return nil, fmt.Errorf("blockstore: header declares %d×%d with %d slab blocks, which %d bytes do not hold exactly (corrupt header?)",
+			hdr[2], hdr[3], hdr[4], size)
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("blockstore: negative U count %d", n)
-	}
-	// An entry is at least a block id and a matrix header: 12 bytes.
-	if n > 1<<24 || int64(n) > maxBytes/12 {
-		return nil, fmt.Errorf("blockstore: U count %d is implausibly large (corrupt header?)", n)
-	}
-	u := &Unit{Mode: int(hdr[0]), Part: int(hdr[1]), A: a, U: make(map[int]*mat.Matrix, n)}
-	for i := int32(0); i < n; i++ {
-		var id int32
-		if err := binary.Read(br, binary.LittleEndian, &id); err != nil {
-			return nil, fmt.Errorf("blockstore: read block id: %w", err)
+	u, vals := newUnit(int(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3]), int(hdr[3]*hdr[4]))
+	buf = buf[unitHeaderBytes:]
+	for {
+		k := len(buf) / 8
+		for i := range vals[:k] {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 		}
-		m, err := readMatrixBudget(br, &budget)
-		if err != nil {
-			return nil, err
+		if vals = vals[k:]; len(vals) == 0 {
+			return u, nil
 		}
-		u.U[int(id)] = m
+		buf = (*bp)[:8*min(len(vals), codecChunk)]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, fmt.Errorf("blockstore: read unit: %w", err)
+		}
 	}
-	return u, nil
 }

@@ -38,12 +38,11 @@ func checkWhole(t *testing.T, u *Unit) {
 			return
 		}
 	}
-	m := u.U[7]
-	if len(u.U) != 1 || m == nil || len(m.Data) != 12 {
-		t.Errorf("Get lost the seeded U: %v", u.U)
+	if u.Slab == nil || len(u.Slab.Data) != 12 {
+		t.Errorf("Get lost the seeded U: %v", u.Slab)
 		return
 	}
-	for _, v := range m.Data {
+	for _, v := range u.Slab.Data {
 		if v != seedVal {
 			t.Errorf("U holds %g, want the seeded %g", v, float64(seedVal))
 			return
@@ -97,7 +96,7 @@ func hammerStore(t *testing.T, store Store) {
 				checkWhole(t, u)
 				// The copy is private: scribbling on it must not leak.
 				u.A.Data[0] = -1e9
-				u.U[7].Data[0] = -1e9
+				u.Slab.Data[0] = -1e9
 			}
 		}(r)
 	}

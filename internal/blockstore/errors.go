@@ -28,6 +28,6 @@ var (
 )
 
 // IsTransient reports whether err is worth retrying: it wraps
-// ErrTransient. Everything else — ErrNotFound, ErrCorrupt, ErrInjected,
-// ErrBreakerOpen, unclassified errors — is permanent.
+// ErrTransient. Everything else — ErrNotFound, ErrCorrupt, ErrShape,
+// ErrInjected, ErrBreakerOpen, unclassified errors — is permanent.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }

@@ -3,32 +3,31 @@ package blockstore
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 
-	"twopcp/internal/mat"
 	"twopcp/internal/tensor"
 )
 
-// FileStore is a Store that keeps two files per unit under a directory,
-// giving genuinely out-of-core Phase-2 runs: "unit-<mode>-<part>.u.tpun",
-// the slab's U matrices, written once by the unit's whole Put, and
-// "unit-<mode>-<part>.a.tpun", the A partition, which is all a write-back
-// replaces. Each file is an ordinary TPUN encoding (codec.go) of a unit
-// whose other half is empty.
+// FileStore is a Store that keeps one file per unit under a directory,
+// giving genuinely out-of-core Phase-2 runs: "unit-<mode>-<part>.tpun" is
+// header | A | slab (codec.go), laid down by the unit's whole Put; a
+// write-back overwrites the A region where it lies and nothing else.
 //
-// The directory is scratch: files are made atomic by rename and are never
-// synced, so after a crash it may hold anything. Every run rebuilds it
-// from the Phase-1 result and the checkpoint before reading it.
+// The directory is scratch: nothing is synced and an interrupted write
+// leaves a torn file, so after a crash it may hold anything. Every run
+// rebuilds it from the Phase-1 result and the checkpoint before reading it.
 type FileStore struct {
 	dir   string
 	mu    sync.Mutex
 	stats Stats
-	// replacing is held exclusively while a Put swaps a part file for its
-	// new version and shared while a Get opens one; see writePart.
-	replacing sync.RWMutex
+	// inPlace is held exclusively while a Put writes into a unit file and
+	// shared while a Get reads one: files change where they lie, so this
+	// is what keeps a Get from seeing half of a write-back.
+	inPlace sync.RWMutex
 }
 
 // NewFileStore creates (if needed) dir and returns a store rooted there.
@@ -39,29 +38,24 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return &FileStore{dir: dir}, nil
 }
 
-// partPath names one of a unit's two files; half is "a" or "u".
-func (s *FileStore) partPath(mode, part int, half string) string {
-	return filepath.Join(s.dir, fmt.Sprintf("unit-%d-%d.%s.tpun", mode, part, half))
+func (s *FileStore) unitPath(mode, part int) string {
+	return filepath.Join(s.dir, fmt.Sprintf("unit-%d-%d.tpun", mode, part))
 }
 
-// Put implements Store. Each file is written to a fresh temp file and
-// renamed into place (see writePart), so concurrent Puts of the same part
-// serialize into one complete version and concurrent Gets never observe a
-// torn file. A whole unit lands U part first: the A part is what makes a
-// unit exist for Get.
+// Put implements Store. Genuine filesystem errors are classified transient
+// (wrapping ErrTransient alongside the cause, so errors.Is sees both): a
+// retried Put writes every byte again, so repeating is safe and often
+// heals NFS-style hiccups.
 func (s *FileStore) Put(u *Unit) error {
-	if u.U != nil {
-		if err := s.writePart(s.partPath(u.Mode, u.Part, "u"), &Unit{Mode: u.Mode, Part: u.Part, A: &mat.Matrix{}, U: u.U}); err != nil {
+	write := s.writeWhole
+	if u.isAPart() {
+		write = s.writeA
+	}
+	if err := write(u); err != nil {
+		if errors.Is(err, ErrNotFound) || errors.Is(err, ErrCorrupt) || errors.Is(err, ErrShape) {
 			return err
 		}
-	} else if _, err := os.Stat(s.partPath(u.Mode, u.Part, "u")); err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("%w: A part of ⟨%d,%d⟩ before its whole unit", ErrNotFound, u.Mode, u.Part)
-		}
-		return fmt.Errorf("blockstore: put ⟨%d,%d⟩ (stat): %w: %w", u.Mode, u.Part, ErrTransient, err)
-	}
-	if err := s.writePart(s.partPath(u.Mode, u.Part, "a"), &Unit{Mode: u.Mode, Part: u.Part, A: u.A}); err != nil {
-		return err
+		return fmt.Errorf("blockstore: put ⟨%d,%d⟩: %w: %w", u.Mode, u.Part, ErrTransient, err)
 	}
 	s.mu.Lock()
 	s.stats.Writes++
@@ -70,77 +64,70 @@ func (s *FileStore) Put(u *Unit) error {
 	return nil
 }
 
-// writePart replaces the file at path with the encoding of u. Genuine
-// filesystem errors are classified transient (wrapping ErrTransient
-// alongside the cause, so errors.Is sees both): a retried Put starts over
-// from a fresh temp file, so repeating is safe and often heals NFS-style
-// hiccups.
-//
-// The old version is unlinked before the rename. ext4 flushes a file's
-// data to disk when it is renamed over an existing one (auto_da_alloc) —
-// crash safety for exactly this idiom, which scratch has no use for, and
-// at 100–180 µs the larger part of what a Put of an A part cost. The
-// instant in which the name has no file is hidden from Gets by replacing:
-// readPart opens under it, and a file once open outlives its name.
-func (s *FileStore) writePart(path string, u *Unit) error {
-	transient := func(stage string, err error) error {
-		return fmt.Errorf("blockstore: put ⟨%d,%d⟩ (%s): %w: %w", u.Mode, u.Part, stage, ErrTransient, err)
-	}
-	f, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp-*")
+// writeWhole creates or truncates the unit's file and encodes u into it;
+// a unit whose shapes do not fit is refused before the file is touched.
+func (s *FileStore) writeWhole(u *Unit) error {
+	slab, err := PackSlab(u)
 	if err != nil {
-		return transient("create", err)
+		return err
 	}
-	err = EncodeUnit(f, u)
+	s.inPlace.Lock()
+	defer s.inPlace.Unlock()
+	f, err := os.Create(s.unitPath(u.Mode, u.Part))
+	if err != nil {
+		return err
+	}
+	err = EncodeUnit(f, &Unit{Mode: u.Mode, Part: u.Part, A: u.A, Slab: slab})
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil {
-		s.replacing.Lock()
-		os.Remove(path) // absent on a unit's first Put; the rename is what must succeed
-		err = os.Rename(f.Name(), path)
-		s.replacing.Unlock()
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return transient("write", err)
-	}
-	return nil
+	return err
 }
 
-// Get implements Store: the A part, then the U part it belongs to. A part
-// file that exists but cannot be decoded — zero-length, truncated
-// mid-matrix, wrong magic or a header declaring an absurd shape — yields
-// ErrCorrupt rather than a raw decode error (or, worse, an attempted
-// allocation sized by garbage), and so does an A part whose U part is
-// missing: Puts are atomic and lay U down first, so either state means
-// on-disk damage, not an in-progress write.
+// writeA overwrites the A region of the unit's file with u.A, if the
+// file's header says this is the unit and the shape it was seeded with.
+func (s *FileStore) writeA(u *Unit) error {
+	s.inPlace.Lock()
+	defer s.inPlace.Unlock()
+	path := s.unitPath(u.Mode, u.Part)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("%w: A part of ⟨%d,%d⟩ before its whole unit", ErrNotFound, u.Mode, u.Part)
+		}
+		return err
+	}
+	defer f.Close()
+	var raw [unitHeaderBytes]byte
+	var hdr [5]int64
+	if _, err = f.ReadAt(raw[:], 0); err == nil {
+		hdr, err = parseUnitHeader(raw[:])
+	} else if err != io.EOF { // EOF: the file ends inside its header
+		return err
+	}
+	if err == nil && (hdr[0] != int64(u.Mode) || hdr[1] != int64(u.Part)) {
+		err = fmt.Errorf("file holds unit ⟨%d,%d⟩", hdr[0], hdr[1])
+	}
+	if err != nil {
+		return fmt.Errorf("%w: ⟨%d,%d⟩ (%s): %v", ErrCorrupt, u.Mode, u.Part, path, err)
+	}
+	if hdr[2] != int64(u.A.Rows) || hdr[3] != int64(u.A.Cols) {
+		return fmt.Errorf("%w: %d×%d A part for ⟨%d,%d⟩, seeded %d×%d", ErrShape, u.A.Rows, u.A.Cols, u.Mode, u.Part, hdr[2], hdr[3])
+	}
+	if err := writeFloats(io.NewOffsetWriter(f, int64(unitHeaderBytes)), nil, u.A.Data); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// Get implements Store: one open, one size, one read. A file that exists
+// but is not exactly this unit yields ErrCorrupt (see there) rather than a
+// raw decode error or, worse, an allocation sized by garbage.
 func (s *FileStore) Get(mode, part int) (*Unit, error) {
-	u, err := s.readPart(mode, part, "a")
-	if err != nil {
-		return nil, err
-	}
-	slab, err := s.readPart(mode, part, "u")
-	if errors.Is(err, ErrNotFound) {
-		err = fmt.Errorf("%w: ⟨%d,%d⟩ has an A part but no U part", ErrCorrupt, mode, part)
-	}
-	if err != nil {
-		return nil, err
-	}
-	u.U = slab.U
-	s.mu.Lock()
-	s.stats.Reads++
-	s.stats.BytesRead += u.Bytes()
-	s.mu.Unlock()
-	return u, nil
-}
-
-// readPart decodes one of a unit's two files; a missing file is
-// ErrNotFound, an undecodable one ErrCorrupt.
-func (s *FileStore) readPart(mode, part int, half string) (*Unit, error) {
-	path := s.partPath(mode, part, half)
-	s.replacing.RLock()
+	path := s.unitPath(mode, part)
+	s.inPlace.RLock()
+	defer s.inPlace.RUnlock()
 	f, err := os.Open(path)
-	s.replacing.RUnlock()
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("%w: ⟨%d,%d⟩", ErrNotFound, mode, part)
@@ -151,16 +138,21 @@ func (s *FileStore) readPart(mode, part int, half string) (*Unit, error) {
 		return nil, fmt.Errorf("blockstore: get ⟨%d,%d⟩ (open): %w: %w", mode, part, ErrTransient, err)
 	}
 	defer f.Close()
-	// Bound decode allocations by what the file could actually contain, so
-	// a garbage header cannot size a multi-gigabyte allocation.
-	var limit int64
-	if fi, err := f.Stat(); err == nil {
-		limit = fi.Size()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("blockstore: get ⟨%d,%d⟩ (stat): %w: %w", mode, part, ErrTransient, err)
 	}
-	u, err := DecodeUnitWithin(f, limit)
+	u, err := DecodeUnitWithin(f, fi.Size())
+	if err == nil && (u.Mode != mode || u.Part != part) {
+		err = fmt.Errorf("file holds unit ⟨%d,%d⟩", u.Mode, u.Part)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: ⟨%d,%d⟩ (%s): %v", ErrCorrupt, mode, part, path, err)
 	}
+	s.mu.Lock()
+	s.stats.Reads++
+	s.stats.BytesRead += u.Bytes()
+	s.mu.Unlock()
 	return u, nil
 }
 

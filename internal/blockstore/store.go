@@ -19,6 +19,8 @@ package blockstore
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"twopcp/internal/mat"
@@ -28,38 +30,114 @@ import (
 //
 // Phase 2 updates A in place and never touches U, so a unit has two parts
 // with different lifetimes: U is immutable after the unit's first Put, and
-// A is what every later write-back replaces. A Unit with a nil U is an A
-// part — see Store.Put.
+// A is what every later write-back replaces. A Unit with neither U nor
+// Slab is an A part — see Store.Put.
 type Unit struct {
 	Mode int // mode i
 	Part int // partition ki along mode i
 	// A is the sub-factor A(i)_(ki), (I_i/K_i)×F.
 	A *mat.Matrix
-	// U maps the linear block id of every block l in the mode-i slab
-	// [*,..,ki,..,*] to its Phase-1 sub-factor U(i)_l.
+	// U is the per-block form a whole Put may be handed: the linear block
+	// id of every block l in the mode-i slab [*,..,ki,..,*] mapped to its
+	// Phase-1 sub-factor U(i)_l, each shaped like A. A Get never sets it.
 	U map[int]*mat.Matrix
+	// Slab is the same U(i)_l packed — one row-major rows×(L·F) matrix,
+	// the L blocks side by side in ascending block id (grid.Pattern.Slab
+	// order) — and wins over U when both are set. It is the layout of the
+	// file, of the buffer and of the Phase-2 kernels' operand; a Get
+	// returns A and Slab as two views of one allocation.
+	Slab *mat.Matrix
+	buf  []float64 // that allocation, kept for Recycle
 }
 
-// Bytes returns the payload size in bytes (8 bytes per float64).
+// Bytes returns the payload size in bytes (8 bytes per float64); the two
+// forms of U count the same.
 func (u *Unit) Bytes() int64 {
 	n := int64(len(u.A.Data))
-	for _, m := range u.U {
-		n += int64(len(m.Data))
+	if u.Slab != nil {
+		n += int64(len(u.Slab.Data))
+	} else {
+		for _, m := range u.U {
+			n += int64(len(m.Data))
+		}
 	}
 	return n * 8
 }
 
-// clone deep-copies the unit so store and caller never alias. A nil U (an
-// A part) stays nil.
-func (u *Unit) clone() *Unit {
-	c := &Unit{Mode: u.Mode, Part: u.Part, A: u.A.Clone()}
-	if u.U != nil {
-		c.U = make(map[int]*mat.Matrix, len(u.U))
-		for id, m := range u.U {
-			c.U[id] = m.Clone()
+// isAPart reports whether u carries A alone: a write-back.
+func (u *Unit) isAPart() bool { return u.U == nil && u.Slab == nil }
+
+// ErrShape is returned by a Put whose matrices do not fit together: an A
+// without columns, a U block shaped unlike A, a Slab that is not
+// rows×(L·F), or an A part shaped unlike the seeded A — after which a Get
+// would return an A that no longer matches its U. Permanent: a caller bug.
+var ErrShape = errors.New("blockstore: unit shape mismatch")
+
+// PackSlab returns u's U in the packed form: u.Slab itself when set (after
+// a shape check), otherwise a fresh matrix holding the blocks of u.U side
+// by side in ascending block id. It is the only conversion between the two
+// forms; block ids are not kept — the packed order is the pattern's.
+func PackSlab(u *Unit) (*mat.Matrix, error) {
+	rows, f := u.A.Rows, u.A.Cols
+	misfit := func(what string, m *mat.Matrix) error {
+		return fmt.Errorf("%w: ⟨%d,%d⟩ has a %d×%d A and a %d×%d %s", ErrShape, u.Mode, u.Part, rows, f, m.Rows, m.Cols, what)
+	}
+	if f == 0 {
+		return nil, misfit("A, which has no columns", u.A)
+	}
+	if s := u.Slab; s != nil {
+		if s.Rows != rows || s.Cols%f != 0 {
+			return nil, misfit("slab", s)
+		}
+		return s, nil
+	}
+	w := len(u.U) * f
+	slab := mat.New(rows, w)
+	for l, id := range slices.Sorted(maps.Keys(u.U)) {
+		m := u.U[id]
+		if m.Rows != rows || m.Cols != f {
+			return nil, misfit(fmt.Sprintf("U for block %d", id), m)
+		}
+		for i := 0; i < rows; i++ {
+			copy(slab.Data[i*w+l*f:], m.Row(i))
 		}
 	}
-	return c
+	return slab, nil
+}
+
+// unitBufs holds the allocations of recycled units. A Get allocates its
+// unit's size in bytes; at a swap per update that rate, not the live data,
+// is what sets the heap's size, so the buffer manager hands back what it
+// evicts.
+var unitBufs sync.Pool
+
+// newUnit returns a unit whose A (rows×f) and Slab (rows×slabCols) are two
+// views of one allocation, A first, and that allocation, which the caller
+// must fill: it may be a recycled one.
+func newUnit(mode, part, rows, f, slabCols int) (*Unit, []float64) {
+	n, na := rows*(f+slabCols), rows*f
+	data, _ := unitBufs.Get().([]float64)
+	if cap(data) < n {
+		data = make([]float64, n)
+	}
+	data = data[:n]
+	return &Unit{
+		Mode: mode, Part: part,
+		A:    mat.FromSlice(rows, f, data[:na:na]),
+		Slab: mat.FromSlice(rows, slabCols, data[na:]),
+		buf:  data,
+	}, data
+}
+
+// Recycle gives the allocation behind a unit that a Get returned to a later
+// Get. The caller must hold the last reference to the unit, to the A it was
+// fetched with and to its Slab; the unit has neither afterwards. On any
+// other unit it does nothing.
+func (u *Unit) Recycle() {
+	if u.buf != nil {
+		unitBufs.Put(u.buf)
+		u.buf, u.A, u.Slab = nil, nil, nil
+	}
 }
 
 // Stats counts store traffic. Reads/Writes count operations; the byte
@@ -94,12 +172,12 @@ func (s *Stats) Add(other Stats) {
 // were never Put whole.
 var ErrNotFound = errors.New("blockstore: unit not found")
 
-// ErrCorrupt is returned by FileStore.Get for unit files that exist but
-// cannot be decoded — zero-length or truncated files, bad magic or absurd
-// declared shapes — and for an A part whose U part is gone. It is distinct
-// from ErrNotFound so callers can tell "never written" from "written but
-// damaged": the first is often a caller bug, the second is data loss that
-// must not be papered over.
+// ErrCorrupt is returned by FileStore for unit files that exist but are
+// not exactly one unit — zero-length or truncated, bad magic, a header
+// that does not account for the file's size to the byte or names another
+// unit. It is distinct from ErrNotFound so callers can tell "never
+// written" from "written but damaged": the first is often a caller bug,
+// the second is data loss that must not be papered over.
 var ErrCorrupt = errors.New("blockstore: corrupt unit")
 
 // Store persists data units and counts the I/O they generate.
@@ -113,18 +191,26 @@ var ErrCorrupt = errors.New("blockstore: corrupt unit")
 // single store. The guarantees callers may rely on:
 //
 //   - U is immutable after the unit's first Put. That first, whole-unit
-//     Put (non-nil U) is a set-up operation: it lays down U, then A, and
-//     is not atomic as a pair against a concurrent Get of the same unit —
-//     Phase 2 seeds every unit before its buffer manager exists.
-//   - An A-part Put (nil U) replaces A and leaves the stored U in place.
-//     It is atomic: a concurrent Get of the same unit observes either the
-//     previous complete A or the new complete A, each with the seeded U,
-//     never a torn write (MemStore swaps a copy under its mutex;
-//     FileStore writes a temp file and renames it into the A part's
-//     place, and never rewrites the U part). The guarantee is between
-//     users of one store value, not between processes sharing a
-//     directory. On a unit that was never Put whole it fails with
-//     ErrNotFound — no Get ever returns a unit missing its U.
+//     Put (U or Slab set) is a set-up operation: it lays down A and the
+//     packed slab and fixes the unit's shape — Phase 2 seeds every unit
+//     before its buffer manager exists.
+//   - An A-part Put (neither U nor Slab) replaces A and leaves the slab in
+//     place. When it succeeds it is atomic: a concurrent Get of the same
+//     unit observes the previous complete A or the new one, each with the
+//     seeded slab, never a torn write (MemStore swaps a copy under its
+//     mutex; FileStore overwrites the file's A region under a lock it
+//     holds exclusively and a Get's read holds shared) — between users of
+//     one store value, not between processes sharing a directory. On a
+//     unit never Put whole it fails with ErrNotFound, on an A shaped
+//     unlike the seeded one with ErrShape: no Get ever returns a unit
+//     whose A and slab do not fit.
+//   - When it fails, the stored A may be torn — part old, part new —
+//     until a retry rewrites it whole. That is safe: the store is scratch
+//     and nothing reads a unit in that state. The buffer manager does not
+//     fetch a unit again before its write-back, retries included, has
+//     finished, and a write-back failure that surfaces ends the run,
+//     whose emergency checkpoint takes its factors from the engine's
+//     memory, not from the store.
 //   - Get returns a private copy: mutating the result never affects the
 //     store or other readers, so two goroutines may fetch the same unit
 //     and diverge safely.
@@ -139,12 +225,12 @@ var ErrCorrupt = errors.New("blockstore: corrupt unit")
 //   - Close must only be called after all outstanding operations have
 //     drained; it is not a cancellation mechanism.
 type Store interface {
-	// Put stores the unit — whole when u.U is non-nil, only its A part
-	// when u.U is nil — replacing what was stored; see the contract
+	// Put stores the unit — whole when u.U or u.Slab is set, only its A
+	// part when neither is — replacing what was stored; see the contract
 	// above. Stats count the bytes of what was passed: u.Bytes().
 	Put(u *Unit) error
-	// Get fetches the whole unit for (mode, part), A and U; the result is
-	// owned by the caller (mutations do not write through).
+	// Get fetches the whole unit for (mode, part), A and the packed Slab;
+	// the result is owned by the caller (mutations do not write through).
 	Get(mode, part int) (*Unit, error)
 	// Stats returns a snapshot of the I/O counters.
 	Stats() Stats
@@ -191,11 +277,12 @@ func ForEachConcurrent(n, workers int, fn func(i int) error) error {
 type unitKey struct{ mode, part int }
 
 // MemStore is an in-memory Store with disk semantics: what a Put passes is
-// deep-copied, and so is what a Get returns, so callers observe exactly the
+// copied, and so is what a Get returns, so callers observe exactly the
 // behaviour of a file-backed store while experiments measure pure I/O
 // counts. The copies are made outside the lock on Put and the map swap is
 // atomic, so concurrent readers never see a partially-copied unit. Stored
-// versions of a unit share one U map: it is never written after seeding.
+// versions of a unit share one packed slab: it is never written after
+// seeding.
 type MemStore struct {
 	mu    sync.Mutex
 	units map[unitKey]*Unit
@@ -209,16 +296,29 @@ func NewMemStore() *MemStore {
 
 // Put implements Store.
 func (s *MemStore) Put(u *Unit) error {
-	c := u.clone()
+	c := &Unit{Mode: u.Mode, Part: u.Part, A: u.A.Clone()}
+	if !u.isAPart() {
+		slab, err := PackSlab(u)
+		if err != nil {
+			return err
+		}
+		if slab == u.Slab {
+			slab = slab.Clone()
+		}
+		c.Slab = slab
+	}
 	key := unitKey{u.Mode, u.Part}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c.U == nil {
+	if c.Slab == nil {
 		seeded, ok := s.units[key]
 		if !ok {
 			return fmt.Errorf("%w: A part of ⟨%d,%d⟩ before its whole unit", ErrNotFound, u.Mode, u.Part)
 		}
-		c.U = seeded.U
+		if c.A.Rows != seeded.A.Rows || c.A.Cols != seeded.A.Cols {
+			return fmt.Errorf("%w: %d×%d A part for ⟨%d,%d⟩, seeded %d×%d", ErrShape, c.A.Rows, c.A.Cols, u.Mode, u.Part, seeded.A.Rows, seeded.A.Cols)
+		}
+		c.Slab = seeded.Slab
 	}
 	s.units[key] = c
 	s.stats.Writes++
@@ -236,7 +336,9 @@ func (s *MemStore) Get(mode, part int) (*Unit, error) {
 	}
 	s.stats.Reads++
 	s.stats.BytesRead += u.Bytes()
-	return u.clone(), nil
+	c, data := newUnit(mode, part, u.A.Rows, u.A.Cols, u.Slab.Cols)
+	copy(data[copy(data, u.A.Data):], u.Slab.Data)
+	return c, nil
 }
 
 // Stats implements Store.

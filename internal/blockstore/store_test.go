@@ -2,9 +2,11 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -26,16 +28,12 @@ func testUnit(rng *rand.Rand) *Unit {
 	}
 }
 
+// unitsEqual compares A and the packed slab, whichever form of U each
+// unit carries: block ids do not survive a store, their order does.
 func unitsEqual(a, b *Unit) bool {
-	if a.Mode != b.Mode || a.Part != b.Part || !a.A.Equal(b.A) || len(a.U) != len(b.U) {
-		return false
-	}
-	for id, m := range a.U {
-		if bm, ok := b.U[id]; !ok || !m.Equal(bm) {
-			return false
-		}
-	}
-	return true
+	sa, erra := PackSlab(a)
+	sb, errb := PackSlab(b)
+	return erra == nil && errb == nil && a.Mode == b.Mode && a.Part == b.Part && a.A.Equal(b.A) && sa.Equal(sb)
 }
 
 func TestUnitBytes(t *testing.T) {
@@ -117,13 +115,55 @@ func storeContract(t *testing.T, s Store) {
 	if want := (&Unit{Mode: 1, Part: 2, A: u3.A, U: u2.U}); !unitsEqual(got, want) {
 		t.Fatal("A-part Put: Get is not the new A with the seeded U")
 	}
-	// Stats: 4 gets (the two failed ones not counted), 3 puts (the refused
-	// one not counted), bytes as passed: two whole units and one A.
+	// An A part shaped unlike the seeded A would leave a unit whose A no
+	// longer fits its U: refused for good, and nothing changes.
+	for _, shape := range [][2]int{{5, 3}, {4, 2}, {3, 4}, {0, 0}} {
+		bad := &Unit{Mode: 1, Part: 2, A: mat.New(shape[0], shape[1])}
+		if err := s.Put(bad); !errors.Is(err, ErrShape) || IsTransient(err) {
+			t.Fatalf("%d×%d A-part Put onto a 4×3 unit: err = %v, want ErrShape", shape[0], shape[1], err)
+		}
+	}
+	if err := s.Put(&Unit{Mode: 1, Part: 2, A: u3.A, U: map[int]*mat.Matrix{0: mat.New(5, 3)}}); !errors.Is(err, ErrShape) {
+		t.Fatalf("whole Put with a U block unlike its A: err = %v, want ErrShape", err)
+	}
+	if got, err = s.Get(1, 2); err != nil || !unitsEqual(got, &Unit{Mode: 1, Part: 2, A: u3.A, U: u2.U}) {
+		t.Fatalf("refused Puts changed the unit (err %v)", err)
+	}
+	if got.U != nil || got.Slab.Rows != 4 || got.Slab.Cols != 3*3 {
+		t.Fatalf("Get returned U %v and a %d×%d slab, want the packed 4×9 form alone", got.U, got.Slab.Rows, got.Slab.Cols)
+	}
+	// A packed whole Put is the per-block one, block for block.
+	packed, err := PackSlab(u2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(&Unit{Mode: 1, Part: 2, A: u2.A, Slab: packed}); err != nil {
+		t.Fatal(err)
+	}
+	packed.Data[0] = 12345 // the store took a copy
+	if got, err = s.Get(1, 2); err != nil || !unitsEqual(got, u2) {
+		t.Fatalf("packed whole Put: Get differs from the per-block unit (err %v)", err)
+	}
+	// A recycled unit's storage may back the next Get, which must not show
+	// what the last owner left in it; a unit no Get returned is left alone.
+	for i := range got.Slab.Data {
+		got.Slab.Data[i] = -1
+	}
+	got.Recycle()
+	if got.A != nil || got.Slab != nil {
+		t.Fatal("a recycled unit still refers to its storage")
+	}
+	u2.Recycle()
+	if got, err = s.Get(1, 2); err != nil || !unitsEqual(got, u2) {
+		t.Fatalf("Get after a Recycle differs from the stored unit (err %v)", err)
+	}
+	// Stats: 7 gets (the two failed ones not counted), 4 puts (the refused
+	// ones not counted), bytes as passed: three whole units and one A.
 	st := s.Stats()
-	if st.Reads != 4 || st.Writes != 3 {
+	if st.Reads != 7 || st.Writes != 4 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.BytesRead != 4*u.Bytes() || st.BytesWritten != 2*u.Bytes()+aPart(u).Bytes() {
+	if st.BytesRead != 7*u.Bytes() || st.BytesWritten != 3*u.Bytes()+aPart(u).Bytes() {
 		t.Fatalf("byte stats = %+v", st)
 	}
 	s.ResetStats()
@@ -149,17 +189,27 @@ func TestFileStoreContract(t *testing.T) {
 
 func TestEncodeDecodeUnit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	u := testUnit(rng)
-	var buf bytes.Buffer
-	if err := EncodeUnit(&buf, u); err != nil {
-		t.Fatal(err)
+	// The second unit takes several trips through the codec's buffer, and
+	// its size is no multiple of the buffer's.
+	big := &Unit{Mode: 2, Part: 0, A: mat.Random(301, 16, rng), U: map[int]*mat.Matrix{}}
+	for b := 0; b < 8; b++ {
+		big.U[3*b] = mat.Random(301, 16, rng)
 	}
-	got, err := DecodeUnit(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !unitsEqual(got, u) {
-		t.Fatal("codec round trip failed")
+	for _, u := range []*Unit{testUnit(rng), big} {
+		var buf bytes.Buffer
+		if err := EncodeUnit(&buf, u); err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(unitHeaderBytes) + u.Bytes(); int64(buf.Len()) != want {
+			t.Fatalf("encoding is %d bytes, want header + payload = %d", buf.Len(), want)
+		}
+		got, err := DecodeUnitWithin(&buf, int64(buf.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !unitsEqual(got, u) {
+			t.Fatal("codec round trip failed")
+		}
 	}
 }
 
@@ -179,8 +229,9 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 func TestDecodeUnitBadMagic(t *testing.T) {
-	if _, err := DecodeUnit(strings.NewReader("NOPE")); err == nil {
-		t.Fatal("expected error")
+	bad := "NOPE" + strings.Repeat("\x00", unitHeaderBytes-4)
+	if _, err := DecodeUnitWithin(strings.NewReader(bad), int64(len(bad))); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("err = %v, want a bad-magic error", err)
 	}
 }
 
@@ -191,8 +242,12 @@ func TestDecodeUnitTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := DecodeUnit(bytes.NewReader(data[:len(data)-4])); err == nil {
+	if _, err := DecodeUnitWithin(bytes.NewReader(data[:len(data)-4]), int64(len(data)-4)); err == nil {
 		t.Fatal("expected error for truncated unit")
+	}
+	// A size the reader cannot deliver is an error too, not a short unit.
+	if _, err := DecodeUnitWithin(bytes.NewReader(data[:len(data)-8]), int64(len(data))); err == nil {
+		t.Fatal("expected error for a reader shorter than its declared size")
 	}
 }
 
@@ -221,9 +276,8 @@ func TestFileStorePersistsAcrossInstances(t *testing.T) {
 }
 
 func TestFileStorePutLeavesNoTempFiles(t *testing.T) {
-	// Puts must land exactly the unit's two part files, fully written: no
-	// temp-file debris (a crash between create and rename is the only
-	// state that may leave one, and a fresh Put replaces it atomically).
+	// Puts must land exactly the unit's one file: whole Puts and
+	// write-backs alike go to it, not through anything beside it.
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(7))
 	s, err := NewFileStore(dir)
@@ -247,14 +301,15 @@ func TestFileStorePutLeavesNoTempFiles(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if want := []string{"unit-1-2.a.tpun", "unit-1-2.u.tpun"}; !slices.Equal(names, want) {
+	if want := []string{"unit-1-2.tpun"}; !slices.Equal(names, want) {
 		t.Fatalf("store dir has %v, want %v", names, want)
 	}
 }
 
 // TestFileStoreWriteBackLeavesUPartAlone pins the write-once half of the
-// layout: an A-part Put touches no byte of the U part, and puts on disk
-// what it counts — the A part's file, nothing else.
+// layout: an A-part Put writes into the file the whole Put made — the same
+// inode, the same size — and changes the bytes of the A region and no
+// others.
 func TestFileStoreWriteBackLeavesUPartAlone(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(8))
@@ -265,44 +320,35 @@ func TestFileStoreWriteBackLeavesUPartAlone(t *testing.T) {
 	if err := s.Put(testUnit(rng)); err != nil {
 		t.Fatal(err)
 	}
-	list := func() map[string]os.FileInfo {
-		entries, err := os.ReadDir(dir)
+	path := filepath.Join(dir, "unit-1-2.tpun")
+	read := func() (os.FileInfo, []byte) {
+		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		infos := make(map[string]os.FileInfo)
-		for _, e := range entries {
-			if infos[e.Name()], err = e.Info(); err != nil {
-				t.Fatal(err)
-			}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return infos
+		return fi, data
 	}
-	before := list()
+	wasInfo, was := read()
 	part := aPart(testUnit(rng))
 	if err := s.Put(part); err != nil {
 		t.Fatal(err)
 	}
-	after := list()
-	if len(after) != len(before) {
-		t.Fatalf("A-part Put changed the file set: %d files, was %d", len(after), len(before))
+	isInfo, is := read()
+	if !os.SameFile(wasInfo, isInfo) || len(is) != len(was) {
+		t.Fatalf("A-part Put replaced or resized the file: %d bytes, was %d", len(is), len(was))
 	}
-	for name, was := range before {
-		is, ok := after[name]
-		if !ok {
-			t.Fatalf("A-part Put removed %s", name)
-		}
-		same := os.SameFile(was, is) && is.ModTime().Equal(was.ModTime())
-		if replaced := name == "unit-1-2.a.tpun"; same == replaced {
-			t.Fatalf("%s: unchanged = %v, want the A part and only the A part replaced", name, same)
-		}
+	aEnd := unitHeaderBytes + int(part.Bytes())
+	if !bytes.Equal(is[:unitHeaderBytes], was[:unitHeaderBytes]) || !bytes.Equal(is[aEnd:], was[aEnd:]) {
+		t.Fatal("A-part Put changed bytes outside the A region")
 	}
-	var enc bytes.Buffer
-	if err := EncodeUnit(&enc, part); err != nil {
-		t.Fatal(err)
-	}
-	if got := after["unit-1-2.a.tpun"].Size(); got != int64(enc.Len()) {
-		t.Fatalf("A part is %d bytes on disk, its encoding is %d", got, enc.Len())
+	var want bytes.Buffer
+	binary.Write(&want, binary.LittleEndian, part.A.Data)
+	if !bytes.Equal(is[unitHeaderBytes:aEnd], want.Bytes()) {
+		t.Fatal("the A region is not the A that was Put")
 	}
 }
 

@@ -358,7 +358,9 @@ func (m *Manager) Prefetch(mode, part int) {
 // order when using the Forward policy. A miss whose unit is in flight from
 // a Prefetch waits for that fetch instead of reading the store again; it
 // still counts as a fetch ("data swap") because the buffer did not hold
-// the unit when it was demanded.
+// the unit when it was demanded. The unit is the caller's to use until the
+// matching Release: once evicted, its storage is recycled into a later
+// fetch.
 func (m *Manager) Acquire(mode, part int) (*blockstore.Unit, error) {
 	id := schedule.UnitID(m.pattern, mode, part)
 	m.mu.Lock()
@@ -542,11 +544,11 @@ func (m *Manager) nextUseDistance(id, pos int) int {
 	return occ[0] + n - pos
 }
 
-// evict drops the unit. A dirty unit is written back: inline in
-// synchronous mode, otherwise as a background job (returned for the
-// caller to enqueue outside the lock). The WriteBacks counter increments
-// at eviction time in both modes, so statistics do not depend on I/O
-// timing. Called with mu held.
+// evict drops the unit and recycles its allocation. A dirty unit is
+// written back first: inline in synchronous mode, otherwise as a
+// background job (returned for the caller to enqueue outside the lock).
+// The WriteBacks counter increments at eviction time in both modes, so
+// statistics do not depend on I/O timing. Called with mu held.
 func (m *Manager) evict(id int) (func(), error) {
 	e := m.resident[id]
 	var job func()
@@ -576,6 +578,7 @@ func (m *Manager) evict(id int) (func(), error) {
 					<-prev
 				}
 				err := m.writeBack(u)
+				u.Recycle()
 				m.mu.Lock()
 				if err != nil && m.wbErr == nil {
 					m.wbErr = err
@@ -596,6 +599,12 @@ func (m *Manager) evict(id int) (func(), error) {
 	if m.tele.Tracing() {
 		m.tele.Emit("buffer.evict",
 			obs.Int("mode", e.unit.Mode), obs.Int("part", e.unit.Part))
+	}
+	if job == nil {
+		// Nothing refers to an evicted unit once it is written back (the
+		// background job does this for itself): callers keep one only
+		// while it is pinned.
+		e.unit.Recycle()
 	}
 	return job, nil
 }

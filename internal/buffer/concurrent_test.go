@@ -114,7 +114,7 @@ func hammerManager(t *testing.T, p *grid.Pattern, store blockstore.Store, capaci
 			if err != nil {
 				t.Fatalf("unit ⟨%d,%d⟩ unreadable after concurrent run: %v", i, ki, err)
 			}
-			if u.A == nil || len(u.U) != p.SlabSize(i) {
+			if u.A == nil || u.Slab == nil || u.Slab.Cols != p.SlabSize(i)*u.A.Cols {
 				t.Fatalf("unit ⟨%d,%d⟩ malformed after concurrent run", i, ki)
 			}
 		}

@@ -194,15 +194,11 @@ func TMulInto(dst, a, b *Matrix) {
 	putScratch(sp)
 }
 
-// tmulAcc accumulates aᵀb over rows [lo, hi) into buf (a.Cols×b.Cols).
+// tmulAcc accumulates aᵀb over rows [lo, hi) into buf (a.Cols×b.Cols): one
+// rank-one update a[i,:] ⊗ b[i,:] per row, in ascending i.
 func tmulAcc(buf []float64, a, b *Matrix, lo, hi int) {
-	bc := b.Cols
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		brow := b.Row(i)
-		for j, av := range arow {
-			Axpy(buf[j*bc:(j+1)*bc], brow, av)
-		}
+		OuterAdd(buf, b.Row(i), a.Row(i), b.Cols)
 	}
 }
 

@@ -106,6 +106,43 @@ func TestTMulMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestTMulIntoBitsMatchScalarDefinition pins TMulInto's arithmetic, not
+// just its value: dst[j,c] is the front-to-back sum over the rows of one
+// 256-row panel of a[i,j]·b[i,c], and panels are added in ascending order
+// into a zeroed dst. Phase 2 computes every P component through it, so a
+// kernel that reassociates the sum would move every golden.
+func TestTMulIntoBitsMatchScalarDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, rows := range []int{1, 7, 255, 256, 257, 600} {
+		for _, shape := range [][2]int{{1, 1}, {3, 3}, {16, 4}, {52, 13}, {64, 16}} {
+			ac, bc := shape[0], shape[1]
+			a, b := RandomNormal(rows, ac, rng), RandomNormal(rows, bc, rng)
+			want := make([]float64, ac*bc)
+			for lo := 0; lo < rows; lo += reducePanelRows {
+				panel := make([]float64, ac*bc)
+				for i := lo; i < min(lo+reducePanelRows, rows); i++ {
+					for j := 0; j < ac; j++ {
+						for c := 0; c < bc; c++ {
+							panel[j*bc+c] += a.At(i, j) * b.At(i, c)
+						}
+					}
+				}
+				if rows <= reducePanelRows {
+					want = panel
+				} else {
+					axpyGeneric(want, panel, 1)
+				}
+			}
+			got := TMul(a, b)
+			for i, g := range got.Data {
+				if math.Float64bits(g) != math.Float64bits(want[i]) {
+					t.Fatalf("%d rows, %d×%d: [%d] = %x, scalar definition %x", rows, ac, bc, i, math.Float64bits(g), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 func TestHadamard(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{2, 2}, {0.5, -1}})

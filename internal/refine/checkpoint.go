@@ -103,7 +103,7 @@ func (e *Engine) saveCheckpoint(nextStep, pos, updates int, res *Result, prevFit
 
 // restoreFromState installs a validated checkpoint into a freshly built
 // engine: the buffer snapshot is reloaded from the store (the units were
-// just re-seeded from the checkpointed A by prepareUnits), the store's
+// just re-seeded from the checkpointed A by seedUnits), the store's
 // counters are zeroed so restoration traffic never double-counts, and the
 // checkpoint's cumulative statistics become the engine's offsets.
 func (e *Engine) restoreFromState(st *runstate.Phase2State) error {

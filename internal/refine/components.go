@@ -32,8 +32,11 @@ import (
 type components struct {
 	pattern *grid.Pattern
 	rank    int
-	// p[blockID][mode] = U(mode)ᵀ_l A(mode)_(l_mode); the per-mode factor
-	// of the paper's P_l.
+	// pstack[mode][part] = Slabᵀ·A(mode)_(part) for the unit's packed slab:
+	// (L·F)×F, the product of the slab's l-th block in rows l·F….
+	pstack [][]*mat.Matrix
+	// p[blockID][mode] = U(mode)ᵀ_l A(mode)_(l_mode), the per-mode factor of
+	// the paper's P_l: block l's F rows of pstack[mode][l_mode], as a view.
 	p [][]*mat.Matrix
 	// ugram[blockID][mode] = U(mode)ᵀ_l U(mode)_l, fixed after Phase 1;
 	// used for the I/O-free surrogate fit.
@@ -46,16 +49,18 @@ type components struct {
 	// SurrogateFit scratch, reused across termination checks (the engine
 	// runs single-threaded, so plain fields suffice): two F×F Hadamard
 	// accumulators, the all-ones weight vector and a block-vector buffer.
+	// qOfBlock is sTermInto's: one block's Q factors, by mode.
 	fitCross *mat.Matrix
 	fitModel *mat.Matrix
 	fitOnes  []float64
 	fitVec   []int
+	qOfBlock []*mat.Matrix
 }
 
 func newComponents(p1 *phase1.Result) *components {
 	p := p1.Pattern
-	n := p.NModes()
-	c := &components{pattern: p, rank: p1.Rank}
+	n, f := p.NModes(), p1.Rank
+	c := &components{pattern: p, rank: f}
 	c.p = make([][]*mat.Matrix, p.NumBlocks())
 	c.ugram = make([][]*mat.Matrix, p.NumBlocks())
 	for id := range c.p {
@@ -65,62 +70,48 @@ func newComponents(p1 *phase1.Result) *components {
 			c.ugram[id][m] = mat.Gram(p1.Sub[id][m])
 		}
 	}
+	c.pstack = make([][]*mat.Matrix, n)
 	c.q = make([][]*mat.Matrix, n)
 	for m := 0; m < n; m++ {
+		c.pstack[m] = make([]*mat.Matrix, p.K[m])
 		c.q[m] = make([]*mat.Matrix, p.K[m])
+		for part := range c.q[m] {
+			c.q[m][part] = mat.New(f, f)
+			slab := p.Slab(m, part)
+			stack := mat.New(len(slab)*f, f)
+			c.pstack[m][part] = stack
+			for l, id := range slab {
+				c.p[id][m] = mat.FromSlice(f, f, stack.Data[l*f*f:(l+1)*f*f])
+			}
+		}
 	}
-	c.fitCross = mat.New(p1.Rank, p1.Rank)
-	c.fitModel = mat.New(p1.Rank, p1.Rank)
-	c.fitOnes = onesVec(p1.Rank)
+	c.fitCross = mat.New(f, f)
+	c.fitModel = mat.New(f, f)
+	c.fitOnes = onesVec(f)
 	c.fitVec = make([]int, n)
+	c.qOfBlock = make([]*mat.Matrix, n)
 	// ‖[[U_l]]‖² = 1ᵀ(⊛_h U(h)ᵀU(h))1 per block.
 	for id := range c.ugram {
-		hadamardAllModesInto(c.fitCross, c.ugram[id], -1)
+		hadamardInto(c.fitCross.Data, c.ugram[id], -1)
 		c.unorm2 += mat.QuadForm(c.fitCross, c.fitOnes, c.fitOnes)
 	}
 	return c
 }
 
 // setA refreshes the components that depend on A(mode)_(part): the Gram
-// q[mode][part] and, for every block l in the mode slab, p[l][mode] given
-// that block's U(mode)_l (supplied by the caller from the acquired unit).
-func (c *components) setA(mode, part int, a *mat.Matrix, slabU map[int]*mat.Matrix) {
-	if c.q[mode][part] == nil {
-		c.q[mode][part] = mat.New(c.rank, c.rank)
-	}
+// q[mode][part] and, through one product against the unit's packed slab,
+// p[l][mode] for every block l of the mode slab.
+func (c *components) setA(mode, part int, a, slab *mat.Matrix) {
 	mat.GramInto(c.q[mode][part], a)
-	for _, id := range c.pattern.Slab(mode, part) {
-		u := slabU[id]
-		if c.p[id][mode] == nil {
-			c.p[id][mode] = mat.New(c.rank, c.rank)
-		}
-		mat.TMulInto(c.p[id][mode], u, a)
-	}
+	mat.TMulInto(c.pstack[mode][part], slab, a)
 }
 
-// gammaInto computes Γ_l^(i) = ⊛_{h≠i} P[l][h] — the paper's
-// P_l ⊘ (U(i)ᵀ_l A(i)_(ki)) — into dst, avoiding allocation in the hot loop.
-// Modes whose component is not yet seeded are treated as identity (they
-// only occur transiently during setup).
-func (c *components) gammaInto(dst *mat.Matrix, blockID, skipMode int) {
-	dst.Fill(1)
-	for h, m := range c.p[blockID] {
-		if h == skipMode || m == nil {
-			continue
-		}
-		dst.HadamardInPlace(m)
-	}
-}
-
-// sTermMulInto multiplies dst element-wise by ⊛_{h≠i} Q[h][l_h]; callers
-// accumulating S pre-fill a scratch matrix with ones.
-func (c *components) sTermMulInto(dst *mat.Matrix, blockVec []int, skipMode int) {
+// sTermInto computes ⊛_{h≠i} Q[h][l_h] into dst's F·F values.
+func (c *components) sTermInto(dst []float64, blockVec []int, skipMode int) {
 	for h, kh := range blockVec {
-		if h == skipMode {
-			continue
-		}
-		dst.HadamardInPlace(c.q[h][kh])
+		c.qOfBlock[h] = c.q[h][kh]
 	}
+	hadamardInto(dst, c.qOfBlock, skipMode)
 }
 
 // SurrogateFit returns the fit of the current grid model against the
@@ -138,10 +129,9 @@ func (c *components) SurrogateFit() float64 {
 	vec := c.fitVec
 	for id := range c.p {
 		c.pattern.Unlinear(id, vec)
-		hadamardAllModesInto(c.fitCross, c.p[id], -1)
+		hadamardInto(c.fitCross.Data, c.p[id], -1)
 		cross := mat.QuadForm(c.fitCross, ones, ones)
-		c.fitModel.Fill(1)
-		c.sTermMulInto(c.fitModel, vec, -1)
+		c.sTermInto(c.fitModel.Data, vec, -1)
 		model := mat.QuadForm(c.fitModel, ones, ones)
 		err2 += -2*cross + model
 	}
@@ -152,16 +142,24 @@ func (c *components) SurrogateFit() float64 {
 	return 1 - math.Sqrt(err2)/math.Sqrt(c.unorm2)
 }
 
-// hadamardAllModesInto multiplies the given per-mode F×F matrices
-// element-wise into dst, skipping index skip (-1 to include all) and
-// unseeded (nil) entries.
-func hadamardAllModesInto(dst *mat.Matrix, ms []*mat.Matrix, skip int) {
-	dst.Fill(1)
+// hadamardInto sets dst to the element-wise product of the given per-mode
+// F×F matrices, skipping index skip (-1 to include all). The first factor
+// is copied: 1·x is exact, so that is filling dst with ones and multiplying,
+// to the bit, in one pass fewer.
+func hadamardInto(dst []float64, ms []*mat.Matrix, skip int) {
+	first := true
 	for h, m := range ms {
-		if h == skip || m == nil {
-			continue
+		switch {
+		case h == skip:
+		case first:
+			copy(dst, m.Data)
+			first = false
+		default:
+			mat.HadamardVec(dst, dst, m.Data)
 		}
-		dst.HadamardInPlace(m)
+	}
+	if first { // a one-mode pattern has no h ≠ i: the empty product
+		copy(dst, onesVec(len(dst)))
 	}
 }
 

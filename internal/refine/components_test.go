@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"twopcp/internal/blockstore"
 	"twopcp/internal/cpals"
 	"twopcp/internal/grid"
 	"twopcp/internal/mat"
@@ -36,6 +37,16 @@ func explicitSurrogateFit(p1 *phase1.Result, parts map[int]*mat.Matrix) float64 
 	return 1 - math.Sqrt(err2)/math.Sqrt(norm2)
 }
 
+// packSlab packs per-block U(i)_l, shaped like a, the way a store does.
+func packSlab(t *testing.T, a *mat.Matrix, slabU map[int]*mat.Matrix) *mat.Matrix {
+	t.Helper()
+	slab, err := blockstore.PackSlab(&blockstore.Unit{A: a, U: slabU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slab
+}
+
 func TestSurrogateFitMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x := tensor.RandomDense(rng, 6, 6, 6)
@@ -60,7 +71,7 @@ func TestSurrogateFitMatchesExplicit(t *testing.T) {
 			for _, id := range p.Slab(mode, part) {
 				slabU[id] = p1.Sub[id][mode]
 			}
-			comps.setA(mode, part, a, slabU)
+			comps.setA(mode, part, a, packSlab(t, a, slabU))
 		}
 	}
 	got := comps.SurrogateFit()
@@ -83,7 +94,7 @@ func TestSurrogateFitPerfectModel(t *testing.T) {
 	}
 	comps := newComponents(p1)
 	for mode := 0; mode < 3; mode++ {
-		comps.setA(mode, 0, p1.Sub[0][mode], map[int]*mat.Matrix{0: p1.Sub[0][mode]})
+		comps.setA(mode, 0, p1.Sub[0][mode], p1.Sub[0][mode])
 	}
 	if fit := comps.SurrogateFit(); math.Abs(fit-1) > 1e-9 {
 		t.Fatalf("perfect-model surrogate fit = %g", fit)

@@ -133,11 +133,12 @@ type Engine struct {
 	mgr     *buffer.Manager
 	solver  cpals.Solver
 
-	// Hot-loop scratch (see update). scratchMTTKRP holds one rows×rank
-	// accumulator per distinct partition row count.
+	// Hot-loop scratch (see update). scratchGamma holds a slab's Γ_l,
+	// stacked; scratchMTTKRP one rows×rank accumulator per distinct
+	// partition row count.
 	scratchS      *mat.Matrix
-	scratchG      *mat.Matrix
-	scratchT      *mat.Matrix
+	scratchTerm   []float64
+	scratchGamma  []float64
 	scratchVec    []int
 	scratchMTTKRP map[int]*mat.Matrix
 	solverScratch cpals.SolverScratch
@@ -252,11 +253,10 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 
-	if err := e.prepareUnits(e.factorSeeder(restored)); err != nil {
+	e.comps = newComponents(cfg.Phase1)
+	if err := e.seedUnits(restored); err != nil {
 		return nil, err
 	}
-	e.comps = newComponents(cfg.Phase1)
-	e.seedComponents(e.factorSeeder(restored))
 
 	mgr, err := buffer.NewManager(buffer.Config{
 		Store:         cfg.Store,
@@ -281,18 +281,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// factorSeeder returns the A(mode)_(part) source used to seed the store
-// and the components: the checkpointed factors when resuming, otherwise
-// the usual deterministic initialization (each call site builds its own
-// seeder so the RNG draw sequence matches the original seeding exactly).
-func (e *Engine) factorSeeder(restored *runstate.Phase2State) func(mode, part int) *mat.Matrix {
-	if restored != nil {
-		return func(mode, part int) *mat.Matrix { return restored.A[mode][part] }
-	}
-	rng := rand.New(rand.NewSource(e.cfg.Seed))
-	return func(mode, part int) *mat.Matrix { return e.initialA(mode, part, rng) }
-}
-
 // initialA builds the seed for A(mode)_(part): the mode's sub-factor of a
 // reference block — the first in the partition's slab with a non-empty
 // U(mode) — which is the grid-PARAFAC practice of starting the stitching
@@ -308,72 +296,62 @@ func (e *Engine) initialA(mode, part int, rng *rand.Rand) *mat.Matrix {
 	return mat.Random(rows, e.cfg.Phase1.Rank, rng)
 }
 
-// prepareUnits writes every ⟨mode, part⟩ unit into the store whole: the
-// seeded (or checkpoint-restored) A(i)_(ki) plus the slab's Phase-1 U(i)_l
-// matrices — the only time a U is written; every later Put is a
-// write-back of A alone. On resume this is what makes the store consistent
-// with the checkpoint regardless of where the previous process died, or of
-// what the crash did to the store's files: nothing in the store is trusted
-// across a restart, it is always rewritten from the Phase-1 result and the
-// seeder.
-func (e *Engine) prepareUnits(seed func(mode, part int) *mat.Matrix) error {
+// seedUnits writes every ⟨mode, part⟩ unit into the store whole — the
+// seeded (or checkpoint-restored) A(i)_(ki) plus the slab's Phase-1 U(i)_l,
+// packed once; the only time a U is written, every later Put is a
+// write-back of A alone — and computes the initial P and Q from the same A
+// and slab rather than reading them back. Nothing in the store is trusted
+// across a restart: rewriting it here is what makes it consistent with the
+// checkpoint wherever the previous process died and whatever the crash did
+// to its files. The components are pure functions of the current A and the
+// Phase-1 U, which is why a resumed engine's P/Q state is bit-identical to
+// the uninterrupted run's. The stats reset keeps set-up writes out of the
+// swap counts.
+func (e *Engine) seedUnits(restored *runstate.Phase2State) error {
+	rng := rand.New(rand.NewSource(e.cfg.Seed))
 	for mode := 0; mode < e.pattern.NModes(); mode++ {
 		for part := 0; part < e.pattern.K[mode]; part++ {
-			u := &blockstore.Unit{
-				Mode: mode,
-				Part: part,
-				A:    seed(mode, part),
-				U:    make(map[int]*mat.Matrix),
+			u := &blockstore.Unit{Mode: mode, Part: part, U: make(map[int]*mat.Matrix)}
+			if restored != nil {
+				u.A = restored.A[mode][part]
+			} else {
+				u.A = e.initialA(mode, part, rng)
 			}
 			for _, id := range e.pattern.Slab(mode, part) {
 				u.U[id] = e.cfg.Phase1.Sub[id][mode]
 			}
+			slab, err := blockstore.PackSlab(u)
+			if err != nil {
+				return err
+			}
+			u.U, u.Slab = nil, slab
 			if err := e.cfg.Store.Put(u); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// seedComponents computes the initial P and Q from the seeded A parts.
-// The store was just seeded by prepareUnits; rather than reading every
-// unit back, regenerate the same initial A deterministically (same seed,
-// same generation order — or reuse the checkpointed factors when
-// resuming), sparing a full store sweep at setup. The components are pure
-// functions of the current A and the Phase-1 U, which is exactly why a
-// resumed engine's P/Q state is bit-identical to the uninterrupted run's
-// at the checkpoint. The stats reset wipes the prepareUnits writes so
-// setup traffic is never counted as swaps.
-func (e *Engine) seedComponents(seed func(mode, part int) *mat.Matrix) {
-	for mode := 0; mode < e.pattern.NModes(); mode++ {
-		for part := 0; part < e.pattern.K[mode]; part++ {
-			slabU := make(map[int]*mat.Matrix)
-			for _, id := range e.pattern.Slab(mode, part) {
-				slabU[id] = e.cfg.Phase1.Sub[id][mode]
-			}
-			a := seed(mode, part)
-			e.comps.setA(mode, part, a, slabU)
+			e.comps.setA(mode, part, u.A, slab)
 			if e.curA != nil {
-				e.curA[mode][part] = a
+				e.curA[mode][part] = u.A
 			}
 		}
 	}
 	e.cfg.Store.ResetStats()
+	return nil
 }
 
 // update applies the grid-PARAFAC rule to A(mode)_(part) using the pinned
 // unit, then refreshes the dependent P and Q components in place
 // (Algorithm 2 step ii). Scratch matrices are reused across calls — this
-// is Phase 2's hot loop.
+// is Phase 2's hot loop. The Γ_l of the slab are stacked in the slab's
+// block order, so T = Σ_l U(i)_l·Γ_l is one product of the packed slab with
+// the stack: per element the one front-to-back sum over (l, k) from zero.
 func (e *Engine) update(u *blockstore.Unit) {
 	mode, part := u.Mode, u.Part
 	rank := e.cfg.Phase1.Rank
+	ff := rank * rank
 	_, rows := e.pattern.ModeRange(mode, part)
 	if e.scratchS == nil {
 		e.scratchS = mat.New(rank, rank)
-		e.scratchG = mat.New(rank, rank)
-		e.scratchT = mat.New(rank, rank)
+		e.scratchTerm = make([]float64, ff)
 		e.scratchVec = make([]int, e.pattern.NModes())
 		e.scratchMTTKRP = make(map[int]*mat.Matrix)
 	}
@@ -384,23 +362,28 @@ func (e *Engine) update(u *blockstore.Unit) {
 	} else {
 		t.Zero()
 	}
-	s, g, term, vec := e.scratchS, e.scratchG, e.scratchT, e.scratchVec
+	s, term, vec := e.scratchS, e.scratchTerm, e.scratchVec
 	s.Zero()
-	for _, id := range e.pattern.Slab(mode, part) {
-		e.pattern.Unlinear(id, vec)
-		e.comps.gammaInto(g, id, mode)
-		mat.MulAddInto(t, u.U[id], g)
-		term.Fill(1)
-		e.comps.sTermMulInto(term, vec, mode)
-		s.AddInPlace(term)
+	slab := e.pattern.Slab(mode, part)
+	if len(e.scratchGamma) < len(slab)*ff {
+		e.scratchGamma = make([]float64, len(slab)*ff)
 	}
+	gamma := e.scratchGamma[:len(slab)*ff]
+	for l, id := range slab {
+		e.pattern.Unlinear(id, vec)
+		// Γ_l = ⊛_{h≠i} P[l][h], the paper's P_l ⊘ (U(i)ᵀ_l A(i)_(ki)).
+		hadamardInto(gamma[l*ff:(l+1)*ff], e.comps.p[id], mode)
+		e.comps.sTermInto(term, vec, mode)
+		mat.Axpy(s.Data, term, 1)
+	}
+	mat.FibersMatMulAdd(t.Data, gamma, u.Slab.Data, len(slab)*rank, rank)
 	aNew := mat.New(rows, rank)
 	if e.solver.WarmStart() {
 		aNew.CopyFrom(u.A)
 	}
 	e.solver.Solve(aNew, t, s, &e.solverScratch)
 	u.A = aNew
-	e.comps.setA(mode, part, aNew, u.U)
+	e.comps.setA(mode, part, aNew, u.Slab)
 	if e.curA != nil {
 		e.curA[mode][part] = aNew
 	}

@@ -62,7 +62,7 @@ func TestEngineSurfacesWriteBackFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// prepareUnits used the first ΣK=6 writes; fail the first write-back.
+	// seedUnits used the first ΣK=6 writes; fail the first write-back.
 	faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 7, WriteOutageLen: 1, Permanent: true})
 	_, err = eng.Run()
 	if !errors.Is(err, blockstore.ErrInjected) {
@@ -76,7 +76,7 @@ func TestEngineSurfacesWriteBackFault(t *testing.T) {
 func TestEngineSetupFaultFailsConstruction(t *testing.T) {
 	p1 := failingPhase1(t)
 	faulty := blockstore.NewFaultyStore(blockstore.NewMemStore())
-	faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 1, WriteOutageLen: 1, Permanent: true}) // the very first unit Put during prepareUnits
+	faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 1, WriteOutageLen: 1, Permanent: true}) // the very first unit Put during seedUnits
 	if _, err := New(Config{
 		Phase1: p1, Store: faulty,
 		Schedule: schedule.ModeCentric, Policy: buffer.LRU,
@@ -110,7 +110,7 @@ func TestStoreIsConsistentAfterFault(t *testing.T) {
 			if err != nil {
 				t.Fatalf("unit ⟨%d,%d⟩ unreadable after fault: %v", mode, part, err)
 			}
-			if u.A == nil || len(u.U) != p.SlabSize(mode) {
+			if u.A == nil || u.Slab == nil || u.Slab.Cols != p.SlabSize(mode)*u.A.Cols {
 				t.Fatalf("unit ⟨%d,%d⟩ malformed after fault", mode, part)
 			}
 		}

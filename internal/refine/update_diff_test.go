@@ -1,0 +1,91 @@
+package refine
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"twopcp/internal/blockstore"
+	"twopcp/internal/grid"
+	"twopcp/internal/mat"
+	"twopcp/internal/phase1"
+)
+
+// sameBits fails unless got and want agree element for element on
+// math.Float64bits — no tolerance: the batched update is the per-block one
+// with the loops moved, not an approximation of it.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, oracle has %d", what, len(got), len(want))
+	}
+	for i, g := range got {
+		if math.Float64bits(g) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: [%d] = %x (%g), per-block oracle %x (%g)", what, i, math.Float64bits(g), g, math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// TestBatchedUpdateMatchesPerBlockOracle drives Engine.update on a unit of
+// every rank, partition height and slab width in the grid below and compares
+// what it leaves behind — T and S before the solve, P and Q after — with
+// the rule written out block by block: Γ_l and the S term by filling with
+// ones and multiplying, T by one MulAddInto per block, P by one TMulInto per
+// block. Heights above 256 rows cross TMulInto's panel boundary; F = 1, 3
+// and 13 leave columns to the kernels' scalar tails. The comparison is on
+// bits, and holds on the vector kernels and under -tags purego alike.
+func TestBatchedUpdateMatchesPerBlockOracle(t *testing.T) {
+	for _, f := range []int{1, 3, 4, 8, 13, 16} {
+		for _, rows := range []int{1, 7, 32, 256, 257, 600} {
+			for _, k := range []int{1, 2, 4, 16} {
+				t.Run(fmt.Sprintf("F=%d/rows=%d/L=%d", f, rows, k*k), func(t *testing.T) {
+					batchedVsPerBlock(t, f, rows, k)
+				})
+			}
+		}
+	}
+}
+
+func batchedVsPerBlock(t *testing.T, f, rows, k int) {
+	// Mode 0 is one partition of the given height, so unit ⟨0,0⟩'s slab is
+	// the whole grid: L = k² blocks.
+	p := grid.MustNew([]int{rows, 2 * k, k}, []int{1, k, k})
+	rng := rand.New(rand.NewSource(int64(1000*f + 10*rows + k)))
+	p1 := &phase1.Result{Pattern: p, Rank: f, Sub: make([][]*mat.Matrix, p.NumBlocks())}
+	for id := range p1.Sub {
+		p1.Sub[id] = []*mat.Matrix{mat.RandomNormal(rows, f, rng), mat.RandomNormal(2, f, rng), mat.RandomNormal(1, f, rng)}
+	}
+	e, err := New(Config{Phase1: p1, Store: blockstore.NewMemStore(), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.mgr.Close()
+	u, err := e.cfg.Store.Get(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The oracle reads the other modes' components before the update.
+	wantT, wantS := mat.New(rows, f), mat.New(f, f)
+	g, term, vec := mat.New(f, f), mat.New(f, f), make([]int, 3)
+	for _, id := range p.Slab(0, 0) {
+		p.Unlinear(id, vec)
+		g.Fill(1)
+		term.Fill(1)
+		for h := 1; h < 3; h++ {
+			g.HadamardInPlace(e.comps.p[id][h])
+			term.HadamardInPlace(e.comps.q[h][vec[h]])
+		}
+		mat.MulAddInto(wantT, p1.Sub[id][0], g)
+		wantS.AddInPlace(term)
+	}
+
+	e.update(u)
+	sameBits(t, "T", e.scratchMTTKRP[rows].Data, wantT.Data)
+	sameBits(t, "S", e.scratchS.Data, wantS.Data)
+	sameBits(t, "Q", e.comps.q[0][0].Data, mat.Gram(u.A).Data)
+	for _, id := range p.Slab(0, 0) {
+		sameBits(t, fmt.Sprintf("P of block %d", id), e.comps.p[id][0].Data, mat.TMul(p1.Sub[id][0], u.A).Data)
+	}
+}

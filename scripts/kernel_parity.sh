@@ -4,9 +4,12 @@
 # twice — default, and with -tags purego, which leaves only the Go loops —
 # run both on one tiled file at ranks 8 and 16 (one and two eight-column
 # kernel blocks; the golden fixtures' rank 3 reaches no vector code at
-# all), synchronously and through the asynchronous prefetch/write-back
-# pipeline, and compare the factor CSVs byte for byte and the result JSON
-# (fit, fit trace, swaps, store traffic) field for field.
+# all), at -parts 2 and -parts 4 (slabs of 4 and 16 blocks: Phase 2's two
+# kernel calls per update, the slab·Γ product and the slabᵀ·A one, over
+# fibers of 32 to 256 values), synchronously and through the asynchronous
+# prefetch/write-back pipeline, and compare the factor CSVs byte for byte
+# and the result JSON (fit, fit trace, swaps, store traffic) field for
+# field.
 #
 # The comparison would be vacuous if both binaries ran the same kernels,
 # so each run's "kernels    :" summary line is checked: the default build
@@ -27,7 +30,8 @@ go build -tags purego -o "$work/twopcp-generic" ./cmd/twopcp
 
 echo "== generating tiled input"
 # Blocks of 20x18x17 at -parts 2: 306 fibers a block, which fills neither
-# the S pass's last fiber group nor its last four-fiber batch.
+# the S pass's last fiber group nor its last four-fiber batch. -parts 4
+# re-tiles them into 10x9x(9|8).
 "$work/tensorgen" -kind lowrank -dims 40x36x34 -rank 5 -noise 0.3 \
   -tiles 2x2x2 -seed 20 -out "$work/x.tptl"
 
@@ -41,38 +45,41 @@ json_diff() { # <a.json> <b.json> <jq paths to drop> <grep pattern to drop>
   fi
 }
 
-for rank in 8 16; do
-  for mode in sync prefetch; do
-    args=(-in "$work/x.tptl" -rank "$rank" -parts 2 -buffer 0.5 -iters 30 -tol=-1 -seed 20)
-    volatile='.run_stats.phase0_ns, .run_stats.phase1_ns, .run_stats.phase2_ns'
-    volatile_re='_ns"'
-    if [ "$mode" = prefetch ]; then
-      args+=(-prefetch 2 -io-workers 2)
-      volatile="$volatile, .run_stats.bytes_read"
-      volatile_re="$volatile_re"'\|"bytes_read"'
-    fi
-    echo "== rank $rank, $mode"
-    for k in avx2 generic; do
-      out="$work/$k-r$rank-$mode"
-      "$work/twopcp-$k" "${args[@]}" -store "$out-units" -out-prefix "$out" \
-        -json "$out.json" 2>"$out.log"
-      grep -q "^kernels    : $k\$" "$out.log" || {
-        echo "FAIL: the $k binary did not run the $k kernels:" >&2
-        grep '^kernels' "$out.log" >&2 || echo "(no kernels line)" >&2
+for parts in 2 4; do
+  for rank in 8 16; do
+    for mode in sync prefetch; do
+      args=(-in "$work/x.tptl" -rank "$rank" -parts "$parts" -buffer 0.5 -iters 30 -tol=-1 -seed 20)
+      volatile='.run_stats.phase0_ns, .run_stats.phase1_ns, .run_stats.phase2_ns'
+      volatile_re='_ns"'
+      if [ "$mode" = prefetch ]; then
+        args+=(-prefetch 2 -io-workers 2)
+        volatile="$volatile, .run_stats.bytes_read"
+        volatile_re="$volatile_re"'\|"bytes_read"'
+      fi
+      run="p$parts-r$rank-$mode"
+      echo "== parts $parts, rank $rank, $mode"
+      for k in avx2 generic; do
+        out="$work/$k-$run"
+        "$work/twopcp-$k" "${args[@]}" -store "$out-units" -out-prefix "$out" \
+          -json "$out.json" 2>"$out.log"
+        grep -q "^kernels    : $k\$" "$out.log" || {
+          echo "FAIL: the $k binary did not run the $k kernels:" >&2
+          grep '^kernels' "$out.log" >&2 || echo "(no kernels line)" >&2
+          exit 1
+        }
+      done
+      for m in 0 1 2; do
+        cmp "$work/avx2-$run-mode$m.csv" "$work/generic-$run-mode$m.csv" || {
+          echo "FAIL: $run: mode-$m factors differ between avx2 and generic kernels" >&2
+          exit 1
+        }
+      done
+      json_diff "$work/avx2-$run.json" "$work/generic-$run.json" "$volatile" "$volatile_re" || {
+        echo "FAIL: $run: result JSON differs between avx2 and generic kernels" >&2
         exit 1
       }
     done
-    for m in 0 1 2; do
-      cmp "$work/avx2-r$rank-$mode-mode$m.csv" "$work/generic-r$rank-$mode-mode$m.csv" || {
-        echo "FAIL: rank $rank $mode: mode-$m factors differ between avx2 and generic kernels" >&2
-        exit 1
-      }
-    done
-    json_diff "$work/avx2-r$rank-$mode.json" "$work/generic-r$rank-$mode.json" "$volatile" "$volatile_re" || {
-      echo "FAIL: rank $rank $mode: result JSON differs between avx2 and generic kernels" >&2
-      exit 1
-    }
   done
 done
 
-echo "PASS: avx2 and generic kernels agree bit for bit (ranks 8 and 16, sync and prefetch)"
+echo "PASS: avx2 and generic kernels agree bit for bit (parts 2 and 4, ranks 8 and 16, sync and prefetch)"
