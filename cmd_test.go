@@ -170,6 +170,35 @@ func TestCLISparseAndErrors(t *testing.T) {
 	}
 }
 
+// TestCLIRefusesUnfinishedVersion1Checkpoint: -resume over a directory in
+// the version-1 checkpoint layout must fail with runstate's own message,
+// which names both versions and what to do, and must leave the directory
+// alone.
+func TestCLIRefusesUnfinishedVersion1Checkpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	tensorgen := buildCmd(t, dir, "tensorgen")
+	twopcpBin := buildCmd(t, dir, "twopcp")
+	tpath := filepath.Join(dir, "t.tpdn")
+	runCmd(t, tensorgen, "-kind", "lowrank", "-dims", "4x4x4", "-rank", "2", "-seed", "3", "-out", tpath)
+
+	ckpt := copyV1Fixture(t, "v1-unfinished")
+	out, err := exec.Command(twopcpBin, "-in", tpath, "-rank", "2", "-resume", ckpt).CombinedOutput()
+	if err == nil {
+		t.Fatalf("resume over a version-1 directory succeeded:\n%s", out)
+	}
+	for _, want := range []string{"written by an older version", "manifest version 1", "resumes version 2"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("stderr does not say %q:\n%s", want, out)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(ckpt, "phase2.ckpt")); err != nil {
+		t.Errorf("the refused resume disturbed the directory: %v", err)
+	}
+}
+
 // TestCLICrashRecovery SIGKILLs a checkpointed decomposition mid-Phase-2
 // through the real binary and verifies the resumed run's factors and
 // result JSON are bit-for-bit identical to an uninterrupted run (the CI
@@ -218,7 +247,7 @@ func crashRecoveryScenario(t *testing.T, genArgs, decompArgs []string) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	phase2 := filepath.Join(ckpt, "phase2.ckpt")
+	phase2 := filepath.Join(ckpt, "phase2-0.ckpt")
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if _, err := os.Stat(phase2); err == nil {
@@ -319,7 +348,7 @@ func TestCLIGracefulDrain(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	phase2 := filepath.Join(ckpt, "phase2.ckpt")
+	phase2 := filepath.Join(ckpt, "phase2-0.ckpt")
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if _, err := os.Stat(phase2); err == nil {

@@ -115,7 +115,7 @@ func TestDaemonLifecycle(t *testing.T) {
 
 	// Wait for the job's Phase-2 checkpoint, scrape the admin /metrics
 	// mid-run, then SIGTERM the daemon.
-	phase2 := filepath.Join(data, jobID, "ckpt", "phase2.ckpt")
+	phase2 := filepath.Join(data, jobID, "ckpt", "phase2-0.ckpt")
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		if _, err := os.Stat(phase2); err == nil {

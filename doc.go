@@ -221,35 +221,48 @@
 // Long decompositions survive crashes when Options.Checkpoint names a
 // directory (CLI: -checkpoint / -resume). The directory holds a
 // versioned manifest (JSON envelope with a CRC32-protected body)
-// recording the run's option fingerprint, stage and per-block Phase-1
-// completion, plus binary checkpoint files: one per completed Phase-1
-// block (sub-factors + fit), the latest Phase-2 state (schedule
-// position, FitTrace so far, every current factor partition, a buffer-
-// manager snapshot and cumulative I/O statistics) and, once the run
-// completes, the final Result.
+// recording the run's option fingerprint and stage, plus binary
+// checkpoints: an append-only log with one record per completed Phase-1
+// block (sub-factors + fit), two slot files that alternate in holding the
+// latest Phase-2 state (schedule position, FitTrace so far, every current
+// factor partition, a buffer-manager snapshot and cumulative I/O
+// statistics) and, once the run completes, the final Result.
 //
-// Exactly what is fsync'd when: every manifest update and checkpoint
-// file is written to a temp file in the checkpoint directory, fsync'd,
-// renamed into place, and the directory is fsync'd — readers observe
-// either the previous or the new complete version, never a torn write.
-// A Phase-1 block is durable before it is marked complete in the
-// manifest; the Phase-2 state file is replaced atomically at every
-// checkpoint (cadence: Options.CheckpointEverySteps schedule steps,
-// default one cycle); the final Result file is installed before the
-// manifest flips to "done". The Phase-2 data-unit store is scratch and
-// needs no crash consistency: on resume the units are rewritten from the
-// Phase-1 sub-factors and the checkpointed factors, so even the
-// in-memory store resumes correctly. A FileStore's files are written in
-// place and never synced; Options.StoreDir may be lost or
-// damaged across a crash — emptied, truncated, garbled — and the resume
-// is still bit-for-bit (CI destroys it between kill and resume). The
-// checkpoint directory is the only durable state of a run.
+// Exactly what is fsync'd when: every record carries a CRC32 that is
+// checked on load, and every call that writes one returns only after an
+// fsync. The manifest and the Result are replaced whole — temp file,
+// fsync, rename, directory fsync — a handful of times per run. The
+// per-block and per-step checkpoints, hundreds per run, go into files that
+// already exist, because creating a file cost more than writing its data:
+// a Phase-1 record is one append and one fsync to the log, and its
+// presence is the block's completion record (a crash can tear only the
+// record being appended; the resume cuts it off and recomputes that
+// block); a Phase-2 checkpoint (cadence: Options.CheckpointEverySteps
+// schedule steps, default one cycle) is one write and one fsync over the
+// slot that does not hold the newest valid checkpoint, so the checkpoint
+// before it outlives any crash during the write and a torn newer slot
+// simply loads as the older one. The final Result file is installed
+// before the manifest flips to "done". A directory written before this
+// layout (manifest version 1: one file per block, one Phase-2 file) still
+// returns its Result if the run had finished; an unfinished one is refused
+// with an error naming both versions rather than restarted from nothing.
+// docs/crash-recovery.md has the layout and the argument.
+//
+// The Phase-2 data-unit store is scratch and needs no crash consistency:
+// on resume the units are rewritten from the Phase-1 sub-factors and the
+// checkpointed factors, so even the in-memory store resumes correctly. A
+// FileStore's files are written in place and never synced;
+// Options.StoreDir may be lost or damaged across a crash — emptied,
+// truncated, garbled — and the resume is still bit-for-bit (CI destroys it
+// between kill and resume). The checkpoint directory is the only durable
+// state of a run.
 //
 // A run killed at an arbitrary point and restarted with Options.Resume
 // skips completed blocks, replays Phase 2 from the last checkpoint, and
 // produces bit-for-bit identical factors, FitTrace and Swaps to an
 // uninterrupted run — enforced by tests that inject faults at dozens of
-// interruption points and by CI's SIGKILL crash-recovery job. The
+// interruption points (and tear the newest checkpoint at each) and by CI's
+// SIGKILL crash-recovery job. The
 // manifest fingerprint covers everything that changes results (shape,
 // partitions, rank, schedule, replacement, buffer sizing, bounds,
 // tolerances, seed); resuming with a mismatched fingerprint is refused,

@@ -35,14 +35,47 @@ var codecBuf = sync.Pool{New: func() any { b := make([]byte, unitHeaderBytes+8*c
 // WriteMatrix serializes one matrix (int32 rows, int32 cols, float64 data,
 // little-endian); shared with Phase-1's MapReduce sub-factor shuffle.
 func WriteMatrix(w io.Writer, m *mat.Matrix) error {
-	hdr := [2]int32{int32(m.Rows), int32(m.Cols)}
-	if err := binary.Write(w, binary.LittleEndian, hdr[:]); err != nil {
-		return fmt.Errorf("blockstore: write matrix header: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, m.Data); err != nil {
-		return fmt.Errorf("blockstore: write matrix data: %w", err)
+	if _, err := w.Write(AppendMatrix(make([]byte, 0, 8+8*len(m.Data)), m)); err != nil {
+		return fmt.Errorf("blockstore: write matrix: %w", err)
 	}
 	return nil
+}
+
+// AppendMatrix appends that encoding of m to dst — the form for a caller
+// that builds a whole record in one buffer (runstate's checkpoints).
+func AppendMatrix(dst []byte, m *mat.Matrix) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(m.Rows)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(m.Cols)))
+	for _, v := range m.Data {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// DecodeMatrix decodes one AppendMatrix/WriteMatrix encoding from the front
+// of b and returns the bytes after it. b is all the input there is, so a
+// header that declares more than b holds fails before anything is sized by
+// it.
+func DecodeMatrix(b []byte) (*mat.Matrix, []byte, error) {
+	if len(b) < 8 {
+		return nil, nil, fmt.Errorf("blockstore: %d bytes hold no matrix header", len(b))
+	}
+	rows := int64(int32(binary.LittleEndian.Uint32(b)))
+	cols := int64(int32(binary.LittleEndian.Uint32(b[4:])))
+	b = b[8:]
+	if rows < 0 || cols < 0 {
+		return nil, nil, fmt.Errorf("blockstore: negative matrix shape %d×%d", rows, cols)
+	}
+	// rows·cols of two int32s fits int64; dividing keeps the byte count
+	// from overflowing.
+	if rows*cols > int64(len(b))/8 {
+		return nil, nil, fmt.Errorf("blockstore: matrix shape %d×%d needs more than the %d bytes left", rows, cols, len(b))
+	}
+	m := mat.New(int(rows), int(cols))
+	for i := range m.Data {
+		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return m, b[8*len(m.Data):], nil
 }
 
 // maxDecodeBytes bounds the payload one matrix header may declare (2^34

@@ -24,6 +24,21 @@ func TestWriteReadMatrix(t *testing.T) {
 	if !got.Equal(m) {
 		t.Fatal("matrix codec round trip failed")
 	}
+
+	// AppendMatrix is the same encoding built in the caller's buffer, and
+	// DecodeMatrix reads it back out of one.
+	buf.Reset()
+	if err := WriteMatrix(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	enc := AppendMatrix([]byte("head"), m)
+	if !bytes.Equal(enc[4:], buf.Bytes()) {
+		t.Fatal("AppendMatrix and WriteMatrix encode differently")
+	}
+	got, rest, err := DecodeMatrix(append(enc[4:], "tail"...))
+	if err != nil || !got.Equal(m) || string(rest) != "tail" {
+		t.Fatalf("DecodeMatrix: rest %q, err %v", rest, err)
+	}
 }
 
 func TestReadMatrixErrors(t *testing.T) {
@@ -35,6 +50,19 @@ func TestReadMatrixErrors(t *testing.T) {
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0})
 	if _, err := ReadMatrix(&buf); err == nil {
 		t.Fatal("negative shape accepted")
+	}
+	// DecodeMatrix refuses the same, and a shape its input cannot back,
+	// before sizing anything by it.
+	for _, b := range [][]byte{
+		nil,
+		{1, 0, 0},
+		{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0},
+		{0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0xFF, 0xFF, 0x7F},
+		{2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		if _, _, err := DecodeMatrix(b); err == nil {
+			t.Fatalf("DecodeMatrix accepted % x", b)
+		}
 	}
 }
 

@@ -121,6 +121,7 @@ func RunConvergence(cfg ConvergenceConfig) (*ConvergenceResult, error) {
 			if err != nil {
 				return nil, err
 			}
+			defer rs.Close() // four kinds, four small handles, until return
 			ecfg.Checkpoint = rs
 		}
 		eng, err := refine.New(ecfg)

@@ -13,6 +13,7 @@ import (
 
 	"twopcp"
 	"twopcp/internal/cli"
+	"twopcp/internal/runstate"
 )
 
 // writeFactorForTest renders a factor with the shared CSV writer so test
@@ -358,6 +359,44 @@ func TestManagerDrainAndRestartResumes(t *testing.T) {
 	}
 	if done.Result.Fit != refDoneFit(t, refM, refJob.ID) {
 		t.Fatal("fit differs between drained+restarted and reference job")
+	}
+}
+
+// TestRestartOverVersion1CheckpointFailsTheJob: a daemon upgraded across the
+// checkpoint-layout change finds an interrupted job whose directory it
+// cannot resume. The job must fail with runstate's message on its record,
+// not restart from nothing over checkpoints the user believes durable.
+func TestRestartOverVersion1CheckpointFailsTheJob(t *testing.T) {
+	dir := t.TempDir()
+	tensor := filepath.Join(dir, "x.tptl")
+	writeTensor(t, tensor, 11, 30, 30, 30)
+
+	root := filepath.Join(dir, "data")
+	store, m := newTestManager(t, root, 1)
+	job, err := m.Submit(longSpec(tensor), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, job.ID, StateRunning)
+	waitCheckpoint(t, store, job.ID)
+	m.Drain()
+
+	// Swap the interrupted job's checkpoint directory for one written by
+	// the last build of the version-1 layout.
+	ckpt := store.CheckpointDir(job.ID)
+	if err := os.RemoveAll(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	fixture := filepath.Join("..", "runstate", "testdata", "v1-unfinished")
+	if err := os.CopyFS(ckpt, os.DirFS(fixture)); err != nil {
+		t.Fatal(err)
+	}
+
+	_, m2 := newTestManager(t, root, 1)
+	defer m2.Drain()
+	failed := waitState(t, m2, job.ID, StateFailed)
+	if !strings.Contains(failed.Error, runstate.ErrVersion.Error()) {
+		t.Fatalf("failed job's error %q does not carry %q", failed.Error, runstate.ErrVersion)
 	}
 }
 

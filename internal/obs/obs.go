@@ -24,7 +24,7 @@
 // Workers, KernelWorkers, IOWorkers and PrefetchDepth. Operations whose
 // *count* legitimately varies with concurrency (prefetch-issued store
 // reads, batched manifest rewrites) are metrics-only. checkpoint.write
-// events carry real file sizes, which embed I/O counters for phase2.ckpt
+// events carry real record sizes, which embed I/O counters for phase2.ckpt
 // and therefore may differ across prefetch depths; they are exempt from
 // the cross-configuration guarantee. store.retry and store.breaker
 // events record recovery from faults whose timing is inherently

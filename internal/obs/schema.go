@@ -110,10 +110,12 @@ var Schema = map[string][]FieldSpec{
 		{Name: "part", Type: TypeNum},
 		{Name: "bytes", Type: TypeNum},
 	},
-	// Durability: one event per checkpoint file installed and one when a
-	// run resumes from a manifest. checkpoint.write byte counts are real
-	// file sizes and exempt from the cross-configuration determinism
-	// guarantee (phase2.ckpt embeds I/O counters).
+	// Durability: one event per checkpoint record made durable and one
+	// when a run resumes from a manifest. file names the record
+	// (p1-block-<id>.ckpt, phase2.ckpt, result.ckpt), not the file that
+	// holds it. checkpoint.write byte counts are real record sizes and
+	// exempt from the cross-configuration determinism guarantee (a
+	// phase2.ckpt record embeds I/O counters).
 	"checkpoint.write": {
 		{Name: "file", Type: TypeStr},
 		{Name: "bytes", Type: TypeNum},

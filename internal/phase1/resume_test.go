@@ -121,8 +121,9 @@ func TestPhase1ResumeSkipsCompletedBlocks(t *testing.T) {
 	}
 }
 
-// TestPhase1ResumeParallelWorkers runs the checkpointed resume under a
-// worker pool to exercise concurrent SaveBlock calls.
+// TestPhase1ResumeParallelWorkers runs the checkpointed run, then its
+// resume, under a worker pool: seven workers append to the one block log
+// concurrently, and seven load from it concurrently after a reopen.
 func TestPhase1ResumeParallelWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	x := tensor.RandomDense(rng, 12, 12, 12)
@@ -131,7 +132,7 @@ func TestPhase1ResumeParallelWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Rank: 3, MaxIters: 3, Tol: 1e-3, Seed: 22, Workers: 4}
+	opts := Options{Rank: 3, MaxIters: 3, Tol: 1e-3, Seed: 22, Workers: 7}
 	ref, err := Run(src, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -139,27 +140,36 @@ func TestPhase1ResumeParallelWorkers(t *testing.T) {
 
 	meta := runstate.Meta{InputKind: "test", Dims: p.Dims, Partitions: p.K, Rank: 3, Seed: 22}
 	dir := t.TempDir()
-	rs, err := runstate.Open(dir, meta, p.NumBlocks(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := opts
-	ckpt.Checkpoint = rs
-	res, err := Run(src, ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Phase1Completed() != p.NumBlocks() {
-		t.Fatalf("manifest records %d blocks, want %d", rs.Phase1Completed(), p.NumBlocks())
-	}
-	for id := range ref.Sub {
-		for m := range ref.Sub[id] {
-			g, w := res.Sub[id][m], ref.Sub[id][m]
-			for i := range w.Data {
-				if g.Data[i] != w.Data[i] {
-					t.Fatalf("block %d mode %d differs", id, m)
+	for _, resume := range []bool{false, true} {
+		rs, err := runstate.Open(dir, meta, p.NumBlocks(), resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counting := &countingSource{inner: src}
+		ckpt := opts
+		ckpt.Checkpoint = rs
+		res, err := Run(counting, ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.Phase1Completed() != p.NumBlocks() {
+			t.Fatalf("resume=%v: log records %d blocks, want %d", resume, rs.Phase1Completed(), p.NumBlocks())
+		}
+		if resume && counting.Calls() != 0 {
+			t.Fatalf("resume read %d blocks from the source, want 0", counting.Calls())
+		}
+		for id := range ref.Sub {
+			for m := range ref.Sub[id] {
+				g, w := res.Sub[id][m], ref.Sub[id][m]
+				for i := range w.Data {
+					if g.Data[i] != w.Data[i] {
+						t.Fatalf("resume=%v: block %d mode %d differs", resume, id, m)
+					}
 				}
 			}
+		}
+		if err := rs.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

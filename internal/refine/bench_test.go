@@ -93,11 +93,12 @@ func BenchmarkPhase2Prefetch(b *testing.B) {
 	b.Run("sync", func(b *testing.B) { run(b, 0, 0, 0) })
 	b.Run("prefetch", func(b *testing.B) { run(b, 2, 4, 0) })
 	// The durability cost on top of the pipeline: a Phase-2 checkpoint
-	// (factor partitions + buffer snapshot, fsync'd and renamed) every 32
-	// schedule steps — twice the default once-per-cycle cadence, 2
-	// checkpoints over this run at ~1.1 ms each (serialize + fsync +
-	// dirsync). Acceptance: ≤ 5% overhead vs the plain prefetch pipeline
-	// (gated by cmd/benchgate).
+	// (factor partitions + buffer snapshot, fsync'd) every 32 schedule
+	// steps — twice the default once-per-cycle cadence, 2 checkpoints over
+	// this run at ~1 ms each: they are the first use of each slot (one
+	// installed by rename, one created), the dear case; a third would be
+	// an in-place write + fsync at a fifth of that. Acceptance: ≤ 5%
+	// overhead vs the plain prefetch pipeline (gated by cmd/benchgate).
 	b.Run("prefetch+checkpoint", func(b *testing.B) { run(b, 2, 4, 32) })
 }
 

@@ -1,9 +1,12 @@
 package refine
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -67,6 +70,36 @@ func sameFactors(t *testing.T, name string, got, want *Result) {
 	}
 }
 
+// tearNewestSlot cuts in half the Phase-2 slot file holding the checkpoint
+// with the higher sequence number — what a crash in the middle of that
+// checkpoint's write leaves — and reports whether there were two slots to
+// choose from (with one, there is no older checkpoint to fall back on).
+// A slot is a 16-byte record header, then the little-endian sequence
+// number (internal/runstate/phase2.go).
+func tearNewestSlot(t *testing.T, dir string) bool {
+	t.Helper()
+	var newest string
+	var newestSeq uint64
+	for i := 0; i < 2; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("phase2-%d.ckpt", i))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return false
+		}
+		if seq := binary.LittleEndian.Uint64(data[16:]); seq > newestSeq {
+			newest, newestSeq = path, seq
+		}
+	}
+	fi, err := os.Stat(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(newest, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	return true
+}
+
 // TestCheckpointedRunMatchesPlainRun verifies that enabling checkpointing
 // does not perturb the computation: factors, FitTrace and swap counts are
 // bit-identical with and without a Checkpointer attached.
@@ -118,7 +151,9 @@ func TestCheckpointedRunMatchesPlainRun(t *testing.T) {
 // bit-for-bit identical FitTrace, factors and swap counts to an
 // uninterrupted run — under both an eviction-heavy Forward/Hilbert
 // configuration and an LRU/Z-order one, and at several checkpoint
-// cadences.
+// cadences. Every interruption is replayed a second time with the newest
+// checkpoint torn as well (the crash landed inside its write): the resume
+// starts from the checkpoint before it and must arrive at the same bits.
 func TestResumeBitForBitAcrossInterruptionPoints(t *testing.T) {
 	p1 := resumePhase1(t)
 	cases := []struct {
@@ -156,7 +191,10 @@ func TestResumeBitForBitAcrossInterruptionPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, failAfter := range []int64{3, 11, 29, 61, 113} {
+			failAfters := []int64{3, 11, 29, 61, 113}
+			torn := 0
+			for i := 0; i < 2*len(failAfters); i++ {
+				failAfter, tear := failAfters[i/2], i%2 == 1
 				dir := filepath.Join(t.TempDir(), "ckpt")
 				rs, err := runstate.Open(dir, resumeMeta(), 27, false)
 				if err != nil {
@@ -179,6 +217,13 @@ func TestResumeBitForBitAcrossInterruptionPoints(t *testing.T) {
 				}
 				if !errors.Is(err, blockstore.ErrInjected) {
 					t.Fatalf("failAfter=%d: unexpected error %v", failAfter, err)
+				}
+				rs.Close()
+				if tear {
+					if !tearNewestSlot(t, dir) {
+						continue // killed before its second checkpoint
+					}
+					torn++
 				}
 
 				rs2, err := runstate.Open(dir, resumeMeta(), 27, true)
@@ -207,6 +252,9 @@ func TestResumeBitForBitAcrossInterruptionPoints(t *testing.T) {
 					t.Fatalf("failAfter=%d: resumed (%d iters, converged=%v) vs reference (%d, %v)",
 						failAfter, res.VirtualIters, res.Converged, ref.VirtualIters, ref.Converged)
 				}
+			}
+			if torn == 0 {
+				t.Fatal("no interruption point left two checkpoints to tear one of")
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package runstate
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -12,8 +13,17 @@ import (
 	"twopcp/internal/mat"
 )
 
-// phase2Magic tags the Phase-2 checkpoint file.
-const phase2Magic = "TP2C"
+// A Phase-2 checkpoint is a record (see sealRecord) whose payload is a
+// uint64 sequence number, one higher per checkpoint, and the section: the
+// phase2Header JSON, then the A partitions. It sits at offset 0 of a slot
+// file; bytes past it are left over from a longer checkpoint and mean
+// nothing.
+const (
+	phase2Magic = "TP2S"
+	numSlots    = 2
+)
+
+func slotName(i int) string { return fmt.Sprintf("phase2-%d.ckpt", i) }
 
 // BufferState is the replacement-relevant snapshot of the buffer manager:
 // the resident units in ascending last-use order, the Forward policy's
@@ -65,17 +75,47 @@ type Phase2State struct {
 	A [][]*mat.Matrix `json:"-"`
 }
 
-// phase2Header is the JSON half of the checkpoint file; AParts records the
+// phase2Header is the JSON half of the checkpoint; AParts records the
 // per-mode partition counts so the binary matrix section is self-framing.
 type phase2Header struct {
 	Phase2State
 	AParts []int `json:"a_parts"`
 }
 
-func (r *Run) phase2Path() string { return filepath.Join(r.dir, "phase2.ckpt") }
+// scanSlots reads both slot files and returns the payload of the valid
+// checkpoint with the highest sequence number — nil when there is none,
+// with present reporting whether a slot file exists at all — leaving newest
+// and seq describing it. Of two equal sequence numbers, which this package
+// never writes, slot 0 wins. Called with mu held.
+func (r *Run) scanSlots() (payload []byte, present bool, err error) {
+	r.slotsKnown, r.newest, r.seq = false, -1, 0
+	for i := 0; i < numSlots; i++ {
+		data, err := os.ReadFile(filepath.Join(r.dir, slotName(i)))
+		if err != nil {
+			if errors.Is(err, fs.ErrNotExist) {
+				continue
+			}
+			return nil, false, fmt.Errorf("runstate: read phase2 checkpoint: %w", err)
+		}
+		present = true
+		p, ok := parseRecord(phase2Magic, data)
+		if !ok || len(p) < 8 {
+			continue
+		}
+		if seq := binary.LittleEndian.Uint64(p); payload == nil || seq > r.seq {
+			payload, r.newest, r.seq = p[8:], i, seq
+		}
+	}
+	r.slotsKnown = true
+	return payload, present, nil
+}
 
-// SavePhase2 atomically installs st as the latest Phase-2 checkpoint. It
-// implements refine.Checkpointer.
+// SavePhase2 durably records st as the latest Phase-2 checkpoint: one write
+// and one fsync over the slot that does not hold the newest valid
+// checkpoint, so the one before st survives whatever happens to this write.
+// The first checkpoint of a directory has none before it and is installed
+// by rename instead (see the package documentation). It implements
+// refine.Checkpointer.
 func (r *Run) SavePhase2(st *Phase2State) error {
 	hdr := phase2Header{Phase2State: *st, AParts: make([]int, len(st.A))}
 	var mats []*mat.Matrix
@@ -83,56 +123,108 @@ func (r *Run) SavePhase2(st *Phase2State) error {
 		hdr.AParts[m] = len(row)
 		mats = append(mats, row...)
 	}
-	payload, err := encodeSection("phase2", hdr, mats)
+	r.mu.Lock()
+	n, err := r.savePhase2Locked(hdr, mats)
+	r.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	data := frame(phase2Magic, payload)
-	if err := WriteFileAtomic(r.dir, "phase2.ckpt", data); err != nil {
-		return err
-	}
-	r.noteCheckpointWrite("phase2.ckpt", len(data))
+	r.noteCheckpointWrite("phase2.ckpt", n)
 	return nil
 }
 
-// LoadPhase2 returns the latest Phase-2 checkpoint, or ok=false when none
-// exists (fresh run, or the run was interrupted before the first Phase-2
-// checkpoint). Unlike Phase-1 block files, a corrupt phase2.ckpt is an
-// error: it is the one file that cannot be recomputed locally, and silently
-// restarting Phase 2 would discard real progress the caller believes is
-// durable. It implements refine.Checkpointer.
-func (r *Run) LoadPhase2() (*Phase2State, bool, error) {
-	data, err := os.ReadFile(r.phase2Path())
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, false, nil
+func (r *Run) savePhase2Locked(hdr phase2Header, mats []*mat.Matrix) (int, error) {
+	if !r.slotsKnown {
+		if _, _, err := r.scanSlots(); err != nil {
+			return 0, err
 		}
-		return nil, false, fmt.Errorf("runstate: read phase2 checkpoint: %w", err)
 	}
-	payload, err := unframe(phase2Magic, data)
+	b := append(r.buf[:0], make([]byte, recordHeaderLen)...)
+	b = binary.LittleEndian.AppendUint64(b, r.seq+1)
+	b, err := appendSection(b, "phase2", hdr, mats)
+	if err != nil {
+		return 0, err
+	}
+	sealRecord(phase2Magic, b)
+	r.buf = b
+	slot := 0
+	if r.newest < 0 {
+		err = WriteFileAtomic(r.dir, slotName(slot), b)
+	} else {
+		slot = 1 - r.newest
+		err = r.overwriteSlot(slot, b)
+	}
+	if err != nil {
+		return 0, err
+	}
+	r.newest, r.seq = slot, r.seq+1
+	return len(b), nil
+}
+
+// overwriteSlot writes b over the slot file from offset 0, opening (the
+// first time slot 1 is used, creating) it. Called with mu held.
+func (r *Run) overwriteSlot(slot int, b []byte) (err error) {
+	if r.slots[slot] == nil {
+		r.slots[slot], err = openOrCreate(r.dir, slotName(slot))
+	}
+	if err == nil {
+		err = writeSynced(r.slots[slot], b, 0)
+	}
+	if err != nil {
+		return fmt.Errorf("runstate: write %s: %w", slotName(slot), err)
+	}
+	return nil
+}
+
+// LoadPhase2 returns the latest Phase-2 checkpoint — the valid slot with
+// the highest sequence number — or ok=false when there is no slot file
+// (fresh run, or the run was interrupted before its first Phase-2
+// checkpoint). A torn newer slot is what a crash during SavePhase2 leaves
+// and loads as the older one. Slot files with no valid checkpoint among
+// them are an error, unlike a damaged Phase-1 record: Phase-2 state cannot
+// be recomputed locally, and silently restarting Phase 2 would discard
+// real progress the caller believes is durable. It implements
+// refine.Checkpointer.
+func (r *Run) LoadPhase2() (*Phase2State, bool, error) {
+	r.mu.Lock()
+	payload, present, err := r.scanSlots()
+	r.mu.Unlock()
+	if err != nil || !present {
+		return nil, false, err
+	}
+	if payload == nil {
+		return nil, false, fmt.Errorf("%w: no phase2 slot holds a whole checkpoint", ErrCorrupt)
+	}
+	st, err := decodePhase2(payload)
 	if err != nil {
 		return nil, false, err
 	}
+	return st, true, nil
+}
+
+// decodePhase2 decodes a checkpoint's section (the payload after its
+// sequence number).
+func decodePhase2(section []byte) (*Phase2State, error) {
 	var hdr phase2Header
-	br, err := decodeSection("phase2", payload, &hdr)
+	rest, err := decodeSection("phase2", section, &hdr)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	total := 0
 	for _, parts := range hdr.AParts {
-		if parts < 0 || parts > 1<<20 {
-			return nil, false, fmt.Errorf("%w: phase2 declares %d partitions", ErrCorrupt, parts)
+		if parts < 0 || parts > len(rest) {
+			return nil, fmt.Errorf("%w: phase2 declares %d partitions", ErrCorrupt, parts)
 		}
 		total += parts
 	}
-	mats, err := readMatrices("phase2", br, total)
+	mats, err := decodeMatrices("phase2", rest, total)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	st := hdr.Phase2State
 	st.A = make([][]*mat.Matrix, len(hdr.AParts))
 	for m, parts := range hdr.AParts {
 		st.A[m], mats = mats[:parts], mats[parts:]
 	}
-	return &st, true, nil
+	return &st, nil
 }

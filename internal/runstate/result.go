@@ -55,25 +55,37 @@ type resultHeader struct {
 
 func (r *Run) resultPath() string { return filepath.Join(r.dir, "result.ckpt") }
 
-// SaveResult durably records the completed run's Result and marks the
-// manifest done. The result file is installed before the stage flips, so a
-// crash between the two leaves a resumable phase-2 state rather than a
-// done-marker without a result.
+// SaveResult durably records the completed run's Result, marks the
+// manifest done and closes the run's file handles. The result file is
+// installed before the stage flips, so a crash between the two leaves a
+// resumable phase-2 state rather than a done-marker without a result.
 func (r *Run) SaveResult(st *ResultState) error {
 	hdr := resultHeader{ResultState: *st, NFactors: len(st.Factors)}
-	payload, err := encodeSection("result", hdr, st.Factors)
+	r.mu.Lock()
+	n, err := r.saveResultLocked(hdr, st.Factors)
+	r.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	data := frame(resultMagic, payload)
-	if err := WriteFileAtomic(r.dir, "result.ckpt", data); err != nil {
-		return err
+	r.noteCheckpointWrite("result.ckpt", n)
+	return nil
+}
+
+func (r *Run) saveResultLocked(hdr resultHeader, factors []*mat.Matrix) (int, error) {
+	b, err := appendSection(append(r.buf[:0], make([]byte, frameHeaderLen)...), "result", hdr, factors)
+	if err != nil {
+		return 0, err
 	}
-	r.noteCheckpointWrite("result.ckpt", len(data))
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	frame(resultMagic, b)
+	r.buf = b
+	if err := WriteFileAtomic(r.dir, "result.ckpt", b); err != nil {
+		return 0, err
+	}
 	r.body.Stage = StageDone
-	return r.saveManifestLocked()
+	if err := r.saveManifestLocked(); err != nil {
+		return 0, err
+	}
+	return len(b), r.closeLocked()
 }
 
 // LoadResult returns the completed run's Result. It fails with ErrCorrupt
@@ -108,12 +120,12 @@ func readResultFile(path string) (*ResultState, error) {
 		return nil, err
 	}
 	var hdr resultHeader
-	br, err := decodeSection("result", payload, &hdr)
+	rest, err := decodeSection("result", payload, &hdr)
 	if err != nil {
 		return nil, err
 	}
 	st := hdr.ResultState
-	st.Factors, err = readMatrices("result", br, hdr.NFactors)
+	st.Factors, err = decodeMatrices("result", rest, hdr.NFactors)
 	if err != nil {
 		return nil, err
 	}

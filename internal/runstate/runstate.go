@@ -11,30 +11,47 @@
 //
 // A checkpoint directory contains:
 //
-//	manifest.json        versioned JSON envelope (CRC32-protected body):
-//	                     the run's option fingerprint, the partition
-//	                     pattern, the current stage and the set of
-//	                     completed Phase-1 blocks.
-//	p1-block-<id>.ckpt   one binary file per completed Phase-1 block:
-//	                     the block's λ-folded sub-factors and ALS fit.
-//	phase2.ckpt          the latest Phase-2 checkpoint: schedule position,
-//	                     FitTrace so far, every current A(i)_(ki) factor
-//	                     partition, the buffer-manager snapshot and the
-//	                     cumulative I/O statistics.
-//	result.ckpt          the final Result once the run completes; resuming
-//	                     a completed run is a no-op that returns it.
+//	manifest.json    versioned JSON envelope (CRC32-protected body): the
+//	                 run's option fingerprint, the partition pattern and
+//	                 the current stage. Rewritten on stage transitions
+//	                 only.
+//	p1-blocks.log    append-only log, one record per completed Phase-1
+//	                 block: the block's λ-folded sub-factors and ALS fit.
+//	                 A valid record is the block's completion record.
+//	phase2-0.ckpt    the two Phase-2 checkpoint slots. Each holds one
+//	phase2-1.ckpt    sequence-numbered checkpoint — schedule position,
+//	                 FitTrace so far, every current A(i)_(ki) factor
+//	                 partition, the buffer-manager snapshot and the
+//	                 cumulative I/O statistics; the valid slot with the
+//	                 highest sequence number is the latest.
+//	result.ckpt      the final Result once the run completes; resuming
+//	                 a completed run is a no-op that returns it.
 //
 // # Durability
 //
-// Every file is written with the same discipline: serialize to a temp file
-// in the checkpoint directory, fsync it, rename it into place, then fsync
-// the directory. A crash can therefore never surface a torn or half-written
-// manifest or checkpoint — readers see either the previous complete version
-// or the new complete version. Binary checkpoint files carry a magic tag
-// and a CRC32 of their payload; the manifest body is CRC32-protected inside
-// its JSON envelope. A checkpoint that fails its CRC is reported as
-// ErrCorrupt (Phase-1 block files are the exception: they are re-derivable,
-// so a corrupt one is treated as absent and the block is recomputed).
+// Every record carries a magic tag and a CRC32, is checked when it is
+// loaded, and is fsync'd before the call that wrote it returns. What
+// differs is how a record reaches its file.
+//
+// manifest.json and result.ckpt are written a handful of times per run and
+// replaced whole: serialize to a temp file in the checkpoint directory,
+// fsync it, rename it into place, fsync the directory (WriteFileAtomic).
+// Readers see the previous complete version or the new one.
+//
+// The per-block and per-step checkpoints are written hundreds of times per
+// run, and creating a file each time cost more than the data: they go into
+// files that already exist. A Phase-1 record is appended to the log with
+// one write and one fsync; a crash can tear only the record being appended,
+// which Open cuts off (the block is recomputed, as any block without a
+// record is). A Phase-2 checkpoint overwrites, in place, the slot that does
+// not hold the newest valid checkpoint, so a crash can tear only the slot
+// being written and the other still holds the checkpoint before it: a torn
+// newer slot is a normal crash outcome and loads as the older one. The
+// first Phase-2 checkpoint of a directory has no older one to fall back
+// on, so it alone is installed by rename; a slot file that exists was
+// therefore once whole, and slots present with none valid is ErrCorrupt —
+// Phase-2 state cannot be recomputed locally, and silently restarting
+// would discard progress the caller believes durable.
 package runstate
 
 import (
@@ -47,15 +64,17 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 
 	"twopcp/internal/obs"
 )
 
-// Version is the manifest schema version this package writes.
-const Version = 1
+// Version is the manifest schema version this package writes. Version 1
+// kept one file per Phase-1 block (p1-block-<id>.ckpt) and one phase2.ckpt;
+// its manifest body and result.ckpt are the same, so a finished version-1
+// directory still reads, and an unfinished one is refused with ErrVersion.
+const Version = 2
 
 var (
 	// ErrNoManifest is returned when resuming from a directory that holds
@@ -70,6 +89,10 @@ var (
 	// ErrExists is returned when starting a fresh (non-resume) run in a
 	// directory that already holds a manifest.
 	ErrExists = errors.New("runstate: checkpoint directory already holds a run manifest")
+	// ErrVersion is returned when resuming an unfinished run whose
+	// checkpoints were written in an older layout this build does not read:
+	// ignoring them would silently redo work the caller believes durable.
+	ErrVersion = errors.New("runstate: checkpoint directory was written by an older version")
 )
 
 // Stage is the run's coarse progress marker.
@@ -138,8 +161,6 @@ type manifestBody struct {
 	Meta      Meta  `json:"meta"`
 	Stage     Stage `json:"stage"`
 	NumBlocks int   `json:"num_blocks"`
-	// Phase1Done lists the linear ids of completed Phase-1 blocks, sorted.
-	Phase1Done []int `json:"phase1_done,omitempty"`
 	// Phase0Accelerated and Phase0NS record the Phase-0 outcome of the
 	// original run (warm start installed? wall clock). A resume that has
 	// advanced past Phase 1 skips recomputing Phase 0, so the final
@@ -163,9 +184,28 @@ type envelope struct {
 type Run struct {
 	dir string
 
+	// mu guards everything below it, file I/O included: a checkpoint is
+	// encoded into buf, written and synced under it.
 	mu   sync.Mutex
 	body manifestBody
-	done map[int]bool // mirror of body.Phase1Done
+	// buf is the record being built — record header, section header and
+	// matrices encoded once, in place — reused by every Save.
+	buf []byte
+
+	// The Phase-1 block log (blocklog.go): its handle once opened, the
+	// offset the next record goes to, and the newest valid record of each
+	// block id.
+	log    *os.File
+	logEnd int64
+	blocks map[int]logRecord
+
+	// The Phase-2 slots (phase2.go): their handles once opened, and — once
+	// slotsKnown — which slot holds the newest valid checkpoint (-1: none)
+	// and its sequence number.
+	slots      [numSlots]*os.File
+	slotsKnown bool
+	newest     int
+	seq        uint64
 
 	// Telemetry (see SetObserver). tele is read without mu — it is set
 	// once before the run's worker pools start.
@@ -176,10 +216,9 @@ type Run struct {
 }
 
 // SetObserver attaches telemetry to the run handle: a checkpoint.write
-// trace event plus write/byte counters per installed checkpoint file, and
-// a manifest-rewrite counter (metrics only — manifest rewrites are
-// batched, so their count varies with Phase-1 completion order). Call it
-// once, before any checkpoint activity.
+// trace event plus write/byte counters per durable checkpoint record, and
+// a manifest-rewrite counter (metrics only). Call it once, before any
+// checkpoint activity.
 func (r *Run) SetObserver(ob *obs.Observer) {
 	r.tele = ob
 	r.cCkptWrites = ob.Counter("runstate.checkpoint_writes")
@@ -187,7 +226,10 @@ func (r *Run) SetObserver(ob *obs.Observer) {
 	r.cManifest = ob.Counter("runstate.manifest_writes")
 }
 
-// noteCheckpointWrite reports one installed checkpoint file to telemetry.
+// noteCheckpointWrite reports one durable checkpoint record to telemetry.
+// name identifies the record, not the file that holds it: a block record is
+// p1-block-<id>.ckpt and a Phase-2 checkpoint phase2.ckpt whichever log
+// offset or slot they went to, so traces compare across layouts.
 func (r *Run) noteCheckpointWrite(name string, bytes int) {
 	r.cCkptWrites.Inc()
 	r.cCkptBytes.Add(int64(bytes))
@@ -203,12 +245,16 @@ func (r *Run) noteCheckpointWrite(name string, bytes int) {
 // otherwise); any stale checkpoint files from an earlier, manifest-less
 // state are removed so they can never leak into the new run. A resumed run
 // requires a manifest (ErrNoManifest) whose Meta matches field-for-field
-// (ErrMismatch); numBlocks must also agree.
+// (ErrMismatch); numBlocks must also agree. An unfinished run in the
+// version-1 layout is refused with ErrVersion; a finished one opens, since
+// its result file is unchanged.
+//
+// Close the Run when done with it; SaveResult does so itself.
 func Open(dir string, meta Meta, numBlocks int, resume bool) (*Run, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runstate: create checkpoint dir: %w", err)
 	}
-	r := &Run{dir: dir, done: make(map[int]bool)}
+	r := &Run{dir: dir, blocks: make(map[int]logRecord)}
 	path := r.manifestPath()
 	// A SIGKILL can land between WriteFileAtomic's CreateTemp and rename;
 	// no writer is live at Open time, so any temp file here is dead weight
@@ -217,9 +263,13 @@ func Open(dir string, meta Meta, numBlocks int, resume bool) (*Run, error) {
 		return nil, err
 	}
 	if resume {
-		body, err := loadManifest(path)
+		body, version, err := loadManifest(path)
 		if err != nil {
 			return nil, err
+		}
+		if version != Version && body.Stage != StageDone {
+			return nil, fmt.Errorf("%w: %s is an unfinished run at manifest version %d and this build resumes version %d; finish it with the build that started it, or start over in a fresh directory",
+				ErrVersion, dir, version, Version)
 		}
 		if !reflect.DeepEqual(body.Meta, meta) {
 			return nil, fmt.Errorf("%w: manifest records %+v, run has %+v", ErrMismatch, body.Meta, meta)
@@ -228,8 +278,10 @@ func Open(dir string, meta Meta, numBlocks int, resume bool) (*Run, error) {
 			return nil, fmt.Errorf("%w: manifest records %d blocks, run has %d", ErrMismatch, body.NumBlocks, numBlocks)
 		}
 		r.body = *body
-		for _, id := range body.Phase1Done {
-			r.done[id] = true
+		if body.Stage != StageDone {
+			if err := r.openLog(); err != nil {
+				return nil, err
+			}
 		}
 		return r, nil
 	}
@@ -284,12 +336,35 @@ func (r *Run) Phase0() (accelerated bool, ns int64) {
 	return r.body.Phase0Accelerated, r.body.Phase0NS
 }
 
-// Phase1Completed returns how many Phase-1 blocks the manifest records as
-// done.
+// Phase1Completed returns how many Phase-1 blocks have a valid record in
+// the block log.
 func (r *Run) Phase1Completed() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.body.Phase1Done)
+	return len(r.blocks)
+}
+
+// Close releases the log and slot handles. It is idempotent, and a Run
+// closed early reopens what a later call needs.
+func (r *Run) Close() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.closeLocked()
+}
+
+func (r *Run) closeLocked() error {
+	open := [...]*os.File{r.log, r.slots[0], r.slots[1]}
+	r.log, r.slots = nil, [numSlots]*os.File{}
+	var first error
+	for _, f := range open {
+		if f == nil {
+			continue
+		}
+		if err := f.Close(); err != nil && first == nil {
+			first = fmt.Errorf("runstate: close %s: %w", filepath.Base(f.Name()), err)
+		}
+	}
+	return first
 }
 
 // BeginPhase2 marks Phase 1 complete. It is idempotent.
@@ -308,7 +383,6 @@ func (r *Run) manifestPath() string { return filepath.Join(r.dir, "manifest.json
 // saveManifestLocked atomically rewrites manifest.json. Called with mu held
 // (or before the Run is shared).
 func (r *Run) saveManifestLocked() error {
-	sort.Ints(r.body.Phase1Done)
 	body, err := json.Marshal(r.body)
 	if err != nil {
 		return fmt.Errorf("runstate: marshal manifest: %w", err)
@@ -321,34 +395,36 @@ func (r *Run) saveManifestLocked() error {
 	return WriteFileAtomic(r.dir, "manifest.json", append(env, '\n'))
 }
 
-func loadManifest(path string) (*manifestBody, error) {
+// loadManifest reads a manifest of this version or of version 1, whose
+// body differs only by a phase1_done summary nothing reads.
+func loadManifest(path string) (*manifestBody, int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("%w in %s", ErrNoManifest, filepath.Dir(path))
+			return nil, 0, fmt.Errorf("%w in %s", ErrNoManifest, filepath.Dir(path))
 		}
-		return nil, fmt.Errorf("runstate: read manifest: %w", err)
+		return nil, 0, fmt.Errorf("runstate: read manifest: %w", err)
 	}
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("%w: manifest is not valid JSON: %v", ErrCorrupt, err)
+		return nil, 0, fmt.Errorf("%w: manifest is not valid JSON: %v", ErrCorrupt, err)
 	}
-	if env.Version != Version {
-		return nil, fmt.Errorf("runstate: manifest version %d, this build reads %d", env.Version, Version)
+	if env.Version != Version && env.Version != 1 {
+		return nil, 0, fmt.Errorf("runstate: manifest version %d, this build reads 1 and %d", env.Version, Version)
 	}
 	if crc32.ChecksumIEEE(env.Body) != env.CRC32 {
-		return nil, fmt.Errorf("%w: manifest body CRC mismatch", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: manifest body CRC mismatch", ErrCorrupt)
 	}
 	var body manifestBody
 	if err := json.Unmarshal(env.Body, &body); err != nil {
-		return nil, fmt.Errorf("%w: manifest body: %v", ErrCorrupt, err)
+		return nil, 0, fmt.Errorf("%w: manifest body: %v", ErrCorrupt, err)
 	}
 	switch body.Stage {
 	case StagePhase1, StagePhase2, StageDone:
 	default:
-		return nil, fmt.Errorf("%w: unknown stage %q", ErrCorrupt, body.Stage)
+		return nil, 0, fmt.Errorf("%w: unknown stage %q", ErrCorrupt, body.Stage)
 	}
-	return &body, nil
+	return &body, env.Version, nil
 }
 
 // ReadMeta returns the option fingerprint recorded in dir's manifest
@@ -357,7 +433,7 @@ func loadManifest(path string) (*manifestBody, error) {
 // with ErrNoManifest when dir holds no run and ErrCorrupt when the
 // manifest is damaged.
 func ReadMeta(dir string) (Meta, error) {
-	body, err := loadManifest(filepath.Join(dir, "manifest.json"))
+	body, _, err := loadManifest(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return Meta{}, err
 	}
@@ -375,10 +451,14 @@ func HasManifest(dir string) bool {
 
 // isStaleCheckpoint matches checkpoint artifacts left behind without a
 // manifest (e.g. from an interrupted cleanup); a fresh run removes them so
-// it can never load state it did not write.
+// it can never load state it did not write. The version-1 names
+// (phase2.ckpt, p1-block-<id>.ckpt) are included.
 func isStaleCheckpoint(name string) bool {
-	return name == "phase2.ckpt" || name == "result.ckpt" ||
-		strings.HasPrefix(name, "p1-block-") || isTempFile(name)
+	switch name {
+	case logName, slotName(0), slotName(1), "result.ckpt", "phase2.ckpt":
+		return true
+	}
+	return strings.HasPrefix(name, "p1-block-") || isTempFile(name)
 }
 
 // isTempFile matches WriteFileAtomic's in-flight temp names.
@@ -401,37 +481,12 @@ func (r *Run) removeFiles(match func(name string) bool) error {
 	return nil
 }
 
-// phase1FlushEvery batches the manifest rewrite during Phase 1. The
-// per-block .ckpt files (CRC-tagged, atomically installed before the block
-// is marked done) are the authoritative completion record on resume; the
-// manifest's Phase1Done list is a progress summary, so it does not need a
-// full rewrite + fsync pair per block — at billion-block granularity that
-// would serialize the worker pool behind O(blocks²) manifest I/O.
-const phase1FlushEvery = 64
-
-// markBlockDone records block id as complete, rewriting the manifest every
-// phase1FlushEvery completions and at the final block (BeginPhase2 also
-// persists the complete list when Phase 1 ends early between flushes).
-func (r *Run) markBlockDone(id int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done[id] {
-		return nil
-	}
-	r.done[id] = true
-	r.body.Phase1Done = append(r.body.Phase1Done, id)
-	if n := len(r.body.Phase1Done); n%phase1FlushEvery != 0 && n != r.body.NumBlocks {
-		return nil
-	}
-	return r.saveManifestLocked()
-}
-
 // WriteFileAtomic durably installs data at dir/name with the package's
-// standard discipline: temp file, fsync, rename, directory fsync. Readers
-// observe either the previous complete file or the new complete file, and
-// the rename survives a crash. It is exported so sibling durability layers
-// (the jobs store) install their records with exactly the same guarantees
-// as run manifests.
+// discipline for files replaced whole: temp file, fsync, rename, directory
+// fsync. Readers observe either the previous complete file or the new
+// complete file, and the rename survives a crash. It is exported so sibling
+// durability layers (the jobs store) install their records with exactly
+// the same guarantees as run manifests.
 func WriteFileAtomic(dir, name string, data []byte) error {
 	f, err := os.CreateTemp(dir, name+".tmp-*")
 	if err != nil {
@@ -472,26 +527,92 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// frame prefixes payload with a 4-byte magic and a little-endian CRC32
-// (IEEE) of the payload; unframe validates and strips both.
-func frame(magic string, payload []byte) []byte {
-	out := make([]byte, 0, len(magic)+4+len(payload))
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
+// A frame is the framing of result.ckpt, a file replaced whole, whose length
+// is therefore the checkpoint's: a 4-byte magic and a little-endian CRC32
+// (IEEE) of the payload, then the payload.
+const frameHeaderLen = 8
+
+// frame fills in the header of b, frameHeaderLen reserved bytes followed by
+// the payload; unframe validates and strips it.
+func frame(magic string, b []byte) {
+	copy(b, magic)
+	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[frameHeaderLen:]))
 }
 
 func unframe(magic string, data []byte) ([]byte, error) {
-	if len(data) < len(magic)+4 {
+	if len(data) < frameHeaderLen {
 		return nil, fmt.Errorf("%w: %d-byte file is shorter than its %s header", ErrCorrupt, len(data), magic)
 	}
-	if string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q (want %s)", ErrCorrupt, data[:len(magic)], magic)
+	if string(data[:4]) != magic {
+		return nil, fmt.Errorf("%w: bad magic %q (want %s)", ErrCorrupt, data[:4], magic)
 	}
-	want := binary.LittleEndian.Uint32(data[len(magic):])
-	payload := data[len(magic)+4:]
-	if crc32.ChecksumIEEE(payload) != want {
+	payload := data[frameHeaderLen:]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:]) {
 		return nil, fmt.Errorf("%w: %s payload CRC mismatch", ErrCorrupt, magic)
 	}
 	return payload, nil
+}
+
+// A record is the framing of a checkpoint inside a file written in place
+// (the block log, a Phase-2 slot), where the file's length says nothing
+// about the checkpoint's:
+//
+//	magic (4) | payload length uint64 | crc32 of length and payload | payload
+//
+// sealRecord fills in the header of b, recordHeaderLen reserved bytes
+// followed by the payload. parseRecord returns the payload of the record at
+// the front of b, or ok=false when b does not start with a whole, valid
+// one; the declared length is checked against len(b) before it is used.
+const recordHeaderLen = 16
+
+func recordCRC(b []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(b[4:12]), crc32.IEEETable, b[recordHeaderLen:])
+}
+
+func sealRecord(magic string, b []byte) {
+	copy(b, magic)
+	binary.LittleEndian.PutUint64(b[4:], uint64(len(b)-recordHeaderLen))
+	binary.LittleEndian.PutUint32(b[12:], recordCRC(b))
+}
+
+func parseRecord(magic string, b []byte) (payload []byte, ok bool) {
+	if len(b) < recordHeaderLen || string(b[:4]) != magic {
+		return nil, false
+	}
+	n := binary.LittleEndian.Uint64(b[4:])
+	if n > uint64(len(b)-recordHeaderLen) {
+		return nil, false
+	}
+	b = b[:recordHeaderLen+int(n)]
+	if recordCRC(b) != binary.LittleEndian.Uint32(b[12:]) {
+		return nil, false
+	}
+	return b[recordHeaderLen:], true
+}
+
+// openOrCreate opens dir/name read-write, creating it — and making its
+// directory entry durable — when it does not exist yet.
+func openOrCreate(dir, name string) (*os.File, error) {
+	path := filepath.Join(dir, name)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err == nil || !errors.Is(err, fs.ErrNotExist) {
+		return f, err
+	}
+	if f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600); err != nil {
+		return nil, err
+	}
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// writeSynced writes b to f at off and returns once it is on stable
+// storage.
+func writeSynced(f *os.File, b []byte, off int64) error {
+	if _, err := f.WriteAt(b, off); err != nil {
+		return err
+	}
+	return f.Sync()
 }

@@ -151,24 +151,37 @@ func TestBlockRoundTripAndCorruption(t *testing.T) {
 		t.Fatalf("absent block: ok=%v err=%v", ok, err)
 	}
 
-	// A truncated block file is treated as absent (recompute), not fatal.
-	path := rs.blockPath(3)
+	// A record that no longer passes its CRC is treated as absent
+	// (recompute), not fatal — found by this handle, and by a reopen.
+	path := filepath.Join(dir, logName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)-7] ^= 0x10
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok, err := rs.LoadBlock(3); ok || err != nil {
-		t.Fatalf("truncated block: ok=%v err=%v", ok, err)
+		t.Fatalf("bit-flipped record: ok=%v err=%v", ok, err)
 	}
-	// Zero-length too.
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, err := rs.LoadBlock(3); ok || err != nil {
-		t.Fatalf("empty block: ok=%v err=%v", ok, err)
+	// Truncated, and zero-length too.
+	for _, cut := range []int{len(data) - 7, 0} {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, err := rs.LoadBlock(3); ok || err != nil {
+			t.Fatalf("log cut to %d bytes: ok=%v err=%v", cut, ok, err)
+		}
+		rs2, err := Open(dir, testMeta(), 8, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, err := rs2.LoadBlock(3); ok || err != nil || rs2.Phase1Completed() != 0 {
+			t.Fatalf("log cut to %d bytes, reopened: ok=%v err=%v completed=%d", cut, ok, err, rs2.Phase1Completed())
+		}
+		rs2.Close()
 	}
 }
 
@@ -229,34 +242,43 @@ func TestPhase2RoundTripAndCorruption(t *testing.T) {
 		}
 	}
 
-	// A second save atomically replaces the first.
+	// A second save goes to the other slot and is what loads.
 	st.NextStep = 6
 	if err := rs.SavePhase2(st); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err = rs.LoadPhase2()
 	if err != nil || got.NextStep != 6 {
-		t.Fatalf("overwrite: step=%d err=%v", got.NextStep, err)
+		t.Fatalf("second save: step=%d err=%v", got.NextStep, err)
 	}
 
-	// Corruption of the one non-recomputable checkpoint is an error.
-	path := rs.phase2Path()
-	data, err := os.ReadFile(path)
+	// Damage to the newer slot is what a crash inside SavePhase2 leaves:
+	// the checkpoint before it loads.
+	newer := filepath.Join(dir, slotName(1))
+	data, err := os.ReadFile(newer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)-3] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(newer, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err = rs.LoadPhase2()
+	if err != nil || !ok || got.NextStep != 5 {
+		t.Fatalf("torn newer slot: step=%+v ok=%v err=%v", got, ok, err)
+	}
+
+	// With no valid slot left, corruption of the one non-recomputable
+	// checkpoint is an error.
+	older := filepath.Join(dir, slotName(0))
+	if data, err = os.ReadFile(older); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(older, data[:8], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := rs.LoadPhase2(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupt phase2: %v", err)
-	}
-	if err := os.WriteFile(path, data[:8], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rs.LoadPhase2(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated phase2: %v", err)
+		t.Fatalf("both slots damaged: %v", err)
 	}
 }
 
@@ -308,7 +330,9 @@ func TestResultRoundTrip(t *testing.T) {
 // checkpoint artifacts it did not write.
 func TestFreshOpenRemovesStaleFiles(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"phase2.ckpt", "result.ckpt", "p1-block-0.ckpt"} {
+	stale := []string{logName, slotName(0), slotName(1), "result.ckpt",
+		"phase2.ckpt", "p1-block-0.ckpt"} // the last two are version 1's
+	for _, name := range stale {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("stale"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -323,6 +347,11 @@ func TestFreshOpenRemovesStaleFiles(t *testing.T) {
 	if _, ok, err := rs.LoadPhase2(); ok || err != nil {
 		t.Fatalf("stale phase2 visible: ok=%v err=%v", ok, err)
 	}
+	for _, name := range stale {
+		if _, err := os.Lstat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("stale %s survived a fresh Open (err=%v)", name, err)
+		}
+	}
 }
 
 // TestOpenSweepsOrphanedTempFiles: a SIGKILL can land between
@@ -333,7 +362,7 @@ func TestOpenSweepsOrphanedTempFiles(t *testing.T) {
 	if _, err := Open(dir, testMeta(), 8, false); err != nil {
 		t.Fatal(err)
 	}
-	orphans := []string{"phase2.ckpt.tmp-123", "manifest.json.tmp-9", "p1-block-3.ckpt.tmp-77"}
+	orphans := []string{"phase2-0.ckpt.tmp-123", "manifest.json.tmp-9", "result.ckpt.tmp-77"}
 	for _, name := range orphans {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("dead"), 0o644); err != nil {
 			t.Fatal(err)

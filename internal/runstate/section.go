@@ -1,76 +1,69 @@
 package runstate
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"twopcp/internal/blockstore"
 	"twopcp/internal/mat"
 )
 
-// Binary checkpoint files (phase2.ckpt, result.ckpt) share one section
-// layout inside their frame: a uint32 length-prefixed JSON header followed
-// by matrices in blockstore.WriteMatrix encoding. The header declares how
-// many matrices follow; encode/decode of the framing lives here so the two
-// checkpoint kinds can never diverge in corruption handling.
+// Phase-2 and result checkpoints share one section layout inside their
+// framing: a uint32 length-prefixed JSON header followed by matrices in
+// blockstore.WriteMatrix encoding. The header declares how many matrices
+// follow; encode/decode of the layout lives here so the two checkpoint
+// kinds can never diverge in corruption handling.
 
-// encodeSection serializes hdr as the JSON header and appends the matrix
-// section.
-func encodeSection(what string, hdr any, mats []*mat.Matrix) ([]byte, error) {
+// appendSection appends hdr as the JSON header, then the matrix section, to
+// dst — the record is built once, in the buffer it is written from.
+func appendSection(dst []byte, what string, hdr any, mats []*mat.Matrix) ([]byte, error) {
 	hj, err := json.Marshal(hdr)
 	if err != nil {
 		return nil, fmt.Errorf("runstate: marshal %s header: %w", what, err)
 	}
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(len(hj))); err != nil {
-		return nil, fmt.Errorf("runstate: encode %s: %w", what, err)
-	}
-	buf.Write(hj)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(hj)))
+	dst = append(dst, hj...)
 	for _, m := range mats {
-		if err := blockstore.WriteMatrix(&buf, m); err != nil {
-			return nil, fmt.Errorf("runstate: encode %s: %w", what, err)
-		}
+		dst = blockstore.AppendMatrix(dst, m)
 	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
-// decodeSection unmarshals the JSON header into hdr and returns a reader
-// positioned at the start of the matrix section (read the matrices with
-// readMatrices). Every framing defect maps to ErrCorrupt.
-func decodeSection(what string, payload []byte, hdr any) (*bytes.Reader, error) {
-	br := bytes.NewReader(payload)
-	var hlen uint32
-	if err := binary.Read(br, binary.LittleEndian, &hlen); err != nil {
-		return nil, fmt.Errorf("%w: %s header length: %v", ErrCorrupt, what, err)
+// decodeSection unmarshals the JSON header into hdr and returns the matrix
+// section (decode it with decodeMatrices). Every framing defect maps to
+// ErrCorrupt.
+func decodeSection(what string, payload []byte, hdr any) ([]byte, error) {
+	if len(payload) < 4 {
+		return nil, fmt.Errorf("%w: %s payload of %d bytes has no header length", ErrCorrupt, what, len(payload))
 	}
-	if int64(hlen) > int64(br.Len()) {
+	hlen := binary.LittleEndian.Uint32(payload)
+	payload = payload[4:]
+	if uint64(hlen) > uint64(len(payload)) {
 		return nil, fmt.Errorf("%w: %s header length %d exceeds payload", ErrCorrupt, what, hlen)
 	}
-	hj := make([]byte, hlen)
-	if _, err := io.ReadFull(br, hj); err != nil {
+	if err := json.Unmarshal(payload[:hlen], hdr); err != nil {
 		return nil, fmt.Errorf("%w: %s header: %v", ErrCorrupt, what, err)
 	}
-	if err := json.Unmarshal(hj, hdr); err != nil {
-		return nil, fmt.Errorf("%w: %s header: %v", ErrCorrupt, what, err)
-	}
-	return br, nil
+	return payload[hlen:], nil
 }
 
-// readMatrices reads n matrices from the section reader.
-func readMatrices(what string, br *bytes.Reader, n int) ([]*mat.Matrix, error) {
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("%w: %s declares %d matrices", ErrCorrupt, what, n)
+// decodeMatrices decodes the n matrices that make up the whole of b.
+func decodeMatrices(what string, b []byte, n int) ([]*mat.Matrix, error) {
+	// A matrix is at least its 8-byte shape, so b bounds n before n sizes
+	// anything.
+	if n < 0 || n > len(b)/8 {
+		return nil, fmt.Errorf("%w: %s declares %d matrices in %d bytes", ErrCorrupt, what, n, len(b))
 	}
 	mats := make([]*mat.Matrix, n)
 	for i := range mats {
-		m, err := blockstore.ReadMatrix(br)
-		if err != nil {
+		var err error
+		if mats[i], b, err = blockstore.DecodeMatrix(b); err != nil {
 			return nil, fmt.Errorf("%w: %s matrix %d: %v", ErrCorrupt, what, i, err)
 		}
-		mats[i] = m
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: %s has %d bytes after its last matrix", ErrCorrupt, what, len(b))
 	}
 	return mats, nil
 }

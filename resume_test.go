@@ -84,6 +84,44 @@ func TestDecomposeWithCheckpointMatchesPlain(t *testing.T) {
 	sameResult(t, "noop-resume", resumed, plain)
 }
 
+// copyV1Fixture copies one of internal/runstate's version-1 checkpoint
+// directories (written by the last build of that layout) to a directory a
+// run may open.
+func copyV1Fixture(t *testing.T, name string) string {
+	t.Helper()
+	dst := t.TempDir()
+	if err := os.CopyFS(dst, os.DirFS(filepath.Join("internal", "runstate", "testdata", name))); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestResumeVersion1Directory: the layout of a checkpoint directory changed
+// (manifest version 2). A version-1 run that finished still returns its
+// recorded result; one that did not is refused by name, not silently
+// restarted over checkpoints this build does not read.
+func TestResumeVersion1Directory(t *testing.T) {
+	x := twopcp.RandomDense(rand.New(rand.NewSource(4)), 4, 4, 4)
+	opts := twopcp.Options{ // the fixtures' fingerprint
+		Rank: 2, Partitions: []int{2, 1, 1}, Schedule: twopcp.HilbertOrder, Replacement: twopcp.Forward,
+		BufferFraction: 0.5, MaxIters: 5, Tol: 1e-2, Seed: 3, Resume: true,
+	}
+
+	opts.Checkpoint = copyV1Fixture(t, "v1-unfinished")
+	if _, err := twopcp.Decompose(x, opts); !errors.Is(err, runstate.ErrVersion) {
+		t.Fatalf("unfinished version-1 directory: got %v, want ErrVersion", err)
+	}
+
+	opts.Checkpoint = copyV1Fixture(t, "v1-done")
+	res, err := twopcp.Decompose(x, opts)
+	if err != nil {
+		t.Fatalf("finished version-1 directory: %v", err)
+	}
+	if res.Fit != 0.875 || res.VirtualIters != 3 || res.RunStats.Swaps != 6 || len(res.Model.Factors) != 3 {
+		t.Fatalf("finished version-1 directory returned %+v", res)
+	}
+}
+
 // TestResumeEdgeCases covers the rejection paths: missing manifest,
 // mismatched options/seed, re-running a fresh run over an existing
 // manifest, and Resume without a Checkpoint directory.

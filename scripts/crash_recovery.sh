@@ -43,6 +43,16 @@
 # worst a crash could do to writes nobody flushed. The resumed run must
 # still exit 0 and match the uninterrupted run bit for bit: the checkpoint
 # is the only durable state. CI runs all three in the smoke job.
+#
+# TWOPCP_CKPT_LOSS=tear-slot (or tear-log) adds to the kill the one thing
+# SIGKILL rarely shows and power loss does: a checkpoint write that stopped
+# half way. Checkpoints are written in place (docs/crash-recovery.md), so
+# after the kill the script cuts in half the Phase-2 slot holding the
+# newest checkpoint (tear-slot: the resume must fall back to the slot
+# before it and replay further) or the last record of the Phase-1 block
+# log (tear-log: the resume must recompute that one block). Either way it
+# must exit 0 and match the uninterrupted run bit for bit. CI runs both in
+# the smoke job.
 set -euo pipefail
 
 constraint="${TWOPCP_CONSTRAINT:-none}"
@@ -52,6 +62,12 @@ trace="${TWOPCP_TRACE:-0}"
 store_loss="${TWOPCP_STORE_LOSS:-none}"
 case "$store_loss" in none | wipe | garble | truncate) ;; *)
   echo "TWOPCP_STORE_LOSS=$store_loss: want wipe, garble or truncate" >&2
+  exit 2
+  ;;
+esac
+ckpt_loss="${TWOPCP_CKPT_LOSS:-none}"
+case "$ckpt_loss" in none | tear-slot | tear-log) ;; *)
+  echo "TWOPCP_CKPT_LOSS=$ckpt_loss: want tear-slot or tear-log" >&2
   exit 2
   ;;
 esac
@@ -95,7 +111,7 @@ if [ "$store_loss" != none ]; then
   ref_store=(-store "$work/ref-units")
   store=(-store "$work/units")
 fi
-echo "== constraint: $constraint (lambda $lambda)   accelerator: $accelerator   fault rate: $fault_rate   store loss: $store_loss"
+echo "== constraint: $constraint (lambda $lambda)   accelerator: $accelerator   fault rate: $fault_rate   store loss: $store_loss   checkpoint loss: $ckpt_loss"
 
 echo "== reference (uninterrupted) run"
 "$work/twopcp" "${args[@]}" "${ref_store[@]}" -out-prefix "$work/ref" -json "$work/ref.json" >/dev/null
@@ -110,10 +126,12 @@ if [ "$trace" = 1 ]; then
 fi
 "$work/twopcp" "${args[@]}" "${store[@]}" "${trace_args[@]}" -checkpoint "$ckpt" -checkpoint-steps 1 >/dev/null &
 pid=$!
-# Wait for Phase 2 to start checkpointing, let it make some progress, then
-# kill hard (no signal handler can run: this is the power-loss case).
+# Wait for Phase 2 to start checkpointing (the first checkpoint is renamed
+# into slot 0, so the file appearing means a whole one), let it make some
+# progress, then kill hard (no signal handler can run: this is the
+# power-loss case).
 for _ in $(seq 1 3000); do
-  [ -f "$ckpt/phase2.ckpt" ] && break
+  [ -f "$ckpt/phase2-0.ckpt" ] && break
   kill -0 "$pid" 2>/dev/null || break
   sleep 0.01
 done
@@ -126,13 +144,45 @@ fi
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 
-[ -f "$ckpt/phase2.ckpt" ] || { echo "FAIL: no Phase-2 checkpoint on disk after kill" >&2; exit 1; }
+[ -f "$ckpt/phase2-0.ckpt" ] || { echo "FAIL: no Phase-2 checkpoint on disk after kill" >&2; exit 1; }
 grep -q '"stage":"phase2"' "$ckpt/manifest.json" || {
   echo "FAIL: manifest is not mid-Phase-2 after the kill:" >&2
   cat "$ckpt/manifest.json" >&2
   exit 1
 }
-echo "   killed pid $pid with $(ls "$ckpt" | grep -c p1-block) block checkpoints + phase2.ckpt present"
+echo "   killed pid $pid with a $(stat -c %s "$ckpt/p1-blocks.log")-byte block log + $(ls "$ckpt" | grep -c '^phase2-[01]\.ckpt$') Phase-2 slots present"
+
+# A record in the block log or a slot is: magic (4) | payload length, u64
+# little-endian | crc32 | payload; a slot's payload opens with its u64
+# sequence number.
+u64_at() { od -An -tu8 -j"$2" -N8 "$1" | tr -d ' '; }
+case "$ckpt_loss" in
+  tear-slot)
+    echo "== tearing the newest Phase-2 slot"
+    [ -f "$ckpt/phase2-1.ckpt" ] || { echo "FAIL: killed before the second Phase-2 checkpoint; nothing to fall back on" >&2; exit 1; }
+    newest="$ckpt/phase2-0.ckpt"
+    if [ "$(u64_at "$ckpt/phase2-1.ckpt" 16)" -gt "$(u64_at "$newest" 16)" ]; then
+      newest="$ckpt/phase2-1.ckpt"
+    fi
+    seq=$(u64_at "$newest" 16)
+    truncate -s $(($(stat -c %s "$newest") / 2)) "$newest"
+    echo "   $(basename "$newest") (checkpoint $seq) cut to $(stat -c %s "$newest") bytes"
+    ;;
+  tear-log)
+    echo "== tearing the last record of the Phase-1 block log"
+    log="$ckpt/p1-blocks.log"
+    size=$(stat -c %s "$log")
+    off=0 last=0 records=0
+    while [ $((off + 16)) -le "$size" ]; do
+      next=$((off + 16 + $(u64_at "$log" $((off + 4)))))
+      [ "$next" -le "$size" ] || break
+      last=$off off=$next records=$((records + 1))
+    done
+    [ "$records" -gt 0 ] || { echo "FAIL: no whole record in the block log" >&2; exit 1; }
+    truncate -s $((last + (off - last) / 2)) "$log"
+    echo "   record $records of $records cut in half: log is $(stat -c %s "$log") of $size bytes"
+    ;;
+esac
 
 if [ "$store_loss" != none ]; then
   echo "== losing the unit store: $store_loss"

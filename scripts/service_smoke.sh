@@ -56,7 +56,7 @@ job="$("$work/twopcp" submit -server "$server" -in "$work/x.tptl" \
 echo "submitted $job"
 
 echo "== wait for the job to start checkpointing, scrape /metrics"
-ckpt="$data/$job/ckpt/phase2.ckpt"
+ckpt="$data/$job/ckpt/phase2-0.ckpt"
 for _ in $(seq 1 300); do
   [ -f "$ckpt" ] && break
   sleep 0.1

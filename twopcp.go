@@ -365,6 +365,13 @@ func decompose(opts Options, in input) (*Result, error) {
 	if opts.Chaos.BlockRate > 0 || len(opts.Chaos.PoisonBlocks) > 0 {
 		r.src = phase1.NewFaultySource(r.src, opts.Chaos.BlockRate, opts.Chaos.Seed, opts.Chaos.PoisonBlocks)
 	}
+	// The data every checkpoint wrote is already synced; what Close can
+	// still fail at is releasing a descriptor, which changes no outcome.
+	defer func() {
+		if r.rs != nil {
+			_ = r.rs.Close()
+		}
+	}()
 	for _, st := range r.stages() {
 		if r.done || st.due != nil && !st.due() {
 			continue
