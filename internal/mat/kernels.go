@@ -1,14 +1,16 @@
 package mat
 
 // This file holds the innermost compute primitives shared by the matrix and
-// tensor kernels. Each has two implementations: the Go loops below, which
+// tensor kernels — four of them: Axpy, OuterAdd, FibersMatMulAdd and
+// FoldAdd. Each has two implementations: the Go loops below, which
 // run everywhere, and AVX2 assembly (kernels_amd64.s) that takes over the
 // bulk of the work where package init finds, by CPUID, that the CPU and the
 // OS support it. Building with -tags purego leaves only the Go loops.
 //
 // The Go loops are written so the compiler keeps the accumulator blocks in
 // registers: the column dimension is processed in blocks of four (eight,
-// then four, for OuterAdd's weights). The assembly vectorises across that
+// then four, for OuterAdd's weights; the assembly takes eights then fours
+// throughout). The assembly vectorises across that
 // same column index — the one dimension in which all of these are
 // element-wise — with a separate multiply and add, never a fused one, so
 // every lane rounds exactly as the scalar loop does and the two
@@ -18,8 +20,9 @@ package mat
 // output element, so parallel callers that assign each output region to one
 // invocation get bit-identical results at any worker count.
 
-// KernelPath names the implementation behind Axpy, OuterAdd, VecMatMulAdd
-// and FibersMatMulAdd in this process: "avx2" or "generic".
+// KernelPath names the implementation behind the four primitives — Axpy,
+// OuterAdd, FibersMatMulAdd (and VecMatMulAdd, its one-fiber form) and
+// FoldAdd — in this process: "avx2" or "generic".
 func KernelPath() string {
 	if useAVX2 {
 		return "avx2"
@@ -172,6 +175,54 @@ func OuterAdd(rows []float64, w []float64, x []float64, f int) {
 			rows[p] += v * wc
 			p += f
 		}
+	}
+}
+
+// FoldAdd computes dst[c] += Σ_q s[q*sStride+c]·w[q*f+c] over q < count and
+// c < f: count rows of f floats, sStride apart in s, each multiplied element
+// by element with its row of the packed panel w and added to dst in
+// ascending q, every product rounded before it joins the running dst[c].
+// This is the fold of mode-n MTTKRP (n > 0): dst is an output row, the rows
+// of s its fibers' products with the mode-0 factor, w their weights. Each
+// column is one serial chain of additions, so the columns go in blocks that
+// stay in registers down the whole run.
+func FoldAdd(dst, s []float64, sStride int, w []float64, count, f int) {
+	if count == 0 || f == 0 {
+		return
+	}
+	dst = dst[:f:f]
+	_ = s[(count-1)*sStride+f-1]
+	_ = w[count*f-1]
+	c0 := 0
+	if useAVX2 && f >= 4 {
+		foldAddAVX2(dst, s, sStride, w, count, f)
+		c0 = f &^ 3
+	}
+	for ; c0+4 <= f; c0 += 4 {
+		d := dst[c0 : c0+4 : c0+4]
+		d0, d1, d2, d3 := d[0], d[1], d[2], d[3]
+		ps, pw := c0, c0
+		for q := 0; q < count; q++ {
+			sr := s[ps : ps+4 : ps+4]
+			wr := w[pw : pw+4 : pw+4]
+			d0 += sr[0] * wr[0]
+			d1 += sr[1] * wr[1]
+			d2 += sr[2] * wr[2]
+			d3 += sr[3] * wr[3]
+			ps += sStride
+			pw += f
+		}
+		d[0], d[1], d[2], d[3] = d0, d1, d2, d3
+	}
+	for ; c0 < f; c0++ {
+		acc := dst[c0]
+		ps, pw := c0, c0
+		for q := 0; q < count; q++ {
+			acc += s[ps] * w[pw]
+			ps += sStride
+			pw += f
+		}
+		dst[c0] = acc
 	}
 }
 

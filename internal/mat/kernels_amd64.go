@@ -39,3 +39,6 @@ func outerAddAVX2(rows, w, x []float64, f int)
 
 //go:noescape
 func fibersMulAddAVX2(dst, rows, x []float64, nf, n, f int)
+
+//go:noescape
+func foldAddAVX2(dst, s []float64, sStride int, w []float64, count, f int)

@@ -11,8 +11,9 @@
 //     fused operation rounds once and changes the low bits of everything
 //     downstream;
 //   - every output element's additions happen in the Go loop's order (the
-//     accumulators of fibersMulAddAVX2 start at +0 and run front to back;
-//     axpyAVX2 and outerAddAVX2 add once per element);
+//     accumulators of fibersMulAddAVX2 start at +0 and run front to back,
+//     those of foldAddAVX2 start at dst; axpyAVX2 and outerAddAVX2 add
+//     once per element);
 //   - operands commute only where IEEE 754 says the result cannot depend on
 //     it: x+y and y+x differ in nothing but which payload survives when
 //     both are NaN, and the compiler's own operand choice does not pin that
@@ -377,5 +378,80 @@ fib1next:
 	JMP  fib1
 
 fibdone:
+	VZEROUPPER
+	RET
+
+// One row of a fold's run: the row of s at AX times its weights at DX, the
+// product rounded, then added to the column block's running sums; on to the
+// next row of each.
+#define FOLDSTEP8 \
+	VMOVUPD (AX), Y2; \
+	VMOVUPD 32(AX), Y3; \
+	VMULPD  (DX), Y2, Y2; \
+	VMULPD  32(DX), Y3, Y3; \
+	VADDPD  Y2, Y0, Y0; \
+	VADDPD  Y3, Y1, Y1; \
+	ADDQ    R8, AX; \
+	ADDQ    R9, DX
+
+#define FOLDSTEP4 \
+	VMOVUPD (AX), Y2; \
+	VMULPD  (DX), Y2, Y2; \
+	VADDPD  Y2, Y0, Y0; \
+	ADDQ    R8, AX; \
+	ADDQ    R9, DX
+
+// func foldAddAVX2(dst, s []float64, sStride int, w []float64, count, f int)
+//
+// dst[c] += s[q*sStride+c]*w[q*f+c] for q = 0..count-1 and c < f&^3, in
+// column blocks of eight and then four. A block's sums are loaded from dst
+// into Y0 (and Y1), run down the rows in order and are stored once. Needs
+// count >= 1.
+TEXT ·foldAddAVX2(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ s_base+24(FP), SI
+	MOVQ sStride+48(FP), R8
+	MOVQ w_base+56(FP), R10
+	MOVQ count+80(FP), R11
+	MOVQ f+88(FP), R9
+	SHLQ $3, R8               // bytes between rows of s
+	SHLQ $3, R9               // bytes per row of w
+	XORQ BX, BX               // byte offset of the column block
+
+fold8:
+	LEAQ    64(BX), R13
+	CMPQ    R13, R9
+	JGT     fold4
+	VMOVUPD (DI)(BX*1), Y0
+	VMOVUPD 32(DI)(BX*1), Y1
+	LEAQ    (SI)(BX*1), AX
+	LEAQ    (R10)(BX*1), DX
+	MOVQ    R11, CX
+
+fold8row:
+	FOLDSTEP8
+	DECQ    CX
+	JNZ     fold8row
+	VMOVUPD Y0, (DI)(BX*1)
+	VMOVUPD Y1, 32(DI)(BX*1)
+	ADDQ    $64, BX
+	JMP     fold8
+
+fold4:
+	LEAQ    32(BX), R13
+	CMPQ    R13, R9
+	JGT     folddone
+	VMOVUPD (DI)(BX*1), Y0
+	LEAQ    (SI)(BX*1), AX
+	LEAQ    (R10)(BX*1), DX
+	MOVQ    R11, CX
+
+fold4row:
+	FOLDSTEP4
+	DECQ    CX
+	JNZ     fold4row
+	VMOVUPD Y0, (DI)(BX*1)
+
+folddone:
 	VZEROUPPER
 	RET

@@ -41,6 +41,14 @@ func vecMatMulAddGeneric(dst, rows, x []float64, f int) {
 	}
 }
 
+func foldAddGeneric(dst, s []float64, sStride int, w []float64, count, f int) {
+	for q := 0; q < count; q++ {
+		for c := 0; c < f; c++ {
+			dst[c] += s[q*sStride+c] * w[q*f+c]
+		}
+	}
+}
+
 // sameBits reports whether got and want hold the same bit patterns, any NaN
 // matching any NaN: which payload survives an operation on two NaNs is the
 // one thing the two implementations may legitimately disagree on.
@@ -65,9 +73,9 @@ func offsetSlice(n, off int, gen func() float64) []float64 {
 	return s
 }
 
-// checkKernels runs the four primitives on one shape — nf fibers of n
-// elements against f columns, every slice off elements into its allocation
-// — with inputs drawn from gen.
+// checkKernels runs the primitives on one shape — nf fibers of n elements
+// against f columns (for FoldAdd, a run of n rows), every slice off elements
+// into its allocation — with inputs drawn from gen.
 func checkKernels(t *testing.T, gen func() float64, f, n, nf, off int) {
 	t.Helper()
 	clone := func(s []float64) []float64 { return append([]float64(nil), s...) }
@@ -80,6 +88,25 @@ func checkKernels(t *testing.T, gen func() float64, f, n, nf, off int) {
 	axpyGeneric(want, x, a)
 	if i, ok := sameBits(got, want); !ok {
 		t.Fatalf("Axpy n=%d off=%d a=%v: [%d] = %x, generic %x", n, off, a, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+	}
+
+	// FoldAdd over n rows: packed when nf is even, far apart when it is odd,
+	// and s ends at the last element the fold may read.
+	sStride := f
+	if nf%2 == 1 {
+		sStride = 5*f + nf
+	}
+	var rowsOfS []float64
+	if n > 0 && f > 0 {
+		rowsOfS = offsetSlice((n-1)*sStride+f, off, gen)
+	}
+	weights := offsetSlice(n*f, off, gen)
+	got = offsetSlice(f, off, gen)
+	want = clone(got)
+	FoldAdd(got, rowsOfS, sStride, weights, n, f)
+	foldAddGeneric(want, rowsOfS, sStride, weights, n, f)
+	if i, ok := sameBits(got, want); !ok {
+		t.Fatalf("FoldAdd f=%d count=%d sStride=%d off=%d: [%d] = %x, generic %x", f, n, sStride, off, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 	}
 	if f == 0 || n == 0 {
 		return // the panel kernels return before touching anything
@@ -195,6 +222,41 @@ func TestFiberSumOfNegativeZerosIsPositiveZero(t *testing.T) {
 			for i, v := range s {
 				if math.Float64bits(v) != 0 {
 					t.Fatalf("f=%d nf=%d: -0 + S[%d] = %x, want +0", f, nf, i, math.Float64bits(v))
+				}
+			}
+		}
+	}
+}
+
+// TestFoldOfNegativeZerosKeepsTheRowsSign: rows of -0 against positive
+// weights make every product -0. The fold adds them to the running dst, so
+// a zeroed output row stays +0 (+0 + -0 = +0) and a -0 one stays -0 — a
+// kernel that summed the run from its own +0 and added that sum to dst
+// would turn the second into +0, one seeded with the first product would
+// turn the first into -0.
+func TestFoldOfNegativeZerosKeepsTheRowsSign(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, f := range []int{1, 3, 4, 8, 12, 16, 17} {
+		for _, count := range []int{1, 4, 5} {
+			sStride := f + 3
+			s := make([]float64, (count-1)*sStride+f)
+			for i := range s {
+				s[i] = negZero
+			}
+			w := make([]float64, count*f)
+			for i := range w {
+				w[i] = float64(i + 1)
+			}
+			for _, start := range []float64{0, negZero} {
+				dst := make([]float64, f)
+				for i := range dst {
+					dst[i] = start
+				}
+				FoldAdd(dst, s, sStride, w, count, f)
+				for i, v := range dst {
+					if math.Float64bits(v) != math.Float64bits(start) {
+						t.Fatalf("f=%d count=%d: %x + fold[%d] = %x, want it unchanged", f, count, math.Float64bits(start), i, math.Float64bits(v))
+					}
 				}
 			}
 		}

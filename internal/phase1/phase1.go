@@ -287,6 +287,12 @@ func Run(src Source, opts Options) (*Result, error) {
 	// checkpoint-write paths; trace events address Phase-1 blocks with
 	// mode -1 and the block id in part.
 	retryer := blockstore.NewRetryer(opts.Retry, opts.Obs)
+	// A source that can read a block into the previous one's storage gets
+	// each worker's last block back: nothing keeps a block once it is
+	// decomposed.
+	reuser, _ := src.(interface {
+		BlockInto(buf any, vec []int) (any, error)
+	})
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
@@ -310,6 +316,7 @@ func Run(src Source, opts Options) (*Result, error) {
 			// Each worker owns one ALS workspace, reused across its blocks
 			// so per-sweep scratch is allocated once, not per block.
 			ws := cpals.NewWorkspace()
+			var last any // the block decomposed before this one
 			for j := range jobs {
 				if opts.Checkpoint != nil {
 					factors, fit, ok, err := opts.Checkpoint.LoadBlock(j.id)
@@ -327,10 +334,15 @@ func Run(src Source, opts Options) (*Result, error) {
 				var block any
 				err := retryer.Do("block", -1, j.id, func() error {
 					var e error
-					block, e = src.Block(j.vec)
+					if reuser != nil {
+						block, e = reuser.BlockInto(last, j.vec)
+					} else {
+						block, e = src.Block(j.vec)
+					}
 					return e
 				})
 				if err == nil {
+					last = block
 					var factors []*mat.Matrix
 					var fit float64
 					var sweeps int
@@ -440,20 +452,17 @@ func decomposeBlock(block any, blockID int, p *grid.Pattern, opts Options, ws *c
 	}
 
 	var (
-		kt   *cpals.KTensor
+		kt   *cpals.KTensor // stays nil for an empty block
 		info cpals.Info
 		err  error
-		nnz  int
 	)
 	switch b := block.(type) {
 	case *tensor.Dense:
-		nnz = b.NNZ()
-		if nnz > 0 {
+		if b.HasNonZero() {
 			kt, info, err = cpals.Decompose(b, alsOpts)
 		}
 	case *tensor.COO:
-		nnz = b.NNZ()
-		if nnz > 0 {
+		if b.NNZ() > 0 {
 			kt, info, err = cpals.DecomposeSparse(b, alsOpts)
 		}
 	default:
@@ -462,7 +471,7 @@ func decomposeBlock(block any, blockID int, p *grid.Pattern, opts Options, ws *c
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if nnz == 0 {
+	if kt == nil {
 		// Paper footnote 3: empty sub-tensors get zero factors.
 		factors := make([]*mat.Matrix, len(size))
 		for m, rows := range size {

@@ -142,6 +142,38 @@ func TestRunSparseEmptyBlocks(t *testing.T) {
 	}
 }
 
+// TestRunDenseEmptyBlocksAndLastCell: a dense block counts as empty only if
+// every cell is zero. Seven blocks here are, and get zero factors and fit 1
+// (paper footnote 3); the eighth is zero but for its very last cell, which
+// an early-exit emptiness test reaches last, and must be decomposed.
+func TestRunDenseEmptyBlocksAndLastCell(t *testing.T) {
+	x := tensor.NewDense(8, 8, 8)
+	x.Set(3, 7, 7, 7)
+	p := grid.UniformCube(3, 8, 2)
+	src, err := NewDenseSource(x, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(src, Options{Rank: 2, MaxIters: 30, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := p.Linear([]int{1, 1, 1})
+	for id := range res.Sub {
+		for m, f := range res.Sub[id] {
+			if zero := f.MaxAbs() == 0; zero != (id != last) {
+				t.Fatalf("block %d mode %d: all-zero factor = %v", id, m, zero)
+			}
+		}
+		if id != last && (res.Fits[id] != 1 || res.Sweeps[id] != 0) {
+			t.Fatalf("empty block %d: fit %g after %d sweeps, want 1 after 0", id, res.Fits[id], res.Sweeps[id])
+		}
+	}
+	if got := cpals.NewKTensor(res.Sub[last]).At(3, 3, 3); math.Abs(got-3) > 1e-6 {
+		t.Fatalf("the one-cell block reconstructs its cell as %g, want 3", got)
+	}
+}
+
 func TestFoldLambdaPreservesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	factors := []*mat.Matrix{mat.Random(4, 2, rng), mat.Random(3, 2, rng), mat.Random(5, 2, rng)}

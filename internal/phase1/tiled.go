@@ -43,11 +43,19 @@ func NewTiledSource(r *tfile.Reader, p *grid.Pattern) (*TiledSource, error) {
 func (s *TiledSource) Pattern() *grid.Pattern { return s.P }
 
 // Block implements Source.
-func (s *TiledSource) Block(vec []int) (any, error) {
+func (s *TiledSource) Block(vec []int) (any, error) { return s.BlockInto(nil, vec) }
+
+// BlockInto is Block reading into the storage of buf — a block this source
+// returned earlier and the caller is done with — when the pattern is the
+// file tiling and buf has the block's cell count; otherwise buf is ignored.
+// Run's workers find the method by type assertion and hand each block back
+// for the next, so a pass over the file allocates one block per worker.
+func (s *TiledSource) BlockInto(buf any, vec []int) (any, error) {
 	from, size := s.P.Block(vec)
 	tiling := s.R.Tiling()
 	if s.P.Equal(tiling) {
-		return s.R.ReadTile(vec)
+		prev, _ := buf.(*tensor.Dense)
+		return s.R.ReadTileInto(prev, vec)
 	}
 	out := tensor.NewDense(size...)
 	n := len(from)

@@ -119,6 +119,80 @@ func TestTiledSourcePhase1Parity(t *testing.T) {
 	}
 }
 
+// TestTiledSourceBlockReuse: with the run partition equal to the file
+// tiling Run's workers read each block into the previous one's storage.
+// The tiling here is uneven (mode 0 splits 10 into 4+3+3), so a worker also
+// meets a block its last one cannot hold; at every worker count the
+// sub-factors must equal the in-memory source's bit for bit. BlockInto
+// itself must reuse storage exactly when it can.
+func TestTiledSourceBlockReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	x := tensor.RandomDense(rng, 10, 8, 6)
+	p := grid.MustNew(x.Dims, []int{3, 2, 2})
+	r := writeTiled(t, x, []int{3, 2, 2})
+	src, err := NewTiledSource(r, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memSrc, err := NewDenseSource(x, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		opts := Options{Rank: 3, MaxIters: 10, Seed: 9, Workers: workers}
+		mem, err := Run(memSrc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiled, err := Run(src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := range mem.Sub {
+			for m := range mem.Sub[id] {
+				if mem.Fits[id] != tiled.Fits[id] || !mem.Sub[id][m].Equal(tiled.Sub[id][m]) {
+					t.Fatalf("workers %d block %d mode %d: reused-storage run differs from the in-memory source", workers, id, m)
+				}
+			}
+		}
+	}
+
+	first, err := src.Block([]int{1, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := first.(*tensor.Dense)
+	same, err := src.BlockInto(held, []int{2, 1, 1}) // another 3x4x3 block
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, size := p.Block([]int{2, 1, 1})
+	if got := same.(*tensor.Dense); &got.Data[0] != &held.Data[0] || !got.EqualApprox(x.SubTensor(from, size), 0) {
+		t.Fatal("BlockInto did not read an equal-sized block into the storage it was handed")
+	}
+	other, err := src.BlockInto(held, []int{0, 0, 0}) // 4x4x3: does not fit
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, size = p.Block([]int{0, 0, 0})
+	if got := other.(*tensor.Dense); &got.Data[0] == &held.Data[0] || !got.EqualApprox(x.SubTensor(from, size), 0) {
+		t.Fatal("BlockInto of a differently sized block must allocate")
+	}
+	// A partition that is not the file tiling assembles blocks from several
+	// tiles and leaves the offered storage alone.
+	coarse, err := NewTiledSource(r, grid.MustNew(x.Dims, []int{1, 2, 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := held.Clone()
+	if _, err := coarse.BlockInto(held, []int{0, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !held.EqualApprox(keep, 0) {
+		t.Fatal("BlockInto wrote into a buffer it cannot use")
+	}
+}
+
 func TestGridCover(t *testing.T) {
 	p := grid.MustNew([]int{10}, []int{3}) // ranges [0,4) [4,7) [7,10)
 	for _, tc := range []struct {

@@ -293,7 +293,7 @@ func rangeBases(src Source, dims []int, s int, coreDims []int, seed int64) (qs [
 		var coo *tensor.COO
 		switch b := block.(type) {
 		case *tensor.Dense:
-			if b.NNZ() == 0 {
+			if !b.HasNonZero() {
 				continue // empty block contributes nothing to any mode
 			}
 			dense = b
@@ -361,7 +361,7 @@ func projectCore(src Source, qs []*mat.Matrix, coreDims []int) (*tensor.Dense, e
 		}
 		switch b := block.(type) {
 		case *tensor.Dense:
-			if b.NNZ() > 0 {
+			if b.HasNonZero() {
 				g.AddInPlace(tensor.TTMChain(b, ms))
 			}
 		case *tensor.COO:

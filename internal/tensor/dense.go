@@ -147,6 +147,16 @@ func (t *Dense) NNZ() int {
 	return n
 }
 
+// HasNonZero reports whether NNZ() > 0, stopping at the first such cell.
+func (t *Dense) HasNonZero() bool {
+	for _, v := range t.Data {
+		if v != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // EqualApprox reports whether t and u share dims and differ by at most tol
 // per cell.
 func (t *Dense) EqualApprox(u *Dense, tol float64) bool {

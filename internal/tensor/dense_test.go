@@ -244,3 +244,20 @@ func TestDenseString(t *testing.T) {
 		t.Fatalf("String = %q", s)
 	}
 }
+
+func TestHasNonZeroAgreesWithNNZ(t *testing.T) {
+	x := NewDense(3, 4, 5)
+	if x.HasNonZero() {
+		t.Fatal("all-zero tensor reports a non-zero cell")
+	}
+	x.Data[len(x.Data)-1] = math.Copysign(0, -1)
+	if x.HasNonZero() {
+		t.Fatal("-0 counted as non-zero")
+	}
+	for _, v := range []float64{1e-320, math.NaN()} {
+		x.Data[len(x.Data)-1] = v
+		if !x.HasNonZero() || x.NNZ() != 1 {
+			t.Fatalf("last cell %g: HasNonZero %v, NNZ %d", v, x.HasNonZero(), x.NNZ())
+		}
+	}
+}

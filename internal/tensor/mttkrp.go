@@ -46,12 +46,11 @@ import (
 // kernels so steady-state sweeps allocate nothing.
 type fiberScratch struct {
 	s, w []float64
-	idx  []int
 }
 
 var fiberPool = sync.Pool{New: func() any { return &fiberScratch{} }}
 
-func getFiberScratch(f, modes int) *fiberScratch {
+func getFiberScratch(f int) *fiberScratch {
 	fs := fiberPool.Get().(*fiberScratch)
 	if cap(fs.s) < f {
 		fs.s = make([]float64, f)
@@ -59,14 +58,10 @@ func getFiberScratch(f, modes int) *fiberScratch {
 	}
 	fs.s = fs.s[:f]
 	fs.w = fs.w[:f]
-	if cap(fs.idx) < modes {
-		fs.idx = make([]int, modes)
-	}
-	fs.idx = fs.idx[:modes]
 	return fs
 }
 
-// wPool holds the fiber-weight chunk of the generic mode-0 path.
+// wPool holds the fiber-weight chunk of the N-way paths.
 var wPool = sync.Pool{New: func() any { s := make([]float64, 0, 1<<14); return &s }}
 
 // MTTKRP computes the Matricized-Tensor Times Khatri-Rao Product for mode n:
@@ -207,8 +202,8 @@ func mttkrpInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 	}
 }
 
-// wChunkFibers is how many fiber weights the generic mode-0 path
-// materializes per chunk (bounding scratch at wChunkFibers×F floats).
+// wChunkFibers is how many fiber weights the N-way paths materialize per
+// chunk (bounding scratch at wChunkFibers×F floats).
 const wChunkFibers = 4096
 
 // mode0Pass accumulates the mode-0 MTTKRP as rank-one fiber updates over
@@ -225,7 +220,7 @@ func mode0Pass(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, f int) {
 		i1n, i2n := dims[1], dims[2]
 		a1, a2 := factors[1], factors[2]
 		parRowPanels(workers, i0n, func(lo, hi int) {
-			fs := getFiberScratch(f, 3)
+			fs := getFiberScratch(f)
 			w := fs.w
 			panel := dst.Data[lo*f : hi*f]
 			for i2 := 0; i2 < i2n; i2++ {
@@ -251,7 +246,7 @@ func mode0Pass(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, f int) {
 	wchunk := (*sp)[:wChunkFibers*f]
 	for cf0 := 0; cf0 < nf; cf0 += wChunkFibers {
 		cf1 := min(cf0+wChunkFibers, nf)
-		buildFiberWeights(wchunk, factors, dims[1:], cf0, cf1, f, workers)
+		buildFiberWeights(wchunk, factors, 0, cf0, cf1, f, workers)
 		parRowPanels(workers, i0n, func(lo, hi int) {
 			panel := dst.Data[lo*f : hi*f]
 			for fi := cf0; fi < cf1; fi++ {
@@ -269,8 +264,14 @@ func mode0Pass(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, f int) {
 // computed on the spot — in which case the fold streams the tensor once.
 //
 // Fiber-space geometry: fibers are indexed by (i_1, ..., i_{N-1}) in
-// Fortran order, so the fibers of row j are runs of sfn consecutive fibers
-// repeated outerN times.
+// Fortran order, so the fibers of row j are outerN runs of sfn consecutive
+// fibers, and run by run they are the fibers of every other row: position
+// r = outer·sfn + q of that sequence indexes the modes other than 0 and n,
+// and with them the weight, whatever j is. A 3-way tensor has one such mode
+// and its factor is the weight panel; otherwise the weights are built once,
+// a chunk at a time, and every row folds the chunk. A fold is one
+// mat.FoldAdd per stretch of equally spaced rows of S: a whole run, or,
+// when the runs are single fibers, all of them at once.
 func foldFibers(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Sweep) {
 	dims := t.Dims
 	i0n, f := dims[0], dst.Cols
@@ -280,107 +281,99 @@ func foldFibers(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 	for k := 1; k < n; k++ {
 		sfn *= dims[k]
 	}
-	outerN := nf / (sfn * dims[n])
-	lowDims := dims[1:n]   // decoded along q
-	highDims := dims[n+1:] // decoded along outer
+	perRow := nf / dims[n]
 	a0 := factors[0]
 	sp := sw.products(a0)
 	work := nf * 2 * f
 	if sp == nil {
 		work *= i0n
 	}
-	par.DoWorkers(par.WorkersFor(work), dims[n], func(j int) {
-		fs := getFiberScratch(f, len(dims))
-		s := fs.s
-		idxHigh := fs.idx[:len(highDims)]
-		idxLow := fs.idx[len(highDims) : len(highDims)+len(lowDims)]
-		for k := range idxHigh {
-			idxHigh[k] = 0
-		}
-		orow := dst.Row(j)
-		for outer := 0; outer < outerN; outer++ {
-			for k := range idxLow {
-				idxLow[k] = 0
-			}
-			for q := 0; q < sfn; q++ {
-				fi := (outer*dims[n]+j)*sfn + q
-				if sp != nil {
-					s = sp[fi*f : (fi+1)*f]
-				} else {
-					clear(s)
-					mat.VecMatMulAdd(s, a0.Data, x[fi*i0n:(fi+1)*i0n], f)
-				}
-				if w := fiberWeight(fs.w, factors, idxLow, idxHigh, n); w != nil {
-					for c, sv := range s {
-						orow[c] += sv * w[c]
-					}
-				} else {
-					for c, sv := range s {
-						orow[c] += sv
-					}
-				}
-				incIndex(idxLow, lowDims)
-			}
-			incIndex(idxHigh, highDims)
-		}
-		fiberPool.Put(fs)
-	})
-}
+	workers := par.WorkersFor(work)
 
-// fiberWeight returns the Hadamard product of the outer-mode factor rows
-// (modes 1..n-1 at idxLow, modes n+1.. at idxHigh), multiplied in
-// ascending mode order: nil when there is no outer mode, the factor row
-// itself when there is one, buf otherwise.
-func fiberWeight(buf []float64, factors []*mat.Matrix, idxLow, idxHigh []int, n int) []float64 {
-	var w []float64
-	rows := 0
-	for k := 1; k < len(factors); k++ {
-		if k == n {
-			continue
+	var w []float64 // the weights of positions [r0, r1)
+	chunk := perRow
+	built := len(dims) != 3
+	if !built {
+		w = factors[3-n].Data
+	} else {
+		chunk = min(chunk, wChunkFibers)
+		wp := wPool.Get().(*[]float64)
+		defer wPool.Put(wp)
+		if cap(*wp) < chunk*f {
+			*wp = make([]float64, chunk*f)
 		}
-		var row []float64
-		if k < n {
-			row = factors[k].Row(idxLow[k-1])
-		} else {
-			row = factors[k].Row(idxHigh[k-n-1])
-		}
-		switch rows {
-		case 0:
-			w = row
-		case 1:
-			mat.HadamardVec(buf, w, row)
-			w = buf
-		default:
-			for c := range buf {
-				buf[c] *= row[c]
-			}
-		}
-		rows++
+		w = (*wp)[:chunk*f]
 	}
-	return w
+	for r0 := 0; r0 < perRow; r0 += chunk {
+		// Fresh, assigned-once copies for the task below to capture by
+		// value: the originals would each move to the heap, once per fold.
+		r0, r1, w, sfn := r0, min(r0+chunk, perRow), w, sfn
+		if built {
+			buildFiberWeights(w, factors, n, r0, r1, f, workers)
+		}
+		par.DoWorkers(workers, dims[n], func(j int) {
+			var s []float64 // a fiber's product when no S holds it
+			if sp == nil {
+				fs := getFiberScratch(f)
+				defer fiberPool.Put(fs)
+				s = fs.s
+			}
+			orow := dst.Row(j)
+			for r := r0; r < r1; {
+				// The stretch from r: to the end of its run, or, when runs
+				// are single fibers dims[n] apart, to the end of the chunk.
+				fi, count, stride := r*dims[n]+j, r1-r, dims[n]
+				if sfn > 1 {
+					outer, q := r/sfn, r%sfn
+					fi, count, stride = (outer*dims[n]+j)*sfn+q, min(sfn-q, r1-r), 1
+				}
+				wr := w[(r-r0)*f:]
+				if sp != nil {
+					mat.FoldAdd(orow, sp[fi*f:], stride*f, wr, count, f)
+				} else {
+					for k := 0; k < count; k++ {
+						clear(s)
+						fb := (fi + k*stride) * i0n
+						mat.VecMatMulAdd(s, a0.Data, x[fb:fb+i0n], f)
+						mat.FoldAdd(orow, s, f, wr[k*f:], 1, f)
+					}
+				}
+				r += count
+			}
+		})
+	}
 }
 
-// buildFiberWeights fills wchunk with the fiber weights of fibers
-// [cf0, cf1): the Hadamard product of the factor rows of every mode except
-// mode 0, multiplied in ascending mode order. Each weight depends only on
-// its fiber index, so the build parallelizes freely.
-func buildFiberWeights(wchunk []float64, factors []*mat.Matrix, fdims []int, cf0, cf1, f, workers int) {
+// buildFiberWeights fills wchunk with the weights of positions [cf0, cf1)
+// of the fiber space spanned by every mode except 0 and skip (Fortran
+// order; skip = 0 for all of modes 1..N-1): the Hadamard product of those
+// modes' factor rows, multiplied in ascending mode order, all ones when
+// there is no such mode. Each weight depends only on its position, so the
+// build parallelizes freely.
+func buildFiberWeights(wchunk []float64, factors []*mat.Matrix, skip, cf0, cf1, f, workers int) {
 	count := cf1 - cf0
 	const grain = 512
 	np := (count + grain - 1) / grain
 	par.DoWorkers(workers, np, func(p int) {
 		lo := cf0 + p*grain
-		hi := lo + grain
-		if hi > cf1 {
-			hi = cf1
+		hi := min(lo+grain, cf1)
+		// idx[k] is mode k's index; modes 0 and skip stay unused.
+		idx := make([]int, len(factors))
+		lin := lo
+		for k := 1; k < len(factors); k++ {
+			if k != skip {
+				idx[k] = lin % factors[k].Rows
+				lin /= factors[k].Rows
+			}
 		}
-		idx := make([]int, len(fdims))
-		unlinear(idx, lo, fdims)
 		for fi := lo; fi < hi; fi++ {
 			w := wchunk[(fi-cf0)*f : (fi-cf0+1)*f]
 			first := true
-			for k, i := range idx {
-				row := factors[k+1].Row(i)
+			for k := 1; k < len(factors); k++ {
+				if k == skip {
+					continue
+				}
+				row := factors[k].Row(idx[k])
 				if first {
 					copy(w, row)
 					first = false
@@ -395,17 +388,17 @@ func buildFiberWeights(wchunk []float64, factors []*mat.Matrix, fdims []int, cf0
 					w[c] = 1
 				}
 			}
-			incIndex(idx, fdims)
+			for k := 1; k < len(factors); k++ {
+				if k == skip {
+					continue
+				}
+				if idx[k]++; idx[k] < factors[k].Rows {
+					break
+				}
+				idx[k] = 0
+			}
 		}
 	})
-}
-
-// unlinear decodes a Fortran-order linear index into idx over dims.
-func unlinear(idx []int, lin int, dims []int) {
-	for k, d := range dims {
-		idx[k] = lin % d
-		lin /= d
-	}
 }
 
 // parRowPanels splits [0, rows) into contiguous panels (at most one per
@@ -452,7 +445,7 @@ func MTTKRPSparseInto(dst *mat.Matrix, t *COO, factors []*mat.Matrix, n int) {
 func mttkrpSparseInto(dst *mat.Matrix, t *COO, factors []*mat.Matrix, n int) {
 	dst.Zero()
 	f := dst.Cols
-	fs := getFiberScratch(f, len(t.Dims))
+	fs := getFiberScratch(f)
 	defer fiberPool.Put(fs)
 	prod := fs.s
 	for p, v := range t.Vals {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 
 	"twopcp/internal/grid"
 	"twopcp/internal/tensor"
@@ -222,10 +223,15 @@ func (r *Reader) Close() error {
 	return nil
 }
 
+// chunkBuf pools readFloats' 64 KiB chunk buffers.
+var chunkBuf = sync.Pool{New: func() any { b := make([]byte, 64<<10); return &b }}
+
 // readFloats fills dst from little-endian float64s, through a bounded
 // chunk buffer.
 func readFloats(r io.Reader, dst []float64) error {
-	buf := make([]byte, 64<<10)
+	bp := chunkBuf.Get().(*[]byte)
+	defer chunkBuf.Put(bp)
+	buf := *bp
 	per := len(buf) / 8
 	for len(dst) > 0 {
 		n := len(dst)

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Kernel parity smoke: internal/mat's AVX2 kernels and its pure-Go loops
-# must produce the same bits through the whole pipeline. Build cmd/twopcp
+# Kernel parity smoke: internal/mat's four AVX2 kernels (Axpy, OuterAdd,
+# FibersMatMulAdd, FoldAdd) and its pure-Go loops must produce the same
+# bits through the whole pipeline. Build cmd/twopcp
 # twice — default, and with -tags purego, which leaves only the Go loops —
 # run both on one tiled file at ranks 8 and 16 (one and two eight-column
 # kernel blocks; the golden fixtures' rank 3 reaches no vector code at
