@@ -20,7 +20,7 @@ func validateAccelOptions(opts Options) error {
 		if opts.SketchOversample != 0 {
 			return fmt.Errorf("twopcp: SketchOversample %d is only meaningful with an accelerator", opts.SketchOversample)
 		}
-	case AccelTucker, AccelSketched:
+	case AccelTucker:
 		if opts.Phase0Rank < 0 {
 			return fmt.Errorf("twopcp: Phase0Rank %d", opts.Phase0Rank)
 		}
@@ -48,12 +48,10 @@ func phase0Rank(opts Options) int {
 	return opts.Rank
 }
 
-// phase0 is the pipeline's Phase-0 stage: it applies the configured
-// accelerator ahead of Phase 1. For AccelTucker it computes the
+// phase0 is the pipeline's Phase-0 stage: it computes AccelTucker's
 // compress-then-refine warm start (possibly falling back to brute force)
-// and installs it as the Phase-1 Init; for AccelSketched it wraps the
-// Phase-1 row solver with leverage-score sampling. It records in RunStats
-// whether a warm start or sampled solver was actually installed.
+// and installs it as the Phase-1 Init. It records in RunStats whether a
+// warm start was actually installed.
 //
 // Phase 0 is deterministic given the options (seeded sketches, serial
 // block streaming), so a resumed run recomputes bit-identical warm
@@ -61,15 +59,6 @@ func phase0Rank(opts Options) int {
 // the manifest has advanced past Phase 1 (the warm start can no longer
 // influence anything).
 func (r *runCtx) phase0() error {
-	if r.opts.Accelerator == AccelSketched {
-		r.p1opts.Solver = cpals.Sketched{Inner: r.solver, Seed: r.opts.Seed}
-		if r.ob.Tracing() {
-			r.ob.Emit("phase0.sketch",
-				obs.Str("accelerator", "sketched"), obs.Bool("active", true))
-		}
-		r.res.RunStats.Accelerated = true
-		return nil
-	}
 	res, err := sketch.TuckerWarmStart(r.src, sketchOptions(r.opts, r.solver))
 	if err != nil {
 		return err

@@ -1,9 +1,14 @@
 package twopcp_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"twopcp"
@@ -17,7 +22,8 @@ import (
 // numerics — range-finder orthonormality, core projection, warm-start
 // recovery — live in internal/sketch/sketch_test.go.)
 
-// accelCases enumerates the accelerators through the public options.
+// accelCases enumerates the accelerators through the public options (one
+// since "sketched" was removed; the subtests keep their names).
 func accelCases() []struct {
 	name  string
 	accel twopcp.Accelerator
@@ -27,7 +33,6 @@ func accelCases() []struct {
 		accel twopcp.Accelerator
 	}{
 		{"tucker", twopcp.AccelTucker},
-		{"sketched", twopcp.AccelSketched},
 	}
 }
 
@@ -45,7 +50,7 @@ func accelOpts(a twopcp.Accelerator) twopcp.Options {
 	return opts
 }
 
-// TestAcceleratorInvariantsAcrossFrontends runs both accelerators through
+// TestAcceleratorInvariantsAcrossFrontends runs the accelerator through
 // all three input front-ends and checks the pipeline contract on each:
 // bounded fit trace, and bit-exact dense/tiled parity (the Phase-0 sketch
 // streams the same blocks from either front-end).
@@ -162,7 +167,7 @@ func TestAcceleratorDeterminismAcrossParallelism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.accel == twopcp.AccelTucker && !ref.RunStats.Accelerated {
+			if !ref.RunStats.Accelerated {
 				t.Fatal("Phase 0 fell back on a low-multilinear-rank input")
 			}
 			variants := []struct {
@@ -200,6 +205,7 @@ func TestAccelOptionValidation(t *testing.T) {
 		{Rank: 2, Seed: 1, Accelerator: twopcp.AccelTucker, Phase0Rank: -1},       // negative rank
 		{Rank: 2, Seed: 1, Accelerator: twopcp.AccelTucker, SketchOversample: -2}, // negative oversample
 		{Rank: 2, Seed: 1, Accelerator: twopcp.Accelerator(99)},                   // unknown accelerator
+		{Rank: 2, Seed: 1, Accelerator: twopcp.Accelerator(2)},                    // the removed "sketched" value
 	}
 	for i, opts := range bad {
 		if _, err := twopcp.Decompose(x, opts); err == nil {
@@ -209,7 +215,12 @@ func TestAccelOptionValidation(t *testing.T) {
 	if _, err := twopcp.ParseAccelerator("bogus"); err == nil {
 		t.Fatal("ParseAccelerator accepted bogus")
 	}
-	for _, s := range []string{"none", "tucker", "sketched"} {
+	// The removed accelerator is an error, never silently "none".
+	const want = `unknown accelerator "sketched" (want none or tucker)`
+	if _, err := twopcp.ParseAccelerator("sketched"); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ParseAccelerator(sketched) = %v, want an error containing %q", err, want)
+	}
+	for _, s := range []string{"none", "tucker"} {
 		a, err := twopcp.ParseAccelerator(s)
 		if err != nil {
 			t.Fatal(err)
@@ -267,5 +278,54 @@ func TestAcceleratedCheckpointResume(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResumeOverRemovedAcceleratorIsMismatch: a checkpoint directory written
+// by a build that still had the "sketched" accelerator records it in its
+// fingerprint. No run of this build can match that, so a resume is refused
+// with ErrMismatch — whichever accelerator it asks for — rather than
+// panicking or resuming under a different solver.
+func TestResumeOverRemovedAcceleratorIsMismatch(t *testing.T) {
+	x := accelTensor(44)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	opts := accelOpts(twopcp.AccelTucker)
+	opts.Checkpoint = dir
+	if _, err := twopcp.Decompose(x, opts); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the fingerprint as the older build would have written it.
+	path := filepath.Join(dir, "manifest.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Version int             `json:"version"`
+		CRC32   uint32          `json:"crc32"`
+		Body    json.RawMessage `json:"body"`
+	}
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Replace(env.Body, []byte(`"accelerator":"tucker"`), []byte(`"accelerator":"sketched"`), 1)
+	if bytes.Equal(body, env.Body) {
+		t.Fatalf("manifest body records no tucker accelerator:\n%s", env.Body)
+	}
+	env.Body, env.CRC32 = body, crc32.ChecksumIEEE(body)
+	if data, err = json.Marshal(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, accel := range []twopcp.Accelerator{twopcp.AccelTucker, twopcp.AccelNone} {
+		re := accelOpts(accel)
+		re.Checkpoint, re.Resume = dir, true
+		if _, err := twopcp.Decompose(x, re); !errors.Is(err, runstate.ErrMismatch) {
+			t.Fatalf("resume as %v over a sketched manifest: got %v, want ErrMismatch", accel, err)
+		}
 	}
 }

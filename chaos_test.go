@@ -2,8 +2,14 @@ package twopcp
 
 import (
 	"errors"
+	"math"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"twopcp/internal/obs"
 )
 
 // chaosRetry is a fast retry policy for tests.
@@ -139,6 +145,55 @@ func TestChaosPoisonQuarantineAndResume(t *testing.T) {
 		t.Fatalf("resume after quarantine: %v", err)
 	}
 	sameResult(t, "quarantine-resume", res, clean)
+}
+
+// TestNonFiniteCellIsAnError: one NaN or +Inf cell is ErrNonFinite on both
+// front-ends, never a run that burns its iterations into NaN factors.
+// Without an accelerator Phase 1 quarantines the block holding the cell;
+// with Tucker the Phase-0 core solve fails before any block runs. Phase 2
+// never starts.
+func TestNonFiniteCellIsAnError(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		x := lowRankDense(3, 2, 12, 12, 12)
+		x.Set(bad, 7, 1, 1) // in block [1 0 0] of the 2×2×2 grid
+		tiled := filepath.Join(t.TempDir(), "x.tptl")
+		if err := SaveTiled(tiled, x, []int{2, 2, 2}); err != nil {
+			t.Fatal(err)
+		}
+		for _, accel := range []Accelerator{AccelNone, AccelTucker} {
+			for _, front := range []string{"dense", "tiled"} {
+				name := front + "/" + accel.String()
+				var mu sync.Mutex
+				events := map[string]int{}
+				opts := Options{Rank: 2, Seed: 7, Accelerator: accel,
+					Observer: &obs.Observer{OnEvent: func(e obs.Event) {
+						mu.Lock()
+						events[strings.SplitN(e.Name, ".", 2)[0]]++
+						mu.Unlock()
+					}}}
+				var err error
+				if front == "dense" {
+					_, err = Decompose(x, opts)
+				} else {
+					_, err = DecomposeTiledFile(tiled, opts)
+				}
+				if !errors.Is(err, ErrNonFinite) {
+					t.Fatalf("%v %s: err = %v, want ErrNonFinite", bad, name, err)
+				}
+				var qe *QuarantineError
+				if accel == AccelNone {
+					if !errors.As(err, &qe) || len(qe.Blocks) != 1 || !strings.Contains(err.Error(), "block [1 0 0]") {
+						t.Fatalf("%v %s: err = %v, want block [1 0 0] quarantined", bad, name, err)
+					}
+				} else if errors.As(err, &qe) || events["phase1"] != 0 {
+					t.Fatalf("%v %s: Phase 1 ran (err %v, %d phase1 events)", bad, name, err, events["phase1"])
+				}
+				if events["phase2"] != 0 {
+					t.Fatalf("%v %s: Phase 2 ran", bad, name)
+				}
+			}
+		}
+	}
 }
 
 // TestChaosInterruptedViaStop: a pre-closed Stop channel drains the run

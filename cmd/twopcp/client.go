@@ -41,7 +41,7 @@ func clientMain(cmd string, args []string) int {
 		fs.BoolVar(&spec.OutOfCore, "out-of-core", false, "keep Phase-2 data units on the daemon's disk")
 		fs.StringVar(&spec.Constraint, "constraint", "", "row-update solver: none, ridge or nonneg")
 		fs.Float64Var(&spec.Lambda, "lambda", 0, "ridge damping weight")
-		fs.StringVar(&spec.Accelerator, "accelerator", "", "Phase-0 acceleration: none, tucker or sketched")
+		fs.StringVar(&spec.Accelerator, "accelerator", "", "Phase-0 acceleration: none or tucker")
 		fs.Int64Var(&spec.Seed, "seed", 0, "random seed (0 = daemon default)")
 		fs.IntVar(&spec.CheckpointEverySteps, "checkpoint-steps", 0, "Phase-2 checkpoint cadence in schedule steps (0 = once per cycle)")
 		fs.IntVar(&spec.MaxRetries, "retry", 0, "transient-fault retry budget per operation")

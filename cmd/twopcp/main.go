@@ -88,7 +88,7 @@ func runLocal() {
 		storeDir   = flag.String("store", "", "scratch directory for out-of-core data units, rebuilt on every start and never synced (empty = in-memory)")
 		constr     = flag.String("constraint", "none", "row-update solver: none (least squares), ridge (Tikhonov-damped, needs -lambda) or nonneg (element-wise nonnegative factors)")
 		lambda     = flag.Float64("lambda", 0, "ridge damping weight (required > 0 with -constraint ridge)")
-		accel      = flag.String("accelerator", "none", "Phase-0 acceleration: none, tucker (compress-then-refine warm start) or sketched (leverage-sampled row updates)")
+		accel      = flag.String("accelerator", "none", "Phase-0 acceleration: none or tucker (compress-then-refine warm start)")
 		p0rank     = flag.Int("phase0-rank", 0, "per-mode Tucker basis rank for -accelerator tucker (0 = rank)")
 		oversample = flag.Int("sketch-oversample", 0, "extra Gaussian probe columns for the tucker range finder (0 = default 5)")
 		seed       = flag.Int64("seed", 1, "random seed")

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +14,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"twopcp"
 )
 
 // CLI smoke tests: build each command once and drive the full
@@ -167,6 +171,22 @@ func TestCLISparseAndErrors(t *testing.T) {
 	cmd = exec.Command(twopcpBin, "-in", bad)
 	if err := cmd.Run(); err == nil {
 		t.Fatal("garbage input accepted")
+	}
+	// The removed accelerator is an error, not a silent "none".
+	out2, err := exec.Command(twopcpBin, "-in", spath, "-accelerator", "sketched").CombinedOutput()
+	if want := `unknown accelerator "sketched" (want none or tucker)`; err == nil || !strings.Contains(string(out2), want) {
+		t.Fatalf("-accelerator sketched: err %v, output does not say %q:\n%s", err, want, out2)
+	}
+	// A NaN cell fails the run and names the block that holds it.
+	x := twopcp.RandomDense(rand.New(rand.NewSource(1)), 12, 12, 12)
+	x.Set(math.NaN(), 7, 1, 1)
+	npath := filepath.Join(dir, "nan.tpdn")
+	if err := twopcp.SaveDense(npath, x); err != nil {
+		t.Fatal(err)
+	}
+	out2, err = exec.Command(twopcpBin, "-in", npath, "-rank", "2", "-parts", "2").CombinedOutput()
+	if err == nil || !strings.Contains(string(out2), "block [1 0 0]") || !strings.Contains(string(out2), "non-finite") {
+		t.Fatalf("NaN input: err %v, output does not name block [1 0 0] as non-finite:\n%s", err, out2)
 	}
 }
 

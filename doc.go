@@ -181,16 +181,6 @@
 //     Phase1MaxIters is left at its default, the per-block sweep budget
 //     drops to 3 (an explicit Phase1MaxIters overrides it). Phase 2
 //     refines globally as usual.
-//   - AccelSketched: Phase-1 row updates go through a leverage-score
-//     sampled least-squares solver (CP-ARLS-LEV style): each mode
-//     update solves a row-sampled Khatri-Rao system instead of the full
-//     one. Sampling only engages when the Khatri-Rao system is tall
-//     enough to be worth it (more rows than the sample budget, 128·F);
-//     below that the wrapped exact solver runs unchanged, bit for bit.
-//     The last mode of every sweep is always exact, so the reported fit
-//     trace is an exact trace. The wrapper composes with the
-//     constrained solvers — sampled nonneg/ridge updates solve the
-//     sampled system under the same constraint.
 //
 // When Phase 0 cannot help it says so rather than slowing the run down:
 // if the compressed core would hold at least half the tensor's cells

@@ -173,7 +173,6 @@ func TestGoldenAcceleratedFactors(t *testing.T) {
 		// structural-fallback threshold (min(d,3+2)³ = 125 cells < 480),
 		// so the fixture pins the accelerated path, not the fallback.
 		{"accel-tucker", twopcp.AccelTucker, 2},
-		{"accel-sketched", twopcp.AccelSketched, 0},
 	}
 	for _, tc := range accels {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package twopcp_test
 import (
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"twopcp"
@@ -17,6 +18,7 @@ import (
 	"twopcp/internal/refine"
 	"twopcp/internal/schedule"
 	"twopcp/internal/tensor"
+	"twopcp/internal/tfile"
 )
 
 // These tests exercise cross-module pipelines end to end: MapReduce
@@ -80,7 +82,7 @@ func TestIntegrationMapReducePhase1IntoRefinement(t *testing.T) {
 }
 
 func TestIntegrationFullyOutOfCore(t *testing.T) {
-	// Everything on disk: tensor chunks read from a ChunkStore in Phase 1,
+	// Everything on disk: blocks read from a tiled .tptl file in Phase 1,
 	// data units on a FileStore in Phase 2.
 	rng := rand.New(rand.NewSource(2))
 	truth := make([]*mat.Matrix, 3)
@@ -90,15 +92,20 @@ func TestIntegrationFullyOutOfCore(t *testing.T) {
 	x := cpals.NewKTensor(truth).Full()
 	p := grid.UniformCube(3, 10, 2)
 
-	chunks, err := blockstore.NewChunkStore(t.TempDir())
+	path := filepath.Join(t.TempDir(), "x.tptl")
+	if err := twopcp.SaveTiled(path, x, []int{2, 2, 2}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := tfile.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := phase1.PartitionToChunks(x, p, chunks); err != nil {
+	defer r.Close()
+	src, err := phase1.NewTiledSource(r, p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := phase1.Run(&phase1.ChunkSource{Store: chunks, P: p},
-		phase1.Options{Rank: 2, MaxIters: 100, Tol: 1e-8, Seed: 3})
+	p1, err := phase1.Run(src, phase1.Options{Rank: 2, MaxIters: 100, Tol: 1e-8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

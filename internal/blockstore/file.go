@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"twopcp/internal/tensor"
 )
 
 // FileStore is a Store that keeps one file per unit under a directory,
@@ -173,66 +171,3 @@ func (s *FileStore) ResetStats() {
 // Close implements Store. The files are left on disk; callers that want
 // cleanup should remove the directory.
 func (s *FileStore) Close() error { return nil }
-
-// ChunkStore persists dense tensor chunks (Phase-1 input blocks), one file
-// per block position, standing in for TensorDB's chunked array storage.
-type ChunkStore struct {
-	dir   string
-	mu    sync.Mutex
-	stats Stats
-}
-
-// NewChunkStore creates (if needed) dir and returns a chunk store.
-func NewChunkStore(dir string) (*ChunkStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("blockstore: %w", err)
-	}
-	return &ChunkStore{dir: dir}, nil
-}
-
-func (s *ChunkStore) chunkPath(vec []int) string {
-	name := "chunk"
-	for _, v := range vec {
-		name += fmt.Sprintf("-%d", v)
-	}
-	return filepath.Join(s.dir, name+".tpdn")
-}
-
-// PutChunk writes the dense block stored at grid position vec. Write
-// failures are transient (SaveDense writes a fresh file; repeating is
-// safe).
-func (s *ChunkStore) PutChunk(vec []int, t *tensor.Dense) error {
-	if err := tensor.SaveDense(s.chunkPath(vec), t); err != nil {
-		return fmt.Errorf("blockstore: put chunk %v: %w: %w", vec, ErrTransient, err)
-	}
-	s.mu.Lock()
-	s.stats.Writes++
-	s.stats.BytesWritten += int64(len(t.Data)) * 8
-	s.mu.Unlock()
-	return nil
-}
-
-// GetChunk reads the dense block stored at grid position vec. A missing
-// chunk is permanent (it was never written — a caller bug); other read
-// failures are transient.
-func (s *ChunkStore) GetChunk(vec []int) (*tensor.Dense, error) {
-	t, err := tensor.LoadDense(s.chunkPath(vec))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("blockstore: chunk %v: %w", vec, err)
-		}
-		return nil, fmt.Errorf("blockstore: get chunk %v: %w: %w", vec, ErrTransient, err)
-	}
-	s.mu.Lock()
-	s.stats.Reads++
-	s.stats.BytesRead += int64(len(t.Data)) * 8
-	s.mu.Unlock()
-	return t, nil
-}
-
-// Stats returns a snapshot of the chunk I/O counters.
-func (s *ChunkStore) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}

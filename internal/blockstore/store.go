@@ -2,8 +2,9 @@
 // standing in for the chunk-based array store (SciDB/TensorDB) of the
 // paper's weak-configuration experiments. It persists the Phase-2
 // mode-partition data units ⟨i,ki⟩ = {A(i)_(ki); U(i)_[*,..,ki,..,*]} and
-// Phase-1 tensor chunks, and counts every read and write so experiments can
-// report exact I/O — the paper's primary evaluation metric.
+// counts every read and write so experiments can report exact I/O — the
+// paper's primary evaluation metric. (Phase-1 input blocks are the tiles
+// of a .tptl file, internal/tfile.)
 //
 // Two backends are provided: MemStore, an in-memory store with disk
 // semantics (deep copies on Put/Get) for fast, precisely-counted

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"twopcp/internal/mat"
-	"twopcp/internal/tensor"
 )
 
 func testUnit(rng *rand.Rand) *Unit {
@@ -349,35 +348,6 @@ func TestFileStoreWriteBackLeavesUPartAlone(t *testing.T) {
 	binary.Write(&want, binary.LittleEndian, part.A.Data)
 	if !bytes.Equal(is[unitHeaderBytes:aEnd], want.Bytes()) {
 		t.Fatal("the A region is not the A that was Put")
-	}
-}
-
-func TestChunkStore(t *testing.T) {
-	s, err := NewChunkStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	blk := tensor.RandomDense(rng, 3, 4, 2)
-	if err := s.PutChunk([]int{0, 1, 1}, blk); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.GetChunk([]int{0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.EqualApprox(blk, 0) {
-		t.Fatal("chunk round trip failed")
-	}
-	if _, err := s.GetChunk([]int{9, 9, 9}); err == nil {
-		t.Fatal("missing chunk should error")
-	}
-	st := s.Stats()
-	if st.Reads != 1 || st.Writes != 1 {
-		t.Fatalf("chunk stats = %+v", st)
-	}
-	if st.BytesWritten != 24*8 || st.BytesRead != 24*8 {
-		t.Fatalf("chunk byte stats = %+v", st)
 	}
 }
 

@@ -84,20 +84,22 @@ func (o *Options) normalize(dims []int) (Options, error) {
 	return out, nil
 }
 
-// kernel is the MTTKRP an ALS run is built on. alsCore reports every write
-// to factor 0 so a kernel may keep state derived from it across modes.
+// ErrNonFinite is returned when the input holds a NaN or ±Inf cell. The
+// check is on ‖X‖, which ALS computes anyway, so a finite tensor whose
+// squared norm overflows float64 is rejected too.
+var ErrNonFinite = errors.New("cpals: tensor has a non-finite norm (NaN or ±Inf cell)")
+
+// kernel is the MTTKRP an ALS run is built on.
 type kernel interface {
 	Into(dst *mat.Matrix, factors []*mat.Matrix, n int)
-	Factor0Changed()
 }
 
-// sparseKernel is the COO MTTKRP; it keeps nothing between calls.
+// sparseKernel is the COO MTTKRP.
 type sparseKernel struct{ x *tensor.COO }
 
 func (k sparseKernel) Into(dst *mat.Matrix, factors []*mat.Matrix, n int) {
 	tensor.MTTKRPSparseInto(dst, k.x, factors, n)
 }
-func (sparseKernel) Factor0Changed() {}
 
 // Decompose runs CP-ALS on a dense tensor. The MTTKRPs go through the
 // workspace's tensor.Sweep, so each sweep reads x twice (the mode-0 pass
@@ -110,14 +112,12 @@ func Decompose(x *tensor.Dense, opts Options) (*KTensor, Info, error) {
 	sw := &opts.Workspace.sweep
 	sw.Bind(x)
 	defer sw.Bind(nil) // a long-lived workspace must not pin the block
-	return alsCore(x.Dims, x.Norm(), sw, x, opts)
+	return alsCore(x.Dims, x.Norm(), sw, opts)
 }
 
-// DecomposeSparse runs CP-ALS on a sparse tensor. A Sketched solver's
-// sampled path needs random fiber access and does not apply here: it
-// degrades to its inner solver (see Sketched).
+// DecomposeSparse runs CP-ALS on a sparse tensor.
 func DecomposeSparse(x *tensor.COO, opts Options) (*KTensor, Info, error) {
-	return alsCore(x.Dims, x.Norm(), sparseKernel{x}, nil, opts)
+	return alsCore(x.Dims, x.Norm(), sparseKernel{x}, opts)
 }
 
 // alsCore is the shared ALS loop, parameterized only by the MTTKRP kernel
@@ -125,14 +125,13 @@ func DecomposeSparse(x *tensor.COO, opts Options) (*KTensor, Info, error) {
 // the MTTKRP accumulators, V, the Gram cache and the solve/normalize
 // buffers — comes from the workspace, and the factor matrices are updated
 // in place, so steady-state sweeps perform no allocation.
-//
-// x carries the dense tensor when there is one: a Sketched solver's
-// leverage-sampled mode updates need random fiber access, which only a
-// dense tensor provides (sparse runs pass nil and stay exact).
-func alsCore(dims []int, normX float64, mttkrp kernel, x *tensor.Dense, opts Options) (*KTensor, Info, error) {
+func alsCore(dims []int, normX float64, mttkrp kernel, opts Options) (*KTensor, Info, error) {
 	o, err := opts.normalize(dims)
 	if err != nil {
 		return nil, Info{}, err
+	}
+	if math.IsNaN(normX) || math.IsInf(normX, 0) {
+		return nil, Info{}, ErrNonFinite
 	}
 	n := len(dims)
 	f := o.Rank
@@ -163,27 +162,18 @@ func alsCore(dims []int, normX float64, mttkrp kernel, x *tensor.Dense, opts Opt
 	}
 	v := ws.v
 
-	// A Sketched solver takes over dense mode updates with a sampled
-	// system; the last mode of every sweep stays exact because the
-	// sweep-end fit is read off its MTTKRP.
-	sketch, sketching := o.Solver.(Sketched)
-
 	info := Info{}
 	prevFit := 0.0
 	for iter := 1; iter <= o.MaxIters; iter++ {
 		var lastM *mat.Matrix
 		for mode := 0; mode < n; mode++ {
 			m := ws.mttkrpBuf(dims[mode])
-			if sketching && x != nil && mode != n-1 && sketch.sampledApplicable(dims, mode, f) {
-				sketch.sampleSystem(m, v, x, factors, grams, mode, iter)
-			} else {
-				mttkrp.Into(m, factors, mode)
-				// V = ⊛_{k≠mode} A(k)ᵀA(k)
-				v.Fill(1)
-				for k := 0; k < n; k++ {
-					if k != mode {
-						v.HadamardInPlace(grams[k])
-					}
+			mttkrp.Into(m, factors, mode)
+			// V = ⊛_{k≠mode} A(k)ᵀA(k)
+			v.Fill(1)
+			for k := 0; k < n; k++ {
+				if k != mode {
+					v.HadamardInPlace(grams[k])
 				}
 			}
 			a := factors[mode]
@@ -203,11 +193,6 @@ func alsCore(dims []int, normX float64, mttkrp kernel, x *tensor.Dense, opts Opt
 			// TestFitMatchesDirectNorm regression pins this against the
 			// direct-norm fit).
 			mat.GramInto(grams[mode], a)
-			if mode == 0 {
-				// Every solver path writes factor 0 here, including the
-				// sampled one that never called the mode-0 MTTKRP.
-				mttkrp.Factor0Changed()
-			}
 			lastM = m
 		}
 		// Fit via the last mode's MTTKRP: ⟨X,X̂⟩ = Σ_f λ_f Σ_i M[i,f]A[i,f],

@@ -259,86 +259,3 @@ func TestInvariantCasesDeterministic(t *testing.T) {
 		t.Fatalf("case stream not deterministic:\n%s\n%s", a, b)
 	}
 }
-
-// TestInvariantsSketched: randomized cases through the leverage-sampled
-// solver with a deliberately tiny row budget, so the sampled path (not
-// the exact small-system shortcut) is exercised. Sampled mode updates
-// are stochastic, so the trace is NOT monotone — the contract here is
-// bounds, nonnegative lambdas and exact fit/oracle agreement (the
-// sweep-end fit comes from the always-exact last-mode MTTKRP).
-func TestInvariantsSketched(t *testing.T) {
-	for i, tc := range invariantCases(600, 100) {
-		rng := rand.New(rand.NewSource(tc.seed))
-		x := tensor.RandomDense(rng, tc.dims...)
-		kt, info, err := Decompose(x, Options{
-			Rank: tc.rank, MaxIters: tc.iters, Tol: 1e-15, Rng: rng,
-			Solver: Sketched{Samples: 8, Seed: tc.seed},
-		})
-		if err != nil {
-			t.Fatalf("case %d (%+v): %v", i, tc, err)
-		}
-		checkInvariants(t, kt, info, x, 1.1) // traceTol > 1: monotonicity vacuous by design
-	}
-}
-
-// TestInvariantsSketchedNonnegComposes: the sampled system feeds the
-// inner solver unchanged, so nonneg factors survive sampling.
-func TestInvariantsSketchedNonnegComposes(t *testing.T) {
-	for i, tc := range invariantCases(700, 50) {
-		rng := rand.New(rand.NewSource(tc.seed))
-		x := tensor.RandomDense(rng, tc.dims...)
-		kt, info, err := Decompose(x, Options{
-			Rank: tc.rank, MaxIters: tc.iters, Tol: 1e-15, Rng: rng,
-			Solver: Sketched{Inner: Nonnegative{}, Samples: 8, Seed: tc.seed},
-		})
-		if err != nil {
-			t.Fatalf("case %d (%+v): %v", i, tc, err)
-		}
-		checkInvariants(t, kt, info, x, 1.1)
-		for m, a := range kt.Factors {
-			if min := matMin(a); min < 0 {
-				t.Fatalf("case %d: factor %d min %g", i, m, min)
-			}
-		}
-	}
-}
-
-// TestInvariantsSketchedDeterministic: the sampled solver is a function
-// of (data, options, seed) — two identical runs agree bit for bit, and
-// nesting or negative budgets are rejected.
-func TestInvariantsSketchedDeterministic(t *testing.T) {
-	tc := invariantCases(800, 1)[0]
-	run := func() *KTensor {
-		rng := rand.New(rand.NewSource(tc.seed))
-		x := tensor.RandomDense(rng, tc.dims...)
-		kt, _, err := Decompose(x, Options{
-			Rank: tc.rank, MaxIters: tc.iters, Tol: 1e-15, Rng: rng,
-			Solver: Sketched{Samples: 8, Seed: 5},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return kt
-	}
-	a, b := run(), run()
-	for m := range a.Factors {
-		for i := range a.Factors[m].Data {
-			if a.Factors[m].Data[i] != b.Factors[m].Data[i] {
-				t.Fatalf("factor %d differs at %d between identical runs", m, i)
-			}
-		}
-	}
-	x := tensor.RandomDense(rand.New(rand.NewSource(1)), 4, 4, 4)
-	if _, _, err := Decompose(x, Options{
-		Rank: 2, MaxIters: 2, Rng: rand.New(rand.NewSource(1)),
-		Solver: Sketched{Inner: Sketched{}},
-	}); err == nil {
-		t.Fatal("nested sketched solver accepted")
-	}
-	if _, _, err := Decompose(x, Options{
-		Rank: 2, MaxIters: 2, Rng: rand.New(rand.NewSource(1)),
-		Solver: Sketched{Samples: -1},
-	}); err == nil {
-		t.Fatal("negative sample budget accepted")
-	}
-}

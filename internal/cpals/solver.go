@@ -189,8 +189,6 @@ func ValidateSolver(s Solver) error {
 		return nil
 	case Ridge:
 		return sv.validate()
-	case Sketched:
-		return sv.validate()
 	default:
 		return nil // user-supplied solvers manage their own invariants
 	}

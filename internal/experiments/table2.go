@@ -2,23 +2,26 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
+	"twopcp"
 	"twopcp/internal/blockstore"
 	"twopcp/internal/buffer"
 	"twopcp/internal/datasets"
-	"twopcp/internal/grid"
 	"twopcp/internal/mat"
 	"twopcp/internal/phase1"
 	"twopcp/internal/refine"
 	"twopcp/internal/schedule"
 	"twopcp/internal/tensor"
+	"twopcp/internal/tfile"
 )
 
 // Table2Config drives the weak-configuration comparison (paper Table II):
 // a high-density cube decomposed by (a) naive out-of-core CP-ALS over a
-// chunk store and (b) 2PCP with 2×2×2 and 4×4×4 partitioning, Z-order
+// tiled file and (b) 2PCP with 2×2×2 and 4×4×4 partitioning, Z-order
 // scheduling, LRU vs FOR replacement. Per paper footnote 5, I/O is made
 // ~3× as expensive as the in-memory work on a block by injecting a fixed
 // per-access latency into the stores, so the wall-clock comparison is
@@ -114,30 +117,13 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 	res.Naive = time.Since(naiveStart)
 
 	for _, parts := range cfg.Parts {
-		p := grid.UniformCube(3, cfg.Side, parts)
 		row := Table2Row{Label: fmt.Sprintf("%d×%d×%d", parts, parts, parts)}
-
-		// Phase 1 out of core: blocks staged on a chunk store, decomposed
-		// one at a time (single worker, as in the paper's weak machine).
-		chunks, err := blockstore.NewChunkStore(tempDir())
+		p1, elapsed, err := outOfCorePhase1(x, parts, cfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := phase1.PartitionToChunks(x, p, chunks); err != nil {
-			return nil, err
-		}
-		p1Start := time.Now()
-		src := &phase1.ChunkSource{Store: chunks, P: p}
-		// Per-block ALS runs its full budget (the paper's Phase-1 cost is
-		// dominated by complete block decompositions at rank 100).
-		p1, err := phase1.Run(src, phase1.Options{
-			Rank: cfg.Rank, MaxIters: 12, Tol: 1e-9, Seed: cfg.Seed, Workers: 1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		row.Phase1PerBlock = time.Since(p1Start) / time.Duration(p.NumBlocks())
-		nb := int64(p.NumBlocks())
+		nb := int64(p1.Pattern.NumBlocks())
+		row.Phase1PerBlock = elapsed / time.Duration(nb)
 		row.Phase1WorkPerBlock = int64(len(x.Data)) / nb * int64(p1.TotalSweeps()) / nb
 
 		// Phase 2 under LRU and FOR, both over latency-injected stores.
@@ -178,18 +164,63 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 	return res, nil
 }
 
-// naiveOutOfCoreCP runs CP-ALS where every MTTKRP streams all chunks from a
-// latency-injected chunk store — the "Naive CP" row: no two-phase split, so
-// the full tensor crosses the I/O boundary N times per sweep.
+// outOfCorePhase1 is Phase 1 out of core: the blocks are staged as the
+// tiles of a file and decomposed one at a time (single worker, as in the
+// paper's weak machine). It returns the result and the Phase-1 wall time,
+// staging excluded.
+func outOfCorePhase1(x *tensor.Dense, parts int, cfg Table2Config) (*phase1.Result, time.Duration, error) {
+	r, cleanup, err := stageCube(x, parts)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer cleanup()
+	src, err := phase1.NewTiledSource(r, r.Tiling())
+	if err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	// Per-block ALS runs its full budget (the paper's Phase-1 cost is
+	// dominated by complete block decompositions at rank 100).
+	p1, err := phase1.Run(src, phase1.Options{
+		Rank: cfg.Rank, MaxIters: 12, Tol: 1e-9, Seed: cfg.Seed, Workers: 1,
+	})
+	return p1, time.Since(start), err
+}
+
+// stageCube writes x as a .tptl file with parts tiles per mode — the
+// chunked on-disk layout the table's out-of-core passes read — and opens
+// it. cleanup closes the reader and deletes the file.
+func stageCube(x *tensor.Dense, parts int) (r *tfile.Reader, cleanup func(), err error) {
+	dir, err := os.MkdirTemp("", "twopcp-table2-")
+	if err != nil {
+		return nil, nil, err
+	}
+	tiles := make([]int, len(x.Dims))
+	for i := range tiles {
+		tiles[i] = parts
+	}
+	path := filepath.Join(dir, "cube.tptl")
+	if err = twopcp.SaveTiled(path, x, tiles); err == nil {
+		r, err = tfile.Open(path)
+	}
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, err
+	}
+	return r, func() { r.Close(); os.RemoveAll(dir) }, nil
+}
+
+// naiveOutOfCoreCP runs CP-ALS where every MTTKRP streams all tiles of a
+// 2×2×2-tiled file, each read after the injected latency — the "Naive CP"
+// row: no two-phase split, so the full tensor crosses the I/O boundary N
+// times per sweep.
 func naiveOutOfCoreCP(x *tensor.Dense, cfg Table2Config) error {
-	p := grid.UniformCube(3, cfg.Side, 2) // chunked storage layout
-	chunks, err := blockstore.NewChunkStore(tempDir())
+	r, cleanup, err := stageCube(x, 2)
 	if err != nil {
 		return err
 	}
-	if err := phase1.PartitionToChunks(x, p, chunks); err != nil {
-		return err
-	}
+	defer cleanup()
+	p := r.Tiling()
 	rng := newRand(cfg.Seed + 99)
 	factors := make([]*mat.Matrix, 3)
 	for m := range factors {
@@ -205,10 +236,10 @@ func naiveOutOfCoreCP(x *tensor.Dense, cfg Table2Config) error {
 			m := mat.New(cfg.Side, cfg.Rank)
 			for id := 0; id < p.NumBlocks(); id++ {
 				p.Unlinear(id, vec)
-				// Simulated chunk-read latency (same cost model as the
-				// unit stores), then the partial MTTKRP for this chunk.
+				// Simulated tile-read latency (same cost model as the
+				// unit stores), then the partial MTTKRP for this tile.
 				time.Sleep(cfg.SwapLatency)
-				blk, err := chunks.GetChunk(vec)
+				blk, err := r.ReadTile(vec)
 				if err != nil {
 					return err
 				}

@@ -1,30 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
-	"os"
-	"sync/atomic"
 
 	"twopcp/internal/obs"
 	"twopcp/internal/refine"
 )
-
-var tempSeq atomic.Int64
-
-// tempDir allocates a scratch directory for chunk stores; experiments are
-// long-lived processes, so cleanup is left to the OS temp reaper (callers
-// that care use their own stores).
-func tempDir() string {
-	dir, err := os.MkdirTemp("", fmt.Sprintf("twopcp-exp-%d-", tempSeq.Add(1)))
-	if err != nil {
-		// Fall back to a local directory; experiments are best-effort
-		// about scratch placement.
-		dir = fmt.Sprintf("twopcp-exp-%d", tempSeq.Add(1))
-		_ = os.MkdirAll(dir, 0o755)
-	}
-	return dir
-}
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 

@@ -116,7 +116,7 @@ type Spec struct {
 	Constraint string `json:"constraint,omitempty"`
 	// Lambda is the ridge damping weight (required > 0 with ridge).
 	Lambda float64 `json:"lambda,omitempty"`
-	// Accelerator selects Phase-0 acceleration: none, tucker or sketched.
+	// Accelerator selects Phase-0 acceleration: none or tucker.
 	Accelerator string `json:"accelerator,omitempty"`
 	// Phase0Rank is the per-mode Tucker basis rank (0 = Rank).
 	Phase0Rank int `json:"phase0_rank,omitempty"`

@@ -441,6 +441,58 @@ func TestRetiredDeadlineFieldIsIgnored(t *testing.T) {
 	waitHTTPState(t, ts.URL, job.ID, StateDone)
 }
 
+// TestRemovedAcceleratorIsRefused: "sketched" was an accelerator until it
+// was deleted. A submission naming it is rejected at the API, and a
+// job.json an older daemon stored with it becomes a failed job at start-up
+// — never silently run as "none" — while the daemon keeps serving.
+func TestRemovedAcceleratorIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	tensor := filepath.Join(dir, "x.tptl")
+	writeTensor(t, tensor, 1, 12, 12, 12)
+	store, err := OpenStore(filepath.Join(dir, "data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `unknown accelerator "sketched" (want none or tucker)`
+
+	spec := Spec{Input: tensor, Rank: 2, Seed: 7, Accelerator: "sketched"}
+	spec.normalize()
+	stored, err := store.Create(spec, nil, time.Unix(100, 0).UTC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(store, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain()
+	if failed := waitState(t, m, stored.ID, StateFailed); !strings.Contains(failed.Error, want) {
+		t.Fatalf("persisted sketched job failed with %q, want %q", failed.Error, want)
+	}
+
+	ts := httptest.NewServer(NewServer(m).Handler())
+	defer ts.Close()
+	body := fmt.Sprintf(`{"input": %q, "rank": 2, "accelerator": "sketched"}`, tensor)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr apiError
+	decodeBody(t, resp, http.StatusBadRequest, &apiErr)
+	if !strings.Contains(apiErr.Error, want) {
+		t.Fatalf("submit error %q, want %q", apiErr.Error, want)
+	}
+
+	body = fmt.Sprintf(`{"input": %q, "rank": 2, "accelerator": "tucker"}`, tensor)
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job Job
+	decodeBody(t, resp, http.StatusCreated, &job)
+	waitHTTPState(t, ts.URL, job.ID, StateDone)
+}
+
 // getJSON fetches url and decodes the 200 response into v.
 func getJSON(t *testing.T, url string, v any) {
 	t.Helper()

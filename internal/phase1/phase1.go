@@ -61,7 +61,7 @@ func (e *QuarantineError) Error() string {
 func (e *QuarantineError) Unwrap() []error { return e.Errs }
 
 // Source yields the sub-tensor at a grid position. Implementations may be
-// in-memory views or out-of-core chunk readers. Block may return either a
+// in-memory views or out-of-core tiled-file readers. Block may return either a
 // *tensor.Dense or a *tensor.COO; the appropriate ALS kernel is selected
 // per block.
 type Source interface {
@@ -123,33 +123,6 @@ func (s *COOSource) Pattern() *grid.Pattern { return s.P }
 func (s *COOSource) Block(vec []int) (any, error) {
 	from, size := s.P.Block(vec)
 	return s.X.SubTensorCOO(from, size), nil
-}
-
-// ChunkSource reads blocks from a blockstore.ChunkStore — the out-of-core
-// Phase 1 of the paper's weak configuration (TensorDB-backed).
-type ChunkSource struct {
-	Store *blockstore.ChunkStore
-	P     *grid.Pattern
-}
-
-// Pattern implements Source.
-func (s *ChunkSource) Pattern() *grid.Pattern { return s.P }
-
-// Block implements Source.
-func (s *ChunkSource) Block(vec []int) (any, error) {
-	return s.Store.GetChunk(vec)
-}
-
-// PartitionToChunks materializes every block of x into the chunk store,
-// preparing an out-of-core Phase-1 run.
-func PartitionToChunks(x *tensor.Dense, p *grid.Pattern, store *blockstore.ChunkStore) error {
-	for _, vec := range p.Positions() {
-		from, size := p.Block(vec)
-		if err := store.PutChunk(vec, x.SubTensor(from, size)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Checkpointer persists completed block decompositions so an interrupted

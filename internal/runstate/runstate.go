@@ -144,8 +144,8 @@ type Meta struct {
 	// releases, so their checkpoints remain resumable.
 	Constraint string  `json:"constraint,omitempty"`
 	Lambda     float64 `json:"lambda,omitempty"`
-	// Accelerator identifies the Phase-0 strategy ("" = none, "tucker",
-	// "sketched") with its tuning knobs. Phase 0 re-derives the warm
+	// Accelerator identifies the Phase-0 strategy ("" = none, "tucker")
+	// with its tuning knobs. Phase 0 re-derives the warm
 	// start deterministically from these options plus Seed on resume, so
 	// they change every factor an accelerated run produces and a resume
 	// with different values must be rejected. omitempty keeps

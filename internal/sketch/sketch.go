@@ -47,7 +47,7 @@ const pilotCoreIters = 60
 
 // Source yields the sub-tensor at a grid position; it is structurally
 // identical to phase1.Source, so every existing source (dense, COO,
-// chunk store, tiled file) satisfies it unchanged. Blocks must be
+// tiled file) satisfies it unchanged. Blocks must be
 // *tensor.Dense or *tensor.COO.
 type Source interface {
 	Pattern() *grid.Pattern

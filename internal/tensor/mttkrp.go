@@ -28,9 +28,10 @@ import (
 //
 // A standalone MTTKRPInto(n ≥ 1) folds while it streams the S pass, a
 // fiber at a time, and keeps no product. Through a Sweep the first fold
-// after A(0) changed is preceded by an S pass over the whole tensor, in
-// memory order, that stores every s as a row of S = X_(0)ᵀ·A(0); that
-// fold and the remaining modes' then read S without touching X, so an ALS
+// after the mode-0 MTTKRP (which precedes every write of A(0)) is
+// preceded by an S pass over the whole tensor, in memory order, that
+// stores every s as a row of S = X_(0)ᵀ·A(0); that fold and the
+// remaining modes' then read S without touching X, so an ALS
 // sweep reads the tensor twice instead of N times. Each s is the same
 // front-to-back sum from the same zero and is folded in the same fiber
 // order whichever way it is reached, so the outputs are bit-identical.
@@ -95,9 +96,11 @@ func checkMTTKRPArgs(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int) {
 
 // Sweep computes the MTTKRPs of one dense tensor across the modes of ALS
 // sweeps, sharing the fiber products S = X_(0)ᵀ·A(0) between modes
-// 1..N-1: the first Into(n ≥ 1) after Bind or Factor0Changed streams the
-// tensor and stores S, later ones fold from S alone. Every output is
-// bit-identical to MTTKRPInto's.
+// 1..N-1: the first Into(n ≥ 1) after Bind or Into(0) streams the tensor
+// and stores S, later ones fold from S alone. Every output is
+// bit-identical to MTTKRPInto's provided factors[0] is written only
+// between an Into(0) and the next Into(n ≥ 1) — the ALS order, where the
+// mode-0 update follows its own MTTKRP.
 //
 // S holds len(Data)/Dims[0] rows of F floats. When F > Dims[0] that is
 // more than the tensor itself, so such shapes stream exactly like
@@ -124,14 +127,13 @@ func (sw *Sweep) Bind(t *Dense) {
 	sw.valid = false
 }
 
-// Factor0Changed tells the sweep that factors[0] no longer holds the
-// values the last Into saw. Callers must invoke it after every write to
-// factor 0, whether or not a mode-0 MTTKRP preceded the write.
-func (sw *Sweep) Factor0Changed() { sw.valid = false }
-
-// Into is MTTKRPInto on the bound tensor.
+// Into is MTTKRPInto on the bound tensor. Into(0) drops the products: its
+// caller is about to rewrite factors[0].
 func (sw *Sweep) Into(dst *mat.Matrix, factors []*mat.Matrix, n int) {
 	checkMTTKRPArgs(dst, sw.t, factors, n)
+	if n == 0 {
+		sw.valid = false
+	}
 	mttkrpInto(dst, sw.t, factors, n, sw)
 }
 

@@ -89,9 +89,9 @@ func TestSweepMatchesStandaloneBitForBit(t *testing.T) {
 }
 
 // TestSweepSeesRewrittenFactor0 is the stale-cache regression: factor 0 is
-// rewritten without any mode-0 MTTKRP in between (what a sampled mode-0
-// update does), and after Factor0Changed modes 1..N-1 must be computed
-// from the new values.
+// rewritten after a mode-0 MTTKRP, as every ALS mode-0 update does, and
+// modes 1..N-1 must then be computed from the new values — Into(0) itself
+// drops the products, so no caller can forget to.
 func TestSweepSeesRewrittenFactor0(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, dims := range [][]int{{9, 7, 5}, {9, 4, 3, 5}} {
@@ -112,10 +112,10 @@ func TestSweepSeesRewrittenFactor0(t *testing.T) {
 			}
 		}
 		check("before the rewrite")
+		sw.Into(mat.New(dims[0], f), factors, 0)
 		for i := range factors[0].Data {
 			factors[0].Data[i] = rng.NormFloat64()
 		}
-		sw.Factor0Changed()
 		check("after the rewrite")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"twopcp/internal/blockstore"
+	"twopcp/internal/cpals"
 	"twopcp/internal/phase1"
 )
 
@@ -30,6 +31,14 @@ type (
 // continues bit-exactly where the drain left off. Detect it with
 // errors.Is.
 var ErrInterrupted = errors.New("twopcp: run interrupted")
+
+// ErrNonFinite is returned (wrapped) when the input holds a NaN or ±Inf
+// cell — or finite cells whose squared norm overflows float64 — instead of
+// a run that ends in NaN factors. Without an accelerator the Phase-1 block
+// that holds the cell is quarantined (a *QuarantineError names it); with
+// AccelTucker the Phase-0 core solve fails before any Phase-1 block runs.
+// Detect it with errors.Is.
+var ErrNonFinite = cpals.ErrNonFinite
 
 // Chaos injects seeded faults into a run for resilience testing (the
 // chaos harness in scripts/chaos.sh drives it through the CLI's -fault-*

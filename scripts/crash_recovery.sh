@@ -14,7 +14,7 @@
 # negative entries. CI runs the default pass in the smoke job and a nonneg
 # pass in the constraints job.
 #
-# TWOPCP_ACCELERATOR=tucker (or sketched) reruns it with Phase-0
+# TWOPCP_ACCELERATOR=tucker reruns it with Phase-0
 # acceleration over a low-multilinear-rank input: the resumed run must
 # still be bit-for-bit identical AND must report accelerated:true — a
 # resume that lands mid-Phase-2 skips Phase 0 and restores its recorded
@@ -249,7 +249,7 @@ if [ "$trace" = 1 ]; then
   echo "   trace OK: $starts run.start, $resumes checkpoint.resume, $dones run.done"
 fi
 
-if [ "$accelerator" != none ] && [ "$accelerator" != sketched ]; then
+if [ "$accelerator" != none ]; then
   echo "== checking the resumed run still reports the Phase-0 outcome"
   # The resume skips Phase 0 (it already ran before the kill); its recorded
   # outcome must survive in the manifest and surface in the result.

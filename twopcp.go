@@ -23,11 +23,13 @@ type Options struct {
 	// pattern K). A single value is broadcast to all modes; empty defaults
 	// to 2 per mode. Each entry is clamped to the mode size.
 	Partitions []int
-	// Schedule picks the Phase-2 update schedule (default HilbertOrder,
-	// the paper's best).
+	// Schedule picks the Phase-2 update schedule. The zero value is
+	// ModeCentric, the paper's conventional baseline; HilbertOrder is its
+	// best and what cmd/twopcp and jobs.Spec choose by default.
 	Schedule Schedule
-	// Replacement picks the buffer policy (default Forward, the paper's
-	// best).
+	// Replacement picks the buffer policy. The zero value is LRU; Forward
+	// is the paper's best and what cmd/twopcp and jobs.Spec choose by
+	// default.
 	Replacement Replacement
 	// BufferFraction sizes the Phase-2 buffer as a fraction of the total
 	// space requirement (default 1: everything fits; the paper evaluates
@@ -71,12 +73,11 @@ type Options struct {
 	// AccelNone, bit-for-bit the historical pipeline). AccelTucker
 	// Tucker-compresses the input via seeded randomized range finding,
 	// solves CP on the core and warm-starts Phase 1 from the expanded
-	// factors; AccelSketched solves Phase 1's large dense row updates
-	// from leverage-sampled Khatri-Rao systems. Both are bit-deterministic
-	// across Workers/KernelWorkers/PrefetchDepth, checkpoint/resume
-	// bit-exactly, and are part of the checkpoint fingerprint (a resume
-	// with different accelerator options is rejected). See the
-	// "Acceleration" section of the package documentation.
+	// factors. It is bit-deterministic across
+	// Workers/KernelWorkers/PrefetchDepth, checkpoints/resumes bit-exactly,
+	// and is part of the checkpoint fingerprint (a resume with different
+	// accelerator options is rejected). See the "Phase-0 acceleration"
+	// section of the package documentation.
 	Accelerator Accelerator
 	// Phase0Rank is AccelTucker's per-mode Tucker basis rank (default:
 	// Rank). Only meaningful with an accelerator.

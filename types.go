@@ -103,37 +103,29 @@ const (
 	// force when the core would not be meaningfully smaller than the
 	// tensor.
 	AccelTucker
-	// AccelSketched wraps the Phase-1 row solver with leverage-score
-	// sampling of the Khatri-Rao least-squares systems (CP-ARLS-LEV) for
-	// dense blocks whose mode updates are large enough to sample.
-	AccelSketched
 )
 
-// String returns the accelerator's CLI name: none, tucker or sketched.
+// String returns the accelerator's CLI name: none or tucker.
 func (a Accelerator) String() string {
 	switch a {
 	case AccelNone:
 		return "none"
 	case AccelTucker:
 		return "tucker"
-	case AccelSketched:
-		return "sketched"
 	}
 	return fmt.Sprintf("Accelerator(%d)", int(a))
 }
 
-// ParseAccelerator maps a CLI name ("none"/"", "tucker", "sketched") to
-// its Accelerator.
+// ParseAccelerator maps a CLI name ("none"/"", "tucker") to its
+// Accelerator.
 func ParseAccelerator(s string) (Accelerator, error) {
 	switch s {
 	case "", "none":
 		return AccelNone, nil
 	case "tucker":
 		return AccelTucker, nil
-	case "sketched":
-		return AccelSketched, nil
 	}
-	return 0, fmt.Errorf("twopcp: unknown accelerator %q (want none, tucker or sketched)", s)
+	return 0, fmt.Errorf("twopcp: unknown accelerator %q (want none or tucker)", s)
 }
 
 // fingerprint returns the accelerator name recorded in checkpoint
