@@ -301,7 +301,7 @@ var sections = []section{
 				detail: "prefetching must not change the swap count"},
 			// 5% is the acceptance criterion for the true overhead; the
 			// margin (default 3%, overridable via gate_tolerances) absorbs
-			// shared-runner jitter on a ratio of two ~90 ms wall-clock
+			// shared-runner jitter on a ratio of two ~145 ms wall-clock
 			// timings (run the benchmark with -count >= 3 — the parser keeps
 			// the min of each side, which is what makes this margin
 			// sufficient).

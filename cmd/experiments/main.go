@@ -37,7 +37,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		runs       = flag.Int("runs", 3, "repetitions for Figure 13 medians")
 		prefetch   = flag.Int("prefetch", 0, "Phase-2 prefetch depth in schedule steps (0 = synchronous; counts are depth-invariant)")
-		ioWorkers  = flag.Int("io-workers", 0, "Phase-2 async I/O workers (0 = auto when -prefetch > 0)")
+		ioWorkers  = flag.Int("io-workers", 0, "Phase-2 prefetch workers (0 = auto when -prefetch > 0)")
 		kworkers   = flag.Int("kernel-workers", 0, "intra-kernel parallelism for MTTKRP/Gram/GEMM (0 = GOMAXPROCS, 1 = serial; results are identical at every setting)")
 		ckptDir    = flag.String("checkpoint", "", "directory for durable run checkpoints (one subdirectory per experiment run; honored by the convergence experiment)")
 		resume     = flag.Bool("resume", false, "resume runs previously checkpointed under -checkpoint")

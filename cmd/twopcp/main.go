@@ -84,7 +84,7 @@ func runLocal() {
 		workers    = flag.Int("workers", 0, "Phase-1 parallelism (0 = GOMAXPROCS)")
 		kworkers   = flag.Int("kernel-workers", 0, "intra-kernel parallelism for MTTKRP/Gram/GEMM (0 = GOMAXPROCS, 1 = serial; results are identical at every setting)")
 		prefetch   = flag.Int("prefetch", 0, "Phase-2 prefetch depth in schedule steps (0 = synchronous)")
-		ioWorkers  = flag.Int("io-workers", 0, "Phase-2 async I/O workers (0 = auto when -prefetch > 0)")
+		ioWorkers  = flag.Int("io-workers", 0, "Phase-2 prefetch workers (0 = auto when -prefetch > 0)")
 		storeDir   = flag.String("store", "", "scratch directory for out-of-core data units, rebuilt on every start and never synced (empty = in-memory)")
 		constr     = flag.String("constraint", "none", "row-update solver: none (least squares), ridge (Tikhonov-damped, needs -lambda) or nonneg (element-wise nonnegative factors)")
 		lambda     = flag.Float64("lambda", 0, "ridge damping weight (required > 0 with -constraint ridge)")

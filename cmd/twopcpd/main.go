@@ -36,6 +36,15 @@ import (
 	"twopcp/internal/mat"
 )
 
+// Connection timeouts of the API listener. A client gets readHeaderTimeout
+// to send its request line and headers, and an idle keep-alive connection
+// is closed after idleTimeout. There is no write timeout: /events streams
+// Server-Sent Events for as long as a job runs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("twopcpd: ")
@@ -65,7 +74,12 @@ func main() {
 		cli.Serve(*admin, reg)
 	}
 
-	srv := &http.Server{Addr: *listen, Handler: jobs.NewServer(mgr).Handler()}
+	srv := &http.Server{
+		Addr:              *listen,
+		Handler:           jobs.NewServer(mgr).Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe() }()
 	log.Printf("serving on %s (data %s)", *listen, *dataDir)

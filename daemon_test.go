@@ -209,3 +209,37 @@ func TestDaemonLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestDaemonClosesStalledRequest: a client that sends half a request line
+// and stops is disconnected once the daemon's header timeout passes,
+// instead of holding the connection open for ever.
+func TestDaemonClosesStalledRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	daemonBin := buildCmd(t, dir, "twopcpd")
+	listen := freePort(t)
+	daemon, stderr := startDaemon(t, daemonBin, filepath.Join(dir, "data"), listen, "")
+	defer func() {
+		daemon.Process.Kill()
+		daemon.Wait()
+	}()
+
+	conn, err := net.Dial("tcp", listen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /heal")); err != nil {
+		t.Fatal(err)
+	}
+	// The header timeout is 5s; allow as much again before calling the
+	// connection held. The daemon may answer 408 before it closes.
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	got, err := io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open after %v (read %q)\ndaemon stderr: %s", time.Since(start).Round(time.Millisecond), got, stderr.String())
+	}
+}

@@ -58,20 +58,22 @@
 // kernels underneath (MTTKRP, Gram, GEMM) additionally parallelize over
 // row panels on a shared worker pool capped by Options.KernelWorkers.
 // Phase 2, which is
-// strictly sequential in the paper, optionally runs an asynchronous I/O
-// pipeline: with Options.PrefetchDepth > 0 the engine issues buffer
-// prefetches for the next schedule steps while updating the current one,
-// and Options.IOWorkers goroutines fetch units, write dirty evictions
-// back and flush in the background. The pipeline is pure data movement —
-// every replacement decision is still taken synchronously in schedule
-// order — so FitTrace, the factors and the swap counts are bit-for-bit
-// identical at every depth (raw store byte counters may include a few
-// wasted prefetch reads); only wall-clock time changes. Stores
-// (blockstore) are safe for concurrent use with private-copy Gets and
-// write-backs that are atomic when they succeed; one that fails may leave
-// its unit's A torn until the retry rewrites it, which the store contract
-// (internal/blockstore.Store) shows nothing can read. The buffer manager
-// documents its own contract in internal/buffer. The top-level API itself follows the usual Go rule:
+// strictly sequential in the paper, optionally prefetches: with
+// Options.PrefetchDepth > 0 the engine issues buffer prefetches for the
+// next schedule steps while updating the current one, and
+// Options.IOWorkers goroutines fetch those units. Everything else —
+// demand fetches, the write-back of a dirty eviction, the final flush and
+// factor assembly — runs inline on the engine's goroutine. Prefetch is
+// pure data movement — every replacement decision is still taken in
+// schedule order — so FitTrace, the factors and the swap counts are
+// bit-for-bit identical at every depth (raw store byte counters may
+// include a few wasted prefetch reads); only wall-clock time changes.
+// Stores (blockstore) are safe for concurrent use with private-copy Gets
+// and write-backs that are atomic when they succeed; one that fails may
+// leave its unit's A torn until the retry rewrites it, which the store
+// contract (internal/blockstore.Store) shows nothing can read. The buffer
+// manager documents its own contract in internal/buffer. The top-level
+// API itself follows the usual Go rule:
 // distinct Decompose calls may run concurrently (give each its own
 // StoreDir), but a single Options/Result value is not for shared mutation.
 // One caveat: the kernel-parallelism cap is a single process-global value,
@@ -292,11 +294,10 @@
 //     together when Phase 2 ends however it ends. That wrapper is the
 //     only layer that repeats a store operation, so MaxRetries is the
 //     whole budget of a Get or Put at every PrefetchDepth and IOWorkers
-//     setting. The buffer manager degrades rather than fails: a broken
-//     prefetch falls back to a synchronous demand fetch, and an
-//     asynchronous write-back that fails past the store's budget
-//     surfaces at the next step boundary AFTER an emergency checkpoint
-//     is written.
+//     setting. A broken prefetch degrades rather than fails: it falls
+//     back to a synchronous demand fetch. A write-back that fails past
+//     the store's budget is the error of the Acquire that evicted the
+//     unit; the run ends and resumes from its last checkpoint.
 //     A circuit breaker (Retry.BreakerThreshold consecutive permanent
 //     failures) flips the store to fail-fast so a dead backend
 //     surfaces in seconds, not after every caller burns its budget.

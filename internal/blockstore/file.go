@@ -22,10 +22,12 @@ type FileStore struct {
 	dir   string
 	mu    sync.Mutex
 	stats Stats
-	// inPlace is held exclusively while a Put writes into a unit file and
-	// shared while a Get reads one: files change where they lie, so this
-	// is what keeps a Get from seeing half of a write-back.
-	inPlace sync.RWMutex
+	// inPlace maps each unit to its *sync.RWMutex, held exclusively while a
+	// Put writes into the unit's file and shared while a Get reads it:
+	// files change where they lie, so this is what keeps a Get from seeing
+	// half of a write-back. Per unit, so that the buffer manager's inline
+	// write-backs never wait for a prefetch of another unit.
+	inPlace sync.Map
 }
 
 // NewFileStore creates (if needed) dir and returns a store rooted there.
@@ -34,6 +36,15 @@ func NewFileStore(dir string) (*FileStore, error) {
 		return nil, fmt.Errorf("blockstore: %w", err)
 	}
 	return &FileStore{dir: dir}, nil
+}
+
+// unitLock returns unit ⟨mode, part⟩'s in-place lock.
+func (s *FileStore) unitLock(mode, part int) *sync.RWMutex {
+	l, ok := s.inPlace.Load(unitKey{mode, part})
+	if !ok {
+		l, _ = s.inPlace.LoadOrStore(unitKey{mode, part}, new(sync.RWMutex))
+	}
+	return l.(*sync.RWMutex)
 }
 
 func (s *FileStore) unitPath(mode, part int) string {
@@ -69,8 +80,9 @@ func (s *FileStore) writeWhole(u *Unit) error {
 	if err != nil {
 		return err
 	}
-	s.inPlace.Lock()
-	defer s.inPlace.Unlock()
+	l := s.unitLock(u.Mode, u.Part)
+	l.Lock()
+	defer l.Unlock()
 	f, err := os.Create(s.unitPath(u.Mode, u.Part))
 	if err != nil {
 		return err
@@ -85,8 +97,9 @@ func (s *FileStore) writeWhole(u *Unit) error {
 // writeA overwrites the A region of the unit's file with u.A, if the
 // file's header says this is the unit and the shape it was seeded with.
 func (s *FileStore) writeA(u *Unit) error {
-	s.inPlace.Lock()
-	defer s.inPlace.Unlock()
+	l := s.unitLock(u.Mode, u.Part)
+	l.Lock()
+	defer l.Unlock()
 	path := s.unitPath(u.Mode, u.Part)
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -123,8 +136,9 @@ func (s *FileStore) writeA(u *Unit) error {
 // raw decode error or, worse, an allocation sized by garbage.
 func (s *FileStore) Get(mode, part int) (*Unit, error) {
 	path := s.unitPath(mode, part)
-	s.inPlace.RLock()
-	defer s.inPlace.RUnlock()
+	l := s.unitLock(mode, part)
+	l.RLock()
+	defer l.RUnlock()
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {

@@ -187,9 +187,9 @@ var ErrCorrupt = errors.New("blockstore: corrupt unit")
 //
 // Every Store implementation in this package (MemStore, FileStore, and
 // the LatencyStore/FaultyStore wrappers) is safe for concurrent use by
-// multiple goroutines; the asynchronous Phase-2 pipeline issues parallel
-// Gets (prefetch workers) and Puts (background write-back) against a
-// single store. The guarantees callers may rely on:
+// multiple goroutines; Phase 2's prefetch pool issues Gets against a store
+// while the engine's goroutine Gets and Puts (write-backs run inline on
+// it). The guarantees callers may rely on:
 //
 //   - U is immutable after the unit's first Put. That first, whole-unit
 //     Put (U or Slab set) is a set-up operation: it lays down A and the
@@ -199,27 +199,27 @@ var ErrCorrupt = errors.New("blockstore: corrupt unit")
 //     place. When it succeeds it is atomic: a concurrent Get of the same
 //     unit observes the previous complete A or the new one, each with the
 //     seeded slab, never a torn write (MemStore swaps a copy under its
-//     mutex; FileStore overwrites the file's A region under a lock it
-//     holds exclusively and a Get's read holds shared) — between users of
-//     one store value, not between processes sharing a directory. On a
-//     unit never Put whole it fails with ErrNotFound, on an A shaped
+//     mutex; FileStore overwrites the file's A region under the unit's
+//     lock, held exclusively, which a Get's read holds shared) — between
+//     users of one store value, not between processes sharing a directory.
+//     On a unit never Put whole it fails with ErrNotFound, on an A shaped
 //     unlike the seeded one with ErrShape: no Get ever returns a unit
 //     whose A and slab do not fit.
 //   - When it fails, the stored A may be torn — part old, part new —
 //     until a retry rewrites it whole. That is safe: the store is scratch
-//     and nothing reads a unit in that state. The buffer manager does not
-//     fetch a unit again before its write-back, retries included, has
-//     finished, and a write-back failure that surfaces ends the run,
-//     whose emergency checkpoint takes its factors from the engine's
-//     memory, not from the store.
+//     and nothing reads a unit in that state. The buffer manager writes a
+//     victim back, retries included, before the Acquire that evicted it
+//     returns, so nothing fetches the unit meanwhile; and a write-back
+//     failure ends the run, which resumes from a checkpoint that carries
+//     its factors itself and reseeds the store.
 //   - Get returns a private copy: mutating the result never affects the
 //     store or other readers, so two goroutines may fetch the same unit
 //     and diverge safely.
 //   - Concurrent Puts of the same unit serialize in some order; the store
 //     ends up holding one complete version. Callers that need a *specific*
 //     order (e.g. the buffer manager's write-backs) must sequence their
-//     own Puts — the buffer manager does so by never having more than one
-//     write-back of a unit in flight.
+//     own Puts — the buffer manager does so by issuing every write-back
+//     from one goroutine.
 //   - Stats/ResetStats are linearizable counter snapshots. Counts of
 //     operations that are in flight during a snapshot may or may not be
 //     included; totals are exact once the caller has quiesced its I/O.
@@ -239,40 +239,6 @@ type Store interface {
 	ResetStats()
 	// Close releases resources. The store must not be used afterwards.
 	Close() error
-}
-
-// ForEachConcurrent runs fn(i) for every i in [0, n) on at most workers
-// goroutines and returns the first error observed. With workers <= 1 the
-// calls run inline, in order, stopping at the first error — callers that
-// need deterministic store traffic (the synchronous Phase-2 paths) pass 1.
-// With workers > 1 all n calls are attempted (no early cancellation) and
-// the function returns once every call has finished, so the store is
-// quiesced on return even on error.
-func ForEachConcurrent(n, workers int, fn func(i int) error) error {
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errc := make(chan error, n)
-	sem := make(chan struct{}, workers)
-	for i := 0; i < n; i++ {
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() { <-sem }()
-			errc <- fn(i)
-		}(i)
-	}
-	var first error
-	for i := 0; i < n; i++ {
-		if err := <-errc; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 type unitKey struct{ mode, part int }

@@ -11,22 +11,20 @@
 //
 // # Concurrency
 //
-// The Manager is safe for concurrent use: Acquire, Prefetch, Release and
-// the read-only accessors may be called from multiple goroutines. When
-// Config.Workers > 0 the manager additionally runs an asynchronous I/O
-// pipeline: Prefetch reserves capacity and fetches units on a bounded pool
-// of I/O worker goroutines, and dirty evictions are written back in the
-// background instead of inline. Replacement decisions — hit/miss
-// classification, eviction victims, the schedule cursor and every Stats
-// counter — are made synchronously inside Acquire under the manager's
-// mutex, so a schedule-ordered sequence of Acquire/Release calls produces
+// One goroutine calls Acquire, Prefetch, Release, FlushAll, Drain,
+// Snapshot, Restore and Close. When Config.Workers > 0 a pool of that many
+// prefetch goroutines is the only other party: Prefetch reserves capacity
+// and fetches units on it. The read-only accessors (Contains, InFlight,
+// UsedBytes, Stats) may be called from any goroutine. Every write-back —
+// on eviction and in FlushAll — is one inline Put on the calling
+// goroutine. Replacement decisions — hit/miss classification, eviction
+// victims, the schedule cursor and every Stats counter — are made inside
+// Acquire, so a schedule-ordered sequence of Acquire/Release calls produces
 // bit-for-bit identical statistics whether prefetching is on or off;
-// prefetching only moves the bytes earlier. FlushAll, Drain and Close
-// quiesce the pipeline and must not race with new Acquire/Prefetch calls.
+// prefetching only moves the bytes earlier.
 package buffer
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -36,16 +34,6 @@ import (
 	"twopcp/internal/obs"
 	"twopcp/internal/schedule"
 )
-
-// ErrAsyncWriteBack marks errors surfaced from the background write-back
-// pipeline. When Acquire or FlushAll returns an error wrapping it, the
-// failed Put happened on an earlier, already-completed step — the
-// manager's resident state is still consistent with the last step
-// boundary, which is what lets the Phase-2 engine take an emergency
-// checkpoint before surfacing the error. The original store error is
-// wrapped alongside, so errors.Is classification (ErrInjected,
-// blockstore.IsTransient) still works through it.
-var ErrAsyncWriteBack = errors.New("buffer: background write-back failed")
 
 // Policy selects the replacement strategy.
 type Policy int
@@ -115,17 +103,13 @@ type entry struct {
 	dirty    bool
 }
 
-// inflight is one background (or joined synchronous) fetch. The unit and
-// err fields are written exactly once, before done is closed.
+// inflight is one prefetch. The unit and err fields are written exactly
+// once, before done is closed.
 type inflight struct {
 	done  chan struct{}
 	unit  *blockstore.Unit
 	err   error
-	bytes int64 // capacity reservation held until the fetch completes
-	// prefetched marks fetches issued by Prefetch: their failures degrade
-	// to a synchronous retry in Acquire instead of poisoning the demand
-	// path (a dropped hint must never be worse than no hint).
-	prefetched bool
+	bytes int64 // capacity reservation held until Acquire consumes the unit
 }
 
 // Manager is the buffer manager. See the package comment for the
@@ -144,30 +128,23 @@ type Manager struct {
 	reserved int64 // bytes of in-flight prefetch reservations
 	clock    int64
 	stats    Stats
-	wbErr    error // first asynchronous write-back failure
 	closed   bool
 
-	// infl holds fetches in progress (prefetched or joined): a unit is in
-	// at most one of resident/infl. Completed prefetches stay here until
-	// an Acquire consumes them.
+	// infl holds prefetches in progress: a unit is in at most one of
+	// resident/infl. Completed prefetches stay here until an Acquire
+	// consumes them.
 	infl map[int]*inflight
-	// wbPending maps a unit id to the completion channel of its in-flight
-	// background write-back. At most one write-back per unit can be
-	// pending: re-residency requires a fetch, and fetches wait for the
-	// pending write-back first.
-	wbPending map[int]chan struct{}
 
 	fetchQ   chan func()
-	wbQ      chan func()
 	workerWG sync.WaitGroup // pool goroutines
-	ioWG     sync.WaitGroup // outstanding async jobs
+	ioWG     sync.WaitGroup // outstanding prefetches
 
 	// Telemetry. The counters mirror the Stats fields into the observer's
 	// registry (monotonic — unlike stats they survive ResetStats); trace
-	// events are emitted at the synchronous decision points under mu, so
-	// the package's prefetch-transparency contract makes them
-	// deterministic. Prefetches and Overflows are metrics-only: their
-	// counts legitimately vary with concurrency settings.
+	// events are emitted where Acquire and FlushAll decide, so the package's
+	// prefetch-transparency contract makes them deterministic. Prefetches
+	// and Overflows are metrics-only: their counts legitimately vary with
+	// concurrency settings.
 	tele        *obs.Observer
 	cFetches    *obs.Counter
 	cHits       *obs.Counter
@@ -199,11 +176,9 @@ type Config struct {
 	// Schedule must be supplied for the Forward policy (its access string
 	// defines next-use distances); ignored otherwise.
 	Schedule *schedule.Schedule
-	// Workers sizes the asynchronous I/O pool. 0 (the default) keeps the
-	// manager fully synchronous: Prefetch is a no-op and dirty evictions
-	// write back inline, exactly the paper's sequential setting. When
-	// positive, Workers goroutines serve prefetches and max(1, Workers/2)
-	// more perform background write-backs.
+	// Workers sizes the prefetch pool. 0 (the default) keeps the manager
+	// fully synchronous, exactly the paper's sequential setting: Prefetch
+	// is a no-op. Dirty evictions write back inline at every setting.
 	Workers int
 	// Rank is the decomposition rank, used to estimate unit sizes for
 	// prefetch capacity reservations. Required when Workers > 0.
@@ -214,7 +189,7 @@ type Config struct {
 }
 
 // Check validates the settings that do not depend on a store, a pattern or
-// a schedule: the policy, the capacity and the I/O pool size. NewManager
+// a schedule: the policy, the capacity and the prefetch pool. NewManager
 // runs it; callers that want to fail before any data exists (the Phase-2
 // engine's own pre-flight) run it earlier.
 func (cfg Config) Check() error {
@@ -242,15 +217,14 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{
-		store:     cfg.Store,
-		pattern:   cfg.Pattern,
-		capacity:  cfg.CapacityBytes,
-		policy:    cfg.Policy,
-		workers:   cfg.Workers,
-		rank:      cfg.Rank,
-		resident:  make(map[int]*entry),
-		infl:      make(map[int]*inflight),
-		wbPending: make(map[int]chan struct{}),
+		store:    cfg.Store,
+		pattern:  cfg.Pattern,
+		capacity: cfg.CapacityBytes,
+		policy:   cfg.Policy,
+		workers:  cfg.Workers,
+		rank:     cfg.Rank,
+		resident: make(map[int]*entry),
+		infl:     make(map[int]*inflight),
 
 		tele:        cfg.Obs,
 		cFetches:    cfg.Obs.Counter("buffer.fetches"),
@@ -277,22 +251,17 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if m.workers > 0 {
 		m.fetchQ = make(chan func(), 4*m.workers)
-		m.wbQ = make(chan func(), 4*m.workers)
 		for i := 0; i < m.workers; i++ {
 			m.workerWG.Add(1)
-			go m.serve(m.fetchQ)
-		}
-		for i := 0; i < max(1, m.workers/2); i++ {
-			m.workerWG.Add(1)
-			go m.serve(m.wbQ)
+			go m.serve()
 		}
 	}
 	return m, nil
 }
 
-func (m *Manager) serve(q chan func()) {
+func (m *Manager) serve() {
 	defer m.workerWG.Done()
-	for job := range q {
+	for job := range m.fetchQ {
 		job()
 	}
 }
@@ -319,13 +288,9 @@ func (m *Manager) Prefetch(mode, part int) {
 	if m.closed || m.resident[id] != nil || m.infl[id] != nil || m.reserved+est > m.capacity {
 		return
 	}
-	inf := &inflight{done: make(chan struct{}), bytes: est, prefetched: true}
-	wb := m.wbPending[id]
+	inf := &inflight{done: make(chan struct{}), bytes: est}
 	job := func() {
 		defer m.ioWG.Done()
-		if wb != nil {
-			<-wb
-		}
 		u, err := m.store.Get(mode, part)
 		m.mu.Lock()
 		inf.unit, inf.err = u, err
@@ -358,107 +323,68 @@ func (m *Manager) Prefetch(mode, part int) {
 // order when using the Forward policy. A miss whose unit is in flight from
 // a Prefetch waits for that fetch instead of reading the store again; it
 // still counts as a fetch ("data swap") because the buffer did not hold
-// the unit when it was demanded. The unit is the caller's to use until the
-// matching Release: once evicted, its storage is recycled into a later
-// fetch.
+// the unit when it was demanded. A failed prefetch degrades to a fresh
+// fetch here: a hint is never worse than no hint. A dirty victim is
+// written back before Acquire returns, and a write-back that fails is
+// Acquire's error. The unit is the caller's to use until the matching
+// Release: once evicted, its storage is recycled into a later fetch.
 func (m *Manager) Acquire(mode, part int) (*blockstore.Unit, error) {
 	id := schedule.UnitID(m.pattern, mode, part)
 	m.mu.Lock()
-	if err := m.wbErr; err != nil {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %w", ErrAsyncWriteBack, err)
-	}
+	defer m.mu.Unlock()
 	m.clock++
-	myClock := m.clock
 	pos := m.cursor
 	if len(m.cycle) > 0 {
 		if m.cycle[pos] != id {
-			m.mu.Unlock()
 			return nil, fmt.Errorf("buffer: access ⟨%d,%d⟩ deviates from schedule position %d", mode, part, pos)
 		}
 		m.cursor = (m.cursor + 1) % len(m.cycle)
 	}
-	for {
-		if e, ok := m.resident[id]; ok {
-			if e.lastUsed < myClock {
-				e.lastUsed = myClock
-			}
-			e.pins++
-			m.stats.Hits++
-			m.cHits.Inc()
-			m.mu.Unlock()
-			return e.unit, nil
-		}
-		inf, joined := m.infl[id]
-		if !joined {
-			inf = &inflight{done: make(chan struct{})}
-			m.infl[id] = inf
-			wb := m.wbPending[id]
-			m.mu.Unlock()
-			if wb != nil {
-				<-wb
-			}
-			u, err := m.store.Get(mode, part)
-			inf.unit, inf.err = u, err
-			close(inf.done)
-		} else {
-			m.mu.Unlock()
-			<-inf.done
-		}
-		m.mu.Lock()
-		if m.infl[id] == inf {
-			// First goroutine past the fetch installs (or discards) it.
-			delete(m.infl, id)
-			m.reserved -= inf.bytes
-			if inf.err == nil {
-				u := inf.unit
-				m.resident[id] = &entry{unit: u, bytes: u.Bytes(), lastUsed: myClock}
-				m.used += u.Bytes()
-			}
-		}
-		if inf.err != nil {
-			if inf.prefetched {
-				// A failed prefetch must never be worse than no prefetch:
-				// its reservation is already freed and the inflight entry
-				// removed above, so degrade to a fresh synchronous fetch
-				// by going around the loop (the store's own retry layer,
-				// if any, applies to that attempt). Only a demand fetch's
-				// error surfaces.
-				m.stats.DegradedFetches++
-				m.cDegraded.Inc()
-				continue
-			}
-			m.mu.Unlock()
-			return nil, inf.err
-		}
-		e, ok := m.resident[id]
-		if !ok {
-			// Installed by us or a peer, then evicted by a concurrent
-			// acquirer's shrink before we could pin it (only possible
-			// off-schedule, under concurrent load). Go around again.
-			continue
-		}
-		if e.lastUsed < myClock {
-			e.lastUsed = myClock
-		}
+	if e, ok := m.resident[id]; ok {
+		e.lastUsed = m.clock
 		e.pins++
-		m.stats.Fetches++
-		m.cFetches.Inc()
-		m.gUsed.Set(float64(m.used))
-		if m.tele.Tracing() {
-			m.tele.Emit("buffer.fetch",
-				obs.Int("mode", mode), obs.Int("part", part), obs.I64("bytes", e.bytes))
-		}
-		wbs, err := m.shrink(pos)
+		m.stats.Hits++
+		m.cHits.Inc()
+		return e.unit, nil
+	}
+	var u *blockstore.Unit
+	if inf := m.infl[id]; inf != nil {
 		m.mu.Unlock()
-		for _, job := range wbs {
-			m.wbQ <- job
+		<-inf.done
+		m.mu.Lock()
+		delete(m.infl, id)
+		m.reserved -= inf.bytes
+		if inf.err != nil {
+			m.stats.DegradedFetches++
+			m.cDegraded.Inc()
 		}
+		u = inf.unit
+	}
+	if u == nil {
+		// Nothing else can make this unit resident or start a prefetch of
+		// it meanwhile: both need the calling goroutine, which is here.
+		m.mu.Unlock()
+		var err error
+		u, err = m.store.Get(mode, part)
+		m.mu.Lock()
 		if err != nil {
 			return nil, err
 		}
-		return e.unit, nil
 	}
+	e := &entry{unit: u, bytes: u.Bytes(), lastUsed: m.clock, pins: 1}
+	m.resident[id] = e
+	m.used += e.bytes
+	m.stats.Fetches++
+	m.cFetches.Inc()
+	m.gUsed.Set(float64(m.used))
+	if m.tele.Tracing() {
+		m.tele.Emit("buffer.fetch",
+			obs.Int("mode", mode), obs.Int("part", part), obs.I64("bytes", e.bytes))
+	}
+	if err := m.shrink(pos); err != nil {
+		return nil, err
+	}
+	return e.unit, nil
 }
 
 // Release unpins a previously acquired unit; dirty marks it modified so
@@ -477,29 +403,23 @@ func (m *Manager) Release(mode, part int, dirty bool) {
 	}
 }
 
-// shrink evicts unpinned units until usage fits capacity, returning the
-// background write-back jobs to enqueue once the lock is dropped. If
-// everything resident is pinned the buffer temporarily overflows (counted,
-// not fatal), mirroring a real buffer manager that must keep its working
-// set. Called with mu held.
-func (m *Manager) shrink(pos int) ([]func(), error) {
-	var jobs []func()
+// shrink evicts unpinned units until usage fits capacity. If everything
+// resident is pinned the buffer temporarily overflows (counted, not fatal),
+// mirroring a real buffer manager that must keep its working set. Called
+// with mu held.
+func (m *Manager) shrink(pos int) error {
 	for m.used > m.capacity {
 		victim := m.pickVictim(pos)
 		if victim == -1 {
 			m.stats.Overflows++
 			m.cOverflows.Inc()
-			return jobs, nil
+			return nil
 		}
-		job, err := m.evict(victim)
-		if err != nil {
-			return jobs, err
-		}
-		if job != nil {
-			jobs = append(jobs, job)
+		if err := m.evict(victim); err != nil {
+			return err
 		}
 	}
-	return jobs, nil
+	return nil
 }
 
 // pickVictim returns the unit id to evict, or -1 when nothing is evictable.
@@ -544,51 +464,19 @@ func (m *Manager) nextUseDistance(id, pos int) int {
 	return occ[0] + n - pos
 }
 
-// evict drops the unit and recycles its allocation. A dirty unit is
-// written back first: inline in synchronous mode, otherwise as a
-// background job (returned for the caller to enqueue outside the lock).
-// The WriteBacks counter increments at eviction time in both modes, so
-// statistics do not depend on I/O timing. Called with mu held.
-func (m *Manager) evict(id int) (func(), error) {
+// evict drops the unit and recycles its allocation, writing a dirty unit
+// back first. The write-back runs with mu released, so a finished prefetch
+// can record its result meanwhile; the victim stays resident until it is
+// written, and a failed write-back leaves it so. Called with mu held.
+func (m *Manager) evict(id int) error {
 	e := m.resident[id]
-	var job func()
 	if e.dirty {
-		m.stats.WriteBacks++
-		m.cWriteBacks.Inc()
-		if m.tele.Tracing() {
-			m.tele.Emit("buffer.writeback",
-				obs.Int("mode", e.unit.Mode), obs.Int("part", e.unit.Part), obs.I64("bytes", e.bytes))
-		}
-		if m.workers == 0 {
-			if err := m.writeBack(e.unit); err != nil {
-				return nil, err
-			}
-		} else {
-			// prev is always nil: a unit can only be evicted while
-			// resident, and becoming resident again waits for its pending
-			// write-back. The chain keeps writes ordered even so.
-			prev := m.wbPending[id]
-			done := make(chan struct{})
-			m.wbPending[id] = done
-			u := e.unit
-			m.ioWG.Add(1)
-			job = func() {
-				defer m.ioWG.Done()
-				if prev != nil {
-					<-prev
-				}
-				err := m.writeBack(u)
-				u.Recycle()
-				m.mu.Lock()
-				if err != nil && m.wbErr == nil {
-					m.wbErr = err
-				}
-				if m.wbPending[id] == done {
-					delete(m.wbPending, id)
-				}
-				m.mu.Unlock()
-				close(done)
-			}
+		m.noteWriteBack(e)
+		m.mu.Unlock()
+		err := m.writeBack(e.unit)
+		m.mu.Lock()
+		if err != nil {
+			return err
 		}
 	}
 	delete(m.resident, id)
@@ -600,98 +488,87 @@ func (m *Manager) evict(id int) (func(), error) {
 		m.tele.Emit("buffer.evict",
 			obs.Int("mode", e.unit.Mode), obs.Int("part", e.unit.Part))
 	}
-	if job == nil {
-		// Nothing refers to an evicted unit once it is written back (the
-		// background job does this for itself): callers keep one only
-		// while it is pinned.
-		e.unit.Recycle()
+	// Nothing refers to an evicted unit once it is written back: callers
+	// keep one only while it is pinned.
+	e.unit.Recycle()
+	return nil
+}
+
+// noteWriteBack counts a write-back of e — in Stats, the mirrored counter
+// and the trace — before its Put, so the counts do not depend on I/O
+// outcomes. Called with mu held.
+func (m *Manager) noteWriteBack(e *entry) {
+	m.stats.WriteBacks++
+	m.cWriteBacks.Inc()
+	if m.tele.Tracing() {
+		m.tele.Emit("buffer.writeback",
+			obs.Int("mode", e.unit.Mode), obs.Int("part", e.unit.Part), obs.I64("bytes", e.bytes))
 	}
-	return job, nil
 }
 
 // writeBack puts the unit's A part — all Phase 2 ever changes of a unit;
-// the store keeps the U part the unit was seeded with. One Put, on every
-// path (inline eviction, background job, FlushAll): whether a transient
-// failure is retried is the store's business (blockstore.Resilient), so
-// the retry budget is the same at every Workers setting.
+// the store keeps the U part the unit was seeded with. One Put, on both
+// paths (eviction, FlushAll): whether a transient failure is retried is
+// the store's business (blockstore.Resilient), so the retry budget is the
+// same at every Workers setting.
 func (m *Manager) writeBack(u *blockstore.Unit) error {
 	return m.store.Put(&blockstore.Unit{Mode: u.Mode, Part: u.Part, A: u.A})
 }
 
-// Drain blocks until every background fetch and write-back has settled.
-// It must not race with new Acquire or Prefetch calls.
+// Drain blocks until every prefetch has settled.
 func (m *Manager) Drain() {
 	m.ioWG.Wait()
 }
 
-// FlushAll writes every dirty resident unit back to the store (keeping it
-// resident and clean) after draining the background pipeline. Phase 2
-// calls this at termination. A synchronous manager writes sequentially in
-// unit-id order (deterministic store traffic); with Workers > 0 the
-// flushes issue in the same order but run concurrently on the I/O pool —
-// same writes, shorter tail. Like Drain, it must not race with new
-// Acquire or Prefetch calls.
+// FlushAll writes every dirty resident unit back to the store, in unit-id
+// order (deterministic store traffic), keeping it resident and clean.
+// Phase 2 calls this at termination. It drains the prefetch pool first, so
+// the store is quiet when it returns.
 func (m *Manager) FlushAll() error {
 	m.Drain()
 	m.mu.Lock()
-	if m.wbErr != nil {
-		err := m.wbErr
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %w", ErrAsyncWriteBack, err)
-	}
-	// Deterministic order for reproducible store traffic.
+	defer m.mu.Unlock()
 	ids := make([]int, 0, len(m.resident))
 	for id := range m.resident {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var dirty []*entry
 	for _, id := range ids {
 		e := m.resident[id]
 		if !e.dirty {
 			continue
 		}
-		m.stats.WriteBacks++
-		m.cWriteBacks.Inc()
-		if m.tele.Tracing() {
-			m.tele.Emit("buffer.writeback",
-				obs.Int("mode", e.unit.Mode), obs.Int("part", e.unit.Part), obs.I64("bytes", e.bytes))
+		m.noteWriteBack(e)
+		if err := m.writeBack(e.unit); err != nil {
+			return err
 		}
 		e.dirty = false
-		dirty = append(dirty, e)
 	}
-	workers := m.workers
-	m.mu.Unlock()
-	return blockstore.ForEachConcurrent(len(dirty), workers, func(i int) error {
-		return m.writeBack(dirty[i].unit)
-	})
+	return nil
 }
 
-// Close drains the pipeline, stops the worker pool and discards
-// unconsumed prefetches. It returns the first background write-back error,
-// if any. Close is idempotent; the manager must not be used afterwards
-// (except further Close calls). Like Drain, it must not race with new
-// Acquire or Prefetch calls.
+// Close drains and stops the prefetch pool and discards unconsumed
+// prefetches. It returns nil: every write-back error has already surfaced
+// from the Acquire or FlushAll that issued it. Close is idempotent; the
+// manager must not be used afterwards (except further Close calls).
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
-		err := m.wbErr
 		m.mu.Unlock()
-		return err
+		return nil
 	}
 	m.closed = true
 	m.mu.Unlock()
 	m.ioWG.Wait()
 	if m.workers > 0 {
 		close(m.fetchQ)
-		close(m.wbQ)
 	}
 	m.workerWG.Wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.infl = make(map[int]*inflight)
 	m.reserved = 0
-	return m.wbErr
+	return nil
 }
 
 // Contains reports whether the unit is resident (for tests/diagnostics).
@@ -702,8 +579,8 @@ func (m *Manager) Contains(mode, part int) bool {
 	return ok
 }
 
-// InFlight reports whether a prefetch (or joined fetch) of the unit is
-// outstanding or staged but not yet consumed (for tests/diagnostics).
+// InFlight reports whether a prefetch of the unit is outstanding or staged
+// but not yet consumed (for tests/diagnostics).
 func (m *Manager) InFlight(mode, part int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,7 +1,6 @@
 package buffer
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -41,10 +40,12 @@ func fileFixture(t *testing.T, dims, k []int, rank int) (*grid.Pattern, *blockst
 	return p, store, unitBytes
 }
 
-// hammerManager drives parallel Acquire/Prefetch/Release (the satellite
-// race test): goroutines race over all units with a tight capacity and
-// dirty releases, then the buffer is flushed and every unit must still be
-// complete in the store. Run with -race.
+// hammerManager drives the manager the way the Phase-2 engine does — one
+// goroutine acquiring a few units, hinting prefetches, dirtying and
+// releasing them — with a tight capacity, while the prefetch pool fetches
+// and another goroutine polls the read-only accessors. Every unit must
+// then hold its last written value in the store. Run with -race: it checks
+// the pool against the calling goroutine.
 func hammerManager(t *testing.T, p *grid.Pattern, store blockstore.Store, capacity int64, rank int) {
 	t.Helper()
 	m, err := NewManager(Config{
@@ -55,51 +56,58 @@ func hammerManager(t *testing.T, p *grid.Pattern, store blockstore.Store, capaci
 		t.Fatal(err)
 	}
 	units := schedule.NumUnits(p)
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var acquires int64
-	var amu sync.Mutex
-	// Two workers may hold the same unit pinned; the engine updates a unit
-	// from one goroutine, so the test's stand-in for an update takes turns.
-	var updating sync.Mutex
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			local := int64(0)
-			for i := 0; i < 150; i++ {
-				id := rng.Intn(units)
-				mode, part := schedule.UnitFromID(p, id)
-				if rng.Intn(3) == 0 {
-					m.Prefetch(mode, part)
-					continue
-				}
-				u, err := m.Acquire(mode, part)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if u.Mode != mode || u.Part != part {
-					t.Errorf("acquired ⟨%d,%d⟩, got ⟨%d,%d⟩", mode, part, u.Mode, u.Part)
-				}
-				dirty := rng.Intn(2) == 0
-				if dirty {
-					updating.Lock()
-					u.A.Set(0, 0, float64(w*1000+i))
-					updating.Unlock()
-				}
-				local++
-				m.Release(mode, part, dirty)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.Stats()
+				m.UsedBytes()
+				m.Contains(0, 0)
+				m.InFlight(0, 0)
 			}
-			amu.Lock()
-			acquires += local
-			amu.Unlock()
-		}(w)
+		}
+	}()
+	rng := rand.New(rand.NewSource(1))
+	want := make(map[int]float64) // unit id → last value written to A[0,0]
+	var acquires int64
+	for i := 0; i < 300; i++ {
+		ids := make([]int, 1+rng.Intn(3))
+		dirty := make([]bool, len(ids))
+		for j := range ids {
+			ids[j] = rng.Intn(units)
+			mode, part := schedule.UnitFromID(p, ids[j])
+			u, err := m.Acquire(mode, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if u.Mode != mode || u.Part != part {
+				t.Fatalf("acquired ⟨%d,%d⟩, got ⟨%d,%d⟩", mode, part, u.Mode, u.Part)
+			}
+			acquires++
+			if dirty[j] = rng.Intn(2) == 0; dirty[j] {
+				u.A.Set(0, 0, float64(i*10+j))
+				want[ids[j]] = float64(i*10 + j)
+			}
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			m.Prefetch(schedule.UnitFromID(p, rng.Intn(units)))
+		}
+		for j, id := range ids {
+			mode, part := schedule.UnitFromID(p, id)
+			m.Release(mode, part, dirty[j])
+		}
 	}
-	wg.Wait()
 	if err := m.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
+	close(stop)
+	wg.Wait()
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,16 +115,17 @@ func hammerManager(t *testing.T, p *grid.Pattern, store blockstore.Store, capaci
 	if st.Fetches+st.Hits != acquires {
 		t.Fatalf("fetches %d + hits %d != acquires %d", st.Fetches, st.Hits, acquires)
 	}
-	// Every unit survived the storm complete.
-	for i := 0; i < p.NModes(); i++ {
-		for ki := 0; ki < p.K[i]; ki++ {
-			u, err := store.Get(i, ki)
-			if err != nil {
-				t.Fatalf("unit ⟨%d,%d⟩ unreadable after concurrent run: %v", i, ki, err)
-			}
-			if u.A == nil || u.Slab == nil || u.Slab.Cols != p.SlabSize(i)*u.A.Cols {
-				t.Fatalf("unit ⟨%d,%d⟩ malformed after concurrent run", i, ki)
-			}
+	for id := 0; id < units; id++ {
+		mode, part := schedule.UnitFromID(p, id)
+		u, err := store.Get(mode, part)
+		if err != nil {
+			t.Fatalf("unit ⟨%d,%d⟩ unreadable after the run: %v", mode, part, err)
+		}
+		if u.A == nil || u.Slab == nil || u.Slab.Cols != p.SlabSize(mode)*u.A.Cols {
+			t.Fatalf("unit ⟨%d,%d⟩ malformed after the run", mode, part)
+		}
+		if v, ok := want[id]; ok && u.A.At(0, 0) != v {
+			t.Fatalf("unit ⟨%d,%d⟩: A[0,0] = %g, want the last write %g", mode, part, u.A.At(0, 0), v)
 		}
 	}
 }
@@ -221,8 +230,8 @@ func TestPrefetchHintsDoNotChangeLogicalStats(t *testing.T) {
 }
 
 func TestBackgroundWriteBackBarrier(t *testing.T) {
-	// A re-fetch racing a slow background write-back must see the
-	// written-back data, not the stale store copy.
+	// A re-fetch right after a slow write-back must see the written-back
+	// data, not the stale store copy.
 	p, mem, ub := fixture(t, []int{4, 4}, []int{2, 2}, 2)
 	slow := blockstore.WithLatency(mem, 0, 5*time.Millisecond)
 	m, err := NewManager(Config{
@@ -239,8 +248,8 @@ func TestBackgroundWriteBackBarrier(t *testing.T) {
 	}
 	u.A.Set(0, 0, 424242)
 	m.Release(0, 0, true)
-	// Evict ⟨0,0⟩ (capacity is one unit); its write-back runs behind a
-	// 5ms latency while we immediately demand the unit again.
+	// Evict ⟨0,0⟩ (capacity is one unit); its write-back takes 5ms, then
+	// we immediately demand the unit again.
 	if _, err := m.Acquire(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -253,36 +262,6 @@ func TestBackgroundWriteBackBarrier(t *testing.T) {
 		t.Fatalf("re-fetch observed stale data: A[0,0] = %g, want 424242", got.A.At(0, 0))
 	}
 	m.Release(0, 0, false)
-}
-
-func TestAsyncWriteBackErrorSurfaces(t *testing.T) {
-	p, mem, ub := fixture(t, []int{4, 4}, []int{2, 2}, 2)
-	faulty := blockstore.NewFaultyStore(mem)
-	faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 1, WriteOutageLen: 1, Permanent: true})
-	m, err := NewManager(Config{
-		Store: faulty, Pattern: p, CapacityBytes: 1 * ub,
-		Policy: LRU, Workers: 2, Rank: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := m.Acquire(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u.A.Set(0, 0, 1)
-	m.Release(0, 0, true)
-	if _, err := m.Acquire(0, 1); err != nil { // evicts ⟨0,0⟩, write-back fails in background
-		t.Fatal(err)
-	}
-	m.Release(0, 1, false)
-	m.Drain()
-	if err := m.FlushAll(); !errors.Is(err, blockstore.ErrInjected) {
-		t.Fatalf("FlushAll err = %v, want injected write fault", err)
-	}
-	if err := m.Close(); !errors.Is(err, blockstore.ErrInjected) {
-		t.Fatalf("Close err = %v, want injected write fault", err)
-	}
 }
 
 func TestWorkersRequireRank(t *testing.T) {

@@ -1,7 +1,7 @@
 package buffer
 
 import (
-	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -84,8 +84,8 @@ func resilient(s blockstore.Store, maxRetries int) *blockstore.ResilientStore {
 }
 
 // TestWriteBackRetryHeals: a transient write outage shorter than the
-// store's retry budget heals inside the background write-back job — no
-// ErrAsyncWriteBack, and the written unit is intact in the store.
+// store's retry budget heals inside the evicting Acquire's write-back, and
+// the written unit is intact in the store.
 func TestWriteBackRetryHeals(t *testing.T) {
 	p, mem, ub := fixture(t, []int{4, 4}, []int{2, 2}, 2)
 	faulty := blockstore.NewFaultyStore(mem)
@@ -111,7 +111,6 @@ func TestWriteBackRetryHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Release(0, 1, false)
-	m.Drain()
 	if err := m.FlushAll(); err != nil {
 		t.Fatalf("FlushAll after healed write-back: %v", err)
 	}
@@ -127,80 +126,53 @@ func TestWriteBackRetryHeals(t *testing.T) {
 	}
 }
 
-// TestWriteBackBudgetExhaustedSurfaces: a write outage longer than the
-// store's retry budget surfaces as ErrAsyncWriteBack from the next Acquire
-// (the emergency-checkpoint trigger in the engine) and from FlushAll.
-func TestWriteBackBudgetExhaustedSurfaces(t *testing.T) {
-	p, mem, ub := fixture(t, []int{4, 4}, []int{2, 2}, 2)
-	faulty := blockstore.NewFaultyStore(mem)
-	m, err := NewManager(Config{
-		Store: resilient(faulty, 1), Pattern: p, CapacityBytes: 1 * ub,
-		Policy: LRU, Workers: 2, Rank: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	if _, err := m.Acquire(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	m.Release(0, 0, true)
-	faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 1, WriteOutageLen: 1 << 40})
-	if _, err := m.Acquire(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	m.Release(0, 1, false)
-	m.Drain()
-
-	// Acquire reports the failed write-back before advancing any state.
-	_, err = m.Acquire(1, 0)
-	if !errors.Is(err, ErrAsyncWriteBack) {
-		t.Fatalf("Acquire after exhausted write-back = %v, want ErrAsyncWriteBack", err)
-	}
-	if err := m.FlushAll(); !errors.Is(err, ErrAsyncWriteBack) {
-		t.Fatalf("FlushAll = %v, want ErrAsyncWriteBack", err)
-	}
-}
-
 // TestWriteBackHasOneRetryBudget: a dirty eviction against a store that
-// fails every write, behind a retry layer with MaxRetries 3, reaches the
-// store exactly 1+3 times — whether the write-back runs inline or on the
-// background pool. The retry layer is the only one that repeats a Put.
+// fails every write is the evicting Acquire's error, at every Workers
+// setting, after exactly 1 + MaxRetries Put attempts — the retry layer is
+// the only one that repeats a Put. The victim stays resident and dirty, so
+// a flush over the healed store still writes its update.
 func TestWriteBackHasOneRetryBudget(t *testing.T) {
 	for _, workers := range []int{0, 2} {
-		p, mem, ub := fixture(t, []int{4, 4}, []int{2, 2}, 2)
-		faulty := blockstore.NewFaultyStore(mem)
-		m, err := NewManager(Config{
-			Store: resilient(faulty, 3), Pattern: p, CapacityBytes: 1 * ub,
-			Policy: LRU, Workers: workers, Rank: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Acquire(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		m.Release(0, 0, true)
-		faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 1, WriteOutageLen: 1 << 40})
-		// Evicts dirty ⟨0,0⟩: inline the failed write-back is this
-		// Acquire's error, in the background it is the pipeline's.
-		_, err = m.Acquire(0, 1)
-		if workers > 0 {
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.Release(0, 1, false)
-			m.Drain()
-			err = m.Close()
-		} else {
-			m.Close()
-		}
-		if !blockstore.IsTransient(err) {
-			t.Fatalf("Workers %d: err = %v, want the write-back's transient fault", workers, err)
-		}
-		if _, writes := faulty.Fails(); writes != 4 {
-			t.Fatalf("Workers %d: the store saw %d Put attempts, want 4 (1 + MaxRetries 3)", workers, writes)
+		for _, retries := range []int{0, 1, 3} {
+			t.Run(fmt.Sprintf("workers=%d/retries=%d", workers, retries), func(t *testing.T) {
+				p, mem, ub := fixture(t, []int{4, 4}, []int{2, 2}, 2)
+				faulty := blockstore.NewFaultyStore(mem)
+				m, err := NewManager(Config{
+					Store: resilient(faulty, retries), Pattern: p, CapacityBytes: 1 * ub,
+					Policy: LRU, Workers: workers, Rank: 2,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				u, err := m.Acquire(0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				u.A.Set(0, 0, 42)
+				m.Release(0, 0, true)
+				faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 1, WriteOutageLen: 1 << 40})
+				if _, err := m.Acquire(0, 1); !blockstore.IsTransient(err) { // evicts dirty ⟨0,0⟩
+					t.Fatalf("evicting Acquire = %v, want the write-back's transient fault", err)
+				}
+				if _, writes := faulty.Fails(); writes != int64(1+retries) {
+					t.Fatalf("the store saw %d Put attempts, want %d (1 + MaxRetries)", writes, 1+retries)
+				}
+				if !m.Contains(0, 0) {
+					t.Fatal("a victim whose write-back failed was dropped")
+				}
+				faulty.SetPlan(blockstore.FaultPlan{})
+				if err := m.FlushAll(); err != nil {
+					t.Fatalf("FlushAll over the healed store: %v", err)
+				}
+				got, err := mem.Get(0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.A.At(0, 0) != 42 {
+					t.Fatalf("flushed victim lost the dirty update: A[0,0] = %g", got.A.At(0, 0))
+				}
+			})
 		}
 	}
 }

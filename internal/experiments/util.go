@@ -9,8 +9,8 @@ import (
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// IO carries the Phase-2 asynchronous-pipeline knobs shared by every
-// experiment config. The zero value is the paper's synchronous setting.
+// IO carries the Phase-2 prefetch knobs shared by every experiment
+// config. The zero value is the paper's synchronous setting.
 // Swap counts, fit traces and factors are identical at every depth (the
 // engine's update order does not depend on prefetching), so enabling the
 // pipeline only changes the wall-clock columns of the tables; raw store
@@ -19,7 +19,7 @@ type IO struct {
 	// PrefetchDepth is how many schedule steps ahead Phase 2 prefetches
 	// data units (0 = synchronous).
 	PrefetchDepth int
-	// IOWorkers sizes the async I/O pool (0 = auto when PrefetchDepth > 0).
+	// IOWorkers sizes the prefetch pool (0 = auto when PrefetchDepth > 0).
 	IOWorkers int
 	// Checkpoint, when non-empty, makes the experiment's long decomposition
 	// runs durable: each run checkpoints into its own subdirectory of this

@@ -553,3 +553,25 @@ func waitHTTPState(t *testing.T, base, id string, want ...State) *Job {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// TestSubmitRejectsOversizedSpec: a POST /v1/jobs body over the 1 MiB
+// limit is 413 and creates no job, even when it is a valid Spec (here one
+// padded with JSON whitespace).
+func TestSubmitRejectsOversizedSpec(t *testing.T) {
+	dir := t.TempDir()
+	tensor := filepath.Join(dir, "x.tptl")
+	writeTensor(t, tensor, 1, 12, 12, 12)
+	_, m := newTestManager(t, filepath.Join(dir, "data"), 1)
+	defer m.Drain()
+
+	input, _ := json.Marshal(tensor)
+	body := `{"input":` + string(input) + `,"rank":2,` + strings.Repeat(" ", 2<<20) + `"seed":7}`
+	rec := httptest.NewRecorder()
+	NewServer(m).Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413\nbody: %s", rec.Code, rec.Body)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("an oversized spec created %d job(s)", len(jobs))
+	}
+}

@@ -118,11 +118,11 @@ func TestStopWithoutCheckpointReturnsErrStopped(t *testing.T) {
 	}
 }
 
-// TestEmergencyCheckpointOnWriteBackFailure: when an asynchronous
-// write-back fails for good, the engine writes an emergency
-// checkpoint before surfacing the error — and resuming that checkpoint
-// over a healed store finishes bit-identical to an uninterrupted run.
-func TestEmergencyCheckpointOnWriteBackFailure(t *testing.T) {
+// TestResumeAfterWriteBackFailure: a write-back that fails for good ends
+// the run with the store's error, and resuming from the last regular
+// checkpoint over the healed store finishes bit-identical to an
+// uninterrupted run.
+func TestResumeAfterWriteBackFailure(t *testing.T) {
 	p1 := resumePhase1(t)
 	base := Config{
 		Phase1: p1, Schedule: schedule.HilbertOrder, Policy: buffer.Forward,
@@ -156,25 +156,23 @@ func TestEmergencyCheckpointOnWriteBackFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unbounded write outage starting mid-run: the background write-back
-	// fails and the next step-boundary Acquire surfaces it.
-	faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 20, WriteOutageLen: 1 << 40})
-	_, err = eng2.Run()
-	if err == nil {
-		t.Fatal("run over a dead store succeeded")
-	}
-	if !errors.Is(err, buffer.ErrAsyncWriteBack) {
-		t.Fatalf("err = %v, want wrapped buffer.ErrAsyncWriteBack", err)
+	// The store dies for writes mid-run; the evicting Acquire whose
+	// write-back hits it ends the run.
+	faulty.SetPlan(blockstore.FaultPlan{WriteOutageFrom: 20, WriteOutageLen: 1 << 40, Permanent: true})
+	if _, err := eng2.Run(); !errors.Is(err, blockstore.ErrInjected) {
+		t.Fatalf("run over a dead store: err = %v, want the injected fault", err)
 	}
 
-	// The emergency checkpoint (or an earlier regular one) must leave the
-	// directory resumable — and the resume must be bit-exact.
 	rs2, err := runstate.Open(dir, resumeMeta(), 27, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, ok, err := rs2.LoadPhase2(); err != nil || !ok {
+		t.Fatalf("no Phase-2 checkpoint before the failure (ok=%v, err=%v)", ok, err)
+	}
+	faulty.SetPlan(blockstore.FaultPlan{})
 	resumeCfg := base
-	resumeCfg.Store = blockstore.NewMemStore()
+	resumeCfg.Store = faulty
 	resumeCfg.Checkpoint = rs2
 	eng3, err := New(resumeCfg)
 	if err != nil {
@@ -182,8 +180,8 @@ func TestEmergencyCheckpointOnWriteBackFailure(t *testing.T) {
 	}
 	res, err := eng3.Run()
 	if err != nil {
-		t.Fatalf("resume after emergency checkpoint: %v", err)
+		t.Fatalf("resume after the write-back failure: %v", err)
 	}
-	sameTrace(t, "emergency-resumed", res.FitTrace, plain.FitTrace)
-	sameFactors(t, "emergency-resumed", res, plain)
+	sameTrace(t, "failed+resumed", res.FitTrace, plain.FitTrace)
+	sameFactors(t, "failed+resumed", res, plain)
 }

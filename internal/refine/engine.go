@@ -69,9 +69,9 @@ type Config struct {
 	// depth > 0 — prefetches issued for steps that never ran, or wasted
 	// because the unit was evicted before its use.
 	PrefetchDepth int
-	// IOWorkers sizes the buffer manager's asynchronous I/O pool (prefetch
-	// and background write-back goroutines). Defaults to 2 when
-	// PrefetchDepth > 0, else 0 (synchronous).
+	// IOWorkers sizes the buffer manager's prefetch pool. Defaults to 2
+	// when PrefetchDepth > 0, else 0 (synchronous). Write-backs run inline
+	// on the engine's goroutine at every setting.
 	IOWorkers int
 	// Solver picks the per-partition row update (nil = least squares,
 	// bit-for-bit the historical path): the grid-PARAFAC rule solves
@@ -466,22 +466,8 @@ func (e *Engine) Run() (*Result, error) {
 			for ai, a := range step.Accesses {
 				u, err := e.mgr.Acquire(a.Mode, a.Part)
 				if err != nil {
-					// A surfaced background write-back failure reports at
-					// the top of the *next* Acquire, before any buffer
-					// state mutates: when it surfaces on the step's first
-					// access, the engine and buffer are still exactly at
-					// the boundary after step si-1, so an emergency
-					// checkpoint of that boundary is consistent — the
-					// checkpoint's factors come from curA, not from the
-					// store the write-back failed against. Mid-step fetch
-					// failures (ai > 0, or a demand Get error) have
-					// already advanced the buffer clock and cannot be
-					// checkpointed; they surface as-is.
-					if ai == 0 && e.cfg.Checkpoint != nil && errors.Is(err, buffer.ErrAsyncWriteBack) {
-						if ckErr := e.saveCheckpoint(si, pos, updates, res, prevFit, warmupLeft); ckErr == nil {
-							return nil, fmt.Errorf("refine: emergency checkpoint written at step %d: %w", si, err)
-						}
-					}
+					// A failed fetch or write-back ends the run; a resume
+					// starts from the last regular checkpoint.
 					return nil, err
 				}
 				units[ai] = u
@@ -567,38 +553,20 @@ func (e *Engine) Run() (*Result, error) {
 }
 
 // AssembleFactors stacks the per-partition A(i)_(ki) (as persisted in the
-// store) into the full factor matrices A(i). With the asynchronous
-// pipeline enabled (IOWorkers > 0) the unit reads run concurrently on up
-// to IOWorkers goroutines — the store contract guarantees each Get is an
-// independent complete copy; otherwise they run sequentially, matching
-// the synchronous engine's store traffic order exactly.
+// store) into the full factor matrices A(i), reading the units in
+// ⟨mode, part⟩ order.
 func (e *Engine) AssembleFactors() ([]*mat.Matrix, error) {
-	type slot struct {
-		mode, part int
-	}
-	var slots []slot
-	for mode := 0; mode < e.pattern.NModes(); mode++ {
-		for part := 0; part < e.pattern.K[mode]; part++ {
-			slots = append(slots, slot{mode, part})
-		}
-	}
-	parts := make([]*mat.Matrix, len(slots))
-	err := blockstore.ForEachConcurrent(len(slots), e.cfg.IOWorkers, func(i int) error {
-		u, err := e.cfg.Store.Get(slots[i].mode, slots[i].part)
-		if err == nil {
-			parts[i] = u.A
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
 	factors := make([]*mat.Matrix, e.pattern.NModes())
-	next := 0
-	for mode := 0; mode < e.pattern.NModes(); mode++ {
-		stack := parts[next : next+e.pattern.K[mode]]
-		next += e.pattern.K[mode]
-		factors[mode] = mat.VStack(stack...)
+	for mode := range factors {
+		parts := make([]*mat.Matrix, e.pattern.K[mode])
+		for part := range parts {
+			u, err := e.cfg.Store.Get(mode, part)
+			if err != nil {
+				return nil, err
+			}
+			parts[part] = u.A
+		}
+		factors[mode] = mat.VStack(parts...)
 	}
 	return factors, nil
 }

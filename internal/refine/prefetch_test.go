@@ -122,8 +122,8 @@ func TestDepthZeroMatchesRecordedSynchronousBehaviour(t *testing.T) {
 }
 
 // TestPrefetchOverFileStore runs the pipeline against real files under
-// -race: the prefetch workers, background write-backs and the engine
-// goroutine all touch the FileStore concurrently.
+// -race: the prefetch workers read the FileStore while the engine
+// goroutine reads and writes it back.
 func TestPrefetchOverFileStore(t *testing.T) {
 	p1 := prefetchFixture(t)
 	mkStore := func() blockstore.Store {

@@ -183,10 +183,10 @@ func (s *Schedule) AccessString() []Access {
 // units. cursor may be any non-negative value; it is reduced modulo the
 // cycle length, matching the buffer manager's cursor arithmetic.
 //
-// This is the lookahead API of the asynchronous Phase-2 pipeline: the
-// refinement engine asks for the accesses of the next schedule steps and
-// hands them to the buffer manager as prefetch hints while the current
-// step's updates run. It is safe for concurrent use.
+// This is the lookahead API of Phase-2 prefetch: the refinement engine
+// asks for the accesses of the next schedule steps and hands them to the
+// buffer manager as prefetch hints while the current step's updates run.
+// It is safe for concurrent use.
 func (s *Schedule) Upcoming(cursor, n int) []Access {
 	s.flatOnce.Do(func() { s.flat = s.AccessString() })
 	total := len(s.flat)

@@ -14,8 +14,8 @@
 #
 # TWOPCP_FAULT_RATES overrides the swept rates (default "0.001 0.01").
 # TWOPCP_PREFETCH=<depth> runs every run with -prefetch <depth>
-# -io-workers 2, so the swept path is the asynchronous one: background
-# write-backs and prefetches through the retry layer. In that mode
+# -io-workers 2, so prefetches on the I/O pool go through the retry layer
+# too (write-backs are inline either way). In that mode
 # run_stats.bytes_read is left out of the comparison — at depth > 0 it
 # counts prefetches that were issued and never used, which depends on
 # timing (Options.PrefetchDepth documents it).

@@ -94,9 +94,11 @@ else
 fi
 
 # -tol=-1 disables convergence so both runs execute the full iteration
-# budget; -checkpoint-steps 1 checkpoints after every schedule step so the
-# kill always lands between checkpoints.
-args=(-in "$work/x.tptl" -rank 4 -parts 3 -buffer 0.5 -iters 600 -tol=-1 -seed 11
+# budget, which is sized to keep Phase 2 running for about a second on a
+# 2-vCPU machine — far longer than the kill takes to land after the
+# checkpoint it waits for; -checkpoint-steps 1 checkpoints after every
+# schedule step so the kill always lands between checkpoints.
+args=(-in "$work/x.tptl" -rank 4 -parts 3 -buffer 0.5 -iters 3000 -tol=-1 -seed 11
   -constraint "$constraint" -lambda "$lambda" -accelerator "$accelerator")
 fault_rate="${TWOPCP_FAULT_RATE:-0}"
 if [ "$fault_rate" != 0 ]; then
@@ -126,16 +128,15 @@ if [ "$trace" = 1 ]; then
 fi
 "$work/twopcp" "${args[@]}" "${store[@]}" "${trace_args[@]}" -checkpoint "$ckpt" -checkpoint-steps 1 >/dev/null &
 pid=$!
-# Wait for Phase 2 to start checkpointing (the first checkpoint is renamed
-# into slot 0, so the file appearing means a whole one), let it make some
-# progress, then kill hard (no signal handler can run: this is the
-# power-loss case).
-for _ in $(seq 1 3000); do
-  [ -f "$ckpt/phase2-0.ckpt" ] && break
+# Wait for the second Phase-2 checkpoint — the first one written to slot 1
+# — then kill hard at once (no signal handler can run: this is the
+# power-loss case). Killing on progress rather than after a fixed sleep
+# keeps the kill inside Phase 2 whatever the machine's speed.
+for _ in $(seq 1 6000); do
+  [ -s "$ckpt/phase2-1.ckpt" ] && break
   kill -0 "$pid" 2>/dev/null || break
   sleep 0.01
 done
-sleep 0.3
 if ! kill -0 "$pid" 2>/dev/null; then
   echo "FAIL: run finished before it could be killed; enlarge the workload" >&2
   wait "$pid" || true
@@ -144,12 +145,13 @@ fi
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 
-[ -f "$ckpt/phase2-0.ckpt" ] || { echo "FAIL: no Phase-2 checkpoint on disk after kill" >&2; exit 1; }
+[ -s "$ckpt/phase2-1.ckpt" ] || { echo "FAIL: no second Phase-2 checkpoint within 60 s" >&2; exit 1; }
 grep -q '"stage":"phase2"' "$ckpt/manifest.json" || {
   echo "FAIL: manifest is not mid-Phase-2 after the kill:" >&2
   cat "$ckpt/manifest.json" >&2
   exit 1
 }
+[ ! -e "$ckpt/result.ckpt" ] || { echo "FAIL: the kill landed after Phase 2 finished (result.ckpt exists)" >&2; exit 1; }
 echo "   killed pid $pid with a $(stat -c %s "$ckpt/p1-blocks.log")-byte block log + $(ls "$ckpt" | grep -c '^phase2-[01]\.ckpt$') Phase-2 slots present"
 
 # A record in the block log or a slot is: magic (4) | payload length, u64

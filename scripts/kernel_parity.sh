@@ -7,10 +7,9 @@
 # kernel blocks; the golden fixtures' rank 3 reaches no vector code at
 # all), at -parts 2 and -parts 4 (slabs of 4 and 16 blocks: Phase 2's two
 # kernel calls per update, the slab·Γ product and the slabᵀ·A one, over
-# fibers of 32 to 256 values), synchronously and through the asynchronous
-# prefetch/write-back pipeline, and compare the factor CSVs byte for byte
-# and the result JSON (fit, fit trace, swaps, store traffic) field for
-# field.
+# fibers of 32 to 256 values), synchronously and with prefetch, and
+# compare the factor CSVs byte for byte and the result JSON (fit, fit
+# trace, swaps, store traffic) field for field.
 #
 # The comparison would be vacuous if both binaries ran the same kernels,
 # so each run's "kernels    :" summary line is checked: the default build
