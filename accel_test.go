@@ -155,6 +155,33 @@ func TestAcceleratedFitNearBruteOracle(t *testing.T) {
 	}
 }
 
+// TestTuckerStructuralFallbackIsANoOp: requesting the accelerator on data
+// whose Tucker core cannot undercut half the tensor changes nothing. Side
+// 16 at rank 8 (+ default oversample 5) gives per-mode core dims 13, and
+// 2·13³ ≥ 16³ trips the structural fallback, which is decided from the
+// dims before any block is read (internal/sketch pins the zero reads).
+func TestTuckerStructuralFallbackIsANoOp(t *testing.T) {
+	x := denseUniform(rand.New(rand.NewSource(5)), 0.5, 16)
+	opts := func(a twopcp.Accelerator) twopcp.Options {
+		return twopcp.Options{
+			Rank: 8, Partitions: []int{2}, BufferFraction: 0.5,
+			MaxIters: 10, Tol: -1, Seed: 5, Accelerator: a,
+		}
+	}
+	brute, err := twopcp.Decompose(x, opts(twopcp.AccelNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := twopcp.Decompose(x, opts(twopcp.AccelTucker))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.RunStats.Accelerated {
+		t.Fatal("expected a structural fallback on the unstructured cube")
+	}
+	sameResult(t, "tucker-fallback", got, brute)
+}
+
 // TestAcceleratorDeterminismAcrossParallelism: accelerated runs are
 // bit-for-bit identical across Phase-1 worker counts, kernel worker
 // counts and prefetch depths — the seeded sketches and serial Phase-0

@@ -208,19 +208,14 @@ func BenchmarkAblationPolicies(b *testing.B) {
 
 // BenchmarkPhase0Sketch is the speed half of the Phase-0 acceptance
 // criterion, baselined in BENCH_phase0_sketch.json and gated by
-// cmd/benchgate:
-//
-//   - lowmlrank runs the frozen compress-then-refine comparison
-//     (experiments.RunAccel: a 48³ multilinear-rank-4 cube with a
-//     superdiagonal core, decomposed at rank 8 to effective convergence)
-//     and reports the warm start's Phase-1 speedup — (phase0+phase1)
-//     accelerated vs brute-force phase1 — which must stay ≥ 3×, and the
-//     |fit| difference between the converged arms, which must stay
-//     ≤ 1e-3.
-//   - fallback-brute / fallback-accel time the full pipeline on an
-//     unstructured cube whose Tucker core cannot undercut half the
-//     tensor: Phase 0 declines structurally before reading any block,
-//     so *requesting* an accelerator on unhelpable data must cost ≤ 5%.
+// cmd/benchgate. lowmlrank runs the frozen compress-then-refine comparison
+// (experiments.RunAccel: a 48³ multilinear-rank-4 cube with a
+// superdiagonal core, decomposed at rank 8 to effective convergence) and
+// reports the warm start's Phase-1 speedup — (phase0+phase1) accelerated
+// vs brute-force phase1 — which must stay ≥ 3×, and the |fit| difference
+// between the converged arms, which must stay ≤ 1e-3. What requesting an
+// accelerator costs where Phase 0 cannot help is pinned by
+// TestTuckerStructuralFallbackIsANoOp: nothing, not a block read.
 func BenchmarkPhase0Sketch(b *testing.B) {
 	b.Run("lowmlrank", func(b *testing.B) {
 		var speedup, delta float64
@@ -245,35 +240,6 @@ func BenchmarkPhase0Sketch(b *testing.B) {
 		}
 		b.ReportMetric(speedup, "speedup-x")
 		b.ReportMetric(delta, "fit-delta")
-	})
-
-	fallbackOpts := func(a twopcp.Accelerator) twopcp.Options {
-		return twopcp.Options{
-			Rank: 8, Partitions: []int{2}, BufferFraction: 0.5,
-			MaxIters: 10, Tol: -1, Seed: 5, Accelerator: a,
-		}
-	}
-	rng := rand.New(rand.NewSource(5))
-	// Side 16 at rank 8 (+ default oversample 5) gives per-mode core dims
-	// min(16, 13) = 13, and 2·13³ ≥ 16³ trips the structural fallback.
-	x := denseUniform(rng, 0.5, 16)
-	b.Run("fallback-brute", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := twopcp.Decompose(x, fallbackOpts(twopcp.AccelNone)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fallback-accel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := twopcp.Decompose(x, fallbackOpts(twopcp.AccelTucker))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.RunStats.Accelerated {
-				b.Fatal("expected a structural fallback on the unstructured cube")
-			}
-		}
 	})
 }
 

@@ -25,7 +25,6 @@ func openRunState(r *runCtx) (*runstate.Run, error) {
 		Schedule:       opts.Schedule.String(),
 		Replacement:    opts.Replacement.String(),
 		BufferFraction: opts.BufferFraction,
-		BufferBytes:    opts.BufferBytes,
 		MaxIters:       opts.MaxIters,
 		Tol:            finiteTol(opts.Tol),
 		Phase1MaxIters: opts.Phase1MaxIters,

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchgate [-baseline-dir .] [-tolerance 0.25] [-absolute] \
+//	benchgate [-baseline-dir .] [-tolerance 0.25] \
 //	          [-out bench_results.json] bench-log [bench-log...]
 //
 // -tolerance is only the default: a baseline file may pin a different
@@ -16,23 +16,15 @@
 // without widening every other gate on the runner. The effective
 // tolerance of each gate is recorded in the -out report.
 //
-// Two modes:
-//
-//   - Relative (default): gates machine-independent quantities — the
-//     prefetch pipeline's speedup over the synchronous engine, the tiled
-//     Phase-1 overhead versus in-memory, the ALS workspace allocation
-//     count, its speed relative to the fresh path and to one standalone
-//     MTTKRP per mode, the swap-count
-//     invariance of the prefetch pipeline, and the Phase-0 sketch
-//     acceleration (warm-start speedup over brute-force Phase 1, fit
-//     parity, and the cost of a structural fallback). These hold on any
-//     hardware, so
-//     CI runners can enforce them even though the committed ns/op numbers
-//     were recorded elsewhere.
-//   - Absolute (-absolute): additionally compares raw ns/op against the
-//     baselines' recorded values with the same tolerance. Only meaningful
-//     on hardware comparable to the machine that recorded the baselines;
-//     use it when refreshing BENCH_*.json.
+// Every gate is a machine-independent quantity that no end-to-end
+// workload (BENCHMARK.json) and no test answers: the prefetch pipeline's
+// speedup over the synchronous engine, the ALS workspace's allocation
+// count and its speed relative to the fresh path and to one standalone
+// MTTKRP per mode, the nonnegative sweep's cost, what live telemetry,
+// event tracing and the idle retry layer cost, the Phase-0 warm start's
+// speedup and fit parity, and the serving paths' allocation counts.
+// These hold on any hardware, so CI runners can enforce them even though
+// the committed ns/op numbers were recorded elsewhere.
 //
 // The evaluation (every gate, measured vs limit, pass/fail) is written to
 // -out as JSON for CI artifact upload.
@@ -134,7 +126,6 @@ type gate struct {
 
 type report struct {
 	Tolerance float64                 `json:"tolerance"`
-	Absolute  bool                    `json:"absolute"`
 	Gates     []gate                  `json:"gates"`
 	Raw       map[string]*measurement `json:"raw"`
 	Pass      bool                    `json:"pass"`
@@ -224,18 +215,11 @@ func relUp(base, tol float64) float64   { return base * (1 + tol) }
 func relDown(base, tol float64) float64 { return base * (1 - tol) }
 func plusTol(base, tol float64) float64 { return base + tol }
 func ceilUp(base, tol float64) float64  { return math.Ceil(base * (1 + tol)) }
-func same(base, _ float64) float64      { return base }
 func fixed(bound float64) limitRule     { return func(_, _ float64) float64 { return bound } }
 
 // accept is a fixed acceptance criterion plus a measurement margin (the
 // gate's tolerance).
 func accept(bound float64) limitRule { return func(_, tol float64) float64 { return bound + tol } }
-
-const (
-	atMost  = iota // pass when measured <= limit
-	atLeast        // pass when measured >= limit
-	equal          // pass when measured == limit
-)
 
 // spec is one row of the gate table.
 type spec struct {
@@ -256,12 +240,13 @@ type spec struct {
 	// noTol marks a fixed bound, which takes and records no tolerance.
 	margin float64
 	noTol  bool
-	cmp    int
+	// atLeast passes measured >= limit; otherwise a gate passes
+	// measured <= limit.
+	atLeast bool
 	// detail is the report text: a fmt format over the fixed arguments
-	// 1: a's ns/op, 2: b's ns/op, 3: the limit, 4: the limit in percent,
-	// 5: the tolerance in percent, 6: a's rate in millions per second.
-	detail   string
-	absolute bool // evaluated only under -absolute
+	// 1: a's ns/op, 2: b's ns/op, 3: the limit, 4: the tolerance in
+	// percent.
+	detail string
 	// skip, when set, is reported as a SKIP if the gate's inputs are
 	// missing; otherwise such a gate is silently left out.
 	skip string
@@ -281,11 +266,6 @@ type section struct {
 	gates    []spec
 }
 
-// abs is a raw ns/op gate against the recorded value (-absolute only).
-func abs(name, bench string, base ...string) spec {
-	return spec{name: name, a: bench, base: base, needBase: true, limit: relUp, absolute: true}
-}
-
 // alsKey is the ALS sweep's entry in BENCH_kernels.json.
 const alsKey = "ALSSweep_dense_64x64x64_rank16_2sweeps"
 
@@ -295,30 +275,8 @@ var sections = []section{
 		file: "BENCH_phase2_prefetch.json", bench: "BenchmarkPhase2Prefetch/", needs: []string{"sync", "prefetch"}, needBase: []string{"speedup"},
 		skip: "phase2-prefetch-speedup", what: "BenchmarkPhase2Prefetch sync/prefetch measurements",
 		gates: []spec{
-			{name: "phase2-prefetch-speedup", a: "sync", b: "prefetch", form: ratio, base: []string{"speedup"}, limit: relDown, cmp: atLeast,
+			{name: "phase2-prefetch-speedup", a: "sync", b: "prefetch", form: ratio, base: []string{"speedup"}, limit: relDown, atLeast: true,
 				detail: "sync %.0[1]f ns/op vs prefetch %.0[2]f ns/op; must stay >= %.2[3]fx"},
-			{name: "phase2-prefetch-swap-invariance", a: "prefetch", b: "sync", read: metric("swaps"), form: versus, limit: same, noTol: true, cmp: equal,
-				detail: "prefetching must not change the swap count"},
-			// 5% is the acceptance criterion for the true overhead; the
-			// margin (default 3%, overridable via gate_tolerances) absorbs
-			// shared-runner jitter on a ratio of two ~145 ms wall-clock
-			// timings (run the benchmark with -count >= 3 — the parser keeps
-			// the min of each side, which is what makes this margin
-			// sufficient).
-			{name: "phase2-checkpoint-overhead", a: "prefetch+checkpoint", b: "prefetch", form: overhead, base: []string{"checkpoint_overhead"}, limit: accept(0.05), margin: 0.03,
-				detail: "prefetch %.0[2]f ns/op vs +checkpoint %.0[1]f ns/op; durable checkpoints must cost <= 5%% (+%.0[5]f%% measurement margin)"},
-			abs("phase2-prefetch-abs-ns/sync", "sync", "results", "sync", "ns_per_op"),
-			abs("phase2-prefetch-abs-ns/prefetch", "prefetch", "results", "prefetch", "ns_per_op"),
-		},
-	},
-	{
-		file: "BENCH_phase1_tiled.json", bench: "BenchmarkPhase1Tiled/", needs: []string{"InMemory", "Tiled"},
-		skip: "phase1-tiled-overhead", what: "BenchmarkPhase1Tiled measurements",
-		gates: []spec{
-			{name: "phase1-tiled-overhead", a: "Tiled", b: "InMemory", form: overhead, base: []string{"overhead"}, limit: plusTol,
-				detail: "tiled %.0[1]f ns/op vs in-memory %.0[2]f ns/op; overhead must stay <= %.0[4]f%%"},
-			abs("phase1-tiled-abs-ns/in_memory", "InMemory", "results", "in_memory", "ns_per_op"),
-			abs("phase1-tiled-abs-ns/tiled", "Tiled", "results", "tiled", "ns_per_op"),
 		},
 	},
 	{
@@ -346,7 +304,6 @@ var sections = []section{
 			{name: "als-sweep-vs-mttkrp-per-mode", a: "workspace", b: "mttkrp-per-mode", form: ratio, base: []string{"benchmarks", alsKey, "sweep_vs_mttkrp_per_mode"}, needBase: true,
 				limit:  func(base, tol float64) float64 { return math.Min(1, relUp(base, tol)) },
 				detail: "workspace sweep %.0[1]f ns/op vs per-mode MTTKRPs %.0[2]f ns/op; a rise toward 1 means the modes stopped sharing fiber products"},
-			abs("als-workspace-abs-ns", "workspace", "benchmarks", alsKey, "new_workspace", "ns_per_op"),
 		},
 	},
 	{
@@ -359,7 +316,7 @@ var sections = []section{
 			// ~2 ms wall-clock timings (run with -count >= 3 — the parser
 			// keeps the min of each side).
 			{name: "obs-counters-overhead", a: "counters", b: "off", form: overhead, base: []string{"counters_overhead"}, limit: accept(0.02), margin: 0.10,
-				detail: "off %.0[2]f ns/op vs counters %.0[1]f ns/op; live metrics must cost <= 2%% (+%.0[5]f%% measurement margin)"},
+				detail: "off %.0[2]f ns/op vs counters %.0[1]f ns/op; live metrics must cost <= 2%% (+%.0[4]f%% measurement margin)"},
 			// Allocation counts are deterministic, so the disabled observer's
 			// allocs/op gate runs tight: any allocation added to the
 			// nil-observer path shows up here exactly.
@@ -369,9 +326,7 @@ var sections = []section{
 			// tolerance rather than a fixed acceptance — the gate catches an
 			// encoder regression, not a policy limit.
 			{name: "obs-trace-overhead", a: "trace", b: "off", form: overhead, base: []string{"trace_overhead"}, limit: plusTol,
-				detail: "off %.0[2]f ns/op vs trace %.0[1]f ns/op; full event tracing must stay within %.0[5]f%% of the recorded overhead"},
-			{name: "obs-swap-invariance", a: "counters", b: "off", read: metric("swaps"), form: versus, limit: same, noTol: true, cmp: equal,
-				detail: "telemetry must not change the swap count"},
+				detail: "off %.0[2]f ns/op vs trace %.0[1]f ns/op; full event tracing must stay within %.0[4]f%% of the recorded overhead"},
 		},
 	},
 	{
@@ -383,9 +338,7 @@ var sections = []section{
 			// the margin absorbs shared-runner jitter on a ratio of two
 			// wall-clock timings, exactly like obs-counters-overhead.
 			{name: "resilience-overhead", a: "retry", b: "off", form: overhead, base: []string{"retry_overhead"}, limit: accept(0.02), margin: 0.10,
-				detail: "off %.0[2]f ns/op vs retry %.0[1]f ns/op; the idle retry layer must cost <= 2%% (+%.0[5]f%% measurement margin)"},
-			{name: "resilience-swap-invariance", a: "retry", b: "off", read: metric("swaps"), form: versus, limit: same, noTol: true, cmp: equal,
-				detail: "the retry layer must not change the swap count"},
+				detail: "off %.0[2]f ns/op vs retry %.0[1]f ns/op; the idle retry layer must cost <= 2%% (+%.0[4]f%% measurement margin)"},
 		},
 	},
 	{
@@ -398,7 +351,7 @@ var sections = []section{
 			// cold ALS swings more between runs than a pure kernel ratio
 			// (iteration counts quantize), so this gate's tolerance lives in
 			// the baseline file rather than inheriting the CLI default.
-			{name: "phase0-sketch-speedup", a: "lowmlrank", read: metric("speedup-x"), base: []string{"speedup"}, needBase: true, cmp: atLeast,
+			{name: "phase0-sketch-speedup", a: "lowmlrank", read: metric("speedup-x"), base: []string{"speedup"}, needBase: true, atLeast: true,
 				limit:  func(base, tol float64) float64 { return math.Max(3.0, relDown(base, tol)) },
 				detail: "phase0+phase1 vs brute phase1; must stay >= max(3x acceptance floor, %.1[3]fx)",
 				skip:   "speedup-x metric or baseline speedup"},
@@ -408,34 +361,14 @@ var sections = []section{
 		},
 	},
 	{
-		file: "BENCH_phase0_sketch.json", bench: "BenchmarkPhase0Sketch/", needs: []string{"fallback-brute", "fallback-accel"},
-		skip: "phase0-fallback-overhead", what: "BenchmarkPhase0Sketch fallback measurements",
-		gates: []spec{
-			// 5% is the acceptance criterion; the margin absorbs runner
-			// jitter on a ratio of two full pipeline runs (the structural
-			// fallback itself is decided from the dims alone, before any
-			// block is read, so the true overhead is near zero).
-			{name: "phase0-fallback-overhead", a: "fallback-accel", b: "fallback-brute", form: overhead, base: []string{"fallback_overhead"}, limit: accept(0.05), margin: 0.03,
-				detail: "accel-requested fallback %.0[1]f ns/op vs brute %.0[2]f ns/op; must cost <= 5%% (+%.0[5]f%% measurement margin)"},
-		},
-	},
-	{
 		file: "BENCH_serve.json", bench: "Benchmark", needs: []string{"PointRead"},
-		skip: "serve-point-read-rate", what: "BenchmarkPointRead measurement",
+		skip: "serve-point-read-allocs", what: "BenchmarkPointRead measurement",
 		gates: []spec{
-			// The acceptance criterion is the roadmap's interactive-latency
-			// bar: >= 1M single-cell reconstructs/sec on one core, i.e.
-			// <= 1000 ns per point read. The bound is fixed (not
-			// baseline-relative) — ~10x headroom over the recorded ns/op
-			// absorbs runner variance, so the gate holds on any CI box.
-			{name: "serve-point-read-rate", a: "PointRead", base: []string{"results", "point_read", "ns_per_op"}, limit: fixed(1000), noTol: true,
-				detail: "point read %.0[1]f ns/op = %.2[6]fM reconstructs/sec; must sustain >= 1M/sec (<= 1000 ns/op)"},
 			// The baseline records 0, so the ceil'd limit stays 0 for any
 			// tolerance: one allocation on the steady-state read path fails
 			// the gate exactly.
 			{name: "serve-point-read-allocs", a: "PointRead", read: allocsPerOp, base: []string{"results", "point_read", "allocs_per_op"}, needBase: true, limit: ceilUp,
 				detail: "steady-state point reads must not allocate; a rise means the workspace pool or row cache leaked"},
-			abs("serve-point-read-abs-ns", "PointRead", "results", "point_read", "ns_per_op"),
 		},
 	},
 	{
@@ -444,7 +377,6 @@ var sections = []section{
 		gates: []spec{
 			{name: "serve-topk-allocs", a: "TopK", read: allocsPerOp, base: []string{"results", "topk", "allocs_per_op"}, needBase: true, limit: ceilUp,
 				detail: "top-k sweeps reuse the caller's result slice and the pooled heap; a rise means the partial sort regressed"},
-			abs("serve-topk-abs-ns", "TopK", "results", "topk", "ns_per_op"),
 		},
 	},
 }
@@ -464,10 +396,10 @@ func (s section) ready(meas map[string]*measurement, root any) bool {
 }
 
 // eval evaluates one gate of section s; ok is false when an input it needs
-// is missing (or it is an -absolute gate and the flag is off).
-func (sp spec) eval(s section, meas map[string]*measurement, root any, cliTol float64, absolute bool) (g gate, ok bool) {
+// is missing.
+func (sp spec) eval(s section, meas map[string]*measurement, root any, cliTol float64) (g gate, ok bool) {
 	a, b := meas[s.bench+sp.a], meas[s.bench+sp.b]
-	if sp.absolute && !absolute || a == nil || sp.b != "" && b == nil {
+	if a == nil || sp.b != "" && b == nil {
 		return g, false
 	}
 	read := sp.read
@@ -502,15 +434,12 @@ func (sp spec) eval(s section, meas map[string]*measurement, root any, cliTol fl
 	}
 	limit := sp.limit(base, tol)
 	pass := measured <= limit
-	switch sp.cmp {
-	case atLeast:
+	if sp.atLeast {
 		pass = measured >= limit
-	case equal:
-		pass = measured == limit
 	}
 	g = gate{Name: sp.name, Measured: measured, Limit: limit, Baseline: base, Tolerance: tol, Pass: pass, Detail: sp.detail}
 	if strings.Contains(sp.detail, "%") {
-		g.Detail = fmt.Sprintf(sp.detail, a.NsPerOp, nsB, limit, limit*100, tol*100, 1e3/a.NsPerOp)
+		g.Detail = fmt.Sprintf(sp.detail, a.NsPerOp, nsB, limit, tol*100)
 	}
 	return g, true
 }
@@ -518,7 +447,7 @@ func (sp spec) eval(s section, meas map[string]*measurement, root any, cliTol fl
 // evaluate walks the gate table: every gate the measurements and baselines
 // support is evaluated, and a section whose inputs are missing is reported
 // as one SKIP rather than a failure.
-func evaluate(meas map[string]*measurement, baselineDir string, tol float64, absolute bool) []gate {
+func evaluate(meas map[string]*measurement, baselineDir string, tol float64) []gate {
 	var gates []gate
 	missing := func(name, what string) {
 		gates = append(gates, gate{Name: name, Skipped: true, Pass: true, Detail: "missing " + what})
@@ -536,7 +465,7 @@ func evaluate(meas map[string]*measurement, baselineDir string, tol float64, abs
 			continue
 		}
 		for _, sp := range s.gates {
-			if g, ok := sp.eval(s, meas, root, tol, absolute); ok {
+			if g, ok := sp.eval(s, meas, root, tol); ok {
 				gates = append(gates, g)
 			} else if sp.skip != "" {
 				missing(sp.name, sp.skip)
@@ -552,7 +481,6 @@ func main() {
 	var (
 		baselineDir = flag.String("baseline-dir", ".", "directory holding the committed BENCH_*.json baselines")
 		tolerance   = flag.Float64("tolerance", 0.25, "default allowed relative regression before a gate fails; baselines override per gate via gate_tolerances")
-		absolute    = flag.Bool("absolute", false, "also gate raw ns/op against the recorded baselines (baseline-hardware only)")
 		out         = flag.String("out", "", "write the full evaluation as JSON to this file (CI artifact)")
 	)
 	flag.Parse()
@@ -574,7 +502,7 @@ func main() {
 		log.Fatal("no benchmark result lines found in the given logs")
 	}
 
-	rep := buildReport(meas, *baselineDir, *tolerance, *absolute)
+	rep := buildReport(meas, *baselineDir, *tolerance)
 	for _, g := range rep.Gates {
 		status := "PASS"
 		if g.Skipped {
@@ -601,8 +529,8 @@ func main() {
 
 // buildReport evaluates every gate and folds the verdicts into the -out
 // report.
-func buildReport(meas map[string]*measurement, baselineDir string, tol float64, absolute bool) report {
-	rep := report{Tolerance: tol, Absolute: absolute, Gates: evaluate(meas, baselineDir, tol, absolute), Raw: meas, Pass: true}
+func buildReport(meas map[string]*measurement, baselineDir string, tol float64) report {
+	rep := report{Tolerance: tol, Gates: evaluate(meas, baselineDir, tol), Raw: meas, Pass: true}
 	for _, g := range rep.Gates {
 		if !g.Skipped && !g.Pass {
 			rep.Pass = false

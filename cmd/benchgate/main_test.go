@@ -14,38 +14,30 @@ var update = flag.Bool("update", false, "rewrite the golden reports under testda
 const sampleLog = `goos: linux
 goarch: amd64
 pkg: twopcp/internal/refine
-BenchmarkPhase2Prefetch/sync-2         	      10	181770968 ns/op	        34.00 swaps
-BenchmarkPhase2Prefetch/prefetch-2     	      10	 87090878 ns/op	        34.00 swaps
-BenchmarkPhase2Prefetch/prefetch+checkpoint-2     	      10	 88000000 ns/op	        34.00 swaps
-BenchmarkPhase1Tiled/InMemory-2        	       5	 44944373 ns/op	        19.69 MB/s	         3.852 peakHeap-MB
-BenchmarkPhase1Tiled/Tiled-2           	       5	 45664951 ns/op	        19.38 MB/s	         3.710 peakHeap-MB
+BenchmarkPhase2Prefetch/sync-2         	      10	181770968 ns/op
+BenchmarkPhase2Prefetch/prefetch-2     	      10	 87090878 ns/op
 BenchmarkALSSweep/fresh-2              	       3	  9771654 ns/op	   53150 B/op	      41 allocs/op
 BenchmarkALSSweep/workspace-2          	       3	  9655172 ns/op	   26938 B/op	      20 allocs/op
 BenchmarkALSSweep/mttkrp-per-mode-2    	       3	 12872000 ns/op
 BenchmarkPhase0Sketch/lowmlrank-2      	       1	721677487 ns/op	         0.0004354 fit-delta	        21.59 speedup-x
-BenchmarkPhase0Sketch/fallback-brute-2 	       1	  9748907 ns/op
-BenchmarkPhase0Sketch/fallback-accel-2 	       1	  9556311 ns/op
 PASS
 `
 
 func TestParseBenchOutput(t *testing.T) {
 	meas := parseBenchOutput(sampleLog)
-	if len(meas) != 11 {
-		t.Fatalf("parsed %d benchmarks, want 11", len(meas))
+	if len(meas) != 6 {
+		t.Fatalf("parsed %d benchmarks, want 6", len(meas))
 	}
 	sync := meas["BenchmarkPhase2Prefetch/sync"]
 	if sync == nil || sync.NsPerOp != 181770968 {
 		t.Fatalf("sync = %+v", sync)
 	}
-	if sync.Metrics["swaps"] != 34 {
-		t.Fatalf("sync swaps = %v", sync.Metrics["swaps"])
-	}
 	ws := meas["BenchmarkALSSweep/workspace"]
 	if !ws.hasAllocs || ws.AllocsPerOp != 20 {
 		t.Fatalf("workspace allocs = %+v", ws)
 	}
-	if meas["BenchmarkPhase1Tiled/Tiled"].Metrics["peakHeap-MB"] != 3.710 {
-		t.Fatal("custom metric lost")
+	if m := meas["BenchmarkPhase0Sketch/lowmlrank"].Metrics; m["speedup-x"] != 21.59 || m["fit-delta"] != 0.0004354 {
+		t.Fatalf("custom metrics lost: %v", m)
 	}
 }
 
@@ -69,18 +61,10 @@ func writeBaselines(t *testing.T, dir string) {
 	t.Helper()
 	files := map[string]any{
 		"BENCH_phase2_prefetch.json": map[string]any{
-			"speedup":             2.08,
-			"checkpoint_overhead": 0.01,
+			"speedup": 2.08,
 			"results": map[string]any{
 				"sync":     map[string]any{"ns_per_op": []float64{181770968}},
 				"prefetch": map[string]any{"ns_per_op": []float64{87090878}},
-			},
-		},
-		"BENCH_phase1_tiled.json": map[string]any{
-			"overhead": 0.03,
-			"results": map[string]any{
-				"in_memory": map[string]any{"ns_per_op": []float64{44944373}},
-				"tiled":     map[string]any{"ns_per_op": []float64{45664951}},
 			},
 		},
 		"BENCH_kernels.json": map[string]any{
@@ -93,10 +77,9 @@ func writeBaselines(t *testing.T, dir string) {
 			},
 		},
 		"BENCH_phase0_sketch.json": map[string]any{
-			"speedup":           21.59,
-			"fit_delta":         0.00044,
-			"fallback_overhead": 0.0,
-			"gate_tolerances":   map[string]any{"phase0-sketch-speedup": 0.5},
+			"speedup":         21.59,
+			"fit_delta":       0.00044,
+			"gate_tolerances": map[string]any{"phase0-sketch-speedup": 0.5},
 		},
 		"BENCH_obs.json": map[string]any{
 			"counters_overhead": 0.0,
@@ -142,19 +125,15 @@ func TestGatesPassOnBaselineNumbers(t *testing.T) {
 	dir := t.TempDir()
 	writeBaselines(t, dir)
 	meas := parseBenchOutput(sampleLog)
-	gates := evaluate(meas, dir, 0.25, true)
+	gates := evaluate(meas, dir, 0.25)
 	for _, g := range gates {
 		if !g.Pass {
 			t.Errorf("gate %s failed on baseline-identical numbers: %+v", g.Name, g)
 		}
 	}
 	for _, want := range []string{
-		"phase2-prefetch-speedup", "phase2-prefetch-swap-invariance",
-		"phase2-checkpoint-overhead",
-		"phase1-tiled-overhead", "als-workspace-allocs", "als-workspace-vs-fresh",
-		"als-sweep-vs-mttkrp-per-mode",
-		"phase2-prefetch-abs-ns/sync", "phase1-tiled-abs-ns/tiled", "als-workspace-abs-ns",
-		"phase0-sketch-speedup", "phase0-sketch-fit-delta", "phase0-fallback-overhead",
+		"phase2-prefetch-speedup", "als-workspace-allocs", "als-workspace-vs-fresh",
+		"als-sweep-vs-mttkrp-per-mode", "phase0-sketch-speedup", "phase0-sketch-fit-delta",
 	} {
 		if gateByName(gates, want) == nil {
 			t.Errorf("gate %s missing", want)
@@ -171,7 +150,7 @@ func TestPerGateTolerance(t *testing.T) {
 	// 13x against a 21.59x baseline: dead under the default 25% tolerance
 	// (limit 16.2x), alive under the baseline's 50% override (limit 10.8x).
 	log := `BenchmarkPhase0Sketch/lowmlrank-2   1  721677487 ns/op   0.0004 fit-delta   13.0 speedup-x`
-	gates := evaluate(parseBenchOutput(log), dir, 0.25, false)
+	gates := evaluate(parseBenchOutput(log), dir, 0.25)
 	g := gateByName(gates, "phase0-sketch-speedup")
 	if g == nil || !g.Pass {
 		t.Fatalf("override to 0.5 should pass 13x: %+v", g)
@@ -193,7 +172,7 @@ func TestPerGateTolerance(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "BENCH_phase0_sketch.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	gates = evaluate(parseBenchOutput(sampleLog+log), dir, 0.25, false)
+	gates = evaluate(parseBenchOutput(sampleLog+log), dir, 0.25)
 	if g := gateByName(gates, "phase0-sketch-speedup"); g == nil || g.Pass {
 		t.Fatalf("tolerance 0.1 (limit 19.4x) should fail 13x: %+v", g)
 	}
@@ -207,47 +186,19 @@ func TestGatesCatchRegressions(t *testing.T) {
 	writeBaselines(t, dir)
 
 	// Prefetch speedup collapses to ~1x.
-	slow := `BenchmarkPhase2Prefetch/sync-2   10  181770968 ns/op  34.0 swaps
-BenchmarkPhase2Prefetch/prefetch-2   10  180000000 ns/op  34.0 swaps
+	slow := `BenchmarkPhase2Prefetch/sync-2   10  181770968 ns/op
+BenchmarkPhase2Prefetch/prefetch-2   10  180000000 ns/op
 `
-	gates := evaluate(parseBenchOutput(slow), dir, 0.25, false)
+	gates := evaluate(parseBenchOutput(slow), dir, 0.25)
 	if g := gateByName(gates, "phase2-prefetch-speedup"); g == nil || g.Pass {
 		t.Errorf("speedup collapse not caught: %+v", g)
-	}
-
-	// Checkpoint overhead blowing past the 5% acceptance limit.
-	heavy := `BenchmarkPhase2Prefetch/sync-2   10  181770968 ns/op  34.0 swaps
-BenchmarkPhase2Prefetch/prefetch-2   10  87090878 ns/op  34.0 swaps
-BenchmarkPhase2Prefetch/prefetch+checkpoint-2   10  95000000 ns/op  34.0 swaps
-`
-	gates = evaluate(parseBenchOutput(heavy), dir, 0.25, false)
-	if g := gateByName(gates, "phase2-checkpoint-overhead"); g == nil || g.Pass {
-		t.Errorf("checkpoint overhead not caught: %+v", g)
-	}
-
-	// Swap counts drifting between sync and prefetch.
-	drift := `BenchmarkPhase2Prefetch/sync-2   10  181770968 ns/op  34.0 swaps
-BenchmarkPhase2Prefetch/prefetch-2   10  87090878 ns/op  36.0 swaps
-`
-	gates = evaluate(parseBenchOutput(drift), dir, 0.25, false)
-	if g := gateByName(gates, "phase2-prefetch-swap-invariance"); g == nil || g.Pass {
-		t.Errorf("swap drift not caught: %+v", g)
-	}
-
-	// Tiled overhead blowing past in-memory.
-	fat := `BenchmarkPhase1Tiled/InMemory-2   5  44944373 ns/op
-BenchmarkPhase1Tiled/Tiled-2   5  60000000 ns/op
-`
-	gates = evaluate(parseBenchOutput(fat), dir, 0.25, false)
-	if g := gateByName(gates, "phase1-tiled-overhead"); g == nil || g.Pass {
-		t.Errorf("tiled overhead not caught: %+v", g)
 	}
 
 	// Workspace allocation regression.
 	leaky := `BenchmarkALSSweep/fresh-2   3  9771654 ns/op  41 allocs/op
 BenchmarkALSSweep/workspace-2   3  9655172 ns/op  131 allocs/op
 `
-	gates = evaluate(parseBenchOutput(leaky), dir, 0.25, false)
+	gates = evaluate(parseBenchOutput(leaky), dir, 0.25)
 	if g := gateByName(gates, "als-workspace-allocs"); g == nil || g.Pass {
 		t.Errorf("alloc regression not caught: %+v", g)
 	}
@@ -258,32 +209,27 @@ BenchmarkALSSweep/workspace-2   3  9655172 ns/op  131 allocs/op
 BenchmarkALSSweep/workspace-2   3  9655172 ns/op  20 allocs/op
 BenchmarkALSSweep/mttkrp-per-mode-2   3  8777000 ns/op
 `
-	gates = evaluate(parseBenchOutput(perMode), dir, 0.25, false)
+	gates = evaluate(parseBenchOutput(perMode), dir, 0.25)
 	if g := gateByName(gates, "als-sweep-vs-mttkrp-per-mode"); g == nil || g.Pass {
 		t.Errorf("lost fiber-product sharing not caught: %+v", g)
 	}
 
-	// Phase-0 speedup eroding below the 3x acceptance floor, the warm
-	// start bending the converged fit, and a fallback that got expensive.
+	// Phase-0 speedup eroding below the 3x acceptance floor, and the warm
+	// start bending the converged fit.
 	accel := `BenchmarkPhase0Sketch/lowmlrank-2   1  721677487 ns/op   0.002 fit-delta   2.5 speedup-x
-BenchmarkPhase0Sketch/fallback-brute-2   1  9748907 ns/op
-BenchmarkPhase0Sketch/fallback-accel-2   1  11000000 ns/op
 `
-	gates = evaluate(parseBenchOutput(accel), dir, 0.25, false)
+	gates = evaluate(parseBenchOutput(accel), dir, 0.25)
 	if g := gateByName(gates, "phase0-sketch-speedup"); g == nil || g.Pass {
 		t.Errorf("phase0 speedup collapse not caught: %+v", g)
 	}
 	if g := gateByName(gates, "phase0-sketch-fit-delta"); g == nil || g.Pass {
 		t.Errorf("phase0 fit drift not caught: %+v", g)
 	}
-	if g := gateByName(gates, "phase0-fallback-overhead"); g == nil || g.Pass {
-		t.Errorf("phase0 fallback overhead not caught: %+v", g)
-	}
 }
 
 func TestMissingInputsSkipNotFail(t *testing.T) {
 	dir := t.TempDir() // no baseline files at all
-	gates := evaluate(parseBenchOutput(sampleLog), dir, 0.25, false)
+	gates := evaluate(parseBenchOutput(sampleLog), dir, 0.25)
 	for _, g := range gates {
 		if !g.Skipped || !g.Pass {
 			t.Errorf("gate %s should skip without baselines: %+v", g.Name, g)
@@ -293,29 +239,28 @@ func TestMissingInputsSkipNotFail(t *testing.T) {
 
 // TestReportGolden pins the whole -out report — gate names, order, limits,
 // tolerances, details and skips — for a recorded run of the CI perf job
-// (testdata/perf.log): every gate evaluated, relative and -absolute; a
-// partial log, where a section's measurements are missing; and no baseline
-// files at all. Regenerate with -update after a deliberate change.
+// (testdata/perf.log) with every gate evaluated; a partial log, where a
+// section's measurements are missing; and no baseline files at all.
+// Regenerate with -update after a deliberate change.
 func TestReportGolden(t *testing.T) {
 	full, err := os.ReadFile(filepath.Join("testdata", "perf.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name, log           string
-		baselines, absolute bool
+		name, log string
+		baselines bool
 	}{
-		{"relative", string(full), true, false},
-		{"absolute", string(full), true, true},
-		{"partial", sampleLog, true, true},
-		{"nobaselines", string(full), false, false},
+		{"relative", string(full), true},
+		{"partial", sampleLog, true},
+		{"nobaselines", string(full), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			if tc.baselines {
 				writeBaselines(t, dir)
 			}
-			got, err := buildReport(parseBenchOutput(tc.log), dir, 0.25, tc.absolute).encode()
+			got, err := buildReport(parseBenchOutput(tc.log), dir, 0.25).encode()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,5 +279,66 @@ func TestReportGolden(t *testing.T) {
 				t.Errorf("report differs from %s:\n%s", golden, got)
 			}
 		})
+	}
+}
+
+// TestEveryBaselineIsGated keeps the committed baselines and the gate table
+// in step: every BENCH_*.json at the repository root backs a section, every
+// section's file exists, every gate_tolerances key names a gate of its own
+// file, and the recorded CI log evaluated against the committed files
+// reaches every gate of the table (a baseline key a gate needs cannot go
+// missing unnoticed).
+func TestEveryBaselineIsGated(t *testing.T) {
+	root := filepath.Join("..", "..")
+	files, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := map[string]map[string]bool{} // file → its gates
+	total := 0
+	for _, s := range sections {
+		if gated[s.file] == nil {
+			gated[s.file] = map[string]bool{}
+		}
+		for _, sp := range s.gates {
+			gated[s.file][sp.name] = true
+		}
+		total += len(s.gates)
+	}
+	for _, path := range files {
+		name := filepath.Base(path)
+		if gated[name] == nil {
+			t.Errorf("%s backs no gate: delete it or add its section", name)
+			continue
+		}
+		doc, err := loadJSON(root, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tols, _ := doc.(map[string]any)["gate_tolerances"].(map[string]any)
+		for gateName := range tols {
+			if !gated[name][gateName] {
+				t.Errorf("%s: gate_tolerances names %q, which is not one of its gates", name, gateName)
+			}
+		}
+	}
+	for file := range gated {
+		if _, err := os.Stat(filepath.Join(root, file)); err != nil {
+			t.Errorf("a section reads %s: %v", file, err)
+		}
+	}
+
+	log, err := os.ReadFile(filepath.Join("testdata", "perf.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := evaluate(parseBenchOutput(string(log)), root, 0.25)
+	if len(gates) != total {
+		t.Errorf("testdata/perf.log against the committed baselines evaluates %d gates, the table has %d", len(gates), total)
+	}
+	for _, g := range gates {
+		if g.Skipped {
+			t.Errorf("gate %s skipped against the committed baselines: %s", g.Name, g.Detail)
+		}
 	}
 }

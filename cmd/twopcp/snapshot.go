@@ -1,6 +1,6 @@
 // The export-snapshot subcommand: package a completed checkpointed run's
 // factors into the mmap-able factor-snapshot file the query layer
-// (internal/serve, the daemon's /query routes, cmd/loadtest) serves.
+// (internal/serve, the daemon's /query routes) serves.
 
 package main
 

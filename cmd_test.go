@@ -3,6 +3,7 @@ package twopcp_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -140,6 +142,89 @@ func TestCLITiledOutOfCore(t *testing.T) {
 	cmd := exec.Command(tensorgen, "-kind", "epinions", "-out", filepath.Join(dir, "bad.tptl"))
 	if err := cmd.Run(); err == nil {
 		t.Fatal("sparse kind accepted for .tptl output")
+	}
+}
+
+// TestCLIExportSnapshot drives run → export-snapshot → open: the exported
+// snapshot must serve the run's own factors (its CSV export) cell for cell,
+// and a checkpoint that never finished must not export at all.
+func TestCLIExportSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	tensorgen := buildCmd(t, dir, "tensorgen")
+	twopcpBin := buildCmd(t, dir, "twopcp")
+
+	tpath := filepath.Join(dir, "x.tptl")
+	runCmd(t, tensorgen, "-kind", "lowrank", "-dims", "32x30x28", "-rank", "3",
+		"-noise", "0", "-tiles", "3x2x2", "-seed", "3", "-out", tpath)
+	ckpt := filepath.Join(dir, "ckpt")
+	prefix := filepath.Join(dir, "run")
+	runCmd(t, twopcpBin, "-in", tpath, "-rank", "3", "-parts", "2", "-buffer", "0.5",
+		"-checkpoint", ckpt, "-out-prefix", prefix)
+	snap := filepath.Join(dir, "factors.snap")
+	runCmd(t, twopcpBin, "export-snapshot", "-checkpoint", ckpt, "-out", snap)
+
+	mdl, err := twopcp.OpenFactorModel(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mdl.Close()
+	if got := mdl.Dims(); !reflect.DeepEqual(got, []int{32, 30, 28}) || mdl.Rank() != 3 {
+		t.Fatalf("snapshot dims %v rank %d, want [32 30 28] rank 3", got, mdl.Rank())
+	}
+	factors := make([][][]float64, 3) // [mode][row][column], from the CSVs
+	for m := range factors {
+		data, err := os.ReadFile(fmt.Sprintf("%s-mode%d.csv", prefix, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			var row []float64
+			for _, field := range strings.Split(line, ",") {
+				v, err := strconv.ParseFloat(field, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				row = append(row, v)
+			}
+			factors[m] = append(factors[m], row)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 16; trial++ {
+		at := []int{rng.Intn(32), rng.Intn(30), rng.Intn(28)}
+		got, err := mdl.Reconstruct(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		for f := 0; f < 3; f++ {
+			want += factors[0][at[0]][f] * factors[1][at[1]][f] * factors[2][at[2]][f]
+		}
+		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+			t.Fatalf("Reconstruct(%v) = %v, CSV factors give %v", at, got, want)
+		}
+	}
+
+	// A run drained before it finished leaves a checkpoint with no result.
+	stop := make(chan struct{})
+	close(stop)
+	unfinished := filepath.Join(dir, "unfinished")
+	_, _, err = twopcp.DecomposeFile(tpath, twopcp.Options{
+		Rank: 3, Partitions: []int{2}, BufferFraction: 0.5, Seed: 1,
+		Checkpoint: unfinished, Stop: stop,
+	})
+	if !errors.Is(err, twopcp.ErrInterrupted) {
+		t.Fatalf("drained run: %v, want ErrInterrupted", err)
+	}
+	bad := filepath.Join(dir, "unfinished.snap")
+	if out, err := exec.Command(twopcpBin, "export-snapshot", "-checkpoint", unfinished, "-out", bad).CombinedOutput(); err == nil {
+		t.Fatalf("export-snapshot of an unfinished checkpoint exited 0:\n%s", out)
+	}
+	if _, err := os.Stat(bad); err == nil {
+		t.Fatal("export-snapshot of an unfinished checkpoint wrote a snapshot")
 	}
 }
 

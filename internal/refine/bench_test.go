@@ -4,7 +4,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"twopcp/internal/grid"
 	"twopcp/internal/obs"
 	"twopcp/internal/phase1"
-	"twopcp/internal/runstate"
 	"twopcp/internal/schedule"
 	"twopcp/internal/tensor"
 )
@@ -39,18 +37,20 @@ func benchPhase1(b *testing.B) *phase1.Result {
 // synchronous engine versus prefetch over a latency-injected store (2ms
 // per unit read and write, the paper's footnote-5 regime where a swap
 // dwarfs the in-memory work) at BufferFraction 0.5. The work is identical
-// in both variants — same update order, same swaps, same factors — so the
-// ratio isolates how much read latency prefetch hides; write-backs are
-// inline in both. Acceptance: prefetch ≥1.1× faster.
+// in both variants — same update order, same swaps, same factors
+// (TestPrefetchingIsBitForBitEquivalent) — so the ratio isolates how much
+// read latency prefetch hides; write-backs are inline in both. Acceptance:
+// prefetch ≥1.1× faster (gated by cmd/benchgate). What durable
+// checkpoints cost on top is refine_durable's runstate.ckpt_ms in the
+// end-to-end benchmark, over a real FileStore.
 //
 // Recorded baselines live in BENCH_phase2_prefetch.json.
 func BenchmarkPhase2Prefetch(b *testing.B) {
 	p1 := benchPhase1(b)
-	run := func(b *testing.B, depth, workers, ckptSteps int) {
-		var swaps int64
+	run := func(b *testing.B, depth, workers int) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			cfg := Config{
+			eng, err := New(Config{
 				Phase1:   p1,
 				Store:    blockstore.WithLatency(blockstore.NewMemStore(), 2*time.Millisecond, 2*time.Millisecond),
 				Schedule: schedule.ZOrder, Policy: buffer.LRU,
@@ -60,46 +60,18 @@ func BenchmarkPhase2Prefetch(b *testing.B) {
 				Seed:            5,
 				PrefetchDepth:   depth,
 				IOWorkers:       workers,
-			}
-			if ckptSteps > 0 {
-				rs, err := runstate.Open(filepath.Join(b.TempDir(), "ckpt"),
-					runstate.Meta{InputKind: "bench", Dims: []int{12, 12, 12}, Partitions: []int{4, 4, 4}, Rank: 4, Seed: 5},
-					64, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg.Checkpoint = rs
-				cfg.CheckpointEverySteps = ckptSteps
-			}
-			eng, err := New(cfg)
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			res, err := eng.Run()
-			b.StopTimer()
-			if err != nil {
+			if _, err := eng.Run(); err != nil {
 				b.Fatal(err)
 			}
-			if swaps == 0 {
-				swaps = res.BufferStats.Fetches
-			} else if swaps != res.BufferStats.Fetches {
-				b.Fatalf("swap count drifted: %d vs %d", swaps, res.BufferStats.Fetches)
-			}
-			b.StartTimer()
 		}
-		b.ReportMetric(float64(swaps), "swaps")
 	}
-	b.Run("sync", func(b *testing.B) { run(b, 0, 0, 0) })
-	b.Run("prefetch", func(b *testing.B) { run(b, 2, 4, 0) })
-	// The durability cost on top of the pipeline: a Phase-2 checkpoint
-	// (factor partitions + buffer snapshot, fsync'd) every 32 schedule
-	// steps — twice the default once-per-cycle cadence, 2 checkpoints over
-	// this run at ~1 ms each: they are the first use of each slot (one
-	// installed by rename, one created), the dear case; a third would be
-	// an in-place write + fsync at a fifth of that. Acceptance: ≤ 5%
-	// overhead vs the plain prefetch pipeline (gated by cmd/benchgate).
-	b.Run("prefetch+checkpoint", func(b *testing.B) { run(b, 2, 4, 32) })
+	b.Run("sync", func(b *testing.B) { run(b, 0, 0) })
+	b.Run("prefetch", func(b *testing.B) { run(b, 2, 4) })
 }
 
 // BenchmarkObsOverhead measures what telemetry costs the Phase-2 engine
@@ -119,14 +91,15 @@ func BenchmarkPhase2Prefetch(b *testing.B) {
 //     the recorded baseline, not a fixed acceptance: trace cost is real
 //     and opt-in.
 //
-// Recorded baselines live in BENCH_obs.json.
+// Swap counts and factors are the same in all three
+// (TestTracingDoesNotChangeResults). Recorded baselines live in
+// BENCH_obs.json.
 func BenchmarkObsOverhead(b *testing.B) {
 	p1 := benchPhase1(b)
 	run := func(b *testing.B, ob *obs.Observer) {
-		var swaps int64
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			cfg := Config{
+			eng, err := New(Config{
 				Phase1:   p1,
 				Store:    blockstore.NewMemStore(),
 				Schedule: schedule.ZOrder, Policy: buffer.LRU,
@@ -138,25 +111,15 @@ func BenchmarkObsOverhead(b *testing.B) {
 				Tol:             math.Inf(-1),
 				Seed:            5,
 				Obs:             ob,
-			}
-			eng, err := New(cfg)
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			res, err := eng.Run()
-			b.StopTimer()
-			if err != nil {
+			if _, err := eng.Run(); err != nil {
 				b.Fatal(err)
 			}
-			if swaps == 0 {
-				swaps = res.BufferStats.Fetches
-			} else if swaps != res.BufferStats.Fetches {
-				b.Fatalf("swap count drifted: %d vs %d", swaps, res.BufferStats.Fetches)
-			}
-			b.StartTimer()
 		}
-		b.ReportMetric(float64(swaps), "swaps")
 	}
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()
@@ -186,15 +149,14 @@ func BenchmarkObsOverhead(b *testing.B) {
 //     gated by cmd/benchgate as resilience-overhead).
 //
 // The fault-ABSORBING path is covered functionally (scripts/chaos.sh and
-// the chaos tests assert bit-identical output); this benchmark pins only
-// the price of having the safety net installed.
+// the chaos tests assert bit-identical output, swap counts included); this
+// benchmark pins only the price of having the safety net installed.
 //
 // Recorded baselines live in BENCH_resilience.json.
 func BenchmarkResilienceOverhead(b *testing.B) {
 	p1 := benchPhase1(b)
 	pol := blockstore.RetryPolicy{MaxRetries: 3, Seed: 1}
 	run := func(b *testing.B, resilient bool) {
-		var swaps int64
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			cfg := Config{
@@ -225,14 +187,8 @@ func BenchmarkResilienceOverhead(b *testing.B) {
 			if res.StoreStats.Retries != 0 {
 				b.Fatalf("%d retries on healthy storage", res.StoreStats.Retries)
 			}
-			if swaps == 0 {
-				swaps = res.BufferStats.Fetches
-			} else if swaps != res.BufferStats.Fetches {
-				b.Fatalf("swap count drifted: %d vs %d", swaps, res.BufferStats.Fetches)
-			}
 			b.StartTimer()
 		}
-		b.ReportMetric(float64(swaps), "swaps")
 	}
 	b.Run("off", func(b *testing.B) { run(b, false) })
 	b.Run("retry", func(b *testing.B) { run(b, true) })

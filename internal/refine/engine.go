@@ -36,11 +36,9 @@ type Config struct {
 	// Policy picks the buffer replacement strategy (paper §VII).
 	Policy buffer.Policy
 	// BufferFraction sizes the buffer as a fraction of the total space
-	// requirement (paper Table III: 1/3, 1/2, 2/3). Ignored when
-	// CapacityBytes is set. Defaults to 1 (everything fits).
+	// requirement (paper Table III: 1/3, 1/2, 2/3). Defaults to 1
+	// (everything fits).
 	BufferFraction float64
-	// CapacityBytes sizes the buffer absolutely when positive.
-	CapacityBytes int64
 	// MaxVirtualIters bounds the virtual iterations (default 100, the
 	// paper's Figure 13(a) budget).
 	MaxVirtualIters int
@@ -189,10 +187,7 @@ func (cfg *Config) settle(p *grid.Pattern, rank int) (capacity int64, err error)
 	if err := cpals.ValidateSolver(cfg.Solver); err != nil {
 		return 0, fmt.Errorf("refine: %w", err)
 	}
-	capacity = cfg.CapacityBytes
-	if capacity <= 0 {
-		capacity = int64(cfg.BufferFraction * float64(schedule.TotalBytes(p, rank)))
-	}
+	capacity = int64(cfg.BufferFraction * float64(schedule.TotalBytes(p, rank)))
 	return capacity, buffer.Config{CapacityBytes: capacity, Policy: cfg.Policy, Workers: cfg.IOWorkers, Rank: rank}.Check()
 }
 

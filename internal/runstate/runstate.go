@@ -130,7 +130,6 @@ type Meta struct {
 	// (zero means "the default"), so a resume with the same literal options
 	// matches.
 	BufferFraction float64 `json:"buffer_fraction"`
-	BufferBytes    int64   `json:"buffer_bytes"`
 	MaxIters       int     `json:"max_iters"`
 	Tol            float64 `json:"tol"`
 	Phase1MaxIters int     `json:"phase1_max_iters"`

@@ -1,7 +1,9 @@
 package runstate
 
 import (
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -78,6 +80,26 @@ func TestResumeValidation(t *testing.T) {
 	}
 	if _, err := Open(dir, testMeta(), 9, true); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("resume with different block count: %v", err)
+	}
+
+	// Manifests written while Meta still had buffer_bytes (always 0: no
+	// caller set it) carry the key; decoding ignores it and they resume.
+	old := t.TempDir()
+	body := `{"meta":{"input_kind":"dense","dims":[16,16,16],"partitions":[2,2,2],"rank":4,"schedule":"HO","replacement":"FOR","buffer_fraction":0.5,"buffer_bytes":0,"max_iters":20,"tol":0.01,"phase1_max_iters":0,"phase1_tol":0,"seed":3},"stage":"phase2","num_blocks":8}`
+	env, err := json.Marshal(envelope{Version: Version, CRC32: crc32.ChecksumIEEE([]byte(body)), Body: []byte(body)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(old, "manifest.json"), env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := Open(old, testMeta(), 8, true)
+	if err != nil {
+		t.Fatalf("resume of a manifest with buffer_bytes: %v", err)
+	}
+	defer rs.Close()
+	if rs.Stage() != StagePhase2 {
+		t.Fatalf("stage = %q", rs.Stage())
 	}
 }
 

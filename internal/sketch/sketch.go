@@ -152,8 +152,7 @@ func TuckerWarmStart(src Source, opts Options) (*Result, error) {
 	// Structural fallback, decided before any block is read: when the
 	// core holds at least half the tensor's cells the compressed sweeps
 	// cannot win back the two sketch passes, so skip Phase 0 entirely
-	// (this is the near-zero-overhead path the benchgate overhead gate
-	// measures).
+	// (TestTuckerWarmStartStructuralFallback pins the zero block reads).
 	if 2*coreCells >= cells {
 		return &Result{Fallback: true, Reason: fmt.Sprintf("core %v holds ≥ half of %v", coreDims, dims)}, nil
 	}

@@ -184,11 +184,22 @@ func TestTuckerWarmStartNonneg(t *testing.T) {
 	}
 }
 
+// countingSource counts the blocks read through it.
+type countingSource struct {
+	Source
+	reads int
+}
+
+func (c *countingSource) Block(vec []int) (any, error) {
+	c.reads++
+	return c.Source.Block(vec)
+}
+
 // Structural fallback: when the core wouldn't be meaningfully smaller
 // than the tensor, Phase 0 declines without reading a single block.
 func TestTuckerWarmStartStructuralFallback(t *testing.T) {
 	x := tensor.RandomDense(rand.New(rand.NewSource(1)), 6, 6, 6)
-	src := denseSource(t, x, []int{1, 1, 1})
+	src := &countingSource{Source: denseSource(t, x, []int{1, 1, 1})}
 	res, err := TuckerWarmStart(src, Options{Rank: 6, CPRank: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -198,6 +209,9 @@ func TestTuckerWarmStartStructuralFallback(t *testing.T) {
 	}
 	if res.Init != nil {
 		t.Fatal("fallback result carries factors")
+	}
+	if src.reads != 0 {
+		t.Fatalf("structural fallback read %d blocks, want 0", src.reads)
 	}
 }
 

@@ -33,10 +33,8 @@ type Options struct {
 	Replacement Replacement
 	// BufferFraction sizes the Phase-2 buffer as a fraction of the total
 	// space requirement (default 1: everything fits; the paper evaluates
-	// 1/3, 1/2, 2/3). Ignored when BufferBytes is set.
+	// 1/3, 1/2, 2/3).
 	BufferFraction float64
-	// BufferBytes sizes the buffer absolutely when positive.
-	BufferBytes int64
 	// MaxIters bounds Phase-2 virtual iterations (default 100).
 	MaxIters int
 	// Tol is the per-virtual-iteration fit-improvement stopping threshold
@@ -312,7 +310,6 @@ func newRun(opts Options, in input) (*runCtx, error) {
 		Schedule:        opts.Schedule,
 		Policy:          opts.Replacement,
 		BufferFraction:  opts.BufferFraction,
-		CapacityBytes:   opts.BufferBytes,
 		MaxVirtualIters: opts.MaxIters,
 		Tol:             opts.Tol,
 		Seed:            opts.Seed,
