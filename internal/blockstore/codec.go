@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
-	"sync"
 
 	"twopcp/internal/mat"
 )
@@ -24,35 +22,18 @@ import (
 const (
 	unitMagic       = "TPU2"
 	unitHeaderBytes = len(unitMagic) + 5*4
-	// codecChunk float64 move through a pooled byte buffer at a time: a
-	// unit of up to 128 KiB is one Read or one Write.
-	codecChunk = 16 << 10
 )
 
-// codecBuf pools byte buffers of a header and codecChunk values.
-var codecBuf = sync.Pool{New: func() any { b := make([]byte, unitHeaderBytes+8*codecChunk); return &b }}
-
-// WriteMatrix serializes one matrix (int32 rows, int32 cols, float64 data,
-// little-endian); shared with Phase-1's MapReduce sub-factor shuffle.
-func WriteMatrix(w io.Writer, m *mat.Matrix) error {
-	if _, err := w.Write(AppendMatrix(make([]byte, 0, 8+8*len(m.Data)), m)); err != nil {
-		return fmt.Errorf("blockstore: write matrix: %w", err)
-	}
-	return nil
-}
-
-// AppendMatrix appends that encoding of m to dst — the form for a caller
-// that builds a whole record in one buffer (runstate's checkpoints).
+// AppendMatrix appends the encoding of one matrix (int32 rows, int32 cols,
+// float64 data, little-endian) to dst. Runstate's checkpoints and Phase-1's
+// MapReduce sub-factor shuffle build their records with it.
 func AppendMatrix(dst []byte, m *mat.Matrix) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(m.Rows)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(m.Cols)))
-	for _, v := range m.Data {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
+	return mat.AppendFloats(dst, m.Data)
 }
 
-// DecodeMatrix decodes one AppendMatrix/WriteMatrix encoding from the front
+// DecodeMatrix decodes one AppendMatrix encoding from the front
 // of b and returns the bytes after it. b is all the input there is, so a
 // header that declares more than b holds fails before anything is sized by
 // it.
@@ -72,9 +53,7 @@ func DecodeMatrix(b []byte) (*mat.Matrix, []byte, error) {
 		return nil, nil, fmt.Errorf("blockstore: matrix shape %d×%d needs more than the %d bytes left", rows, cols, len(b))
 	}
 	m := mat.New(int(rows), int(cols))
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	mat.DecodeFloats(m.Data, b)
 	return m, b[8*len(m.Data):], nil
 }
 
@@ -84,7 +63,7 @@ func DecodeMatrix(b []byte) (*mat.Matrix, []byte, error) {
 // allocation nothing could back.
 const maxDecodeBytes = int64(1) << 34
 
-// ReadMatrix deserializes a matrix written by WriteMatrix.
+// ReadMatrix deserializes one AppendMatrix encoding from r.
 func ReadMatrix(r io.Reader) (*mat.Matrix, error) {
 	var hdr [2]int32
 	if err := binary.Read(r, binary.LittleEndian, hdr[:]); err != nil {
@@ -100,36 +79,10 @@ func ReadMatrix(r io.Reader) (*mat.Matrix, error) {
 			hdr[0], hdr[1], elems, maxDecodeBytes)
 	}
 	m := mat.New(int(hdr[0]), int(hdr[1]))
-	if err := binary.Read(r, binary.LittleEndian, m.Data); err != nil {
+	if err := mat.ReadFloats(r, m.Data); err != nil {
 		return nil, fmt.Errorf("blockstore: read matrix data: %w", err)
 	}
 	return m, nil
-}
-
-// writeFloats writes head, then the values of parts 8 bytes each, to w
-// through a pooled buffer: one Write when it all fits.
-func writeFloats(w io.Writer, head []byte, parts ...[]float64) error {
-	bp := codecBuf.Get().(*[]byte)
-	defer codecBuf.Put(bp)
-	buf := *bp
-	n := copy(buf, head)
-	for _, vals := range parts {
-		for len(vals) > 0 {
-			if len(buf)-n < 8 {
-				if _, err := w.Write(buf[:n]); err != nil {
-					return err
-				}
-				n = 0
-			}
-			k := min(len(vals), (len(buf)-n)/8)
-			for i, v := range vals[:k] {
-				binary.LittleEndian.PutUint64(buf[n+8*i:], math.Float64bits(v))
-			}
-			vals, n = vals[k:], n+8*k
-		}
-	}
-	_, err := w.Write(buf[:n])
-	return err
 }
 
 // EncodeUnit serializes u, whole, to w; a per-block U is packed first.
@@ -145,7 +98,13 @@ func EncodeUnit(w io.Writer, u *Unit) error {
 		}
 		head = binary.LittleEndian.AppendUint32(head, uint32(v))
 	}
-	if err := writeFloats(w, head, u.A.Data, slab.Data); err != nil {
+	_, err = w.Write(head)
+	for _, vals := range [][]float64{u.A.Data, slab.Data} {
+		if err == nil {
+			err = mat.WriteFloats(w, vals)
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("blockstore: write unit: %w", err)
 	}
 	return nil
@@ -169,19 +128,18 @@ func parseUnitHeader(b []byte) (hdr [5]int64, err error) {
 // DecodeUnitWithin deserializes a unit from the size bytes r holds (a
 // file's real size). The header must account for size to the byte, and is
 // checked before anything is sized by it, so a damaged one fails cleanly
-// instead of attempting an allocation the input could not back. The unit's
-// A and Slab are two views of the one allocation.
+// instead of attempting an allocation the input could not back. The payload
+// is read straight into the unit's one allocation, of which A and Slab are
+// two views.
 func DecodeUnitWithin(r io.Reader, size int64) (*Unit, error) {
 	if size < int64(unitHeaderBytes) {
 		return nil, fmt.Errorf("blockstore: %d bytes cannot hold a unit header", size)
 	}
-	bp := codecBuf.Get().(*[]byte)
-	defer codecBuf.Put(bp)
-	buf := (*bp)[:min(size, int64(len(*bp)))]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	var raw [unitHeaderBytes]byte
+	if _, err := io.ReadFull(r, raw[:]); err != nil {
 		return nil, fmt.Errorf("blockstore: read unit: %w", err)
 	}
-	hdr, err := parseUnitHeader(buf)
+	hdr, err := parseUnitHeader(raw[:])
 	if err != nil {
 		return nil, err
 	}
@@ -192,18 +150,8 @@ func DecodeUnitWithin(r io.Reader, size int64) (*Unit, error) {
 			hdr[2], hdr[3], hdr[4], size)
 	}
 	u, vals := newUnit(int(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3]), int(hdr[3]*hdr[4]))
-	buf = buf[unitHeaderBytes:]
-	for {
-		k := len(buf) / 8
-		for i := range vals[:k] {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-		if vals = vals[k:]; len(vals) == 0 {
-			return u, nil
-		}
-		buf = (*bp)[:8*min(len(vals), codecChunk)]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("blockstore: read unit: %w", err)
-		}
+	if err := mat.ReadFloats(r, vals); err != nil {
+		return nil, fmt.Errorf("blockstore: read unit: %w", err)
 	}
+	return u, nil
 }

@@ -8,12 +8,21 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"twopcp/internal/mat"
 )
 
 // FileStore is a Store that keeps one file per unit under a directory,
 // giving genuinely out-of-core Phase-2 runs: "unit-<mode>-<part>.tpun" is
 // header | A | slab (codec.go), laid down by the unit's whole Put; a
 // write-back overwrites the A region where it lies and nothing else.
+//
+// Each unit's file is opened by the first Put or Get of the unit and stays
+// open until Close, so a Get is a stat and two reads (header, then payload
+// straight into the unit's allocation) and a write-back a header read and
+// one write. The store owns its directory while open: it reaches each file
+// through the descriptor it holds, so a file rewritten in place is seen but
+// one removed or renamed over is not.
 //
 // The directory is scratch: nothing is synced and an interrupted write
 // leaves a torn file, so after a crash it may hold anything. Every run
@@ -28,6 +37,8 @@ type FileStore struct {
 	// half of a write-back. Per unit, so that the buffer manager's inline
 	// write-backs never wait for a prefetch of another unit.
 	inPlace sync.Map
+	// files maps each unit to its open *os.File.
+	files sync.Map
 }
 
 // NewFileStore creates (if needed) dir and returns a store rooted there.
@@ -49,6 +60,25 @@ func (s *FileStore) unitLock(mode, part int) *sync.RWMutex {
 
 func (s *FileStore) unitPath(mode, part int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("unit-%d-%d.tpun", mode, part))
+}
+
+// file returns unit ⟨mode, part⟩'s open file, opening it with flag
+// (os.O_RDWR, perhaps with os.O_CREATE) on first use.
+func (s *FileStore) file(mode, part, flag int) (*os.File, error) {
+	key := unitKey{mode, part}
+	if f, ok := s.files.Load(key); ok {
+		return f.(*os.File), nil
+	}
+	f, err := os.OpenFile(s.unitPath(mode, part), flag, 0o666)
+	if err != nil {
+		return nil, err
+	}
+	// Two Gets hold the unit's lock shared, so both may have opened it.
+	if prev, loaded := s.files.LoadOrStore(key, f); loaded {
+		f.Close()
+		return prev.(*os.File), nil
+	}
+	return f, nil
 }
 
 // Put implements Store. Genuine filesystem errors are classified transient
@@ -73,7 +103,7 @@ func (s *FileStore) Put(u *Unit) error {
 	return nil
 }
 
-// writeWhole creates or truncates the unit's file and encodes u into it;
+// writeWhole truncates (or creates) the unit's file and encodes u into it;
 // a unit whose shapes do not fit is refused before the file is touched.
 func (s *FileStore) writeWhole(u *Unit) error {
 	slab, err := PackSlab(u)
@@ -83,15 +113,14 @@ func (s *FileStore) writeWhole(u *Unit) error {
 	l := s.unitLock(u.Mode, u.Part)
 	l.Lock()
 	defer l.Unlock()
-	f, err := os.Create(s.unitPath(u.Mode, u.Part))
+	f, err := s.file(u.Mode, u.Part, os.O_RDWR|os.O_CREATE)
 	if err != nil {
 		return err
 	}
-	err = EncodeUnit(f, &Unit{Mode: u.Mode, Part: u.Part, A: u.A, Slab: slab})
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err := f.Truncate(0); err != nil {
+		return err
 	}
-	return err
+	return EncodeUnit(io.NewOffsetWriter(f, 0), &Unit{Mode: u.Mode, Part: u.Part, A: u.A, Slab: slab})
 }
 
 // writeA overwrites the A region of the unit's file with u.A, if the
@@ -100,15 +129,13 @@ func (s *FileStore) writeA(u *Unit) error {
 	l := s.unitLock(u.Mode, u.Part)
 	l.Lock()
 	defer l.Unlock()
-	path := s.unitPath(u.Mode, u.Part)
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	f, err := s.file(u.Mode, u.Part, os.O_RDWR)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("%w: A part of ⟨%d,%d⟩ before its whole unit", ErrNotFound, u.Mode, u.Part)
 		}
 		return err
 	}
-	defer f.Close()
 	var raw [unitHeaderBytes]byte
 	var hdr [5]int64
 	if _, err = f.ReadAt(raw[:], 0); err == nil {
@@ -120,26 +147,23 @@ func (s *FileStore) writeA(u *Unit) error {
 		err = fmt.Errorf("file holds unit ⟨%d,%d⟩", hdr[0], hdr[1])
 	}
 	if err != nil {
-		return fmt.Errorf("%w: ⟨%d,%d⟩ (%s): %v", ErrCorrupt, u.Mode, u.Part, path, err)
+		return fmt.Errorf("%w: ⟨%d,%d⟩ (%s): %v", ErrCorrupt, u.Mode, u.Part, f.Name(), err)
 	}
 	if hdr[2] != int64(u.A.Rows) || hdr[3] != int64(u.A.Cols) {
 		return fmt.Errorf("%w: %d×%d A part for ⟨%d,%d⟩, seeded %d×%d", ErrShape, u.A.Rows, u.A.Cols, u.Mode, u.Part, hdr[2], hdr[3])
 	}
-	if err := writeFloats(io.NewOffsetWriter(f, int64(unitHeaderBytes)), nil, u.A.Data); err != nil {
-		return err
-	}
-	return f.Close()
+	return mat.WriteFloats(io.NewOffsetWriter(f, int64(unitHeaderBytes)), u.A.Data)
 }
 
-// Get implements Store: one open, one size, one read. A file that exists
-// but is not exactly this unit yields ErrCorrupt (see there) rather than a
-// raw decode error or, worse, an allocation sized by garbage.
+// Get implements Store: one size and two reads of the unit's open file. A
+// file that exists but is not exactly this unit yields ErrCorrupt (see
+// there) rather than a raw decode error or, worse, an allocation sized by
+// garbage.
 func (s *FileStore) Get(mode, part int) (*Unit, error) {
-	path := s.unitPath(mode, part)
 	l := s.unitLock(mode, part)
 	l.RLock()
 	defer l.RUnlock()
-	f, err := os.Open(path)
+	f, err := s.file(mode, part, os.O_RDWR)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("%w: ⟨%d,%d⟩", ErrNotFound, mode, part)
@@ -149,17 +173,16 @@ func (s *FileStore) Get(mode, part int) (*Unit, error) {
 		// on retry.
 		return nil, fmt.Errorf("blockstore: get ⟨%d,%d⟩ (open): %w: %w", mode, part, ErrTransient, err)
 	}
-	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: get ⟨%d,%d⟩ (stat): %w: %w", mode, part, ErrTransient, err)
 	}
-	u, err := DecodeUnitWithin(f, fi.Size())
+	u, err := DecodeUnitWithin(io.NewSectionReader(f, 0, fi.Size()), fi.Size())
 	if err == nil && (u.Mode != mode || u.Part != part) {
 		err = fmt.Errorf("file holds unit ⟨%d,%d⟩", u.Mode, u.Part)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: ⟨%d,%d⟩ (%s): %v", ErrCorrupt, mode, part, path, err)
+		return nil, fmt.Errorf("%w: ⟨%d,%d⟩ (%s): %v", ErrCorrupt, mode, part, f.Name(), err)
 	}
 	s.mu.Lock()
 	s.stats.Reads++
@@ -182,6 +205,15 @@ func (s *FileStore) ResetStats() {
 	s.stats = Stats{}
 }
 
-// Close implements Store. The files are left on disk; callers that want
-// cleanup should remove the directory.
-func (s *FileStore) Close() error { return nil }
+// Close implements Store: it closes every unit's file; a second Close finds
+// none. The files are left on disk; callers that want cleanup should remove
+// the directory.
+func (s *FileStore) Close() error {
+	var err error
+	s.files.Range(func(key, f any) bool {
+		s.files.Delete(key)
+		err = errors.Join(err, f.(*os.File).Close())
+		return true
+	})
+	return err
+}

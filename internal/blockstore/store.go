@@ -8,8 +8,8 @@
 //
 // Two backends are provided: MemStore, an in-memory store with disk
 // semantics (deep copies on Put/Get) for fast, precisely-counted
-// simulation, and FileStore, which writes real files through
-// encoding/binary for true out-of-core runs.
+// simulation, and FileStore, which writes real files for true out-of-core
+// runs.
 //
 // A store is scratch space for one Phase-2 run, not a durable artefact:
 // the engine rewrites every unit when it starts and the checkpoint carries

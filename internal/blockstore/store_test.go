@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -381,5 +382,68 @@ func TestMemStoreConcurrentAccess(t *testing.T) {
 	}
 	if st := s.Stats(); st.Reads != 400 || st.Writes != 401 {
 		t.Fatalf("concurrent stats = %+v", st)
+	}
+}
+
+// TestFileStoreHoldsOneDescriptorPerUnit: each unit's file is opened once,
+// however often the unit is read and written back, and Close gives every
+// descriptor back; a second Close has nothing left to close. Only
+// descriptors on the store's directory count: other tests' stores are
+// closed by finalizers at whatever moment the GC picks.
+func TestFileStoreHoldsOneDescriptorPerUnit(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors through /proc/self/fd")
+	}
+	dir, err := filepath.EvalSymlinks(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	openFDs := func() int {
+		t.Helper()
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, fd := range fds {
+			if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && filepath.Dir(target) == dir {
+				n++
+			}
+		}
+		return n
+	}
+	s, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	const units = 12
+	for part := 0; part < units; part++ {
+		u := testUnit(rng)
+		u.Part = part
+		if err := s.Put(u); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			got, err := s.Get(u.Mode, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.A.Data[0]++
+			if err := s.Put(aPart(got)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := openFDs(); got != units {
+		t.Fatalf("%d units read and written back hold %d descriptors, want %d", units, got, units)
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", i+1, err)
+		}
+		if got := openFDs(); got != 0 {
+			t.Fatalf("after Close #%d: %d descriptors still open", i+1, got)
+		}
 	}
 }

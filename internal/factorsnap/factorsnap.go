@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"path/filepath"
 
 	"twopcp/internal/mat"
@@ -110,9 +109,9 @@ func (s *Snapshot) Close() error {
 }
 
 // Write serializes the model to path with the runstate atomic-install
-// discipline (temp file, fsync, rename, dirsync). len(lambda) must equal
-// the factors' shared column count and every factor must have at least
-// as many columns as rows... every factor must have exactly rank columns.
+// discipline (temp file, fsync, rename, dirsync). The first factor's column
+// count is the rank: every other factor must have exactly that many columns
+// and lambda exactly that many weights.
 func Write(path string, lambda []float64, factors []*mat.Matrix, meta *runstate.Meta) error {
 	if len(factors) == 0 {
 		return errors.New("factorsnap: no factor matrices")
@@ -133,9 +132,7 @@ func Write(path string, lambda []float64, factors []*mat.Matrix, meta *runstate.
 
 	data := make([]byte, 0, vals*8)
 	for _, f := range factors {
-		for _, v := range f.Data {
-			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
-		}
+		data = mat.AppendFloats(data, f.Data)
 	}
 
 	hdr, err := json.Marshal(header{
@@ -193,9 +190,9 @@ func Open(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// decode validates raw snapshot bytes and builds the Snapshot. When
-// mapped is true the factor matrices view raw directly (zero-copy,
-// little-endian platforms only); otherwise they are decoded copies.
+// decode validates raw snapshot bytes and builds the Snapshot, whose factor
+// matrices are floatView's: views of raw where the build maps snapshots
+// (mapped is then true), decoded copies elsewhere.
 func decode(raw []byte, mapped bool) (*Snapshot, error) {
 	if len(raw) < preambleLen {
 		return nil, fmt.Errorf("%w: %d-byte file is shorter than the %d-byte preamble", ErrCorrupt, len(raw), preambleLen)
@@ -246,29 +243,13 @@ func decode(raw []byte, mapped bool) (*Snapshot, error) {
 		Factors: make([]*mat.Matrix, len(hdr.Dims)),
 		Mapped:  mapped,
 	}
-	off := 0
+	vals := floatView(data)
 	for n, d := range hdr.Dims {
-		nb := d * hdr.Rank * 8
-		block := data[off : off+nb]
-		var vals []float64
-		if mapped {
-			vals = floatView(block)
-		} else {
-			vals = decodeFloats(block)
-		}
-		s.Factors[n] = mat.FromSlice(d, hdr.Rank, vals)
-		off += nb
+		k := d * hdr.Rank
+		s.Factors[n] = mat.FromSlice(d, hdr.Rank, vals[:k:k])
+		vals = vals[k:]
 	}
 	return s, nil
-}
-
-// decodeFloats copies a little-endian float64 block onto the heap.
-func decodeFloats(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
 }
 
 // align8 rounds n up to the next multiple of 8.

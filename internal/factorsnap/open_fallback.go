@@ -6,9 +6,13 @@
 
 package factorsnap
 
-import "os"
+import (
+	"os"
 
-// openBytes reads the whole file; mapped is false so decode copies.
+	"twopcp/internal/mat"
+)
+
+// openBytes reads the whole file; mapped is false.
 func openBytes(path string) (raw []byte, cleanup func() error, mapped bool, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -17,6 +21,10 @@ func openBytes(path string) (raw []byte, cleanup func() error, mapped bool, err 
 	return b, nil, false, nil
 }
 
-// floatView is unreachable on the fallback path (decode copies instead);
-// it exists so factorsnap.go compiles on every platform.
-func floatView(b []byte) []float64 { return decodeFloats(b) }
+// floatView decodes b onto the heap: here the file's bytes are not the
+// host's float64s.
+func floatView(b []byte) []float64 {
+	v := make([]float64, len(b)/8)
+	mat.DecodeFloats(v, b)
+	return v
+}

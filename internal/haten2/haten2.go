@@ -20,7 +20,6 @@ package haten2
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -145,11 +144,11 @@ func Decompose(x *tensor.COO, opts Options) (*cpals.KTensor, Info, error) {
 		}
 		fit := 1.0
 		if normX > 0 {
-			fit = 1 - sqrt(res2)/normX
+			fit = 1 - math.Sqrt(res2)/normX
 		}
 		info.Iters = iter
 		info.Fit = fit
-		if opts.Tol > 0 && iter > 1 && abs(fit-prevFit) < opts.Tol {
+		if opts.Tol > 0 && iter > 1 && math.Abs(fit-prevFit) < opts.Tol {
 			break
 		}
 		prevFit = fit
@@ -180,29 +179,21 @@ func mttkrpJob(p *mapreduce.Pipeline, inputs []any, factors []*mat.Matrix, mode,
 				row[c] *= fr[c]
 			}
 		}
-		var buf bytes.Buffer
-		if err := binary.Write(&buf, binary.LittleEndian, row); err != nil {
-			return err
-		}
-		emit(strconv.Itoa(r.coords[mode]), buf.Bytes())
+		emit(strconv.Itoa(r.coords[mode]), mat.AppendFloats(nil, row))
 		return nil
 	}
 	reducer := func(key string, values [][]byte, emit func(string, []byte)) error {
 		sum := make([]float64, f)
 		vec := make([]float64, f)
 		for _, v := range values {
-			if err := binary.Read(bytes.NewReader(v), binary.LittleEndian, vec); err != nil {
+			if err := mat.ReadFloats(bytes.NewReader(v), vec); err != nil {
 				return err
 			}
 			for c := range sum {
 				sum[c] += vec[c]
 			}
 		}
-		var buf bytes.Buffer
-		if err := binary.Write(&buf, binary.LittleEndian, sum); err != nil {
-			return err
-		}
-		emit(key, buf.Bytes())
+		emit(key, mat.AppendFloats(nil, sum))
 		return nil
 	}
 	out, err := p.Run(inputs, mapper, reducer)
@@ -210,30 +201,14 @@ func mttkrpJob(p *mapreduce.Pipeline, inputs []any, factors []*mat.Matrix, mode,
 		return nil, err
 	}
 	m := mat.New(factors[mode].Rows, f)
-	row := make([]float64, f)
 	for _, pair := range out {
 		idx, err := strconv.Atoi(pair.Key)
 		if err != nil {
 			return nil, fmt.Errorf("haten2: bad row key %q: %w", pair.Key, err)
 		}
-		if err := binary.Read(bytes.NewReader(pair.Value), binary.LittleEndian, row); err != nil {
+		if err := mat.ReadFloats(bytes.NewReader(pair.Value), m.Row(idx)); err != nil {
 			return nil, err
 		}
-		copy(m.Row(idx), row)
 	}
 	return m, nil
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -1,11 +1,11 @@
 // Package mat provides the dense matrix algebra substrate used throughout
 // twopcp: a row-major float64 matrix type, the BLAS-like kernels CP-ALS
-// needs (GEMM, Gram matrices, Hadamard products), and small symmetric
+// needs (GEMM, Gram matrices, Hadamard products), small symmetric
 // positive-definite solvers (Cholesky with a Gauss-Jordan pseudo-inverse
-// fallback).
+// fallback), and the one on-disk encoding of float64 values (floats.go).
 //
 // Everything is hand-rolled on the standard library; the package has no
-// dependencies beyond math and math/rand. Matrices in this package are
+// other dependencies. Matrices in this package are
 // small-to-medium (factor matrices are (I/K)×F with F typically 10–100), so
 // the kernels favour clarity and cache-friendly loop orders over blocking.
 package mat

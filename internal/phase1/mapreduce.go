@@ -53,24 +53,17 @@ func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts Options, cfg mapreduce.Co
 		panic(fmt.Sprintf("phase1: coordinate %d outside mode %d", coord, mode))
 	}
 
+	recLen := 4*nModes + 8 // a shuffled nonzero: int32 local coordinates, its float64 value
 	mapper := func(in any, emit func(string, []byte)) error {
 		r := in.(record)
 		vec := make([]int, nModes)
-		local := make([]int, nModes)
+		rec := make([]byte, 0, recLen)
 		for m, c := range r.coords {
-			vec[m], local[m] = findPart(m, c)
+			var local int
+			vec[m], local = findPart(m, c)
+			rec = binary.LittleEndian.AppendUint32(rec, uint32(int32(local)))
 		}
-		b := p.Linear(vec)
-		var buf bytes.Buffer
-		for _, l := range local {
-			if err := binary.Write(&buf, binary.LittleEndian, int32(l)); err != nil {
-				return err
-			}
-		}
-		if err := binary.Write(&buf, binary.LittleEndian, r.value); err != nil {
-			return err
-		}
-		emit(strconv.Itoa(b), buf.Bytes())
+		emit(strconv.Itoa(p.Linear(vec)), mat.AppendFloats(rec, []float64{r.value}))
 		return nil
 	}
 
@@ -83,20 +76,16 @@ func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts Options, cfg mapreduce.Co
 		_, size := p.Block(vec)
 		blk := tensor.NewCOO(size...)
 		local := make([]int, nModes)
+		val := make([]float64, 1)
 		for _, v := range values {
-			r := bytes.NewReader(v)
+			if len(v) != recLen {
+				return fmt.Errorf("phase1: %d-byte shuffle record for block %d, want %d", len(v), blockID, recLen)
+			}
 			for m := range local {
-				var l int32
-				if err := binary.Read(r, binary.LittleEndian, &l); err != nil {
-					return err
-				}
-				local[m] = int(l)
+				local[m] = int(int32(binary.LittleEndian.Uint32(v[4*m:])))
 			}
-			var val float64
-			if err := binary.Read(r, binary.LittleEndian, &val); err != nil {
-				return err
-			}
-			blk.Append(local, val)
+			mat.DecodeFloats(val, v[4*nModes:])
+			blk.Append(local, val[0])
 		}
 		factors, _, err := DecomposeBlock(blk, blockID, p, opts)
 		if err != nil {
@@ -105,11 +94,7 @@ func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts Options, cfg mapreduce.Co
 		// Emit each sub-factor U(n)_b as an independent record, keyed
 		// "U/<block>/<mode>" as in the paper's reducer output.
 		for m, f := range factors {
-			var buf bytes.Buffer
-			if err := blockstore.WriteMatrix(&buf, f); err != nil {
-				return err
-			}
-			emit(fmt.Sprintf("U/%d/%d", blockID, m), buf.Bytes())
+			emit(fmt.Sprintf("U/%d/%d", blockID, m), blockstore.AppendMatrix(nil, f))
 		}
 		return nil
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -104,7 +103,7 @@ func (r *Run) SaveBlock(id int, factors []*mat.Matrix, fit float64) error {
 	r.mu.Lock()
 	b := append(r.buf[:0], make([]byte, recordHeaderLen)...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(id)))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(fit))
+	b = mat.AppendFloats(b, []float64{fit})
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(len(factors))))
 	for _, f := range factors {
 		b = blockstore.AppendMatrix(b, f)
@@ -157,11 +156,12 @@ func (r *Run) LoadBlock(id int) ([]*mat.Matrix, float64, bool, error) {
 	if !ok || blockID(payload) != id {
 		return nil, 0, false, nil
 	}
-	fit := math.Float64frombits(binary.LittleEndian.Uint64(payload[4:]))
+	var fit [1]float64
+	mat.DecodeFloats(fit[:], payload[4:])
 	modes := int(int32(binary.LittleEndian.Uint32(payload[12:])))
 	factors, err := decodeMatrices("block", payload[blockHeaderLen:], modes)
 	if err != nil {
 		return nil, 0, false, nil
 	}
-	return factors, fit, true, nil
+	return factors, fit[0], true, nil
 }

@@ -11,7 +11,7 @@ import (
 
 // Phase-2 and result checkpoints share one section layout inside their
 // framing: a uint32 length-prefixed JSON header followed by matrices in
-// blockstore.WriteMatrix encoding. The header declares how many matrices
+// blockstore.AppendMatrix encoding. The header declares how many matrices
 // follow; encode/decode of the layout lives here so the two checkpoint
 // kinds can never diverge in corruption handling.
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"twopcp/internal/mat"
 )
 
 // Binary file format (little-endian):
@@ -28,7 +30,7 @@ func WriteDense(w io.Writer, t *Dense) error {
 	if err := writeDims(bw, t.Dims); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, t.Data); err != nil {
+	if err := mat.WriteFloats(bw, t.Data); err != nil {
 		return fmt.Errorf("tensor: write dense data: %w", err)
 	}
 	return bw.Flush()
@@ -57,7 +59,7 @@ func ReadDense(r io.Reader) (*Dense, error) {
 			dims, need, limit)
 	}
 	t := NewDense(dims...)
-	if err := binary.Read(br, binary.LittleEndian, t.Data); err != nil {
+	if err := mat.ReadFloats(br, t.Data); err != nil {
 		return nil, fmt.Errorf("tensor: read dense data: %w", err)
 	}
 	return t, nil
@@ -76,14 +78,14 @@ func WriteCOO(w io.Writer, t *COO) error {
 		return fmt.Errorf("tensor: write nnz: %w", err)
 	}
 	coords := make([]uint64, len(t.Dims))
-	for p, v := range t.Vals {
+	for p := range t.Vals {
 		for m := range t.Dims {
 			coords[m] = uint64(t.Indices[m][p])
 		}
 		if err := binary.Write(bw, binary.LittleEndian, coords); err != nil {
 			return fmt.Errorf("tensor: write coords: %w", err)
 		}
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+		if err := mat.WriteFloats(bw, t.Vals[p:p+1]); err != nil {
 			return fmt.Errorf("tensor: write value: %w", err)
 		}
 	}
@@ -121,12 +123,12 @@ func ReadCOO(r io.Reader) (*COO, error) {
 	t := NewCOO(dims...)
 	coords := make([]uint64, len(dims))
 	idx := make([]int, len(dims))
+	v := make([]float64, 1)
 	for p := uint64(0); p < nnz; p++ {
 		if err := binary.Read(br, binary.LittleEndian, coords); err != nil {
 			return nil, fmt.Errorf("tensor: read coords: %w", err)
 		}
-		var v float64
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
+		if err := mat.ReadFloats(br, v); err != nil {
 			return nil, fmt.Errorf("tensor: read value: %w", err)
 		}
 		// Validate every coordinate against the declared dims before
@@ -141,7 +143,7 @@ func ReadCOO(r io.Reader) (*COO, error) {
 			}
 			idx[m] = int(coords[m])
 		}
-		t.Append(idx, v)
+		t.Append(idx, v[0])
 	}
 	return t, nil
 }

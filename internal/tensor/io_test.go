@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -67,6 +68,37 @@ func TestReadDenseTruncated(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-8]
 	if _, err := ReadDense(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("expected error for truncated input")
+	}
+}
+
+// TestDenseIOHoldsTheTensorOnce: ReadDense allocates the tensor and a
+// bounded amount besides, and WriteDense only the bounded amount — neither
+// makes a byte copy of the payload.
+func TestDenseIOHoldsTheTensorOnce(t *testing.T) {
+	const cells = 1 << 20
+	d := NewDense(1<<10, 1<<10)
+	for i := range d.Data {
+		d.Data[i] = float64(i) - 0.5
+	}
+	var buf bytes.Buffer
+	buf.Grow(24 + 8*cells)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var err error
+	if n := allocated(func() { err = WriteDense(&buf, d) }); err != nil || n > 1<<20 {
+		t.Fatalf("WriteDense of %d cells: err %v, %d bytes allocated", cells, err, n)
+	}
+	var got *Dense
+	if n := allocated(func() { got, err = ReadDense(bytes.NewReader(buf.Bytes())) }); err != nil || n > 8*cells+1<<20 {
+		t.Fatalf("ReadDense of %d cells: err %v, %d bytes allocated, want at most %d", cells, err, n, 8*cells+1<<20)
+	}
+	if !got.EqualApprox(d, 0) {
+		t.Fatal("dense IO round trip failed")
 	}
 }
 

@@ -4,13 +4,13 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
-	"sync"
 
 	"twopcp/internal/grid"
+	"twopcp/internal/mat"
 	"twopcp/internal/tensor"
 )
 
@@ -168,18 +168,18 @@ func (r *Reader) ReadTileInto(buf *tensor.Dense, vec []int) (*tensor.Dense, erro
 	}
 
 	var src io.Reader = io.NewSectionReader(r.ra, int64(e.Offset), int64(e.Size))
-	var crc *crcReader
+	var crc hash.Hash32
 	if r.flags&FlagCRC != 0 {
-		crc = &crcReader{r: src, h: crc32.NewIEEE()}
-		src = crc
+		crc = crc32.NewIEEE()
+		src = io.TeeReader(src, crc)
 	}
 	if r.flags&FlagGzip != 0 {
 		zr, err := gzip.NewReader(src)
 		if err != nil {
 			return nil, fmt.Errorf("tfile: tile %v: gzip: %w", vec, err)
 		}
-		if err := readFloats(zr, out.Data); err != nil {
-			return nil, fmt.Errorf("tfile: tile %v: %w", vec, err)
+		if err := mat.ReadFloats(zr, out.Data); err != nil {
+			return nil, fmt.Errorf("tfile: tile %v: read cells: %w", vec, err)
 		}
 		// Drain to EOF so the gzip trailer (its own CRC32/ISIZE) is read
 		// and verified even when the file carries no per-tile CRC — and
@@ -193,16 +193,16 @@ func (r *Reader) ReadTileInto(buf *tensor.Dense, vec []int) (*tensor.Dense, erro
 		if err := zr.Close(); err != nil {
 			return nil, fmt.Errorf("tfile: tile %v: gzip: %w", vec, err)
 		}
-	} else if err := readFloats(src, out.Data); err != nil {
-		return nil, fmt.Errorf("tfile: tile %v: %w", vec, err)
+	} else if err := mat.ReadFloats(src, out.Data); err != nil {
+		return nil, fmt.Errorf("tfile: tile %v: read cells: %w", vec, err)
 	}
 	if crc != nil {
 		// Drain any trailing stored bytes (gzip framing the decoder did
 		// not consume) so the CRC covers the whole payload.
-		if _, err := io.Copy(io.Discard, crc); err != nil {
+		if _, err := io.Copy(io.Discard, src); err != nil {
 			return nil, fmt.Errorf("tfile: tile %v: %w", vec, err)
 		}
-		if got := crc.h.Sum32(); got != e.CRC {
+		if got := crc.Sum32(); got != e.CRC {
 			return nil, fmt.Errorf("tfile: tile %v CRC mismatch: stored %#x, computed %#x",
 				vec, e.CRC, got)
 		}
@@ -221,46 +221,4 @@ func (r *Reader) Close() error {
 		return r.file.Close()
 	}
 	return nil
-}
-
-// chunkBuf pools readFloats' 64 KiB chunk buffers.
-var chunkBuf = sync.Pool{New: func() any { b := make([]byte, 64<<10); return &b }}
-
-// readFloats fills dst from little-endian float64s, through a bounded
-// chunk buffer.
-func readFloats(r io.Reader, dst []float64) error {
-	bp := chunkBuf.Get().(*[]byte)
-	defer chunkBuf.Put(bp)
-	buf := *bp
-	per := len(buf) / 8
-	for len(dst) > 0 {
-		n := len(dst)
-		if n > per {
-			n = per
-		}
-		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
-			return fmt.Errorf("read cells: %w", err)
-		}
-		for i := range dst[:n] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-		dst = dst[n:]
-	}
-	return nil
-}
-
-type crcReader struct {
-	r io.Reader
-	h interface {
-		io.Writer
-		Sum32() uint32
-	}
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.h.Write(p[:n])
-	}
-	return n, err
 }

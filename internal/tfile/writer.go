@@ -7,10 +7,10 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"twopcp/internal/grid"
+	"twopcp/internal/mat"
 	"twopcp/internal/tensor"
 )
 
@@ -31,9 +31,9 @@ type indexEntry struct {
 }
 
 // Writer streams a .tptl file. Tiles may arrive in any order, each
-// exactly once; the index is back-patched on Close. Beyond the tile the
-// caller passes to WriteTile, the writer holds only a small fixed
-// encoding buffer, so tensors larger than memory can be written.
+// exactly once; the index is back-patched on Close. The writer holds no
+// tile beyond the one the caller passes to WriteTile, so tensors larger
+// than memory can be written.
 //
 // A Writer is not safe for concurrent use.
 type Writer struct {
@@ -45,7 +45,6 @@ type Writer struct {
 	done    []bool
 	left    int
 	off     int64 // next payload append offset
-	buf     []byte
 	err     error // sticky
 }
 
@@ -85,7 +84,6 @@ func NewWriter(f io.WriteSeeker, dims, tiles []int, opts ...WriterOption) (*Writ
 		index:   make([]indexEntry, p.NumBlocks()),
 		done:    make([]bool, p.NumBlocks()),
 		left:    p.NumBlocks(),
-		buf:     make([]byte, 64<<10),
 	}
 	for _, o := range opts {
 		o(w)
@@ -172,7 +170,7 @@ func (w *Writer) encodePayload(data []float64) (int64, uint32, error) {
 		zw = gzip.NewWriter(sink)
 		payload = zw
 	}
-	if err := writeFloats(payload, data, w.buf); err != nil {
+	if err := mat.WriteFloats(payload, data); err != nil {
 		return 0, 0, fmt.Errorf("tfile: write tile: %w", err)
 	}
 	if zw != nil {
@@ -233,26 +231,6 @@ func (w *Writer) Close() error {
 		if err := w.file.Close(); err != nil {
 			return fmt.Errorf("tfile: close: %w", err)
 		}
-	}
-	return nil
-}
-
-// writeFloats streams data as little-endian float64 through buf-sized
-// chunks, keeping memory bounded regardless of tile size.
-func writeFloats(w io.Writer, data []float64, buf []byte) error {
-	per := len(buf) / 8
-	for len(data) > 0 {
-		n := len(data)
-		if n > per {
-			n = per
-		}
-		for i, v := range data[:n] {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-		}
-		if _, err := w.Write(buf[:8*n]); err != nil {
-			return err
-		}
-		data = data[n:]
 	}
 	return nil
 }

@@ -9,7 +9,10 @@
 # kernel calls per update, the slab·Γ product and the slabᵀ·A one, over
 # fibers of 32 to 256 values), synchronously and with prefetch, and
 # compare the factor CSVs byte for byte and the result JSON (fit, fit
-# trace, swaps, store traffic) field for field.
+# trace, swaps, store traffic) field for field. The purego build also
+# encodes and decodes every float payload (tiles, store units) with
+# internal/mat's per-value loops instead of the byte view, so the same
+# comparison covers the two float codecs.
 #
 # The comparison would be vacuous if both binaries ran the same kernels,
 # so each run's "kernels    :" summary line is checked: the default build
