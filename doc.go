@@ -103,7 +103,8 @@
 // or without the cache, and whether or not a shape is large enough to use
 // it. And it holds across the two implementations of the innermost loops:
 // on amd64 CPUs with AVX2, internal/mat runs assembly kernels for its four
-// fiber primitives (Axpy, OuterAdd, FibersMatMulAdd, FoldAdd) that
+// fiber primitives (Axpy, OuterAdd, FibersMatMulAdd, FoldAdd) and for
+// HadamardVec that
 // vectorise across the column index with a separate multiply and add —
 // never a fused one — so every lane rounds exactly as the Go loop does,
 // and the bits are identical between the vector kernels and the pure-Go

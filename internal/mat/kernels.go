@@ -1,11 +1,13 @@
 package mat
 
 // This file holds the innermost compute primitives shared by the matrix and
-// tensor kernels — four of them: Axpy, OuterAdd, FibersMatMulAdd and
-// FoldAdd. Each has two implementations: the Go loops below, which
-// run everywhere, and AVX2 assembly (kernels_amd64.s) that takes over the
-// bulk of the work where package init finds, by CPUID, that the CPU and the
-// OS support it. Building with -tags purego leaves only the Go loops.
+// tensor kernels: the four fiber primitives Axpy, OuterAdd (over a run of
+// fibers), FibersMatMulAdd (and VecMatMulAdd, its one-fiber form) and
+// FoldAdd, plus the element-wise HadamardVec. Each has two
+// implementations: the Go loops below, which run everywhere, and AVX2
+// assembly (kernels_amd64.s) that takes over the bulk of the work where
+// package init finds, by CPUID, that the CPU and the OS support it.
+// Building with -tags purego leaves only the Go loops.
 //
 // The Go loops are written so the compiler keeps the accumulator blocks in
 // registers: the column dimension is processed in blocks of four (eight,
@@ -20,9 +22,8 @@ package mat
 // output element, so parallel callers that assign each output region to one
 // invocation get bit-identical results at any worker count.
 
-// KernelPath names the implementation behind the four primitives — Axpy,
-// OuterAdd, FibersMatMulAdd (and VecMatMulAdd, its one-fiber form) and
-// FoldAdd — in this process: "avx2" or "generic".
+// KernelPath names the implementation behind the primitives of this file
+// in this process: "avx2" or "generic".
 func KernelPath() string {
 	if useAVX2 {
 		return "avx2"
@@ -121,23 +122,42 @@ func vecMatMulAddFrom(dst []float64, rows []float64, x []float64, f, c0 int) {
 	}
 }
 
-// OuterAdd computes M += x ⊗ w for a row-major panel M with len(x) rows of
-// f columns: rows[i*f+c] += x[i]·w[c]. This is the mode-0 MTTKRP fiber
-// kernel: whole fibers accumulate into the output panel as rank-one
-// updates. Every element of M receives exactly one addition, so the loop
-// order is free: columns go in blocks of eight, then four, with the
-// block's weights held in registers down the whole fiber.
-func OuterAdd(rows []float64, w []float64, x []float64, f int) {
-	if len(x) == 0 || f == 0 {
+// OuterAdd computes M += Σ_q x_q ⊗ w_q for a row-major panel M of n rows of
+// f columns and the count = len(w)/f fibers x_q = x[q*xStride:q*xStride+n]
+// with weights w_q = w[q*f:(q+1)*f]: rows[i*f+c] += x_q[i]·w_q[c] for q in
+// ascending order, every product rounded before it joins the panel — the
+// result of count one-fiber calls. This is the mode-0 MTTKRP kernel, the
+// counterpart of FibersMatMulAdd: a run of fibers accumulates into the
+// output panel as rank-one updates. The vector implementation takes four
+// fibers at a time, so each panel row is loaded and stored once per four
+// fibers instead of once per fiber.
+func OuterAdd(rows, w, x []float64, n, xStride, f int) {
+	if n == 0 || f == 0 || len(w) < f {
 		return
 	}
-	_ = rows[len(x)*f-1]
-	w = w[:f:f]
+	count := len(w) / f
+	_ = rows[n*f-1]
+	_ = x[(count-1)*xStride+n-1]
 	c0 := 0
 	if useAVX2 && f >= 4 {
-		outerAddAVX2(rows, w, x, f)
+		outerAddAVX2(rows, w, x, count, n, xStride, f)
 		c0 = f &^ 3
+		if c0 == f {
+			return
+		}
 	}
+	for q := 0; q < count; q++ {
+		outerAddFrom(rows, w[q*f:(q+1)*f], x[q*xStride:q*xStride+n], f, c0)
+	}
+}
+
+// outerAddFrom is one fiber's OuterAdd over columns [c0, f). Every element
+// of M receives exactly one addition, so the loop order is free: columns go
+// in blocks of eight, then four, with the block's weights held in registers
+// down the whole fiber.
+func outerAddFrom(rows, w, x []float64, f, c0 int) {
+	_ = rows[len(x)*f-1]
+	w = w[:f:f]
 	for ; c0+8 <= f; c0 += 8 {
 		s := w[c0 : c0+8 : c0+8]
 		w0, w1, w2, w3, w4, w5, w6, w7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
@@ -226,11 +246,17 @@ func FoldAdd(dst, s []float64, sStride int, w []float64, count, f int) {
 	}
 }
 
-// HadamardVec computes dst[i] = a[i]*b[i] over len(dst) elements.
+// HadamardVec computes dst[i] = a[i]*b[i] over len(dst) elements. dst may
+// be a or b.
 func HadamardVec(dst, a, b []float64) {
 	n := len(dst)
 	a = a[:n]
 	b = b[:n]
+	// Below two vectors, as for Axpy, the call does not pay for itself.
+	if useAVX2 && n >= 8 {
+		hadamardAVX2(dst, a, b)
+		return
+	}
 	for i := range dst {
 		dst[i] = a[i] * b[i]
 	}

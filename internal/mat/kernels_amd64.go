@@ -27,15 +27,18 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// The kernels below handle the columns [0, f&^3) (axpyAVX2: everything) and
-// require at least one row, fiber and four-column block; the callers in
-// kernels.go have checked every length.
+// The kernels below handle the columns [0, f&^3) (axpyAVX2, hadamardAVX2:
+// everything) and require at least one row, fiber and four-column block;
+// the callers in kernels.go have checked every length.
 
 //go:noescape
 func axpyAVX2(dst, x []float64, a float64)
 
 //go:noescape
-func outerAddAVX2(rows, w, x []float64, f int)
+func hadamardAVX2(dst, a, b []float64)
+
+//go:noescape
+func outerAddAVX2(rows, w, x []float64, count, n, xStride, f int)
 
 //go:noescape
 func fibersMulAddAVX2(dst, rows, x []float64, nf, n, f int)

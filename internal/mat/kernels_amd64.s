@@ -2,8 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2 implementations of the fiber primitives in kernels.go, four float64
-// lanes to a register, vectorised across the column index.
+// AVX2 implementations of the fiber primitives in kernels.go and of
+// HadamardVec, four float64 lanes to a register, vectorised across the
+// column index.
 //
 // Bit identity with the Go loops rests on three rules:
 //   - a product is a VMULPD and a sum is a separate VADDPD, so each lane
@@ -12,8 +13,9 @@
 //     downstream;
 //   - every output element's additions happen in the Go loop's order (the
 //     accumulators of fibersMulAddAVX2 start at +0 and run front to back,
-//     those of foldAddAVX2 start at dst; axpyAVX2 and outerAddAVX2 add
-//     once per element);
+//     those of foldAddAVX2 start at dst, a panel row of outerAddAVX2 takes
+//     its fibers in ascending order; axpyAVX2 adds once per element and
+//     hadamardAVX2 only multiplies);
 //   - operands commute only where IEEE 754 says the result cannot depend on
 //     it: x+y and y+x differ in nothing but which payload survives when
 //     both are NaN, and the compiler's own operand choice does not pin that
@@ -92,8 +94,79 @@ axpydone:
 	VZEROUPPER
 	RET
 
-// One row of an OuterAdd column block: Y2 = x[i] in every lane, then
-// row += Y2*w, and on to the next row. The weights are in Y0 (and Y1).
+// func hadamardAVX2(dst, a, b []float64)
+//
+// dst[i] = a[i]*b[i] for i < len(dst): eight lanes a turn, then four, then
+// one. A lane's product is the scalar product, rounded once.
+TEXT ·hadamardAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	CMPQ CX, $8
+	JLT  had4
+
+had8:
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMULPD  (DX), Y0, Y0
+	VMULPD  32(DX), Y1, Y1
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DX
+	ADDQ    $64, DI
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     had8
+
+had4:
+	CMPQ    CX, $4
+	JLT     had1
+	VMOVUPD (SI), Y0
+	VMULPD  (DX), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+
+had1:
+	TESTQ  CX, CX
+	JZ     haddone
+	VMOVSD (SI), X0
+	VMULSD (DX), X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DX
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    had1
+
+haddone:
+	VZEROUPPER
+	RET
+
+// One fiber's step against a row r0 (and r1) of eight (four) columns: Y10 =
+// x[i] in every lane, then acc += Y10*row, the product and the sum rounded
+// separately. In outerAddAVX2 the rows are a fiber's weights and acc is the
+// panel row; in fibersMulAddAVX2 the rows are the panel row, in registers
+// when four fibers share it and straight from memory otherwise, and acc is
+// the fiber's running sum.
+#define FIBERSTEP8(xi, r0, r1, acc0, acc1) \
+	VBROADCASTSD xi, Y10; \
+	VMULPD       r0, Y10, Y11; \
+	VMULPD       r1, Y10, Y12; \
+	VADDPD       Y11, acc0, acc0; \
+	VADDPD       Y12, acc1, acc1
+
+#define FIBERSTEP4(xi, r0, acc) \
+	VBROADCASTSD xi, Y10; \
+	VMULPD       r0, Y10, Y11; \
+	VADDPD       Y11, acc, acc
+
+// One row of a one-fiber OuterAdd column block: Y2 = x[i] in every lane,
+// then row += Y2*w, and on to the next row. The weights are in Y0 (and Y1).
 #define OUTERROW8(xi) \
 	VBROADCASTSD xi, Y2; \
 	VMULPD       Y0, Y2, Y3; \
@@ -111,20 +184,108 @@ axpydone:
 	VMOVUPD      Y3, (R13); \
 	ADDQ         R9, R13
 
-// func outerAddAVX2(rows, w, x []float64, f int)
+// func outerAddAVX2(rows, w, x []float64, count, n, xStride, f int)
 //
-// rows[i*f+c] += x[i]*w[c] for i < len(x) and c < f&^3, in column blocks of
-// eight and then four with the block's weights in Y0, Y1 down the fiber.
-// The loops retire about as many instructions as the core can issue, so the
-// fiber goes four rows to a turn to shed loop overhead. Needs len(x) >= 1.
-TEXT ·outerAddAVX2(SB), NOSPLIT, $0-80
+// rows[i*f+c] += x[q*xStride+i]*w[q*f+c] for q = 0..count-1 in order, i < n
+// and c < f&^3. Fibers go four at a time, columns in blocks of eight and
+// then four: the four fibers' weights for the block sit in Y0-Y7, and each
+// panel row is loaded once, takes the four fibers' products in fiber order
+// and is stored once. The remaining one to three fibers go one at a time
+// with the block's weights in Y0, Y1 down the fiber; those loops retire
+// about as many instructions as the core can issue, so the fiber goes four
+// rows to a turn to shed loop overhead. Needs count, n >= 1.
+TEXT ·outerAddAVX2(SB), NOSPLIT, $0-104
 	MOVQ rows_base+0(FP), DI
 	MOVQ w_base+24(FP), R10
 	MOVQ x_base+48(FP), SI
-	MOVQ x_len+56(FP), R12
-	MOVQ f+72(FP), R9
-	SHLQ $3, R9               // bytes per row
+	MOVQ count+72(FP), R11
+	MOVQ n+80(FP), R12
+	MOVQ xStride+88(FP), R8
+	MOVQ f+96(FP), R9
+	SHLQ $3, R8               // bytes between fibers
+	SHLQ $3, R9               // bytes per row, and per fiber's weights
+
+outerfib4:
+	CMPQ R11, $4
+	JLT  outerfib1
 	XORQ BX, BX               // byte offset of the column block
+
+outerfib4col8:
+	LEAQ    64(BX), R13
+	CMPQ    R13, R9
+	JGT     outerfib4col4
+	LEAQ    (R10)(BX*1), R13  // fiber 0's weights for the block
+	VMOVUPD (R13), Y0
+	VMOVUPD 32(R13), Y1
+	VMOVUPD (R13)(R9*1), Y2
+	VMOVUPD 32(R13)(R9*1), Y3
+	VMOVUPD (R13)(R9*2), Y4
+	VMOVUPD 32(R13)(R9*2), Y5
+	LEAQ    (R13)(R9*2), R13
+	VMOVUPD (R13)(R9*1), Y6
+	VMOVUPD 32(R13)(R9*1), Y7
+	MOVQ    SI, AX            // fibers 0..2 at AX, AX+R8, AX+2*R8
+	LEAQ    (SI)(R8*2), DX
+	ADDQ    R8, DX            // fiber 3
+	LEAQ    (DI)(BX*1), R13
+	MOVQ    R12, CX
+
+outerfib4col8row:
+	VMOVUPD (R13), Y8
+	VMOVUPD 32(R13), Y9
+	FIBERSTEP8((AX), Y0, Y1, Y8, Y9)
+	FIBERSTEP8((AX)(R8*1), Y2, Y3, Y8, Y9)
+	FIBERSTEP8((AX)(R8*2), Y4, Y5, Y8, Y9)
+	FIBERSTEP8((DX), Y6, Y7, Y8, Y9)
+	VMOVUPD Y8, (R13)
+	VMOVUPD Y9, 32(R13)
+	ADDQ    $8, AX
+	ADDQ    $8, DX
+	ADDQ    R9, R13
+	DECQ    CX
+	JNZ     outerfib4col8row
+	ADDQ    $64, BX
+	JMP     outerfib4col8
+
+outerfib4col4:
+	LEAQ    32(BX), R13
+	CMPQ    R13, R9
+	JGT     outerfib4next
+	LEAQ    (R10)(BX*1), R13
+	VMOVUPD (R13), Y0
+	VMOVUPD (R13)(R9*1), Y1
+	VMOVUPD (R13)(R9*2), Y2
+	LEAQ    (R13)(R9*2), R13
+	VMOVUPD (R13)(R9*1), Y3
+	MOVQ    SI, AX
+	LEAQ    (SI)(R8*2), DX
+	ADDQ    R8, DX
+	LEAQ    (DI)(BX*1), R13
+	MOVQ    R12, CX
+
+outerfib4col4row:
+	VMOVUPD (R13), Y8
+	FIBERSTEP4((AX), Y0, Y8)
+	FIBERSTEP4((AX)(R8*1), Y1, Y8)
+	FIBERSTEP4((AX)(R8*2), Y2, Y8)
+	FIBERSTEP4((DX), Y3, Y8)
+	VMOVUPD Y8, (R13)
+	ADDQ    $8, AX
+	ADDQ    $8, DX
+	ADDQ    R9, R13
+	DECQ    CX
+	JNZ     outerfib4col4row
+
+outerfib4next:
+	LEAQ (SI)(R8*4), SI
+	LEAQ (R10)(R9*4), R10
+	SUBQ $4, R11
+	JMP  outerfib4
+
+outerfib1:
+	TESTQ R11, R11
+	JZ    outerdone
+	XORQ  BX, BX
 
 outer8:
 	LEAQ    64(BX), R13
@@ -163,7 +324,7 @@ outer8next:
 outer4:
 	LEAQ    32(BX), R13
 	CMPQ    R13, R9
-	JGT     outerdone
+	JGT     outerfib1next
 	VMOVUPD (R10)(BX*1), Y0
 	LEAQ    (DI)(BX*1), R13
 	MOVQ    SI, AX
@@ -181,7 +342,7 @@ outer4row4:
 	CMPQ  CX, $4
 	JGE   outer4row4
 	TESTQ CX, CX
-	JZ    outerdone
+	JZ    outerfib1next
 
 outer4row:
 	OUTERROW4((AX))
@@ -189,24 +350,15 @@ outer4row:
 	DECQ CX
 	JNZ  outer4row
 
+outerfib1next:
+	ADDQ R8, SI
+	ADDQ R9, R10
+	DECQ R11
+	JMP  outerfib1
+
 outerdone:
 	VZEROUPPER
 	RET
-
-// One fiber's step of the S pass against a panel row r0 (and r1), in
-// registers when four fibers share it and straight from memory otherwise:
-// acc += x[i]*row, the product and the sum rounded separately.
-#define FIBERSTEP8(xi, r0, r1, acc0, acc1) \
-	VBROADCASTSD xi, Y10; \
-	VMULPD       r0, Y10, Y11; \
-	VMULPD       r1, Y10, Y12; \
-	VADDPD       Y11, acc0, acc0; \
-	VADDPD       Y12, acc1, acc1
-
-#define FIBERSTEP4(xi, r0, acc) \
-	VBROADCASTSD xi, Y10; \
-	VMULPD       r0, Y10, Y11; \
-	VADDPD       Y11, acc, acc
 
 // A finished sum joins its row of dst at R13: dst + acc, as the Go loop
 // writes it.

@@ -7,12 +7,14 @@ import (
 	"testing"
 )
 
-// The kernel differential suite: the entry points of kernels.go against the
-// generic definition of each primitive — one scalar multiply and one scalar
-// add per term, a column at a time, no blocking — compared on bit patterns,
-// never on a tolerance. In the default build on an AVX2 machine that pins
-// the assembly; under -tags purego (or without AVX2) it pins the blocked Go
-// loops. The log line says which it was.
+// The kernel differential suite: the entry points of kernels.go — Axpy,
+// OuterAdd over runs of fibers, VecMatMulAdd, FibersMatMulAdd, FoldAdd and
+// HadamardVec — against the generic definition of each — one scalar
+// multiply and one scalar add per term, a fiber and a column at a time, no
+// blocking — compared on bit patterns, never on a tolerance. In the default
+// build on an AVX2 machine that pins the assembly; under -tags purego (or
+// without AVX2) it pins the blocked Go loops. The log line says which it
+// was.
 
 // The generic definitions. On amd64 the compiler never fuses a multiply
 // into an add, so each line below rounds twice.
@@ -23,10 +25,18 @@ func axpyGeneric(dst, x []float64, a float64) {
 	}
 }
 
-func outerAddGeneric(rows, w, x []float64, f int) {
-	for i, v := range x {
-		for c := 0; c < f; c++ {
-			rows[i*f+c] += v * w[c]
+func hadamardGeneric(dst, a, b []float64) {
+	for i := range dst {
+		dst[i] = a[i] * b[i]
+	}
+}
+
+func outerAddGeneric(rows, w, x []float64, n, xStride, f int) {
+	for q := 0; f > 0 && q < len(w)/f; q++ {
+		for i := 0; i < n; i++ {
+			for c := 0; c < f; c++ {
+				rows[i*f+c] += x[q*xStride+i] * w[q*f+c]
+			}
 		}
 	}
 }
@@ -74,8 +84,9 @@ func offsetSlice(n, off int, gen func() float64) []float64 {
 }
 
 // checkKernels runs the primitives on one shape — nf fibers of n elements
-// against f columns (for FoldAdd, a run of n rows), every slice off elements
-// into its allocation — with inputs drawn from gen.
+// against f columns (for FoldAdd, a run of n rows; for Axpy and
+// HadamardVec, vectors of n), every slice off elements into its allocation
+// — with inputs drawn from gen.
 func checkKernels(t *testing.T, gen func() float64, f, n, nf, off int) {
 	t.Helper()
 	clone := func(s []float64) []float64 { return append([]float64(nil), s...) }
@@ -88,6 +99,22 @@ func checkKernels(t *testing.T, gen func() float64, f, n, nf, off int) {
 	axpyGeneric(want, x, a)
 	if i, ok := sameBits(got, want); !ok {
 		t.Fatalf("Axpy n=%d off=%d a=%v: [%d] = %x, generic %x", n, off, a, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+	}
+
+	// HadamardVec into a third slice, then in place (dst = a).
+	y := offsetSlice(n, off, gen)
+	got = offsetSlice(n, off, gen)
+	want = clone(got)
+	HadamardVec(got, x, y)
+	hadamardGeneric(want, x, y)
+	if i, ok := sameBits(got, want); !ok {
+		t.Fatalf("HadamardVec n=%d off=%d: [%d] = %x, generic %x", n, off, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+	}
+	want = clone(got)
+	HadamardVec(got, got, y)
+	hadamardGeneric(want, want, y)
+	if i, ok := sameBits(got, want); !ok {
+		t.Fatalf("HadamardVec in place n=%d off=%d: [%d] = %x, generic %x", n, off, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 	}
 
 	// FoldAdd over n rows: packed when nf is even, far apart when it is odd,
@@ -112,14 +139,22 @@ func checkKernels(t *testing.T, gen func() float64, f, n, nf, off int) {
 		return // the panel kernels return before touching anything
 	}
 
+	// OuterAdd over a run of nf fibers, packed and then spaced apart; the
+	// run ends at the last element the kernel may read.
 	panel := offsetSlice(n*f, off, gen)
-	w := offsetSlice(f, off, gen)
-	got = clone(panel)
-	want = clone(panel)
-	OuterAdd(got, w, x, f)
-	outerAddGeneric(want, w, x, f)
-	if i, ok := sameBits(got, want); !ok {
-		t.Fatalf("OuterAdd f=%d n=%d off=%d: [%d,%d] = %x, generic %x", f, n, off, i/f, i%f, math.Float64bits(got[i]), math.Float64bits(want[i]))
+	for _, xStride := range []int{n, 2*n + 3} {
+		var fibers []float64
+		if nf > 0 {
+			fibers = offsetSlice((nf-1)*xStride+n, off, gen)
+		}
+		w := offsetSlice(nf*f, off, gen)
+		got = clone(panel)
+		want = clone(panel)
+		OuterAdd(got, w, fibers, n, xStride, f)
+		outerAddGeneric(want, w, fibers, n, xStride, f)
+		if i, ok := sameBits(got, want); !ok {
+			t.Fatalf("OuterAdd f=%d n=%d count=%d xStride=%d off=%d: [%d,%d] = %x, generic %x", f, n, nf, xStride, off, i/f, i%f, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
 	}
 
 	got = offsetSlice(f, off, gen)
@@ -167,7 +202,8 @@ func TestKernelsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	clean, salted := saltedGen(rng, 0), saltedGen(rng, 6)
 
-	// Axpy at every length around the 8-, 4- and 1-wide steps.
+	// Axpy and HadamardVec at every length around the 8-, 4- and 1-wide
+	// steps.
 	for n := 0; n <= 67; n++ {
 		for off := 0; off < 4; off++ {
 			checkKernels(t, clean, 0, n, 0, off)
@@ -176,15 +212,39 @@ func TestKernelsMatchGeneric(t *testing.T) {
 	}
 
 	// The panel kernels: every column count through two eight-blocks and a
-	// tail, fiber lengths around the loop bounds, every fiber count mod 4.
+	// tail, fiber lengths around the loop bounds, fiber counts from none to
+	// two four-fiber batches and a leftover.
 	cols := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 24, 32}
 	lengths := []int{0, 1, 3, 4, 5, 31, 32, 33, 64}
 	for _, f := range cols {
 		for _, n := range lengths {
-			for _, nf := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
+			for nf := 0; nf <= 9; nf++ {
 				off := (f + n + nf) % 4
 				checkKernels(t, clean, f, n, nf, off)
 				checkKernels(t, salted, f, n, nf, off)
+			}
+		}
+	}
+}
+
+// TestHadamardVecOfHostilePairs multiplies every ordered pair of hostile
+// values — the signs of zeros and infinities, NaN, products that overflow
+// or vanish — at every position of vectors of 0 to 17 elements.
+func TestHadamardVecOfHostilePairs(t *testing.T) {
+	h := len(hostileValues)
+	for n := 0; n <= 17; n++ {
+		for shift := 0; shift < h*h; shift += max(n, 1) {
+			for off := 0; off < 4; off++ {
+				k := shift
+				a := offsetSlice(n, off, func() float64 { k++; return hostileValues[(k-1)%h] })
+				k = shift
+				b := offsetSlice(n, off, func() float64 { k++; return hostileValues[(k-1)/h%h] })
+				got, want := offsetSlice(n, off, func() float64 { return 1 }), make([]float64, n)
+				HadamardVec(got, a, b)
+				hadamardGeneric(want, a, b)
+				if i, ok := sameBits(got, want); !ok {
+					t.Fatalf("n=%d: %v * %v = %x, want %x", n, a[i], b[i], math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
 			}
 		}
 	}

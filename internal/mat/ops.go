@@ -100,52 +100,21 @@ func Gram(a *Matrix) *Matrix {
 	return out
 }
 
-// GramInto computes dst = aᵀa, exploiting symmetry.
-// dst must be a.Cols×a.Cols. Row panels are reduced in ascending panel
-// order, so the result is identical at every worker count.
+// GramInto computes dst = aᵀa. dst must be a.Cols×a.Cols. It is TMulInto
+// of a with itself, so identical at every worker count, with the upper
+// triangle then mirrored: each element of that triangle is the same
+// products summed in the same row order as a triangle-only kernel's, and
+// OuterAdd computes the whole square faster than Axpy could the
+// triangle's ragged rows.
 func GramInto(dst, a *Matrix) {
 	n := a.Cols
 	if dst.Rows != n || dst.Cols != n {
 		panic(fmt.Sprintf("mat: GramInto: dst %d×%d, want %d×%d", dst.Rows, dst.Cols, n, n))
 	}
-	dst.Zero()
-	rows := a.Rows
-	if rows > 0 && n > 0 {
-		np := (rows + reducePanelRows - 1) / reducePanelRows
-		if np == 1 {
-			gramUpper(dst.Data, a, 0, rows, n)
-		} else {
-			sp := getScratch(np * n * n)
-			partials := *sp
-			par.DoWorkers(par.WorkersFor(rows*n*n), np, func(p int) {
-				lo := p * reducePanelRows
-				hi := lo + reducePanelRows
-				if hi > rows {
-					hi = rows
-				}
-				gramUpper(partials[p*n*n:(p+1)*n*n], a, lo, hi, n)
-			})
-			for p := 0; p < np; p++ {
-				Axpy(dst.Data, partials[p*n*n:(p+1)*n*n], 1)
-			}
-			putScratch(sp)
-		}
-	}
-	// Mirror the upper triangle.
+	TMulInto(dst, a, a)
 	for j := 1; j < n; j++ {
 		for k := 0; k < j; k++ {
 			dst.Data[j*n+k] = dst.Data[k*n+j]
-		}
-	}
-}
-
-// gramUpper accumulates the upper triangle of aᵀa over rows [lo, hi) into
-// buf (an n×n row-major buffer).
-func gramUpper(buf []float64, a *Matrix, lo, hi, n int) {
-	for i := lo; i < hi; i++ {
-		row := a.Row(i)
-		for j, vj := range row {
-			Axpy(buf[j*n+j:(j+1)*n], row[j:], vj)
 		}
 	}
 }
@@ -195,11 +164,10 @@ func TMulInto(dst, a, b *Matrix) {
 }
 
 // tmulAcc accumulates aᵀb over rows [lo, hi) into buf (a.Cols×b.Cols): one
-// rank-one update a[i,:] ⊗ b[i,:] per row, in ascending i.
+// rank-one update a[i,:] ⊗ b[i,:] per row, in ascending i, as one OuterAdd
+// over the run of rows.
 func tmulAcc(buf []float64, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		OuterAdd(buf, b.Row(i), a.Row(i), b.Cols)
-	}
+	OuterAdd(buf, b.Data[lo*b.Cols:hi*b.Cols], a.Data[lo*a.Cols:], a.Cols, a.Cols, b.Cols)
 }
 
 // Hadamard returns the element-wise product a ⊛ b. Shapes must match.

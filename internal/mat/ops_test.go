@@ -143,6 +143,47 @@ func TestTMulIntoBitsMatchScalarDefinition(t *testing.T) {
 	}
 }
 
+// TestGramIntoBitsMatchScalarDefinition pins GramInto to the arithmetic it
+// had as an upper-triangle kernel: per 256-row panel, from zero and in
+// ascending row order, one Axpy per row and column j of a[i,j]·a[i,j:] into
+// row j of the triangle; panels added in ascending order into a zeroed dst;
+// the triangle mirrored. Every Phase-1 and Phase-2 solve reads a Gram, so a
+// kernel that changed any of that would move every golden.
+func TestGramIntoBitsMatchScalarDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, rows := range []int{1, 3, 4, 5, 255, 256, 257, 600} {
+		for _, n := range []int{1, 3, 4, 5, 8, 13, 16, 17, 32} {
+			a := RandomNormal(rows, n, rng)
+			want := make([]float64, n*n)
+			for lo := 0; lo < rows; lo += reducePanelRows {
+				panel := make([]float64, n*n)
+				for i := lo; i < min(lo+reducePanelRows, rows); i++ {
+					row := a.Row(i)
+					for j, v := range row {
+						axpyGeneric(panel[j*n+j:(j+1)*n], row[j:], v)
+					}
+				}
+				if rows <= reducePanelRows {
+					want = panel
+				} else {
+					axpyGeneric(want, panel, 1)
+				}
+			}
+			for j := 1; j < n; j++ {
+				for k := 0; k < j; k++ {
+					want[j*n+k] = want[k*n+j]
+				}
+			}
+			got := Gram(a)
+			for i, g := range got.Data {
+				if math.Float64bits(g) != math.Float64bits(want[i]) {
+					t.Fatalf("%d rows, %d columns: [%d,%d] = %x, scalar definition %x", rows, n, i/n, i%n, math.Float64bits(g), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 func TestHadamard(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{2, 2}, {0.5, -1}})

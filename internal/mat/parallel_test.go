@@ -159,7 +159,7 @@ func TestVecMatMulAddAndOuterAdd(t *testing.T) {
 			w[c] = rng.NormFloat64()
 		}
 		got := append([]float64(nil), m...)
-		OuterAdd(got, w, x, f)
+		OuterAdd(got, w, x, rows, rows, f)
 		for i := 0; i < rows; i++ {
 			for c := 0; c < f; c++ {
 				want := m[i*f+c] + x[i]*w[c]

@@ -343,11 +343,19 @@ func Run(src Source, opts Options) (*Result, error) {
 	stopped := false
 send:
 	for id, vec := range p.Positions() {
+		// Graceful drain: stop handing out blocks; workers finish (and
+		// checkpoint) what they hold. Stop is checked on its own first: a
+		// select with a worker waiting picks a ready case at random, and
+		// would hand out a block after Stop closed.
+		select {
+		case <-opts.Stop:
+			stopped = true
+			break send
+		default:
+		}
 		select {
 		case jobs <- job{id: id, vec: vec}:
 		case <-opts.Stop:
-			// Graceful drain: stop handing out blocks; workers finish
-			// (and checkpoint) what they hold.
 			stopped = true
 			break send
 		}

@@ -32,6 +32,9 @@ import (
 type components struct {
 	pattern *grid.Pattern
 	rank    int
+	// slab[mode][part] = the pattern's Slab(mode, part), the linear ids of
+	// the unit's blocks in packed order, computed once.
+	slab [][][]int
 	// pstack[mode][part] = Slabᵀ·A(mode)_(part) for the unit's packed slab:
 	// (L·F)×F, the product of the slab's l-th block in rows l·F….
 	pstack [][]*mat.Matrix
@@ -70,14 +73,17 @@ func newComponents(p1 *phase1.Result) *components {
 			c.ugram[id][m] = mat.Gram(p1.Sub[id][m])
 		}
 	}
+	c.slab = make([][][]int, n)
 	c.pstack = make([][]*mat.Matrix, n)
 	c.q = make([][]*mat.Matrix, n)
 	for m := 0; m < n; m++ {
+		c.slab[m] = make([][]int, p.K[m])
 		c.pstack[m] = make([]*mat.Matrix, p.K[m])
 		c.q[m] = make([]*mat.Matrix, p.K[m])
 		for part := range c.q[m] {
 			c.q[m][part] = mat.New(f, f)
 			slab := p.Slab(m, part)
+			c.slab[m][part] = slab
 			stack := mat.New(len(slab)*f, f)
 			c.pstack[m][part] = stack
 			for l, id := range slab {

@@ -281,7 +281,7 @@ func New(cfg Config) (*Engine, error) {
 // U(mode) — which is the grid-PARAFAC practice of starting the stitching
 // from Phase-1 output, or uniform [0,1) noise for a slab that has none.
 func (e *Engine) initialA(mode, part int, rng *rand.Rand) *mat.Matrix {
-	for _, id := range e.pattern.Slab(mode, part) {
+	for _, id := range e.comps.slab[mode][part] {
 		u := e.cfg.Phase1.Sub[id][mode]
 		if u.MaxAbs() > 0 {
 			return u.Clone()
@@ -312,7 +312,7 @@ func (e *Engine) seedUnits(restored *runstate.Phase2State) error {
 			} else {
 				u.A = e.initialA(mode, part, rng)
 			}
-			for _, id := range e.pattern.Slab(mode, part) {
+			for _, id := range e.comps.slab[mode][part] {
 				u.U[id] = e.cfg.Phase1.Sub[id][mode]
 			}
 			slab, err := blockstore.PackSlab(u)
@@ -336,9 +336,10 @@ func (e *Engine) seedUnits(restored *runstate.Phase2State) error {
 // update applies the grid-PARAFAC rule to A(mode)_(part) using the pinned
 // unit, then refreshes the dependent P and Q components in place
 // (Algorithm 2 step ii). Scratch matrices are reused across calls — this
-// is Phase 2's hot loop. The Γ_l of the slab are stacked in the slab's
-// block order, so T = Σ_l U(i)_l·Γ_l is one product of the packed slab with
-// the stack: per element the one front-to-back sum over (l, k) from zero.
+// is Phase 2's hot loop, and the new A is its one allocation. The Γ_l of
+// the slab are stacked in the slab's block order, so T = Σ_l U(i)_l·Γ_l is
+// one product of the packed slab with the stack: per element the one
+// front-to-back sum over (l, k) from zero.
 func (e *Engine) update(u *blockstore.Unit) {
 	mode, part := u.Mode, u.Part
 	rank := e.cfg.Phase1.Rank
@@ -359,7 +360,7 @@ func (e *Engine) update(u *blockstore.Unit) {
 	}
 	s, term, vec := e.scratchS, e.scratchTerm, e.scratchVec
 	s.Zero()
-	slab := e.pattern.Slab(mode, part)
+	slab := e.comps.slab[mode][part]
 	if len(e.scratchGamma) < len(slab)*ff {
 		e.scratchGamma = make([]float64, len(slab)*ff)
 	}

@@ -47,9 +47,11 @@ func TestBatchedUpdateMatchesPerBlockOracle(t *testing.T) {
 	}
 }
 
-func batchedVsPerBlock(t *testing.T, f, rows, k int) {
-	// Mode 0 is one partition of the given height, so unit ⟨0,0⟩'s slab is
-	// the whole grid: L = k² blocks.
+// updateEngine builds an engine whose mode 0 is one partition of the given
+// height, so unit ⟨0,0⟩'s slab is the whole grid: L = k² blocks. It returns
+// the engine and that unit.
+func updateEngine(t *testing.T, f, rows, k int) (*Engine, *phase1.Result, *blockstore.Unit) {
+	t.Helper()
 	p := grid.MustNew([]int{rows, 2 * k, k}, []int{1, k, k})
 	rng := rand.New(rand.NewSource(int64(1000*f + 10*rows + k)))
 	p1 := &phase1.Result{Pattern: p, Rank: f, Sub: make([][]*mat.Matrix, p.NumBlocks())}
@@ -60,11 +62,34 @@ func batchedVsPerBlock(t *testing.T, f, rows, k int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.mgr.Close()
+	t.Cleanup(func() { e.mgr.Close() })
 	u, err := e.cfg.Store.Get(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return e, p1, u
+}
+
+// TestUpdateAllocatesOnlyTheNewA: once its scratch exists, an update
+// allocates what mat.New(rows, F) does for the new A(i)_(ki) and nothing
+// else — no slab id list, no block vector. The partition is one reduction
+// panel high (Phase 2's usual shape); taller ones add the panel kernels'
+// parallel dispatch.
+func TestUpdateAllocatesOnlyTheNewA(t *testing.T) {
+	const f, rows, k = 8, 32, 4
+	e, _, u := updateEngine(t, f, rows, k)
+	e.update(u)
+	var sink *mat.Matrix
+	newA := testing.AllocsPerRun(20, func() { sink = mat.New(rows, f) })
+	if got := testing.AllocsPerRun(20, func() { e.update(u) }); got > newA {
+		t.Fatalf("update allocates %v times, the new A alone %v", got, newA)
+	}
+	_ = sink
+}
+
+func batchedVsPerBlock(t *testing.T, f, rows, k int) {
+	e, p1, u := updateEngine(t, f, rows, k)
+	p := p1.Pattern
 
 	// The oracle reads the other modes' components before the update.
 	wantT, wantS := mat.New(rows, f), mat.New(f, f)

@@ -17,7 +17,7 @@ import (
 //   - the mode-0 pass (mode0Pass): the Hadamard product w of the factor
 //     rows of modes 1..N-1 is constant along a fiber, and the whole fiber
 //     accumulates into the output panel as the rank-one update
-//     out += fiber ⊗ w (mat.OuterAdd);
+//     out += fiber ⊗ w, a run of equally spaced fibers to a mat.OuterAdd;
 //   - the S pass: the product s = fiberᵀ·A(0) of a fiber with the mode-0
 //     factor, accumulated front to back from zero (mat.FibersMatMulAdd
 //     over a run of fibers, mat.VecMatMulAdd for one). It depends on
@@ -43,27 +43,21 @@ import (
 // in fixed groups of consecutive fibers. The floating-point output is
 // therefore bit-identical at every worker count, including 1.
 
-// fiberScratch bundles the per-worker-invocation buffers of the fiber
-// kernels so steady-state sweeps allocate nothing.
-type fiberScratch struct {
-	s, w []float64
-}
+// scratchPool holds the per-worker-invocation buffers of the fiber kernels
+// — a mode-0 panel's run of fiber weights, a weight chunk of the N-way
+// paths, a fiber's product row — so steady-state sweeps allocate nothing.
+var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
-var fiberPool = sync.Pool{New: func() any { return &fiberScratch{} }}
-
-func getFiberScratch(f int) *fiberScratch {
-	fs := fiberPool.Get().(*fiberScratch)
-	if cap(fs.s) < f {
-		fs.s = make([]float64, f)
-		fs.w = make([]float64, f)
+// getScratch returns a pooled buffer of n floats with arbitrary contents;
+// return it with scratchPool.Put.
+func getScratch(n int) *[]float64 {
+	sp := scratchPool.Get().(*[]float64)
+	if cap(*sp) < n {
+		*sp = make([]float64, n)
 	}
-	fs.s = fs.s[:f]
-	fs.w = fs.w[:f]
-	return fs
+	*sp = (*sp)[:n]
+	return sp
 }
-
-// wPool holds the fiber-weight chunk of the N-way paths.
-var wPool = sync.Pool{New: func() any { s := make([]float64, 0, 1<<14); return &s }}
 
 // MTTKRP computes the Matricized-Tensor Times Khatri-Rao Product for mode n:
 //
@@ -217,47 +211,39 @@ func mode0Pass(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, f int) {
 	x := t.Data
 	workers := par.WorkersFor(len(x) * 2 * f)
 	if len(dims) == 3 {
-		// 3-way fast path (the paper's benchmark shape): the two outer
-		// rows are Hadamard multiplied once per fiber, no weight chunks.
+		// 3-way fast path (the paper's benchmark shape): per i2, the weights
+		// of the i1n fibers are the rows of A(1) times A(2)'s row i2, built
+		// into the panel's scratch and applied in one run.
 		i1n, i2n := dims[1], dims[2]
 		a1, a2 := factors[1], factors[2]
 		parRowPanels(workers, i0n, func(lo, hi int) {
-			fs := getFiberScratch(f)
-			w := fs.w
+			wp := getScratch(i1n * f)
+			w := *wp
 			panel := dst.Data[lo*f : hi*f]
 			for i2 := 0; i2 < i2n; i2++ {
 				r2 := a2.Row(i2)
-				base := i2 * i1n * i0n
 				for i1 := 0; i1 < i1n; i1++ {
-					mat.HadamardVec(w, a1.Row(i1), r2)
-					fb := base + i1*i0n
-					mat.OuterAdd(panel, w, x[fb+lo:fb+hi], f)
+					mat.HadamardVec(w[i1*f:(i1+1)*f], a1.Row(i1), r2)
 				}
+				mat.OuterAdd(panel, w, x[i2*i1n*i0n+lo:], hi-lo, i0n, f)
 			}
-			fiberPool.Put(fs)
+			scratchPool.Put(wp)
 		})
 		return
 	}
 	// Generic N-way: materialize fiber weights in chunks, then apply each
 	// chunk's updates.
 	nf := len(x) / i0n
-	sp := wPool.Get().(*[]float64)
-	if cap(*sp) < wChunkFibers*f {
-		*sp = make([]float64, wChunkFibers*f)
-	}
-	wchunk := (*sp)[:wChunkFibers*f]
+	sp := getScratch(wChunkFibers * f)
+	wchunk := *sp
 	for cf0 := 0; cf0 < nf; cf0 += wChunkFibers {
 		cf1 := min(cf0+wChunkFibers, nf)
 		buildFiberWeights(wchunk, factors, 0, cf0, cf1, f, workers)
 		parRowPanels(workers, i0n, func(lo, hi int) {
-			panel := dst.Data[lo*f : hi*f]
-			for fi := cf0; fi < cf1; fi++ {
-				fb := fi * i0n
-				mat.OuterAdd(panel, wchunk[(fi-cf0)*f:(fi-cf0+1)*f], x[fb+lo:fb+hi], f)
-			}
+			mat.OuterAdd(dst.Data[lo*f:hi*f], wchunk[:(cf1-cf0)*f], x[cf0*i0n+lo:], hi-lo, i0n, f)
 		})
 	}
-	wPool.Put(sp)
+	scratchPool.Put(sp)
 }
 
 // foldFibers accumulates the mode-n (n ≥ 1) MTTKRP: output row j adds
@@ -299,12 +285,9 @@ func foldFibers(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 		w = factors[3-n].Data
 	} else {
 		chunk = min(chunk, wChunkFibers)
-		wp := wPool.Get().(*[]float64)
-		defer wPool.Put(wp)
-		if cap(*wp) < chunk*f {
-			*wp = make([]float64, chunk*f)
-		}
-		w = (*wp)[:chunk*f]
+		wp := getScratch(chunk * f)
+		defer scratchPool.Put(wp)
+		w = *wp
 	}
 	for r0 := 0; r0 < perRow; r0 += chunk {
 		// Fresh, assigned-once copies for the task below to capture by
@@ -316,9 +299,9 @@ func foldFibers(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 		par.DoWorkers(workers, dims[n], func(j int) {
 			var s []float64 // a fiber's product when no S holds it
 			if sp == nil {
-				fs := getFiberScratch(f)
-				defer fiberPool.Put(fs)
-				s = fs.s
+				sp := getScratch(f)
+				defer scratchPool.Put(sp)
+				s = *sp
 			}
 			orow := dst.Row(j)
 			for r := r0; r < r1; {
@@ -447,9 +430,9 @@ func MTTKRPSparseInto(dst *mat.Matrix, t *COO, factors []*mat.Matrix, n int) {
 func mttkrpSparseInto(dst *mat.Matrix, t *COO, factors []*mat.Matrix, n int) {
 	dst.Zero()
 	f := dst.Cols
-	fs := getFiberScratch(f)
-	defer fiberPool.Put(fs)
-	prod := fs.s
+	sp := getScratch(f)
+	defer scratchPool.Put(sp)
+	prod := *sp
 	for p, v := range t.Vals {
 		for c := range prod {
 			prod[c] = v

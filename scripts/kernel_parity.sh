@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Kernel parity smoke: internal/mat's four AVX2 kernels (Axpy, OuterAdd,
-# FibersMatMulAdd, FoldAdd) and its pure-Go loops must produce the same
-# bits through the whole pipeline. Build cmd/twopcp
-# twice — default, and with -tags purego, which leaves only the Go loops —
-# run both on one tiled file at ranks 8 and 16 (one and two eight-column
-# kernel blocks; the golden fixtures' rank 3 reaches no vector code at
-# all), at -parts 2 and -parts 4 (slabs of 4 and 16 blocks: Phase 2's two
-# kernel calls per update, the slab·Γ product and the slabᵀ·A one, over
-# fibers of 32 to 256 values), synchronously and with prefetch, and
+# Kernel parity smoke: internal/mat's AVX2 kernels (the fiber primitives
+# Axpy, OuterAdd, FibersMatMulAdd and FoldAdd, and HadamardVec) and its
+# pure-Go loops must produce the same bits through the whole pipeline.
+# Build cmd/twopcp twice — default, and with -tags purego, which leaves
+# only the Go loops — run both on one tiled file at ranks 8, 13 and 16
+# (one eight-column kernel block; one, a four-column block and a scalar
+# tail column; two eight-column blocks — the golden fixtures' rank 3
+# reaches no vector code at all), at -parts 2 and -parts 4 (slabs of 4
+# and 16 blocks: Phase 2's two kernel calls per update, the slab·Γ product
+# and the slabᵀ·A one, over fibers of 32 to 256 values), synchronously and
+# with prefetch, and
 # compare the factor CSVs byte for byte and the result JSON (fit, fit
 # trace, swaps, store traffic) field for field. The purego build also
 # encodes and decodes every float payload (tiles, store units) with
@@ -33,8 +35,9 @@ go build -tags purego -o "$work/twopcp-generic" ./cmd/twopcp
 
 echo "== generating tiled input"
 # Blocks of 20x18x17 at -parts 2: 306 fibers a block, which fills neither
-# the S pass's last fiber group nor its last four-fiber batch. -parts 4
-# re-tiles them into 10x9x(9|8).
+# the S pass's last fiber group nor its last four-fiber batch, and runs of
+# 18 fibers in the mode-0 pass, two over the last batch of four. -parts 4
+# re-tiles them into 10x9x(9|8): runs of 9, one over.
 "$work/tensorgen" -kind lowrank -dims 40x36x34 -rank 5 -noise 0.3 \
   -tiles 2x2x2 -seed 20 -out "$work/x.tptl"
 
@@ -49,7 +52,7 @@ json_diff() { # <a.json> <b.json> <jq paths to drop> <grep pattern to drop>
 }
 
 for parts in 2 4; do
-  for rank in 8 16; do
+  for rank in 8 13 16; do
     for mode in sync prefetch; do
       args=(-in "$work/x.tptl" -rank "$rank" -parts "$parts" -buffer 0.5 -iters 30 -tol=-1 -seed 20)
       volatile='.run_stats.phase0_ns, .run_stats.phase1_ns, .run_stats.phase2_ns'
@@ -85,4 +88,4 @@ for parts in 2 4; do
   done
 done
 
-echo "PASS: avx2 and generic kernels agree bit for bit (parts 2 and 4, ranks 8 and 16, sync and prefetch)"
+echo "PASS: avx2 and generic kernels agree bit for bit (parts 2 and 4, ranks 8, 13 and 16, sync and prefetch)"
