@@ -368,7 +368,7 @@ var sections = []section{
 			// tolerance: one allocation on the steady-state read path fails
 			// the gate exactly.
 			{name: "serve-point-read-allocs", a: "PointRead", read: allocsPerOp, base: []string{"results", "point_read", "allocs_per_op"}, needBase: true, limit: ceilUp,
-				detail: "steady-state point reads must not allocate; a rise means the workspace pool or row cache leaked"},
+				detail: "steady-state point reads must not allocate; a rise means the workspace pool leaked"},
 		},
 	},
 	{

@@ -146,7 +146,14 @@ func status(server string, ids []string) int {
 	if code := decodeOrFail(resp, http.StatusOK, &v); code != 0 {
 		return code
 	}
-	os.Stdout.Write(append(bytes.TrimRight(v, "\n"), '\n'))
+	// The daemon answers compact; indent here, for people and greps.
+	var out bytes.Buffer
+	if err := json.Indent(&out, v, "", "  "); err != nil {
+		log.Print(err)
+		return 1
+	}
+	out.WriteByte('\n')
+	os.Stdout.Write(out.Bytes())
 	return 0
 }
 

@@ -79,15 +79,14 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// writeJSON writes v as the JSON response body with the given status.
-// Encode failures after the header is out cannot reach the client, so
-// they go to the error log instead of vanishing.
+// writeJSON writes v as the JSON response body with the given status:
+// compact, one line and a newline. Encode failures after the header is
+// out cannot reach the client, so they go to the error log instead of
+// vanishing.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("jobs: encode %d response: %v", status, err)
 	}
 }
@@ -242,8 +241,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, fmt.Errorf("job %s has no result (state %q)", job.ID, job.State))
 		return
 	}
-	// Same shape as the CLI's -json output, so result files diff cleanly
-	// against local runs.
+	// Same fields as the CLI's -json output, so result files compare
+	// against local runs once both are normalised (jq -S .).
 	writeJSON(w, http.StatusOK, struct {
 		Dims         []int     `json:"dims"`
 		Fit          float64   `json:"fit"`

@@ -351,6 +351,106 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
+// TestResponsesAreCompact: the four query routes and the job record
+// answer in one JSON line — a single newline, at the end — typed
+// application/json and decoding to what the engine and the manager say.
+func TestResponsesAreCompact(t *testing.T) {
+	dir := t.TempDir()
+	tensor := filepath.Join(dir, "x.tptl")
+	writeTensor(t, tensor, 3, 12, 12, 12)
+	_, m := newTestManager(t, filepath.Join(dir, "data"), 1)
+	defer m.Drain()
+	ts := httptest.NewServer(NewServer(m).Handler())
+	defer ts.Close()
+	job, err := m.Submit(Spec{Input: tensor, Rank: 2, Seed: 7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, job.ID, StateDone)
+	mdl, err := serve.Open(m.Store().SnapshotPath(job.ID), serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mdl.Close()
+
+	cell, err := mdl.Reconstruct([]int{3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := mdl.ReconstructBlock([]int{1, 2, 3}, []int{5, 6, 7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topk, err := mdl.TopK(0, []int{-1, 2, 3}, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn, err := mdl.NN(1, 4, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record, err := m.Get(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path string
+		got  any
+		want any
+	}{
+		{"/query/cell?at=3,4,5", &struct {
+			Value float64 `json:"value"`
+		}{}, &struct {
+			Value float64 `json:"value"`
+		}{cell}},
+		{"/query/block?lo=1,2,3&hi=5,6,7", &struct {
+			Values []float64 `json:"values"`
+		}{}, &struct {
+			Values []float64 `json:"values"`
+		}{block}},
+		{"/query/topk?mode=0&at=*,2,3&k=5", &struct {
+			Results []serve.Scored `json:"results"`
+		}{}, &struct {
+			Results []serve.Scored `json:"results"`
+		}{topk}},
+		{"/query/nn?mode=1&index=4&k=5", &struct {
+			Results []serve.Scored `json:"results"`
+		}{}, &struct {
+			Results []serve.Scored `json:"results"`
+		}{nn}},
+		{"", &Job{}, record},
+	} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status %d: %s", c.path, resp.StatusCode, body)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%q: Content-Type %q", c.path, ct)
+		}
+		if bytes.Count(body, []byte("\n")) != 1 || !bytes.HasSuffix(body, []byte("\n")) {
+			t.Fatalf("%q: body is not one line:\n%s", c.path, body)
+		}
+		if err := json.Unmarshal(body, c.got); err != nil {
+			t.Fatalf("%q: %v", c.path, err)
+		}
+		// JSON float64 round-trips exactly, so re-encoding both sides
+		// compares every value bit for bit.
+		got, _ := json.Marshal(c.got)
+		want, _ := json.Marshal(c.want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%q: decoded %s, want %s", c.path, got, want)
+		}
+	}
+}
+
 // TestServerUploadQueryParams covers the curl-friendly query-parameter
 // spec form of the upload endpoint.
 func TestServerUploadQueryParams(t *testing.T) {

@@ -44,7 +44,7 @@ func BenchmarkPointRead(b *testing.B) {
 	for i := range coords {
 		coords[i] = []int{rng.Intn(64), rng.Intn(64), rng.Intn(64)}
 	}
-	// Warm the row cache and workspace pool.
+	// Warm the workspace pool.
 	for _, at := range coords {
 		if _, err := mdl.Reconstruct(at); err != nil {
 			b.Fatal(err)
@@ -97,7 +97,7 @@ func BenchmarkNN(b *testing.B) {
 }
 
 // BenchmarkBlockRead measures an 8×8×8 sub-block reconstruction (512
-// cells batched through mat.MulInto slabs).
+// cells, one mat.FibersMatMulAdd call per slab). Allocation-free.
 func BenchmarkBlockRead(b *testing.B) {
 	mdl := benchModel(b)
 	lo, hi := []int{8, 16, 24}, []int{16, 24, 32}

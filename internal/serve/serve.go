@@ -9,18 +9,19 @@
 //
 //   - Reconstruct / ReconstructBlock — X̂[i₁…i_N] = Σ_f λ_f Π_n A⁽ⁿ⁾[i_n,f],
 //     a rank-length dot product per cell; sub-blocks batch the two
-//     innermost modes into one mat.MulInto GEMM per slab.
+//     innermost modes into one mat.FibersMatMulAdd call per slab, written
+//     straight into the result.
 //   - TopK — the k highest-scoring entities in one mode against a fixed
-//     entity in every other mode (a single matrix·vector sweep with a
-//     bounded partial sort, never a full sort).
+//     entity in every other mode (a single matrix·vector sweep, four rows
+//     per pass, with a bounded partial sort, never a full sort).
 //   - NN — nearest neighbors of an entity in factor-row space, using
 //     precomputed squared row norms so each candidate costs one dot
 //     product.
 //
-// Queries are allocation-free at steady state: scratch lives in pooled
-// workspaces (sync.Pool), hot λ-combined entity rows sit in a small
-// sharded LRU, and result slices are caller-supplied append targets. The
-// Model is safe for concurrent use.
+// Queries are allocation-free at steady state: scratch, including the
+// λ-combined row λ_f·A[i,f] a query starts from, lives in pooled
+// workspaces (sync.Pool), and result slices are caller-supplied append
+// targets. The Model is safe for concurrent use.
 package serve
 
 import (
@@ -32,16 +33,9 @@ import (
 	"twopcp/internal/mat"
 )
 
-// DefaultCacheRows is the per-model combined-row cache capacity used when
-// Config.CacheRows is zero.
-const DefaultCacheRows = 4096
-
-// Config tunes a Model.
-type Config struct {
-	// CacheRows caps the λ-combined entity-row LRU (total rows across all
-	// shards). Zero means DefaultCacheRows; negative disables the cache.
-	CacheRows int
-}
+// Config tunes a Model. It is empty: a Model has nothing to tune, and New
+// and Open keep the parameter for the callers that pass one.
+type Config struct{}
 
 // Scored is one ranked query result. For TopK, Score is the reconstructed
 // score (descending); for NN it is the squared Euclidean distance in
@@ -62,20 +56,19 @@ type Model struct {
 	factors []*mat.Matrix
 	sqnorms [][]float64 // per-mode squared factor-row norms, for NN
 
-	cache *rowCache
-	pool  sync.Pool
-	snap  *factorsnap.Snapshot // owned mapping when opened from a file
+	pool sync.Pool
+	snap *factorsnap.Snapshot // owned mapping when opened from a file
 }
 
 // workspace is the per-query scratch a Model pools. All slices grow on
 // demand and are reused across queries, so the steady state allocates
 // nothing.
 type workspace struct {
-	w       []float64  // λ-combined weight vector (rank)
-	heapIdx []int      // bounded partial-sort heap: indices
-	heapVal []float64  // bounded partial-sort heap: keys
-	a, b, c mat.Matrix // block-reconstruct GEMM operands and output
-	odo     []int      // outer-mode odometer for block iteration
+	w       []float64 // λ-combined weight vector (rank)
+	heapIdx []int     // bounded partial-sort heap: indices
+	heapVal []float64 // bounded partial-sort heap: keys
+	a, bt   []float64 // block-reconstruct operands: weighted rows, Bᵀ
+	odo     []int     // outer-mode odometer for block iteration
 }
 
 // New builds a Model over λ and one factor matrix per mode. The factors
@@ -111,13 +104,6 @@ func New(lambda []float64, factors []*mat.Matrix, cfg Config) (*Model, error) {
 			sq[i] = s
 		}
 		m.sqnorms[n] = sq
-	}
-	capRows := cfg.CacheRows
-	if capRows == 0 {
-		capRows = DefaultCacheRows
-	}
-	if capRows > 0 {
-		m.cache = newRowCache(capRows)
 	}
 	m.pool.New = func() any {
 		return &workspace{w: make([]float64, rank)}
@@ -182,24 +168,20 @@ func (m *Model) checkCoords(at []int, skip int) error {
 	return nil
 }
 
-// combinedRow returns the λ-combined row for one entity: λ_f·A⁽ᵐᵒᵈᵉ⁾[i,f].
-// Hot rows come from the sharded LRU; misses compute and insert. The
-// returned slice is shared and must not be written.
-func (m *Model) combinedRow(mode, i int) []float64 {
-	if m.cache != nil {
-		if row, ok := m.cache.get(mode, i); ok {
-			return row
+// weights sets w[f] = λ_f·Π_n A⁽ⁿ⁾[at_n,f] over the modes n < len(at)
+// other than skip (-1 skips none), multiplying the rows into λ in mode
+// order: the first product is the λ-combined row λ_f·A[i,f].
+func (m *Model) weights(w []float64, at []int, skip int) {
+	copy(w, m.lambda)
+	for n, i := range at {
+		if n == skip {
+			continue
+		}
+		row := m.factors[n].Row(i)
+		for f := range w {
+			w[f] *= row[f]
 		}
 	}
-	src := m.factors[mode].Row(i)
-	row := make([]float64, m.rank)
-	for f := range row {
-		row[f] = m.lambda[f] * src[f]
-	}
-	if m.cache != nil {
-		m.cache.put(mode, i, row)
-	}
-	return row
 }
 
 // Reconstruct returns the model's value at one cell, X̂[at] =
@@ -209,16 +191,9 @@ func (m *Model) Reconstruct(at []int) (float64, error) {
 		return 0, err
 	}
 	ws := m.pool.Get().(*workspace)
-	w := ws.w
-	copy(w, m.combinedRow(0, at[0]))
-	for n := 1; n < len(m.dims); n++ {
-		row := m.factors[n].Row(at[n])
-		for f := range w {
-			w[f] *= row[f]
-		}
-	}
+	m.weights(ws.w, at, -1)
 	s := 0.0
-	for _, v := range w {
+	for _, v := range ws.w {
 		s += v
 	}
 	m.pool.Put(ws)
@@ -227,8 +202,9 @@ func (m *Model) Reconstruct(at []int) (float64, error) {
 
 // ReconstructBlock fills dst (reused when its capacity suffices) with the
 // dense sub-block lo ≤ i < hi, laid out row-major with the last mode
-// fastest. The two innermost modes are batched into one mat.MulInto GEMM
-// per outer-index combination; outer modes iterate an odometer.
+// fastest. The two innermost modes are batched into one
+// mat.FibersMatMulAdd call per outer-index combination, accumulating into
+// the zeroed slab of dst; outer modes iterate an odometer.
 func (m *Model) ReconstructBlock(lo, hi []int, dst []float64) ([]float64, error) {
 	N := len(m.dims)
 	if len(lo) != N || len(hi) != N {
@@ -251,59 +227,52 @@ func (m *Model) ReconstructBlock(lo, hi []int, dst []float64) ([]float64, error)
 
 	if N == 1 {
 		for i := lo[0]; i < hi[0]; i++ {
-			row := m.combinedRow(0, i)
 			s := 0.0
-			for _, v := range row {
-				s += v
+			for f, v := range m.factors[0].Row(i) {
+				s += m.lambda[f] * v
 			}
 			dst[i-lo[0]] = s
 		}
 		return dst, nil
 	}
 
-	// GEMM over the two innermost modes: for each outer-index combo with
-	// combined weight w, the slab is (A⁽ᴺ⁻²⁾[loA:hiA] ⊙ w) · Bᵀ where
-	// B = A⁽ᴺ⁻¹⁾[loB:hiB]. mat has no A·Bᵀ kernel, so B's rows are staged
-	// transposed once per call and each slab is one MulInto.
+	// For each outer-index combo with combined weight w, the slab is
+	// (A⁽ᴺ⁻²⁾[loA:hiA] ⊙ w) · Bᵀ where B = A⁽ᴺ⁻¹⁾[loB:hiB]: the weighted
+	// rows are ra fibers of length rank against the rank×rb panel Bᵀ,
+	// staged once per call. Each cell's sum runs front to back over f from
+	// zero, the chain a zeroed GEMM's per-k accumulation makes.
 	ra := hi[N-2] - lo[N-2]
 	rb := hi[N-1] - lo[N-1]
-	bt := wsMat(&ws.b, m.rank, rb)
+	bt := grow(&ws.bt, m.rank*rb)
 	fb := m.factors[N-1]
 	for j := 0; j < rb; j++ {
 		row := fb.Row(lo[N-1] + j)
 		for f := 0; f < m.rank; f++ {
-			bt.Data[f*rb+j] = row[f]
+			bt[f*rb+j] = row[f]
 		}
 	}
-	a := wsMat(&ws.a, ra, m.rank)
-	c := wsMat(&ws.c, ra, rb)
+	a := grow(&ws.a, ra*m.rank)
 	fa := m.factors[N-2]
+	clear(dst)
 
-	w := ws.w
 	if cap(ws.odo) < N {
 		ws.odo = make([]int, N)
 	}
 	odo := ws.odo[:N]
 	copy(odo, lo)
+	w := ws.w
 	out := 0
 	for {
 		// Combined weight over λ and the outer modes at the current odometer.
-		copy(w, m.lambda)
-		for n := 0; n < N-2; n++ {
-			row := m.factors[n].Row(odo[n])
-			for f := range w {
-				w[f] *= row[f]
-			}
-		}
+		m.weights(w, odo[:N-2], -1)
 		for i := 0; i < ra; i++ {
 			row := fa.Row(lo[N-2] + i)
-			ar := a.Data[i*m.rank : (i+1)*m.rank]
+			ar := a[i*m.rank : (i+1)*m.rank]
 			for f := range ar {
 				ar[f] = row[f] * w[f]
 			}
 		}
-		mat.MulInto(c, a, bt)
-		copy(dst[out:out+ra*rb], c.Data)
+		mat.FibersMatMulAdd(dst[out:out+ra*rb], bt, a, m.rank, rb)
 		out += ra * rb
 
 		// Advance the outer odometer (modes 0..N-3), last of them fastest.
@@ -344,36 +313,45 @@ func (m *Model) TopK(mode int, at []int, k int, dst []Scored) ([]Scored, error) 
 	ws := m.pool.Get().(*workspace)
 	defer m.pool.Put(ws)
 	w := ws.w
-	seeded := false
-	for n := range m.dims {
-		if n == mode {
-			continue
-		}
-		if !seeded {
-			copy(w, m.combinedRow(n, at[n]))
-			seeded = true
-			continue
-		}
-		row := m.factors[n].Row(at[n])
-		for f := range w {
-			w[f] *= row[f]
-		}
-	}
-	if !seeded { // single-mode model: score against λ alone
-		copy(w, m.lambda)
-	}
-
+	m.weights(w, at, mode) // a single-mode model scores against λ alone
 	ws.resetHeap(k)
-	target := m.factors[mode]
-	for j := 0; j < m.dims[mode]; j++ {
-		row := target.Row(j)
-		s := 0.0
-		for f, v := range row {
-			s += v * w[f]
-		}
-		ws.heapOffer(j, s, k)
+	rows, F, n := m.factors[mode].Data, m.rank, m.dims[mode]
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		s0, s1, s2, s3 := dot4(rows[j*F:(j+4)*F], w)
+		ws.heapOffer(j, s0, k)
+		ws.heapOffer(j+1, s1, k)
+		ws.heapOffer(j+2, s2, k)
+		ws.heapOffer(j+3, s3, k)
+	}
+	for ; j < n; j++ {
+		ws.heapOffer(j, dot(rows[j*F:(j+1)*F], w), k)
 	}
 	return ws.drainDescending(dst), nil
+}
+
+// dot is one row's score: Σ_f row[f]·w[f], summed front to back from zero.
+func dot(row, w []float64) float64 {
+	s := 0.0
+	for f, v := range row {
+		s += v * w[f]
+	}
+	return s
+}
+
+// dot4 returns dot(row, w) for the four consecutive rows of len(w) values
+// in rows. Each sum is dot's chain, bit for bit; the four chains are
+// independent, so their adds overlap instead of each waiting on the last.
+func dot4(rows, w []float64) (s0, s1, s2, s3 float64) {
+	F := len(w)
+	r0, r1, r2, r3 := rows[:F], rows[F:][:F], rows[2*F:][:F], rows[3*F:][:F]
+	for f, v := range w {
+		s0 += r0[f] * v
+		s1 += r1[f] * v
+		s2 += r2[f] * v
+		s3 += r3[f] * v
+	}
+	return s0, s1, s2, s3
 }
 
 // NN appends to dst the k nearest neighbors of entity index in the given
@@ -399,27 +377,33 @@ func (m *Model) NN(mode, index, k int, dst []Scored) ([]Scored, error) {
 
 	ws := m.pool.Get().(*workspace)
 	defer m.pool.Put(ws)
-	f := m.factors[mode]
-	q := f.Row(index)
-	qn := m.sqnorms[mode][index]
+	rows, F, n := m.factors[mode].Data, m.rank, m.dims[mode]
+	q := rows[index*F : (index+1)*F]
+	sq := m.sqnorms[mode]
 
 	// Keep the k smallest distances by heaping on the negated distance:
 	// the shared bounded heap retains the k largest keys.
 	ws.resetHeap(k)
-	for j := 0; j < m.dims[mode]; j++ {
+	offer := func(j int, qj float64) {
 		if j == index {
-			continue
+			return
 		}
-		row := f.Row(j)
-		dot := 0.0
-		for i, v := range row {
-			dot += v * q[i]
-		}
-		d := qn + m.sqnorms[mode][j] - 2*dot
+		d := sq[index] + sq[j] - 2*qj
 		if d < 0 {
 			d = 0 // rounding can push an exact-duplicate row slightly negative
 		}
 		ws.heapOffer(j, -d, k)
+	}
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		d0, d1, d2, d3 := dot4(rows[j*F:(j+4)*F], q)
+		offer(j, d0)
+		offer(j+1, d1)
+		offer(j+2, d2)
+		offer(j+3, d3)
+	}
+	for ; j < n; j++ {
+		offer(j, dot(rows[j*F:(j+1)*F], q))
 	}
 	dst = ws.drainDescending(dst)
 	for i := range dst {
@@ -428,14 +412,14 @@ func (m *Model) NN(mode, index, k int, dst []Scored) ([]Scored, error) {
 	return dst, nil
 }
 
-// wsMat resizes a workspace matrix to r×c, reusing its backing slice when
-// capacity allows.
-func wsMat(m *mat.Matrix, r, c int) *mat.Matrix {
-	if cap(m.Data) < r*c {
-		m.Data = make([]float64, r*c)
+// grow resizes a workspace slice to n values, reusing its backing array
+// when capacity allows.
+func grow(s *[]float64, n int) []float64 {
+	if cap(*s) < n {
+		*s = make([]float64, n)
 	}
-	m.Rows, m.Cols, m.Data = r, c, m.Data[:r*c]
-	return m
+	*s = (*s)[:n]
+	return *s
 }
 
 // resetHeap prepares the workspace's bounded min-heap for up to k entries.
@@ -449,9 +433,19 @@ func (ws *workspace) resetHeap(k int) {
 }
 
 // heapOffer considers (idx, val) for the bounded heap of the k largest
-// values. The heap root is the current minimum; a better candidate
-// replaces it and sifts down.
+// values. The heap root is the current minimum, and in a long scan most
+// candidates lose to it: that test is small enough to inline into the
+// scan loops, and heapInsert takes the rest.
 func (ws *workspace) heapOffer(idx int, val float64, k int) {
+	if len(ws.heapVal) == k && val <= ws.heapVal[0] {
+		return
+	}
+	ws.heapInsert(idx, val, k)
+}
+
+// heapInsert adds (idx, val) to a heap with room, or puts it in place of
+// a full heap's root and sifts down.
+func (ws *workspace) heapInsert(idx int, val float64, k int) {
 	h := len(ws.heapVal)
 	if h < k {
 		ws.heapIdx = append(ws.heapIdx, idx)
@@ -467,9 +461,6 @@ func (ws *workspace) heapOffer(idx int, val float64, k int) {
 			ws.heapIdx[p], ws.heapIdx[i] = ws.heapIdx[i], ws.heapIdx[p]
 			i = p
 		}
-		return
-	}
-	if val <= ws.heapVal[0] {
 		return
 	}
 	ws.heapVal[0], ws.heapIdx[0] = val, idx

@@ -254,8 +254,8 @@ func TestOpenServesSnapshot(t *testing.T) {
 	}
 }
 
-// TestQueriesAllocationFree pins the acceptance criterion: with a warm
-// row cache and caller-reused result slices, the point-read, top-k, and
+// TestQueriesAllocationFree pins the acceptance criterion: with
+// caller-reused result slices, the point-read, block, top-k, and
 // nearest-neighbor paths allocate nothing at steady state.
 func TestQueriesAllocationFree(t *testing.T) {
 	if raceEnabled {
@@ -266,7 +266,7 @@ func TestQueriesAllocationFree(t *testing.T) {
 	dst := make([]Scored, 0, 16)
 	block := make([]float64, 0, 64)
 
-	// Warm the pool, the row cache, and the workspace heaps.
+	// Warm the pool and the workspace scratch.
 	for i := 0; i < 8; i++ {
 		if _, err := mdl.Reconstruct(at); err != nil {
 			t.Fatal(err)
@@ -290,6 +290,7 @@ func TestQueriesAllocationFree(t *testing.T) {
 		{"Reconstruct", func() { mdl.Reconstruct(at) }},
 		{"TopK", func() { dst, _ = mdl.TopK(0, at, 10, dst) }},
 		{"NN", func() { dst, _ = mdl.NN(1, 4, 10, dst) }},
+		{"ReconstructBlock", func() { block, _ = mdl.ReconstructBlock([]int{3, 4, 5}, []int{5, 8, 9}, block) }},
 	}
 	for _, c := range checks {
 		if avg := testing.AllocsPerRun(200, c.fn); avg > 0.05 {
@@ -297,11 +298,17 @@ func TestQueriesAllocationFree(t *testing.T) {
 		}
 	}
 
-	// The block path runs through mat.MulInto, whose parallel dispatch
-	// costs a small constant number of allocations per GEMM; hold it to
-	// that constant so regressions (per-cell or per-row allocation) fail.
-	blockFn := func() { block, _ = mdl.ReconstructBlock([]int{3, 4, 5}, []int{5, 8, 9}, block) }
-	if avg := testing.AllocsPerRun(200, blockFn); avg > 4 {
-		t.Errorf("ReconstructBlock allocates %.2f objects/op, want the kernel-dispatch constant (<= 4)", avg)
+	// A sweep over more mode-0 rows than any row cache would hold: every
+	// read starts from a row it has not seen in a while.
+	const sweepRows = 5000
+	wide, _, _ := testModel(t, 10, 8, sweepRows, 4, 4)
+	wide.Reconstruct([]int{0, 1, 2})
+	sweep := func() {
+		for i := 0; i < sweepRows; i++ {
+			wide.Reconstruct([]int{i, 1, 2})
+		}
+	}
+	if avg := testing.AllocsPerRun(3, sweep); avg > 0 {
+		t.Errorf("a %d-row point-read sweep allocates %.0f objects, want 0", sweepRows, avg)
 	}
 }

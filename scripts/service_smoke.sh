@@ -4,8 +4,9 @@
 # mid-job (it must drain: checkpoint, exit 3), restart it over the same
 # data directory (it must resume the job without client action), and
 # verify the finished factors are bit-for-bit identical to a local CLI
-# run of the same spec. This is the operational story docs/service.md
-# tells, executed literally.
+# run of the same spec, then hit the four query routes on the finished job
+# (each answer must be one compact JSON line). This is the operational
+# story docs/service.md tells, executed literally.
 #
 # Usage: scripts/service_smoke.sh   (from the repo root; CI runs it as
 # the service job in .github/workflows/ci.yml)
@@ -97,8 +98,17 @@ for m in 0 1 2; do
     || { echo "factor mode $m differs from the local CLI run" >&2; exit 1; }
 done
 
+echo "== query the resumed job: every route answers in one JSON line"
+for q in 'cell?at=3,7,11' 'block?lo=0,0,0&hi=4,4,3' 'topk?mode=2&at=3,7,*&k=3' 'nn?mode=0&index=3&k=3'; do
+  curl -fs "$server/v1/jobs/$job/query/$q" -o "$work/query.json" \
+    || { echo "query/$q failed" >&2; exit 1; }
+  [ "$(wc -l < "$work/query.json")" -eq 1 ] && [ "$(tail -c 1 "$work/query.json")" = "" ] \
+    || { echo "query/$q is not one line:" >&2; cat "$work/query.json" >&2; exit 1; }
+  echo "query/$q: $(cut -c 1-100 "$work/query.json")"
+done
+
 kill -TERM "$daemon_pid"; rc=0; wait "$daemon_pid" || rc=$?
 daemon_pid=""
 [ "$rc" -eq 3 ] || { echo "idle drain exited $rc, want 3" >&2; exit 1; }
 
-echo "service smoke OK: drain exited 3, restart resumed, factors bit-identical"
+echo "service smoke OK: drain exited 3, restart resumed, factors bit-identical, queries one line each"
