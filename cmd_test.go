@@ -313,7 +313,7 @@ func TestCLICrashRecovery(t *testing.T) {
 		[]string{"-kind", "lowrank", "-dims", "30x30x30", "-rank", "3",
 			"-noise", "0.3", "-tiles", "3x3x3", "-seed", "11"},
 		[]string{"-rank", "3", "-parts", "3", "-buffer", "0.5",
-			"-iters", "500", "-tol=-1", "-seed", "11"})
+			"-iters", "1500", "-tol=-1", "-seed", "11"})
 }
 
 // TestCLICrashRecoveryAccelerated runs the same kill-and-resume scenario
@@ -325,7 +325,7 @@ func TestCLICrashRecoveryAccelerated(t *testing.T) {
 		[]string{"-kind", "lowmlrank", "-dims", "30x30x30", "-mlrank", "4", "-diag",
 			"-noise", "1e-5", "-tiles", "3x3x3", "-seed", "11"},
 		[]string{"-rank", "6", "-parts", "3", "-buffer", "0.5", "-accelerator", "tucker",
-			"-iters", "500", "-tol=-1", "-seed", "11"})
+			"-iters", "1500", "-tol=-1", "-seed", "11"})
 }
 
 func crashRecoveryScenario(t *testing.T, genArgs, decompArgs []string) {
@@ -440,7 +440,7 @@ func TestCLIGracefulDrain(t *testing.T) {
 	runCmd(t, tensorgen, "-kind", "lowrank", "-dims", "30x30x30", "-rank", "3",
 		"-noise", "0.3", "-tiles", "3x3x3", "-seed", "11", "-out", tpath)
 	args := []string{"-in", tpath, "-rank", "3", "-parts", "3", "-buffer", "0.5",
-		"-iters", "500", "-tol=-1", "-seed", "11"}
+		"-iters", "1500", "-tol=-1", "-seed", "11"}
 
 	refJSON := filepath.Join(dir, "ref.json")
 	runCmd(t, twopcpBin, append(args, "-out-prefix", filepath.Join(dir, "ref"), "-json", refJSON)...)

@@ -78,7 +78,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	// Uninterrupted local reference run with the same configuration the
 	// job will carry.
 	runCmd(t, twopcpBin, "-in", tpath, "-rank", "3", "-parts", "3", "-buffer", "0.5",
-		"-iters", "500", "-tol=-1", "-seed", "11",
+		"-iters", "1500", "-tol=-1", "-seed", "11",
 		"-out-prefix", filepath.Join(dir, "ref"))
 
 	data := filepath.Join(dir, "data")
@@ -90,7 +90,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	// Submit through the client subcommand; stdout is the job ID.
 	var out bytes.Buffer
 	submit := exec.Command(twopcpBin, "submit", "-server", server, "-in", tpath,
-		"-rank", "3", "-parts", "3", "-buffer", "0.5", "-iters", "500",
+		"-rank", "3", "-parts", "3", "-buffer", "0.5", "-iters", "1500",
 		"-tol", "-1", "-seed", "11", "-checkpoint-steps", "1")
 	submit.Stdout = &out
 	submit.Stderr = os.Stderr

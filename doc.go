@@ -224,23 +224,32 @@
 // statistics) and, once the run completes, the final Result.
 //
 // Exactly what is fsync'd when: every record carries a CRC32 that is
-// checked on load, and every call that writes one returns only after an
-// fsync. The manifest and the Result are replaced whole — temp file,
-// fsync, rename, directory fsync — a handful of times per run. The
-// per-block and per-step checkpoints, hundreds per run, go into files that
-// already exist, because creating a file cost more than writing its data:
-// a Phase-1 record is one append and one fsync to the log, and its
-// presence is the block's completion record (a crash can tear only the
-// record being appended; the resume cuts it off and recomputes that
-// block); a Phase-2 checkpoint (cadence: Options.CheckpointEverySteps
-// schedule steps, default one cycle) is one write and one fsync over the
-// slot that does not hold the newest valid checkpoint, so the checkpoint
-// before it outlives any crash during the write and a torn newer slot
-// simply loads as the older one. The final Result file is installed
-// before the manifest flips to "done". A directory written before this
-// layout (manifest version 1: one file per block, one Phase-2 file) still
-// returns its Result if the run had finished; an unfinished one is refused
-// with an error naming both versions rather than restarted from nothing.
+// checked on load, and every call that writes one returns only after the
+// whole record is written, so a killed process loses nothing. The
+// manifest and the Result are replaced whole — temp file, fsync, rename,
+// directory fsync — a handful of times per run. The per-block and
+// per-step checkpoints, hundreds per run, go into files that already
+// exist, because creating a file cost more than writing its data, and
+// they are group-committed: their fsync is issued once the last one is a
+// second old, and everything pending is synced before the manifest
+// leaves Phase 1, before the Result is installed, when the run closes
+// however it ends, and when a resumed run opens the directory. A power
+// loss therefore costs at most the last second of records, and each of
+// those is recomputable or backed by an older synced checkpoint. A
+// Phase-1 record is one append to the log, and its presence is the
+// block's completion record (a crash can damage only the log's unsynced
+// tail; the resume cuts it off and recomputes those blocks); a Phase-2
+// checkpoint (cadence: Options.CheckpointEverySteps schedule steps,
+// default one cycle) is one write over the slot that does not hold the
+// newest synced checkpoint, so that checkpoint outlives any crash during
+// the write and a torn or zeroed newer slot simply loads as the older
+// one. A failed fsync fails the run and is never retried; if the run was
+// draining, the error is the sync's rather than ErrInterrupted. The final
+// Result file is installed before the manifest flips to "done". A
+// directory written before this layout (manifest version 1: one file per
+// block, one Phase-2 file) still returns its Result if the run had
+// finished; an unfinished one is refused with an error naming both
+// versions rather than restarted from nothing.
 // docs/crash-recovery.md has the layout and the argument.
 //
 // The Phase-2 data-unit store is scratch and needs no crash consistency:
@@ -360,8 +369,9 @@
 //     completions, schedule steps — so the multiset of events minus
 //     the wall-clock ts/dur fields is identical across Workers,
 //     KernelWorkers, IOWorkers and PrefetchDepth. Operations whose
-//     count legitimately varies with concurrency (prefetch-issued
-//     store reads, batched manifest rewrites) are metrics-only;
+//     count legitimately varies with concurrency or timing
+//     (prefetch-issued store reads, batched manifest rewrites,
+//     group-committed checkpoint fsyncs) are metrics-only;
 //     checkpoint.write byte counts carry real file sizes and are
 //     exempt. The event catalog is a closed schema
 //     (internal/obs.Schema); ValidateTraceLine and cmd/tracecheck

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -101,13 +102,15 @@ func RunConvergence(cfg ConvergenceConfig) (*ConvergenceResult, error) {
 			Solver:          solver,
 			Stop:            cfg.IO.Stop,
 		}
+		var rs *runstate.Run
 		if cfg.IO.Checkpoint != "" {
 			// One checkpoint subdirectory per schedule: the traces are
 			// independent runs, each resumable on its own. Resume-or-create
 			// per subdirectory — an interrupted suite may have started only
 			// some of the kinds before the crash.
 			sub := filepath.Join(cfg.IO.Checkpoint, "convergence-"+kind.String())
-			rs, err := runstate.Open(
+			var err error
+			rs, err = runstate.Open(
 				sub,
 				runstate.Meta{
 					InputKind: "dense", Dims: p.Dims, Partitions: p.K,
@@ -121,7 +124,7 @@ func RunConvergence(cfg ConvergenceConfig) (*ConvergenceResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			defer rs.Close() // four kinds, four small handles, until return
+			defer rs.Close() // on the error paths before Run
 			ecfg.Checkpoint = rs
 		}
 		eng, err := refine.New(ecfg)
@@ -129,6 +132,10 @@ func RunConvergence(cfg ConvergenceConfig) (*ConvergenceResult, error) {
 			return nil, err
 		}
 		r, err := eng.Run()
+		if rs != nil {
+			// Close carries the last checkpoint sync.
+			err = errors.Join(err, rs.Close())
+		}
 		if err != nil {
 			return nil, err
 		}

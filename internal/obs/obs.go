@@ -22,8 +22,11 @@
 // mutex, per-block Phase-1 completions, schedule steps), so the multiset
 // of events minus the wall-clock ts/dur fields is identical across
 // Workers, KernelWorkers, IOWorkers and PrefetchDepth. Operations whose
-// *count* legitimately varies with concurrency (prefetch-issued store
-// reads, batched manifest rewrites) are metrics-only. checkpoint.write
+// *count* legitimately varies with concurrency or timing (prefetch-issued
+// store reads, batched manifest rewrites, the checkpoint fsyncs group
+// commit issues — runstate.syncs and runstate.sync_us) are metrics-only,
+// and no check that compares counters across an interruption may count
+// on them. checkpoint.write
 // events carry real record sizes, which embed I/O counters for phase2.ckpt
 // and therefore may differ across prefetch depths; they are exempt from
 // the cross-configuration guarantee. store.retry and store.breaker

@@ -134,8 +134,10 @@ type Checkpointer interface {
 	// LoadBlock returns the previously recorded sub-factors and fit of
 	// block id, or ok=false when none (or an unusable one) exists.
 	LoadBlock(id int) (factors []*mat.Matrix, fit float64, ok bool, err error)
-	// SaveBlock durably records a completed block. It must be safe for
-	// concurrent use (the worker pool checkpoints in parallel).
+	// SaveBlock records a completed block: runstate.Run's record survives
+	// the process at once and the disk within a second (a record a power
+	// loss takes is recomputed). It must be safe for concurrent use (the
+	// worker pool checkpoints in parallel).
 	SaveBlock(id int, factors []*mat.Matrix, fit float64) error
 }
 

@@ -22,7 +22,10 @@ type Checkpointer interface {
 	// LoadPhase2 returns the latest checkpoint, or ok=false when none
 	// exists.
 	LoadPhase2() (*runstate.Phase2State, bool, error)
-	// SavePhase2 durably records st.
+	// SavePhase2 records st. runstate.Run group-commits it: st survives
+	// the process once SavePhase2 returns, and reaches the disk within a
+	// second or at the next stage boundary or Close; a power loss before
+	// that loads an older checkpoint, which replays to the same bits.
 	SavePhase2(st *runstate.Phase2State) error
 }
 

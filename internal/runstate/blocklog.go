@@ -61,7 +61,8 @@ func parseLog(data []byte, numBlocks int, index map[int]logRecord) (end int64) {
 }
 
 // openLog indexes the log a resumed run finds and cuts a torn tail off it,
-// so that records appended from here on follow the last valid one.
+// so that records appended from here on follow the last valid one. The cut
+// is synced with everything else the run inherits (syncInherited).
 func (r *Run) openLog() error {
 	data, err := os.ReadFile(filepath.Join(r.dir, logName))
 	if err != nil {
@@ -76,9 +77,7 @@ func (r *Run) openLog() error {
 	}
 	f, err := r.logFile()
 	if err == nil {
-		if err = f.Truncate(r.logEnd); err == nil {
-			err = f.Sync()
-		}
+		err = f.Truncate(r.logEnd)
 	}
 	if err != nil {
 		return fmt.Errorf("runstate: cut torn tail off block log: %w", err)
@@ -95,10 +94,12 @@ func (r *Run) logFile() (f *os.File, err error) {
 	return r.log, err
 }
 
-// SaveBlock durably records the completed Phase-1 block: its λ-folded
-// sub-factors and ALS fit are appended to the block log with one write and
-// one fsync. It implements phase1.Checkpointer and is safe for concurrent
-// use by the Phase-1 worker pool.
+// SaveBlock records the completed Phase-1 block: its λ-folded sub-factors
+// and ALS fit are appended to the block log with one write, which is
+// group-committed (see the package documentation) — the record survives
+// the process once SaveBlock returns, and the disk within commitInterval.
+// It implements phase1.Checkpointer and is safe for concurrent use by the
+// Phase-1 worker pool.
 func (r *Run) SaveBlock(id int, factors []*mat.Matrix, fit float64) error {
 	r.mu.Lock()
 	b := append(r.buf[:0], make([]byte, recordHeaderLen)...)
@@ -112,16 +113,21 @@ func (r *Run) SaveBlock(id int, factors []*mat.Matrix, fit float64) error {
 	r.buf = b
 	f, err := r.logFile()
 	if err == nil {
-		// logEnd moves only once the record is durable: one that failed
+		// logEnd moves only once the record is written: one that failed
 		// part-way is overwritten by the next.
-		if err = writeSynced(f, b, r.logEnd); err == nil {
+		if _, err = f.WriteAt(b, r.logEnd); err == nil {
 			r.blocks[id] = logRecord{off: r.logEnd, n: len(b)}
 			r.logEnd += int64(len(b))
 		}
 	}
+	if err != nil {
+		err = fmt.Errorf("runstate: append block %d to log: %w", id, err)
+	} else {
+		err = r.commitDueLocked()
+	}
 	r.mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("runstate: append block %d to log: %w", id, err)
+		return err
 	}
 	r.noteCheckpointWrite(fmt.Sprintf("p1-block-%d.ckpt", id), len(b))
 	return nil

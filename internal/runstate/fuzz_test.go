@@ -171,9 +171,11 @@ func FuzzBlockLog(f *testing.F) {
 
 // FuzzPhase2Slots feeds two arbitrary byte strings to LoadPhase2 as the
 // slot files; mode picks, per slot, raw bytes, a validly framed record
-// around them, or no file. Contract: never a panic, never an allocation the
-// files' sizes do not back; and a checkpoint that loads can be saved, lands
-// on the other slot, loads again, and re-encodes to itself.
+// around them, or no file, and (bit 4) whether the two saves below are
+// each synced. Contract: never a panic, never an allocation the files'
+// sizes do not back; and a checkpoint that loads can be saved, never over
+// the slot holding the newest synced checkpoint, loads again, and
+// re-encodes to itself.
 func FuzzPhase2Slots(f *testing.F) {
 	dir := f.TempDir()
 	rs, err := Open(dir, testMeta(), 8, false)
@@ -193,8 +195,9 @@ func FuzzPhase2Slots(f *testing.F) {
 		}
 	}
 	f.Add(valid[0], valid[1], uint8(0))
+	f.Add(valid[0], valid[1], uint8(1<<4))
 	f.Add(valid[0], valid[1][:len(valid[1])/2], uint8(0))
-	f.Add(valid[0][:7], valid[1], uint8(0))
+	f.Add(valid[0][:7], valid[1], uint8(1<<4))
 	f.Add(valid[0], []byte{}, uint8(2<<2))
 	f.Add([]byte{}, []byte{}, uint8(0))
 	f.Add(valid[0][recordHeaderLen:], valid[1][recordHeaderLen:], uint8(1|1<<2))
@@ -220,26 +223,32 @@ func FuzzPhase2Slots(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		syncEach := mode&(1<<4) != 0
 		allocBounded(t, len(a)+len(b), func() {
-			rs, err := Open(dir, testMeta(), 8, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rs.Close()
+			rs, probe := openProbed(t, dir, true)
 			st, ok, err := rs.LoadPhase2()
 			if err != nil || !ok {
 				return
 			}
+			// The resumed Open synced what it found, so the checkpoint just
+			// loaded is the newest synced one.
+			synced := rs.newest
 			// Two generations of save-and-load: the first may normalise a
 			// foreign writer's JSON, the second must change nothing.
 			var gen [2][]byte
 			for g := range gen {
-				loaded := rs.newest
+				if syncEach {
+					probe.advance()
+				}
+				before := probe.syncs[slotName(1-synced)]
 				if err := rs.SavePhase2(st); err != nil {
 					t.Fatal(err)
 				}
-				if rs.newest == loaded {
-					t.Fatal("save went to the slot holding the newest valid checkpoint")
+				if rs.newest == synced {
+					t.Fatal("save went to the slot holding the newest synced checkpoint")
+				}
+				if probe.syncs[slotName(rs.newest)] > before {
+					synced = rs.newest
 				}
 				rec, err := os.ReadFile(filepath.Join(dir, slotName(rs.newest)))
 				if err != nil {

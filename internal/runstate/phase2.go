@@ -110,12 +110,13 @@ func (r *Run) scanSlots() (payload []byte, present bool, err error) {
 	return payload, present, nil
 }
 
-// SavePhase2 durably records st as the latest Phase-2 checkpoint: one write
-// and one fsync over the slot that does not hold the newest valid
-// checkpoint, so the one before st survives whatever happens to this write.
-// The first checkpoint of a directory has none before it and is installed
-// by rename instead (see the package documentation). It implements
-// refine.Checkpointer.
+// SavePhase2 records st as the latest Phase-2 checkpoint with one write,
+// group-committed like SaveBlock, over the slot that does not hold the
+// newest synced checkpoint: the slot written since the last sync, or else
+// the other one. The synced checkpoint before st survives whatever happens
+// to this write. The first checkpoint of a directory has none before it
+// and is installed by rename instead (see the package documentation). It
+// implements refine.Checkpointer.
 func (r *Run) SavePhase2(st *Phase2State) error {
 	hdr := phase2Header{Phase2State: *st, AParts: make([]int, len(st.A))}
 	var mats []*mat.Matrix
@@ -151,14 +152,18 @@ func (r *Run) savePhase2Locked(hdr phase2Header, mats []*mat.Matrix) (int, error
 	if r.newest < 0 {
 		err = WriteFileAtomic(r.dir, slotName(slot), b)
 	} else {
-		slot = 1 - r.newest
-		err = r.overwriteSlot(slot, b)
+		if slot = r.dirtySlot; slot < 0 {
+			slot = 1 - r.newest
+		}
+		if err = r.overwriteSlot(slot, b); err == nil {
+			r.dirtySlot = slot
+		}
 	}
 	if err != nil {
 		return 0, err
 	}
 	r.newest, r.seq = slot, r.seq+1
-	return len(b), nil
+	return len(b), r.commitDueLocked()
 }
 
 // overwriteSlot writes b over the slot file from offset 0, opening (the
@@ -168,7 +173,7 @@ func (r *Run) overwriteSlot(slot int, b []byte) (err error) {
 		r.slots[slot], err = openOrCreate(r.dir, slotName(slot))
 	}
 	if err == nil {
-		err = writeSynced(r.slots[slot], b, 0)
+		_, err = r.slots[slot].WriteAt(b, 0)
 	}
 	if err != nil {
 		return fmt.Errorf("runstate: write %s: %w", slotName(slot), err)

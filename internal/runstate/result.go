@@ -55,10 +55,11 @@ type resultHeader struct {
 
 func (r *Run) resultPath() string { return filepath.Join(r.dir, "result.ckpt") }
 
-// SaveResult durably records the completed run's Result, marks the
-// manifest done and closes the run's file handles. The result file is
-// installed before the stage flips, so a crash between the two leaves a
-// resumable phase-2 state rather than a done-marker without a result.
+// SaveResult syncs every checkpoint still pending, durably records the
+// completed run's Result, marks the manifest done and closes the run's file
+// handles. The result file is installed before the stage flips, so a crash
+// between the two leaves a resumable phase-2 state rather than a
+// done-marker without a result.
 func (r *Run) SaveResult(st *ResultState) error {
 	hdr := resultHeader{ResultState: *st, NFactors: len(st.Factors)}
 	r.mu.Lock()
@@ -72,6 +73,9 @@ func (r *Run) SaveResult(st *ResultState) error {
 }
 
 func (r *Run) saveResultLocked(hdr resultHeader, factors []*mat.Matrix) (int, error) {
+	if err := r.commitLocked(); err != nil {
+		return 0, err
+	}
 	b, err := appendSection(append(r.buf[:0], make([]byte, frameHeaderLen)...), "result", hdr, factors)
 	if err != nil {
 		return 0, err

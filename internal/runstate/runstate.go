@@ -29,9 +29,9 @@
 //
 // # Durability
 //
-// Every record carries a magic tag and a CRC32, is checked when it is
-// loaded, and is fsync'd before the call that wrote it returns. What
-// differs is how a record reaches its file.
+// Every record carries a magic tag and a CRC32 and is checked when it is
+// loaded. What differs is how a record reaches its file, and when it
+// reaches the disk.
 //
 // manifest.json and result.ckpt are written a handful of times per run and
 // replaced whole: serialize to a temp file in the checkpoint directory,
@@ -40,18 +40,36 @@
 //
 // The per-block and per-step checkpoints are written hundreds of times per
 // run, and creating a file each time cost more than the data: they go into
-// files that already exist. A Phase-1 record is appended to the log with
-// one write and one fsync; a crash can tear only the record being appended,
-// which Open cuts off (the block is recomputed, as any block without a
-// record is). A Phase-2 checkpoint overwrites, in place, the slot that does
-// not hold the newest valid checkpoint, so a crash can tear only the slot
-// being written and the other still holds the checkpoint before it: a torn
-// newer slot is a normal crash outcome and loads as the older one. The
-// first Phase-2 checkpoint of a directory has no older one to fall back
-// on, so it alone is installed by rename; a slot file that exists was
-// therefore once whole, and slots present with none valid is ErrCorrupt —
-// Phase-2 state cannot be recomputed locally, and silently restarting
-// would discard progress the caller believes durable.
+// files that already exist, and they are group-committed. SaveBlock and
+// SavePhase2 write their whole record before they return, so a process
+// killed after the call has lost nothing: the bytes are in the page cache.
+// The fsync follows only once the last one is commitInterval old, and
+// everything pending is synced before the manifest leaves Phase 1
+// (BeginPhase2), before the result is installed (SaveResult), at Close,
+// and when a resumed Open takes over what its predecessor wrote. A power
+// loss therefore costs at most the last commitInterval of records, and
+// those are either recomputable or backed by an older synced checkpoint:
+//
+//   - A Phase-1 record is appended to the log. A crash can damage only the
+//     log's unsynced tail, which Open cuts off at the first record that
+//     fails its checks; those blocks are recomputed, as any block without a
+//     record is.
+//   - A Phase-2 checkpoint overwrites, in place, the slot that does not
+//     hold the newest synced checkpoint: the slot written since the last
+//     sync, or else the other one. So the slot not being written always
+//     holds a whole, synced checkpoint, and a torn or zeroed newer slot is
+//     a normal crash outcome that loads as the older one. The first
+//     Phase-2 checkpoint of a directory has no older one to fall back on,
+//     so it alone is installed by rename; a slot file that exists was
+//     therefore once whole, and slots present with none valid is
+//     ErrCorrupt — Phase-2 state cannot be recomputed locally, and
+//     silently restarting would discard progress the caller believes
+//     durable.
+//
+// A failed fsync fails the call that issued it and is never retried: the
+// kernel's copy of those pages can no longer be trusted. The log rolls back
+// to its synced end and forgets the records after it, so a resume
+// recomputes those blocks; the newest checkpoint is again the synced one.
 package runstate
 
 import (
@@ -66,6 +84,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"time"
 
 	"twopcp/internal/obs"
 )
@@ -75,6 +94,12 @@ import (
 // its manifest body and result.ckpt are the same, so a finished version-1
 // directory still reads, and an unfinished one is refused with ErrVersion.
 const Version = 2
+
+// commitInterval is how long a written checkpoint record may wait for its
+// fsync. A block or a step that takes longer is synced on its own; faster
+// checkpoint traffic shares one flush, which costs more than the work it
+// protects. (ext4 commits ordinary writes only every 5 s.)
+const commitInterval = time.Second
 
 var (
 	// ErrNoManifest is returned when resuming from a directory that holds
@@ -206,23 +231,37 @@ type Run struct {
 	newest     int
 	seq        uint64
 
+	// Group commit: the log offset up to which records are synced, the
+	// slot written since the last sync (-1: none) and when that sync was.
+	logSynced int64
+	dirtySlot int
+	lastSync  time.Time
+	// now and fsync are the clock commitInterval is measured on and the
+	// sync every commit issues; tests replace them.
+	now   func() time.Time
+	fsync func(*os.File) error
+
 	// Telemetry (see SetObserver). tele is read without mu — it is set
 	// once before the run's worker pools start.
 	tele        *obs.Observer
 	cCkptWrites *obs.Counter
 	cCkptBytes  *obs.Counter
 	cManifest   *obs.Counter
+	cSyncs      *obs.Counter
+	hSyncUS     *obs.Histogram
 }
 
 // SetObserver attaches telemetry to the run handle: a checkpoint.write
-// trace event plus write/byte counters per durable checkpoint record, and
-// a manifest-rewrite counter (metrics only). Call it once, before any
-// checkpoint activity.
+// trace event plus write/byte counters per checkpoint record, and — metrics
+// only — a manifest-rewrite counter and the group commit's fsync count and
+// latency. Call it once, before any checkpoint activity.
 func (r *Run) SetObserver(ob *obs.Observer) {
 	r.tele = ob
 	r.cCkptWrites = ob.Counter("runstate.checkpoint_writes")
 	r.cCkptBytes = ob.Counter("runstate.checkpoint_bytes")
 	r.cManifest = ob.Counter("runstate.manifest_writes")
+	r.cSyncs = ob.Counter("runstate.syncs")
+	r.hSyncUS = ob.Histogram("runstate.sync_us")
 }
 
 // noteCheckpointWrite reports one durable checkpoint record to telemetry.
@@ -250,53 +289,89 @@ func (r *Run) noteCheckpointWrite(name string, bytes int) {
 //
 // Close the Run when done with it; SaveResult does so itself.
 func Open(dir string, meta Meta, numBlocks int, resume bool) (*Run, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("runstate: create checkpoint dir: %w", err)
+	r := newRun(dir)
+	if err := r.open(meta, numBlocks, resume); err != nil {
+		r.closeFiles()
+		return nil, err
 	}
-	r := &Run{dir: dir, blocks: make(map[int]logRecord)}
+	return r, nil
+}
+
+// newRun returns an unopened handle on dir that syncs with fsync and
+// measures commitInterval on the wall clock.
+func newRun(dir string) *Run {
+	return &Run{dir: dir, blocks: make(map[int]logRecord), dirtySlot: -1, now: time.Now, fsync: (*os.File).Sync}
+}
+
+func (r *Run) open(meta Meta, numBlocks int, resume bool) error {
+	if err := os.MkdirAll(r.dir, 0o755); err != nil {
+		return fmt.Errorf("runstate: create checkpoint dir: %w", err)
+	}
 	path := r.manifestPath()
 	// A SIGKILL can land between WriteFileAtomic's CreateTemp and rename;
 	// no writer is live at Open time, so any temp file here is dead weight
 	// from a previous crash.
 	if err := r.removeFiles(isTempFile); err != nil {
-		return nil, err
+		return err
 	}
 	if resume {
 		body, version, err := loadManifest(path)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if version != Version && body.Stage != StageDone {
-			return nil, fmt.Errorf("%w: %s is an unfinished run at manifest version %d and this build resumes version %d; finish it with the build that started it, or start over in a fresh directory",
-				ErrVersion, dir, version, Version)
+			return fmt.Errorf("%w: %s is an unfinished run at manifest version %d and this build resumes version %d; finish it with the build that started it, or start over in a fresh directory",
+				ErrVersion, r.dir, version, Version)
 		}
 		if !reflect.DeepEqual(body.Meta, meta) {
-			return nil, fmt.Errorf("%w: manifest records %+v, run has %+v", ErrMismatch, body.Meta, meta)
+			return fmt.Errorf("%w: manifest records %+v, run has %+v", ErrMismatch, body.Meta, meta)
 		}
 		if body.NumBlocks != numBlocks {
-			return nil, fmt.Errorf("%w: manifest records %d blocks, run has %d", ErrMismatch, body.NumBlocks, numBlocks)
+			return fmt.Errorf("%w: manifest records %d blocks, run has %d", ErrMismatch, body.NumBlocks, numBlocks)
 		}
 		r.body = *body
-		if body.Stage != StageDone {
-			if err := r.openLog(); err != nil {
-				return nil, err
-			}
+		if body.Stage == StageDone {
+			return nil
 		}
-		return r, nil
+		if err := r.openLog(); err != nil {
+			return err
+		}
+		return r.syncInherited()
 	}
 	if _, err := os.Lstat(path); err == nil {
-		return nil, fmt.Errorf("%w: %s (pass Resume to continue it, or use a fresh directory)", ErrExists, dir)
+		return fmt.Errorf("%w: %s (pass Resume to continue it, or use a fresh directory)", ErrExists, r.dir)
 	} else if !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("runstate: stat manifest: %w", err)
+		return fmt.Errorf("runstate: stat manifest: %w", err)
 	}
 	if err := r.removeFiles(isStaleCheckpoint); err != nil {
-		return nil, err
+		return err
 	}
 	r.body = manifestBody{Meta: meta, Stage: StagePhase1, NumBlocks: numBlocks}
-	if err := r.saveManifestLocked(); err != nil {
-		return nil, err
+	r.lastSync = r.now()
+	return r.saveManifestLocked()
+}
+
+// syncInherited syncs the log and slots a resumed run finds, before its
+// first write: it cannot know what its predecessor left unsynced, and the
+// slot rule counts on the newest checkpoint it loads being on disk.
+func (r *Run) syncInherited() error {
+	for _, name := range [...]string{logName, slotName(0), slotName(1)} {
+		f, err := os.OpenFile(filepath.Join(r.dir, name), os.O_RDWR, 0)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err == nil {
+			err = r.sync(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("runstate: sync inherited %s: %w", name, err)
+		}
 	}
-	return r, nil
+	r.logSynced, r.lastSync = r.logEnd, r.now()
+	return nil
 }
 
 // Dir returns the checkpoint directory.
@@ -343,8 +418,9 @@ func (r *Run) Phase1Completed() int {
 	return len(r.blocks)
 }
 
-// Close releases the log and slot handles. It is idempotent, and a Run
-// closed early reopens what a later call needs.
+// Close syncs every record still pending and releases the log and slot
+// handles. It is idempotent, and a Run closed early reopens what a later
+// call needs.
 func (r *Run) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -352,6 +428,14 @@ func (r *Run) Close() error {
 }
 
 func (r *Run) closeLocked() error {
+	err := r.commitLocked()
+	if cerr := r.closeFiles(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func (r *Run) closeFiles() error {
 	open := [...]*os.File{r.log, r.slots[0], r.slots[1]}
 	r.log, r.slots = nil, [numSlots]*os.File{}
 	var first error
@@ -366,10 +450,60 @@ func (r *Run) closeLocked() error {
 	return first
 }
 
-// BeginPhase2 marks Phase 1 complete. It is idempotent.
+// commitDueLocked commits once the last sync is commitInterval old.
+func (r *Run) commitDueLocked() error {
+	if r.now().Sub(r.lastSync) < commitInterval {
+		return nil
+	}
+	return r.commitLocked()
+}
+
+// commitLocked syncs every record written since the last sync. A failed
+// fsync is undone rather than retried: the log forgets the records past its
+// synced end, and the newest checkpoint is again the synced one in the
+// other slot, so the next save overwrites the slot that failed.
+func (r *Run) commitLocked() error {
+	var errs []error
+	if r.logEnd > r.logSynced {
+		if err := r.sync(r.log); err != nil {
+			for id, rec := range r.blocks {
+				if rec.off >= r.logSynced {
+					delete(r.blocks, id)
+				}
+			}
+			r.logEnd = r.logSynced
+			errs = append(errs, fmt.Errorf("runstate: sync block log: %w", err))
+		}
+		r.logSynced = r.logEnd
+	}
+	if slot := r.dirtySlot; slot >= 0 {
+		r.dirtySlot = -1
+		if err := r.sync(r.slots[slot]); err != nil {
+			r.newest = 1 - slot
+			errs = append(errs, fmt.Errorf("runstate: sync %s: %w", slotName(slot), err))
+		}
+	}
+	r.lastSync = r.now()
+	return errors.Join(errs...)
+}
+
+// sync is the one fsync of the log and the slots, counted and timed.
+func (r *Run) sync(f *os.File) error {
+	start := time.Now()
+	err := r.fsync(f)
+	r.cSyncs.Inc()
+	r.hSyncUS.Observe(float64(time.Since(start).Microseconds()))
+	return err
+}
+
+// BeginPhase2 syncs every block record, then marks Phase 1 complete. It is
+// idempotent.
 func (r *Run) BeginPhase2() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if err := r.commitLocked(); err != nil {
+		return err
+	}
 	if r.body.Stage != StagePhase1 {
 		return nil
 	}
@@ -605,13 +739,4 @@ func openOrCreate(dir, name string) (*os.File, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// writeSynced writes b to f at off and returns once it is on stable
-// storage.
-func writeSynced(f *os.File, b []byte, off int64) error {
-	if _, err := f.WriteAt(b, off); err != nil {
-		return err
-	}
-	return f.Sync()
 }

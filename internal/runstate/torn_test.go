@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -57,9 +58,11 @@ func readFile(t *testing.T, path string) []byte {
 }
 
 // TestPhase2SlotDamage applies each shape of damage to the slot holding
-// the newest checkpoint, once with the checkpoint before it in the other
-// slot (it must load) and once with no other slot (ErrCorrupt). Then the
-// next save must land on the damaged slot, never on the one still valid.
+// the newest checkpoint after one to four saves, with a sync between every
+// save and with none. No save may overwrite the slot holding the newest
+// synced checkpoint, so the other slot always holds a synced one: the
+// damaged run must load it (ErrCorrupt when there is no other slot), and
+// the next save must land on the damaged slot, never on the survivor.
 func TestPhase2SlotDamage(t *testing.T) {
 	jsonAt := recordHeaderLen + 8 + 4 // record header, sequence number, JSON length
 	cases := []struct {
@@ -68,6 +71,7 @@ func TestPhase2SlotDamage(t *testing.T) {
 		whole  bool // the newest checkpoint still loads
 	}{
 		{"cut-at-0", func(rec []byte) []byte { return nil }, false},
+		{"zeroed", func(rec []byte) []byte { return make([]byte, len(rec)) }, false},
 		{"cut-in-record-header", func(rec []byte) []byte { return rec[:10] }, false},
 		{"cut-in-json", func(rec []byte) []byte { return rec[:jsonAt+20] }, false},
 		{"cut-in-matrices", func(rec []byte) []byte { return rec[:len(rec)-20] }, false},
@@ -76,54 +80,75 @@ func TestPhase2SlotDamage(t *testing.T) {
 		{"stale-bytes-past-len", func(rec []byte) []byte { return append(rec, bytes.Repeat([]byte{0xA5}, 300)...) }, true},
 	}
 	for _, tc := range cases {
-		for _, saves := range []int{1, 2, 3} {
-			dir := t.TempDir()
-			rs := mustOpen(t, dir, false)
-			for step := 1; step <= saves; step++ {
-				if err := rs.SavePhase2(phase2Sample(step)); err != nil {
+		for _, saves := range []int{1, 2, 3, 4} {
+			for _, syncEach := range []bool{false, true} {
+				name := fmt.Sprintf("%s after %d saves (sync each: %v)", tc.name, saves, syncEach)
+				dir := t.TempDir()
+				rs, probe := openProbed(t, dir, false)
+				// held is the step each slot file holds, synced the step it
+				// held at its last sync; 0 is none.
+				var held, synced [numSlots]int
+				for step := 1; step <= saves; step++ {
+					if syncEach {
+						probe.advance()
+					}
+					var before [numSlots]int
+					for i := range before {
+						before[i] = probe.syncs[slotName(i)]
+					}
+					newestSynced := 0
+					if synced[1] > synced[0] {
+						newestSynced = 1
+					}
+					savePhase2(t, rs, step)
+					if synced[newestSynced] > 0 && rs.newest == newestSynced {
+						t.Fatalf("%s: step %d overwrote the slot holding the newest synced checkpoint", name, step)
+					}
+					held[rs.newest] = step
+					for i := range synced {
+						if step == 1 || probe.syncs[slotName(i)] > before[i] {
+							synced[i] = held[i]
+						}
+					}
+				}
+				newest, other := rs.newest, 1-rs.newest
+				if held[other] != synced[other] {
+					t.Fatalf("%s: slot %d holds step %d but was synced at step %d", name, other, held[other], synced[other])
+				}
+				// The crash: the first handle is never closed.
+				path := filepath.Join(dir, slotName(newest))
+				writeFile(t, path, tc.damage(readFile(t, path)))
+				var survivor []byte
+				if held[other] > 0 {
+					survivor = readFile(t, filepath.Join(dir, slotName(other)))
+				}
+
+				rs2 := mustOpen(t, dir, true)
+				st, ok, err := rs2.LoadPhase2()
+				switch {
+				case tc.whole:
+					if err != nil || !ok || st.NextStep != saves {
+						t.Fatalf("%s: got %+v ok=%v err=%v, want step %d", name, st, ok, err, saves)
+					}
+					continue
+				case held[other] == 0:
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("%s with no other slot: ok=%v err=%v, want ErrCorrupt", name, ok, err)
+					}
+					continue
+				case err != nil || !ok || st.NextStep != held[other]:
+					t.Fatalf("%s: got %+v ok=%v err=%v, want step %d", name, st, ok, err, held[other])
+				}
+				if err := rs2.SavePhase2(phase2Sample(40)); err != nil {
 					t.Fatal(err)
 				}
-			}
-			rs.Close()
-			newest := filepath.Join(dir, slotName((saves-1)%2))
-			writeFile(t, newest, tc.damage(readFile(t, newest)))
-			var other []byte
-			if saves > 1 {
-				other = readFile(t, filepath.Join(dir, slotName(saves%2)))
-			}
-
-			rs2 := mustOpen(t, dir, true)
-			st, ok, err := rs2.LoadPhase2()
-			switch {
-			case tc.whole:
-				if err != nil || !ok || st.NextStep != saves {
-					t.Fatalf("%s after %d saves: got %+v ok=%v err=%v, want step %d", tc.name, saves, st, ok, err, saves)
+				if !bytes.Equal(readFile(t, filepath.Join(dir, slotName(other))), survivor) {
+					t.Fatalf("%s: the save after a fallback wrote over the surviving slot", name)
 				}
-			case saves == 1:
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("%s with no other slot: ok=%v err=%v, want ErrCorrupt", tc.name, ok, err)
+				rs2.Close()
+				if st, ok, err := mustOpen(t, dir, true).LoadPhase2(); err != nil || !ok || st.NextStep != 40 {
+					t.Fatalf("%s: after fallback and save, reopened: %+v ok=%v err=%v", name, st, ok, err)
 				}
-				continue
-			default:
-				if err != nil || !ok || st.NextStep != saves-1 {
-					t.Fatalf("%s after %d saves: got %+v ok=%v err=%v, want step %d", tc.name, saves, st, ok, err, saves-1)
-				}
-			}
-			if tc.whole {
-				continue
-			}
-			// The resumed run's first save overwrites the torn slot with a
-			// sequence number above the survivor's, and leaves the
-			// survivor alone.
-			if err := rs2.SavePhase2(phase2Sample(40)); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(readFile(t, filepath.Join(dir, slotName(saves%2))), other) {
-				t.Fatalf("%s: the save after a fallback wrote over the surviving slot", tc.name)
-			}
-			rs2.Close()
-			if st, ok, err := mustOpen(t, dir, true).LoadPhase2(); err != nil || !ok || st.NextStep != 40 {
-				t.Fatalf("%s: after fallback and save, reopened: %+v ok=%v err=%v", tc.name, st, ok, err)
 			}
 		}
 	}

@@ -1,11 +1,14 @@
 package twopcp_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"twopcp"
@@ -351,4 +354,99 @@ func TestSparseCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "sparse-noop-resume", resumed, plain)
+}
+
+// TestPowerLossResume copies a live checkpoint directory at a checkpoint
+// in Phase 1 and at one in Phase 2, rewinds each copy to what a power loss
+// at that instant leaves under group commit, and resumes it: factors,
+// FitTrace and swaps must be bit-identical to an uninterrupted run.
+//
+// The rewind is the last-synced state. The run is far shorter than the
+// one-second commit interval, so nothing is synced between Open and
+// BeginPhase2 (the log is cut to nothing) or after the first Phase-2
+// checkpoint, which is installed by rename (the newer slot is zeroed in
+// place at its full size, as ext4 can leave a file whose size is durable
+// and whose data is not).
+func TestPowerLossResume(t *testing.T) {
+	x := twopcp.RandomDense(rand.New(rand.NewSource(4)), 16, 16, 16)
+	plainOpts := resumeOpts("")
+	plainOpts.Checkpoint = ""
+	plain, err := twopcp.Decompose(x, plainOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []struct {
+		name  string
+		phase string // the manifest stage the copy must be taken in
+		nth   int    // which checkpoint.write of that stage to copy at
+	}{{"phase1", "phase1", 3}, {"phase2", "phase2", 4}} {
+		t.Run(at.name, func(t *testing.T) {
+			live := filepath.Join(t.TempDir(), "ckpt")
+			snap := t.TempDir()
+			seen, copied := 0, false
+			opts := resumeOpts(live)
+			opts.Workers, opts.CheckpointEverySteps = 1, 1
+			opts.Observer = &twopcp.Observer{OnEvent: func(e twopcp.Event) {
+				if copied || e.Name != "checkpoint.write" || !strings.Contains(readString(t, filepath.Join(live, "manifest.json")), `"stage":"`+at.phase+`"`) {
+					return
+				}
+				if seen++; seen == at.nth {
+					if err := os.CopyFS(snap, os.DirFS(live)); err != nil {
+						t.Error(err)
+					}
+					copied = true
+				}
+			}}
+			if _, err := twopcp.Decompose(x, opts); err != nil {
+				t.Fatal(err)
+			}
+			if !copied {
+				t.Fatalf("the run wrote %d checkpoints in %s, fewer than %d", seen, at.phase, at.nth)
+			}
+			rewindToSynced(t, snap, at.phase)
+
+			reOpts := resumeOpts(snap)
+			reOpts.Resume = true
+			resumed, err := twopcp.Decompose(x, reOpts)
+			if err != nil {
+				t.Fatalf("resume after power loss: %v", err)
+			}
+			sameResult(t, "power-loss-"+at.name, resumed, plain)
+		})
+	}
+}
+
+// rewindToSynced is TestPowerLossResume's power loss: the block log keeps
+// only what BeginPhase2 synced, and when both Phase-2 slots exist the one
+// with the higher sequence number is zeroed in place.
+func rewindToSynced(t *testing.T, dir, stage string) {
+	t.Helper()
+	if stage == "phase1" {
+		if err := os.Truncate(filepath.Join(dir, "p1-blocks.log"), 0); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	var slots [2][]byte
+	for i := range slots {
+		slots[i] = []byte(readString(t, filepath.Join(dir, fmt.Sprintf("phase2-%d.ckpt", i))))
+	}
+	// A slot record opens with a 16-byte header, then its sequence number.
+	newest := 0
+	if binary.LittleEndian.Uint64(slots[1][16:]) > binary.LittleEndian.Uint64(slots[0][16:]) {
+		newest = 1
+	}
+	path := filepath.Join(dir, fmt.Sprintf("phase2-%d.ckpt", newest))
+	if err := os.WriteFile(path, make([]byte, len(slots[newest])), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readString(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

@@ -53,6 +53,14 @@
 # log (tear-log: the resume must recompute that one block). Either way it
 # must exit 0 and match the uninterrupted run bit for bit. CI runs both in
 # the smoke job.
+#
+# TWOPCP_CKPT_LOSS=zero-unsynced is what group commit can lose: after the
+# kill the script zeroes the block log from half its length to the end,
+# and the newest Phase-2 slot in place when an older one exists, keeping
+# both files' sizes — what ext4 can leave after a power loss, where the
+# size is durable and the data is not. The resume must recompute the lost
+# blocks, fall back to the older slot, exit 0 and match the uninterrupted
+# run bit for bit. CI runs it in the smoke job with the two tear modes.
 set -euo pipefail
 
 constraint="${TWOPCP_CONSTRAINT:-none}"
@@ -66,8 +74,8 @@ case "$store_loss" in none | wipe | garble | truncate) ;; *)
   ;;
 esac
 ckpt_loss="${TWOPCP_CKPT_LOSS:-none}"
-case "$ckpt_loss" in none | tear-slot | tear-log) ;; *)
-  echo "TWOPCP_CKPT_LOSS=$ckpt_loss: want tear-slot or tear-log" >&2
+case "$ckpt_loss" in none | tear-slot | tear-log | zero-unsynced) ;; *)
+  echo "TWOPCP_CKPT_LOSS=$ckpt_loss: want tear-slot, tear-log or zero-unsynced" >&2
   exit 2
   ;;
 esac
@@ -158,17 +166,37 @@ echo "   killed pid $pid with a $(stat -c %s "$ckpt/p1-blocks.log")-byte block l
 # little-endian | crc32 | payload; a slot's payload opens with its u64
 # sequence number.
 u64_at() { od -An -tu8 -j"$2" -N8 "$1" | tr -d ' '; }
+newest_slot() {
+  [ -f "$ckpt/phase2-1.ckpt" ] || { echo "FAIL: killed before the second Phase-2 checkpoint; nothing to fall back on" >&2; exit 1; }
+  newest="$ckpt/phase2-0.ckpt"
+  if [ "$(u64_at "$ckpt/phase2-1.ckpt" 16)" -gt "$(u64_at "$newest" 16)" ]; then
+    newest="$ckpt/phase2-1.ckpt"
+  fi
+}
+# zero_from FILE OFFSET zeroes FILE from OFFSET to its end, keeping its size.
+zero_from() {
+  local size
+  size=$(stat -c %s "$1")
+  truncate -s "$2" "$1"
+  truncate -s "$size" "$1"
+}
 case "$ckpt_loss" in
   tear-slot)
     echo "== tearing the newest Phase-2 slot"
-    [ -f "$ckpt/phase2-1.ckpt" ] || { echo "FAIL: killed before the second Phase-2 checkpoint; nothing to fall back on" >&2; exit 1; }
-    newest="$ckpt/phase2-0.ckpt"
-    if [ "$(u64_at "$ckpt/phase2-1.ckpt" 16)" -gt "$(u64_at "$newest" 16)" ]; then
-      newest="$ckpt/phase2-1.ckpt"
-    fi
+    newest_slot
     seq=$(u64_at "$newest" 16)
     truncate -s $(($(stat -c %s "$newest") / 2)) "$newest"
     echo "   $(basename "$newest") (checkpoint $seq) cut to $(stat -c %s "$newest") bytes"
+    ;;
+  zero-unsynced)
+    echo "== zeroing what group commit may not have synced"
+    log="$ckpt/p1-blocks.log"
+    size=$(stat -c %s "$log")
+    zero_from "$log" $((size / 2))
+    newest_slot
+    seq=$(u64_at "$newest" 16)
+    zero_from "$newest" 0
+    echo "   block log zeroed from byte $((size / 2)) of $size; $(basename "$newest") (checkpoint $seq) zeroed, $(stat -c %s "$newest") bytes kept"
     ;;
   tear-log)
     echo "== tearing the last record of the Phase-1 block log"

@@ -46,8 +46,9 @@ echo "== generate input and local reference run"
 "$work/tensorgen" -kind lowrank -dims 30x30x30 -rank 2 -noise 0 \
   -tiles 2x2x2 -seed 11 -out "$work/x.tptl"
 # Same spec the job will carry: long enough (tol disabled) that the drain
-# lands mid-run, checkpointing every schedule step.
-common_flags=(-rank 3 -parts 3 -buffer 0.5 -iters 500 -tol=-1 -seed 11)
+# lands mid-run, checkpointing every schedule step. Phase 2 takes a few
+# hundred milliseconds on a 2-vCPU box.
+common_flags=(-rank 3 -parts 3 -buffer 0.5 -iters 1500 -tol=-1 -seed 11)
 "$work/twopcp" -in "$work/x.tptl" "${common_flags[@]}" -out-prefix "$work/ref"
 
 echo "== start daemon and submit"
@@ -63,7 +64,10 @@ for _ in $(seq 1 300); do
   sleep 0.1
 done
 [ -f "$ckpt" ] || { echo "job never reached a Phase-2 checkpoint" >&2; exit 1; }
-curl -fs "http://localhost:$admin_port/metrics" | tee "$work/prom.txt" | head -n 5
+# Into a file first: under pipefail, head closing the pipe early would
+# fail the script with SIGPIPE.
+curl -fs "http://localhost:$admin_port/metrics" -o "$work/prom.txt"
+head -n 5 "$work/prom.txt"
 grep -q '^twopcp_jobs_running 1' "$work/prom.txt" \
   || { echo "/metrics does not show the running job" >&2; exit 1; }
 

@@ -348,7 +348,7 @@ func (r *runCtx) stages() []stage {
 // decompose is the one driver behind every front-end: validate, build the
 // block source, then run the stages in order until one fails or the run
 // is done. It is also the one place stage wall time is taken.
-func decompose(opts Options, in input) (*Result, error) {
+func decompose(opts Options, in input) (res *Result, err error) {
 	defer applyKernelWorkers(opts)()
 	r, err := newRun(opts, in)
 	if err != nil {
@@ -363,11 +363,23 @@ func decompose(opts Options, in input) (*Result, error) {
 	if opts.Chaos.BlockRate > 0 || len(opts.Chaos.PoisonBlocks) > 0 {
 		r.src = phase1.NewFaultySource(r.src, opts.Chaos.BlockRate, opts.Chaos.Seed, opts.Chaos.PoisonBlocks)
 	}
-	// The data every checkpoint wrote is already synced; what Close can
-	// still fail at is releasing a descriptor, which changes no outcome.
+	// Close carries the run's last checkpoint sync, so its error is the
+	// run's. A drain that could not sync has not left the resumable
+	// directory ErrInterrupted promises: the sync failure becomes the
+	// error, with the drain's message kept.
 	defer func() {
-		if r.rs != nil {
-			_ = r.rs.Close()
+		if r.rs == nil {
+			return
+		}
+		cerr := r.rs.Close()
+		switch {
+		case cerr == nil:
+		case err == nil:
+			res, err = nil, cerr
+		case errors.Is(err, ErrInterrupted):
+			err = fmt.Errorf("%w (while draining: %v)", cerr, err)
+		default:
+			err = errors.Join(err, cerr)
 		}
 	}()
 	for _, st := range r.stages() {
