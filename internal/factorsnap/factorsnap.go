@@ -51,8 +51,11 @@ const Magic = "TPFS"
 // Version is the snapshot schema version this package writes and reads.
 const Version = 1
 
-// ErrCorrupt marks a snapshot whose framing or CRCs are invalid.
+// ErrCorrupt marks a snapshot whose framing, CRCs or shape are invalid.
 var ErrCorrupt = errors.New("factorsnap: corrupt snapshot")
+
+// ErrVersion marks a snapshot of a schema version this build does not read.
+var ErrVersion = errors.New("factorsnap: unsupported snapshot version")
 
 // preambleLen is the fixed-size region before the header JSON: magic,
 // version, header length, header CRC.
@@ -201,7 +204,7 @@ func decode(raw []byte, mapped bool) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: bad magic %q (want %s)", ErrCorrupt, raw[:4], Magic)
 	}
 	if v := binary.LittleEndian.Uint32(raw[4:]); v != Version {
-		return nil, fmt.Errorf("factorsnap: snapshot version %d, this build reads %d", v, Version)
+		return nil, fmt.Errorf("%w %d, this build reads %d", ErrVersion, v, Version)
 	}
 	hdrLen := int(binary.LittleEndian.Uint32(raw[8:]))
 	hdrCRC := binary.LittleEndian.Uint32(raw[12:])
@@ -224,6 +227,12 @@ func decode(raw []byte, mapped bool) (*Snapshot, error) {
 	for n, d := range hdr.Dims {
 		if d < 0 {
 			return nil, fmt.Errorf("%w: negative dim %d for mode %d", ErrCorrupt, d, n)
+		}
+		// Modes that add up to more than the file cannot be in it; the
+		// bound comes before the product so neither it nor the sum can
+		// overflow.
+		if d > (len(raw)-want)/8/hdr.Rank {
+			return nil, fmt.Errorf("%w: mode %d of %d rows of rank %d overruns the %d-byte file", ErrCorrupt, n, d, hdr.Rank, len(raw))
 		}
 		want += d * hdr.Rank * 8
 	}

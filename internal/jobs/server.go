@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -52,6 +53,9 @@ var Routes = []Route{
 // Server serves the jobs API over a Manager.
 type Server struct {
 	m *Manager
+	// freeBytes reports the bytes an unprivileged writer may still add to
+	// the file system holding dir (statfs), the cap on an upload.
+	freeBytes func(dir string) (int64, error)
 }
 
 // SpecHeader is the request header carrying the JSON-encoded Spec on
@@ -60,7 +64,7 @@ type Server struct {
 const SpecHeader = "X-Twopcp-Spec"
 
 // NewServer returns a Server over m.
-func NewServer(m *Manager) *Server { return &Server{m: m} }
+func NewServer(m *Manager) *Server { return &Server{m: m, freeBytes: freeBytes} }
 
 // Handler builds the API handler from the Routes table.
 func (s *Server) Handler() http.Handler {
@@ -147,13 +151,31 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad %s header: %w", SpecHeader, err))
 			return
 		}
-	} else if err := specFromQuery(r, &spec); err != nil {
+	} else if err := specFromQuery(r.URL.Query(), &spec); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	job, err := s.m.Submit(spec, r.Body)
+	// The upload may take at most the free bytes of the store's file
+	// system, read now: a declared length past that is refused unread,
+	// and a body that runs past it is cut off there.
+	free, err := s.freeBytes(s.m.store.Root())
 	if err != nil {
-		writeErr(w, errStatus(err, http.StatusBadRequest), err)
+		writeErr(w, http.StatusInternalServerError, fmt.Errorf("jobs: free space of the job store: %w", err))
+		return
+	}
+	if r.ContentLength > free {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("upload of %d bytes exceeds the job store's %d free bytes", r.ContentLength, free))
+		return
+	}
+	job, err := s.m.Submit(spec, http.MaxBytesReader(w, r.Body, free))
+	if err != nil {
+		status := errStatus(err, http.StatusBadRequest)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+			err = fmt.Errorf("upload exceeds the job store's %d free bytes", free)
+		}
+		writeErr(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, job)
@@ -162,8 +184,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 // specFromQuery fills the few spec fields expressible as query
 // parameters (?rank=10&iters=50&seed=1) for curl-friendly uploads
 // without the JSON header.
-func specFromQuery(r *http.Request, spec *Spec) error {
-	q := r.URL.Query()
+func specFromQuery(q url.Values, spec *Spec) error {
 	geti := func(name string, dst *int) error {
 		if v := q.Get(name); v != "" {
 			n, err := strconv.Atoi(v)
@@ -410,8 +431,8 @@ func parseIntList(s string, skip int) ([]int, error) {
 }
 
 // queryInt reads an integer query parameter with a default.
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
+func queryInt(q url.Values, name string, def int) (int, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -488,17 +509,18 @@ func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
 	if mdl == nil {
 		return
 	}
-	mode, err := queryInt(r, "mode", -1)
+	q := r.URL.Query()
+	mode, err := queryInt(q, "mode", -1)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	k, err := queryInt(r, "k", 10)
+	k, err := queryInt(q, "k", 10)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	at, err := parseIntList(r.URL.Query().Get("at"), mode)
+	at, err := parseIntList(q.Get("at"), mode)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("at: %w", err))
 		return
@@ -521,17 +543,18 @@ func (s *Server) handleQueryNN(w http.ResponseWriter, r *http.Request) {
 	if mdl == nil {
 		return
 	}
-	mode, err := queryInt(r, "mode", -1)
+	q := r.URL.Query()
+	mode, err := queryInt(q, "mode", -1)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	index, err := queryInt(r, "index", -1)
+	index, err := queryInt(q, "index", -1)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	k, err := queryInt(r, "k", 10)
+	k, err := queryInt(q, "k", 10)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"twopcp/internal/serve"
@@ -673,5 +675,99 @@ func TestSubmitRejectsOversizedSpec(t *testing.T) {
 	}
 	if jobs := m.List(); len(jobs) != 0 {
 		t.Fatalf("an oversized spec created %d job(s)", len(jobs))
+	}
+}
+
+// noInputs fails if any job directory under root holds an input file.
+func noInputs(t *testing.T, root string) {
+	t.Helper()
+	inputs, err := filepath.Glob(filepath.Join(root, "*", inputName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inputs) != 0 {
+		t.Fatalf("a refused upload left %v behind", inputs)
+	}
+}
+
+// TestUploadBoundedByFreeSpace: an upload may take at most the free bytes
+// of the job store's file system. A declared length past them is 413
+// before a byte is read; a body of unknown length that runs past them is
+// cut off there, 413 too. Neither creates a job or leaves an input file.
+func TestUploadBoundedByFreeSpace(t *testing.T) {
+	dir := t.TempDir()
+	tensor := filepath.Join(dir, "x.tptl")
+	writeTensor(t, tensor, 1, 12, 12, 12)
+	raw, err := os.ReadFile(tensor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := filepath.Join(dir, "data")
+	_, m := newTestManager(t, root, 1)
+	defer m.Drain()
+	srv := NewServer(m)
+	if free, err := srv.freeBytes(root); err != nil || free <= 0 {
+		t.Fatalf("free bytes of the job store = %d, %v", free, err)
+	}
+	srv.freeBytes = func(string) (int64, error) { return int64(len(raw)) - 1, nil }
+
+	for _, declared := range []bool{true, false} {
+		body := bytes.NewReader(raw)
+		req := httptest.NewRequest("POST", "/v1/jobs/upload?rank=2", body)
+		if !declared {
+			req.ContentLength = -1
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		var apiErr apiError
+		if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &apiErr) != nil || apiErr.Error == "" {
+			t.Fatalf("declared length %v: status %d, body %q; want 413 with the error envelope", declared, rec.Code, rec.Body)
+		}
+		if read := len(raw) - body.Len(); declared && read != 0 {
+			t.Fatalf("a declared oversized upload read %d body bytes before refusing, want 0", read)
+		}
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("oversized uploads created %d job(s)", len(jobs))
+	}
+	noInputs(t, root)
+
+	// At exactly the free bytes the upload goes through.
+	srv.freeBytes = func(string) (int64, error) { return int64(len(raw)), nil }
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs/upload?rank=2", bytes.NewReader(raw)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("upload of exactly the free bytes: status %d, body %q", rec.Code, rec.Body)
+	}
+}
+
+// TestTruncatedUploadLeavesNothing: a body that ends before its declared
+// length (the client went away) fails with io.ErrUnexpectedEOF, answers
+// 400 with the error envelope, and leaves neither a job nor its input.
+func TestTruncatedUploadLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	root := filepath.Join(dir, "data")
+	store, m := newTestManager(t, root, 1)
+	defer m.Drain()
+
+	cut := io.MultiReader(bytes.NewReader(make([]byte, 4096)), iotest.ErrReader(io.ErrUnexpectedEOF))
+	if _, err := m.Submit(Spec{Rank: 2}, cut); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Submit of a cut-off body: %v, want io.ErrUnexpectedEOF", err)
+	}
+	req := httptest.NewRequest("POST", "/v1/jobs/upload?rank=2", nil)
+	req.Body = io.NopCloser(io.MultiReader(bytes.NewReader(make([]byte, 4096)), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	req.ContentLength = 1 << 20
+	rec := httptest.NewRecorder()
+	NewServer(m).Handler().ServeHTTP(rec, req)
+	var apiErr apiError
+	if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &apiErr) != nil || !strings.Contains(apiErr.Error, "unexpected EOF") {
+		t.Fatalf("truncated upload: status %d, body %q; want 400 naming the cut", rec.Code, rec.Body)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("truncated uploads created %d job(s)", len(jobs))
+	}
+	noInputs(t, store.Root())
+	if entries, err := os.ReadDir(store.Root()); err != nil || len(entries) != 0 {
+		t.Fatalf("job store holds %d entries after truncated uploads (%v), want none", len(entries), err)
 	}
 }

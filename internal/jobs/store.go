@@ -131,20 +131,13 @@ func (s *Store) Create(spec Spec, input io.Reader, now time.Time) (*Job, error) 
 	}
 	if input != nil {
 		path := s.InputPath(id)
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := io.Copy(f, input); err != nil {
-			f.Close()
+		if err := writeInput(path, input); err != nil {
+			// A cut-off or refused upload leaves nothing behind: the
+			// directory holds no record yet, only the partial input. Its
+			// removal is best effort; Load skips a directory without a
+			// record.
+			_ = os.RemoveAll(s.Dir(id))
 			return nil, fmt.Errorf("jobs: store upload for %s: %w", id, err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
 		}
 		spec.Input = path
 	}
@@ -153,6 +146,23 @@ func (s *Store) Create(spec Spec, input io.Reader, now time.Time) (*Job, error) 
 		return nil, err
 	}
 	return job, nil
+}
+
+// writeInput copies input into a new file at path and syncs it.
+func writeInput(path string, input io.Reader) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := io.Copy(f, input); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Put durably installs the job record (atomic rename + fsync, the same

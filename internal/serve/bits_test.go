@@ -3,16 +3,19 @@ package serve
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
+	"twopcp/internal/factorsnap"
 	"twopcp/internal/mat"
 )
 
 // The tests in this file hold every query answer to the bits of the
-// straightforward formulation: one row at a time for TopK and NN, one
-// zeroed mat.MulInto and a copy per block slab, and a separately computed
-// λ-combined row for cells. Run them under -tags purego too: the block
-// path's kernel has a vector body and a Go one.
+// straightforward formulation: one row at a time from the row-major
+// factors, each offered to the heap on its own, for TopK and NN; one
+// zeroed mat.MulInto and a copy per block slab; and a separately computed
+// λ-combined row for cells. Run them under -tags purego too: the mode
+// scans and the block path run a kernel with a vector body and a Go one.
 
 // dupModel is testModel with rows of the first mode duplicated (row j
 // copies row j/2 for odd j), so top-k scores and nn distances tie.
@@ -39,6 +42,15 @@ func refCombined(lambda []float64, factors []*mat.Matrix, mode, i int) []float64
 		row[f] = lambda[f] * src[f]
 	}
 	return row
+}
+
+// refOffer is the one-candidate heap offer: (idx, val) is rejected when
+// the heap is full and val ≤ its root, and inserted otherwise.
+func refOffer(ws *workspace, idx int, val float64, k int) {
+	if len(ws.heapVal) == k && val <= ws.heapVal[0] {
+		return
+	}
+	ws.heapInsert(idx, val, k)
 }
 
 // refTopK scores one row at a time, each a serial chain, and ranks the
@@ -73,7 +85,7 @@ func refTopK(lambda []float64, factors []*mat.Matrix, mode int, at []int, k int)
 		for f, v := range factors[mode].Row(j) {
 			s += v * w[f]
 		}
-		ws.heapOffer(j, s, k)
+		refOffer(ws, j, s, k)
 	}
 	return ws.drainDescending(nil)
 }
@@ -106,7 +118,7 @@ func refNN(factors []*mat.Matrix, mode, index, k int) []Scored {
 		if d < 0 {
 			d = 0
 		}
-		ws.heapOffer(j, -d, k)
+		refOffer(ws, j, -d, k)
 	}
 	out := ws.drainDescending(nil)
 	for i := range out {
@@ -130,13 +142,15 @@ func sameScored(t *testing.T, what string, got, want []Scored) {
 	}
 }
 
-// TestTopKAndNNMatchOneRowScan: the four-rows-per-pass scans return what
-// the one-row scan returns, bit for bit and tie for tie, at every tail
-// length (dims 1–9), with the nn query row in the four-row body and in the
-// tail, and for k up to past the mode's size.
+// TestTopKAndNNMatchOneRowScan: the one-call mode scans return what the
+// one-row scan returns, bit for bit and tie for tie, at every row count
+// from 1 to 9 and at 13 and 29 — below the kernel's four-row vector, in
+// its column tail and its Go tail, across an eight-row block and a four —
+// at ranks 1, 3, 8 and 13, with the nn query row at every index (0 and
+// I_n−1 among them), and for k up to past the mode's size.
 func TestTopKAndNNMatchOneRowScan(t *testing.T) {
-	for d := 1; d <= 9; d++ {
-		for _, rank := range []int{1, 3, 8} {
+	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 29} {
+		for _, rank := range []int{1, 3, 8, 13} {
 			mdl, lambda, factors := dupModel(t, int64(100*d+rank), rank, d, 3, 2)
 			for _, k := range []int{1, 2, d - 1, d, d + 3} {
 				if k <= 0 {
@@ -169,6 +183,39 @@ func TestTopKAndNNMatchOneRowScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameScored(t, "single-mode TopK", got, refTopK(lambda, factors, 0, []int{-1}, 4))
+}
+
+// TestSnapshotScansMatchOneRowScan: a Model opened from a snapshot makes
+// its column copy from the file's rows (a mapping where the platform maps
+// snapshots) and answers TopK and NN bit for bit as the one-row scan over
+// the same rows, the nn query row at both ends of the mode included.
+func TestSnapshotScansMatchOneRowScan(t *testing.T) {
+	_, lambda, factors := dupModel(t, 41, 13, 37, 5, 6)
+	path := filepath.Join(t.TempDir(), "factors.snap")
+	if err := factorsnap.Write(path, lambda, factors, nil); err != nil {
+		t.Fatal(err)
+	}
+	mdl, err := Open(path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mdl.Close()
+	for mode := 0; mode < 3; mode++ {
+		at := []int{4, 3, 2}
+		got, err := mdl.TopK(mode, at, 6, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameScored(t, fmt.Sprintf("snapshot TopK(mode %d)", mode), got, refTopK(lambda, factors, mode, at, 6))
+		last := factors[mode].Rows - 1
+		for _, index := range []int{0, last / 2, last} {
+			got, err := mdl.NN(mode, index, 6, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameScored(t, fmt.Sprintf("snapshot NN(%d, %d)", mode, index), got, refNN(factors, mode, index, 6))
+		}
+	}
 }
 
 // refBlock is ReconstructBlock as one zeroed mat.MulInto per slab and a

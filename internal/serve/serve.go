@@ -12,21 +12,29 @@
 //     innermost modes into one mat.FibersMatMulAdd call per slab, written
 //     straight into the result.
 //   - TopK — the k highest-scoring entities in one mode against a fixed
-//     entity in every other mode (a single matrix·vector sweep, four rows
-//     per pass, with a bounded partial sort, never a full sort).
-//   - NN — nearest neighbors of an entity in factor-row space, using
-//     precomputed squared row norms so each candidate costs one dot
-//     product.
+//     entity in every other mode: the whole mode scored by one
+//     mat.FibersMatMulAdd call, then one scan feeding a bounded partial
+//     sort, never a full sort.
+//   - NN — nearest neighbors of an entity in factor-row space: the same
+//     one-call scoring of the mode against the entity's row, and
+//     precomputed squared row norms turn each score into a distance.
+//
+// The scoring call reads a column-major copy of each factor (F rows of
+// I_n values), made once by New beside the row-major view the other
+// queries read, so the kernel's vector lanes run across entities. The
+// copy costs 8·ΣI_n·F bytes per open Model: as much again as the factors.
 //
 // Queries are allocation-free at steady state: scratch, including the
-// λ-combined row λ_f·A[i,f] a query starts from, lives in pooled
-// workspaces (sync.Pool), and result slices are caller-supplied append
-// targets. The Model is safe for concurrent use.
+// λ-combined row λ_f·A[i,f] a query starts from and the scores of a
+// scanned mode, lives in pooled workspaces (sync.Pool), and result slices
+// are caller-supplied append targets. The Model is safe for concurrent
+// use.
 package serve
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"twopcp/internal/factorsnap"
@@ -54,6 +62,7 @@ type Model struct {
 	rank    int
 	lambda  []float64
 	factors []*mat.Matrix
+	cols    [][]float64 // per-mode column-major factor copy, F rows of I_n, for TopK and NN
 	sqnorms [][]float64 // per-mode squared factor-row norms, for NN
 
 	pool sync.Pool
@@ -67,13 +76,15 @@ type workspace struct {
 	w       []float64 // λ-combined weight vector (rank)
 	heapIdx []int     // bounded partial-sort heap: indices
 	heapVal []float64 // bounded partial-sort heap: keys
+	scores  []float64 // one score per row of the scanned mode
 	a, bt   []float64 // block-reconstruct operands: weighted rows, Bᵀ
 	odo     []int     // outer-mode odometer for block iteration
 }
 
 // New builds a Model over λ and one factor matrix per mode. The factors
-// are referenced, not copied — they must stay immutable while the Model
-// is in use. len(lambda) must equal the factors' shared column count.
+// are referenced — they must stay immutable while the Model is in use —
+// and copied once more, column-major, for the mode scans. len(lambda)
+// must equal the factors' shared column count.
 func New(lambda []float64, factors []*mat.Matrix, cfg Config) (*Model, error) {
 	if len(factors) == 0 {
 		return nil, errors.New("serve: no factor matrices")
@@ -87,6 +98,7 @@ func New(lambda []float64, factors []*mat.Matrix, cfg Config) (*Model, error) {
 		rank:    rank,
 		lambda:  lambda,
 		factors: factors,
+		cols:    make([][]float64, len(factors)),
 		sqnorms: make([][]float64, len(factors)),
 	}
 	for n, f := range factors {
@@ -95,15 +107,17 @@ func New(lambda []float64, factors []*mat.Matrix, cfg Config) (*Model, error) {
 		}
 		m.dims[n] = f.Rows
 		sq := make([]float64, f.Rows)
+		cols := make([]float64, rank*f.Rows)
 		for i := 0; i < f.Rows; i++ {
-			row := f.Row(i)
 			s := 0.0
-			for _, v := range row {
+			for c, v := range f.Row(i) {
 				s += v * v
+				cols[c*f.Rows+i] = v
 			}
 			sq[i] = s
 		}
 		m.sqnorms[n] = sq
+		m.cols[n] = cols
 	}
 	m.pool.New = func() any {
 		return &workspace{w: make([]float64, rank)}
@@ -312,46 +326,26 @@ func (m *Model) TopK(mode int, at []int, k int, dst []Scored) ([]Scored, error) 
 
 	ws := m.pool.Get().(*workspace)
 	defer m.pool.Put(ws)
-	w := ws.w
-	m.weights(w, at, mode) // a single-mode model scores against λ alone
+	m.weights(ws.w, at, mode) // a single-mode model scores against λ alone
+	s := m.score(ws, mode, ws.w)
 	ws.resetHeap(k)
-	rows, F, n := m.factors[mode].Data, m.rank, m.dims[mode]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		s0, s1, s2, s3 := dot4(rows[j*F:(j+4)*F], w)
-		ws.heapOffer(j, s0, k)
-		ws.heapOffer(j+1, s1, k)
-		ws.heapOffer(j+2, s2, k)
-		ws.heapOffer(j+3, s3, k)
-	}
-	for ; j < n; j++ {
-		ws.heapOffer(j, dot(rows[j*F:(j+1)*F], w), k)
+	root := math.NaN()
+	for j, v := range s {
+		if !(v <= root) {
+			root = ws.heapInsert(j, v, k)
+		}
 	}
 	return ws.drainDescending(dst), nil
 }
 
-// dot is one row's score: Σ_f row[f]·w[f], summed front to back from zero.
-func dot(row, w []float64) float64 {
-	s := 0.0
-	for f, v := range row {
-		s += v * w[f]
-	}
+// score returns the scores of every row j of the mode against w in the
+// workspace: s[j] = Σ_f A[j,f]·w[f], each a front-to-back chain from zero
+// (the kernel's accumulator starts at +0 and the zeroed s adds nothing).
+func (m *Model) score(ws *workspace, mode int, w []float64) []float64 {
+	s := grow(&ws.scores, m.dims[mode])
+	clear(s)
+	mat.FibersMatMulAdd(s, m.cols[mode], w, m.rank, len(s))
 	return s
-}
-
-// dot4 returns dot(row, w) for the four consecutive rows of len(w) values
-// in rows. Each sum is dot's chain, bit for bit; the four chains are
-// independent, so their adds overlap instead of each waiting on the last.
-func dot4(rows, w []float64) (s0, s1, s2, s3 float64) {
-	F := len(w)
-	r0, r1, r2, r3 := rows[:F], rows[F:][:F], rows[2*F:][:F], rows[3*F:][:F]
-	for f, v := range w {
-		s0 += r0[f] * v
-		s1 += r1[f] * v
-		s2 += r2[f] * v
-		s3 += r3[f] * v
-	}
-	return s0, s1, s2, s3
 }
 
 // NN appends to dst the k nearest neighbors of entity index in the given
@@ -377,33 +371,24 @@ func (m *Model) NN(mode, index, k int, dst []Scored) ([]Scored, error) {
 
 	ws := m.pool.Get().(*workspace)
 	defer m.pool.Put(ws)
-	rows, F, n := m.factors[mode].Data, m.rank, m.dims[mode]
-	q := rows[index*F : (index+1)*F]
-	sq := m.sqnorms[mode]
+	s := m.score(ws, mode, m.factors[mode].Row(index))
 
 	// Keep the k smallest distances by heaping on the negated distance:
-	// the shared bounded heap retains the k largest keys.
+	// the shared bounded heap retains the k largest keys. The scan skips
+	// the query row by running the rows before it and the rows after it.
+	sq, sqi := m.sqnorms[mode][:len(s)], m.sqnorms[mode][index]
 	ws.resetHeap(k)
-	offer := func(j int, qj float64) {
-		if j == index {
-			return
+	root := math.NaN()
+	for _, r := range [2][2]int{{0, index}, {index + 1, len(s)}} {
+		for j := r[0]; j < r[1]; j++ {
+			d := sqi + sq[j] - 2*s[j]
+			if d < 0 {
+				d = 0 // rounding can push an exact-duplicate row slightly negative
+			}
+			if !(-d <= root) {
+				root = ws.heapInsert(j, -d, k)
+			}
 		}
-		d := sq[index] + sq[j] - 2*qj
-		if d < 0 {
-			d = 0 // rounding can push an exact-duplicate row slightly negative
-		}
-		ws.heapOffer(j, -d, k)
-	}
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d0, d1, d2, d3 := dot4(rows[j*F:(j+4)*F], q)
-		offer(j, d0)
-		offer(j+1, d1)
-		offer(j+2, d2)
-		offer(j+3, d3)
-	}
-	for ; j < n; j++ {
-		offer(j, dot(rows[j*F:(j+1)*F], q))
 	}
 	dst = ws.drainDescending(dst)
 	for i := range dst {
@@ -432,20 +417,14 @@ func (ws *workspace) resetHeap(k int) {
 	ws.heapVal = ws.heapVal[:0]
 }
 
-// heapOffer considers (idx, val) for the bounded heap of the k largest
-// values. The heap root is the current minimum, and in a long scan most
-// candidates lose to it: that test is small enough to inline into the
-// scan loops, and heapInsert takes the rest.
-func (ws *workspace) heapOffer(idx int, val float64, k int) {
-	if len(ws.heapVal) == k && val <= ws.heapVal[0] {
-		return
-	}
-	ws.heapInsert(idx, val, k)
-}
-
-// heapInsert adds (idx, val) to a heap with room, or puts it in place of
-// a full heap's root and sifts down.
-func (ws *workspace) heapInsert(idx int, val float64, k int) {
+// heapInsert adds (idx, val) to the bounded heap of the k largest values:
+// to a heap with room, or in place of a full heap's root, sifting down. It
+// returns the root a later value must not be ≤ to go in: the heap's
+// minimum once it holds k entries, and until then NaN, which no value is
+// ≤. A scan keeps that root in a local and offers candidates in
+// ascending index, so a tie loses to the row already in and most of a
+// long scan is one compare per row.
+func (ws *workspace) heapInsert(idx int, val float64, k int) float64 {
 	h := len(ws.heapVal)
 	if h < k {
 		ws.heapIdx = append(ws.heapIdx, idx)
@@ -461,10 +440,14 @@ func (ws *workspace) heapInsert(idx int, val float64, k int) {
 			ws.heapIdx[p], ws.heapIdx[i] = ws.heapIdx[i], ws.heapIdx[p]
 			i = p
 		}
-		return
+		if len(ws.heapVal) < k {
+			return math.NaN()
+		}
+		return ws.heapVal[0]
 	}
 	ws.heapVal[0], ws.heapIdx[0] = val, idx
 	ws.siftDown(0)
+	return ws.heapVal[0]
 }
 
 // siftDown restores the min-heap property from position i.
