@@ -53,9 +53,9 @@ func phase0Rank(opts Options) int {
 // and installs it as the Phase-1 Init. It records in RunStats whether a
 // warm start was actually installed.
 //
-// Phase 0 is deterministic given the options (seeded sketches, serial
-// block streaming), so a resumed run recomputes bit-identical warm
-// starts — no Phase-0 state is checkpointed. The stage is not due once
+// Phase 0 is deterministic given the options (seeded sketches, blocks
+// merged in block-id order at every Workers), so a resumed run recomputes
+// bit-identical warm starts — no Phase-0 state is checkpointed. The stage is not due once
 // the manifest has advanced past Phase 1 (the warm start can no longer
 // influence anything).
 func (r *runCtx) phase0() error {
@@ -103,6 +103,7 @@ func sketchOptions(opts Options, solver cpals.Solver) sketch.Options {
 		Seed:       opts.Seed,
 		Solver:     solver,
 		Nonneg:     opts.Constraint == ConstraintNonneg,
+		Workers:    opts.Workers,
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -183,40 +184,63 @@ func TestTuckerStructuralFallbackIsANoOp(t *testing.T) {
 }
 
 // TestAcceleratorDeterminismAcrossParallelism: accelerated runs are
-// bit-for-bit identical across Phase-1 worker counts, kernel worker
-// counts and prefetch depths — the seeded sketches and serial Phase-0
-// block streaming keep Phase 0 out of every parallelism knob.
+// bit-for-bit identical — factors, FitTrace and Fit — across Phase-1 worker
+// counts, kernel worker counts and prefetch depths on every front-end.
+// Phase 0's two passes and the tiled fit pass read their blocks on the
+// run's Workers too, and merge them in block-id order, which keeps them out
+// of every parallelism knob. The tiled file's tiling is not the partition,
+// so its Phase-0 and Phase-1 blocks are re-tiled on the fly.
 func TestAcceleratorDeterminismAcrossParallelism(t *testing.T) {
 	x := accelTensor(33)
+	tiledPath := filepath.Join(t.TempDir(), "x.tptl")
+	if err := twopcp.SaveTiled(tiledPath, x, []int{3, 2, 2}); err != nil {
+		t.Fatal(err)
+	}
+	frontEnds := []struct {
+		name string
+		run  func(twopcp.Options) (*twopcp.Result, error)
+	}{
+		{"dense", func(o twopcp.Options) (*twopcp.Result, error) { return twopcp.Decompose(x, o) }},
+		{"sparse", func(o twopcp.Options) (*twopcp.Result, error) {
+			return twopcp.DecomposeSparse(twopcp.FromDense(x), o)
+		}},
+		{"tiled", func(o twopcp.Options) (*twopcp.Result, error) { return twopcp.DecomposeTiledFile(tiledPath, o) }},
+	}
 	for _, tc := range accelCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := twopcp.Decompose(x, accelOpts(tc.accel))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ref.RunStats.Accelerated {
-				t.Fatal("Phase 0 fell back on a low-multilinear-rank input")
-			}
-			variants := []struct {
-				name                                   string
-				workers, kernelWorkers, depth, ioWorks int
-			}{
-				{"serial", 1, 1, 0, 0},
-				{"workers3-kernel2", 3, 2, 0, 0},
-				{"prefetch2", 1, 1, 2, 2},
-				{"workers2-prefetch3-io3", 2, 2, 3, 3},
-			}
-			for _, v := range variants {
-				opts := accelOpts(tc.accel)
-				opts.Workers = v.workers
-				opts.KernelWorkers = v.kernelWorkers
-				opts.PrefetchDepth = v.depth
-				opts.IOWorkers = v.ioWorks
-				got, err := twopcp.Decompose(x, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", v.name, err)
-				}
-				assertSameRun(t, v.name, got, ref)
+			for _, fe := range frontEnds {
+				t.Run(fe.name, func(t *testing.T) {
+					ref, err := fe.run(accelOpts(tc.accel))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ref.RunStats.Accelerated {
+						t.Fatal("Phase 0 fell back on a low-multilinear-rank input")
+					}
+					variants := []struct {
+						name                                   string
+						workers, kernelWorkers, depth, ioWorks int
+					}{
+						{"serial", 1, 1, 0, 0},
+						{"workers3-kernel2", 3, 2, 0, 0},
+						{"prefetch2", 1, 1, 2, 2},
+						{"workers2-prefetch3-io3", 2, 2, 3, 3},
+						{"workers7", 7, 1, 0, 0},
+						{"workers-gomaxprocs", runtime.GOMAXPROCS(0), 0, 0, 0},
+					}
+					for _, v := range variants {
+						opts := accelOpts(tc.accel)
+						opts.Workers = v.workers
+						opts.KernelWorkers = v.kernelWorkers
+						opts.PrefetchDepth = v.depth
+						opts.IOWorkers = v.ioWorks
+						got, err := fe.run(opts)
+						if err != nil {
+							t.Fatalf("%s: %v", v.name, err)
+						}
+						assertSameRun(t, v.name, got, ref)
+					}
+				})
 			}
 		})
 	}

@@ -36,7 +36,7 @@ func clientMain(cmd string, args []string) int {
 		fs.Float64Var(&spec.BufferFraction, "buffer", 0, "buffer fraction (0 = daemon default)")
 		fs.IntVar(&spec.MaxIters, "iters", 0, "max Phase-2 virtual iterations (0 = daemon default)")
 		fs.Float64Var(&spec.Tol, "tol", 0, "fit-improvement stopping threshold (0 = daemon default)")
-		fs.IntVar(&spec.Workers, "workers", 0, "Phase-1 parallelism (0 = daemon default)")
+		fs.IntVar(&spec.Workers, "workers", 0, "blocks read at once by Phase 0, Phase 1 and the tiled fit pass (0 = daemon default)")
 		fs.IntVar(&spec.PrefetchDepth, "prefetch", 0, "Phase-2 prefetch depth")
 		fs.BoolVar(&spec.OutOfCore, "out-of-core", false, "keep Phase-2 data units on the daemon's disk")
 		fs.StringVar(&spec.Constraint, "constraint", "", "row-update solver: none, ridge or nonneg")

@@ -81,7 +81,7 @@ func runLocal() {
 		frac       = flag.Float64("buffer", 1.0, "buffer size as a fraction of the total space requirement")
 		maxIters   = flag.Int("iters", 100, "max Phase-2 virtual iterations")
 		tol        = flag.Float64("tol", 1e-2, "fit-improvement stopping threshold")
-		workers    = flag.Int("workers", 0, "Phase-1 parallelism (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "blocks read at once by Phase 0, Phase 1 and the tiled fit pass (0 = GOMAXPROCS)")
 		kworkers   = flag.Int("kernel-workers", 0, "intra-kernel parallelism for MTTKRP/Gram/GEMM (0 = GOMAXPROCS, 1 = serial; results are identical at every setting)")
 		prefetch   = flag.Int("prefetch", 0, "Phase-2 prefetch depth in schedule steps (0 = synchronous)")
 		ioWorkers  = flag.Int("io-workers", 0, "Phase-2 prefetch workers (0 = auto when -prefetch > 0)")

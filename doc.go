@@ -53,8 +53,9 @@
 //
 // # Concurrency
 //
-// A single Decompose call is internally parallel in three places. Phase 1
-// decomposes blocks on Options.Workers goroutines. The dense compute
+// A single Decompose call is internally parallel in three places. Every
+// pass over the input (Phase 0, Phase 1, the tiled fit) works on blocks on
+// Options.Workers goroutines, merged in block-id order. The dense compute
 // kernels underneath (MTTKRP, Gram, GEMM) additionally parallelize over
 // row panels on a shared worker pool capped by Options.KernelWorkers.
 // Phase 2, which is
@@ -200,7 +201,8 @@
 //
 // Acceleration changes where the iterations are spent, never the
 // pipeline's contracts. Phase 0 is deterministic from Options.Seed
-// (seeded sketches, serial block streaming, fixed multistart order), so
+// (seeded sketches, blocks merged in block-id order, fixed multistart
+// order), so
 // accelerated runs stay bit-identical across Workers, KernelWorkers,
 // IOWorkers and PrefetchDepth, and dense/tiled front-ends produce the
 // same bits. The accelerator name and both knobs join the checkpoint

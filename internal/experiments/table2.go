@@ -220,7 +220,10 @@ func naiveOutOfCoreCP(x *tensor.Dense, cfg Table2Config) error {
 		return err
 	}
 	defer cleanup()
-	p := r.Tiling()
+	src, err := phase1.NewTiledSource(r, r.Tiling())
+	if err != nil {
+		return err
+	}
 	rng := newRand(cfg.Seed + 99)
 	factors := make([]*mat.Matrix, 3)
 	for m := range factors {
@@ -230,32 +233,32 @@ func naiveOutOfCoreCP(x *tensor.Dense, cfg Table2Config) error {
 	for m := range grams {
 		grams[m] = mat.Gram(factors[m])
 	}
-	vec := make([]int, 3)
 	for iter := 0; iter < cfg.NaiveIters; iter++ {
 		for mode := 0; mode < 3; mode++ {
 			m := mat.New(cfg.Side, cfg.Rank)
-			for id := 0; id < p.NumBlocks(); id++ {
-				p.Unlinear(id, vec)
-				// Simulated tile-read latency (same cost model as the
-				// unit stores), then the partial MTTKRP for this tile.
-				time.Sleep(cfg.SwapLatency)
-				blk, err := r.ReadTile(vec)
-				if err != nil {
-					return err
-				}
-				from, size := p.Block(vec)
-				sub := make([]*mat.Matrix, 3)
-				for k := 0; k < 3; k++ {
-					sub[k] = factors[k].SliceRows(from[k], from[k]+size[k])
-				}
-				partial := tensor.MTTKRP(blk, sub, mode)
-				for r := 0; r < partial.Rows; r++ {
-					dst := m.Row(from[mode] + r)
-					src := partial.Row(r)
-					for c := range dst {
-						dst[c] += src[c]
+			// One tile at a time: the naive row has no parallelism.
+			err := phase1.Stream(src, 1, nil, nil,
+				func(_ struct{}, _ int, vec []int, read func() (any, error)) (*mat.Matrix, error) {
+					// Simulated tile-read latency (same cost model as the
+					// unit stores), then the partial MTTKRP for this tile.
+					time.Sleep(cfg.SwapLatency)
+					blk, err := read()
+					if err != nil {
+						return nil, err
 					}
-				}
+					from, size := src.P.Block(vec)
+					sub := make([]*mat.Matrix, 3)
+					for k := range sub {
+						sub[k] = factors[k].SliceRows(from[k], from[k]+size[k])
+					}
+					return tensor.MTTKRP(blk.(*tensor.Dense), sub, mode), nil
+				},
+				func(_ int, vec []int, partial *mat.Matrix) {
+					from, _ := src.P.Block(vec)
+					mat.FromSlice(partial.Rows, cfg.Rank, m.Data[from[mode]*cfg.Rank:][:partial.Rows*cfg.Rank]).AddInPlace(partial)
+				})
+			if err != nil {
+				return err
 			}
 			v := mat.New(cfg.Rank, cfg.Rank)
 			v.Fill(1)

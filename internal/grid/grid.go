@@ -7,6 +7,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Pattern describes how an N-mode tensor of the given Dims is partitioned:
@@ -207,15 +208,7 @@ func (p *Pattern) Cover(i, from, size int) (lo, hi int) {
 
 // Equal reports whether two patterns are identical.
 func (p *Pattern) Equal(q *Pattern) bool {
-	if len(p.Dims) != len(q.Dims) {
-		return false
-	}
-	for i := range p.Dims {
-		if p.Dims[i] != q.Dims[i] || p.K[i] != q.K[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(p.Dims, q.Dims) && slices.Equal(p.K, q.K)
 }
 
 // String formats the pattern as "dims/K".

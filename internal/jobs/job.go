@@ -101,7 +101,7 @@ type Spec struct {
 	MaxIters int `json:"iters,omitempty"`
 	// Tol is the fit-improvement stopping threshold (default 1e-2).
 	Tol float64 `json:"tol,omitempty"`
-	// Workers is the Phase-1 parallelism (0 = GOMAXPROCS).
+	// Workers bounds the blocks each pass reads at once (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// KernelWorkers is the intra-kernel parallelism (0 = GOMAXPROCS).
 	KernelWorkers int `json:"kernel_workers,omitempty"`

@@ -42,26 +42,15 @@ func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts Options, cfg mapreduce.Co
 		inputs[n] = r
 	}
 
-	// Precompute mode partition boundaries for coordinate → block mapping.
-	findPart := func(mode, coord int) (part, local int) {
-		for ki := 0; ki < p.K[mode]; ki++ {
-			from, size := p.ModeRange(mode, ki)
-			if coord >= from && coord < from+size {
-				return ki, coord - from
-			}
-		}
-		panic(fmt.Sprintf("phase1: coordinate %d outside mode %d", coord, mode))
-	}
-
 	recLen := 4*nModes + 8 // a shuffled nonzero: int32 local coordinates, its float64 value
 	mapper := func(in any, emit func(string, []byte)) error {
 		r := in.(record)
 		vec := make([]int, nModes)
 		rec := make([]byte, 0, recLen)
 		for m, c := range r.coords {
-			var local int
-			vec[m], local = findPart(m, c)
-			rec = binary.LittleEndian.AppendUint32(rec, uint32(int32(local)))
+			vec[m], _ = p.Cover(m, c, 1) // the part holding coordinate c
+			from, _ := p.ModeRange(m, vec[m])
+			rec = binary.LittleEndian.AppendUint32(rec, uint32(int32(c-from)))
 		}
 		emit(strconv.Itoa(p.Linear(vec)), mat.AppendFloats(rec, []float64{r.value}))
 		return nil
@@ -87,7 +76,7 @@ func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts Options, cfg mapreduce.Co
 			mat.DecodeFloats(val, v[4*nModes:])
 			blk.Append(local, val[0])
 		}
-		factors, _, err := DecomposeBlock(blk, blockID, p, opts)
+		factors, _, _, err := DecomposeBlock(blk, blockID, p, opts, nil)
 		if err != nil {
 			return err
 		}

@@ -1,9 +1,9 @@
 // Package phase1 implements the first phase of 2PCP (paper §IV): the input
 // tensor is partitioned into a grid of sub-tensors and every sub-tensor is
 // decomposed independently with CP-ALS — "potentially in parallel", which
-// here means a goroutine worker pool by default and, alternatively, the
-// paper's exact map/reduce operators on the in-process MapReduce engine
-// (see RunMapReduce).
+// here means Workers goroutines reading blocks through Stream by default
+// and, alternatively, the paper's exact map/reduce operators on the
+// in-process MapReduce engine (see RunMapReduce).
 //
 // The per-block results are the sub-factors U(i)_k of equation (1),
 // X_k ≈ I ×₁ U(1)_k ... ×_N U(N)_k: the block's Kruskal weights λ are
@@ -16,9 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 
 	"twopcp/internal/blockstore"
 	"twopcp/internal/cpals"
@@ -28,10 +26,10 @@ import (
 	"twopcp/internal/tensor"
 )
 
-// ErrStopped is returned by Run when Options.Stop was closed before every
-// block completed: the workers finished (and checkpointed) their in-flight
-// blocks, the producer handed out no further ones. A later run with the
-// same Checkpoint resumes exactly where the drain stopped.
+// ErrStopped is returned by Run (and Stream) when Options.Stop was closed
+// before every block completed: the workers finished (and checkpointed)
+// their in-flight blocks and no further ones were handed out. A later run
+// with the same Checkpoint resumes exactly where the drain stopped.
 var ErrStopped = errors.New("phase1: stopped before completion")
 
 // QuarantineError reports the blocks Run could not decompose after
@@ -77,13 +75,8 @@ type DenseSource struct {
 
 // NewDenseSource validates that the pattern matches the tensor shape.
 func NewDenseSource(x *tensor.Dense, p *grid.Pattern) (*DenseSource, error) {
-	if len(x.Dims) != len(p.Dims) {
-		return nil, fmt.Errorf("phase1: tensor has %d modes, pattern %d", len(x.Dims), len(p.Dims))
-	}
-	for i := range x.Dims {
-		if x.Dims[i] != p.Dims[i] {
-			return nil, fmt.Errorf("phase1: mode %d: tensor size %d != pattern size %d", i, x.Dims[i], p.Dims[i])
-		}
+	if !slices.Equal(x.Dims, p.Dims) {
+		return nil, fmt.Errorf("phase1: tensor dims %v do not match pattern dims %v", x.Dims, p.Dims)
 	}
 	return &DenseSource{X: x, P: p}, nil
 }
@@ -105,13 +98,8 @@ type COOSource struct {
 
 // NewCOOSource validates that the pattern matches the tensor shape.
 func NewCOOSource(x *tensor.COO, p *grid.Pattern) (*COOSource, error) {
-	if len(x.Dims) != len(p.Dims) {
-		return nil, fmt.Errorf("phase1: tensor has %d modes, pattern %d", len(x.Dims), len(p.Dims))
-	}
-	for i := range x.Dims {
-		if x.Dims[i] != p.Dims[i] {
-			return nil, fmt.Errorf("phase1: mode %d: tensor size %d != pattern size %d", i, x.Dims[i], p.Dims[i])
-		}
+	if !slices.Equal(x.Dims, p.Dims) {
+		return nil, fmt.Errorf("phase1: tensor dims %v do not match pattern dims %v", x.Dims, p.Dims)
 	}
 	return &COOSource{X: x, P: p}, nil
 }
@@ -137,7 +125,7 @@ type Checkpointer interface {
 	// SaveBlock records a completed block: runstate.Run's record survives
 	// the process at once and the disk within a second (a record a power
 	// loss takes is recomputed). It must be safe for concurrent use (the
-	// worker pool checkpoints in parallel).
+	// workers checkpoint in parallel).
 	SaveBlock(id int, factors []*mat.Matrix, fit float64) error
 }
 
@@ -173,8 +161,8 @@ type Options struct {
 	// deterministic.
 	Init []*mat.Matrix
 	// Obs receives telemetry: a phase1.block trace event per completed
-	// block (emitted by the worker that finished it, so the event
-	// multiset is worker-count invariant) and blocks/sweeps counters.
+	// block (emitted as the block merges, in block-id order at every
+	// worker count) and blocks/sweeps counters.
 	// Nil disables it at ~zero cost.
 	Obs *obs.Observer
 	// Retry is the transient-fault policy for block reads and checkpoint
@@ -221,18 +209,11 @@ func (r *Result) TotalSweeps() int {
 	return total
 }
 
-// SubFactor returns U(mode) of the block at linear id.
-func (r *Result) SubFactor(blockID, mode int) *mat.Matrix { return r.Sub[blockID][mode] }
-
-// Run decomposes every block of src with a worker pool.
+// Run decomposes every block of src on Stream, Workers blocks at a time.
 func Run(src Source, opts Options) (*Result, error) {
 	p := src.Pattern()
 	if opts.Rank <= 0 {
 		return nil, fmt.Errorf("phase1: rank %d", opts.Rank)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	nb := p.NumBlocks()
 	res := &Result{
@@ -242,148 +223,70 @@ func Run(src Source, opts Options) (*Result, error) {
 		Fits:    make([]float64, nb),
 		Sweeps:  make([]int, nb),
 	}
-	cBlocks := opts.Obs.Counter("phase1.blocks_done")
-	cSweeps := opts.Obs.Counter("phase1.sweeps")
-	blockDone := func(id int, fit float64, sweeps int, cached bool) {
-		cBlocks.Inc()
-		cSweeps.Add(int64(sweeps))
-		if opts.Obs.Tracing() {
-			opts.Obs.Emit("phase1.block",
-				obs.Int("block", id), obs.F64("fit", fit),
-				obs.Int("sweeps", sweeps), obs.Bool("cached", cached))
-		}
-	}
-	type job struct {
-		id  int
-		vec []int
-	}
-	jobs := make(chan job)
 	// retryer heals transient faults on the block-read and
 	// checkpoint-write paths; trace events address Phase-1 blocks with
 	// mode -1 and the block id in part.
 	retryer := blockstore.NewRetryer(opts.Retry, opts.Obs)
-	// A source that can read a block into the previous one's storage gets
-	// each worker's last block back: nothing keeps a block once it is
-	// decomposed.
-	reuser, _ := src.(interface {
-		BlockInto(buf any, vec []int) (any, error)
-	})
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		qBlocks []int
-		qErrs   []error
-	)
-	// quarantine records a block whose retry budget is spent and lets the
-	// worker move on: one poison block must not discard its siblings'
-	// work (they are individually checkpointed, so a later run recomputes
-	// only the quarantined ones).
-	quarantine := func(id int, vec []int, err error) {
-		mu.Lock()
-		qBlocks = append(qBlocks, id)
-		qErrs = append(qErrs, fmt.Errorf("phase1: block %v: %w", vec, err))
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns one ALS workspace, reused across its blocks
-			// so per-sweep scratch is allocated once, not per block.
-			ws := cpals.NewWorkspace()
-			var last any // the block decomposed before this one
-			for j := range jobs {
-				if opts.Checkpoint != nil {
-					factors, fit, ok, err := opts.Checkpoint.LoadBlock(j.id)
-					if err != nil {
-						quarantine(j.id, j.vec, err)
-						continue
-					}
-					if ok && blockShapeOK(factors, j.vec, p, opts.Rank) {
-						res.Sub[j.id] = factors
-						res.Fits[j.id] = fit
-						blockDone(j.id, fit, 0, true)
-						continue
-					}
-				}
-				var block any
-				err := retryer.Do("block", -1, j.id, func() error {
-					var e error
-					if reuser != nil {
-						block, e = reuser.BlockInto(last, j.vec)
-					} else {
-						block, e = src.Block(j.vec)
-					}
-					return e
-				})
-				if err == nil {
-					last = block
-					var factors []*mat.Matrix
-					var fit float64
-					var sweeps int
-					factors, fit, sweeps, err = decomposeBlock(block, j.id, p, opts, ws)
-					if err == nil {
-						res.Sub[j.id] = factors
-						res.Fits[j.id] = fit
-						res.Sweeps[j.id] = sweeps
-						if opts.Checkpoint != nil {
-							err = retryer.Do("save", -1, j.id, func() error {
-								return opts.Checkpoint.SaveBlock(j.id, factors, fit)
-							})
-						}
-						if err == nil {
-							blockDone(j.id, fit, sweeps, false)
-						}
-					}
-				}
-				if err != nil {
-					quarantine(j.id, j.vec, err)
-				}
+	// block restores a checkpointed block without a read; any other is
+	// read and checkpointed under the retry budget, decomposed in between.
+	// A spent budget quarantines the block, an outcome rather than an error
+	// of the stream: one poison block must not discard its siblings' work
+	// (a later run recomputes only the quarantined ones).
+	block := func(ws *cpals.Workspace, id int, vec []int, read func() (any, error)) (b blockOut, _ error) {
+		if opts.Checkpoint != nil {
+			factors, fit, ok, err := opts.Checkpoint.LoadBlock(id)
+			if err != nil {
+				return blockOut{err: err}, nil
 			}
-		}()
-	}
-	stopped := false
-send:
-	for id, vec := range p.Positions() {
-		// Graceful drain: stop handing out blocks; workers finish (and
-		// checkpoint) what they hold. Stop is checked on its own first: a
-		// select with a worker waiting picks a ready case at random, and
-		// would hand out a block after Stop closed.
-		select {
-		case <-opts.Stop:
-			stopped = true
-			break send
-		default:
+			if ok && blockShapeOK(factors, vec, p, opts.Rank) {
+				return blockOut{factors: factors, fit: fit, cached: true}, nil
+			}
 		}
-		select {
-		case jobs <- job{id: id, vec: vec}:
-		case <-opts.Stop:
-			stopped = true
-			break send
+		var x any
+		b.err = retryer.Do("block", -1, id, func() (err error) { x, err = read(); return err })
+		if b.err != nil {
+			return b, nil
 		}
+		b.factors, b.fit, b.sweeps, b.err = DecomposeBlock(x, id, p, opts, ws)
+		if b.err == nil && opts.Checkpoint != nil {
+			b.err = retryer.Do("save", -1, id, func() error { return opts.Checkpoint.SaveBlock(id, b.factors, b.fit) })
+		}
+		return b, nil
 	}
-	close(jobs)
-	wg.Wait()
+	var qe QuarantineError
+	// Each worker reuses one ALS workspace across its blocks.
+	err := Stream(src, opts.Workers, opts.Stop, cpals.NewWorkspace, block,
+		func(id int, vec []int, b blockOut) {
+			if b.err != nil {
+				qe.Blocks = append(qe.Blocks, id)
+				qe.Errs = append(qe.Errs, fmt.Errorf("phase1: block %v: %w", vec, b.err))
+				return
+			}
+			res.Sub[id], res.Fits[id], res.Sweeps[id] = b.factors, b.fit, b.sweeps
+			opts.Obs.Counter("phase1.blocks_done").Inc()
+			opts.Obs.Counter("phase1.sweeps").Add(int64(b.sweeps))
+			if opts.Obs.Tracing() {
+				opts.Obs.Emit("phase1.block",
+					obs.Int("block", id), obs.F64("fit", b.fit),
+					obs.Int("sweeps", b.sweeps), obs.Bool("cached", b.cached))
+			}
+		})
 	res.Retries = retryer.Retries()
-	if len(qBlocks) > 0 {
-		// Workers finish in nondeterministic order; report ascending.
-		order := make([]int, len(qBlocks))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return qBlocks[order[a]] < qBlocks[order[b]] })
-		qe := &QuarantineError{Blocks: make([]int, len(order)), Errs: make([]error, len(order))}
-		for i, o := range order {
-			qe.Blocks[i] = qBlocks[o]
-			qe.Errs[i] = qErrs[o]
-		}
+	if len(qe.Blocks) > 0 {
 		res.Quarantined = qe.Blocks
-		return res, qe
+		return res, &qe
 	}
-	if stopped {
-		return res, ErrStopped
-	}
-	return res, nil
+	return res, err
+}
+
+// blockOut is one block's Phase-1 outcome: its sub-factors, fit and sweep
+// count, or the error that quarantines it.
+type blockOut struct {
+	factors []*mat.Matrix
+	fit     float64
+	sweeps  int
+	cached  bool // restored from the checkpoint, not recomputed
+	err     error
 }
 
 // blockShapeOK reports whether checkpointed factors have the shape this
@@ -404,17 +307,11 @@ func blockShapeOK(factors []*mat.Matrix, vec []int, p *grid.Pattern, rank int) b
 }
 
 // DecomposeBlock runs CP-ALS on one block (dense or COO) and returns its
-// λ-folded sub-factors plus the achieved fit. Empty blocks return zero
-// matrices and fit 1. The blockID seeds the per-block generator.
-func DecomposeBlock(block any, blockID int, p *grid.Pattern, opts Options) ([]*mat.Matrix, float64, error) {
-	factors, fit, _, err := decomposeBlock(block, blockID, p, opts, nil)
-	return factors, fit, err
-}
-
-// decomposeBlock is DecomposeBlock with an optional reusable ALS workspace
-// (Run's workers each hold one) and the ALS sweep count as an extra
-// return. Results are identical with or without the workspace.
-func decomposeBlock(block any, blockID int, p *grid.Pattern, opts Options, ws *cpals.Workspace) ([]*mat.Matrix, float64, int, error) {
+// λ-folded sub-factors, the achieved fit and the ALS sweep count. Empty
+// blocks return zero matrices and fit 1. The blockID seeds the per-block
+// generator. ws is an optional reusable ALS workspace (Run's workers each
+// hold one); results are identical with or without it.
+func DecomposeBlock(block any, blockID int, p *grid.Pattern, opts Options, ws *cpals.Workspace) ([]*mat.Matrix, float64, int, error) {
 	vec := p.Unlinear(blockID, nil)
 	from, size := p.Block(vec)
 	rng := rand.New(rand.NewSource(opts.Seed ^ int64(blockID)*0x9E3779B9))
@@ -472,13 +369,9 @@ func FoldLambda(kt *cpals.KTensor) []*mat.Matrix {
 	n := len(kt.Factors)
 	scale := make([]float64, kt.Rank())
 	for f, l := range kt.Lambda {
-		if l < 0 {
-			// Defensive: our ALS produces non-negative λ, but fold the
-			// sign into the first mode if one ever appears.
-			scale[f] = pow(-l, 1/float64(n))
-		} else {
-			scale[f] = pow(l, 1/float64(n))
-		}
+		// Defensive: our ALS produces non-negative λ, but fold the sign
+		// into the first mode if one ever appears.
+		scale[f] = math.Pow(math.Abs(l), 1/float64(n))
 	}
 	for m, a := range kt.Factors {
 		s := scale
@@ -494,5 +387,3 @@ func FoldLambda(kt *cpals.KTensor) []*mat.Matrix {
 	}
 	return kt.Factors
 }
-
-func pow(x, p float64) float64 { return math.Pow(x, p) }

@@ -52,7 +52,7 @@ func TestRunProducesWellShapedSubFactors(t *testing.T) {
 	for id, vec := range p.Positions() {
 		_, size := p.Block(vec)
 		for m := range size {
-			f := res.SubFactor(id, m)
+			f := res.Sub[id][m]
 			if f.Rows != size[m] || f.Cols != 3 {
 				t.Fatalf("block %v mode %d factor %d×%d, want %d×3", vec, m, f.Rows, f.Cols, size[m])
 			}
@@ -271,7 +271,7 @@ func TestDecomposeBlockFitSanity(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	p := grid.MustNew([]int{4, 4, 4}, []int{1, 1, 1})
 	x := lowRankDense(rng, 1, 4, 4, 4)
-	factors, fit, err := DecomposeBlock(x, 0, p, Options{Rank: 1, MaxIters: 200, Tol: 1e-10, Seed: 2})
+	factors, fit, _, err := DecomposeBlock(x, 0, p, Options{Rank: 1, MaxIters: 200, Tol: 1e-10, Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

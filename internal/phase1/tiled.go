@@ -2,6 +2,7 @@ package phase1
 
 import (
 	"fmt"
+	"slices"
 
 	"twopcp/internal/grid"
 	"twopcp/internal/tensor"
@@ -18,7 +19,7 @@ import (
 // the decomposition downstream is bit-for-bit identical.
 //
 // TiledSource is safe for concurrent Block calls (the underlying
-// Reader reads via io.ReaderAt), which phase1.Run relies on.
+// Reader reads via io.ReaderAt), which Stream's workers rely on.
 type TiledSource struct {
 	R *tfile.Reader
 	P *grid.Pattern
@@ -27,14 +28,8 @@ type TiledSource struct {
 // NewTiledSource validates that the pattern matches the file's tensor
 // shape.
 func NewTiledSource(r *tfile.Reader, p *grid.Pattern) (*TiledSource, error) {
-	dims := r.Dims()
-	if len(dims) != len(p.Dims) {
-		return nil, fmt.Errorf("phase1: tiled file has %d modes, pattern %d", len(dims), len(p.Dims))
-	}
-	for i := range dims {
-		if dims[i] != p.Dims[i] {
-			return nil, fmt.Errorf("phase1: mode %d: tiled file size %d != pattern size %d", i, dims[i], p.Dims[i])
-		}
+	if dims := r.Dims(); !slices.Equal(dims, p.Dims) {
+		return nil, fmt.Errorf("phase1: tiled file dims %v do not match pattern dims %v", dims, p.Dims)
 	}
 	return &TiledSource{R: r, P: p}, nil
 }
@@ -46,19 +41,21 @@ func (s *TiledSource) Pattern() *grid.Pattern { return s.P }
 func (s *TiledSource) Block(vec []int) (any, error) { return s.BlockInto(nil, vec) }
 
 // BlockInto is Block reading into the storage of buf — a block this source
-// returned earlier and the caller is done with — when the pattern is the
-// file tiling and buf has the block's cell count; otherwise buf is ignored.
-// Run's workers find the method by type assertion and hand each block back
-// for the next, so a pass over the file allocates one block per worker.
+// returned earlier and the caller is done with — when buf has the block's
+// cell count; otherwise buf is ignored. Stream's workers find the method by
+// type assertion and hand each block back for the next, so a pass over the
+// file allocates one block per worker whether or not it re-tiles.
 func (s *TiledSource) BlockInto(buf any, vec []int) (any, error) {
-	from, size := s.P.Block(vec)
+	prev, _ := buf.(*tensor.Dense)
 	tiling := s.R.Tiling()
 	if s.P.Equal(tiling) {
-		prev, _ := buf.(*tensor.Dense)
 		return s.R.ReadTileInto(prev, vec)
 	}
-	out := tensor.NewDense(size...)
+	from, size := s.P.Block(vec)
 	n := len(from)
+	// The covering tiles' intersections write every cell, so reused
+	// storage needs no clearing.
+	out := tensor.Reuse(prev, size...)
 	// Per-mode ranges of file tiles the block intersects.
 	lo := make([]int, n)
 	hi := make([]int, n)
@@ -69,8 +66,10 @@ func (s *TiledSource) BlockInto(buf any, vec []int) (any, error) {
 	srcFrom := make([]int, n)
 	dstFrom := make([]int, n)
 	span := make([]int, n)
+	var tile *tensor.Dense // one file tile at a time, in one buffer
 	for {
-		tile, err := s.R.ReadTile(tvec)
+		var err error
+		tile, err = s.R.ReadTileInto(tile, tvec)
 		if err != nil {
 			return nil, err
 		}

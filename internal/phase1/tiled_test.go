@@ -1,6 +1,7 @@
 package phase1
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -229,5 +230,46 @@ func TestCopyRegion(t *testing.T) {
 	}
 	if nnz := dst.NNZ(); nnz != 3*2*2 {
 		t.Fatalf("CopyRegion wrote outside the region: nnz = %d", nnz)
+	}
+}
+
+// TestTiledSourceRetiledBlockReuse: when the partition coarsens the file
+// tiling, BlockInto still reads into the storage it is handed if the cell
+// count matches, and the covering tiles overwrite every cell — the NaNs
+// left in the buffer must all be gone.
+func TestTiledSourceRetiledBlockReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	x := tensor.RandomDense(rng, 12, 8, 6)
+	p := grid.MustNew(x.Dims, []int{2, 2, 1}) // four 6x4x6 blocks
+	r := writeTiled(t, x, []int{4, 2, 3})
+	src, err := NewTiledSource(r, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := NewDenseSource(x, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := src.BlockInto(nil, []int{0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := first.(*tensor.Dense)
+	for i := range held.Data {
+		held.Data[i] = math.NaN()
+	}
+	second, err := src.BlockInto(held, []int{1, 1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := mem.Block([]int{1, 1, 0})
+	got := second.(*tensor.Dense)
+	if &got.Data[0] != &held.Data[0] {
+		t.Fatal("a re-tiled block of the same cell count did not reuse the storage it was handed")
+	}
+	for i, v := range want.(*tensor.Dense).Data {
+		if got.Data[i] != v { // a NaN left behind fails too
+			t.Fatalf("cell %d of the re-tiled block is %v, DenseSource has %v", i, got.Data[i], v)
+		}
 	}
 }

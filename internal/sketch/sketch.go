@@ -5,8 +5,8 @@
 // warm start for the standard Phase-1/Phase-2 passes (compress-then-CP,
 // Zhou, Cichocki & Xie, arXiv 1412.1885).
 //
-// Everything streams over grid blocks through the same Source shape
-// phase1 consumes, so dense, sparse and .tptl tiled inputs are all
+// Everything streams over grid blocks through phase1.Stream, the pass
+// Phase 1 reads with, so dense, sparse and .tptl tiled inputs are all
 // sketched without materializing the tensor: the sketch Y_n is an MTTKRP
 // against Gaussian factors (linear in the tensor, so per-block
 // contributions with row-sliced Gaussians accumulate exactly), and the
@@ -14,12 +14,13 @@
 // (multilinear in the tensor, so it accumulates the same way).
 //
 // Determinism contract: the Gaussian sketch matrices and the core ALS
-// initialization derive only from Options.Seed, blocks are visited
-// serially in pattern order, and every kernel underneath (MTTKRP, TTM,
-// QRThin, ALS) is bit-deterministic — so the warm start, and therefore
-// the accelerated run, is bit-identical across Workers, KernelWorkers
-// and PrefetchDepth, and recomputing Phase 0 on resume reproduces the
-// interrupted run exactly without any new checkpoint state.
+// initialization derive only from Options.Seed, the blocks' contributions
+// are merged in block-id order whichever worker computed them, and every
+// kernel underneath (MTTKRP, TTM, QRThin, ALS) is bit-deterministic — so
+// the warm start, and therefore the accelerated run, is bit-identical
+// across Workers, KernelWorkers and PrefetchDepth, and recomputing Phase 0
+// on resume reproduces the interrupted run exactly without any new
+// checkpoint state.
 package sketch
 
 import (
@@ -27,7 +28,6 @@ import (
 	"math/rand"
 
 	"twopcp/internal/cpals"
-	"twopcp/internal/grid"
 	"twopcp/internal/mat"
 	"twopcp/internal/phase1"
 	"twopcp/internal/tensor"
@@ -44,15 +44,6 @@ const (
 // pilotCoreIters caps each multistart pilot run on the core; only the
 // winning basin is polished to the caller's full iteration budget.
 const pilotCoreIters = 60
-
-// Source yields the sub-tensor at a grid position; it is structurally
-// identical to phase1.Source, so every existing source (dense, COO,
-// tiled file) satisfies it unchanged. Blocks must be
-// *tensor.Dense or *tensor.COO.
-type Source interface {
-	Pattern() *grid.Pattern
-	Block(vec []int) (any, error)
-}
 
 // Options configures the Phase-0 accelerator.
 type Options struct {
@@ -85,6 +76,9 @@ type Options struct {
 	// Q_n·Â_n are clamped at zero so the warm start is feasible for the
 	// nonnegative Phase-1 solver (which then repairs the clamp damage).
 	Nonneg bool
+	// Workers is how many blocks each pass reads at once (<= 0:
+	// GOMAXPROCS); the warm start is the same bits at every value.
+	Workers int
 }
 
 func (o *Options) normalize() (Options, error) {
@@ -129,8 +123,9 @@ type Result struct {
 // TuckerWarmStart runs the Phase-0 accelerator over src: two streaming
 // passes over the blocks (one to sketch the per-mode ranges, one to
 // project the Tucker core), a core CP-ALS, and the expansion back to
-// full-size warm-start factors.
-func TuckerWarmStart(src Source, opts Options) (*Result, error) {
+// full-size warm-start factors. Blocks must be *tensor.Dense or
+// *tensor.COO.
+func TuckerWarmStart(src phase1.Source, opts Options) (*Result, error) {
 	o, err := opts.normalize()
 	if err != nil {
 		return nil, err
@@ -157,14 +152,14 @@ func TuckerWarmStart(src Source, opts Options) (*Result, error) {
 		return &Result{Fallback: true, Reason: fmt.Sprintf("core %v holds ≥ half of %v", coreDims, dims)}, nil
 	}
 
-	qs, empty, err := rangeBases(src, dims, s, coreDims, o.Seed)
+	qs, empty, err := rangeBases(src, o.Workers, s, coreDims, o.Seed)
 	if err != nil {
 		return nil, err
 	}
 	if empty {
 		return &Result{Fallback: true, Reason: "tensor is all zero"}, nil
 	}
-	g, err := projectCore(src, qs, coreDims)
+	g, err := projectCore(src, o.Workers, qs, coreDims)
 	if err != nil {
 		return nil, err
 	}
@@ -262,72 +257,59 @@ func TuckerWarmStart(src Source, opts Options) (*Result, error) {
 // Y_n = MTTKRP(X, {Ω_k}, n) with Gaussian Ω_k — linear in X, so each
 // block contributes MTTKRP(block, {row-sliced Ω_k}, n) into the rows
 // [from_n, from_n+size_n) of Y_n, and blocks sharing a mode-n slab
-// accumulate. empty reports an all-zero tensor.
-func rangeBases(src Source, dims []int, s int, coreDims []int, seed int64) (qs []*mat.Matrix, empty bool, err error) {
-	n := len(dims)
+// accumulate, in block-id order. empty reports an all-zero tensor.
+func rangeBases(src phase1.Source, workers, s int, coreDims []int, seed int64) (qs []*mat.Matrix, empty bool, err error) {
+	p := src.Pattern()
+	n := len(p.Dims)
 	omega := make([]*mat.Matrix, n)
 	for k := range omega {
 		rng := rand.New(rand.NewSource(seed ^ int64(k+1)*omegaSeedMix))
-		omega[k] = mat.RandomNormal(dims[k], s, rng)
+		omega[k] = mat.RandomNormal(p.Dims[k], s, rng)
 	}
 	ys := make([]*mat.Matrix, n)
 	for k := range ys {
-		ys[k] = mat.New(dims[k], s)
+		ys[k] = mat.New(p.Dims[k], s)
 	}
 	empty = true
-	slices := make([]*mat.Matrix, n)
 	// Every mode of a block is sketched against the same factor slices, so
-	// the dense MTTKRPs share one tensor.Sweep (two passes over the block
-	// instead of n); tmps is each mode's contribution buffer, kept from
-	// block to block.
-	var sweep tensor.Sweep
-	tmps := make([]*mat.Matrix, n)
-	for _, vec := range src.Pattern().Positions() {
-		from, size := src.Pattern().Block(vec)
-		block, err := src.Block(vec)
-		if err != nil {
-			return nil, false, fmt.Errorf("sketch: block %v: %w", vec, err)
-		}
-		var dense *tensor.Dense
-		var coo *tensor.COO
-		switch b := block.(type) {
-		case *tensor.Dense:
-			if !b.HasNonZero() {
-				continue // empty block contributes nothing to any mode
+	// the dense MTTKRPs share a worker's tensor.Sweep (two passes over the
+	// block instead of n). A block's partial is each mode's contribution,
+	// nil for an empty block.
+	err = phase1.Stream(src, workers, nil, func() *tensor.Sweep { return new(tensor.Sweep) },
+		func(sweep *tensor.Sweep, _ int, vec []int, read func() (any, error)) ([]*mat.Matrix, error) {
+			block, err := readBlock(vec, read)
+			if err != nil || block == nil {
+				return nil, err
 			}
-			dense = b
-		case *tensor.COO:
-			if b.NNZ() == 0 {
-				continue
+			from, size := p.Block(vec)
+			slices := make([]*mat.Matrix, n)
+			for k := range slices {
+				slices[k] = omega[k].SliceRows(from[k], from[k]+size[k])
 			}
-			coo = b
-		default:
-			return nil, false, fmt.Errorf("sketch: unsupported block type %T", block)
-		}
-		empty = false
-		for k := range slices {
-			slices[k] = omega[k].SliceRows(from[k], from[k]+size[k])
-		}
-		sweep.Bind(dense)
-		for mode := 0; mode < n; mode++ {
-			tmp := tmps[mode]
-			if tmp == nil || tmp.Rows != size[mode] {
-				tmp = mat.New(size[mode], s)
-				tmps[mode] = tmp
+			dense, _ := block.(*tensor.Dense)
+			sweep.Bind(dense)
+			part := make([]*mat.Matrix, n)
+			for mode := range part {
+				part[mode] = mat.New(size[mode], s)
+				if dense != nil {
+					sweep.Into(part[mode], slices, mode)
+				} else {
+					tensor.MTTKRPSparseInto(part[mode], block.(*tensor.COO), slices, mode)
+				}
 			}
-			if dense != nil {
-				sweep.Into(tmp, slices, mode)
-			} else {
-				tensor.MTTKRPSparseInto(tmp, coo, slices, mode)
+			return part, nil
+		},
+		func(_ int, vec []int, part []*mat.Matrix) {
+			from, _ := p.Block(vec)
+			for mode, c := range part {
+				// A row-window view of Y_mode: rows are contiguous in the
+				// row-major layout, so the block's contribution adds in place.
+				mat.FromSlice(c.Rows, s, ys[mode].Data[from[mode]*s:][:c.Rows*s]).AddInPlace(c)
+				empty = false
 			}
-			// A row-window view of Y_mode: rows are contiguous in the
-			// row-major layout, so the block's contribution adds in place.
-			dst := mat.FromSlice(size[mode], s, ys[mode].Data[from[mode]*s:(from[mode]+size[mode])*s])
-			dst.AddInPlace(tmp)
-		}
-	}
-	if empty {
-		return nil, true, nil
+		})
+	if err != nil || empty {
+		return nil, empty, err
 	}
 	qs = make([]*mat.Matrix, n)
 	for k := range qs {
@@ -344,34 +326,55 @@ func rangeBases(src Source, dims []int, s int, coreDims []int, seed int64) (qs [
 
 // projectCore streams the blocks once more and returns the Tucker core
 // G = X ×₁Q₁ᵀ ×₂Q₂ᵀ ... — multilinear in X, so each block contributes
-// TTMChain(block, {row-sliced Q_kᵀ}) and the contributions sum.
-func projectCore(src Source, qs []*mat.Matrix, coreDims []int) (*tensor.Dense, error) {
-	n := len(qs)
+// TTMChain(block, {row-sliced Q_kᵀ}) and the contributions sum, in
+// block-id order.
+func projectCore(src phase1.Source, workers int, qs []*mat.Matrix, coreDims []int) (*tensor.Dense, error) {
+	p := src.Pattern()
 	g := tensor.NewDense(coreDims...)
-	ms := make([]*mat.Matrix, n)
-	for _, vec := range src.Pattern().Positions() {
-		from, size := src.Pattern().Block(vec)
-		block, err := src.Block(vec)
-		if err != nil {
-			return nil, fmt.Errorf("sketch: block %v: %w", vec, err)
-		}
-		for k := range ms {
-			ms[k] = qs[k].SliceRows(from[k], from[k]+size[k]).T()
-		}
-		switch b := block.(type) {
-		case *tensor.Dense:
-			if b.HasNonZero() {
-				g.AddInPlace(tensor.TTMChain(b, ms))
+	err := phase1.Stream(src, workers, nil, nil,
+		func(_ struct{}, _ int, vec []int, read func() (any, error)) (*tensor.Dense, error) {
+			block, err := readBlock(vec, read)
+			if err != nil || block == nil {
+				return nil, err
 			}
-		case *tensor.COO:
-			if b.NNZ() > 0 {
-				g.AddInPlace(tensor.TTMChainSparse(b, ms))
+			from, size := p.Block(vec)
+			ms := make([]*mat.Matrix, len(qs))
+			for k := range ms {
+				ms[k] = qs[k].SliceRows(from[k], from[k]+size[k]).T()
 			}
-		default:
-			return nil, fmt.Errorf("sketch: unsupported block type %T", block)
-		}
+			if b, ok := block.(*tensor.Dense); ok {
+				return tensor.TTMChain(b, ms), nil
+			}
+			return tensor.TTMChainSparse(block.(*tensor.COO), ms), nil
+		},
+		func(_ int, _ []int, c *tensor.Dense) {
+			if c != nil {
+				g.AddInPlace(c)
+			}
+		})
+	return g, err
+}
+
+// readBlock reads the block at vec, returning nil for an empty one (it
+// contributes nothing to either pass).
+func readBlock(vec []int, read func() (any, error)) (any, error) {
+	block, err := read()
+	if err != nil {
+		return nil, fmt.Errorf("sketch: block %v: %w", vec, err)
 	}
-	return g, nil
+	switch b := block.(type) {
+	case *tensor.Dense:
+		if !b.HasNonZero() {
+			return nil, nil
+		}
+	case *tensor.COO:
+		if b.NNZ() == 0 {
+			return nil, nil
+		}
+	default:
+		return nil, fmt.Errorf("sketch: unsupported block type %T", block)
+	}
+	return block, nil
 }
 
 // sliceCols returns the leading c columns of m as a copy.

@@ -104,15 +104,17 @@ func TestTuckerWarmStartDenseSparseAgree(t *testing.T) {
 	}
 }
 
-// Same seed → bit-identical warm start; different seed → different one.
+// Same seed → bit-identical warm start at any worker count (the blocks'
+// contributions merge in block-id order); different seed → different one.
 func TestTuckerWarmStartDeterministic(t *testing.T) {
 	x := lowMLRankTensor(t, []int{16, 16, 16}, 2, 9)
 	src := denseSource(t, x, []int{2, 1, 2})
-	opts := Options{Rank: 2, CPRank: 3, Seed: 21}
+	opts := Options{Rank: 2, CPRank: 3, Seed: 21, Workers: 1}
 	a, err := TuckerWarmStart(src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts.Workers = 4
 	b, err := TuckerWarmStart(src, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +188,7 @@ func TestTuckerWarmStartNonneg(t *testing.T) {
 
 // countingSource counts the blocks read through it.
 type countingSource struct {
-	Source
+	phase1.Source
 	reads int
 }
 

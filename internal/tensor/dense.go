@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"twopcp/internal/mat"
 )
@@ -39,6 +40,20 @@ func NewDense(dims ...int) *Dense {
 		n *= d
 	}
 	return &Dense{Dims: append([]int(nil), dims...), Data: make([]float64, n)}
+}
+
+// Reuse returns buf reshaped to dims when it holds exactly that many
+// cells, leaving its values as they are, and NewDense(dims...) otherwise.
+func Reuse(buf *Dense, dims ...int) *Dense {
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	if buf == nil || len(buf.Data) != n {
+		return NewDense(dims...)
+	}
+	buf.Dims = append(buf.Dims[:0], dims...)
+	return buf
 }
 
 // NModes returns the number of modes (the order) of the tensor.
@@ -99,7 +114,7 @@ func (t *Dense) Norm() float64 {
 
 // Dot returns the inner product ⟨t, u⟩. Shapes must match.
 func (t *Dense) Dot(u *Dense) float64 {
-	if !sameDims(t.Dims, u.Dims) {
+	if !slices.Equal(t.Dims, u.Dims) {
 		panic(fmt.Sprintf("tensor: Dot of %v and %v", t.Dims, u.Dims))
 	}
 	var s float64
@@ -111,7 +126,7 @@ func (t *Dense) Dot(u *Dense) float64 {
 
 // AddInPlace adds u to t element-wise. Shapes must match.
 func (t *Dense) AddInPlace(u *Dense) {
-	if !sameDims(t.Dims, u.Dims) {
+	if !slices.Equal(t.Dims, u.Dims) {
 		panic(fmt.Sprintf("tensor: AddInPlace of %v and %v", t.Dims, u.Dims))
 	}
 	for i, v := range u.Data {
@@ -121,7 +136,7 @@ func (t *Dense) AddInPlace(u *Dense) {
 
 // SubInPlace subtracts u from t element-wise. Shapes must match.
 func (t *Dense) SubInPlace(u *Dense) {
-	if !sameDims(t.Dims, u.Dims) {
+	if !slices.Equal(t.Dims, u.Dims) {
 		panic(fmt.Sprintf("tensor: SubInPlace of %v and %v", t.Dims, u.Dims))
 	}
 	for i, v := range u.Data {
@@ -160,7 +175,7 @@ func (t *Dense) HasNonZero() bool {
 // EqualApprox reports whether t and u share dims and differ by at most tol
 // per cell.
 func (t *Dense) EqualApprox(u *Dense, tol float64) bool {
-	if !sameDims(t.Dims, u.Dims) {
+	if !slices.Equal(t.Dims, u.Dims) {
 		return false
 	}
 	for i, v := range t.Data {
@@ -329,18 +344,6 @@ func Fold(m *mat.Matrix, n int, dims []int) *Dense {
 		incIndex(idx, dims)
 	}
 	return t
-}
-
-func sameDims(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String describes the tensor by shape and nnz.

@@ -86,8 +86,8 @@ func FuzzTFileReader(f *testing.F) {
 		}
 		defer r.Close()
 		// A file that parses must serve (or cleanly reject) every tile.
-		for id := 0; id < r.NumTiles(); id++ {
-			if tile, err := r.ReadTileID(id); err == nil && tile == nil {
+		for id := 0; id < r.Tiling().NumBlocks(); id++ {
+			if tile, err := r.ReadTile(r.Tiling().Unlinear(id, nil)); err == nil && tile == nil {
 				t.Fatalf("tile %d: nil tile without error", id)
 			}
 		}

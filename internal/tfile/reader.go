@@ -138,9 +138,6 @@ func (r *Reader) Dims() []int { return append([]int(nil), r.pattern.Dims...) }
 // Tiling returns the file's tile grid.
 func (r *Reader) Tiling() *grid.Pattern { return r.pattern }
 
-// NumTiles returns the tile count.
-func (r *Reader) NumTiles() int { return len(r.index) }
-
 // ReadTile reads the tile at grid position vec into a fresh dense
 // tensor of the tile's extents, verifying its CRC when present.
 func (r *Reader) ReadTile(vec []int) (*tensor.Dense, error) {
@@ -156,16 +153,7 @@ func (r *Reader) ReadTileInto(buf *tensor.Dense, vec []int) (*tensor.Dense, erro
 	id := r.pattern.Linear(vec)
 	e := r.index[id]
 	_, size := r.pattern.Block(vec)
-	cells := 1
-	for _, d := range size {
-		cells *= d
-	}
-	out := buf
-	if out == nil || len(out.Data) != cells {
-		out = tensor.NewDense(size...)
-	} else {
-		out.Dims = append(out.Dims[:0], size...)
-	}
+	out := tensor.Reuse(buf, size...)
 
 	var src io.Reader = io.NewSectionReader(r.ra, int64(e.Offset), int64(e.Size))
 	var crc hash.Hash32
@@ -208,11 +196,6 @@ func (r *Reader) ReadTileInto(buf *tensor.Dense, vec []int) (*tensor.Dense, erro
 		}
 	}
 	return out, nil
-}
-
-// ReadTileID is ReadTile addressed by Fortran-linear tile id.
-func (r *Reader) ReadTileID(id int) (*tensor.Dense, error) {
-	return r.ReadTile(r.pattern.Unlinear(id, nil))
 }
 
 // Close releases the underlying file when the Reader owns it.

@@ -30,7 +30,7 @@ func DecomposeTiledFile(path string, opts Options) (*Result, error) {
 	return decompose(opts, input{
 		kind: "tiled", dims: r.Dims(),
 		source: func(p *Pattern) (phase1.Source, error) { return phase1.NewTiledSource(r, p) },
-		fit:    func(m *KTensor) (float64, error) { return tiledFit(r, m) },
+		fit:    func(m *KTensor) (float64, error) { return tiledFit(r, m, opts.Workers) },
 	})
 }
 
@@ -82,31 +82,41 @@ func LoadTiled(path string) (*Dense, error) {
 
 // tiledFit computes 1 − ‖X−X̂‖/‖X‖ streaming over the file's tiles:
 // ‖X‖² and ⟨X,X̂⟩ are additive over tiles when the model factors are
-// row-sliced to each tile's extents, so only one tile is resident at a
-// time.
-func tiledFit(r *tfile.Reader, model *KTensor) (float64, error) {
-	tiling := r.Tiling()
+// row-sliced to each tile's extents. The tiles' terms are summed in tile
+// order, so the fit is the same at every workers, and each worker reads
+// its tiles into one buffer: a fresh tile per read is an allocation burst
+// that sets the run's peak RSS.
+func tiledFit(r *tfile.Reader, model *KTensor, workers int) (float64, error) {
+	src, err := phase1.NewTiledSource(r, r.Tiling())
+	if err != nil {
+		return 0, err
+	}
 	var normX2, inner float64
-	// One tile buffer for the whole pass: this loop reads tiles faster than
-	// the collector reclaims them, so a fresh tile per read is an allocation
-	// burst that sets the run's peak RSS.
-	var tile *tensor.Dense
-	for _, vec := range tiling.Positions() {
-		var err error
-		tile, err = r.ReadTileInto(tile, vec)
-		if err != nil {
-			return 0, err
-		}
-		from, size := tiling.Block(vec)
-		sub := make([]*mat.Matrix, len(model.Factors))
-		for m, f := range model.Factors {
-			sub[m] = f.SliceRows(from[m], from[m]+size[m])
-		}
-		subModel := cpals.NewKTensor(sub)
-		copy(subModel.Lambda, model.Lambda)
-		n := tile.Norm()
-		normX2 += n * n
-		inner += subModel.InnerDense(tile)
+	err = phase1.Stream(src, workers, nil, nil,
+		func(_ struct{}, _ int, vec []int, read func() (any, error)) ([2]float64, error) {
+			b, err := read()
+			if err != nil {
+				return [2]float64{}, err
+			}
+			tile := b.(*tensor.Dense)
+			// Row-window views: a factor's rows are contiguous, so slicing
+			// it to the tile copies nothing.
+			from, size := src.P.Block(vec)
+			sub := make([]*mat.Matrix, len(model.Factors))
+			for m, f := range model.Factors {
+				sub[m] = mat.FromSlice(size[m], f.Cols, f.Data[from[m]*f.Cols:][:size[m]*f.Cols])
+			}
+			subModel := cpals.NewKTensor(sub)
+			copy(subModel.Lambda, model.Lambda)
+			n := tile.Norm()
+			return [2]float64{n * n, subModel.InnerDense(tile)}, nil
+		},
+		func(_ int, _ []int, t [2]float64) {
+			normX2 += t[0]
+			inner += t[1]
+		})
+	if err != nil {
+		return 0, err
 	}
 	normX := math.Sqrt(normX2)
 	if normX == 0 {

@@ -44,7 +44,7 @@ type Options struct {
 	Phase1MaxIters int
 	// Phase1Tol is the per-block ALS tolerance (default 1e-4).
 	Phase1Tol float64
-	// Workers bounds Phase-1 parallelism (default GOMAXPROCS).
+	// Workers bounds the blocks each pass over X reads (default GOMAXPROCS).
 	Workers int
 	// StoreDir, when non-empty, keeps the Phase-2 data units in files
 	// under this directory (true out-of-core); otherwise an in-memory
