@@ -16,14 +16,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"twopcp"
+	"twopcp/internal/cli"
 	"twopcp/internal/experiments"
 	"twopcp/internal/par"
 )
@@ -48,6 +44,10 @@ func main() {
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and a Prometheus /metrics endpoint on this address while the experiments run")
 	)
 	flag.Parse()
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: experiments [flags] table1|fig11|table2|table3|fig12|fig13|convergence|accel|all")
+		os.Exit(2)
+	}
 	if *kworkers > 0 {
 		par.SetWorkers(*kworkers)
 	}
@@ -57,67 +57,28 @@ func main() {
 	ioCfg := experiments.IO{
 		PrefetchDepth: *prefetch, IOWorkers: *ioWorkers,
 		Checkpoint: *ckptDir, Resume: *resume,
+		// Graceful drain on SIGTERM/SIGINT: the in-flight engine run
+		// finishes its step and checkpoints (when -checkpoint is set); the
+		// process exits with cli.ExitDrained so scripts can tell a drain
+		// from a failure.
+		Stop: cli.InstallDrain("experiments"),
 	}
-	// Graceful drain on SIGTERM/SIGINT: the in-flight engine run finishes
-	// its step and checkpoints (when -checkpoint is set); the process exits
-	// with code 3 so scripts can tell a drain from a failure. A second
-	// signal kills the process the usual way.
-	stop := make(chan struct{})
-	ioCfg.Stop = stop
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	go func() {
-		s := <-sigc
-		fmt.Fprintf(os.Stderr, "experiments: received %v, draining\n", s)
-		signal.Stop(sigc)
-		close(stop)
-	}()
-	var rec *twopcp.Recorder
-	var reg *twopcp.Registry
-	if *traceOut != "" || *metricsOut != "" || *pprofAddr != "" {
-		ob := &twopcp.Observer{}
-		if *traceOut != "" {
-			var err error
-			rec, err = twopcp.OpenTrace(*traceOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ob.Trace = rec
-			defer func() {
-				if err := rec.Close(); err != nil {
-					log.Printf("trace: %v", err)
-				}
-			}()
+	tel, err := cli.Telemetry{
+		TracePath:   *traceOut,
+		MetricsPath: *metricsOut,
+		PprofAddr:   *pprofAddr,
+	}.Start()
+	if err != nil {
+		log.Fatal(err)
+	}
+	ioCfg.Observer = tel.Observer
+	// exit flushes the trace and writes the metrics snapshot on every way
+	// out, a drain and a failure included.
+	exit := func(code int) {
+		if err := tel.Close(); err != nil {
+			log.Printf("telemetry: %v", err)
 		}
-		if *metricsOut != "" || *pprofAddr != "" {
-			reg = twopcp.NewRegistry()
-			ob.Metrics = reg
-			par.SetDispatchCounter(reg.Counter("par.dispatches"))
-			defer par.SetDispatchCounter(nil)
-			if *metricsOut != "" {
-				defer func() {
-					if err := reg.WriteSnapshot(*metricsOut); err != nil {
-						log.Printf("metrics: %v", err)
-					}
-				}()
-			}
-		}
-		ioCfg.Observer = ob
-	}
-	if *pprofAddr != "" {
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			w.Write(reg.PrometheusText())
-		})
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [flags] table1|fig11|table2|table3|fig12|fig13|convergence|accel|all")
-		os.Exit(2)
+		os.Exit(code)
 	}
 	which := flag.Arg(0)
 	run := func(name string, f func() error) {
@@ -126,13 +87,13 @@ func main() {
 		}
 		start := time.Now()
 		if err := f(); err != nil {
+			log.Printf("%s: %v", name, err)
 			if errors.Is(err, experiments.ErrStopped) {
-				// Drained on SIGTERM/SIGINT: checkpoint (if any) is written;
-				// exit 3 distinguishes the resumable drain from a failure.
-				log.Printf("%s: %v", name, err)
-				os.Exit(3)
+				// Drained: the checkpoint (if any) is written and a
+				// -resume continues the run.
+				exit(cli.ExitDrained)
 			}
-			log.Fatalf("%s: %v", name, err)
+			exit(1)
 		}
 		// Progress/timing chatter goes to stderr; stdout carries only the
 		// tables and figures themselves, so they can be piped or diffed.
@@ -240,4 +201,5 @@ func main() {
 		}
 		return nil
 	})
+	exit(0)
 }

@@ -26,31 +26,13 @@ func clientMain(cmd string, args []string) int {
 	server := fs.String("server", envOr("TWOPCP_SERVER", "http://localhost:7117"), "twopcpd base URL (default $TWOPCP_SERVER)")
 	switch cmd {
 	case "submit":
-		var spec jobs.Spec
-		in := fs.String("in", "", "tensor file (required): uploaded with -upload, otherwise submitted as a daemon-host path")
-		upload := fs.Bool("upload", false, "upload the tensor bytes instead of submitting the path")
-		fs.IntVar(&spec.Rank, "rank", 10, "decomposition rank F")
-		fs.IntVar(&spec.Parts, "parts", 0, "partitions per mode (0 = daemon default)")
-		fs.StringVar(&spec.Schedule, "schedule", "", "update schedule: MC, FO, ZO or HO (empty = daemon default)")
-		fs.StringVar(&spec.Replacement, "replacement", "", "buffer replacement: LRU, MRU or FOR (empty = daemon default)")
-		fs.Float64Var(&spec.BufferFraction, "buffer", 0, "buffer fraction (0 = daemon default)")
-		fs.IntVar(&spec.MaxIters, "iters", 0, "max Phase-2 virtual iterations (0 = daemon default)")
-		fs.Float64Var(&spec.Tol, "tol", 0, "fit-improvement stopping threshold (0 = daemon default)")
-		fs.IntVar(&spec.Workers, "workers", 0, "blocks read at once by Phase 0, Phase 1 and the tiled fit pass (0 = daemon default)")
-		fs.IntVar(&spec.PrefetchDepth, "prefetch", 0, "Phase-2 prefetch depth")
-		fs.BoolVar(&spec.OutOfCore, "out-of-core", false, "keep Phase-2 data units on the daemon's disk")
-		fs.StringVar(&spec.Constraint, "constraint", "", "row-update solver: none, ridge or nonneg")
-		fs.Float64Var(&spec.Lambda, "lambda", 0, "ridge damping weight")
-		fs.StringVar(&spec.Accelerator, "accelerator", "", "Phase-0 acceleration: none or tucker")
-		fs.Int64Var(&spec.Seed, "seed", 0, "random seed (0 = daemon default)")
-		fs.IntVar(&spec.CheckpointEverySteps, "checkpoint-steps", 0, "Phase-2 checkpoint cadence in schedule steps (0 = once per cycle)")
-		fs.IntVar(&spec.MaxRetries, "retry", 0, "transient-fault retry budget per operation")
+		spec, upload := submitFlags(fs)
 		fs.Parse(args)
-		if *in == "" {
+		if spec.Input == "" {
 			fs.Usage()
 			return 2
 		}
-		return submit(*server, spec, *in, *upload)
+		return submit(*server, *spec, *upload)
 	case "status":
 		fs.Parse(args)
 		return status(*server, fs.Args())
@@ -72,6 +54,17 @@ func clientMain(cmd string, args []string) int {
 	return 2
 }
 
+// submitFlags binds submit's flags on fs: the run configuration through
+// the same table as a local run, plus -in, -upload and -out-of-core.
+func submitFlags(fs *flag.FlagSet) (*jobs.Spec, *bool) {
+	spec := new(jobs.Spec)
+	fs.StringVar(&spec.Input, "in", "", "tensor file (required): uploaded with -upload, otherwise submitted as a daemon-host path")
+	upload := fs.Bool("upload", false, "upload the tensor bytes instead of submitting the path")
+	specFlags(fs, spec)
+	fs.BoolVar(&spec.OutOfCore, "out-of-core", false, "keep Phase-2 data units on the daemon's disk")
+	return spec, upload
+}
+
 // envOr reads an environment default for a flag.
 func envOr(name, fallback string) string {
 	if v := os.Getenv(name); v != "" {
@@ -80,11 +73,14 @@ func envOr(name, fallback string) string {
 	return fallback
 }
 
-// submit posts a job and prints its ID to stdout.
-func submit(server string, spec jobs.Spec, in string, upload bool) int {
+// submit posts a job and prints its ID to stdout. With upload, the file
+// spec.Input names travels as the request body instead of as a path.
+func submit(server string, spec jobs.Spec, upload bool) int {
 	var resp *http.Response
 	var err error
 	if upload {
+		in := spec.Input
+		spec.Input = ""
 		specJSON, merr := json.Marshal(spec)
 		if merr != nil {
 			log.Print(merr)
@@ -105,7 +101,6 @@ func submit(server string, spec jobs.Spec, in string, upload bool) int {
 		req.Header.Set(jobs.SpecHeader, string(specJSON))
 		resp, err = http.DefaultClient.Do(req)
 	} else {
-		spec.Input = in
 		body, merr := json.Marshal(spec)
 		if merr != nil {
 			log.Print(merr)

@@ -29,7 +29,10 @@
 //
 // The submit, status, watch and cancel subcommands talk to a running
 // twopcpd daemon instead of decomposing locally; see docs/service.md and
-// docs/API.md.
+// docs/API.md. A local run and submit share one flag set and one set of
+// defaults: every run flag writes a field of jobs.Spec, and a local run
+// builds its Options through the same jobs.Spec.Options a daemon job
+// does, so a job and a local run with the same flags are bit-identical.
 //
 // The export-snapshot subcommand packages a completed checkpointed run's
 // factors into the mmap-able factor-snapshot format the query layer
@@ -46,10 +49,9 @@ import (
 	"strings"
 
 	"twopcp"
-	"twopcp/internal/buffer"
 	"twopcp/internal/cli"
+	"twopcp/internal/jobs"
 	"twopcp/internal/mat"
-	"twopcp/internal/schedule"
 )
 
 func main() {
@@ -69,109 +71,101 @@ func main() {
 	runLocal()
 }
 
+// specFlags binds one flag to every jobs.Spec field except Input and
+// OutOfCore, which each front-end binds itself (-in and -store for a local
+// run, -in and -out-of-core for submit). Both register this one table, and
+// its defaults are jobs.DefaultSpec's. Spec.Options normalizes again, so an
+// explicit zero (-seed 0, -parts 0) means the default, exactly as an
+// omitted field of a JSON spec does.
+func specFlags(fs *flag.FlagSet, s *jobs.Spec) {
+	d := jobs.DefaultSpec()
+	fs.IntVar(&s.Rank, "rank", 10, "decomposition rank F")
+	fs.IntVar(&s.Parts, "parts", d.Parts, "partitions per mode (the paper's K)")
+	fs.StringVar(&s.Schedule, "schedule", d.Schedule, "update schedule: MC, FO, ZO or HO")
+	fs.StringVar(&s.Replacement, "replacement", d.Replacement, "buffer replacement: LRU, MRU or FOR")
+	fs.Float64Var(&s.BufferFraction, "buffer", d.BufferFraction, "buffer size as a fraction of the total space requirement")
+	fs.IntVar(&s.MaxIters, "iters", d.MaxIters, "max Phase-2 virtual iterations")
+	fs.Float64Var(&s.Tol, "tol", d.Tol, "fit-improvement stopping threshold")
+	fs.IntVar(&s.Workers, "workers", d.Workers, "blocks read at once by Phase 0, Phase 1 and the tiled fit pass (0 = GOMAXPROCS)")
+	fs.IntVar(&s.KernelWorkers, "kernel-workers", d.KernelWorkers, "intra-kernel parallelism for MTTKRP/Gram/GEMM (0 = GOMAXPROCS, 1 = serial; results are identical at every setting)")
+	fs.IntVar(&s.PrefetchDepth, "prefetch", d.PrefetchDepth, "Phase-2 prefetch depth in schedule steps (0 = synchronous)")
+	fs.IntVar(&s.IOWorkers, "io-workers", d.IOWorkers, "Phase-2 prefetch workers (0 = auto when -prefetch > 0)")
+	fs.StringVar(&s.Constraint, "constraint", d.Constraint, "row-update solver: none (least squares), ridge (Tikhonov-damped, needs -lambda) or nonneg (element-wise nonnegative factors)")
+	fs.Float64Var(&s.Lambda, "lambda", d.Lambda, "ridge damping weight (required > 0 with -constraint ridge)")
+	fs.StringVar(&s.Accelerator, "accelerator", d.Accelerator, "Phase-0 acceleration: none or tucker (compress-then-refine warm start)")
+	fs.IntVar(&s.Phase0Rank, "phase0-rank", d.Phase0Rank, "per-mode Tucker basis rank for -accelerator tucker (0 = rank)")
+	fs.IntVar(&s.SketchOversample, "sketch-oversample", d.SketchOversample, "extra Gaussian probe columns for the tucker range finder (0 = default 5)")
+	fs.Int64Var(&s.Seed, "seed", d.Seed, "random seed")
+	fs.IntVar(&s.CheckpointEverySteps, "checkpoint-steps", d.CheckpointEverySteps, "Phase-2 checkpoint cadence in schedule steps (0 = once per scheduling cycle)")
+	fs.IntVar(&s.MaxRetries, "retry", d.MaxRetries, "max retries per operation for transient store/block faults (0 = resilience layer off)")
+}
+
+// localRun is a local run's command line: the shared run configuration
+// plus the flags that only a run in this process has.
+type localRun struct {
+	spec                      jobs.Spec
+	store, checkpoint, resume string
+	outPrefix, jsonOut        string
+	telemetry                 cli.Telemetry
+	chaos                     twopcp.Chaos
+}
+
+// localFlags builds the local run's flag set, bound to a fresh localRun.
+func localFlags() (*flag.FlagSet, *localRun) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	r := new(localRun)
+	fs.StringVar(&r.spec.Input, "in", "", "input tensor file (.tpdn dense or .tpsp sparse; required)")
+	specFlags(fs, &r.spec)
+	fs.Func("store", "scratch `directory` for out-of-core data units, rebuilt on every start and never synced (empty = in-memory)", func(dir string) error {
+		r.store, r.spec.OutOfCore = dir, dir != ""
+		return nil
+	})
+	fs.StringVar(&r.checkpoint, "checkpoint", "", "directory for durable run checkpoints: a killed run can be restarted with -resume and picks up where the last checkpoint left off")
+	fs.StringVar(&r.resume, "resume", "", "resume the run checkpointed in this directory (implies -checkpoint <dir>; the options must match the original run)")
+	fs.StringVar(&r.outPrefix, "out-prefix", "", "write factor matrices to <prefix>-mode<i>.csv")
+	fs.StringVar(&r.jsonOut, "json", "", "also write the result (fit, trace, swaps, timings) as JSON to this file (- for stdout)")
+	fs.StringVar(&r.telemetry.TracePath, "trace", "", "append the structured run trace (JSONL events) to this file")
+	fs.StringVar(&r.telemetry.MetricsPath, "metrics", "", "write a JSON metrics-registry snapshot to this file after the run")
+	fs.StringVar(&r.telemetry.PprofAddr, "pprof", "", "serve net/http/pprof and a Prometheus /metrics endpoint on this address while the run executes (e.g. localhost:6060)")
+	fs.DurationVar(&r.telemetry.Progress, "progress", 0, "print a progress line (fit, sweeps, blocks, I/O, buffer hit rate) to stderr at this interval (0 = off)")
+	fs.Float64Var(&r.chaos.ReadRate, "fault-rate", cli.EnvFloat("TWOPCP_FAULT_RATE"), "chaos testing: per-op probability of an injected transient fault on store and block reads (default $TWOPCP_FAULT_RATE)")
+	fs.Float64Var(&r.chaos.WriteRate, "fault-write-rate", 0, "chaos testing: per-op probability of an injected transient fault on store writes")
+	fs.Int64Var(&r.chaos.Seed, "fault-seed", cli.EnvInt("TWOPCP_FAULT_SEED"), "chaos testing: fault-injection RNG seed (default $TWOPCP_FAULT_SEED)")
+	fs.Func("fault-poison-blocks", "chaos testing: comma-separated Phase-1 block `ids` that fail permanently on every read", func(ids string) (err error) {
+		r.chaos.PoisonBlocks, err = parseBlockList(ids)
+		return err
+	})
+	return fs, r
+}
+
+// options builds the run's twopcp.Options through jobs.Spec.Options, the
+// builder every daemon job uses, then applies the local-only flags.
+func (r *localRun) options() (twopcp.Options, error) {
+	checkpoint, resume := r.checkpoint, false
+	if r.resume != "" {
+		if checkpoint != "" && checkpoint != r.resume {
+			return twopcp.Options{}, fmt.Errorf("-checkpoint %q and -resume %q name different directories", checkpoint, r.resume)
+		}
+		checkpoint, resume = r.resume, true
+	}
+	opts, err := r.spec.Options(checkpoint, r.store, resume)
+	opts.Chaos = r.chaos
+	opts.Chaos.BlockRate = r.chaos.ReadRate
+	return opts, err
+}
+
 // runLocal is the classic CLI path: parse the run flags, decompose the
 // input in this process, print the summary.
 func runLocal() {
-	var (
-		in         = flag.String("in", "", "input tensor file (.tpdn dense or .tpsp sparse; required)")
-		rank       = flag.Int("rank", 10, "decomposition rank F")
-		parts      = flag.Int("parts", 2, "partitions per mode (the paper's K)")
-		schedName  = flag.String("schedule", "HO", "update schedule: MC, FO, ZO or HO")
-		polName    = flag.String("replacement", "FOR", "buffer replacement: LRU, MRU or FOR")
-		frac       = flag.Float64("buffer", 1.0, "buffer size as a fraction of the total space requirement")
-		maxIters   = flag.Int("iters", 100, "max Phase-2 virtual iterations")
-		tol        = flag.Float64("tol", 1e-2, "fit-improvement stopping threshold")
-		workers    = flag.Int("workers", 0, "blocks read at once by Phase 0, Phase 1 and the tiled fit pass (0 = GOMAXPROCS)")
-		kworkers   = flag.Int("kernel-workers", 0, "intra-kernel parallelism for MTTKRP/Gram/GEMM (0 = GOMAXPROCS, 1 = serial; results are identical at every setting)")
-		prefetch   = flag.Int("prefetch", 0, "Phase-2 prefetch depth in schedule steps (0 = synchronous)")
-		ioWorkers  = flag.Int("io-workers", 0, "Phase-2 prefetch workers (0 = auto when -prefetch > 0)")
-		storeDir   = flag.String("store", "", "scratch directory for out-of-core data units, rebuilt on every start and never synced (empty = in-memory)")
-		constr     = flag.String("constraint", "none", "row-update solver: none (least squares), ridge (Tikhonov-damped, needs -lambda) or nonneg (element-wise nonnegative factors)")
-		lambda     = flag.Float64("lambda", 0, "ridge damping weight (required > 0 with -constraint ridge)")
-		accel      = flag.String("accelerator", "none", "Phase-0 acceleration: none or tucker (compress-then-refine warm start)")
-		p0rank     = flag.Int("phase0-rank", 0, "per-mode Tucker basis rank for -accelerator tucker (0 = rank)")
-		oversample = flag.Int("sketch-oversample", 0, "extra Gaussian probe columns for the tucker range finder (0 = default 5)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		outPrefix  = flag.String("out-prefix", "", "write factor matrices to <prefix>-mode<i>.csv")
-		ckptDir    = flag.String("checkpoint", "", "directory for durable run checkpoints: a killed run can be restarted with -resume and picks up where the last checkpoint left off")
-		resumeDir  = flag.String("resume", "", "resume the run checkpointed in this directory (implies -checkpoint <dir>; the options must match the original run)")
-		ckptSteps  = flag.Int("checkpoint-steps", 0, "Phase-2 checkpoint cadence in schedule steps (0 = once per scheduling cycle)")
-		jsonOut    = flag.String("json", "", "also write the result (fit, trace, swaps, timings) as JSON to this file (- for stdout)")
-		traceOut   = flag.String("trace", "", "append the structured run trace (JSONL events) to this file")
-		metricsOut = flag.String("metrics", "", "write a JSON metrics-registry snapshot to this file after the run")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and a Prometheus /metrics endpoint on this address while the run executes (e.g. localhost:6060)")
-		progress   = flag.Duration("progress", 0, "print a progress line (fit, sweeps, blocks, I/O, buffer hit rate) to stderr at this interval (0 = off)")
-		retries    = flag.Int("retry", 0, "max retries per operation for transient store/block faults (0 = resilience layer off)")
-		faultRate  = flag.Float64("fault-rate", cli.EnvFloat("TWOPCP_FAULT_RATE"), "chaos testing: per-op probability of an injected transient fault on store and block reads (default $TWOPCP_FAULT_RATE)")
-		faultWRate = flag.Float64("fault-write-rate", 0, "chaos testing: per-op probability of an injected transient fault on store writes")
-		faultSeed  = flag.Int64("fault-seed", cli.EnvInt("TWOPCP_FAULT_SEED"), "chaos testing: fault-injection RNG seed (default $TWOPCP_FAULT_SEED)")
-		poison     = flag.String("fault-poison-blocks", "", "chaos testing: comma-separated Phase-1 block ids that fail permanently on every read")
-	)
-	flag.Parse()
-	if *in == "" {
-		flag.Usage()
+	fs, r := localFlags()
+	fs.Parse(os.Args[1:])
+	if r.spec.Input == "" {
+		fs.Usage()
 		os.Exit(2)
 	}
-	checkpoint, resume := *ckptDir, false
-	if *resumeDir != "" {
-		if checkpoint != "" && checkpoint != *resumeDir {
-			log.Fatalf("-checkpoint %q and -resume %q name different directories", checkpoint, *resumeDir)
-		}
-		checkpoint, resume = *resumeDir, true
-	}
-	kind, err := schedule.ParseKind(*schedName)
+	opts, err := r.options()
 	if err != nil {
 		log.Fatal(err)
-	}
-	pol, err := buffer.ParsePolicy(*polName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	constraint, err := twopcp.ParseConstraint(*constr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	accelerator, err := twopcp.ParseAccelerator(*accel)
-	if err != nil {
-		log.Fatal(err)
-	}
-	poisonBlocks, err := parseBlockList(*poison)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts := twopcp.Options{
-		Rank:                 *rank,
-		Partitions:           []int{*parts},
-		Schedule:             kind,
-		Replacement:          pol,
-		BufferFraction:       *frac,
-		MaxIters:             *maxIters,
-		Tol:                  *tol,
-		Workers:              *workers,
-		KernelWorkers:        *kworkers,
-		PrefetchDepth:        *prefetch,
-		IOWorkers:            *ioWorkers,
-		StoreDir:             *storeDir,
-		Constraint:           constraint,
-		Lambda:               *lambda,
-		Accelerator:          accelerator,
-		Phase0Rank:           *p0rank,
-		SketchOversample:     *oversample,
-		Seed:                 *seed,
-		Checkpoint:           checkpoint,
-		Resume:               resume,
-		CheckpointEverySteps: *ckptSteps,
-		Retry: twopcp.RetryPolicy{
-			MaxRetries: *retries,
-			Seed:       *seed,
-		},
-		Chaos: twopcp.Chaos{
-			ReadRate:     *faultRate,
-			WriteRate:    *faultWRate,
-			BlockRate:    *faultRate,
-			PoisonBlocks: poisonBlocks,
-			Seed:         *faultSeed,
-		},
 	}
 
 	// Graceful drain: the first SIGTERM/SIGINT asks the run to finish its
@@ -183,18 +177,13 @@ func runLocal() {
 	// observer on; without them opts.Observer stays nil and the run pays
 	// essentially nothing. Telemetry never influences the computation —
 	// results are bit-identical either way.
-	tel, err := cli.Telemetry{
-		TracePath:   *traceOut,
-		MetricsPath: *metricsOut,
-		PprofAddr:   *pprofAddr,
-		Progress:    *progress,
-	}.Start()
+	tel, err := r.telemetry.Start()
 	if err != nil {
 		log.Fatal(err)
 	}
 	opts.Observer = tel.Observer
 
-	res, dims, err := twopcp.DecomposeFile(*in, opts)
+	res, dims, err := twopcp.DecomposeFile(r.spec.Input, opts)
 	if cerr := tel.Close(); cerr != nil {
 		log.Printf("telemetry: %v", cerr)
 	}
@@ -215,22 +204,22 @@ func runLocal() {
 	}
 	st := res.RunStats
 	summary("tensor     : %v\n", dims)
-	summary("rank       : %d   partitions: %d per mode\n", *rank, *parts)
-	summary("schedule   : %s   replacement: %s   buffer: %.2g×total\n", kind, pol, *frac)
+	summary("rank       : %d   partitions: %d per mode\n", opts.Rank, opts.Partitions[0])
+	summary("schedule   : %s   replacement: %s   buffer: %.2g×total\n", opts.Schedule, opts.Replacement, opts.BufferFraction)
 	summary("kernels    : %s\n", mat.KernelPath())
-	if constraint != twopcp.ConstraintNone {
-		if constraint == twopcp.ConstraintRidge {
-			summary("constraint : %s (lambda %g)\n", constraint, *lambda)
+	if opts.Constraint != twopcp.ConstraintNone {
+		if opts.Constraint == twopcp.ConstraintRidge {
+			summary("constraint : %s (lambda %g)\n", opts.Constraint, opts.Lambda)
 		} else {
-			summary("constraint : %s\n", constraint)
+			summary("constraint : %s\n", opts.Constraint)
 		}
 	}
-	if accelerator != twopcp.AccelNone {
+	if opts.Accelerator != twopcp.AccelNone {
 		state := "fell back to brute force"
 		if st.Accelerated {
 			state = "active"
 		}
-		summary("accelerator: %s (%s)\n", accelerator, state)
+		summary("accelerator: %s (%s)\n", opts.Accelerator, state)
 	}
 	summary("fit        : %.6f\n", res.Fit)
 	if st.Phase0Time > 0 {
@@ -246,21 +235,21 @@ func runLocal() {
 		summary("resilience : %d transient-fault retries absorbed\n", st.Retries)
 	}
 
-	if *outPrefix != "" {
+	if r.outPrefix != "" {
 		for m, f := range res.Model.Factors {
-			path := fmt.Sprintf("%s-mode%d.csv", *outPrefix, m)
+			path := fmt.Sprintf("%s-mode%d.csv", r.outPrefix, m)
 			if err := cli.WriteFactorCSV(path, f); err != nil {
 				log.Fatal(err)
 			}
 			summary("wrote %s (%d×%d)\n", path, f.Rows, f.Cols)
 		}
 	}
-	if *jsonOut != "" {
-		if err := writeResultJSON(*jsonOut, dims, res); err != nil {
+	if r.jsonOut != "" {
+		if err := writeResultJSON(r.jsonOut, dims, res); err != nil {
 			log.Fatal(err)
 		}
-		if *jsonOut != "-" {
-			summary("wrote %s\n", *jsonOut)
+		if r.jsonOut != "-" {
+			summary("wrote %s\n", r.jsonOut)
 		}
 	}
 }
@@ -274,7 +263,7 @@ func parseBlockList(s string) ([]int, error) {
 	for _, part := range strings.Split(s, ",") {
 		id, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad -fault-poison-blocks entry %q: %w", part, err)
+			return nil, err
 		}
 		ids = append(ids, id)
 	}
@@ -286,13 +275,9 @@ func parseBlockList(s string) ([]int, error) {
 // interrupted-and-resumed run and an uninterrupted one.
 func writeResultJSON(path string, dims []int, res *twopcp.Result) error {
 	out := struct {
-		Dims         []int           `json:"dims"`
-		Fit          float64         `json:"fit"`
-		VirtualIters int             `json:"virtual_iters"`
-		Converged    bool            `json:"converged"`
-		FitTrace     []float64       `json:"fit_trace"`
-		RunStats     twopcp.RunStats `json:"run_stats"`
-	}{dims, res.Fit, res.VirtualIters, res.Converged, res.FitTrace, res.RunStats}
+		Dims []int `json:"dims"`
+		*jobs.Summary
+	}{dims, jobs.NewSummary(res)}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return err

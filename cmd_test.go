@@ -529,6 +529,71 @@ func TestCLIGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestCLIExperimentsGracefulDrain is TestCLIGracefulDrain for the
+// experiments harness: a SIGTERM once the first schedule has a Phase-2
+// checkpoint must drain with exit code 3, and a -resume must then finish
+// with the traces of an uninterrupted run, byte for byte.
+func TestCLIExperimentsGracefulDrain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	experiments := buildCmd(t, dir, "experiments")
+	ref := runCmdStdout(t, experiments, "convergence")
+
+	ckpt := filepath.Join(dir, "ckpt")
+	cmd := exec.Command(experiments, "-checkpoint", ckpt, "convergence")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Three more schedules follow the one this checkpoint belongs to.
+	phase2 := filepath.Join(ckpt, "convergence-MC", "phase2-0.ckpt")
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, err := os.Stat(phase2); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			t.Fatal("no Phase-2 checkpoint appeared within 30s")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatalf("SIGTERM: %v (run may have finished too early — enlarge the workload)", err)
+	}
+	err := cmd.Wait()
+	ee, ok := err.(*exec.ExitError)
+	if !ok {
+		t.Fatalf("drained run: err = %v, want exit code 3\nstderr: %s", err, stderr.String())
+	}
+	if code := ee.ExitCode(); code != 3 {
+		t.Fatalf("drained run exit code = %d, want 3\nstderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "draining") {
+		t.Errorf("no drain notice on stderr:\n%s", stderr.String())
+	}
+
+	if res := runCmdStdout(t, experiments, "-checkpoint", ckpt, "-resume", "convergence"); res != ref {
+		t.Fatalf("drained+resumed traces differ from the uninterrupted run:\nreference:\n%s\nresumed:\n%s", ref, res)
+	}
+}
+
+// runCmdStdout runs bin and returns its stdout alone.
+func runCmdStdout(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, stderr.String())
+	}
+	return string(out)
+}
+
 // TestCLIStdoutContract pins the CLI's stream discipline: stdout is
 // reserved for machine-parseable output. Without -json the binary writes
 // NOTHING to stdout (the human summary goes to stderr); with -json stdout

@@ -74,11 +74,13 @@ func (s State) Terminal() bool {
 	return false
 }
 
-// Spec is a decomposition request: the tensor input plus the same knobs
-// the twopcp CLI exposes, JSON-encoded in submit requests and persisted
-// verbatim in the job record. The zero value of every optional field
-// selects the CLI's default (applied by normalize, so the persisted spec
-// records the effective configuration).
+// Spec is a run's configuration: the tensor input plus the knobs of the
+// paper's experiment grid. The daemon takes it JSON-encoded in submit
+// requests and persists it verbatim in the job record; the twopcp CLI
+// binds one flag to each field and builds its local runs through the same
+// Options. The zero value of every optional field selects the default
+// (applied by normalize, so the persisted spec records the effective
+// configuration).
 type Spec struct {
 	// Input is the tensor file path on the daemon host (.tpdn, .tpsp or
 	// .tptl, detected by magic). Upload submissions leave it empty; the
@@ -165,12 +167,24 @@ func (s *Spec) normalize() {
 	}
 }
 
-// options translates the spec into twopcp.Options, with the job's
-// checkpoint (and optional out-of-core store) directories wired in. It
-// is the single point where a service job's configuration is assembled,
-// which is what makes daemon runs bit-identical to CLI runs: same parser
-// for every enum, same defaults, same Options fields.
-func (s *Spec) options(ckptDir, storeDir string, resume bool) (twopcp.Options, error) {
+// DefaultSpec returns what every omitted optional field stands for: the
+// zero Spec, normalized. Rank is required and has no default. The twopcp
+// CLI reads its flag defaults from here, so the defaults live in one
+// place.
+func DefaultSpec() Spec {
+	var s Spec
+	s.normalize()
+	return s
+}
+
+// Options normalizes the spec in place and translates it into
+// twopcp.Options, with the run's checkpoint directory (and, with
+// OutOfCore, its store directory) wired in. It is the one point where a
+// run's configuration is assembled, for a daemon job and a local CLI run
+// alike, which is what makes the two bit-identical: same parser for every
+// enum, same defaults, same Options fields.
+func (s *Spec) Options(ckptDir, storeDir string, resume bool) (twopcp.Options, error) {
+	s.normalize()
 	var opts twopcp.Options
 	if s.Rank <= 0 {
 		return opts, fmt.Errorf("jobs: rank must be > 0 (got %d)", s.Rank)
@@ -223,9 +237,9 @@ func (s *Spec) options(ckptDir, storeDir string, resume bool) (twopcp.Options, e
 	return opts, nil
 }
 
-// Summary is a job's numerical outcome: the same deterministic fields the
-// CLI's -json output records, minus the factors themselves (those are
-// downloaded as CSV). The integration tests DeepEqual this against an
+// Summary is a run's numerical outcome, minus the factors themselves
+// (those are downloaded as CSV). The CLI's -json output is this plus the
+// tensor's dims. The integration tests DeepEqual this against an
 // uninterrupted local run after stripping wall-clock fields.
 type Summary struct {
 	// Fit is 1 − ‖X−X̂‖/‖X‖ against the input tensor.
@@ -238,6 +252,17 @@ type Summary struct {
 	FitTrace []float64 `json:"fit_trace"`
 	// RunStats aggregates the run's operational statistics.
 	RunStats twopcp.RunStats `json:"run_stats"`
+}
+
+// NewSummary records a finished run's outcome.
+func NewSummary(res *twopcp.Result) *Summary {
+	return &Summary{
+		Fit:          res.Fit,
+		VirtualIters: res.VirtualIters,
+		Converged:    res.Converged,
+		FitTrace:     res.FitTrace,
+		RunStats:     res.RunStats,
+	}
 }
 
 // Job is one decomposition job: the submitted spec plus everything the

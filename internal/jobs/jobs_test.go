@@ -159,7 +159,7 @@ func TestManagerRunsJobToDone(t *testing.T) {
 	// same configuration — the service adds no numerics of its own. Build
 	// the local options through the same normalized spec the job ran.
 	spec := done.Spec
-	opts, err := spec.options("", "", false)
+	opts, err := spec.Options("", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,11 +137,10 @@ func NewManager(store *Store, cfg Config) (*Manager, error) {
 // bytes become the job's tensor (upload mode); otherwise spec.Input must
 // name a readable tensor file on this host.
 func (m *Manager) Submit(spec Spec, input io.Reader) (*Job, error) {
-	spec.normalize()
-	// Validate the spec up front with the same parsers the run will use,
-	// so submissions fail at the API with a 4xx instead of minutes later
-	// in a worker.
-	if _, err := spec.options("", "", false); err != nil {
+	// Normalize and validate the spec up front with the same parsers the
+	// run will use, so submissions fail at the API with a 4xx instead of
+	// minutes later in a worker.
+	if _, err := spec.Options("", "", false); err != nil {
 		return nil, err
 	}
 	if input == nil {
@@ -386,7 +385,7 @@ func (m *Manager) runJob(id string) {
 	resume := m.store.HasCheckpoint(id)
 	m.mu.Unlock()
 
-	opts, err := spec.options(m.store.CheckpointDir(id), m.store.StoreDir(id), resume)
+	opts, err := spec.Options(m.store.CheckpointDir(id), m.store.StoreDir(id), resume)
 	var res *twopcp.Result
 	var dims []int
 	if err == nil {
@@ -407,13 +406,7 @@ func (m *Manager) runJob(id string) {
 	case err == nil:
 		job.Dims = dims
 		job.Modes = len(dims)
-		job.Result = &Summary{
-			Fit:          res.Fit,
-			VirtualIters: res.VirtualIters,
-			Converged:    res.Converged,
-			FitTrace:     res.FitTrace,
-			RunStats:     res.RunStats,
-		}
+		job.Result = NewSummary(res)
 		job.State = StateDone
 		if werr := m.writeFactors(id, res); werr != nil {
 			job.State = StateFailed
