@@ -38,8 +38,10 @@ import (
 
 // Connection timeouts of the API listener. A client gets readHeaderTimeout
 // to send its request line and headers, and an idle keep-alive connection
-// is closed after idleTimeout. There is no write timeout: /events streams
-// Server-Sent Events for as long as a job runs.
+// is closed after idleTimeout. There is no server-wide write timeout:
+// /events streams Server-Sent Events for as long as a job runs. Every
+// other response gets its own write deadline from internal/jobs, set just
+// before its first byte.
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute

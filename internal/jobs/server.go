@@ -84,15 +84,50 @@ type apiError struct {
 }
 
 // writeJSON writes v as the JSON response body with the given status:
-// compact, one line and a newline. Encode failures after the header is
-// out cannot reach the client, so they go to the error log instead of
-// vanishing.
+// compact, one line and a newline. v is encoded before anything is sent,
+// so a value JSON cannot carry (a NaN or ±Inf) is a 500 with the error
+// envelope, not the status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("jobs: encode %d response: %v", status, err)
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeEncodeFailure(w, status, err)
+		return
 	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeEncodeFailure answers 500 for a response of the given status that
+// could not be encoded, and logs it: it is a server fault.
+func writeEncodeFailure(w http.ResponseWriter, status int, err error) {
+	err = fmt.Errorf("jobs: encode %d response: %w", status, err)
+	log.Print(err)
+	body, _ := json.Marshal(apiError{Error: err.Error()})
+	writeBody(w, http.StatusInternalServerError, append(body, '\n'))
+}
+
+// writeBody sends a whole JSON body with its length, in one Write, under
+// the response write deadline.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	setWriteDeadline(w)
+	w.WriteHeader(status)
+	w.Write(body) // a failure means the client is gone or too slow; nobody is left to tell
+}
+
+// responseWriteTimeout bounds the writing of one response, so a client
+// that stops reading cannot hold a handler (and its buffers) forever.
+// /events is exempt: it streams for as long as a job runs. A variable
+// only so tests can shorten it.
+var responseWriteTimeout = 60 * time.Second
+
+// setWriteDeadline gives the response about to be written
+// responseWriteTimeout from now; net/http lifts the deadline once the
+// response is finished, so it never reaches the connection's next
+// request. A writer without deadlines (a test recorder) stays unbounded.
+func setWriteDeadline(w http.ResponseWriter) {
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(responseWriteTimeout))
 }
 
 // writeErr writes the JSON error envelope. Not-found, draining and
@@ -302,6 +337,7 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 	}
 	defer f.Close()
 	w.Header().Set("Content-Type", "text/csv")
+	setWriteDeadline(w)
 	http.ServeContent(w, r, fmt.Sprintf("factors-mode%d.csv", mode), time.Time{}, f)
 }
 
@@ -458,10 +494,11 @@ func (s *Server) handleQueryCell(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		At    []int   `json:"at"`
-		Value float64 `json:"value"`
-	}{at, v})
+	resp := getQueryBuf()
+	defer resp.release()
+	resp.ints(`{"at":`, at)
+	resp.float(`,"value":`, v)
+	writeQuery(w, resp)
 }
 
 func (s *Server) handleQueryBlock(w http.ResponseWriter, r *http.Request) {
@@ -492,16 +529,18 @@ func (s *Server) handleQueryBlock(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	vals, err := mdl.ReconstructBlock(lo, hi, nil)
+	resp := getQueryBuf()
+	defer resp.release()
+	vals, err := mdl.ReconstructBlock(lo, hi, resp.vals)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Lo     []int     `json:"lo"`
-		Hi     []int     `json:"hi"`
-		Values []float64 `json:"values"`
-	}{lo, hi, vals})
+	resp.vals = vals
+	resp.ints(`{"lo":`, lo)
+	resp.ints(`,"hi":`, hi)
+	resp.floats(`,"values":`, vals)
+	writeQuery(w, resp)
 }
 
 func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
@@ -525,17 +564,19 @@ func (s *Server) handleQueryTopK(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("at: %w", err))
 		return
 	}
-	res, err := mdl.TopK(mode, at, k, nil)
+	resp := getQueryBuf()
+	defer resp.release()
+	res, err := mdl.TopK(mode, at, k, resp.scored)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Mode    int            `json:"mode"`
-		At      []int          `json:"at"`
-		K       int            `json:"k"`
-		Results []serve.Scored `json:"results"`
-	}{mode, at, k, res})
+	resp.scored = res
+	resp.int(`{"mode":`, mode)
+	resp.ints(`,"at":`, at)
+	resp.int(`,"k":`, k)
+	resp.results(`,"results":`, res)
+	writeQuery(w, resp)
 }
 
 func (s *Server) handleQueryNN(w http.ResponseWriter, r *http.Request) {
@@ -559,15 +600,17 @@ func (s *Server) handleQueryNN(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := mdl.NN(mode, index, k, nil)
+	resp := getQueryBuf()
+	defer resp.release()
+	res, err := mdl.NN(mode, index, k, resp.scored)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Mode    int            `json:"mode"`
-		Index   int            `json:"index"`
-		K       int            `json:"k"`
-		Results []serve.Scored `json:"results"`
-	}{mode, index, k, res})
+	resp.scored = res
+	resp.int(`{"mode":`, mode)
+	resp.int(`,"index":`, index)
+	resp.int(`,"k":`, k)
+	resp.results(`,"results":`, res)
+	writeQuery(w, resp)
 }
