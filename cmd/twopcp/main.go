@@ -114,7 +114,7 @@ type localRun struct {
 func localFlags() (*flag.FlagSet, *localRun) {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	r := new(localRun)
-	fs.StringVar(&r.spec.Input, "in", "", "input tensor file (.tpdn dense or .tpsp sparse; required)")
+	fs.StringVar(&r.spec.Input, "in", "", "input tensor file (.tpdn dense, .tpsp sparse or .tptl tiled; required)")
 	specFlags(fs, &r.spec)
 	fs.Func("store", "scratch `directory` for out-of-core data units, rebuilt on every start and never synced (empty = in-memory)", func(dir string) error {
 		r.store, r.spec.OutOfCore = dir, dir != ""

@@ -37,18 +37,23 @@
 // Three binary formats cover the input side (all little-endian, detected
 // by magic; cmd/tensorgen writes them, cmd/twopcp sniffs them):
 //
-//   - .tpdn ("TPDN"): dense — header (nmodes, dims), then Π dims float64
-//     values in Fortran order. Loaded fully into memory.
-//   - .tpsp ("TPSP"): sparse COO — header, nnz, then (coords, value)
+//   - .tpdn ("TPDN"): dense — shape header (nmodes, dims), then Π dims
+//     float64 values in Fortran order. Loaded fully into memory.
+//   - .tpsp ("TPSP"): sparse COO — shape header, nnz, then (coords, value)
 //     records. Loaded fully into memory.
-//   - .tptl ("TPTL"): tiled dense — grid-aligned tiles with a per-tile
-//     offset index, optional gzip and CRC32. The out-of-core input path:
-//     DecomposeTiledFile streams Phase 1 and the fit computation over the
-//     tiles so peak memory is bounded by tile + buffer sizes, not the
-//     tensor. The spec lives in internal/tfile.
+//   - .tptl ("TPTL"): tiled dense — version, flags, shape header, then
+//     grid-aligned tiles with a per-tile offset index, optional gzip and
+//     CRC32. The out-of-core input path: DecomposeTiledFile streams Phase 1
+//     and the fit computation over the tiles so peak memory is bounded by
+//     tile + buffer sizes, not the tensor. The spec lives in internal/tfile.
 //
-// The .tpdn/.tpsp readers validate headers (mode counts, dim products,
-// declared sizes vs the file's actual size) before allocating, so corrupt
+// Each layout shared between formats has one codec. internal/mat encodes
+// every float64 payload (AppendFloats/DecodeFloats and their streaming
+// pair) and every matrix record of the checkpoints and the MapReduce
+// shuffle (AppendMatrix/DecodeMatrix); internal/tensor encodes the shape
+// header all three formats carry (AppendShape/ReadShape). ReadShape
+// bounds mode counts and dim products, and the readers check declared
+// sizes against the file's actual size, before allocating, so corrupt
 // files fail cleanly instead of attempting absurd allocations.
 //
 // # Concurrency

@@ -2,8 +2,10 @@ package twopcp
 
 import (
 	"fmt"
+	"io"
 	"os"
 
+	"twopcp/internal/tensor"
 	"twopcp/internal/tfile"
 )
 
@@ -19,8 +21,8 @@ func DecomposeFile(path string, opts Options) (*Result, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	magic := make([]byte, 4)
-	if _, err := f.Read(magic); err != nil {
+	magic := make([]byte, len(tfile.Magic))
+	if _, err := io.ReadFull(f, magic); err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("twopcp: read magic of %s: %w", path, err)
 	}
@@ -36,14 +38,14 @@ func DecomposeFile(path string, opts Options) (*Result, []int, error) {
 			dims[m] = fac.Rows
 		}
 		return res, dims, nil
-	case "TPDN":
+	case tensor.DenseMagic:
 		x, err := LoadDense(path)
 		if err != nil {
 			return nil, nil, err
 		}
 		res, err := Decompose(x, opts)
 		return res, x.Dims, err
-	case "TPSP":
+	case tensor.SparseMagic:
 		x, err := LoadCOO(path)
 		if err != nil {
 			return nil, nil, err

@@ -24,67 +24,6 @@ const (
 	unitHeaderBytes = len(unitMagic) + 5*4
 )
 
-// AppendMatrix appends the encoding of one matrix (int32 rows, int32 cols,
-// float64 data, little-endian) to dst. Runstate's checkpoints and Phase-1's
-// MapReduce sub-factor shuffle build their records with it.
-func AppendMatrix(dst []byte, m *mat.Matrix) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(m.Rows)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(m.Cols)))
-	return mat.AppendFloats(dst, m.Data)
-}
-
-// DecodeMatrix decodes one AppendMatrix encoding from the front
-// of b and returns the bytes after it. b is all the input there is, so a
-// header that declares more than b holds fails before anything is sized by
-// it.
-func DecodeMatrix(b []byte) (*mat.Matrix, []byte, error) {
-	if len(b) < 8 {
-		return nil, nil, fmt.Errorf("blockstore: %d bytes hold no matrix header", len(b))
-	}
-	rows := int64(int32(binary.LittleEndian.Uint32(b)))
-	cols := int64(int32(binary.LittleEndian.Uint32(b[4:])))
-	b = b[8:]
-	if rows < 0 || cols < 0 {
-		return nil, nil, fmt.Errorf("blockstore: negative matrix shape %d×%d", rows, cols)
-	}
-	// rows·cols of two int32s fits int64; dividing keeps the byte count
-	// from overflowing.
-	if rows*cols > int64(len(b))/8 {
-		return nil, nil, fmt.Errorf("blockstore: matrix shape %d×%d needs more than the %d bytes left", rows, cols, len(b))
-	}
-	m := mat.New(int(rows), int(cols))
-	mat.DecodeFloats(m.Data, b)
-	return m, b[8*len(m.Data):], nil
-}
-
-// maxDecodeBytes bounds the payload one matrix header may declare (2^34
-// bytes = 16 GiB of float64): ReadMatrix cannot know how long its input
-// is, so a damaged header fails as a decode error before it sizes an
-// allocation nothing could back.
-const maxDecodeBytes = int64(1) << 34
-
-// ReadMatrix deserializes one AppendMatrix encoding from r.
-func ReadMatrix(r io.Reader) (*mat.Matrix, error) {
-	var hdr [2]int32
-	if err := binary.Read(r, binary.LittleEndian, hdr[:]); err != nil {
-		return nil, fmt.Errorf("blockstore: read matrix header: %w", err)
-	}
-	if hdr[0] < 0 || hdr[1] < 0 {
-		return nil, fmt.Errorf("blockstore: negative matrix shape %d×%d", hdr[0], hdr[1])
-	}
-	// Compare in elements to stay overflow-safe: rows·cols of two int32s
-	// fits int64, but the byte count may not.
-	if elems := int64(hdr[0]) * int64(hdr[1]); elems > maxDecodeBytes/8 {
-		return nil, fmt.Errorf("blockstore: matrix shape %d×%d declares %d elements, more than the %d-byte decode limit holds (corrupt header?)",
-			hdr[0], hdr[1], elems, maxDecodeBytes)
-	}
-	m := mat.New(int(hdr[0]), int(hdr[1]))
-	if err := mat.ReadFloats(r, m.Data); err != nil {
-		return nil, fmt.Errorf("blockstore: read matrix data: %w", err)
-	}
-	return m, nil
-}
-
 // EncodeUnit serializes u, whole, to w; a per-block U is packed first.
 func EncodeUnit(w io.Writer, u *Unit) error {
 	slab, err := PackSlab(u)

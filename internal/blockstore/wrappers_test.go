@@ -1,61 +1,11 @@
 package blockstore
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 	"time"
-
-	"twopcp/internal/mat"
 )
-
-func TestWriteReadMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	m := mat.Random(5, 3, rng)
-	enc := AppendMatrix([]byte("head"), m)
-	if len(enc) != 4+8+8*len(m.Data) {
-		t.Fatalf("AppendMatrix added %d bytes for a 5×3 matrix", len(enc)-4)
-	}
-	got, err := ReadMatrix(bytes.NewReader(enc[4:]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(m) {
-		t.Fatal("matrix codec round trip failed")
-	}
-
-	// DecodeMatrix reads the same encoding back out of a buffer.
-	got, rest, err := DecodeMatrix(append(enc[4:], "tail"...))
-	if err != nil || !got.Equal(m) || string(rest) != "tail" {
-		t.Fatalf("DecodeMatrix: rest %q, err %v", rest, err)
-	}
-}
-
-func TestReadMatrixErrors(t *testing.T) {
-	if _, err := ReadMatrix(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	// Negative shape.
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0})
-	if _, err := ReadMatrix(&buf); err == nil {
-		t.Fatal("negative shape accepted")
-	}
-	// DecodeMatrix refuses the same, and a shape its input cannot back,
-	// before sizing anything by it.
-	for _, b := range [][]byte{
-		nil,
-		{1, 0, 0},
-		{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0},
-		{0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0xFF, 0xFF, 0x7F},
-		{2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-	} {
-		if _, _, err := DecodeMatrix(b); err == nil {
-			t.Fatalf("DecodeMatrix accepted % x", b)
-		}
-	}
-}
 
 func TestFaultyStorePassthrough(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))

@@ -137,6 +137,48 @@ func TestStoreRoundtrip(t *testing.T) {
 	}
 }
 
+// TestManagerSkipsCorruptRecord: a truncated job.json beside a good one
+// must not keep the manager from starting. The good job is served, the
+// damaged file stays where it was, and its ID is not handed out again.
+func TestManagerSkipsCorruptRecord(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "data")
+	store, err := OpenStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs [2]*Job
+	for i := range jobs {
+		if jobs[i], err = store.Create(Spec{Input: "/tmp/x.tptl", Rank: 2}, nil, time.Unix(100, 0).UTC()); err != nil {
+			t.Fatal(err)
+		}
+		jobs[i].State = StateDone
+		if err := store.Put(jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := filepath.Join(store.Dir(jobs[1].ID), recordName)
+	data, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store, m := newTestManager(t, root, 1)
+	defer m.Drain()
+	if got := m.List(); len(got) != 1 || got[0].ID != jobs[0].ID || got[0].State != StateDone {
+		t.Fatalf("manager lists %d jobs, want only the good %s", len(got), jobs[0].ID)
+	}
+	if kept, err := os.ReadFile(bad); err != nil || len(kept) != len(data)/2 {
+		t.Fatalf("damaged record not left in place: %d bytes, %v", len(kept), err)
+	}
+	next, err := store.Create(Spec{Input: "/tmp/x.tptl", Rank: 2}, nil, time.Unix(100, 0).UTC())
+	if err != nil || next.ID != "j000003" {
+		t.Fatalf("next ID %q (%v), want j000003", next.ID, err)
+	}
+}
+
 func TestManagerRunsJobToDone(t *testing.T) {
 	dir := t.TempDir()
 	tensor := filepath.Join(dir, "x.tptl")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"sort"
@@ -189,8 +190,11 @@ func (s *Store) Get(id string) (*Job, error) {
 }
 
 // Load reads every job record under the root, sorted by ID. Directories
-// without a readable record are skipped (a crash between MkdirAll and the
-// first Put leaves one; it holds no work worth recovering).
+// without a record are skipped (a crash between MkdirAll and the first Put
+// leaves one; it holds no work worth recovering), and so, with a log line,
+// are those whose record cannot be read or decoded: one damaged job must
+// not keep the daemon from serving the rest. Its file is left in place, and
+// OpenStore still counts its ID as taken.
 func (s *Store) Load() ([]*Job, error) {
 	entries, err := os.ReadDir(s.root)
 	if err != nil {
@@ -206,10 +210,10 @@ func (s *Store) Load() ([]*Job, error) {
 		}
 		job, err := s.Get(e.Name())
 		if err != nil {
-			if os.IsNotExist(err) {
-				continue
+			if !os.IsNotExist(err) {
+				log.Printf("jobs: skipping %s: %v", s.Dir(e.Name()), err)
 			}
-			return nil, err
+			continue
 		}
 		jobsList = append(jobsList, job)
 	}

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 )
@@ -56,6 +57,38 @@ func DecodeFloats(dst []float64, b []byte) {
 		return
 	}
 	decodeFloatsLoop(dst, b)
+}
+
+// AppendMatrix appends the encoding of one matrix (int32 rows, int32 cols,
+// then its float64 data row-major) to dst. Runstate's checkpoints and
+// Phase-1's MapReduce sub-factor shuffle build their records with it.
+func AppendMatrix(dst []byte, m *Matrix) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(m.Rows)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(m.Cols)))
+	return AppendFloats(dst, m.Data)
+}
+
+// DecodeMatrix decodes one AppendMatrix encoding from the front of b and
+// returns the bytes after it. b is all the input there is, so a header that
+// declares more than b holds fails before anything is sized by it.
+func DecodeMatrix(b []byte) (*Matrix, []byte, error) {
+	if len(b) < 8 {
+		return nil, nil, fmt.Errorf("mat: %d bytes hold no matrix header", len(b))
+	}
+	rows := int64(int32(binary.LittleEndian.Uint32(b)))
+	cols := int64(int32(binary.LittleEndian.Uint32(b[4:])))
+	b = b[8:]
+	if rows < 0 || cols < 0 {
+		return nil, nil, fmt.Errorf("mat: negative matrix shape %d×%d", rows, cols)
+	}
+	// rows·cols of two int32s fits int64; dividing keeps the byte count
+	// from overflowing.
+	if rows*cols > int64(len(b))/8 {
+		return nil, nil, fmt.Errorf("mat: matrix shape %d×%d needs more than the %d bytes left", rows, cols, len(b))
+	}
+	m := New(int(rows), int(cols))
+	DecodeFloats(m.Data, b)
+	return m, b[8*len(m.Data):], nil
 }
 
 // readFull is io.ReadFull, with input that ends before b's first byte

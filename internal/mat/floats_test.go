@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -133,5 +134,34 @@ func TestFloatCodecShortInput(t *testing.T) {
 			}()
 			c.decode(make([]float64, 17), enc[:len(enc)-1])
 		}()
+	}
+}
+
+func TestAppendDecodeMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	m := Random(5, 3, rng)
+	enc := AppendMatrix([]byte("head"), m)
+	if len(enc) != 4+8+8*len(m.Data) {
+		t.Fatalf("AppendMatrix added %d bytes for a 5×3 matrix", len(enc)-4)
+	}
+	got, rest, err := DecodeMatrix(append(enc[4:], "tail"...))
+	if err != nil || !got.Equal(m) || string(rest) != "tail" {
+		t.Fatalf("DecodeMatrix: rest %q, err %v", rest, err)
+	}
+}
+
+func TestDecodeMatrixErrors(t *testing.T) {
+	// Empty input, a short header, a negative shape and shapes the input
+	// cannot back are refused before anything is sized by them.
+	for _, b := range [][]byte{
+		nil,
+		{1, 0, 0},
+		{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0},
+		{0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0xFF, 0xFF, 0x7F},
+		{2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		if _, _, err := DecodeMatrix(b); err == nil {
+			t.Fatalf("DecodeMatrix accepted % x", b)
+		}
 	}
 }

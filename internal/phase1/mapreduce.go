@@ -1,13 +1,11 @@
 package phase1
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"twopcp/internal/blockstore"
 	"twopcp/internal/grid"
 	"twopcp/internal/mapreduce"
 	"twopcp/internal/mat"
@@ -83,7 +81,7 @@ func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts Options, cfg mapreduce.Co
 		// Emit each sub-factor U(n)_b as an independent record, keyed
 		// "U/<block>/<mode>" as in the paper's reducer output.
 		for m, f := range factors {
-			emit(fmt.Sprintf("U/%d/%d", blockID, m), blockstore.AppendMatrix(nil, f))
+			emit(fmt.Sprintf("U/%d/%d", blockID, m), mat.AppendMatrix(nil, f))
 		}
 		return nil
 	}
@@ -109,9 +107,12 @@ func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts Options, cfg mapreduce.Co
 		if err1 != nil || err2 != nil {
 			return nil, counters, fmt.Errorf("phase1: unparseable reduce key %q", pair.Key)
 		}
-		m, err := blockstore.ReadMatrix(bytes.NewReader(pair.Value))
+		m, rest, err := mat.DecodeMatrix(pair.Value)
 		if err != nil {
-			return nil, counters, err
+			return nil, counters, fmt.Errorf("phase1: reduce value %q: %w", pair.Key, err)
+		}
+		if len(rest) != 0 {
+			return nil, counters, fmt.Errorf("phase1: reduce value %q has %d bytes after its matrix", pair.Key, len(rest))
 		}
 		if res.Sub[blockID] == nil {
 			res.Sub[blockID] = make([]*mat.Matrix, nModes)

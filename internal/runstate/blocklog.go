@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"twopcp/internal/blockstore"
 	"twopcp/internal/mat"
 )
 
@@ -107,7 +106,7 @@ func (r *Run) SaveBlock(id int, factors []*mat.Matrix, fit float64) error {
 	b = mat.AppendFloats(b, []float64{fit})
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(len(factors))))
 	for _, f := range factors {
-		b = blockstore.AppendMatrix(b, f)
+		b = mat.AppendMatrix(b, f)
 	}
 	sealRecord(blockMagic, b)
 	r.buf = b

@@ -112,13 +112,18 @@ func ReadResult(dir string) (*ResultState, error) {
 	return readResultFile(filepath.Join(dir, "result.ckpt"))
 }
 
-// readResultFile decodes one result.ckpt: CRC frame, JSON header, binary
-// factor matrices.
+// readResultFile reads and decodes one result.ckpt.
 func readResultFile(path string) (*ResultState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("runstate: read result: %w", err)
 	}
+	return decodeResult(data)
+}
+
+// decodeResult decodes the bytes of one result.ckpt: CRC frame, JSON
+// header, binary factor matrices. Every defect maps to ErrCorrupt.
+func decodeResult(data []byte) (*ResultState, error) {
 	payload, err := unframe(resultMagic, data)
 	if err != nil {
 		return nil, err

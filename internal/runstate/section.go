@@ -5,13 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"twopcp/internal/blockstore"
 	"twopcp/internal/mat"
 )
 
 // Phase-2 and result checkpoints share one section layout inside their
 // framing: a uint32 length-prefixed JSON header followed by matrices in
-// blockstore.AppendMatrix encoding. The header declares how many matrices
+// mat.AppendMatrix encoding. The header declares how many matrices
 // follow; encode/decode of the layout lives here so the two checkpoint
 // kinds can never diverge in corruption handling.
 
@@ -25,7 +24,7 @@ func appendSection(dst []byte, what string, hdr any, mats []*mat.Matrix) ([]byte
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(hj)))
 	dst = append(dst, hj...)
 	for _, m := range mats {
-		dst = blockstore.AppendMatrix(dst, m)
+		dst = mat.AppendMatrix(dst, m)
 	}
 	return dst, nil
 }
@@ -58,7 +57,7 @@ func decodeMatrices(what string, b []byte, n int) ([]*mat.Matrix, error) {
 	mats := make([]*mat.Matrix, n)
 	for i := range mats {
 		var err error
-		if mats[i], b, err = blockstore.DecodeMatrix(b); err != nil {
+		if mats[i], b, err = mat.DecodeMatrix(b); err != nil {
 			return nil, fmt.Errorf("%w: %s matrix %d: %v", ErrCorrupt, what, i, err)
 		}
 	}

@@ -12,23 +12,24 @@ import (
 
 // Binary file format (little-endian):
 //
-//	dense:  magic "TPDN", uint32 nmodes, nmodes × uint64 dims, then Π dims
-//	        float64 values in Fortran order.
-//	sparse: magic "TPSP", uint32 nmodes, nmodes × uint64 dims, uint64 nnz,
-//	        then nnz records of (nmodes × uint64 coords, float64 value).
+//	dense:  magic "TPDN", shape header, then Π dims float64 values in
+//	        Fortran order.
+//	sparse: magic "TPSP", shape header, uint64 nnz, then nnz records of
+//	        (nmodes × uint64 coords, float64 value).
+//
+// The shape header — uint32 nmodes, then nmodes × uint64 dims — is also the
+// one a .tptl file carries after its version and flags; AppendShape and
+// ReadShape are its one encoder and one decoder.
 const (
-	denseMagic  = "TPDN"
-	sparseMagic = "TPSP"
+	DenseMagic  = "TPDN"
+	SparseMagic = "TPSP"
 )
 
 // WriteDense serializes t to w in the twopcp dense binary format.
 func WriteDense(w io.Writer, t *Dense) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(denseMagic); err != nil {
+	if _, err := bw.Write(AppendShape([]byte(DenseMagic), t.Dims)); err != nil {
 		return fmt.Errorf("tensor: write dense header: %w", err)
-	}
-	if err := writeDims(bw, t.Dims); err != nil {
-		return err
 	}
 	if err := mat.WriteFloats(bw, t.Data); err != nil {
 		return fmt.Errorf("tensor: write dense data: %w", err)
@@ -43,14 +44,10 @@ func WriteDense(w io.Writer, t *Dense) error {
 func ReadDense(r io.Reader) (*Dense, error) {
 	limit := remainingBytes(r)
 	br := bufio.NewReader(r)
-	if err := expectMagic(br, denseMagic); err != nil {
+	if err := expectMagic(br, DenseMagic); err != nil {
 		return nil, err
 	}
-	dims, err := readDims(br)
-	if err != nil {
-		return nil, err
-	}
-	n, err := checkedLen(dims)
+	dims, n, err := ReadShape(br)
 	if err != nil {
 		return nil, err
 	}
@@ -68,25 +65,18 @@ func ReadDense(r io.Reader) (*Dense, error) {
 // WriteCOO serializes t to w in the twopcp sparse binary format.
 func WriteCOO(w io.Writer, t *COO) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(sparseMagic); err != nil {
+	head := binary.LittleEndian.AppendUint64(AppendShape([]byte(SparseMagic), t.Dims), uint64(t.NNZ()))
+	if _, err := bw.Write(head); err != nil {
 		return fmt.Errorf("tensor: write sparse header: %w", err)
 	}
-	if err := writeDims(bw, t.Dims); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(t.NNZ())); err != nil {
-		return fmt.Errorf("tensor: write nnz: %w", err)
-	}
-	coords := make([]uint64, len(t.Dims))
+	rec := make([]byte, 0, 8*len(t.Dims)+8)
 	for p := range t.Vals {
+		rec = rec[:0]
 		for m := range t.Dims {
-			coords[m] = uint64(t.Indices[m][p])
+			rec = binary.LittleEndian.AppendUint64(rec, uint64(t.Indices[m][p]))
 		}
-		if err := binary.Write(bw, binary.LittleEndian, coords); err != nil {
-			return fmt.Errorf("tensor: write coords: %w", err)
-		}
-		if err := mat.WriteFloats(bw, t.Vals[p:p+1]); err != nil {
-			return fmt.Errorf("tensor: write value: %w", err)
+		if _, err := bw.Write(mat.AppendFloats(rec, t.Vals[p:p+1])); err != nil {
+			return fmt.Errorf("tensor: write nonzero: %w", err)
 		}
 	}
 	return bw.Flush()
@@ -98,50 +88,45 @@ func WriteCOO(w io.Writer, t *COO) error {
 func ReadCOO(r io.Reader) (*COO, error) {
 	limit := remainingBytes(r)
 	br := bufio.NewReader(r)
-	if err := expectMagic(br, sparseMagic); err != nil {
+	if err := expectMagic(br, SparseMagic); err != nil {
 		return nil, err
 	}
-	dims, err := readDims(br)
+	dims, _, err := ReadShape(br)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := checkedLen(dims); err != nil {
-		return nil, err
-	}
-	var nnz uint64
-	if err := binary.Read(br, binary.LittleEndian, &nnz); err != nil {
+	rec := make([]byte, 8*len(dims)+8)
+	if _, err := io.ReadFull(br, rec[:8]); err != nil {
 		return nil, fmt.Errorf("tensor: read nnz: %w", err)
 	}
+	nnz := binary.LittleEndian.Uint64(rec)
 	if nnz > maxTensorElems {
 		return nil, fmt.Errorf("tensor: implausible nnz %d", nnz)
 	}
-	recBytes := int64(8*len(dims) + 8)
-	if need := headerBytes(len(dims)) + 8 + int64(nnz)*recBytes; limit >= 0 && need > limit {
+	if need := headerBytes(len(dims)) + 8 + int64(nnz)*int64(len(rec)); limit >= 0 && need > limit {
 		return nil, fmt.Errorf("tensor: header declares %d nonzeros (%d bytes) but the file has only %d",
 			nnz, need, limit)
 	}
 	t := NewCOO(dims...)
-	coords := make([]uint64, len(dims))
 	idx := make([]int, len(dims))
 	v := make([]float64, 1)
 	for p := uint64(0); p < nnz; p++ {
-		if err := binary.Read(br, binary.LittleEndian, coords); err != nil {
-			return nil, fmt.Errorf("tensor: read coords: %w", err)
+		if _, err := io.ReadFull(br, rec); err != nil {
+			return nil, fmt.Errorf("tensor: read nonzero %d: %w", p, err)
 		}
-		if err := mat.ReadFloats(br, v); err != nil {
-			return nil, fmt.Errorf("tensor: read value: %w", err)
-		}
+		mat.DecodeFloats(v, rec[8*len(dims):])
 		// Validate every coordinate against the declared dims before
 		// Append (which panics on out-of-range indices — correct for
 		// programmer error, but a corrupt or hostile file must surface as
 		// an error). The uint64 comparison also catches coordinates that
 		// would overflow int.
 		for m := range idx {
-			if coords[m] >= uint64(dims[m]) {
+			c := binary.LittleEndian.Uint64(rec[8*m:])
+			if c >= uint64(dims[m]) {
 				return nil, fmt.Errorf("tensor: nonzero %d: coordinate %d on mode %d outside dim %d",
-					p, coords[m], m, dims[m])
+					p, c, m, dims[m])
 			}
-			idx[m] = int(coords[m])
+			idx[m] = int(c)
 		}
 		t.Append(idx, v[0])
 	}
@@ -194,18 +179,14 @@ func LoadCOO(path string) (*COO, error) {
 	return ReadCOO(f)
 }
 
-func writeDims(w io.Writer, dims []int) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(dims))); err != nil {
-		return fmt.Errorf("tensor: write nmodes: %w", err)
+// AppendShape appends the shape header of dims — uint32 nmodes, then
+// nmodes × uint64 dims — to dst.
+func AppendShape(dst []byte, dims []int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(dims)))
+	for _, d := range dims {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(d))
 	}
-	u := make([]uint64, len(dims))
-	for i, d := range dims {
-		u[i] = uint64(d)
-	}
-	if err := binary.Write(w, binary.LittleEndian, u); err != nil {
-		return fmt.Errorf("tensor: write dims: %w", err)
-	}
-	return nil
+	return dst
 }
 
 // maxTensorElems bounds the cell (or nonzero) count a header may
@@ -213,26 +194,37 @@ func writeDims(w io.Writer, dims []int) error {
 // rejected as corrupt before allocation.
 const maxTensorElems = 1 << 42
 
-func readDims(r io.Reader) ([]int, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("tensor: read nmodes: %w", err)
+// ReadShape reads one shape header from r and returns its dims and their
+// cell count. It reads exactly the header's bytes, and rejects a mode count
+// of 0 or above 2^16 and a mode or cell count above 2^42 before anything is
+// sized by them. A zero-size mode passes; a format that forbids one checks
+// for it itself.
+func ReadShape(r io.Reader) ([]int, int64, error) {
+	var nb [4]byte
+	if _, err := io.ReadFull(r, nb[:]); err != nil {
+		return nil, 0, fmt.Errorf("tensor: read nmodes: %w", err)
 	}
+	n := binary.LittleEndian.Uint32(nb[:])
 	if n == 0 || n > 1<<16 {
-		return nil, fmt.Errorf("tensor: implausible mode count %d", n)
+		return nil, 0, fmt.Errorf("tensor: implausible mode count %d", n)
 	}
-	u := make([]uint64, n)
-	if err := binary.Read(r, binary.LittleEndian, u); err != nil {
-		return nil, fmt.Errorf("tensor: read dims: %w", err)
+	raw := make([]byte, 8*int(n))
+	if _, err := io.ReadFull(r, raw); err != nil {
+		return nil, 0, fmt.Errorf("tensor: read dims: %w", err)
 	}
 	dims := make([]int, n)
-	for i, d := range u {
+	for i := range dims {
+		d := binary.LittleEndian.Uint64(raw[8*i:])
 		if d > maxTensorElems {
-			return nil, fmt.Errorf("tensor: mode %d has implausible size %d", i, d)
+			return nil, 0, fmt.Errorf("tensor: mode %d has implausible size %d", i, d)
 		}
 		dims[i] = int(d)
 	}
-	return dims, nil
+	cells, err := checkedLen(dims)
+	if err != nil {
+		return nil, 0, err
+	}
+	return dims, cells, nil
 }
 
 // checkedLen returns Π dims, rejecting negative sizes and products

@@ -52,7 +52,7 @@ func Open(path string) (*Reader, error) {
 // total size. The caller keeps ownership of ra unless the Reader came
 // from Open.
 func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
-	var fixed [16]byte
+	var fixed [12]byte
 	if _, err := ra.ReadAt(fixed[:], 0); err != nil {
 		return nil, fmt.Errorf("tfile: read header: %w", err)
 	}
@@ -66,35 +66,26 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if flags&^uint32(flagsKnown) != 0 {
 		return nil, fmt.Errorf("tfile: unknown flags %#x", flags&^uint32(flagsKnown))
 	}
-	n := binary.LittleEndian.Uint32(fixed[12:])
-	if n == 0 || n > 1<<16 {
-		return nil, fmt.Errorf("tfile: implausible mode count %d", n)
+	hdr := io.NewSectionReader(ra, int64(len(fixed)), size-int64(len(fixed)))
+	dims, _, err := tensor.ReadShape(hdr)
+	if err != nil {
+		return nil, fmt.Errorf("tfile: %w", err)
 	}
-	rest := make([]byte, 12*int(n))
-	if _, err := ra.ReadAt(rest, 16); err != nil {
-		return nil, fmt.Errorf("tfile: read dims: %w", err)
-	}
-	dims := make([]int, n)
-	for i := range dims {
-		d := binary.LittleEndian.Uint64(rest[8*i:])
-		if d == 0 || d > MaxElems {
-			return nil, fmt.Errorf("tfile: mode %d has implausible size %d", i, d)
-		}
-		dims[i] = int(d)
-	}
-	if _, err := checkDims(dims); err != nil {
-		return nil, err
+	n := len(dims)
+	tb := make([]byte, 4*n)
+	if _, err := io.ReadFull(hdr, tb); err != nil {
+		return nil, fmt.Errorf("tfile: read tiling: %w", err)
 	}
 	tiles := make([]int, n)
 	for i := range tiles {
-		tiles[i] = int(binary.LittleEndian.Uint32(rest[8*int(n)+4*i:]))
+		tiles[i] = int(binary.LittleEndian.Uint32(tb[4*i:]))
 	}
 	p, err := grid.New(dims, tiles)
 	if err != nil {
 		return nil, fmt.Errorf("tfile: bad tiling: %w", err)
 	}
 	nt := p.NumBlocks()
-	idxOff := headerSize(int(n))
+	idxOff := headerSize(n)
 	idxLen := int64(nt) * indexEntrySize
 	if idxOff+idxLen > size {
 		return nil, fmt.Errorf("tfile: file size %d too small for %d-tile index", size, nt)

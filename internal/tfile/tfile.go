@@ -21,6 +21,9 @@
 //	                    uint32 reserved (0)
 //	...               tile payloads, in whatever order they were written
 //
+// Bytes 12 to 16+8N are the shape header of .tpdn and .tpsp files, written
+// and read by internal/tensor's AppendShape and ReadShape.
+//
 // Mode i is split into T_i near-equal ranges following the grid.Pattern
 // convention (the first dims[i] mod T_i tiles are one element longer), so
 // the file tiling IS a grid.Pattern and all index arithmetic is shared.
@@ -38,10 +41,7 @@
 // parallel.
 package tfile
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Magic is the 4-byte signature that opens every .tptl file.
 const Magic = "TPTL"
@@ -59,37 +59,12 @@ const (
 	flagsKnown = FlagGzip | FlagCRC
 )
 
-// MaxElems bounds the total cell count a .tptl header may declare
-// (2^42 cells = 32 TiB of float64 payload). Headers above it are
-// rejected before any allocation, like the .tpdn hardening in
-// internal/tensor.
-const MaxElems = 1 << 42
-
 // indexEntrySize is the on-disk size of one index record.
 const indexEntrySize = 8 + 8 + 4 + 4
 
 // headerSize returns the byte length of the fixed header plus dims and
 // tiling arrays (everything before the index) for an n-mode tensor.
 func headerSize(n int) int64 { return 16 + 12*int64(n) }
-
-// checkDims validates mode sizes against sane limits and returns the
-// total element count. It is shared by the Writer and the Reader.
-func checkDims(dims []int) (int64, error) {
-	if len(dims) == 0 || len(dims) > 1<<16 {
-		return 0, fmt.Errorf("tfile: implausible mode count %d", len(dims))
-	}
-	total := int64(1)
-	for i, d := range dims {
-		if d <= 0 || int64(d) > MaxElems {
-			return 0, fmt.Errorf("tfile: mode %d has implausible size %d", i, d)
-		}
-		if total > MaxElems/int64(d) {
-			return 0, fmt.Errorf("tfile: dims %v exceed %d total cells", dims, int64(MaxElems))
-		}
-		total *= int64(d)
-	}
-	return total, nil
-}
 
 // AutoTiles picks a tiling for dims where every tile holds at most
 // maxTileElems cells (default 1<<22 ≈ 32 MiB of float64 when

@@ -337,14 +337,27 @@ func fullySplit(dims, tiles []int) bool {
 	return true
 }
 
-func TestCheckDimsOverflow(t *testing.T) {
-	if _, err := checkDims([]int{1 << 21, 1 << 21, 1 << 21}); err == nil {
-		t.Fatal("2^63 cells accepted")
+func TestWriterRejectsImplausibleDims(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.tptl")
+	for _, tc := range []struct {
+		dims []int
+		what string
+	}{
+		{[]int{1 << 21, 1 << 21, 1 << 21}, "2^63 cells"},
+		{[]int{0, 4}, "zero dim"},
+	} {
+		tiles := make([]int, len(tc.dims))
+		for i := range tiles {
+			tiles[i] = 1
+		}
+		if w, err := Create(path, tc.dims, tiles); err == nil {
+			w.Close()
+			t.Fatalf("%s accepted", tc.what)
+		}
 	}
-	if _, err := checkDims([]int{0, 4}); err == nil {
-		t.Fatal("zero dim accepted")
-	}
-	if n, err := checkDims([]int{3, 4, 5}); err != nil || n != 60 {
-		t.Fatalf("checkDims = %d, %v", n, err)
+	x := tensor.RandomDense(rand.New(rand.NewSource(6)), 3, 4, 5)
+	writeTensor(t, path, x, []int{1, 1, 1}, nil)
+	if got := readBack(t, path); len(got.Data) != 60 || !got.EqualApprox(x, 0) {
+		t.Fatalf("3×4×5 read back as %v with %d cells", got.Dims, len(got.Data))
 	}
 }

@@ -1,6 +1,7 @@
 package tfile
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
@@ -70,8 +71,9 @@ func Create(path string, dims, tiles []int, opts ...WriterOption) (*Writer, erro
 // zeroed index immediately. The caller keeps ownership of f unless the
 // Writer came from Create.
 func NewWriter(f io.WriteSeeker, dims, tiles []int, opts ...WriterOption) (*Writer, error) {
-	if _, err := checkDims(dims); err != nil {
-		return nil, err
+	// Refuse dims the Reader would refuse, by the Reader's own check.
+	if _, _, err := tensor.ReadShape(bytes.NewReader(tensor.AppendShape(nil, dims))); err != nil {
+		return nil, fmt.Errorf("tfile: %w", err)
 	}
 	p, err := grid.New(dims, tiles)
 	if err != nil {
@@ -99,17 +101,12 @@ func NewWriter(f io.WriteSeeker, dims, tiles []int, opts ...WriterOption) (*Writ
 func (w *Writer) Pattern() *grid.Pattern { return w.pattern }
 
 func (w *Writer) writeHeader() error {
-	n := len(w.pattern.Dims)
-	hdr := make([]byte, headerSize(n))
-	copy(hdr, Magic)
-	binary.LittleEndian.PutUint32(hdr[4:], Version)
-	binary.LittleEndian.PutUint32(hdr[8:], w.flags)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(n))
-	for i, d := range w.pattern.Dims {
-		binary.LittleEndian.PutUint64(hdr[16+8*i:], uint64(d))
-	}
-	for i, t := range w.pattern.K {
-		binary.LittleEndian.PutUint32(hdr[16+8*n+4*i:], uint32(t))
+	hdr := []byte(Magic)
+	hdr = binary.LittleEndian.AppendUint32(hdr, Version)
+	hdr = binary.LittleEndian.AppendUint32(hdr, w.flags)
+	hdr = tensor.AppendShape(hdr, w.pattern.Dims)
+	for _, t := range w.pattern.K {
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(t))
 	}
 	if _, err := w.f.Write(hdr); err != nil {
 		return fmt.Errorf("tfile: write header: %w", err)
