@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -571,5 +572,27 @@ func TestSpecNormalizeDefaults(t *testing.T) {
 		Accelerator: "none", Seed: 1})
 	if got := fmt.Sprintf("%+v", s); got != want {
 		t.Fatalf("normalized spec = %s, want %s", got, want)
+	}
+}
+
+// TestManagerReturnsJobMemory: a done job's blocks are garbage, and the
+// manager collects them and returns their pages once the job is settled,
+// so the heap goal serving starts from is below one block, not twice it.
+func TestManagerReturnsJobMemory(t *testing.T) {
+	dir := t.TempDir()
+	input := filepath.Join(dir, "x.tptl")
+	const n = 128 // one block of 128³ cells: 16 MiB
+	writeTensor(t, input, 3, n, n, n)
+	_, m := newTestManager(t, filepath.Join(dir, "data"), 1)
+	job, err := m.Submit(Spec{Input: input, Rank: 2, Parts: 1, MaxIters: 2, Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, job.ID, StateDone)
+	m.Drain() // the worker has left runJob
+	goal := []metrics.Sample{{Name: "/gc/heap/goal:bytes"}}
+	metrics.Read(goal)
+	if got, block := goal[0].Value.Uint64(), uint64(n*n*n*8); got >= block {
+		t.Fatalf("heap goal after the job is %d bytes, want below the block's %d", got, block)
 	}
 }

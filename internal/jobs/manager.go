@@ -6,6 +6,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -340,8 +341,8 @@ func (m *Manager) worker() {
 }
 
 // runJob executes one job end to end: transition to running, decompose
-// with the job's checkpoint directory wired in, export factors, and
-// persist the terminal state.
+// with the job's checkpoint directory wired in, export factors, persist
+// the terminal state and hand the run's memory back to the OS.
 func (m *Manager) runJob(id string) {
 	m.mu.Lock()
 	job, ok := m.jobs[id]
@@ -393,9 +394,20 @@ func (m *Manager) runJob(id string) {
 		opts.Observer = &obs.Observer{Metrics: m.reg, OnEvent: fan.Publish}
 		res, dims, err = twopcp.DecomposeFile(spec.Input, opts)
 	}
+	m.settle(job, r, res, dims, err)
+	// The run's blocks are garbage now, but the heap goal they set stays
+	// at twice the largest until the next collection. Collecting here and
+	// handing the pages back starts serving from the heap goal of what
+	// stays live.
+	debug.FreeOSMemory()
+}
 
-	// A drain signal may land after the run already finished; the result
-	// still counts. Only the run's own outcome decides the state.
+// settle records a run's outcome: the job's terminal state, its exported
+// factors when it is done, and the persisted record. A drain signal may
+// land after the run already finished; the result still counts. Only the
+// run's own outcome decides the state.
+func (m *Manager) settle(job *Job, r *runHandle, res *twopcp.Result, dims []int, err error) {
+	id := job.ID
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.running, id)
