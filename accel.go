@@ -59,7 +59,9 @@ func phase0Rank(opts Options) int {
 // the manifest has advanced past Phase 1 (the warm start can no longer
 // influence anything).
 func (r *runCtx) phase0() error {
-	res, err := sketch.TuckerWarmStart(r.src, sketchOptions(r.opts, r.solver))
+	o := sketchOptions(r.opts, r.solver)
+	o.Buffers = &r.bufs
+	res, err := sketch.TuckerWarmStart(r.src, o)
 	if err != nil {
 		return err
 	}

@@ -233,11 +233,12 @@ func naiveOutOfCoreCP(x *tensor.Dense, cfg Table2Config) error {
 	for m := range grams {
 		grams[m] = mat.Gram(factors[m])
 	}
+	var bufs phase1.Buffers // every pass reads into one tile
 	for iter := 0; iter < cfg.NaiveIters; iter++ {
 		for mode := 0; mode < 3; mode++ {
 			m := mat.New(cfg.Side, cfg.Rank)
 			// One tile at a time: the naive row has no parallelism.
-			err := phase1.Stream(src, 1, nil, nil,
+			err := phase1.Stream(src, 1, nil, &bufs, nil,
 				func(_ struct{}, _ int, vec []int, read func() (any, error)) (*mat.Matrix, error) {
 					// Simulated tile-read latency (same cost model as the
 					// unit stores), then the partial MTTKRP for this tile.

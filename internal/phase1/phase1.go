@@ -141,6 +141,9 @@ type Options struct {
 	Seed int64
 	// Workers bounds parallel block decompositions (default GOMAXPROCS).
 	Workers int
+	// Buffers, when non-nil, is the run's block storage, lent to the pass
+	// (see Stream).
+	Buffers *Buffers
 	// Checkpoint, when non-nil, records every completed block and skips
 	// blocks it already holds — completed blocks are not even read from
 	// the Source again.
@@ -255,7 +258,7 @@ func Run(src Source, opts Options) (*Result, error) {
 	}
 	var qe QuarantineError
 	// Each worker reuses one ALS workspace across its blocks.
-	err := Stream(src, opts.Workers, opts.Stop, cpals.NewWorkspace, block,
+	err := Stream(src, opts.Workers, opts.Stop, opts.Buffers, cpals.NewWorkspace, block,
 		func(id int, vec []int, b blockOut) {
 			if b.err != nil {
 				qe.Blocks = append(qe.Blocks, id)

@@ -70,7 +70,7 @@ func TestStreamMergesInIDOrder(t *testing.T) {
 		}
 		var got []int
 		within(t, fmt.Sprintf("workers %d", workers), func() {
-			err := Stream(src, workers, nil, noState, readID, func(id int, vec []int, part int) {
+			err := Stream(src, workers, nil, nil, noState, readID, func(id int, vec []int, part int) {
 				if part != id || p.Linear(vec) != id {
 					t.Errorf("merge of block %d got partial %d, position %v", id, part, vec)
 				}
@@ -101,7 +101,7 @@ func TestStreamReturnsFirstError(t *testing.T) {
 	var merged []int
 	var err error
 	within(t, "Stream after a block error", func() {
-		err = Stream(&idSource{p: p}, 4, nil, noState,
+		err = Stream(&idSource{p: p}, 4, nil, nil, noState,
 			func(_ struct{}, id int, _ []int, _ func() (any, error)) (int, error) {
 				switch id {
 				case 2:
@@ -148,7 +148,7 @@ func TestStreamStopHandsOutNothing(t *testing.T) {
 		var merged []int
 		var err error
 		within(t, fmt.Sprintf("%+v", tc), func() {
-			err = Stream(&idSource{p: p}, tc.workers, stop, noState,
+			err = Stream(&idSource{p: p}, tc.workers, stop, nil, noState,
 				func(s struct{}, id int, vec []int, read func() (any, error)) (int, error) {
 					ran.Add(1)
 					return readID(s, id, vec, read)
@@ -204,7 +204,7 @@ func TestStreamHandsBackThePreviousBlock(t *testing.T) {
 	p := grid.MustNew([]int{8, 8, 8}, []int{1, 1, 4})
 	src := &reuseSource{p: p, handed: map[int]any{}}
 	blocks := map[int]any{}
-	err := Stream(src, 1, nil, noState,
+	err := Stream(src, 1, nil, nil, noState,
 		func(_ struct{}, id int, _ []int, read func() (any, error)) (any, error) {
 			if id == 2 {
 				return nil, nil // decided without reading

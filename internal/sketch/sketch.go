@@ -79,6 +79,9 @@ type Options struct {
 	// Workers is how many blocks each pass reads at once (<= 0:
 	// GOMAXPROCS); the warm start is the same bits at every value.
 	Workers int
+	// Buffers, when non-nil, is the run's block storage, lent to both
+	// passes (see phase1.Stream).
+	Buffers *phase1.Buffers
 }
 
 func (o *Options) normalize() (Options, error) {
@@ -152,14 +155,14 @@ func TuckerWarmStart(src phase1.Source, opts Options) (*Result, error) {
 		return &Result{Fallback: true, Reason: fmt.Sprintf("core %v holds ≥ half of %v", coreDims, dims)}, nil
 	}
 
-	qs, empty, err := rangeBases(src, o.Workers, s, coreDims, o.Seed)
+	qs, empty, err := rangeBases(src, o.Workers, o.Buffers, s, coreDims, o.Seed)
 	if err != nil {
 		return nil, err
 	}
 	if empty {
 		return &Result{Fallback: true, Reason: "tensor is all zero"}, nil
 	}
-	g, err := projectCore(src, o.Workers, qs, coreDims)
+	g, err := projectCore(src, o.Workers, o.Buffers, qs, coreDims)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +261,7 @@ func TuckerWarmStart(src phase1.Source, opts Options) (*Result, error) {
 // block contributes MTTKRP(block, {row-sliced Ω_k}, n) into the rows
 // [from_n, from_n+size_n) of Y_n, and blocks sharing a mode-n slab
 // accumulate, in block-id order. empty reports an all-zero tensor.
-func rangeBases(src phase1.Source, workers, s int, coreDims []int, seed int64) (qs []*mat.Matrix, empty bool, err error) {
+func rangeBases(src phase1.Source, workers int, bufs *phase1.Buffers, s int, coreDims []int, seed int64) (qs []*mat.Matrix, empty bool, err error) {
 	p := src.Pattern()
 	n := len(p.Dims)
 	omega := make([]*mat.Matrix, n)
@@ -275,7 +278,7 @@ func rangeBases(src phase1.Source, workers, s int, coreDims []int, seed int64) (
 	// the dense MTTKRPs share a worker's tensor.Sweep (two passes over the
 	// block instead of n). A block's partial is each mode's contribution,
 	// nil for an empty block.
-	err = phase1.Stream(src, workers, nil, func() *tensor.Sweep { return new(tensor.Sweep) },
+	err = phase1.Stream(src, workers, nil, bufs, func() *tensor.Sweep { return new(tensor.Sweep) },
 		func(sweep *tensor.Sweep, _ int, vec []int, read func() (any, error)) ([]*mat.Matrix, error) {
 			block, err := readBlock(vec, read)
 			if err != nil || block == nil {
@@ -328,10 +331,10 @@ func rangeBases(src phase1.Source, workers, s int, coreDims []int, seed int64) (
 // G = X ×₁Q₁ᵀ ×₂Q₂ᵀ ... — multilinear in X, so each block contributes
 // TTMChain(block, {row-sliced Q_kᵀ}) and the contributions sum, in
 // block-id order.
-func projectCore(src phase1.Source, workers int, qs []*mat.Matrix, coreDims []int) (*tensor.Dense, error) {
+func projectCore(src phase1.Source, workers int, bufs *phase1.Buffers, qs []*mat.Matrix, coreDims []int) (*tensor.Dense, error) {
 	p := src.Pattern()
 	g := tensor.NewDense(coreDims...)
-	err := phase1.Stream(src, workers, nil, nil,
+	err := phase1.Stream(src, workers, nil, bufs, nil,
 		func(_ struct{}, _ int, vec []int, read func() (any, error)) (*tensor.Dense, error) {
 			block, err := readBlock(vec, read)
 			if err != nil || block == nil {

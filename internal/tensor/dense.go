@@ -42,17 +42,20 @@ func NewDense(dims ...int) *Dense {
 	return &Dense{Dims: append([]int(nil), dims...), Data: make([]float64, n)}
 }
 
-// Reuse returns buf reshaped to dims when it holds exactly that many
-// cells, leaving its values as they are, and NewDense(dims...) otherwise.
+// Reuse returns buf reshaped to dims when its storage has room for that
+// many cells, leaving their values as they are, and NewDense(dims...)
+// otherwise. A larger buffer keeps its capacity, so a later Reuse can
+// grow back into it.
 func Reuse(buf *Dense, dims ...int) *Dense {
 	n := 1
 	for _, d := range dims {
 		n *= d
 	}
-	if buf == nil || len(buf.Data) != n {
+	if buf == nil || cap(buf.Data) < n {
 		return NewDense(dims...)
 	}
 	buf.Dims = append(buf.Dims[:0], dims...)
+	buf.Data = buf.Data[:n]
 	return buf
 }
 

@@ -30,7 +30,9 @@ func DecomposeTiledFile(path string, opts Options) (*Result, error) {
 	return decompose(opts, input{
 		kind: "tiled", dims: r.Dims(),
 		source: func(p *Pattern) (phase1.Source, error) { return phase1.NewTiledSource(r, p) },
-		fit:    func(m *KTensor) (float64, error) { return tiledFit(r, m, opts.Workers) },
+		fit: func(m *KTensor, bufs *phase1.Buffers) (float64, error) {
+			return streamFit(r, m, opts.Workers, bufs)
+		},
 	})
 }
 
@@ -80,19 +82,24 @@ func LoadTiled(path string) (*Dense, error) {
 	return out, nil
 }
 
-// tiledFit computes 1 − ‖X−X̂‖/‖X‖ streaming over the file's tiles:
+// tiledFit is streamFit with buffers of its own.
+func tiledFit(r *tfile.Reader, model *KTensor, workers int) (float64, error) {
+	return streamFit(r, model, workers, nil)
+}
+
+// streamFit computes 1 − ‖X−X̂‖/‖X‖ streaming over the file's tiles:
 // ‖X‖² and ⟨X,X̂⟩ are additive over tiles when the model factors are
 // row-sliced to each tile's extents. The tiles' terms are summed in tile
 // order, so the fit is the same at every workers, and each worker reads
-// its tiles into one buffer: a fresh tile per read is an allocation burst
-// that sets the run's peak RSS.
-func tiledFit(r *tfile.Reader, model *KTensor, workers int) (float64, error) {
+// its tiles into one buffer, from bufs when it holds one: a fresh tile per
+// read is an allocation burst that sets the run's peak RSS.
+func streamFit(r *tfile.Reader, model *KTensor, workers int, bufs *phase1.Buffers) (float64, error) {
 	src, err := phase1.NewTiledSource(r, r.Tiling())
 	if err != nil {
 		return 0, err
 	}
 	var normX2, inner float64
-	err = phase1.Stream(src, workers, nil, nil,
+	err = phase1.Stream(src, workers, nil, bufs, nil,
 		func(_ struct{}, _ int, vec []int, read func() (any, error)) ([2]float64, error) {
 			b, err := read()
 			if err != nil {

@@ -193,12 +193,13 @@ func applyKernelWorkers(opts Options) func() {
 
 // input is what differs between the Decompose front-ends: how the tensor
 // is named in traces and manifests, its shape, how Phase 1 reads its
-// blocks under a given pattern, and how the final fit is computed.
+// blocks under a given pattern, and how the final fit is computed (a fit
+// that streams X reads into the run's block buffers).
 type input struct {
 	kind   string
 	dims   []int
 	source func(*Pattern) (phase1.Source, error)
-	fit    func(*KTensor) (float64, error)
+	fit    func(*KTensor, *phase1.Buffers) (float64, error)
 }
 
 // Decompose runs the full 2PCP pipeline on a dense tensor.
@@ -206,7 +207,7 @@ func Decompose(x *Dense, opts Options) (*Result, error) {
 	return decompose(opts, input{
 		kind: "dense", dims: x.Dims,
 		source: func(p *Pattern) (phase1.Source, error) { return phase1.NewDenseSource(x, p) },
-		fit:    func(m *KTensor) (float64, error) { return m.Fit(x), nil },
+		fit:    func(m *KTensor, _ *phase1.Buffers) (float64, error) { return m.Fit(x), nil },
 	})
 }
 
@@ -217,7 +218,7 @@ func DecomposeSparse(x *COO, opts Options) (*Result, error) {
 	return decompose(opts, input{
 		kind: "sparse", dims: x.Dims,
 		source: func(p *Pattern) (phase1.Source, error) { return phase1.NewCOOSource(x, p) },
-		fit:    func(m *KTensor) (float64, error) { return m.FitSparse(x), nil },
+		fit:    func(m *KTensor, _ *phase1.Buffers) (float64, error) { return m.FitSparse(x), nil },
 	})
 }
 
@@ -273,6 +274,10 @@ type runCtx struct {
 	// done is set when open finds the directory already holds a finished
 	// run: res is that run's Result and no later stage runs.
 	done bool
+
+	// bufs is the block storage every pass over X reads into: Phase 0's
+	// two passes, Phase 1 and the fit pass.
+	bufs phase1.Buffers
 }
 
 // newRun checks every option — each rule in the layer that owns it — and
@@ -476,6 +481,7 @@ func (r *runCtx) phase1() (err error) {
 		}
 		r.p1opts.Checkpoint = r.rs
 	}
+	r.p1opts.Buffers = &r.bufs
 	if r.p1, err = phase1.Run(r.src, r.p1opts); err != nil {
 		if errors.Is(err, phase1.ErrStopped) {
 			err = fmt.Errorf("%w: drained during phase 1: %w", ErrInterrupted, err)
@@ -592,7 +598,7 @@ func (st *RunStats) addPhase2(out *refine.Result) {
 // records the Result: once SaveResult succeeds, resuming the directory is
 // a no-op that returns it.
 func (r *runCtx) finish() (err error) {
-	if r.res.Fit, err = r.in.fit(r.res.Model); err != nil {
+	if r.res.Fit, err = r.in.fit(r.res.Model, &r.bufs); err != nil {
 		return err
 	}
 	defer emitRunDone(r.ob, r.res)
