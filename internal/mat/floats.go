@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // The one place that knows how a float64 is stored: its IEEE 754 bits as
@@ -15,8 +16,13 @@ import (
 // run the per-value loops at the bottom. Neither does arithmetic, so both
 // give the same bytes and the same bits, NaN payloads included.
 
-// floatChunk is how many values the loops convert per Read or Write.
+// floatChunk is how many values the loops convert per Write.
 const floatChunk = 8 << 10
+
+// readBufs lends the loops their read buffer, 1 Ki values, so a reader
+// that fills a slice in many calls (a tile streamed chunk by chunk)
+// allocates one buffer, not one per call.
+var readBufs = sync.Pool{New: func() any { return new([8 << 10]byte) }}
 
 // ReadFloats fills dst from the next 8·len(dst) bytes of r. Input that ends
 // early, even before its first byte, is an error wrapping
@@ -102,13 +108,14 @@ func readFull(r io.Reader, b []byte) error {
 }
 
 func readFloatsLoop(r io.Reader, dst []float64) error {
-	buf := make([]byte, 8*min(len(dst), floatChunk))
+	buf := readBufs.Get().(*[8 << 10]byte)
+	defer readBufs.Put(buf)
 	for len(dst) > 0 {
-		n := min(len(dst), floatChunk)
+		n := min(len(dst), len(buf)/8)
 		if err := readFull(r, buf[:8*n]); err != nil {
 			return err
 		}
-		decodeFloatsLoop(dst[:n], buf)
+		decodeFloatsLoop(dst[:n], buf[:])
 		dst = dst[n:]
 	}
 	return nil

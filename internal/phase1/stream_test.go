@@ -222,3 +222,33 @@ func TestStreamHandsBackThePreviousBlock(t *testing.T) {
 		t.Fatalf("BlockInto was handed %v, want nil, block 0, block 1 (blocks %v)", src.handed, blocks)
 	}
 }
+
+// TestStreamLendsBuffersAcrossPasses: with a Buffers, a pass's first read
+// is handed the last block of an earlier pass, and a source without
+// BlockInto is neither lent a buffer nor leaves one behind.
+func TestStreamLendsBuffersAcrossPasses(t *testing.T) {
+	p := grid.MustNew([]int{8, 8, 8}, []int{1, 1, 3})
+	var bufs Buffers
+	pass := func(src Source) map[int]any {
+		blocks := map[int]any{}
+		err := Stream(src, 1, nil, &bufs, noState,
+			func(_ struct{}, _ int, _ []int, read func() (any, error)) (any, error) { return read() },
+			func(id int, _ []int, b any) { blocks[id] = b })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blocks
+	}
+	first := pass(&reuseSource{p: p, handed: map[int]any{}})
+	src := &reuseSource{p: p, handed: map[int]any{}}
+	pass(src)
+	if src.handed[0] == nil || src.handed[0] != first[2] {
+		t.Fatalf("the second pass's first read was handed %v, want the first pass's last block %v", src.handed[0], first[2])
+	}
+	pass(&idSource{p: p})
+	if got := bufs.take(); got == nil {
+		t.Fatal("a pass over a source without BlockInto took the lent buffer")
+	} else if _, isID := got.(int); isID {
+		t.Fatal("a pass over a source without BlockInto left its block behind")
+	}
+}

@@ -3,7 +3,9 @@ package phase1
 import (
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"twopcp/internal/grid"
@@ -271,5 +273,78 @@ func TestTiledSourceRetiledBlockReuse(t *testing.T) {
 		if got.Data[i] != v { // a NaN left behind fails too
 			t.Fatalf("cell %d of the re-tiled block is %v, DenseSource has %v", i, got.Data[i], v)
 		}
+	}
+}
+
+// TestTiledSourceChunkedRetiling: a re-tiled block streams each covering
+// tile through a chunk of whole mode-0 runs and scatters it into place.
+// The 520×260 slabs here are over 1 MiB, so a tile takes two chunks, the
+// second short; the 2-mode file has one-run chunks. Every block must equal
+// DenseSource's.
+func TestTiledSourceChunkedRetiling(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, tc := range []struct {
+		dims, tiles, parts []int
+	}{
+		{[]int{520, 260, 2}, []int{1, 1, 2}, []int{2, 1, 1}},
+		{[]int{9, 7}, []int{2, 3}, []int{3, 2}},
+	} {
+		x := tensor.RandomDense(rng, tc.dims...)
+		r := writeTiled(t, x, tc.tiles)
+		p := grid.MustNew(x.Dims, tc.parts)
+		src, err := NewTiledSource(r, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vec := range p.Positions() {
+			got, err := src.Block(vec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, size := p.Block(vec)
+			if !got.(*tensor.Dense).EqualApprox(x.SubTensor(from, size), 0) {
+				t.Fatalf("dims %v tiles %v: block %v differs from the tensor's", tc.dims, tc.tiles, vec)
+			}
+		}
+	}
+}
+
+// TestTiledSourceRetiledCRC: a damaged payload byte in one covering tile
+// fails the re-tiled read with the tile's CRC mismatch, not a block.
+func TestTiledSourceRetiledCRC(t *testing.T) {
+	x := tensor.RandomDense(rand.New(rand.NewSource(37)), 8, 6, 4)
+	path := filepath.Join(t.TempDir(), "x.tptl")
+	w, err := tfile.Create(path, x.Dims, []int{2, 2, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vec := range w.Pattern().Positions() {
+		from, size := w.Pattern().Block(vec)
+		if err := w.WriteTile(vec, x.SubTensor(from, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-3] ^= 0x40 // a cell of the last tile written
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := tfile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	src, err := NewTiledSource(r, grid.MustNew(x.Dims, []int{1, 1, 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := src.Block([]int{0, 0, 0}); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+		t.Fatalf("re-tiled read of a damaged file returned %v, %v; want a CRC mismatch", b != nil, err)
 	}
 }

@@ -135,16 +135,38 @@ func (r *Reader) ReadTile(vec []int) (*tensor.Dense, error) {
 	return r.ReadTileInto(nil, vec)
 }
 
-// ReadTileInto is ReadTile into buf's storage when buf holds exactly the
-// tile's cell count; a nil or differently sized buf is replaced by a fresh
-// tensor. A caller that streams tiles one at a time hands the previous
-// tile back, so a pass over the file allocates once instead of once per
-// tile. After an error buf's contents are unspecified.
+// ReadTileInto is ReadTile into buf's storage when buf has room for the
+// tile's cells; a nil or smaller buf is replaced by a fresh tensor. A
+// caller that streams tiles one at a time hands the previous tile back, so
+// a pass over the file allocates once instead of once per tile. After an
+// error buf's contents are unspecified.
 func (r *Reader) ReadTileInto(buf *tensor.Dense, vec []int) (*tensor.Dense, error) {
+	_, size := r.pattern.Block(vec)
+	out := tensor.Reuse(buf, size...)
+	if err := r.StreamTile(vec, out.Data, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// StreamTile reads the cells of the tile at vec, in Fortran order, through
+// chunk: each time chunk fills, and once more with the rest when the tile
+// ends, it calls fill (when non-nil) with the tile-linear index of the
+// chunk's first cell and the cells read. A chunk as long as the tile is
+// one read straight into it, which is ReadTileInto. The stored CRC, the
+// gzip trailer and the tile's declared length are checked after the last
+// fill; on an error, nothing fill was handed may be used.
+func (r *Reader) StreamTile(vec []int, chunk []float64, fill func(off int, cells []float64)) error {
 	id := r.pattern.Linear(vec)
 	e := r.index[id]
 	_, size := r.pattern.Block(vec)
-	out := tensor.Reuse(buf, size...)
+	n := 1
+	for _, d := range size {
+		n *= d
+	}
+	if len(chunk) == 0 {
+		return fmt.Errorf("tfile: tile %v: empty chunk", vec)
+	}
 
 	var src io.Reader = io.NewSectionReader(r.ra, int64(e.Offset), int64(e.Size))
 	var crc hash.Hash32
@@ -152,41 +174,50 @@ func (r *Reader) ReadTileInto(buf *tensor.Dense, vec []int) (*tensor.Dense, erro
 		crc = crc32.NewIEEE()
 		src = io.TeeReader(src, crc)
 	}
+	cells := src
+	var zr *gzip.Reader
 	if r.flags&FlagGzip != 0 {
-		zr, err := gzip.NewReader(src)
-		if err != nil {
-			return nil, fmt.Errorf("tfile: tile %v: gzip: %w", vec, err)
+		var err error
+		if zr, err = gzip.NewReader(src); err != nil {
+			return fmt.Errorf("tfile: tile %v: gzip: %w", vec, err)
 		}
-		if err := mat.ReadFloats(zr, out.Data); err != nil {
-			return nil, fmt.Errorf("tfile: tile %v: read cells: %w", vec, err)
+		cells = zr
+	}
+	for off := 0; off < n; off += len(chunk) {
+		c := chunk[:min(len(chunk), n-off)]
+		if err := mat.ReadFloats(cells, c); err != nil {
+			return fmt.Errorf("tfile: tile %v: read cells: %w", vec, err)
 		}
+		if fill != nil {
+			fill(off, c)
+		}
+	}
+	if zr != nil {
 		// Drain to EOF so the gzip trailer (its own CRC32/ISIZE) is read
 		// and verified even when the file carries no per-tile CRC — and
 		// reject streams that inflate past the tile's declared cells.
-		if n, err := io.Copy(io.Discard, zr); err != nil {
-			return nil, fmt.Errorf("tfile: tile %v: gzip: %w", vec, err)
-		} else if n > 0 {
-			return nil, fmt.Errorf("tfile: tile %v: %d bytes beyond the declared %d cells",
-				vec, n, len(out.Data))
+		if extra, err := io.Copy(io.Discard, zr); err != nil {
+			return fmt.Errorf("tfile: tile %v: gzip: %w", vec, err)
+		} else if extra > 0 {
+			return fmt.Errorf("tfile: tile %v: %d bytes beyond the declared %d cells",
+				vec, extra, n)
 		}
 		if err := zr.Close(); err != nil {
-			return nil, fmt.Errorf("tfile: tile %v: gzip: %w", vec, err)
+			return fmt.Errorf("tfile: tile %v: gzip: %w", vec, err)
 		}
-	} else if err := mat.ReadFloats(src, out.Data); err != nil {
-		return nil, fmt.Errorf("tfile: tile %v: read cells: %w", vec, err)
 	}
 	if crc != nil {
 		// Drain any trailing stored bytes (gzip framing the decoder did
 		// not consume) so the CRC covers the whole payload.
 		if _, err := io.Copy(io.Discard, src); err != nil {
-			return nil, fmt.Errorf("tfile: tile %v: %w", vec, err)
+			return fmt.Errorf("tfile: tile %v: %w", vec, err)
 		}
 		if got := crc.Sum32(); got != e.CRC {
-			return nil, fmt.Errorf("tfile: tile %v CRC mismatch: stored %#x, computed %#x",
+			return fmt.Errorf("tfile: tile %v CRC mismatch: stored %#x, computed %#x",
 				vec, e.CRC, got)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Close releases the underlying file when the Reader owns it.

@@ -59,3 +59,32 @@ func TestTiledFitReusesOneTile(t *testing.T) {
 		t.Fatalf("tiled fit %v, in-memory %v", fit, want)
 	}
 }
+
+// TestTiledRunHoldsOneBlock: a run over a file whose one block spans eight
+// tiles allocates the block and little else. Phase 1 assembles the block
+// from the tiles through a chunk of one tile slab, and the fit pass reads
+// its tiles into the block's storage, so over the whole run — Phase 1,
+// Phase 2 and the fit — everything but the block stays under a quarter
+// tile. A whole-tile bounce buffer or a fit-pass tile of its own would
+// each add a tile.
+func TestTiledRunHoldsOneBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	path := filepath.Join(t.TempDir(), "x.tptl")
+	if err := SaveTiled(path, RandomDense(rng, 256, 128, 64), []int{2, 2, 2}); err != nil {
+		t.Fatal(err)
+	}
+	const blockBytes, tileBytes = 256 * 128 * 64 * 8, 128 * 64 * 32 * 8
+	opts := Options{Rank: 2, Partitions: []int{1}, MaxIters: 3, Phase1MaxIters: 3, Seed: 1, Workers: 1}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := DecomposeTiledFile(path, opts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("run allocated %d bytes: one block is %d, one tile %d", grew, blockBytes, tileBytes)
+	if limit := uint64(blockBytes + tileBytes/4); grew >= limit {
+		t.Fatalf("run allocated %d bytes, want < %d (one block plus a quarter tile)", grew, limit)
+	}
+}
