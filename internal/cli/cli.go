@@ -17,6 +17,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/metrics"
 	"strconv"
 	"syscall"
 	"time"
@@ -205,7 +206,7 @@ func Serve(addr string, reg *twopcp.Registry) {
 
 // adminMux builds the admin endpoint set on a fresh mux: the pprof
 // handlers registered explicitly (never via http.DefaultServeMux) and
-// /metrics when reg is non-nil.
+// /metrics when reg is non-nil, the registry followed by heapGauges.
 func adminMux(reg *twopcp.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -217,9 +218,26 @@ func adminMux(reg *twopcp.Registry) *http.ServeMux {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 			w.Write(reg.PrometheusText())
+			w.Write(heapGauges())
 		})
 	}
 	return mux
+}
+
+// heapGauges renders the Go heap in use and the heap goal, read from
+// runtime/metrics at scrape time, as Prometheus gauges: resident memory
+// tracks the goal, so an operator sees what bounds it without pprof.
+func heapGauges() []byte {
+	s := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/gc/heap/goal:bytes"},
+	}
+	metrics.Read(s)
+	var b []byte
+	for i, name := range []string{"twopcp_heap_inuse_bytes", "twopcp_heap_goal_bytes"} {
+		b = fmt.Appendf(b, "# TYPE %s gauge\n%s %d\n", name, name, s[i].Value.Uint64())
+	}
+	return b
 }
 
 // startProgress launches the periodic progress reporter: one stderr line

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -45,8 +46,14 @@ func TestAdminMuxEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "twopcp_test_counter_total 3") {
+	code, body := get("/metrics")
+	if code != 200 || !strings.Contains(body, "twopcp_test_counter_total 3") {
 		t.Fatalf("/metrics: code %d, body %q", code, body)
+	}
+	for _, gauge := range []string{"twopcp_heap_inuse_bytes", "twopcp_heap_goal_bytes"} {
+		if !regexp.MustCompile(`(?m)^` + gauge + ` [1-9][0-9]*$`).MatchString(body) {
+			t.Fatalf("/metrics has no nonzero %s gauge: %q", gauge, body)
+		}
 	}
 	if code, _ := get("/debug/pprof/cmdline"); code != 200 {
 		t.Fatalf("/debug/pprof/cmdline: code %d", code)

@@ -57,7 +57,7 @@ job="$("$work/twopcp" submit -server "$server" -in "$work/x.tptl" \
   "${common_flags[@]}" -checkpoint-steps 1)"
 echo "submitted $job"
 
-echo "== wait for the job to start checkpointing, scrape /metrics"
+echo "== wait for the job to start checkpointing, scrape /metrics (running job, heap gauges)"
 ckpt="$data/$job/ckpt/phase2-0.ckpt"
 for _ in $(seq 1 300); do
   [ -f "$ckpt" ] && break
@@ -70,6 +70,10 @@ curl -fs "http://localhost:$admin_port/metrics" -o "$work/prom.txt"
 head -n 5 "$work/prom.txt"
 grep -q '^twopcp_jobs_running 1' "$work/prom.txt" \
   || { echo "/metrics does not show the running job" >&2; exit 1; }
+for gauge in twopcp_heap_inuse_bytes twopcp_heap_goal_bytes; do
+  grep -q "^$gauge [1-9][0-9]*\$" "$work/prom.txt" \
+    || { echo "/metrics has no $gauge gauge" >&2; exit 1; }
+done
 
 echo "== SIGTERM the daemon mid-job (drain contract: checkpoint, exit 3)"
 kill -TERM "$daemon_pid"
