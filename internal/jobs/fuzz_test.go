@@ -1,10 +1,16 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzQueryParams feeds arbitrary query strings to the parameter parsers
@@ -81,6 +87,109 @@ func FuzzQueryParams(f *testing.F) {
 			if want, _ := strconv.ParseInt(v, 10, 64); spec.Seed != want {
 				t.Fatalf("specFromQuery(%q): seed = %d, want %d", raw, spec.Seed, want)
 			}
+		}
+	})
+}
+
+// FuzzJobRecord feeds arbitrary job.json bytes through Store.Get.
+// Contract: no panic; a refused record is an error wrapping
+// ErrCorruptRecord; an accepted one is a job of its directory in a known
+// state, and what Put would write of it reads back as the same job.
+func FuzzJobRecord(f *testing.F) {
+	store, err := OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	job, err := store.Create(Spec{Input: "/data/x.tptl", Rank: 3, Seed: 4}, nil, time.Unix(100, 0).UTC())
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(store.Dir(job.ID), recordName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(bytes.Replace(valid, []byte(`"queued"`), []byte(`"paused"`), 1))
+	f.Add(bytes.Replace(valid, []byte(job.ID), []byte("j000002"), 1))
+	f.Add([]byte(`{"id":"j000001","state":"done","created":"2020-01-01T00:00:00+05:00",` +
+		`"dims":[4,5,6],"modes":3,"result":{"fit":0.5,"fit_trace":[0.1,0.5],"run_stats":{}}}`))
+	f.Add([]byte(`{"id":"j000001","state":"done","created":"yesterday"}`))
+	f.Add([]byte(`{"id":"j000001","state":"failed","spec":{"rank":"3"}}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(store.Dir(job.ID), recordName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := store.Get(job.ID)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("Get refused %q with %v, not an ErrCorruptRecord", data, err)
+			}
+			return
+		}
+		if got.ID != job.ID || !got.State.known() {
+			t.Fatalf("Get accepted job %q in state %q from the record of %s", got.ID, got.State, job.ID)
+		}
+		put, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatalf("an accepted record cannot be written back: %v", err)
+		}
+		var back Job
+		if err := json.Unmarshal(put, &back); err != nil {
+			t.Fatalf("a written-back record does not decode: %v", err)
+		}
+		if again, _ := json.MarshalIndent(&back, "", "  "); !bytes.Equal(again, put) {
+			t.Fatalf("record changes on a write-back round trip:\n%s\n%s", put, again)
+		}
+	})
+}
+
+// FuzzSpec feeds arbitrary POST /v1/jobs bodies through the submission's
+// decode and Spec.Options, which normalizes. Contract: no panic; a refused
+// spec is a *SpecError; an accepted one is normalized for good (a second
+// Options changes nothing) and survives the job record's JSON unchanged.
+func FuzzSpec(f *testing.F) {
+	for _, s := range []string{
+		`{"input":"/data/x.tptl","rank":4}`,
+		`{"rank":8,"parts":3,"schedule":"MC","replacement":"LRU","buffer":0.33,"iters":40,"tol":1e-6}`,
+		`{"rank":2,"constraint":"ridge","lambda":0.1,"accelerator":"tucker","phase0_rank":3,"sketch_oversample":2}`,
+		`{"rank":2,"workers":2,"kernel_workers":1,"prefetch":2,"io_workers":2,"out_of_core":true,"retry":3,"seed":-9}`,
+		`{"rank":0}`,
+		`{"rank":2,"schedule":"XX"}`,
+		`{"rank":2,"accelerator":"sketched"}`,
+		`{"rank":"2"}`,
+		`{"rank":2,"buffer":-0}`,
+		`{"rank":1e400}`,
+		`{"rank":2} trailing`,
+		`[`,
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := decodeSpec(bytes.NewReader(body))
+		if err == nil {
+			_, err = spec.Options("ckpt", "store", false)
+		}
+		if err != nil {
+			var se *SpecError
+			if !errors.As(err, &se) {
+				t.Fatalf("spec %q refused with %v, not a *SpecError", body, err)
+			}
+			return
+		}
+		again := spec
+		if _, err := again.Options("ckpt", "store", false); err != nil || again != spec {
+			t.Fatalf("a second Options changed %+v to %+v (%v)", spec, again, err)
+		}
+		data, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Spec
+		if err := json.Unmarshal(data, &back); err != nil || back != spec {
+			t.Fatalf("spec %+v comes back from its JSON as %+v (%v)", spec, back, err)
 		}
 	})
 }

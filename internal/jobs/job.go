@@ -74,6 +74,11 @@ func (s State) Terminal() bool {
 	return false
 }
 
+// known reports whether s is one of the states above.
+func (s State) known() bool {
+	return s == StateQueued || s == StateRunning || s.Terminal()
+}
+
 // Spec is a run's configuration: the tensor input plus the knobs of the
 // paper's experiment grid. The daemon takes it JSON-encoded in submit
 // requests and persists it verbatim in the job record; the twopcp CLI
@@ -177,33 +182,42 @@ func DefaultSpec() Spec {
 	return s
 }
 
+// SpecError is a spec refused before any run: a submission body that does
+// not decode as a Spec, or a field no run can take. The API answers it with
+// 400.
+type SpecError struct{ Err error }
+
+func (e *SpecError) Error() string { return e.Err.Error() }
+func (e *SpecError) Unwrap() error { return e.Err }
+
 // Options normalizes the spec in place and translates it into
 // twopcp.Options, with the run's checkpoint directory (and, with
 // OutOfCore, its store directory) wired in. It is the one point where a
 // run's configuration is assembled, for a daemon job and a local CLI run
 // alike, which is what makes the two bit-identical: same parser for every
-// enum, same defaults, same Options fields.
+// enum, same defaults, same Options fields. A field it refuses is a
+// *SpecError.
 func (s *Spec) Options(ckptDir, storeDir string, resume bool) (twopcp.Options, error) {
 	s.normalize()
 	var opts twopcp.Options
 	if s.Rank <= 0 {
-		return opts, fmt.Errorf("jobs: rank must be > 0 (got %d)", s.Rank)
+		return opts, &SpecError{fmt.Errorf("jobs: rank must be > 0 (got %d)", s.Rank)}
 	}
 	kind, err := schedule.ParseKind(s.Schedule)
 	if err != nil {
-		return opts, err
+		return opts, &SpecError{err}
 	}
 	pol, err := buffer.ParsePolicy(s.Replacement)
 	if err != nil {
-		return opts, err
+		return opts, &SpecError{err}
 	}
 	constraint, err := twopcp.ParseConstraint(s.Constraint)
 	if err != nil {
-		return opts, err
+		return opts, &SpecError{err}
 	}
 	accel, err := twopcp.ParseAccelerator(s.Accelerator)
 	if err != nil {
-		return opts, err
+		return opts, &SpecError{err}
 	}
 	opts = twopcp.Options{
 		Rank:                 s.Rank,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -160,15 +161,25 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 // bytes of JSON.
 const maxSpecBytes = 1 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads the Spec of a POST /v1/jobs body; a body that is not
+// one is a *SpecError.
+func decodeSpec(body io.Reader) (Spec, error) {
 	var spec Spec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+	if err := json.NewDecoder(body).Decode(&spec); err != nil {
+		return spec, &SpecError{fmt.Errorf("bad spec: %w", err)}
+	}
+	return spec, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeErr(w, status, fmt.Errorf("bad spec: %w", err))
+		writeErr(w, status, err)
 		return
 	}
 	job, err := s.m.Submit(spec, nil)

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -176,15 +177,26 @@ func (s *Store) Put(job *Job) error {
 	return runstate.WriteFileAtomic(s.Dir(job.ID), recordName, append(data, '\n'))
 }
 
-// Get loads one job record from disk.
+// ErrCorruptRecord marks a job record that exists but is not a job of its
+// directory: bytes that do not decode, another job's ID or an unknown
+// state.
+var ErrCorruptRecord = errors.New("jobs: corrupt record")
+
+// Get loads one job record from disk. A record that is there but damaged
+// is an error wrapping ErrCorruptRecord.
 func (s *Store) Get(id string) (*Job, error) {
 	data, err := os.ReadFile(filepath.Join(s.Dir(id), recordName))
 	if err != nil {
 		return nil, err
 	}
 	var job Job
-	if err := json.Unmarshal(data, &job); err != nil {
-		return nil, fmt.Errorf("jobs: corrupt record for %s: %w", id, err)
+	switch err := json.Unmarshal(data, &job); {
+	case err != nil:
+		return nil, fmt.Errorf("%w for %s: %w", ErrCorruptRecord, id, err)
+	case job.ID != id:
+		return nil, fmt.Errorf("%w for %s: it names job %q", ErrCorruptRecord, id, job.ID)
+	case !job.State.known():
+		return nil, fmt.Errorf("%w for %s: unknown state %q", ErrCorruptRecord, id, job.State)
 	}
 	return &job, nil
 }
