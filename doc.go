@@ -45,7 +45,8 @@
 //     grid-aligned tiles with a per-tile offset index, optional gzip and
 //     CRC32. The out-of-core input path: DecomposeTiledFile streams Phase 1
 //     and the fit computation over the tiles so peak memory is bounded by
-//     tile + buffer sizes, not the tensor. The spec lives in internal/tfile.
+//     one block per worker, a bounded read chunk and the Phase-2 buffer,
+//     not the tensor. The spec lives in internal/tfile.
 //
 // Each layout shared between formats has one codec. internal/mat encodes
 // every float64 payload (AppendFloats/DecodeFloats and their streaming

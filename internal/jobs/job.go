@@ -187,7 +187,10 @@ func DefaultSpec() Spec {
 // 400.
 type SpecError struct{ Err error }
 
+// Error is the refused field's or decoder's message.
 func (e *SpecError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the error that refused the spec.
 func (e *SpecError) Unwrap() error { return e.Err }
 
 // Options normalizes the spec in place and translates it into

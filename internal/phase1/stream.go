@@ -142,6 +142,6 @@ func (b *Buffers) give(buf any) {
 		return
 	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.free = append(b.free, buf)
+	b.mu.Unlock()
 }
