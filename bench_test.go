@@ -17,9 +17,9 @@ import (
 	"twopcp"
 	"twopcp/internal/buffer"
 	"twopcp/internal/experiments"
+	"twopcp/internal/experiments/haten2"
+	"twopcp/internal/experiments/mapreduce"
 	"twopcp/internal/grid"
-	"twopcp/internal/haten2"
-	"twopcp/internal/mapreduce"
 	"twopcp/internal/schedule"
 	"twopcp/internal/tensor"
 )

@@ -423,9 +423,10 @@
 // (traversal orders), blockstore + buffer (out-of-core data units and
 // replacement policies), runstate (durable manifests and checkpoints),
 // phase1/refine (the two phases), jobs + cli (the twopcpd service layer
-// and the shared CLI plumbing), mapreduce + haten2 (the MapReduce
-// substrate and the paper's comparison baseline) and experiments
-// (regenerating every table and figure of the paper). docs/ARCHITECTURE.md
+// and the shared CLI plumbing) and experiments (regenerating every table
+// and figure of the paper, with the MapReduce substrate and the HaTen2
+// baseline of its comparison in experiments/mapreduce and
+// experiments/haten2). docs/ARCHITECTURE.md
 // holds the full layer map and the daemon request lifecycle; the
 // walkthroughs live in docs/ and are indexed from README.md.
 package twopcp

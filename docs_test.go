@@ -48,6 +48,59 @@ func TestAPIDocsMatchRoutes(t *testing.T) {
 	}
 }
 
+// TestLayerMap holds the kernel and engine packages — the two lower boxes
+// of docs/ARCHITECTURE.md's layer map, read from the map itself — to
+// importing each other and the standard library only. So none of them
+// reaches up to the root package, internal/cli, internal/jobs or
+// internal/serve, or sideways into the paper-comparison code under
+// internal/experiments/.
+func TestLayerMap(t *testing.T) {
+	data, err := os.ReadFile("docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	from := strings.Index(doc, "│ engine")
+	to := strings.Index(doc, "(side branch")
+	if from < 0 || to < from {
+		t.Fatal("docs/ARCHITECTURE.md has no engine box followed by the side branch")
+	}
+	lower := map[string]bool{}
+	for _, pkg := range regexp.MustCompile(`internal/[a-z0-9]+`).FindAllString(doc[from:to], -1) {
+		lower[pkg] = true
+	}
+	for _, pkg := range []string{"internal/phase1", "internal/refine", "internal/tensor", "internal/mat"} {
+		if !lower[pkg] {
+			t.Fatalf("%s missing from the layer map's two lower boxes (parsed %v)", pkg, lower)
+		}
+	}
+	fset := token.NewFileSet()
+	for pkg := range lower {
+		files, err := filepath.Glob(filepath.Join(pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no Go files (%v)", pkg, err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				ip := strings.Trim(imp.Path.Value, `"`)
+				if ip != "twopcp" && !strings.HasPrefix(ip, "twopcp/") {
+					continue
+				}
+				if !lower[strings.TrimPrefix(ip, "twopcp/")] {
+					t.Errorf("%s imports %s, which is outside the kernel and engine layers", path, ip)
+				}
+			}
+		}
+	}
+}
+
 // TestDocsLinks resolves every relative markdown link in README.md and
 // docs/ so the cookbook cannot accumulate dead cross-references.
 func TestDocsLinks(t *testing.T) {

@@ -18,9 +18,10 @@ import (
 	"twopcp/internal/buffer"
 	"twopcp/internal/cpals"
 	"twopcp/internal/datasets"
+	"twopcp/internal/experiments"
+	"twopcp/internal/experiments/haten2"
+	"twopcp/internal/experiments/mapreduce"
 	"twopcp/internal/grid"
-	"twopcp/internal/haten2"
-	"twopcp/internal/mapreduce"
 	"twopcp/internal/phase1"
 	"twopcp/internal/refine"
 	"twopcp/internal/schedule"
@@ -36,7 +37,7 @@ func main() {
 	// --- 2PCP with MapReduce Phase 1 -----------------------------------
 	p := grid.UniformCube(3, 48, 2)
 	start := time.Now()
-	p1, counters, err := phase1.RunMapReduce(x, p, phase1.Options{
+	p1, counters, err := experiments.RunMapReduce(x, p, phase1.Options{
 		Rank: 10, MaxIters: 10, Tol: 1e-3, Seed: 1,
 	}, mapreduce.Config{NumReducers: 8})
 	if err != nil {

@@ -11,8 +11,9 @@ import (
 	"twopcp/internal/buffer"
 	"twopcp/internal/cpals"
 	"twopcp/internal/datasets"
+	"twopcp/internal/experiments"
+	"twopcp/internal/experiments/mapreduce"
 	"twopcp/internal/grid"
-	"twopcp/internal/mapreduce"
 	"twopcp/internal/mat"
 	"twopcp/internal/phase1"
 	"twopcp/internal/refine"
@@ -33,7 +34,7 @@ func TestIntegrationMapReducePhase1IntoRefinement(t *testing.T) {
 	p := grid.UniformCube(3, 12, 2)
 	opts := phase1.Options{Rank: 3, MaxIters: 25, Seed: 9}
 
-	p1, counters, err := phase1.RunMapReduce(x, p, opts, mapreduce.Config{NumReducers: 4})
+	p1, counters, err := experiments.RunMapReduce(x, p, opts, mapreduce.Config{NumReducers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ import (
 	"strconv"
 
 	"twopcp/internal/cpals"
-	"twopcp/internal/mapreduce"
+	"twopcp/internal/experiments/mapreduce"
 	"twopcp/internal/mat"
 	"twopcp/internal/tensor"
 )

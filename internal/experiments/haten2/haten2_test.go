@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"twopcp/internal/cpals"
-	"twopcp/internal/mapreduce"
+	"twopcp/internal/experiments/mapreduce"
 	"twopcp/internal/mat"
 	"twopcp/internal/tensor"
 )

@@ -1,4 +1,4 @@
-package phase1
+package experiments
 
 import (
 	"encoding/binary"
@@ -6,14 +6,15 @@ import (
 	"strconv"
 	"strings"
 
+	"twopcp/internal/experiments/mapreduce"
 	"twopcp/internal/grid"
-	"twopcp/internal/mapreduce"
 	"twopcp/internal/mat"
+	"twopcp/internal/phase1"
 	"twopcp/internal/tensor"
 )
 
 // RunMapReduce executes Phase 1 with the paper's §IV map/reduce operators
-// on the in-process MapReduce engine:
+// on the in-process MapReduce engine of package mapreduce:
 //
 //	map:    ⟨b, i, j, k, X(i,j,k)⟩ on b — each nonzero is routed to the
 //	        reducer owning its block id b.
@@ -21,9 +22,9 @@ import (
 //	        it with PARAFAC, emit each sub-factor U(n)_b.
 //
 // The returned counters expose the shuffle volume this phase generates.
-// Results are identical (bit-for-bit) to Run with the same Options because
-// per-block generators are seeded by block id.
-func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts Options, cfg mapreduce.Config) (*Result, mapreduce.Counters, error) {
+// Results are identical (bit-for-bit) to phase1.Run with the same Options
+// because per-block generators are seeded by block id.
+func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts phase1.Options, cfg mapreduce.Config) (*phase1.Result, mapreduce.Counters, error) {
 	if opts.Rank <= 0 {
 		return nil, mapreduce.Counters{}, fmt.Errorf("phase1: rank %d", opts.Rank)
 	}
@@ -74,7 +75,7 @@ func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts Options, cfg mapreduce.Co
 			mat.DecodeFloats(val, v[4*nModes:])
 			blk.Append(local, val[0])
 		}
-		factors, _, _, err := DecomposeBlock(blk, blockID, p, opts, nil)
+		factors, _, _, err := phase1.DecomposeBlock(blk, blockID, p, opts, nil)
 		if err != nil {
 			return err
 		}
@@ -91,7 +92,7 @@ func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts Options, cfg mapreduce.Co
 		return nil, counters, err
 	}
 
-	res := &Result{
+	res := &phase1.Result{
 		Pattern: p,
 		Rank:    opts.Rank,
 		Sub:     make([][]*mat.Matrix, p.NumBlocks()),

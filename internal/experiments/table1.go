@@ -21,9 +21,9 @@ import (
 	"twopcp/internal/buffer"
 	"twopcp/internal/cpals"
 	"twopcp/internal/datasets"
+	"twopcp/internal/experiments/haten2"
+	"twopcp/internal/experiments/mapreduce"
 	"twopcp/internal/grid"
-	"twopcp/internal/haten2"
-	"twopcp/internal/mapreduce"
 	"twopcp/internal/phase1"
 	"twopcp/internal/refine"
 	"twopcp/internal/schedule"

@@ -1,9 +1,7 @@
 // Package phase1 implements the first phase of 2PCP (paper §IV): the input
 // tensor is partitioned into a grid of sub-tensors and every sub-tensor is
 // decomposed independently with CP-ALS — "potentially in parallel", which
-// here means Workers goroutines reading blocks through Stream by default
-// and, alternatively, the paper's exact map/reduce operators on the
-// in-process MapReduce engine (see RunMapReduce).
+// here means Workers goroutines reading blocks through Stream.
 //
 // The per-block results are the sub-factors U(i)_k of equation (1),
 // X_k ≈ I ×₁ U(1)_k ... ×_N U(N)_k: the block's Kruskal weights λ are
