@@ -1,28 +1,23 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
 
-	"twopcp/internal/blockstore"
-	"twopcp/internal/buffer"
-	"twopcp/internal/cpals"
+	"twopcp"
 	"twopcp/internal/datasets"
-	"twopcp/internal/grid"
-	"twopcp/internal/phase1"
-	"twopcp/internal/refine"
 	"twopcp/internal/runstate"
 	"twopcp/internal/schedule"
 )
 
 // ConvergenceConfig drives a supplementary experiment (in the spirit of the
 // paper's Figure 7): the surrogate-fit trajectory per virtual iteration for
-// every schedule on the same Phase-1 output. It illustrates why virtual
-// iterations make block-centric and mode-centric runs comparable — and why
-// termination checks only start after the first full cycle.
+// every schedule on the same Phase-1 output (each schedule's run recomputes
+// it, bit for bit). It illustrates why virtual iterations make
+// block-centric and mode-centric runs comparable — and why termination
+// checks only start after the first full cycle.
 type ConvergenceConfig struct {
 	// Side of the dense cube (default 32).
 	Side int
@@ -34,8 +29,8 @@ type ConvergenceConfig struct {
 	VirtualIters int
 	Seed         int64
 	// Constraint and Lambda pick the row-update solver for both phases
-	// ("", "ridge"+Lambda or "nonneg" — see cpals.NewSolver), so the
-	// schedule comparison can be rerun under constrained updates. The
+	// ("", "ridge"+Lambda or "nonneg" — see twopcp.ParseConstraint), so
+	// the schedule comparison can be rerun under constrained updates. The
 	// solver identity joins the per-schedule checkpoint fingerprints.
 	Constraint string
 	Lambda     float64
@@ -65,77 +60,34 @@ type ConvergenceResult struct {
 	Traces map[schedule.Kind][]float64
 }
 
-// RunConvergence executes the trace comparison.
+// RunConvergence executes the trace comparison: one run of the public
+// pipeline per schedule, each checkpointed into its own subdirectory
+// "convergence-<kind>" of IO.Checkpoint when that is set.
 func RunConvergence(cfg ConvergenceConfig) (*ConvergenceResult, error) {
 	cfg.setDefaults()
-	solver, err := cpals.NewSolver(cfg.Constraint, cfg.Lambda)
+	constraint, err := twopcp.ParseConstraint(cfg.Constraint)
 	if err != nil {
 		return nil, err
 	}
-	// Canonical fingerprint name (shared with the twopcp checkpoint
-	// layer): "" for least squares whatever spelling the caller used, so
-	// checkpoints match across "", "none" and "ls".
-	fpConstraint := cpals.FingerprintName(solver)
-	rng := newRand(cfg.Seed)
-	x := datasets.DenseUniform(rng, 0.5, cfg.Side, cfg.Side, cfg.Side)
-	p := grid.UniformCube(3, cfg.Side, cfg.Parts)
-	src, err := phase1.NewDenseSource(x, p)
-	if err != nil {
-		return nil, err
-	}
-	p1, err := phase1.Run(src, phase1.Options{
-		Rank: cfg.Rank, MaxIters: 10, Tol: 1e-3, Seed: cfg.Seed, Solver: solver,
-	})
-	if err != nil {
-		return nil, err
-	}
+	x := datasets.DenseUniform(newRand(cfg.Seed), 0.5, cfg.Side, cfg.Side, cfg.Side)
 	res := &ConvergenceResult{Config: cfg, Traces: map[schedule.Kind][]float64{}}
 	for _, kind := range schedule.Kinds {
-		ecfg := refine.Config{
-			Phase1: p1, Store: blockstore.NewMemStore(),
-			Schedule: kind, Policy: buffer.LRU,
-			MaxVirtualIters: cfg.VirtualIters,
-			Tol:             math.Inf(-1),
-			PrefetchDepth:   cfg.IO.PrefetchDepth,
-			IOWorkers:       cfg.IO.IOWorkers,
-			Obs:             cfg.IO.Observer,
-			Solver:          solver,
-			Stop:            cfg.IO.Stop,
-		}
-		var rs *runstate.Run
+		opts := cfg.IO.options(twopcp.Options{
+			Rank: cfg.Rank, Partitions: []int{cfg.Parts},
+			Schedule: kind, Replacement: twopcp.LRU,
+			MaxIters: cfg.VirtualIters, Tol: math.Inf(-1),
+			Phase1MaxIters: 10, Phase1Tol: 1e-3, Seed: cfg.Seed,
+			Constraint: constraint, Lambda: cfg.Lambda,
+			Stop: cfg.IO.Stop,
+		})
 		if cfg.IO.Checkpoint != "" {
-			// One checkpoint subdirectory per schedule: the traces are
-			// independent runs, each resumable on its own. Resume-or-create
-			// per subdirectory — an interrupted suite may have started only
-			// some of the kinds before the crash.
-			sub := filepath.Join(cfg.IO.Checkpoint, "convergence-"+kind.String())
-			var err error
-			rs, err = runstate.Open(
-				sub,
-				runstate.Meta{
-					InputKind: "dense", Dims: p.Dims, Partitions: p.K,
-					Rank: cfg.Rank, Schedule: kind.String(), Replacement: buffer.LRU.String(),
-					// JSON cannot carry -Inf; the finite minimum is an
-					// equivalent fingerprint for "convergence disabled".
-					MaxIters: cfg.VirtualIters, Tol: -math.MaxFloat64, Seed: cfg.Seed,
-					Constraint: fpConstraint, Lambda: cfg.Lambda,
-				},
-				p.NumBlocks(), cfg.IO.Resume && runstate.HasManifest(sub))
-			if err != nil {
-				return nil, err
-			}
-			defer rs.Close() // on the error paths before Run
-			ecfg.Checkpoint = rs
+			// The traces are independent runs, each resumable on its own.
+			// Resume-or-create per subdirectory: an interrupted suite may
+			// have started only some of the kinds before the crash.
+			opts.Checkpoint = filepath.Join(cfg.IO.Checkpoint, "convergence-"+kind.String())
+			opts.Resume = cfg.IO.Resume && runstate.HasManifest(opts.Checkpoint)
 		}
-		eng, err := refine.New(ecfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := eng.Run()
-		if rs != nil {
-			// Close carries the last checkpoint sync.
-			err = errors.Join(err, rs.Close())
-		}
+		r, err := twopcp.Decompose(x, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -303,6 +304,45 @@ func TestConvergenceCheckpointPartialResume(t *testing.T) {
 	res, err := RunConvergence(re)
 	if err != nil {
 		t.Fatalf("partial resume: %v", err)
+	}
+	for kind, tr := range plain.Traces {
+		got := res.Traces[kind]
+		if len(got) != len(tr) {
+			t.Fatalf("%v trace length %d vs %d", kind, len(got), len(tr))
+		}
+		for i := range tr {
+			if got[i] != tr[i] {
+				t.Fatalf("%v trace[%d] = %v, want %v", kind, i, got[i], tr[i])
+			}
+		}
+	}
+}
+
+// TestConvergenceDrainedInPhase1Resumes: a stop requested before the study
+// starts drains the first run inside Phase 1. The error matches ErrStopped,
+// and a Resume from the checkpoint directory returns the traces of an
+// uncheckpointed run bit for bit.
+func TestConvergenceDrainedInPhase1Resumes(t *testing.T) {
+	cfg := ConvergenceConfig{Side: 12, Parts: 2, Rank: 2, VirtualIters: 4, Seed: 10}
+	plain, err := RunConvergence(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	stop := make(chan struct{})
+	close(stop)
+	drained := cfg
+	drained.IO = IO{Checkpoint: dir, Stop: stop}
+	_, err = RunConvergence(drained)
+	if !errors.Is(err, ErrStopped) || !strings.Contains(err.Error(), "phase 1") {
+		t.Fatalf("drained study: err = %v, want ErrStopped from phase 1", err)
+	}
+	re := cfg
+	re.IO = IO{Checkpoint: dir, Resume: true}
+	res, err := RunConvergence(re)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
 	}
 	for kind, tr := range plain.Traces {
 		got := res.Traces[kind]

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"twopcp/internal/blockstore"
 	"twopcp/internal/buffer"
 	"twopcp/internal/grid"
 	"twopcp/internal/mat"
@@ -106,21 +105,13 @@ func RunFigure12(cfg Figure12Config) (*Figure12Result, error) {
 				warmup := int(math.Ceil(sched.VirtualIterationsPerCycle()))
 				measured := int(math.Ceil(sched.VirtualIterationsPerCycle())) * cfg.MeasuredCycles
 				for _, pol := range buffer.Policies {
-					eng, err := refine.New(refine.Config{
-						Phase1: p1, Store: blockstore.NewMemStore(),
-						Schedule: kind, Policy: pol,
+					r, _, err := cfg.IO.phase2(refine.Config{
+						Phase1: p1, Schedule: kind, Policy: pol,
 						BufferFraction:     frac,
 						MaxVirtualIters:    measured,
 						WarmupVirtualIters: warmup,
 						Tol:                math.Inf(-1),
-						PrefetchDepth:      cfg.IO.PrefetchDepth,
-						IOWorkers:          cfg.IO.IOWorkers,
-						Obs:                cfg.IO.Observer,
 					})
-					if err != nil {
-						return nil, err
-					}
-					r, err := eng.Run()
 					if err != nil {
 						return nil, err
 					}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"twopcp/internal/blockstore"
 	"twopcp/internal/buffer"
 	"twopcp/internal/cpals"
 	"twopcp/internal/datasets"
@@ -168,23 +167,15 @@ func RunFigure13(cfg Figure13Config) (*Figure13Result, error) {
 					return nil, err
 				}
 				accOf := func(kind schedule.Kind) (float64, error) {
-					eng, err := refine.New(refine.Config{
-						Phase1: p1, Store: blockstore.NewMemStore(),
-						Schedule: kind, Policy: buffer.LRU,
+					r, _, err := cfg.IO.phase2(refine.Config{
+						Phase1: p1, Schedule: kind, Policy: buffer.LRU,
 						// Accuracy does not depend on the buffer; a full
 						// buffer just avoids pointless store round trips.
 						BufferFraction:  1,
 						MaxVirtualIters: cfg.MaxVirtualIters,
 						Tol:             1e-2, // paper §VIII-C stopping condition
 						Seed:            seed,
-						PrefetchDepth:   cfg.IO.PrefetchDepth,
-						IOWorkers:       cfg.IO.IOWorkers,
-						Obs:             cfg.IO.Observer,
 					})
-					if err != nil {
-						return 0, err
-					}
-					r, err := eng.Run()
 					if err != nil {
 						return 0, err
 					}

@@ -17,16 +17,10 @@ import (
 	"strings"
 	"time"
 
-	"twopcp/internal/blockstore"
-	"twopcp/internal/buffer"
-	"twopcp/internal/cpals"
+	"twopcp"
 	"twopcp/internal/datasets"
 	"twopcp/internal/experiments/haten2"
 	"twopcp/internal/experiments/mapreduce"
-	"twopcp/internal/grid"
-	"twopcp/internal/phase1"
-	"twopcp/internal/refine"
-	"twopcp/internal/schedule"
 	"twopcp/internal/tensor"
 )
 
@@ -101,40 +95,25 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 		x := datasets.DenseUniform(rng, cfg.Density, side, side, side)
 		row := Table1Row{Side: side, NNZ: x.NNZ()}
 
-		// 2PCP: Phase 1 (parallel per-block ALS) + Phase 2 to convergence.
-		p := grid.UniformCube(3, side, cfg.Parts)
-		start := time.Now()
-		src, err := phase1.NewDenseSource(x, p)
+		// 2PCP through the public pipeline: Phase 1 (parallel per-block
+		// ALS) + Phase 2 to convergence. Its time is the two phases' wall
+		// time, without the fit.
+		r, err := twopcp.Decompose(x, cfg.IO.options(twopcp.Options{
+			Rank: cfg.Rank, Partitions: []int{cfg.Parts},
+			Phase1MaxIters: 10, Phase1Tol: 1e-3, Seed: cfg.Seed,
+			Schedule: twopcp.ZOrder, Replacement: twopcp.Forward,
+			BufferFraction: 0.5, MaxIters: 20, Tol: 1e-3,
+		}))
 		if err != nil {
 			return nil, err
 		}
-		p1, err := phase1.Run(src, phase1.Options{
-			Rank: cfg.Rank, MaxIters: 10, Tol: 1e-3, Seed: cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		eng, err := refine.New(refine.Config{
-			Phase1: p1, Store: blockstore.NewMemStore(),
-			Schedule: schedule.ZOrder, Policy: buffer.Forward,
-			BufferFraction: 0.5, MaxVirtualIters: 20, Tol: 1e-3,
-			PrefetchDepth: cfg.IO.PrefetchDepth, IOWorkers: cfg.IO.IOWorkers,
-			Obs: cfg.IO.Observer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r2, err := eng.Run()
-		if err != nil {
-			return nil, err
-		}
-		row.TwoPCP = time.Since(start)
-		row.TwoPCPFit = cpals.NewKTensor(r2.Factors).Fit(x)
+		row.TwoPCP = r.RunStats.Phase1Time + r.RunStats.Phase2Time
+		row.TwoPCPFit = r.Fit
 
 		// HaTen2 (1 iteration, as measured in the paper) on the same data.
 		sparse := tensor.FromDense(x)
-		start = time.Now()
-		kt, info, err := haten2.Decompose(sparse, haten2.Options{
+		start := time.Now()
+		kt, _, err := haten2.Decompose(sparse, haten2.Options{
 			Rank: cfg.Rank, MaxIters: 1, Seed: cfg.Seed,
 			MR: mapreduce.Config{NumReducers: cfg.Reducers, ReducerMemoryBytes: cfg.HaTen2MemoryBytes},
 		})
@@ -146,7 +125,6 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 			return nil, err
 		default:
 			row.HaTen2Fit = kt.FitSparse(sparse)
-			_ = info
 		}
 		res.Rows = append(res.Rows, row)
 	}

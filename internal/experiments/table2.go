@@ -129,23 +129,15 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 		// Phase 2 under LRU and FOR, both over latency-injected stores.
 		for _, pol := range []buffer.Policy{buffer.LRU, buffer.Forward} {
 			store := blockstore.WithLatency(blockstore.NewMemStore(), cfg.SwapLatency, cfg.SwapLatency)
-			eng, err := refine.New(refine.Config{
+			r, elapsed, err := cfg.IO.phase2(refine.Config{
 				Phase1: p1, Store: store,
 				Schedule: schedule.ZOrder, Policy: pol,
 				BufferFraction:  cfg.BufferFraction,
 				MaxVirtualIters: cfg.MaxVirtualIters, Tol: 1e-3,
-				PrefetchDepth: cfg.IO.PrefetchDepth, IOWorkers: cfg.IO.IOWorkers,
-				Obs: cfg.IO.Observer,
 			})
 			if err != nil {
 				return nil, err
 			}
-			p2Start := time.Now()
-			r, err := eng.Run()
-			if err != nil {
-				return nil, err
-			}
-			elapsed := time.Since(p2Start)
 			if pol == buffer.LRU {
 				row.Phase2LRU = elapsed
 				row.SwapsLRU = r.BufferStats.Fetches

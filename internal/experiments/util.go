@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"math/rand"
+	"time"
 
+	"twopcp"
+	"twopcp/internal/blockstore"
 	"twopcp/internal/obs"
 	"twopcp/internal/refine"
 )
@@ -41,7 +44,32 @@ type IO struct {
 	Stop <-chan struct{}
 }
 
-// ErrStopped marks a run drained early via IO.Stop; a Resume continues it
-// bit-exactly. It aliases the engine's sentinel so errors.Is works on
-// errors surfacing from either layer.
-var ErrStopped = refine.ErrStopped
+// ErrStopped marks a run drained early via IO.Stop, in either phase; a
+// Resume continues it bit-exactly. It is the root pipeline's sentinel.
+var ErrStopped = twopcp.ErrInterrupted
+
+// options applies the prefetch depth, I/O workers and observer to a run of
+// the public pipeline.
+func (io IO) options(opts twopcp.Options) twopcp.Options {
+	opts.PrefetchDepth, opts.IOWorkers, opts.Observer = io.PrefetchDepth, io.IOWorkers, io.Observer
+	return opts
+}
+
+// phase2 builds one Phase-2 engine from cfg, with the prefetch depth, I/O
+// workers and observer applied and a MemStore when cfg names no store, and
+// runs it. The sweeps share one Phase-1 result across their settings, so
+// they drive the engine directly. took is the wall time of the run alone,
+// without the engine's set-up.
+func (io IO) phase2(cfg refine.Config) (res *refine.Result, took time.Duration, err error) {
+	if cfg.Store == nil {
+		cfg.Store = blockstore.NewMemStore()
+	}
+	cfg.PrefetchDepth, cfg.IOWorkers, cfg.Obs = io.PrefetchDepth, io.IOWorkers, io.Observer
+	eng, err := refine.New(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	res, err = eng.Run()
+	return res, time.Since(start), err
+}
