@@ -82,11 +82,6 @@ func LoadTiled(path string) (*Dense, error) {
 	return out, nil
 }
 
-// tiledFit is streamFit with buffers of its own.
-func tiledFit(r *tfile.Reader, model *KTensor, workers int) (float64, error) {
-	return streamFit(r, model, workers, nil)
-}
-
 // streamFit computes 1 − ‖X−X̂‖/‖X‖ streaming over the file's tiles:
 // ‖X‖² and ⟨X,X̂⟩ are additive over tiles when the model factors are
 // row-sliced to each tile's extents. The tiles' terms are summed in tile

@@ -50,7 +50,7 @@ func TestTiledFitReusesOneTile(t *testing.T) {
 	}
 	perRead := allocs(func() error { _, err := r.ReadTileInto(tile, []int{1, 0, 0}); return err })
 	var fit float64
-	grew := allocs(func() (err error) { fit, err = tiledFit(r, model, 1); return err })
+	grew := allocs(func() (err error) { fit, err = streamFit(r, model, 1, nil); return err })
 	t.Logf("fit pass over 27 tiles of %d bytes allocated %d bytes; one read into a held tile %d", tileBytes, grew, perRead)
 	if limit := 3*tileBytes + 27*perRead; grew >= limit {
 		t.Fatalf("allocated %d bytes, want < %d (three tiles beyond 27 reads into a held tile)", grew, limit)
