@@ -26,7 +26,7 @@ import (
 // because per-block generators are seeded by block id.
 func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts phase1.Options, cfg mapreduce.Config) (*phase1.Result, mapreduce.Counters, error) {
 	if opts.Rank <= 0 {
-		return nil, mapreduce.Counters{}, fmt.Errorf("phase1: rank %d", opts.Rank)
+		return nil, mapreduce.Counters{}, fmt.Errorf("experiments: rank %d", opts.Rank)
 	}
 	nModes := p.NModes()
 
@@ -58,7 +58,7 @@ func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts phase1.Options, cfg mapre
 	reducer := func(key string, values [][]byte, emit func(string, []byte)) error {
 		blockID, err := strconv.Atoi(key)
 		if err != nil {
-			return fmt.Errorf("phase1: bad block key %q: %w", key, err)
+			return fmt.Errorf("experiments: bad block key %q: %w", key, err)
 		}
 		vec := p.Unlinear(blockID, nil)
 		_, size := p.Block(vec)
@@ -67,7 +67,7 @@ func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts phase1.Options, cfg mapre
 		val := make([]float64, 1)
 		for _, v := range values {
 			if len(v) != recLen {
-				return fmt.Errorf("phase1: %d-byte shuffle record for block %d, want %d", len(v), blockID, recLen)
+				return fmt.Errorf("experiments: %d-byte shuffle record for block %d, want %d", len(v), blockID, recLen)
 			}
 			for m := range local {
 				local[m] = int(int32(binary.LittleEndian.Uint32(v[4*m:])))
@@ -101,19 +101,19 @@ func RunMapReduce(x *tensor.COO, p *grid.Pattern, opts phase1.Options, cfg mapre
 	for _, pair := range out {
 		parts := strings.Split(pair.Key, "/")
 		if len(parts) != 3 || parts[0] != "U" {
-			return nil, counters, fmt.Errorf("phase1: unexpected reduce key %q", pair.Key)
+			return nil, counters, fmt.Errorf("experiments: unexpected reduce key %q", pair.Key)
 		}
 		blockID, err1 := strconv.Atoi(parts[1])
 		mode, err2 := strconv.Atoi(parts[2])
 		if err1 != nil || err2 != nil {
-			return nil, counters, fmt.Errorf("phase1: unparseable reduce key %q", pair.Key)
+			return nil, counters, fmt.Errorf("experiments: unparseable reduce key %q", pair.Key)
 		}
 		m, rest, err := mat.DecodeMatrix(pair.Value)
 		if err != nil {
-			return nil, counters, fmt.Errorf("phase1: reduce value %q: %w", pair.Key, err)
+			return nil, counters, fmt.Errorf("experiments: reduce value %q: %w", pair.Key, err)
 		}
 		if len(rest) != 0 {
-			return nil, counters, fmt.Errorf("phase1: reduce value %q has %d bytes after its matrix", pair.Key, len(rest))
+			return nil, counters, fmt.Errorf("experiments: reduce value %q has %d bytes after its matrix", pair.Key, len(rest))
 		}
 		if res.Sub[blockID] == nil {
 			res.Sub[blockID] = make([]*mat.Matrix, nModes)
