@@ -120,9 +120,11 @@ func writeEveryFormat(t *testing.T) map[string][]byte {
 	out["TP1B log record"] = read("ck", "p1-blocks.log")
 	check(rs.BeginPhase2())
 	check(rs.SavePhase2(&runstate.Phase2State{
-		NextStep: 5, Pos: 7, Updates: 12, VirtualIters: 1, FitTrace: []float64{0.5, 0.625},
-		PrevFit: 0.5, Buffer: runstate.BufferState{Cursor: 3},
-		A: [][]*mat.Matrix{{pinMatrix(3, 2, 10), pinMatrix(2, 2, 11)}, {pinMatrix(2, 2, 12)}, {pinMatrix(3, 2, 13)}},
+		Progress: runstate.Progress{
+			NextStep: 5, Pos: 7, Updates: 12, VirtualIters: 1, FitTrace: []float64{0.5, 0.625}, PrevFit: 0.5,
+		},
+		Buffer: runstate.BufferState{Cursor: 3},
+		A:      [][]*mat.Matrix{{pinMatrix(3, 2, 10), pinMatrix(2, 2, 11)}, {pinMatrix(2, 2, 12)}, {pinMatrix(3, 2, 13)}},
 	}))
 	out["TP2S slot"] = read("ck", "phase2-0.ckpt")
 	check(rs.SaveResult(&runstate.ResultState{

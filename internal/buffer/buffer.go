@@ -22,6 +22,14 @@
 // Acquire, so a schedule-ordered sequence of Acquire/Release calls produces
 // bit-for-bit identical statistics whether prefetching is on or off;
 // prefetching only moves the bytes earlier.
+//
+// # Checkpoints
+//
+// Snapshot returns the manager's replacement state as one State value —
+// resident units in recency order, the Forward cursor, the statistics —
+// and Restore installs it in a fresh manager, after which every
+// hit/miss/eviction decision matches the manager it was taken from. A
+// Phase-2 checkpoint stores the State verbatim (runstate.BufferState).
 package buffer
 
 import (

@@ -15,25 +15,37 @@ type SnapshotEntry struct {
 	Dirty bool `json:"dirty,omitempty"`
 }
 
-// Snapshot captures the manager's replacement-relevant state for a
-// checkpoint: the resident units in ascending last-use order (with their
-// dirty flags), the Forward policy's schedule cursor and the cumulative
-// statistics. A manager restored from this snapshot makes bit-identical
-// hit/miss/eviction decisions from that point on — last-use comparisons are
-// ordinal, so preserving the recency *order* preserves every LRU/MRU
-// choice, and the cursor preserves every Forward-policy distance.
+// State is the manager's replacement-relevant state, as Snapshot takes it
+// and Restore installs it. The JSON tags are the on-disk checkpoint schema
+// (runstate.BufferState is this type).
+type State struct {
+	// Resident lists the resident units in ascending last-use order.
+	Resident []SnapshotEntry `json:"resident"`
+	// Cursor is the Forward policy's position in the cyclic access string.
+	Cursor int `json:"cursor"`
+	// Stats are the cumulative statistics.
+	Stats Stats `json:"stats"`
+}
+
+// Snapshot captures the manager's State for a checkpoint: the resident
+// units in ascending last-use order (with their dirty flags), the Forward
+// policy's schedule cursor and the cumulative statistics. A manager
+// restored from this snapshot makes bit-identical hit/miss/eviction
+// decisions from that point on — last-use comparisons are ordinal, so
+// preserving the recency *order* preserves every LRU/MRU choice, and the
+// cursor preserves every Forward-policy distance.
 //
 // Snapshot must be taken at a quiesce point: no unit may be pinned (the
 // engine calls it after a step's Releases). In-flight prefetches are
 // deliberately excluded — a prefetch never changes hit/miss classification,
 // so dropping it costs at most a re-read after resume.
-func (m *Manager) Snapshot() ([]SnapshotEntry, int, Stats, error) {
+func (m *Manager) Snapshot() (State, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	order := make([]int, 0, len(m.resident))
 	for id, e := range m.resident {
 		if e.pins > 0 {
-			return nil, 0, Stats{}, fmt.Errorf("buffer: Snapshot with unit %d pinned", id)
+			return State{}, fmt.Errorf("buffer: Snapshot with unit %d pinned", id)
 		}
 		order = append(order, id)
 	}
@@ -47,29 +59,29 @@ func (m *Manager) Snapshot() ([]SnapshotEntry, int, Stats, error) {
 	for i, id := range order {
 		entries[i] = SnapshotEntry{ID: id, Dirty: m.resident[id].dirty}
 	}
-	return entries, m.cursor, m.stats, nil
+	return State{Resident: entries, Cursor: m.cursor, Stats: m.stats}, nil
 }
 
-// Restore repopulates a freshly built manager from a Snapshot: each listed
-// unit is fetched from the store and installed with a synthetic last-use
-// clock that reproduces the snapshot's recency order, the cursor and the
-// statistics are installed verbatim, and none of the restoration reads
-// count as fetches (the snapshot's Stats already account for the run so
-// far — callers that also track store traffic should reset the store's
-// counters after Restore returns).
-func (m *Manager) Restore(entries []SnapshotEntry, cursor int, stats Stats) error {
+// Restore repopulates a freshly built manager from a Snapshot's State:
+// each listed unit is fetched from the store and installed with a
+// synthetic last-use clock that reproduces the snapshot's recency order,
+// the cursor and the statistics are installed verbatim, and none of the
+// restoration reads count as fetches (the snapshot's Stats already account
+// for the run so far — callers that also track store traffic should reset
+// the store's counters after Restore returns).
+func (m *Manager) Restore(st State) error {
 	m.mu.Lock()
 	if len(m.resident) != 0 || m.clock != 0 {
 		m.mu.Unlock()
 		return fmt.Errorf("buffer: Restore on a used manager")
 	}
-	if len(m.cycle) > 0 && (cursor < 0 || cursor >= len(m.cycle)) {
+	if len(m.cycle) > 0 && (st.Cursor < 0 || st.Cursor >= len(m.cycle)) {
 		m.mu.Unlock()
-		return fmt.Errorf("buffer: Restore cursor %d outside cycle of %d", cursor, len(m.cycle))
+		return fmt.Errorf("buffer: Restore cursor %d outside cycle of %d", st.Cursor, len(m.cycle))
 	}
 	m.mu.Unlock()
 	numUnits := schedule.NumUnits(m.pattern)
-	for i, se := range entries {
+	for i, se := range st.Resident {
 		if se.ID < 0 || se.ID >= numUnits {
 			return fmt.Errorf("buffer: Restore unit id %d outside [0,%d)", se.ID, numUnits)
 		}
@@ -84,11 +96,11 @@ func (m *Manager) Restore(entries []SnapshotEntry, cursor int, stats Stats) erro
 		m.mu.Unlock()
 	}
 	m.mu.Lock()
-	m.clock = int64(len(entries))
+	m.clock = int64(len(st.Resident))
 	if len(m.cycle) > 0 {
-		m.cursor = cursor
+		m.cursor = st.Cursor
 	}
-	m.stats = stats
+	m.stats = st.Stats
 	m.mu.Unlock()
 	return nil
 }

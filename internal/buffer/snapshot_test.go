@@ -60,7 +60,7 @@ func TestSnapshotRestoreReplaysDecisions(t *testing.T) {
 			for _, a := range accesses[:cut] {
 				touch(cont, a)
 			}
-			entries, cursor, stats, err := cont.Snapshot()
+			st, err := cont.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,11 +69,11 @@ func TestSnapshotRestoreReplaysDecisions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := rebuilt.Restore(entries, cursor, stats); err != nil {
+			if err := rebuilt.Restore(st); err != nil {
 				t.Fatal(err)
 			}
-			if got := rebuilt.Stats(); got != stats {
-				t.Fatalf("restored stats %+v, want %+v", got, stats)
+			if got := rebuilt.Stats(); got != st.Stats {
+				t.Fatalf("restored stats %+v, want %+v", got, st.Stats)
 			}
 
 			// Both managers now walk the remainder of the cycle (twice, to
@@ -108,11 +108,11 @@ func TestSnapshotRefusesPinned(t *testing.T) {
 	if _, err := m.Acquire(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := m.Snapshot(); err == nil {
+	if _, err := m.Snapshot(); err == nil {
 		t.Fatal("Snapshot with a pinned unit succeeded")
 	}
 	m.Release(0, 0, false)
-	if _, _, _, err := m.Snapshot(); err != nil {
+	if _, err := m.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -128,7 +128,7 @@ func TestRestoreRefusesUsedManager(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Release(0, 0, false)
-	if err := m.Restore(nil, 0, Stats{}); err == nil {
+	if err := m.Restore(State{}); err == nil {
 		t.Fatal("Restore on a used manager succeeded")
 	}
 
@@ -136,7 +136,7 @@ func TestRestoreRefusesUsedManager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Restore([]SnapshotEntry{{ID: 999}}, 0, Stats{}); err == nil {
+	if err := fresh.Restore(State{Resident: []SnapshotEntry{{ID: 999}}}); err == nil {
 		t.Fatal("Restore with out-of-range unit id succeeded")
 	}
 }

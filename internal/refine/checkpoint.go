@@ -12,12 +12,14 @@ import (
 //
 // The engine checkpoints at schedule-step boundaries (all units released,
 // no update in flight), every Config.CheckpointEverySteps steps. A
-// checkpoint is the complete mutable state of the refinement — the current
-// A factor partitions, the schedule position, the FitTrace and the buffer
-// snapshot — so an engine rebuilt from it replays the remaining steps
-// bit-for-bit: the P/Q components are pure functions of the checkpointed A
-// (and the Phase-1 U), and the buffer snapshot pins every subsequent
-// hit/miss/eviction decision.
+// checkpoint is the complete mutable state of the refinement — the
+// engine's runstate.Progress as it stands (schedule position, counters,
+// FitTrace, convergence and warm-up state), the buffer.State, the store
+// and telemetry counters and the current A factor partitions — so an
+// engine rebuilt from it replays the remaining steps bit-for-bit: the P/Q
+// components are pure functions of the checkpointed A (and the Phase-1
+// U), and the buffer state pins every subsequent hit/miss/eviction
+// decision.
 type Checkpointer interface {
 	// LoadPhase2 returns the latest checkpoint, or ok=false when none
 	// exists.
@@ -68,30 +70,24 @@ func (e *Engine) validateState(st *runstate.Phase2State) error {
 	return nil
 }
 
-// saveCheckpoint snapshots the engine at a step boundary and hands it to
-// the Checkpointer. nextStep/pos/updates describe the replay position (the
-// first not-yet-executed step); the caller passes its loop-local
-// convergence state verbatim.
-func (e *Engine) saveCheckpoint(nextStep, pos, updates int, res *Result, prevFit float64, warmupLeft int) error {
-	entries, cursor, bstats, err := e.mgr.Snapshot()
+// saveCheckpoint snapshots the engine at a step boundary — e.prog, the
+// buffer state, the cumulative store traffic and the current A — and hands
+// it to the Checkpointer.
+func (e *Engine) saveCheckpoint() error {
+	bs, err := e.mgr.Snapshot()
 	if err != nil {
 		return err
 	}
-	bs := runstate.BufferState{Resident: entries, Cursor: cursor, Stats: bstats}
 	storeStats := e.cfg.Store.Stats()
 	storeStats.Add(e.statsOffset)
 	st := &runstate.Phase2State{
-		NextStep:     nextStep,
-		Pos:          pos,
-		Updates:      updates,
-		VirtualIters: res.VirtualIters,
-		FitTrace:     append([]float64(nil), res.FitTrace...),
-		PrevFit:      prevFit,
-		WarmupLeft:   warmupLeft,
-		Buffer:       bs,
-		StoreStats:   storeStats,
-		A:            e.curA,
+		Progress:   e.prog,
+		Buffer:     bs,
+		StoreStats: storeStats,
+		A:          e.curA,
 	}
+	// The engine keeps appending to its trace; the checkpoint gets a copy.
+	st.FitTrace = append([]float64(nil), e.prog.FitTrace...)
 	// Persist the metrics registry's counters so telemetry resumes
 	// exactly: a resumed run's counters continue from the checkpoint, not
 	// from zero (old checkpoints without the field restore nothing).
@@ -107,22 +103,17 @@ func (e *Engine) saveCheckpoint(nextStep, pos, updates int, res *Result, prevFit
 // restoreFromState installs a validated checkpoint into a freshly built
 // engine: the buffer snapshot is reloaded from the store (the units were
 // just re-seeded from the checkpointed A by seedUnits), the store's
-// counters are zeroed so restoration traffic never double-counts, and the
-// checkpoint's cumulative statistics become the engine's offsets.
+// counters are zeroed so restoration traffic never double-counts, the
+// checkpoint's cumulative statistics become the engine's offsets and its
+// Progress becomes e.prog.
 func (e *Engine) restoreFromState(st *runstate.Phase2State) error {
-	if err := e.mgr.Restore(st.Buffer.Resident, st.Buffer.Cursor, st.Buffer.Stats); err != nil {
+	if err := e.mgr.Restore(st.Buffer); err != nil {
 		return err
 	}
 	e.cfg.Store.ResetStats()
 	e.statsOffset = st.StoreStats
-	e.startStep = st.NextStep
-	e.startPos = st.Pos
-	e.startUpdates = st.Updates
-	e.startVirtIters = st.VirtualIters
-	e.startTrace = append([]float64(nil), st.FitTrace...)
-	e.startPrevFit = st.PrevFit
-	e.startWarmupLeft = st.WarmupLeft
-	e.resumed = true
+	e.prog = st.Progress
+	e.prog.FitTrace = append([]float64(nil), st.FitTrace...)
 	if e.cfg.Obs != nil && e.cfg.Obs.Metrics != nil && st.Metrics != nil {
 		// Overwrite this process's counters with the checkpointed values:
 		// increments made while reloading (e.g. cached Phase-1 blocks)

@@ -56,7 +56,10 @@ type Config struct {
 	// experiments can report steady-state swaps per iteration without
 	// cold-start pollution (paper §VIII-C.1 averages long runs). The
 	// warm-up iterations do not count toward MaxVirtualIters or the trace,
-	// and convergence checks are suspended during warm-up.
+	// and convergence checks are suspended during warm-up. The count left
+	// is part of runstate.Progress, so a resume inside the warm-up
+	// finishes it (and its stats reset) where the interrupted run would
+	// have; the setting itself only seeds a fresh run.
 	WarmupVirtualIters int
 	// PrefetchDepth is how many schedule steps ahead the engine issues
 	// buffer prefetches while updating the current step, overlapping the
@@ -141,28 +144,21 @@ type Engine struct {
 	scratchMTTKRP map[int]*mat.Matrix
 	solverScratch cpals.SolverScratch
 
-	// Checkpoint state (only populated when cfg.Checkpoint != nil).
-	// curA[mode][part] tracks the current factor partition so a checkpoint
-	// never has to read units back; the matrices are replaced, never
-	// mutated, so holding references is safe. statsOffset carries the
-	// resumed run's pre-crash store traffic; the start* fields position
-	// Run at the restored step.
+	// prog is the loop's position, advanced in place by Run: fresh from
+	// New, or the checkpoint's on a resume. curA[mode][part] tracks the
+	// current factor partition so a checkpoint never has to read units
+	// back; the matrices are replaced, never mutated, so holding
+	// references is safe. statsOffset carries a resumed run's pre-crash
+	// store traffic.
+	prog        runstate.Progress
 	curA        [][]*mat.Matrix
 	ckptEvery   int
 	statsOffset blockstore.Stats
-	resumed     bool
 
 	// Telemetry handles (nil when metrics are off).
-	cUpdates        *obs.Counter
-	gFit            *obs.Gauge
-	gIters          *obs.Gauge
-	startStep       int
-	startPos        int
-	startUpdates    int
-	startVirtIters  int
-	startTrace      []float64
-	startPrevFit    float64
-	startWarmupLeft int
+	cUpdates *obs.Counter
+	gFit     *obs.Gauge
+	gIters   *obs.Gauge
 }
 
 // settle fills cfg's defaults and validates every setting that can be
@@ -238,20 +234,23 @@ func New(cfg Config) (*Engine, error) {
 			}
 			restored = st
 		}
-		e.curA = make([][]*mat.Matrix, p.NModes())
-		for mode := range e.curA {
-			e.curA[mode] = make([]*mat.Matrix, p.K[mode])
-		}
 		e.ckptEvery = cfg.CheckpointEverySteps
 		if e.ckptEvery <= 0 {
 			e.ckptEvery = len(e.sched.Steps)
 		}
 	}
 
+	e.curA = make([][]*mat.Matrix, p.NModes())
+	for mode := range e.curA {
+		e.curA[mode] = make([]*mat.Matrix, p.K[mode])
+	}
 	e.comps = newComponents(cfg.Phase1)
 	if err := e.seedUnits(restored); err != nil {
 		return nil, err
 	}
+	// A fresh run's progress; a resume replaces it whole below.
+	e.prog.PrevFit = e.comps.SurrogateFit()
+	e.prog.WarmupLeft = cfg.WarmupVirtualIters
 
 	mgr, err := buffer.NewManager(buffer.Config{
 		Store:         cfg.Store,
@@ -324,9 +323,7 @@ func (e *Engine) seedUnits(restored *runstate.Phase2State) error {
 				return err
 			}
 			e.comps.setA(mode, part, u.A, slab)
-			if e.curA != nil {
-				e.curA[mode][part] = u.A
-			}
+			e.curA[mode][part] = u.A
 		}
 	}
 	e.cfg.Store.ResetStats()
@@ -380,9 +377,7 @@ func (e *Engine) update(u *blockstore.Unit) {
 	e.solver.Solve(aNew, t, s, &e.solverScratch)
 	u.A = aNew
 	e.comps.setA(mode, part, aNew, u.Slab)
-	if e.curA != nil {
-		e.curA[mode][part] = aNew
-	}
+	e.curA[mode][part] = aNew
 }
 
 // prefetchAhead hands the buffer manager the accesses of the next
@@ -408,139 +403,124 @@ func (e *Engine) prefetchAhead(si, pos int) {
 
 // Run executes the refinement until convergence or MaxVirtualIters and
 // returns the assembled factors plus I/O statistics. Run may be called
-// once; it shuts the buffer manager's I/O pipeline down on return.
+// once; it shuts the buffer manager's I/O pipeline down on return. It
+// walks the schedule's steps cyclically from e.prog, advancing it in
+// place, so at every step boundary e.prog is the state a checkpoint holds.
 func (e *Engine) Run() (*Result, error) {
 	defer e.mgr.Close()
 	res := &Result{}
+	prog := &e.prog
 	virtLen := e.sched.VirtualIterationLength()
-	updates := 0
-	warmupLeft := e.cfg.WarmupVirtualIters
-	var prevFit float64
-	if !e.resumed {
-		prevFit = e.comps.SurrogateFit()
-	}
-	done := false
+	steps := len(e.sched.Steps)
 	// Termination is only evaluated once every block position has been
 	// visited at least once — i.e. from the second full cycle on (paper
 	// Figure 7). A block-centric cycle spans many virtual iterations, and
 	// a fit plateau before the first cycle completes only means the
 	// not-yet-visited partitions still hold their initialization.
 	minIters := int(math.Ceil(e.sched.VirtualIterationsPerCycle()))
-	pos := 0       // position in the cyclic access string
-	startStep := 0 // first step of the first (possibly partial) cycle
-	if e.resumed {
-		updates = e.startUpdates
-		warmupLeft = e.startWarmupLeft
-		prevFit = e.startPrevFit
-		res.VirtualIters = e.startVirtIters
-		res.FitTrace = e.startTrace
-		pos = e.startPos
-		startStep = e.startStep
-	}
 	stepsSinceCkpt := 0
-
-	for !done && res.VirtualIters < e.cfg.MaxVirtualIters {
-		for si := startStep; si < len(e.sched.Steps); si++ {
-			// Graceful drain: a close of Stop is honored at the step
-			// boundary — the position the checkpoint format can represent —
-			// so the state written here resumes bit-exactly.
-			if e.cfg.Stop != nil {
-				select {
-				case <-e.cfg.Stop:
-					if e.cfg.Checkpoint != nil {
-						if err := e.saveCheckpoint(si, pos, updates, res, prevFit, warmupLeft); err != nil {
-							return nil, fmt.Errorf("%w: drain checkpoint failed: %w", ErrStopped, err)
-						}
+	var units []*blockstore.Unit // the step's pinned units, reused across steps
+	for done := false; !done && prog.VirtualIters < e.cfg.MaxVirtualIters; {
+		// Graceful drain: a close of Stop is honored at the step
+		// boundary — the position the checkpoint format can represent —
+		// so the state written here resumes bit-exactly.
+		if e.cfg.Stop != nil {
+			select {
+			case <-e.cfg.Stop:
+				if e.cfg.Checkpoint != nil {
+					if err := e.saveCheckpoint(); err != nil {
+						return nil, fmt.Errorf("%w: drain checkpoint failed: %w", ErrStopped, err)
 					}
-					return nil, ErrStopped
-				default:
 				}
+				return nil, ErrStopped
+			default:
 			}
-			step := &e.sched.Steps[si]
-			// Acquire the step's units in schedule order.
-			units := make([]*blockstore.Unit, len(step.Accesses))
-			for ai, a := range step.Accesses {
-				u, err := e.mgr.Acquire(a.Mode, a.Part)
-				if err != nil {
-					// A failed fetch or write-back ends the run; a resume
-					// starts from the last regular checkpoint.
-					return nil, err
-				}
-				units[ai] = u
-				if e.cfg.Obs.Tracing() {
-					e.cfg.Obs.Emit("phase2.step",
-						obs.Int("step", si), obs.Int("mode", a.Mode), obs.Int("part", a.Part))
-				}
+		}
+		si := prog.NextStep
+		step := &e.sched.Steps[si]
+		// Acquire the step's units in schedule order.
+		units = units[:0]
+		for _, a := range step.Accesses {
+			u, err := e.mgr.Acquire(a.Mode, a.Part)
+			if err != nil {
+				// A failed fetch or write-back ends the run; a resume
+				// starts from the last regular checkpoint.
+				return nil, err
 			}
-			pos = (pos + len(step.Accesses)) % e.sched.UpdatesPerCycle()
-			// Stage the next steps' units while this step computes.
-			e.prefetchAhead(si, pos)
-			for _, u := range units {
-				if done {
-					break
-				}
-				e.update(u)
-				updates++
-				e.cUpdates.Inc()
-				if updates%virtLen == 0 {
-					if warmupLeft > 0 {
-						warmupLeft--
-						if warmupLeft == 0 {
-							e.mgr.ResetStats()
-						}
-						prevFit = e.comps.SurrogateFit()
-						continue
-					}
-					res.VirtualIters++
-					fit := e.comps.SurrogateFit()
-					res.FitTrace = append(res.FitTrace, fit)
-					e.gFit.Set(fit)
-					e.gIters.Set(float64(res.VirtualIters))
-					if e.cfg.Obs.Tracing() {
-						e.cfg.Obs.Emit("phase2.iter",
-							obs.Int("iter", res.VirtualIters), obs.F64("fit", fit))
-					}
-					improvement := fit - prevFit
-					prevFit = fit
-					if improvement < e.cfg.Tol && res.VirtualIters > minIters {
-						res.Converged = true
-						done = true
-					}
-					if res.VirtualIters >= e.cfg.MaxVirtualIters {
-						done = true
-					}
-				}
+			units = append(units, u)
+			if e.cfg.Obs.Tracing() {
+				e.cfg.Obs.Emit("phase2.step",
+					obs.Int("step", si), obs.Int("mode", a.Mode), obs.Int("part", a.Part))
 			}
-			for _, a := range step.Accesses {
-				e.mgr.Release(a.Mode, a.Part, true)
-			}
+		}
+		prog.Pos = (prog.Pos + len(step.Accesses)) % e.sched.UpdatesPerCycle()
+		// Stage the next steps' units while this step computes.
+		e.prefetchAhead(si, prog.Pos)
+		for _, u := range units {
 			if done {
 				break
 			}
-			if e.cfg.Checkpoint != nil {
-				stepsSinceCkpt++
-				if stepsSinceCkpt >= e.ckptEvery {
-					next := (si + 1) % len(e.sched.Steps)
-					if err := e.saveCheckpoint(next, pos, updates, res, prevFit, warmupLeft); err != nil {
-						return nil, err
-					}
-					stepsSinceCkpt = 0
+			e.update(u)
+			prog.Updates++
+			e.cUpdates.Inc()
+			if prog.Updates%virtLen != 0 {
+				continue
+			}
+			if prog.WarmupLeft > 0 {
+				prog.WarmupLeft--
+				if prog.WarmupLeft == 0 {
+					e.mgr.ResetStats()
 				}
+				prog.PrevFit = e.comps.SurrogateFit()
+				continue
+			}
+			prog.VirtualIters++
+			fit := e.comps.SurrogateFit()
+			prog.FitTrace = append(prog.FitTrace, fit)
+			e.gFit.Set(fit)
+			e.gIters.Set(float64(prog.VirtualIters))
+			if e.cfg.Obs.Tracing() {
+				e.cfg.Obs.Emit("phase2.iter",
+					obs.Int("iter", prog.VirtualIters), obs.F64("fit", fit))
+			}
+			improvement := fit - prog.PrevFit
+			prog.PrevFit = fit
+			if improvement < e.cfg.Tol && prog.VirtualIters > minIters {
+				res.Converged = true
+				done = true
+			}
+			if prog.VirtualIters >= e.cfg.MaxVirtualIters {
+				done = true
 			}
 		}
-		startStep = 0
+		for _, a := range step.Accesses {
+			e.mgr.Release(a.Mode, a.Part, true)
+		}
+		prog.NextStep = (si + 1) % steps
+		if done || e.cfg.Checkpoint == nil {
+			continue
+		}
+		stepsSinceCkpt++
+		if stepsSinceCkpt >= e.ckptEvery {
+			if err := e.saveCheckpoint(); err != nil {
+				return nil, err
+			}
+			stepsSinceCkpt = 0
+		}
 	}
 
 	if err := e.mgr.FlushAll(); err != nil {
 		return nil, err
 	}
+	res.VirtualIters = prog.VirtualIters
+	res.FitTrace = prog.FitTrace
 	res.BufferStats = e.mgr.Stats()
 	res.StoreStats = e.cfg.Store.Stats()
 	res.StoreStats.Add(e.statsOffset)
 	if res.VirtualIters > 0 {
 		res.SwapsPerVirtualIter = float64(res.BufferStats.Fetches) / float64(res.VirtualIters)
 	}
-	factors, err := e.AssembleFactors()
+	factors, err := e.assembleFactors()
 	if err != nil {
 		return nil, err
 	}
@@ -548,10 +528,10 @@ func (e *Engine) Run() (*Result, error) {
 	return res, nil
 }
 
-// AssembleFactors stacks the per-partition A(i)_(ki) (as persisted in the
+// assembleFactors stacks the per-partition A(i)_(ki) (as persisted in the
 // store) into the full factor matrices A(i), reading the units in
 // ⟨mode, part⟩ order.
-func (e *Engine) AssembleFactors() ([]*mat.Matrix, error) {
+func (e *Engine) assembleFactors() ([]*mat.Matrix, error) {
 	factors := make([]*mat.Matrix, e.pattern.NModes())
 	for mode := range factors {
 		parts := make([]*mat.Matrix, e.pattern.K[mode])
@@ -570,6 +550,3 @@ func (e *Engine) AssembleFactors() ([]*mat.Matrix, error) {
 // SurrogateFit exposes the current surrogate fit (see components) for
 // diagnostics and tests.
 func (e *Engine) SurrogateFit() float64 { return e.comps.SurrogateFit() }
-
-// Schedule returns the engine's schedule (for tests).
-func (e *Engine) Schedule() *schedule.Schedule { return e.sched }

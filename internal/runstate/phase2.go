@@ -25,25 +25,18 @@ const (
 
 func slotName(i int) string { return fmt.Sprintf("phase2-%d.ckpt", i) }
 
-// BufferState is the replacement-relevant snapshot of the buffer manager:
-// the resident units in ascending last-use order, the Forward policy's
-// schedule cursor and the cumulative statistics (types shared with
-// buffer.Manager.Snapshot/Restore, so nothing is lost in translation).
-// Restoring it makes every subsequent hit/miss/eviction decision — and
-// therefore the paper's swap counts — identical to the uninterrupted
-// run's.
-type BufferState struct {
-	Resident []buffer.SnapshotEntry `json:"resident"`
-	Cursor   int                    `json:"cursor"`
-	Stats    buffer.Stats           `json:"stats"`
-}
+// BufferState is the buffer manager's replacement-relevant snapshot, the
+// buffer.State that Snapshot returns and Restore takes. Restoring it makes
+// every subsequent hit/miss/eviction decision — and therefore the paper's
+// swap counts — identical to the uninterrupted run's.
+type BufferState = buffer.State
 
-// Phase2State is one Phase-2 checkpoint, taken at a schedule-step boundary.
-// Together with the (re-derivable) Phase-1 sub-factors it is the complete
-// mutable state of the refinement: the A factor partitions carry the
-// numbers, everything else pins the engine's position so replay continues
-// exactly where the checkpoint was taken.
-type Phase2State struct {
+// Progress is Phase 2's position in its loop over schedule steps: where
+// replay resumes, how far the run has counted in virtual iterations and
+// the convergence and warm-up state at that point. The engine advances
+// one Progress in place; a checkpoint carries it as it stands at a
+// schedule-step boundary and a resume continues from it.
+type Progress struct {
 	// NextStep is the schedule step index replay resumes at.
 	NextStep int `json:"next_step"`
 	// Pos is the engine's position in the cyclic access string.
@@ -55,10 +48,20 @@ type Phase2State struct {
 	VirtualIters int       `json:"virtual_iters"`
 	FitTrace     []float64 `json:"fit_trace"`
 	// PrevFit is the fit at the last virtual-iteration boundary (the
-	// convergence comparand).
+	// convergence comparand); a fresh run starts it at the seeded fit.
 	PrevFit float64 `json:"prev_fit"`
 	// WarmupLeft is the remaining warm-up virtual iterations.
 	WarmupLeft int `json:"warmup_left"`
+}
+
+// Phase2State is one Phase-2 checkpoint, taken at a schedule-step boundary.
+// Together with the (re-derivable) Phase-1 sub-factors it is the complete
+// mutable state of the refinement: the A factor partitions carry the
+// numbers, everything else pins the engine's position so replay continues
+// exactly where the checkpoint was taken. Progress is embedded first, so
+// its fields lead the JSON header in their declared order.
+type Phase2State struct {
+	Progress
 	// Buffer is the buffer-manager snapshot.
 	Buffer BufferState `json:"buffer"`
 	// StoreStats is the cumulative store traffic at the checkpoint.

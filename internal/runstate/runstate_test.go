@@ -219,8 +219,10 @@ func TestPhase2RoundTripAndCorruption(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(2))
 	st := &Phase2State{
-		NextStep: 5, Pos: 17, Updates: 40, VirtualIters: 3,
-		FitTrace: []float64{0.1, 0.2, 0.3}, PrevFit: 0.3, WarmupLeft: 1,
+		Progress: Progress{
+			NextStep: 5, Pos: 17, Updates: 40, VirtualIters: 3,
+			FitTrace: []float64{0.1, 0.2, 0.3}, PrevFit: 0.3, WarmupLeft: 1,
+		},
 		Buffer: BufferState{
 			Resident: []buffer.SnapshotEntry{{ID: 2, Dirty: true}, {ID: 0}, {ID: 5, Dirty: true}},
 			Cursor:   9,

@@ -26,8 +26,8 @@ func blockFactors(seed int64) []*mat.Matrix {
 func phase2Sample(step int) *Phase2State {
 	rng := rand.New(rand.NewSource(int64(step)))
 	return &Phase2State{
-		NextStep: step, Pos: step, FitTrace: []float64{0.25, 0.5}, PrevFit: 0.5,
-		A: [][]*mat.Matrix{{mat.Random(4, 3, rng), mat.Random(4, 3, rng)}, {mat.Random(8, 3, rng)}},
+		Progress: Progress{NextStep: step, Pos: step, FitTrace: []float64{0.25, 0.5}, PrevFit: 0.5},
+		A:        [][]*mat.Matrix{{mat.Random(4, 3, rng), mat.Random(4, 3, rng)}, {mat.Random(8, 3, rng)}},
 	}
 }
 
