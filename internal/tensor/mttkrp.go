@@ -26,6 +26,13 @@ import (
 //     output row, out[j] += s ⊛ w with w the Hadamard product of the
 //     remaining factor rows (everything but modes 0 and n).
 //
+// The weights of mode n (n = 0 included), enumerated in Fortran order over
+// the modes other than 0 and n, come in runs: one weight per row of the
+// first such mode, the rows of the later modes held fixed. One builder,
+// fillRun, fills a run; the mode-0 pass applies each run as it is built,
+// the fold builds a chunk of runs and folds every output row over it. The
+// same code serves every number of modes.
+//
 // A standalone MTTKRPInto(n ≥ 1) folds while it streams the S pass, a
 // fiber at a time, and keeps no product. Through a Sweep the first fold
 // after the mode-0 MTTKRP (which precedes every write of A(0)) is
@@ -43,9 +50,9 @@ import (
 // in fixed groups of consecutive fibers. The floating-point output is
 // therefore bit-identical at every worker count, including 1.
 
-// scratchPool holds the per-worker-invocation buffers of the fiber kernels
-// — a mode-0 panel's run of fiber weights, a weight chunk of the N-way
-// paths, a fiber's product row — so steady-state sweeps allocate nothing.
+// scratchPool holds the buffers of the fiber kernels — a mode-0 panel's run
+// of fiber weights, a fold's chunk of runs, a fiber's product row — so
+// steady-state sweeps allocate nothing.
 var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // getScratch returns a pooled buffer of n floats with arbitrary contents;
@@ -182,68 +189,82 @@ func mttkrpInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 	if len(t.Data) == 0 || f == 0 {
 		return
 	}
-	switch {
-	case len(t.Dims) == 1:
-		// Degenerate: the Khatri-Rao chain is empty, M[i,c] = x[i].
-		for i0, v := range t.Data {
-			orow := dst.Row(i0)
-			for c := range orow {
-				orow[c] += v
-			}
-		}
-	case n == 0:
+	if n == 0 {
 		mode0Pass(dst, t, factors, f)
-	default:
+	} else {
 		foldFibers(dst, t, factors, n, sw)
 	}
 }
 
-// wChunkFibers is how many fiber weights the N-way paths materialize per
-// chunk (bounding scratch at wChunkFibers×F floats).
+// runMode is the first mode other than 0 and n, the one whose factor rows
+// a run of mode-n fiber weights goes through; N when there is none.
+func runMode(n int) int {
+	if n == 1 {
+		return 2
+	}
+	return 1
+}
+
+// runLen is the length of a run of mode-n fiber weights: the size of
+// runMode(n), or 1 when there is no such mode.
+func runLen(dims []int, n int) int {
+	if k := runMode(n); k < len(dims) {
+		return dims[k]
+	}
+	return 1
+}
+
+// fillRun fills w (runLen×F floats) with run r of the fiber weights of the
+// modes other than 0 and skip (skip = 0 for all of modes 1..N-1): the
+// factor rows of runMode(skip) copied, then each later mode's row — chosen
+// by r's Fortran-order digits — multiplied in, in ascending mode order.
+// With no such mode the run is one all-ones weight.
+func fillRun(w []float64, factors []*mat.Matrix, skip, r int) {
+	k := runMode(skip)
+	if k >= len(factors) {
+		for c := range w {
+			w[c] = 1
+		}
+		return
+	}
+	copy(w, factors[k].Data)
+	for k++; k < len(factors); k++ {
+		if k == skip {
+			continue
+		}
+		a := factors[k]
+		row := a.Row(r % a.Rows)
+		r /= a.Rows
+		for i := 0; i < len(w); i += a.Cols {
+			wi := w[i : i+a.Cols]
+			mat.HadamardVec(wi, wi, row)
+		}
+	}
+}
+
+// wChunkFibers is about how many fiber weights a fold builds per chunk:
+// whole runs, at least one (bounding scratch near wChunkFibers×F floats).
 const wChunkFibers = 4096
 
 // mode0Pass accumulates the mode-0 MTTKRP as rank-one fiber updates over
-// output-row panels. Every output row sees the fibers in ascending order
-// regardless of panel bounds.
+// output-row panels: per run of fibers, the panel's scratch takes the run's
+// weights and one mat.OuterAdd applies them. Every output row sees the
+// fibers in ascending order regardless of panel bounds.
 func mode0Pass(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, f int) {
-	dims := t.Dims
-	i0n := dims[0]
+	i0n := t.Dims[0]
 	x := t.Data
-	workers := par.WorkersFor(len(x) * 2 * f)
-	if len(dims) == 3 {
-		// 3-way fast path (the paper's benchmark shape): per i2, the weights
-		// of the i1n fibers are the rows of A(1) times A(2)'s row i2, built
-		// into the panel's scratch and applied in one run.
-		i1n, i2n := dims[1], dims[2]
-		a1, a2 := factors[1], factors[2]
-		parRowPanels(workers, i0n, func(lo, hi int) {
-			wp := getScratch(i1n * f)
-			w := *wp
-			panel := dst.Data[lo*f : hi*f]
-			for i2 := 0; i2 < i2n; i2++ {
-				r2 := a2.Row(i2)
-				for i1 := 0; i1 < i1n; i1++ {
-					mat.HadamardVec(w[i1*f:(i1+1)*f], a1.Row(i1), r2)
-				}
-				mat.OuterAdd(panel, w, x[i2*i1n*i0n+lo:], hi-lo, i0n, f)
-			}
-			scratchPool.Put(wp)
-		})
-		return
-	}
-	// Generic N-way: materialize fiber weights in chunks, then apply each
-	// chunk's updates.
-	nf := len(x) / i0n
-	sp := getScratch(wChunkFibers * f)
-	wchunk := *sp
-	for cf0 := 0; cf0 < nf; cf0 += wChunkFibers {
-		cf1 := min(cf0+wChunkFibers, nf)
-		buildFiberWeights(wchunk, factors, 0, cf0, cf1, f, workers)
-		parRowPanels(workers, i0n, func(lo, hi int) {
-			mat.OuterAdd(dst.Data[lo*f:hi*f], wchunk[:(cf1-cf0)*f], x[cf0*i0n+lo:], hi-lo, i0n, f)
-		})
-	}
-	scratchPool.Put(sp)
+	run := runLen(t.Dims, 0)
+	runs := len(x) / (i0n * run)
+	parRowPanels(par.WorkersFor(len(x)*2*f), i0n, func(lo, hi int) {
+		wp := getScratch(run * f)
+		w := *wp
+		panel := dst.Data[lo*f : hi*f]
+		for r := 0; r < runs; r++ {
+			fillRun(w, factors, 0, r)
+			mat.OuterAdd(panel, w, x[r*run*i0n+lo:], hi-lo, i0n, f)
+		}
+		scratchPool.Put(wp)
+	})
 }
 
 // foldFibers accumulates the mode-n (n ≥ 1) MTTKRP: output row j adds
@@ -255,11 +276,10 @@ func mode0Pass(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, f int) {
 // Fortran order, so the fibers of row j are outerN runs of sfn consecutive
 // fibers, and run by run they are the fibers of every other row: position
 // r = outer·sfn + q of that sequence indexes the modes other than 0 and n,
-// and with them the weight, whatever j is. A 3-way tensor has one such mode
-// and its factor is the weight panel; otherwise the weights are built once,
-// a chunk at a time, and every row folds the chunk. A fold is one
-// mat.FoldAdd per stretch of equally spaced rows of S: a whole run, or,
-// when the runs are single fibers, all of them at once.
+// and with them the weight, whatever j is. The weights are built once, a
+// chunk of whole runs at a time, and every row folds the chunk. A fold is
+// one mat.FoldAdd per stretch of equally spaced rows of S: a whole run of
+// the row's fibers, or, when those are single fibers, all of them at once.
 func foldFibers(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Sweep) {
 	dims := t.Dims
 	i0n, f := dims[0], dst.Cols
@@ -278,23 +298,17 @@ func foldFibers(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 	}
 	workers := par.WorkersFor(work)
 
-	var w []float64 // the weights of positions [r0, r1)
-	chunk := perRow
-	built := len(dims) != 3
-	if !built {
-		w = factors[3-n].Data
-	} else {
-		chunk = min(chunk, wChunkFibers)
-		wp := getScratch(chunk * f)
-		defer scratchPool.Put(wp)
-		w = *wp
-	}
+	run := runLen(dims, n)
+	chunk := min(max(wChunkFibers/run, 1)*run, perRow)
+	wp := getScratch(chunk * f)
+	defer scratchPool.Put(wp)
+	w := *wp // the weights of positions [r0, r1)
 	for r0 := 0; r0 < perRow; r0 += chunk {
 		// Fresh, assigned-once copies for the task below to capture by
 		// value: the originals would each move to the heap, once per fold.
-		r0, r1, w, sfn := r0, min(r0+chunk, perRow), w, sfn
-		if built {
-			buildFiberWeights(w, factors, n, r0, r1, f, workers)
+		r0, r1, sfn := r0, min(r0+chunk, perRow), sfn
+		for q := r0; q < r1; q += run {
+			fillRun(w[(q-r0)*f:(q-r0+run)*f], factors, n, q/run)
 		}
 		par.DoWorkers(workers, dims[n], func(j int) {
 			var s []float64 // a fiber's product when no S holds it
@@ -327,63 +341,6 @@ func foldFibers(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 			}
 		})
 	}
-}
-
-// buildFiberWeights fills wchunk with the weights of positions [cf0, cf1)
-// of the fiber space spanned by every mode except 0 and skip (Fortran
-// order; skip = 0 for all of modes 1..N-1): the Hadamard product of those
-// modes' factor rows, multiplied in ascending mode order, all ones when
-// there is no such mode. Each weight depends only on its position, so the
-// build parallelizes freely.
-func buildFiberWeights(wchunk []float64, factors []*mat.Matrix, skip, cf0, cf1, f, workers int) {
-	count := cf1 - cf0
-	const grain = 512
-	np := (count + grain - 1) / grain
-	par.DoWorkers(workers, np, func(p int) {
-		lo := cf0 + p*grain
-		hi := min(lo+grain, cf1)
-		// idx[k] is mode k's index; modes 0 and skip stay unused.
-		idx := make([]int, len(factors))
-		lin := lo
-		for k := 1; k < len(factors); k++ {
-			if k != skip {
-				idx[k] = lin % factors[k].Rows
-				lin /= factors[k].Rows
-			}
-		}
-		for fi := lo; fi < hi; fi++ {
-			w := wchunk[(fi-cf0)*f : (fi-cf0+1)*f]
-			first := true
-			for k := 1; k < len(factors); k++ {
-				if k == skip {
-					continue
-				}
-				row := factors[k].Row(idx[k])
-				if first {
-					copy(w, row)
-					first = false
-					continue
-				}
-				for c := range w {
-					w[c] *= row[c]
-				}
-			}
-			if first {
-				for c := range w {
-					w[c] = 1
-				}
-			}
-			for k := 1; k < len(factors); k++ {
-				if k == skip {
-					continue
-				}
-				if idx[k]++; idx[k] < factors[k].Rows {
-					break
-				}
-				idx[k] = 0
-			}
-		}
-	})
 }
 
 // parRowPanels splits [0, rows) into contiguous panels (at most one per

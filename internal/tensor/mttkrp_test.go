@@ -225,36 +225,6 @@ func TestMTTKRPGenericMatchesReferenceManyShapes(t *testing.T) {
 	}
 }
 
-// TestMTTKRPGenericMode0MultiChunk crosses the wChunkFibers boundary
-// (4352 fibers > 4096) so the chunked fiber-weight path runs more than one
-// chunk, and checks bit-equality across worker counts on that path too.
-func TestMTTKRPGenericMode0MultiChunk(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	dims := []int{4, 17, 16, 16}
-	x := RandomDense(rng, dims...)
-	const f = 3
-	factors := make([]*mat.Matrix, len(dims))
-	for k := range factors {
-		factors[k] = mat.Random(dims[k], f, rng)
-	}
-	serial := func() *mat.Matrix {
-		defer par.SetWorkers(par.SetWorkers(1))
-		return MTTKRP(x, factors, 0)
-	}()
-	if !serial.EqualApprox(mttkrpRef(x, factors, 0), 1e-10) {
-		t.Fatal("multi-chunk mode-0 MTTKRP diverges from reference")
-	}
-	for _, w := range workerCounts {
-		got := func() *mat.Matrix {
-			defer par.SetWorkers(par.SetWorkers(w))
-			return MTTKRP(x, factors, 0)
-		}()
-		if !got.Equal(serial) {
-			t.Fatalf("workers=%d: multi-chunk mode-0 differs from serial", w)
-		}
-	}
-}
-
 func TestParRowPanelsCoversRows(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1)) // serial execution, per-w geometry
 	for _, rows := range []int{1, 15, 16, 17, 100, 1024} {
