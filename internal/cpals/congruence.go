@@ -3,54 +3,7 @@ package cpals
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Arrange normalizes the KTensor and sorts its components by descending
-// weight λ, permuting all factor matrices consistently — the canonical
-// presentation of a CP model (Tensor Toolbox `arrange`). Returns k.
-func (k *KTensor) Arrange() *KTensor {
-	k.Normalize()
-	f := k.Rank()
-	perm := make([]int, f)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		return math.Abs(k.Lambda[perm[a]]) > math.Abs(k.Lambda[perm[b]])
-	})
-	k.Permute(perm)
-	return k
-}
-
-// Permute reorders the components so that new component i is old component
-// perm[i]. perm must be a permutation of [0, Rank).
-func (k *KTensor) Permute(perm []int) {
-	f := k.Rank()
-	if len(perm) != f {
-		panic(fmt.Sprintf("cpals: Permute: %d indexes for rank %d", len(perm), f))
-	}
-	seen := make([]bool, f)
-	for _, p := range perm {
-		if p < 0 || p >= f || seen[p] {
-			panic(fmt.Sprintf("cpals: Permute: %v is not a permutation", perm))
-		}
-		seen[p] = true
-	}
-	newLambda := make([]float64, f)
-	for i, p := range perm {
-		newLambda[i] = k.Lambda[p]
-	}
-	k.Lambda = newLambda
-	for _, a := range k.Factors {
-		old := a.Clone()
-		for i, p := range perm {
-			for r := 0; r < a.Rows; r++ {
-				a.Set(r, i, old.At(r, p))
-			}
-		}
-	}
-}
 
 // Congruence scores how well the components of a match those of b: for the
 // greedy best pairing of components it averages the product over modes of

@@ -4,64 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"twopcp/internal/tensor"
 )
-
-func TestArrangeSortsByWeight(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	k := randomKTensor(rng, 3, 5, 4, 3)
-	k.Lambda[0], k.Lambda[1], k.Lambda[2] = 0.5, 7, 2
-	before := k.Full()
-	k.Arrange()
-	// Weights descending.
-	for i := 1; i < k.Rank(); i++ {
-		if math.Abs(k.Lambda[i]) > math.Abs(k.Lambda[i-1])+1e-12 {
-			t.Fatalf("λ not sorted: %v", k.Lambda)
-		}
-	}
-	// Model unchanged.
-	if !k.Full().EqualApprox(before, 1e-10) {
-		t.Fatal("Arrange changed the model")
-	}
-	// Factors unit-norm after Arrange.
-	for _, f := range k.Factors {
-		for _, n := range f.ColumnNorms() {
-			if math.Abs(n-1) > 1e-10 {
-				t.Fatalf("column norm %g", n)
-			}
-		}
-	}
-}
-
-func TestPermute(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	k := randomKTensor(rng, 3, 4, 4, 4)
-	k.Lambda[0], k.Lambda[1], k.Lambda[2] = 1, 2, 3
-	before := k.Full()
-	k.Permute([]int{2, 0, 1})
-	if k.Lambda[0] != 3 || k.Lambda[1] != 1 || k.Lambda[2] != 2 {
-		t.Fatalf("λ after permute = %v", k.Lambda)
-	}
-	if !k.Full().EqualApprox(before, 1e-10) {
-		t.Fatal("Permute changed the model")
-	}
-}
-
-func TestPermuteValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	k := randomKTensor(rng, 2, 3, 3)
-	for _, bad := range [][]int{{0}, {0, 0}, {0, 2}, {-1, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Permute(%v) did not panic", bad)
-				}
-			}()
-			k.Permute(bad)
-		}()
-	}
-}
 
 func TestCongruenceIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
@@ -75,7 +18,15 @@ func TestCongruenceInvariantToPermutationAndScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	k := randomKTensor(rng, 3, 6, 5, 4)
 	other := k.Clone()
-	other.Permute([]int{2, 0, 1})
+	perm := []int{2, 0, 1} // other's component i is k's component perm[i]
+	for i, p := range perm {
+		other.Lambda[i] = k.Lambda[p]
+		for m, a := range other.Factors {
+			for r := 0; r < a.Rows; r++ {
+				a.Set(r, i, k.Factors[m].At(r, p))
+			}
+		}
+	}
 	other.Factors[0].Scale(3) // per-mode rescaling is absorbed by Normalize
 	if got := Congruence(k, other); math.Abs(got-1) > 1e-10 {
 		t.Fatalf("congruence after permute+scale = %g", got)
@@ -117,18 +68,4 @@ func TestCongruenceShapePanics(t *testing.T) {
 		}
 	}()
 	Congruence(a, b)
-}
-
-func TestArrangeOnDecomposition(t *testing.T) {
-	rng := rand.New(rand.NewSource(68))
-	x := tensor.RandomDense(rng, 6, 6, 6)
-	kt, _, err := Decompose(x, Options{Rank: 3, MaxIters: 20, Rng: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fitBefore := kt.Fit(x)
-	kt.Arrange()
-	if math.Abs(kt.Fit(x)-fitBefore) > 1e-9 {
-		t.Fatal("Arrange changed the fit")
-	}
 }

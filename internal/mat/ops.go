@@ -2,7 +2,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"twopcp/internal/par"
@@ -195,25 +194,6 @@ func HadamardAll(r, c int, ms ...*Matrix) *Matrix {
 	out.Fill(1)
 	for _, m := range ms {
 		out.HadamardInPlace(m)
-	}
-	return out
-}
-
-// DivElem returns a ⊘ b, the element-wise quotient. Entries where |b| < eps
-// yield 0 rather than Inf/NaN; the paper's update rules only divide factors
-// out of Hadamard products, so a zero denominator implies a zero numerator.
-func DivElem(a, b *Matrix, eps float64) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: DivElem: %d×%d ⊘ %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		d := b.Data[i]
-		if math.Abs(d) < eps {
-			out.Data[i] = 0
-			continue
-		}
-		out.Data[i] = v / d
 	}
 	return out
 }

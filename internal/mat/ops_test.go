@@ -214,31 +214,6 @@ func TestHadamardAll(t *testing.T) {
 	}
 }
 
-func TestDivElem(t *testing.T) {
-	a := FromRows([][]float64{{6, 1, 5}})
-	b := FromRows([][]float64{{2, 0, 1e-15}})
-	got := DivElem(a, b, 1e-12)
-	if got.At(0, 0) != 3 {
-		t.Fatalf("DivElem[0] = %g", got.At(0, 0))
-	}
-	// zero / tiny denominators clamp to 0 instead of Inf
-	if got.At(0, 1) != 0 || got.At(0, 2) != 0 {
-		t.Fatalf("DivElem guard failed: %v", got)
-	}
-}
-
-func TestDivElemUndoesHadamard(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := Random(4, 4, rng)
-	b := Random(4, 4, rng)
-	// entries are in (0,1) so all denominators are safe
-	prod := Hadamard(a, b)
-	back := DivElem(prod, b, 1e-300)
-	if !back.EqualApprox(a, 1e-12) {
-		t.Fatal("DivElem(Hadamard(a,b), b) != a")
-	}
-}
-
 func TestDot(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})

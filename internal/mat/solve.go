@@ -46,19 +46,11 @@ func choleskyInto(l, m *Matrix) error {
 	return nil
 }
 
-// CholeskySolve solves m·X = B given the Cholesky factor l of m (m = L·Lᵀ).
-// B is n×k; the returned X is n×k.
-func CholeskySolve(l, b *Matrix) *Matrix {
-	x := b.Clone()
-	choleskySolveInPlace(l, x)
-	return x
-}
-
 // choleskySolveInPlace overwrites x (n×k) with the solution of L·Lᵀ·X = x.
 func choleskySolveInPlace(l, x *Matrix) {
 	n := l.Rows
 	if x.Rows != n {
-		panic(fmt.Sprintf("mat: CholeskySolve: L is %d×%d, B is %d×%d", l.Rows, l.Cols, x.Rows, x.Cols))
+		panic(fmt.Sprintf("mat: Cholesky solve: L is %d×%d, B is %d×%d", l.Rows, l.Cols, x.Rows, x.Cols))
 	}
 	// Forward substitution: L·Y = B.
 	for i := 0; i < n; i++ {

@@ -42,21 +42,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestCholeskySolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	s := randomSPD(6, rng)
-	x := Random(6, 3, rng)
-	b := Mul(s, x)
-	l, err := Cholesky(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := CholeskySolve(l, b)
-	if !got.EqualApprox(x, 1e-8) {
-		t.Fatal("CholeskySolve did not recover x")
-	}
-}
-
 func TestSymEigOrthonormalAndReconstructs(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 10; trial++ {

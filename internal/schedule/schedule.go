@@ -73,10 +73,6 @@ func (k Kind) Check() error {
 	return nil
 }
 
-// IsBlockCentric reports whether the kind schedules updates per block
-// position (Algorithm 2) rather than per mode partition (Algorithm 1).
-func (k Kind) IsBlockCentric() bool { return k != ModeCentric }
-
 // Access identifies one mode-partition data unit
 // ⟨i, ki⟩ = {A(i)_(ki); U(i)_[*,..,ki,..,*]} (paper Definition 4).
 type Access struct {

@@ -34,17 +34,6 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
-func TestIsBlockCentric(t *testing.T) {
-	if ModeCentric.IsBlockCentric() {
-		t.Fatal("MC is not block-centric")
-	}
-	for _, k := range []Kind{FiberOrder, ZOrder, HilbertOrder} {
-		if !k.IsBlockCentric() {
-			t.Fatalf("%v should be block-centric", k)
-		}
-	}
-}
-
 func TestModeCentricCycle(t *testing.T) {
 	p := grid.MustNew([]int{8, 8, 8}, []int{2, 4, 2})
 	s := New(ModeCentric, p)
