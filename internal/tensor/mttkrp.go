@@ -51,8 +51,8 @@ import (
 // therefore bit-identical at every worker count, including 1.
 
 // scratchPool holds the buffers of the fiber kernels — a mode-0 panel's run
-// of fiber weights, a fold's chunk of runs, a fiber's product row — so
-// steady-state sweeps allocate nothing.
+// of fiber weights, a fold's chunk of runs, a fiber's product row — so a
+// steady-state sweep allocates no buffer.
 var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // getScratch returns a pooled buffer of n floats with arbitrary contents;
@@ -197,7 +197,8 @@ func mttkrpInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 }
 
 // runMode is the first mode other than 0 and n, the one whose factor rows
-// a run of mode-n fiber weights goes through; N when there is none.
+// a run of mode-n fiber weights goes through. There is none when it is N
+// or more.
 func runMode(n int) int {
 	if n == 1 {
 		return 2
