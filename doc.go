@@ -316,10 +316,9 @@
 //     setting. A broken prefetch degrades rather than fails: it falls
 //     back to a synchronous demand fetch. A write-back that fails past
 //     the store's budget is the error of the Acquire that evicted the
-//     unit; the run ends and resumes from its last checkpoint.
-//     A circuit breaker (Retry.BreakerThreshold consecutive permanent
-//     failures) flips the store to fail-fast so a dead backend
-//     surfaces in seconds, not after every caller burns its budget.
+//     unit; the run ends and resumes from its last checkpoint. Each
+//     operation gets the whole budget, however many failed before it:
+//     a store that heals serves the next fetch.
 //   - Permanent faults are never retried. In Phase 1 a block whose
 //     load fails permanently (or exhausts its budget) is quarantined:
 //     its siblings complete and checkpoint, the run fails with a typed
@@ -346,12 +345,12 @@
 // ErrInterrupted — exit code 3 — leaving a directory that resumes
 // bit-exactly.
 //
-// Recovery is observable, not silent: retries and breaker trips are
-// counted in Result.RunStats.Retries and blockstore Stats, and emitted
-// as store.retry / store.breaker trace events (schema-validated like
-// every event; see the Telemetry contract below). For a single-process
-// run, cmd/tracecheck -run-stats reconciles the trace's store.retry
-// count against run_stats.retries exactly. The armed-but-idle layer is
+// Recovery is observable, not silent: retries are counted in
+// Result.RunStats.Retries and blockstore Stats, and emitted as
+// store.retry trace events (schema-validated like every event; see the
+// Telemetry contract below). For a single-process run, cmd/tracecheck
+// -run-stats reconciles the trace's store.retry count against
+// run_stats.retries exactly. The armed-but-idle layer is
 // ~free: BenchmarkResilienceOverhead and BENCH_resilience.json gate it
 // at ≤ 2% over the unwrapped engine in CI.
 //
@@ -395,10 +394,10 @@
 // marks the boundary), and the registry's counters are snapshotted
 // into every Phase-2 checkpoint and restored on resume, so cumulative
 // metrics are exact across the interruption (see Durability above).
-// Recovery activity is part of the trace: store.retry and
-// store.breaker events record every absorbed fault, and
-// Result.RunStats.Retries reconciles with the trace's store.retry
-// count via cmd/tracecheck -run-stats (see Fault tolerance above).
+// Recovery activity is part of the trace: store.retry events record
+// every absorbed fault, and Result.RunStats.Retries reconciles with the
+// trace's store.retry count via cmd/tracecheck -run-stats (see Fault
+// tolerance above).
 //
 // # Running as a service
 //

@@ -33,7 +33,7 @@ func TestFormatBytesPinned(t *testing.T) {
 		{"TPFS snapshot", "06d38e0ebd9e750d9166b6e17fc9fa584af6ecf41d373da67eeedbfa7f4b9d7d"},
 		{"manifest.json", "0cc26d494f4eff16e77426ad40a39445216c1c68357a2ce8484bd67fee7a67a8"},
 		{"TP1B log record", "429a03232f577d613077b893250e0d766d0ab67402fd629d81ebe4aa3780ee96"},
-		{"TP2S slot", "71262c4fddd04c6d0745c8dbbd3ad05f3556dba3c260662ac4dc5e0a774beabc"},
+		{"TP2S slot", "2e233bbfb93f0df76441916c141294dfca314988ecbbfbf72cc017620fa0aaf6"},
 		{"result.ckpt", "5f2d48cf9f33537f3f6e771f1ba9836b13086fb39aa8091a66dd88e28af035bd"},
 	} {
 		b, ok := got[tc.name]

@@ -17,17 +17,11 @@ import "errors"
 //
 // Wrappers preserve the class: every error path annotates with op,
 // mode/part and cause via %w, so errors.Is sees through the context.
-var (
-	// ErrTransient marks a fault that may heal on retry.
-	ErrTransient = errors.New("blockstore: transient fault")
-	// ErrBreakerOpen is returned by ResilientStore once its circuit
-	// breaker has tripped: the store keeps failing permanently, so every
-	// subsequent operation fails fast instead of burning its retry budget
-	// against a dead backend.
-	ErrBreakerOpen = errors.New("blockstore: circuit breaker open")
-)
+
+// ErrTransient marks a fault that may heal on retry.
+var ErrTransient = errors.New("blockstore: transient fault")
 
 // IsTransient reports whether err is worth retrying: it wraps
 // ErrTransient. Everything else — ErrNotFound, ErrCorrupt, ErrShape,
-// ErrInjected, ErrBreakerOpen, unclassified errors — is permanent.
+// ErrInjected, unclassified errors — is permanent.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }

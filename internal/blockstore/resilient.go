@@ -10,10 +10,9 @@ import (
 )
 
 // RetryPolicy configures the resilience layer: how many times a transient
-// fault is retried, how backoff grows between attempts, and when the
-// circuit breaker gives up on the store entirely. The zero value disables
-// the layer (Enabled() == false); MaxRetries > 0 turns it on with sane
-// defaults for the unset knobs.
+// fault is retried and how backoff grows between attempts. The zero value
+// disables the layer (Enabled() == false); MaxRetries > 0 turns it on with
+// sane defaults for the unset knobs.
 //
 // The policy is an execution knob like Workers or PrefetchDepth: it can
 // change what a run survives, never what it computes. Retried operations
@@ -30,11 +29,6 @@ type RetryPolicy struct {
 	// to MaxBackoff. Defaults: 1ms base, 100ms cap.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// BreakerThreshold is the number of consecutive operations that must
-	// fail permanently (a permanent fault, or a transient fault that
-	// exhausted its retry budget) before the breaker trips to fail-fast.
-	// Defaults to 8 when 0.
-	BreakerThreshold int
 	// Seed drives the deterministic backoff jitter.
 	Seed int64
 }
@@ -49,9 +43,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 100 * time.Millisecond
-	}
-	if p.BreakerThreshold <= 0 {
-		p.BreakerThreshold = 8
 	}
 	return p
 }
@@ -85,9 +76,6 @@ func NewRetryer(pol RetryPolicy, ob *obs.Observer) *Retryer {
 		sleep:   time.Sleep,
 	}
 }
-
-// Policy returns the (defaults-filled) policy the retryer runs under.
-func (r *Retryer) Policy() RetryPolicy { return r.pol }
 
 // Retries returns the cumulative number of retry attempts performed.
 func (r *Retryer) Retries() int64 {
@@ -141,37 +129,23 @@ func (r *Retryer) note(opName string, mode, part, attempt int, backoff time.Dura
 	}
 }
 
-// ResilientStore wraps a Store with the recovery mechanisms a remote or
-// failure-prone backend needs: a per-op retry budget for transient faults,
-// capped exponential backoff with deterministic seeded jitter between the
-// attempts, and a circuit breaker that trips to fail-fast once
-// BreakerThreshold consecutive operations have failed permanently. It is
-// the only layer of the Phase-2 stack that repeats a store operation.
-// Retries and breaker trips are counted in Stats (monotonically —
+// ResilientStore wraps a Store with the recovery a remote or failure-prone
+// backend needs: a per-op retry budget for transient faults, with capped
+// exponential backoff and deterministic seeded jitter between the
+// attempts. An operation that fails past its budget, or fails permanently,
+// returns its error annotated with the operation; the next operation gets
+// a full budget again. It is the only layer of the Phase-2 stack that
+// repeats a store operation. Retries are counted in Stats (monotonically —
 // ResetStats does not zero them, so run totals reconcile with the trace)
-// and emitted as store.retry / store.breaker events.
+// and emitted as store.retry events.
 type ResilientStore struct {
 	Store // the wrapped store; ResetStats and Close are its own
-	pol   RetryPolicy
 	retry *Retryer
-	ob    *obs.Observer
-	trips *obs.Counter
-
-	mu          sync.Mutex
-	consecutive int
-	open        bool
-	nTrips      int64
 }
 
 // Resilient wraps inner under pol. A nil observer is valid.
 func Resilient(inner Store, pol RetryPolicy, ob *obs.Observer) *ResilientStore {
-	return &ResilientStore{
-		Store: inner,
-		pol:   pol.withDefaults(),
-		retry: NewRetryer(pol, ob),
-		ob:    ob,
-		trips: ob.Counter("store.breaker_trips"),
-	}
+	return &ResilientStore{Store: inner, retry: NewRetryer(pol, ob)}
 }
 
 // SetSleep replaces the backoff sleeper (test seam).
@@ -181,54 +155,10 @@ func (s *ResilientStore) SetSleep(f func(time.Duration)) {
 	s.retry.mu.Unlock()
 }
 
-// record updates the breaker after an operation's final outcome: success
-// closes the failure streak; a final failure (permanent, or transient
-// with the budget spent) lengthens it and trips the breaker at the
-// threshold. The breaker stays open until Reset — fail-fast is the point:
-// once the store is known dead, burning every caller's full retry budget
-// against it only delays the surfacing error.
-func (s *ResilientStore) record(opName string, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err == nil {
-		s.consecutive = 0
-		return
-	}
-	s.consecutive++
-	if s.consecutive >= s.pol.BreakerThreshold && !s.open {
-		s.open = true
-		s.nTrips++
-		s.trips.Inc()
-		if s.ob.Tracing() {
-			s.ob.Emit("store.breaker",
-				obs.Str("state", "open"), obs.Str("op", opName),
-				obs.Int("consecutive", s.consecutive))
-		}
-	}
-}
-
-// Reset closes the breaker and zeroes the failure streak, for callers
-// that have independently established the store is healthy again.
-func (s *ResilientStore) Reset() {
-	s.mu.Lock()
-	s.open = false
-	s.consecutive = 0
-	s.mu.Unlock()
-}
-
-// do is the one path every operation takes: fail fast while the breaker
-// is open, then the attempt, retried while it fails transiently, then the
-// breaker update, then the error annotated with the operation.
+// do is the one path every operation takes: the attempt, retried while it
+// fails transiently, then the error annotated with the operation.
 func (s *ResilientStore) do(opName string, mode, part int, op func() error) error {
-	s.mu.Lock()
-	open := s.open
-	s.mu.Unlock()
-	if open {
-		return fmt.Errorf("%w: %s ⟨%d,%d⟩", ErrBreakerOpen, opName, mode, part)
-	}
-	err := s.retry.Do(opName, mode, part, op)
-	s.record(opName, err)
-	if err != nil {
+	if err := s.retry.Do(opName, mode, part, op); err != nil {
 		return fmt.Errorf("blockstore: %s ⟨%d,%d⟩: %w", opName, mode, part, err)
 	}
 	return nil
@@ -249,12 +179,9 @@ func (s *ResilientStore) Put(u *Unit) error {
 }
 
 // Stats implements Store: the wrapped store's counters plus this layer's
-// monotonic recovery counters (its ResetStats zeroes only the former).
+// monotonic retry count (its ResetStats zeroes only the former).
 func (s *ResilientStore) Stats() Stats {
 	st := s.Store.Stats()
 	st.Retries += s.retry.Retries()
-	s.mu.Lock()
-	st.BreakerTrips += s.nTrips
-	s.mu.Unlock()
 	return st
 }

@@ -24,7 +24,6 @@ func TestIsTransientClassification(t *testing.T) {
 		{fmt.Errorf("wrap: %w", ErrInjected), false},
 		{fmt.Errorf("wrap: %w", ErrNotFound), false},
 		{fmt.Errorf("wrap: %w", ErrCorrupt), false},
-		{fmt.Errorf("wrap: %w", ErrBreakerOpen), false},
 		{errors.New("unknown"), false},
 		{nil, false},
 	}
@@ -65,9 +64,6 @@ func TestResilientHealsTransientFaults(t *testing.T) {
 	}
 	if st.Reads != 1 || st.Writes != 1 {
 		t.Fatalf("successful-op counters polluted by retries: Reads=%d Writes=%d, want 1/1", st.Reads, st.Writes)
-	}
-	if st.BreakerTrips != 0 {
-		t.Fatalf("BreakerTrips = %d, want 0", st.BreakerTrips)
 	}
 }
 
@@ -116,75 +112,48 @@ func TestResilientPermanentNotRetried(t *testing.T) {
 	}
 }
 
-// TestBreakerTripsAndResets: BreakerThreshold consecutive final failures
-// trip the breaker; subsequent ops fail fast with ErrBreakerOpen without
-// touching the store; Reset closes it again.
-func TestBreakerTripsAndResets(t *testing.T) {
+// TestResilientEveryOpGetsFullBudget: operations that failed past their
+// budget do not shorten a later operation's. Eight Gets in a row exhaust
+// theirs against a read outage; the ninth, after the outage, returns the
+// unit, and every retry was traced.
+func TestResilientEveryOpGetsFullBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	retryEvents := 0
+	ob := &obs.Observer{OnEvent: func(e obs.Event) {
+		if e.Name == "store.retry" {
+			retryEvents++
+		}
+	}}
 	mem := NewMemStore()
 	faulty := NewFaultyStore(mem)
-	rs := Resilient(faulty, RetryPolicy{MaxRetries: 1, BreakerThreshold: 3, Seed: 7}, nil)
+	rs := Resilient(faulty, RetryPolicy{MaxRetries: 1, Seed: 7}, ob)
 	rs.SetSleep(noSleep)
 	u := testUnit(rng)
 	if err := rs.Put(u); err != nil {
 		t.Fatal(err)
 	}
-	faulty.SetPlan(FaultPlan{ReadOutageFrom: 1, ReadOutageLen: 1 << 40, Permanent: true})
-
-	for i := 0; i < 3; i++ {
-		if _, err := rs.Get(u.Mode, u.Part); !errors.Is(err, ErrInjected) {
-			t.Fatalf("op %d: err = %v, want ErrInjected", i, err)
+	// Reads 1..16 fail transiently: two attempts each for eight Gets.
+	faulty.SetPlan(FaultPlan{ReadOutageFrom: 1, ReadOutageLen: 16})
+	for i := 0; i < 8; i++ {
+		if _, err := rs.Get(u.Mode, u.Part); !IsTransient(err) {
+			t.Fatalf("Get %d in the outage: err = %v, want transient", i+1, err)
 		}
 	}
-	readsBefore, _ := faulty.Fails()
-	if _, err := rs.Get(u.Mode, u.Part); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("after trip: err = %v, want ErrBreakerOpen", err)
+	got, err := rs.Get(u.Mode, u.Part)
+	if err != nil {
+		t.Fatalf("Get after the outage: %v", err)
 	}
-	if err := rs.Put(u); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("put after trip: err = %v, want ErrBreakerOpen", err)
+	if !unitsEqual(got, u) {
+		t.Fatal("Get returned different unit")
 	}
-	if readsAfter, _ := faulty.Fails(); readsAfter != readsBefore {
-		t.Fatal("breaker-open op still reached the inner store")
-	}
-	if got := rs.Stats().BreakerTrips; got != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1", got)
-	}
-
-	faulty.SetPlan(FaultPlan{})
-	rs.Reset()
-	if _, err := rs.Get(u.Mode, u.Part); err != nil {
-		t.Fatalf("after Reset: %v", err)
-	}
-}
-
-// TestBreakerSuccessClosesStreak: interleaved successes keep the streak
-// from reaching the threshold.
-func TestBreakerSuccessClosesStreak(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	mem := NewMemStore()
-	faulty := NewFaultyStore(mem)
-	rs := Resilient(faulty, RetryPolicy{MaxRetries: 1, BreakerThreshold: 2, Seed: 7}, nil)
-	rs.SetSleep(noSleep)
-	u := testUnit(rng)
-	if err := rs.Put(u); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := rs.Get(9, 9); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("miss %d: %v", i, err)
-		}
-		if _, err := rs.Get(u.Mode, u.Part); err != nil {
-			t.Fatalf("hit %d: %v", i, err)
-		}
-	}
-	if got := rs.Stats().BreakerTrips; got != 0 {
-		t.Fatalf("BreakerTrips = %d, want 0", got)
+	if st := rs.Stats(); st.Retries != 8 || int(st.Retries) != retryEvents {
+		t.Fatalf("Stats.Retries = %d, store.retry events = %d, want 8 each", st.Retries, retryEvents)
 	}
 }
 
 // TestRetryEventsAndCounters: store.retry events and the store.retries
 // counter reconcile exactly with Stats.Retries, and ResetStats leaves the
-// monotonic recovery counters alone.
+// monotonic retry count alone.
 func TestRetryEventsAndCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var mu sync.Mutex
@@ -200,14 +169,14 @@ func TestRetryEventsAndCounters(t *testing.T) {
 	}
 	mem := NewMemStore()
 	faulty := NewFaultyStore(mem)
-	rs := Resilient(faulty, RetryPolicy{MaxRetries: 2, BreakerThreshold: 2, Seed: 7}, ob)
+	rs := Resilient(faulty, RetryPolicy{MaxRetries: 2, Seed: 7}, ob)
 	rs.SetSleep(noSleep)
 	u := testUnit(rng)
 	if err := rs.Put(u); err != nil {
 		t.Fatal(err)
 	}
-	// Two transient reads healed by retries, then a permanent outage that
-	// trips the breaker after two exhausted budgets.
+	// Two transient reads healed by retries, then an outage that exhausts
+	// two budgets.
 	faulty.SetPlan(FaultPlan{ReadOutageFrom: 1, ReadOutageLen: 2})
 	if _, err := rs.Get(u.Mode, u.Part); err != nil {
 		t.Fatal(err)
@@ -222,27 +191,18 @@ func TestRetryEventsAndCounters(t *testing.T) {
 	if st.Retries != 6 { // 2 healed + 2×2 exhausted
 		t.Fatalf("Stats.Retries = %d, want 6", st.Retries)
 	}
-	if st.BreakerTrips != 1 {
-		t.Fatalf("Stats.BreakerTrips = %d, want 1", st.BreakerTrips)
-	}
 	mu.Lock()
 	defer mu.Unlock()
 	if events["store.retry"] != int(st.Retries) {
 		t.Fatalf("store.retry events = %d, want %d (reconcile with Stats.Retries)", events["store.retry"], st.Retries)
 	}
-	if events["store.breaker"] != 1 {
-		t.Fatalf("store.breaker events = %d, want 1", events["store.breaker"])
-	}
 	if got := reg.Counter("store.retries").Load(); got != st.Retries {
 		t.Fatalf("store.retries counter = %d, want %d", got, st.Retries)
 	}
-	if got := reg.Counter("store.breaker_trips").Load(); got != 1 {
-		t.Fatalf("store.breaker_trips counter = %d, want 1", got)
-	}
 
 	rs.ResetStats()
-	if after := rs.Stats(); after.Retries != st.Retries || after.BreakerTrips != st.BreakerTrips {
-		t.Fatalf("ResetStats zeroed monotonic recovery counters: %+v", after)
+	if after := rs.Stats(); after.Retries != st.Retries {
+		t.Fatalf("ResetStats zeroed the monotonic retry counter: %+v", after)
 	}
 }
 

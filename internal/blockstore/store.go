@@ -145,18 +145,17 @@ func (u *Unit) Recycle() {
 // counters accumulate payload volume. Reads, Writes and the byte counters
 // count successful operations only, so a retried transient fault leaves
 // them identical to a fault-free run — the foundation of the
-// "deterministic under retry" contract. Retries and BreakerTrips are
-// recovery-path counters maintained by ResilientStore; they are monotonic
-// (ResetStats does not zero them) so a Result's retry total reconciles
-// with the store.retry events in the trace even though the I/O counters
-// are reset between run phases.
+// "deterministic under retry" contract. Retries is the recovery-path
+// counter maintained by ResilientStore; it is monotonic (ResetStats does
+// not zero it) so a Result's retry total reconciles with the store.retry
+// events in the trace even though the I/O counters are reset between run
+// phases.
 type Stats struct {
 	Reads        int64
 	Writes       int64
 	BytesRead    int64
 	BytesWritten int64
 	Retries      int64
-	BreakerTrips int64
 }
 
 // Add accumulates other into s.
@@ -166,7 +165,6 @@ func (s *Stats) Add(other Stats) {
 	s.BytesRead += other.BytesRead
 	s.BytesWritten += other.BytesWritten
 	s.Retries += other.Retries
-	s.BreakerTrips += other.BreakerTrips
 }
 
 // ErrNotFound is returned by Get, and by an A-part Put, for units that

@@ -29,11 +29,11 @@
 // on them. checkpoint.write
 // events carry real record sizes, which embed I/O counters for phase2.ckpt
 // and therefore may differ across prefetch depths; they are exempt from
-// the cross-configuration guarantee. store.retry and store.breaker
-// events record recovery from faults whose timing is inherently
-// nondeterministic, so they too are exempt — their invariant is instead
-// that retries never change what the run computes (see the blockstore
-// package) and that their count reconciles with Stats.Retries.
+// the cross-configuration guarantee. store.retry events record recovery
+// from faults whose timing is inherently nondeterministic, so they too
+// are exempt — their invariant is instead that retries never change what
+// the run computes (see the blockstore package) and that their count
+// reconciles with Stats.Retries.
 package obs
 
 import "time"

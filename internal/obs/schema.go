@@ -124,11 +124,10 @@ var Schema = map[string][]FieldSpec{
 		{Name: "stage", Type: TypeStr},
 	},
 	// Resilience: one store.retry event per retry attempt (emitted by the
-	// Retryer before it backs off) and one store.breaker event when the
-	// circuit breaker changes state. Both record *recovery* from
+	// Retryer before it backs off). It records *recovery* from
 	// nondeterministic outside events — fault timing, probabilistic
-	// injection, I/O races — so their multiset is exempt from the
-	// cross-configuration determinism guarantee; the contract they do
+	// injection, I/O races — so its multiset is exempt from the
+	// cross-configuration determinism guarantee; the contract it does
 	// carry is reconciliation: the number of store.retry events in a
 	// single-process trace equals the run's Stats.Retries total
 	// (cmd/tracecheck -run-stats enforces it). mode/part are -1 when the
@@ -141,11 +140,6 @@ var Schema = map[string][]FieldSpec{
 		{Name: "attempt", Type: TypeNum},
 		{Name: "backoff_ns", Type: TypeNum},
 		{Name: "error", Type: TypeStr},
-	},
-	"store.breaker": {
-		{Name: "state", Type: TypeStr},
-		{Name: "op", Type: TypeStr},
-		{Name: "consecutive", Type: TypeNum},
 	},
 }
 

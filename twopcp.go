@@ -138,8 +138,8 @@ type Options struct {
 	Observer *Observer
 	// Retry configures the resilience layer: transient store and block
 	// faults are retried with capped exponential backoff (seeded jitter),
-	// and a circuit breaker trips to fail-fast after repeated permanent
-	// faults. Retries never change what the run computes — factors,
+	// at most 1+MaxRetries attempts per operation, and then the operation
+	// fails. Retries never change what the run computes — factors,
 	// FitTrace and the Result's I/O counters are bit-identical to a
 	// fault-free run (only successful operations count). The zero value
 	// disables the layer entirely. Excluded from the checkpoint
@@ -497,7 +497,7 @@ func (r *runCtx) phase1() (err error) {
 }
 
 // storeStack builds the Phase-2 store, inside out: base store → chaos
-// fault injector (testing only) → resilience wrapper (retries, breaker) →
+// fault injector (testing only) → resilience wrapper (retries) →
 // instrumentation. One rule: a layer that is off is not in the stack. The
 // resilience layer sits below instrumentation so the Reads/Writes/Bytes
 // counters record only successful operations — that is what keeps a
