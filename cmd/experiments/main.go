@@ -48,9 +48,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: experiments [flags] table1|fig11|table2|table3|fig12|fig13|convergence|accel|all")
 		os.Exit(2)
 	}
-	if *kworkers > 0 {
-		par.SetWorkers(*kworkers)
-	}
+	defer par.PopWorkers(par.PushWorkers(*kworkers))
 	if *resume && *ckptDir == "" {
 		log.Fatal("-resume requires -checkpoint")
 	}

@@ -283,9 +283,10 @@
 // original and resumed processes because results never depend on them
 // (see the two sections above). Durability composes with telemetry: a
 // resumed run pointed at the same trace file appends to the pre-crash
-// event stream, metric counters are persisted in the Phase-2 checkpoint
-// and restored on resume, and a checkpoint.resume event marks the seam
-// (see the Telemetry contract below). Durability covers the process
+// event stream, a checkpoint.resume event marks the seam, and
+// Result.RunStats carries the run's cumulative figures across the
+// interruption; metric counters are not checkpointed (see the Telemetry
+// contract below). Durability covers the process
 // dying; storage that misbehaves while the process lives is the Fault
 // tolerance contract's job (next section).
 //
@@ -391,9 +392,12 @@
 //
 // Telemetry survives crashes with the run: OpenTrace appends, so a
 // resumed run extends the original event stream (checkpoint.resume
-// marks the boundary), and the registry's counters are snapshotted
-// into every Phase-2 checkpoint and restored on resume, so cumulative
-// metrics are exact across the interruption (see Durability above).
+// marks the boundary). The registry's counters belong to the process,
+// as Prometheus counters do: monotonic for its life, from zero in the
+// next. A resume adds to whatever registry it is given and never
+// rewinds it — twopcpd shares one among all its jobs — while
+// Result.RunStats and the -json result stay the run's exact cumulative
+// record across the interruption (see Durability above).
 // Recovery activity is part of the trace: store.retry events record
 // every absorbed fault, and Result.RunStats.Retries reconciles with the
 // trace's store.retry count via cmd/tracecheck -run-stats (see Fault

@@ -1,9 +1,6 @@
 package blockstore
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // LatencyStore wraps a Store and adds a fixed latency to every read and
 // write, modeling the disk/network cost of moving a data unit. The paper's
@@ -14,44 +11,21 @@ type LatencyStore struct {
 	Store // the wrapped store; Stats, ResetStats and Close are its own
 	read  time.Duration
 	write time.Duration
-
-	mu      sync.Mutex
-	waited  time.Duration
-	sleeper func(time.Duration) // test seam; defaults to time.Sleep
 }
 
 // WithLatency wraps inner so every Get costs read and every Put costs write.
 func WithLatency(inner Store, read, write time.Duration) *LatencyStore {
-	return &LatencyStore{Store: inner, read: read, write: write, sleeper: time.Sleep}
-}
-
-func (s *LatencyStore) delay(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.waited += d
-	sleep := s.sleeper
-	s.mu.Unlock()
-	sleep(d)
+	return &LatencyStore{Store: inner, read: read, write: write}
 }
 
 // Put implements Store.
 func (s *LatencyStore) Put(u *Unit) error {
-	s.delay(s.write)
+	time.Sleep(s.write)
 	return s.Store.Put(u)
 }
 
 // Get implements Store.
 func (s *LatencyStore) Get(mode, part int) (*Unit, error) {
-	s.delay(s.read)
+	time.Sleep(s.read)
 	return s.Store.Get(mode, part)
-}
-
-// Waited returns the cumulative injected latency (for reporting the I/O
-// share of a run's wall time).
-func (s *LatencyStore) Waited() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.waited
 }

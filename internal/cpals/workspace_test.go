@@ -145,7 +145,7 @@ func TestDecomposeKernelWorkersBitExact(t *testing.T) {
 	x := tensor.RandomDense(rand.New(rand.NewSource(42)), 24, 20, 18)
 	for _, rank := range []int{8, 16} {
 		run := func(w int) (*KTensor, Info) {
-			defer par.SetWorkers(par.SetWorkers(w))
+			defer par.PopWorkers(par.PushWorkers(w))
 			kt, info, err := Decompose(x, Options{
 				Rank: rank, MaxIters: 4, Rng: rand.New(rand.NewSource(2)),
 			})
@@ -185,7 +185,7 @@ func BenchmarkALSSweep(b *testing.B) {
 	init := []*mat.Matrix{
 		mat.Random(64, 16, rng), mat.Random(64, 16, rng), mat.Random(64, 16, rng),
 	}
-	defer par.SetWorkers(par.SetWorkers(1))
+	defer par.PopWorkers(par.PushWorkers(1))
 	variants := []struct {
 		name   string
 		withWS bool

@@ -27,7 +27,7 @@ func naiveGram(a *Matrix) *Matrix {
 }
 
 func withWorkers(w int, fn func()) {
-	defer par.SetWorkers(par.SetWorkers(w))
+	defer par.PopWorkers(par.PushWorkers(w))
 	fn()
 }
 
@@ -183,7 +183,7 @@ func BenchmarkGram(b *testing.B) {
 			name = "maxprocs"
 		}
 		b.Run(name, func(b *testing.B) {
-			defer par.SetWorkers(par.SetWorkers(w))
+			defer par.PopWorkers(par.PushWorkers(w))
 			b.SetBytes(int64(a.Rows * a.Cols * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -199,7 +199,7 @@ func BenchmarkTMul(b *testing.B) {
 	a := Random(1<<14, 16, rng)
 	c := Random(1<<14, 16, rng)
 	out := New(16, 16)
-	defer par.SetWorkers(par.SetWorkers(1))
+	defer par.PopWorkers(par.PushWorkers(1))
 	b.SetBytes(int64(2 * a.Rows * a.Cols * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

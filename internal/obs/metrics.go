@@ -31,10 +31,6 @@ func (c *Counter) Inc() { c.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// set overwrites the value; only RestoreCounters uses it (checkpoint
-// resume), which is why it is not part of the public surface.
-func (c *Counter) set(n int64) { c.v.Store(n) }
-
 // Gauge is an atomic float64 holding a last-written value (a level, not
 // an accumulation: current fit, buffer residents, sweep number).
 type Gauge struct{ bits atomic.Uint64 }
@@ -159,27 +155,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// CounterValues returns a snapshot of every counter by name — the form
-// persisted into Phase-2 checkpoints so counters resume exactly.
-func (r *Registry) CounterValues() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] = c.Load()
-	}
-	return out
-}
-
-// RestoreCounters overwrites the named counters with checkpointed values
-// (creating any that do not exist yet). Counters not named in vals keep
-// their current values.
-func (r *Registry) RestoreCounters(vals map[string]int64) {
-	for name, v := range vals {
-		r.Counter(name).set(v)
-	}
 }
 
 // registrySnapshot is the JSON snapshot layout; encoding/json sorts map

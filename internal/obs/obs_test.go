@@ -374,25 +374,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestCounterRestore covers the checkpoint round-trip: CounterValues out,
-// RestoreCounters back into a fresh registry.
-func TestCounterRestore(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("buffer.fetches").Add(17)
-	r.Counter("blockstore.reads").Add(5)
-	vals := r.CounterValues()
-
-	fresh := NewRegistry()
-	fresh.Counter("buffer.fetches").Add(999) // pre-existing value is overwritten
-	fresh.RestoreCounters(vals)
-	if got := fresh.Counter("buffer.fetches").Load(); got != 17 {
-		t.Errorf("restored buffer.fetches = %d, want 17", got)
-	}
-	if got := fresh.Counter("blockstore.reads").Load(); got != 5 {
-		t.Errorf("restored blockstore.reads = %d, want 5", got)
-	}
-}
-
 // TestSnapshotJSONDeterministic: two snapshots of the same state must be
 // byte-identical (map keys are sorted by encoding/json).
 func TestSnapshotJSONDeterministic(t *testing.T) {

@@ -4,9 +4,10 @@
 // The pool is a fixed set of long-lived goroutines (one per logical CPU)
 // started lazily on first use; kernels submit work with Do, which splits an
 // index space across the pool and the calling goroutine. Parallelism is
-// capped by SetWorkers — the process-wide KernelWorkers knob exposed through
-// twopcp.Options — and Do degrades to a plain loop when the cap is 1, the
-// index space is trivial, or every pool worker is busy (nested parallelism).
+// capped by the PushWorkers/PopWorkers pair — the process-wide
+// KernelWorkers knob exposed through twopcp.Options — and Do degrades to a
+// plain loop when the cap is 1, the index space is trivial, or every pool
+// worker is busy (nested parallelism).
 //
 // Determinism contract: the kernels built on Do are written so that their
 // floating-point results do not depend on the worker count or on how panels
@@ -35,27 +36,6 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SetWorkers sets the kernel-parallelism cap and returns the previous
-// setting. n <= 0 restores the default (GOMAXPROCS). The cap is process
-// global: concurrent callers that need different settings should coordinate
-// (or use the scoped PushWorkers/PopWorkers pair). If scoped overrides are
-// active, SetWorkers updates the base they will restore — the newest
-// override's cap keeps applying until it pops — so the setting is never
-// silently discarded.
-func SetWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	overrideMu.Lock()
-	defer overrideMu.Unlock()
-	if len(overrides) > 0 {
-		prev := overrideBase
-		overrideBase = int64(n)
-		return int(prev)
-	}
-	return int(maxWorkers.Swap(int64(n)))
-}
-
 // MinParallelWork is the approximate flop count below which the compute
 // kernels skip parallel dispatch (see WorkersFor). Panel structure — and
 // therefore floating-point results — is unaffected; only scheduling
@@ -77,13 +57,12 @@ func WorkersFor(work int) int {
 // one's cap applies (the cap is still one process-global value, so while
 // calls with different caps overlap, the most recently pushed governs all
 // of them). Popping any override — in any completion order — re-applies
-// the newest remaining cap, and the last pop restores the pre-override
-// base, so a finished call can never leave its cap behind.
+// the newest remaining cap, and the last pop restores the default
+// (GOMAXPROCS), so a finished call can never leave its cap behind.
 var (
-	overrideMu   sync.Mutex
-	overrideSeq  int
-	overrideBase int64
-	overrides    []workersOverride
+	overrideMu  sync.Mutex
+	overrideSeq int
+	overrides   []workersOverride
 )
 
 type workersOverride struct {
@@ -92,13 +71,11 @@ type workersOverride struct {
 }
 
 // PushWorkers installs a scoped kernel-parallelism cap and returns a
-// token; pair with PopWorkers(token).
+// token; pair with PopWorkers(token). n <= 0 means the default
+// (GOMAXPROCS).
 func PushWorkers(n int) int {
 	overrideMu.Lock()
 	defer overrideMu.Unlock()
-	if len(overrides) == 0 {
-		overrideBase = maxWorkers.Load()
-	}
 	if n < 0 {
 		n = 0
 	}
@@ -109,8 +86,8 @@ func PushWorkers(n int) int {
 }
 
 // PopWorkers exits the override identified by token, re-applying the
-// newest remaining override's cap (or the pre-override base when none
-// remain). Unknown tokens are no-ops.
+// newest remaining override's cap (or the default when none remain).
+// Unknown tokens are no-ops.
 func PopWorkers(token int) {
 	overrideMu.Lock()
 	defer overrideMu.Unlock()
@@ -121,7 +98,7 @@ func PopWorkers(token int) {
 		}
 	}
 	if len(overrides) == 0 {
-		maxWorkers.Store(overrideBase)
+		maxWorkers.Store(0)
 	} else {
 		maxWorkers.Store(overrides[len(overrides)-1].cap)
 	}

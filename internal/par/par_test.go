@@ -24,7 +24,7 @@ func TestDoCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestDoSerialOrder(t *testing.T) {
-	defer SetWorkers(SetWorkers(1))
+	defer PopWorkers(PushWorkers(1))
 	var got []int
 	Do(5, func(i int) { got = append(got, i) })
 	for i, v := range got {
@@ -34,25 +34,11 @@ func TestDoSerialOrder(t *testing.T) {
 	}
 }
 
-func TestSetWorkers(t *testing.T) {
-	orig := SetWorkers(3)
-	defer SetWorkers(orig)
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", Workers())
-	}
-	if prev := SetWorkers(0); prev != 3 {
-		t.Fatalf("SetWorkers returned %d, want 3", prev)
-	}
-	if Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers() = %d, want GOMAXPROCS", Workers())
-	}
-}
-
 // TestNestedDoDoesNotDeadlock exercises kernels calling kernels: inner Do
 // calls issued from pool workers must complete even when the pool is
 // saturated.
 func TestNestedDoDoesNotDeadlock(t *testing.T) {
-	defer SetWorkers(SetWorkers(0))
+	defer PopWorkers(PushWorkers(0))
 	var total atomic.Int64
 	DoWorkers(8, 8, func(i int) {
 		DoWorkers(8, 100, func(j int) {
@@ -66,11 +52,11 @@ func TestNestedDoDoesNotDeadlock(t *testing.T) {
 
 // TestPushPopWorkersNoLeak pins the scoped-override contract: whatever
 // order overlapping overrides finish in, a finished override's cap never
-// governs the survivors, and the last pop restores the pre-override base.
+// governs the survivors, and popping them all restores the cap beneath.
 func TestPushPopWorkersNoLeak(t *testing.T) {
-	orig := SetWorkers(5)
-	defer SetWorkers(orig)
-	a := PushWorkers(8) // records base 5
+	base := PushWorkers(5)
+	defer PopWorkers(base)
+	a := PushWorkers(8)
 	b := PushWorkers(2)
 	if Workers() != 2 {
 		t.Fatalf("Workers() = %d, want 2 (newest override)", Workers())
@@ -100,10 +86,15 @@ func TestPushPopWorkersNoLeak(t *testing.T) {
 	if Workers() != 5 {
 		t.Fatalf("Workers() = %d, want base 5", Workers())
 	}
+	// The last pop leaves no cap: the default is GOMAXPROCS.
+	PopWorkers(base)
+	if Workers() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Workers() = %d after the last pop, want GOMAXPROCS", Workers())
+	}
 }
 
 func TestConcurrentDo(t *testing.T) {
-	defer SetWorkers(SetWorkers(0))
+	defer PopWorkers(PushWorkers(0))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

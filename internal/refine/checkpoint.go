@@ -14,12 +14,14 @@ import (
 // no update in flight), every Config.CheckpointEverySteps steps. A
 // checkpoint is the complete mutable state of the refinement — the
 // engine's runstate.Progress as it stands (schedule position, counters,
-// FitTrace, convergence and warm-up state), the buffer.State, the store
-// and telemetry counters and the current A factor partitions — so an
+// FitTrace, convergence and warm-up state), the buffer.State, the
+// cumulative store traffic and the current A factor partitions — so an
 // engine rebuilt from it replays the remaining steps bit-for-bit: the P/Q
 // components are pure functions of the checkpointed A (and the Phase-1
 // U), and the buffer state pins every subsequent hit/miss/eviction
-// decision.
+// decision. Telemetry counters are not part of it: they belong to the
+// process, and a resumed run's figures across the interruption are its
+// Result.
 type Checkpointer interface {
 	// LoadPhase2 returns the latest checkpoint, or ok=false when none
 	// exists.
@@ -78,22 +80,15 @@ func (e *Engine) saveCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	storeStats := e.cfg.Store.Stats()
-	storeStats.Add(e.statsOffset)
 	st := &runstate.Phase2State{
 		Progress:   e.prog,
 		Buffer:     bs,
-		StoreStats: storeStats,
+		StoreStats: e.cfg.Store.Stats(),
 		A:          e.curA,
 	}
+	st.StoreStats.Add(e.statsOffset)
 	// The engine keeps appending to its trace; the checkpoint gets a copy.
 	st.FitTrace = append([]float64(nil), e.prog.FitTrace...)
-	// Persist the metrics registry's counters so telemetry resumes
-	// exactly: a resumed run's counters continue from the checkpoint, not
-	// from zero (old checkpoints without the field restore nothing).
-	if e.cfg.Obs != nil && e.cfg.Obs.Metrics != nil {
-		st.Metrics = e.cfg.Obs.Metrics.CounterValues()
-	}
 	if err := e.cfg.Checkpoint.SavePhase2(st); err != nil {
 		return fmt.Errorf("refine: checkpoint: %w", err)
 	}
@@ -114,11 +109,5 @@ func (e *Engine) restoreFromState(st *runstate.Phase2State) error {
 	e.statsOffset = st.StoreStats
 	e.prog = st.Progress
 	e.prog.FitTrace = append([]float64(nil), st.FitTrace...)
-	if e.cfg.Obs != nil && e.cfg.Obs.Metrics != nil && st.Metrics != nil {
-		// Overwrite this process's counters with the checkpointed values:
-		// increments made while reloading (e.g. cached Phase-1 blocks)
-		// are replaced by the original run's exact counts.
-		e.cfg.Obs.Metrics.RestoreCounters(st.Metrics)
-	}
 	return nil
 }

@@ -97,9 +97,9 @@ type Config struct {
 	// Obs receives telemetry: phase2.step events per scheduled access,
 	// phase2.iter events per virtual iteration, live fit/progress gauges,
 	// and — through the buffer manager — the buffer's trace events and
-	// counters. When checkpointing, the registry's counters are persisted
-	// into the Phase-2 state and restored on resume. Nil disables it at
-	// ~zero cost.
+	// counters. Checkpoints do not carry the registry: a resumed engine
+	// adds to the counters it finds, never rewinds them. Nil disables it
+	// at ~zero cost.
 	Obs *obs.Observer
 	// Stop, when non-nil and closed, drains the run gracefully: the
 	// in-flight step finishes, a checkpoint is written at the boundary

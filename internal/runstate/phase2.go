@@ -66,12 +66,6 @@ type Phase2State struct {
 	Buffer BufferState `json:"buffer"`
 	// StoreStats is the cumulative store traffic at the checkpoint.
 	StoreStats blockstore.Stats `json:"store_stats"`
-	// Metrics is the telemetry registry's counter snapshot at the
-	// checkpoint, so a resumed run's counters continue exactly where the
-	// interrupted run's stopped. Absent (nil) in pre-telemetry
-	// checkpoints and in runs without a metrics registry — both restore
-	// nothing, keeping old checkpoint files loadable.
-	Metrics map[string]int64 `json:"metrics,omitempty"`
 	// A[mode][part] are the current factor partitions A(mode)_(part); they
 	// travel in the binary section of the checkpoint file, not the JSON
 	// header.

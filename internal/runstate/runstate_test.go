@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"twopcp/internal/blockstore"
@@ -303,6 +305,33 @@ func TestPhase2RoundTripAndCorruption(t *testing.T) {
 	}
 	if _, _, err := rs.LoadPhase2(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("both slots damaged: %v", err)
+	}
+}
+
+// TestPhase2IgnoresMetricsKey: Phase-2 slots used to carry a snapshot of
+// the metrics registry under a "metrics" header key. A slot that still has
+// one loads the same state as one without it, so such a checkpoint resumes
+// bit for bit and nothing of the snapshot reaches the resumed run.
+func TestPhase2IgnoresMetricsKey(t *testing.T) {
+	st := phase2Sample(3)
+	old := struct {
+		phase2Header
+		Metrics map[string]int64 `json:"metrics"`
+	}{phase2Header{Phase2State: *st, AParts: []int{2, 1}}, map[string]int64{"jobs.submitted": 1}}
+	mats := []*mat.Matrix{st.A[0][0], st.A[0][1], st.A[1][0]}
+	section, err := appendSection(nil, "phase2", old, mats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(section), `"metrics":{"jobs.submitted":1}`) {
+		t.Fatal("the section has no metrics key to ignore")
+	}
+	got, err := decodePhase2(section)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Fatalf("decoded %+v, want %+v", got, st)
 	}
 }
 

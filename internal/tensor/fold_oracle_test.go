@@ -136,7 +136,7 @@ func TestFoldMatchesPerFiberOracle(t *testing.T) {
 				foldPerFiber(want, x, factors, n)
 				for _, w := range []int{1, 2, 7} {
 					func() {
-						defer par.SetWorkers(par.SetWorkers(w))
+						defer par.PopWorkers(par.PushWorkers(w))
 						got := mat.New(dims[n], f)
 						got.Fill(42)
 						MTTKRPInto(got, x, factors, n)
@@ -257,7 +257,7 @@ func TestMode0MatchesPerFiberOracle(t *testing.T) {
 			mode0PerFiber(want, x, factors)
 			for _, w := range []int{1, 2, 7} {
 				func() {
-					defer par.SetWorkers(par.SetWorkers(w))
+					defer par.PopWorkers(par.PushWorkers(w))
 					got := mat.New(dims[0], f)
 					got.Fill(42)
 					MTTKRPInto(got, x, factors, 0)

@@ -26,7 +26,7 @@ func BenchmarkMTTKRP(b *testing.B) {
 		}
 		for n := 0; n < 3; n++ {
 			b.Run(fmt.Sprintf("%s/mode%d", name, n), func(b *testing.B) {
-				defer par.SetWorkers(par.SetWorkers(workers))
+				defer par.PopWorkers(par.PushWorkers(workers))
 				out := mat.New(256, f)
 				b.SetBytes(int64(len(x.Data) * 8))
 				b.ResetTimer()
@@ -49,7 +49,7 @@ func BenchmarkMTTKRP4Mode(b *testing.B) {
 	for k := range factors {
 		factors[k] = mat.Random(64, f, rng)
 	}
-	defer par.SetWorkers(par.SetWorkers(1))
+	defer par.PopWorkers(par.PushWorkers(1))
 	out := mat.New(64, f)
 	b.SetBytes(int64(len(x.Data) * 8))
 	b.ResetTimer()
@@ -64,7 +64,7 @@ func BenchmarkMTTKRP4Mode(b *testing.B) {
 // counted), and a fold from S alone (mode 2). docs/performance.md's
 // per-pass table is this benchmark.
 func BenchmarkSweepPasses(b *testing.B) {
-	defer par.SetWorkers(par.SetWorkers(1))
+	defer par.PopWorkers(par.PushWorkers(1))
 	rng := rand.New(rand.NewSource(3))
 	dims := []int{64, 64, 64}
 	x := RandomDense(rng, dims...)

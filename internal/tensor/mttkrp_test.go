@@ -64,12 +64,12 @@ func TestMTTKRPParallelBitExact(t *testing.T) {
 		}
 		for n := range dims {
 			serial := func() *mat.Matrix {
-				defer par.SetWorkers(par.SetWorkers(1))
+				defer par.PopWorkers(par.PushWorkers(1))
 				return MTTKRP(x, factors, n)
 			}()
 			for _, w := range workerCounts {
 				got := func() *mat.Matrix {
-					defer par.SetWorkers(par.SetWorkers(w))
+					defer par.PopWorkers(par.PushWorkers(w))
 					return MTTKRP(x, factors, n)
 				}()
 				if !got.Equal(serial) {
@@ -97,12 +97,12 @@ func TestMTTKRPParallelBitExactLarge(t *testing.T) {
 		}
 		for n := range dims {
 			serial := func() *mat.Matrix {
-				defer par.SetWorkers(par.SetWorkers(1))
+				defer par.PopWorkers(par.PushWorkers(1))
 				return MTTKRP(x, factors, n)
 			}()
 			for _, w := range workerCounts {
 				got := func() *mat.Matrix {
-					defer par.SetWorkers(par.SetWorkers(w))
+					defer par.PopWorkers(par.PushWorkers(w))
 					return MTTKRP(x, factors, n)
 				}()
 				if !got.Equal(serial) {
@@ -226,7 +226,7 @@ func TestMTTKRPGenericMatchesReferenceManyShapes(t *testing.T) {
 }
 
 func TestParRowPanelsCoversRows(t *testing.T) {
-	defer par.SetWorkers(par.SetWorkers(1)) // serial execution, per-w geometry
+	defer par.PopWorkers(par.PushWorkers(1)) // serial execution, per-w geometry
 	for _, rows := range []int{1, 15, 16, 17, 100, 1024} {
 		for _, w := range workerCounts {
 			seen := make([]bool, rows)

@@ -51,7 +51,7 @@ func TestSweepMatchesStandaloneBitForBit(t *testing.T) {
 			want := make([]*mat.Matrix, len(dims))
 			for n := range dims {
 				func() {
-					defer par.SetWorkers(par.SetWorkers(1))
+					defer par.PopWorkers(par.PushWorkers(1))
 					want[n] = mat.New(dims[n], f)
 					MTTKRPInto(want[n], x, factors, n)
 				}()
@@ -62,7 +62,7 @@ func TestSweepMatchesStandaloneBitForBit(t *testing.T) {
 			}
 			for _, w := range workerCounts {
 				func() {
-					defer par.SetWorkers(par.SetWorkers(w))
+					defer par.PopWorkers(par.PushWorkers(w))
 					sw.Bind(x)
 					// Two rounds in ALS order, then the modes backwards:
 					// the first round computes S, the rest reuse it.

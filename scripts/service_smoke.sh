@@ -4,7 +4,8 @@
 # mid-job (it must drain: checkpoint, exit 3), restart it over the same
 # data directory (it must resume the job without client action), and
 # verify the finished factors are bit-for-bit identical to a local CLI
-# run of the same spec, then hit the four query routes on the finished job
+# run of the same spec and that the resume left the restarted daemon's
+# /metrics counters alone, then hit the four query routes on the finished job
 # (each answer must be one compact JSON line). This is the operational
 # story docs/service.md tells, executed literally.
 #
@@ -99,6 +100,16 @@ for _ in $(seq 1 600); do
 done
 case "$state" in *done*) ;; *) echo "job never finished (last state: $state)" >&2; exit 1 ;; esac
 
+echo "== scrape the restarted daemon's /metrics: a resume must not rewind its counters"
+# The restarted daemon submitted nothing, so its jobs_submitted counter is
+# absent or zero; the first daemon's 1 showing here means the resumed job
+# wrote checkpointed counters back into the daemon's registry.
+curl -fs "http://localhost:$admin_port/metrics" -o "$work/prom-restarted.txt"
+if grep -q '^twopcp_jobs_submitted_total [1-9]' "$work/prom-restarted.txt"; then
+  echo "restarted daemon reports $(grep '^twopcp_jobs_submitted_total' "$work/prom-restarted.txt"), want 0" >&2
+  exit 1
+fi
+
 echo "== download factors, diff against the local reference run"
 for m in 0 1 2; do
   curl -fs "$server/v1/jobs/$job/factors/$m" -o "$work/svc-mode$m.csv"
@@ -119,4 +130,4 @@ kill -TERM "$daemon_pid"; rc=0; wait "$daemon_pid" || rc=$?
 daemon_pid=""
 [ "$rc" -eq 3 ] || { echo "idle drain exited $rc, want 3" >&2; exit 1; }
 
-echo "service smoke OK: drain exited 3, restart resumed, factors bit-identical, queries one line each"
+echo "service smoke OK: drain exited 3, restart resumed, counters not rewound, factors bit-identical, queries one line each"

@@ -72,8 +72,7 @@ type RunStats struct {
 	Phase1Time time.Duration `json:"phase1_ns"`
 	Phase2Time time.Duration `json:"phase2_ns"`
 	// Accelerated reports whether Phase 0 actually produced a warm start
-	// or sampled solver (false without an accelerator or when it fell
-	// back to brute force).
+	// (false without an accelerator or when it fell back to brute force).
 	Accelerated bool `json:"accelerated,omitempty"`
 	// Blocks is the number of grid blocks Phase 1 decomposed.
 	Blocks int `json:"blocks"`

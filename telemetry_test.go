@@ -2,7 +2,10 @@ package twopcp_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -284,6 +287,80 @@ func TestMetricsMatchRunStats(t *testing.T) {
 	if !strings.Contains(text, wantLine) {
 		t.Errorf("Prometheus exposition missing %q", strings.TrimSpace(wantLine))
 	}
+}
+
+// TestResumeNeverRewindsCounters: metric counters belong to the process,
+// not to the checkpoint. One registry is shared — as twopcpd shares one
+// among its jobs — by a run drained mid-Phase 2 and its resume, and a
+// counter the pipeline never touches is bumped before the run and again
+// between the drain and the resume. The resume must leave that counter as
+// it found it and read no counter lower than before it, while the result
+// stays bit-identical to an uninterrupted run.
+func TestResumeNeverRewindsCounters(t *testing.T) {
+	x := twopcp.RandomDense(rand.New(rand.NewSource(4)), 16, 16, 16)
+	plain, err := twopcp.Decompose(x, resumeOpts(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.VirtualIters <= 3 {
+		t.Fatalf("the run ends after %d virtual iterations: no drain at the third lands mid-Phase 2", plain.VirtualIters)
+	}
+
+	reg := twopcp.NewRegistry()
+	submitted := reg.Counter("jobs.submitted")
+	submitted.Inc()
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	stop := make(chan struct{})
+	iters := 0
+	opts := resumeOpts(dir)
+	opts.CheckpointEverySteps = 1
+	opts.Stop = stop
+	opts.Observer = &twopcp.Observer{Metrics: reg, OnEvent: func(e twopcp.Event) {
+		if e.Name == "phase2.iter" {
+			if iters++; iters == 3 {
+				close(stop)
+			}
+		}
+	}}
+	if _, err := twopcp.Decompose(x, opts); !errors.Is(err, twopcp.ErrInterrupted) {
+		t.Fatalf("drained run: %v, want ErrInterrupted", err)
+	}
+	submitted.Inc()
+	before := counterValues(t, reg)
+
+	reOpts := resumeOpts(dir)
+	reOpts.Resume = true
+	reOpts.Observer = &twopcp.Observer{Metrics: reg}
+	res, err := twopcp.Decompose(x, reOpts)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	sameResult(t, "drained-resume", res, plain)
+	if got := submitted.Load(); got != 2 {
+		t.Errorf("jobs.submitted = %d after the resume, want 2", got)
+	}
+	after := counterValues(t, reg)
+	for name, v := range before {
+		if after[name] < v {
+			t.Errorf("counter %s went from %d to %d across the resume", name, v, after[name])
+		}
+	}
+}
+
+// counterValues reads every counter of reg from its JSON snapshot.
+func counterValues(t *testing.T, reg *twopcp.Registry) map[string]int64 {
+	t.Helper()
+	js, err := reg.SnapshotJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal(js, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Counters
 }
 
 // TestTraceCheckpointEvents runs a durable decomposition with tracing on
