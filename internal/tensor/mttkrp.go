@@ -115,10 +115,11 @@ type Sweep struct {
 	valid bool // s holds the products of the current factors[0]
 
 	// The S pass's argument and its task, bound to the sweep on first use:
-	// a fresh closure per pass would be the sweep's one steady-state
-	// allocation.
+	// a fresh closure per pass would be a steady-state allocation. pass
+	// does the same for the mode-0 pass and the folds.
 	a0    *mat.Matrix
 	group func(g int)
+	pass  fiberPass
 }
 
 // Bind points the sweep at t and drops the cached products. Bind(nil)
@@ -182,18 +183,51 @@ func (sw *Sweep) productGroup(g int) {
 }
 
 // mttkrpInto zeroes dst and accumulates the mode-n MTTKRP into it. sw is
-// the sweep whose fiber products modes n ≥ 1 share; nil keeps none.
+// the sweep whose fiber products modes n ≥ 1 share and whose tasks the
+// passes run; nil keeps no products and binds the tasks afresh.
 func mttkrpInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Sweep) {
 	dst.Zero()
 	f := dst.Cols
 	if len(t.Data) == 0 || f == 0 {
 		return
 	}
-	if n == 0 {
-		mode0Pass(dst, t, factors, f)
+	var ps *fiberPass
+	if sw != nil {
+		ps = &sw.pass
 	} else {
-		foldFibers(dst, t, factors, n, sw)
+		ps = new(fiberPass)
 	}
+	ps.dst, ps.x, ps.factors, ps.i0n, ps.f = dst, t.Data, factors, t.Dims[0], f
+	if n == 0 {
+		ps.mode0Pass(t.Dims)
+	} else {
+		ps.foldFibers(t.Dims, n, sw)
+	}
+	*ps = fiberPass{mode0: ps.mode0, fold: ps.fold} // hold no argument past the pass
+}
+
+// fiberPass carries the arguments of a mode-0 pass or of a fold chunk to
+// the task that runs on each panel or output row. The tasks are method
+// values bound once per Sweep, like Sweep.group: a closure per pass or per
+// chunk would be a steady-state allocation.
+type fiberPass struct {
+	dst     *mat.Matrix
+	x       []float64 // the tensor's data
+	factors []*mat.Matrix
+	i0n, f  int
+
+	// The mode-0 pass: panels of panel output rows over runs runs of run
+	// fibers.
+	panel, run, runs int
+
+	// A fold chunk: weights w of positions [r0, r1), fiber products sp
+	// (nil: compute each on the spot), dn = Dims[n] and sfn the fibers of
+	// a run of one output row.
+	w, sp   []float64
+	r0, r1  int
+	dn, sfn int
+
+	mode0, fold func(i int)
 }
 
 // runMode is the first mode other than 0 and n, the one whose factor rows
@@ -234,11 +268,48 @@ func fillRun(w []float64, factors []*mat.Matrix, skip, r int) {
 			continue
 		}
 		a := factors[k]
-		row := a.Row(r % a.Rows)
+		scaleRows(w, a.Row(r%a.Rows))
 		r /= a.Rows
-		for i := 0; i < len(w); i += a.Cols {
-			wi := w[i : i+a.Cols]
-			mat.HadamardVec(wi, wi, row)
+	}
+}
+
+// scaleRows multiplies every len(row)-float row of w by row, element by
+// element. The columns go in blocks of eight, then four, whose factors
+// stay in registers down the whole run; each product is one rounding, so
+// the result is the same to the bit in any order.
+func scaleRows(w, row []float64) {
+	f := len(row)
+	c0 := 0
+	for ; c0+8 <= f; c0 += 8 {
+		s := row[c0 : c0+8 : c0+8]
+		s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+		for p := c0; p < len(w); p += f {
+			r := w[p : p+8 : p+8]
+			r[0] *= s0
+			r[1] *= s1
+			r[2] *= s2
+			r[3] *= s3
+			r[4] *= s4
+			r[5] *= s5
+			r[6] *= s6
+			r[7] *= s7
+		}
+	}
+	for ; c0+4 <= f; c0 += 4 {
+		s := row[c0 : c0+4 : c0+4]
+		s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+		for p := c0; p < len(w); p += f {
+			r := w[p : p+4 : p+4]
+			r[0] *= s0
+			r[1] *= s1
+			r[2] *= s2
+			r[3] *= s3
+		}
+	}
+	for ; c0 < f; c0++ {
+		sc := row[c0]
+		for p := c0; p < len(w); p += f {
+			w[p] *= sc
 		}
 	}
 }
@@ -251,21 +322,31 @@ const wChunkFibers = 4096
 // output-row panels: per run of fibers, the panel's scratch takes the run's
 // weights and one mat.OuterAdd applies them. Every output row sees the
 // fibers in ascending order regardless of panel bounds.
-func mode0Pass(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, f int) {
-	i0n := t.Dims[0]
-	x := t.Data
-	run := runLen(t.Dims, 0)
-	runs := len(x) / (i0n * run)
-	parRowPanels(par.WorkersFor(len(x)*2*f), i0n, func(lo, hi int) {
-		wp := getScratch(run * f)
-		w := *wp
-		panel := dst.Data[lo*f : hi*f]
-		for r := 0; r < runs; r++ {
-			fillRun(w, factors, 0, r)
-			mat.OuterAdd(panel, w, x[r*run*i0n+lo:], hi-lo, i0n, f)
-		}
-		scratchPool.Put(wp)
-	})
+func (ps *fiberPass) mode0Pass(dims []int) {
+	ps.run = runLen(dims, 0)
+	ps.runs = len(ps.x) / (ps.i0n * ps.run)
+	workers := par.WorkersFor(len(ps.x) * 2 * ps.f)
+	var np int
+	ps.panel, np = rowPanels(workers, ps.i0n)
+	if ps.mode0 == nil {
+		ps.mode0 = ps.mode0Panel
+	}
+	par.DoWorkers(workers, np, ps.mode0)
+}
+
+// mode0Panel runs the mode-0 pass over output-row panel p.
+func (ps *fiberPass) mode0Panel(p int) {
+	lo := p * ps.panel
+	hi := min(lo+ps.panel, ps.i0n)
+	run, f, i0n := ps.run, ps.f, ps.i0n
+	wp := getScratch(run * f)
+	w := *wp
+	panel := ps.dst.Data[lo*f : hi*f]
+	for r := 0; r < ps.runs; r++ {
+		fillRun(w, ps.factors, 0, r)
+		mat.OuterAdd(panel, w, ps.x[r*run*i0n+lo:], hi-lo, i0n, f)
+	}
+	scratchPool.Put(wp)
 }
 
 // foldFibers accumulates the mode-n (n ≥ 1) MTTKRP: output row j adds
@@ -281,89 +362,82 @@ func mode0Pass(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, f int) {
 // chunk of whole runs at a time, and every row folds the chunk. A fold is
 // one mat.FoldAdd per stretch of equally spaced rows of S: a whole run of
 // the row's fibers, or, when those are single fibers, all of them at once.
-func foldFibers(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Sweep) {
-	dims := t.Dims
-	i0n, f := dims[0], dst.Cols
-	x := t.Data
-	nf := len(x) / i0n
-	sfn := 1
+func (ps *fiberPass) foldFibers(dims []int, n int, sw *Sweep) {
+	f := ps.f
+	nf := len(ps.x) / ps.i0n
+	ps.dn, ps.sfn = dims[n], 1
 	for k := 1; k < n; k++ {
-		sfn *= dims[k]
+		ps.sfn *= dims[k]
 	}
 	perRow := nf / dims[n]
-	a0 := factors[0]
-	sp := sw.products(a0)
+	ps.sp = sw.products(ps.factors[0])
 	work := nf * 2 * f
-	if sp == nil {
-		work *= i0n
+	if ps.sp == nil {
+		work *= ps.i0n
 	}
 	workers := par.WorkersFor(work)
+	if ps.fold == nil {
+		ps.fold = ps.foldRow
+	}
 
 	run := runLen(dims, n)
 	chunk := min(max(wChunkFibers/run, 1)*run, perRow)
 	wp := getScratch(chunk * f)
 	defer scratchPool.Put(wp)
-	w := *wp // the weights of positions [r0, r1)
-	for r0 := 0; r0 < perRow; r0 += chunk {
-		// Fresh, assigned-once copies for the task below to capture by
-		// value: the originals would each move to the heap, once per fold.
-		r0, r1, sfn := r0, min(r0+chunk, perRow), sfn
-		for q := r0; q < r1; q += run {
-			fillRun(w[(q-r0)*f:(q-r0+run)*f], factors, n, q/run)
+	ps.w = *wp
+	for ps.r0 = 0; ps.r0 < perRow; ps.r0 += chunk {
+		ps.r1 = min(ps.r0+chunk, perRow)
+		for q := ps.r0; q < ps.r1; q += run {
+			fillRun(ps.w[(q-ps.r0)*f:(q-ps.r0+run)*f], ps.factors, n, q/run)
 		}
-		par.DoWorkers(workers, dims[n], func(j int) {
-			var s []float64 // a fiber's product when no S holds it
-			if sp == nil {
-				sp := getScratch(f)
-				defer scratchPool.Put(sp)
-				s = *sp
-			}
-			orow := dst.Row(j)
-			for r := r0; r < r1; {
-				// The stretch from r: to the end of its run, or, when runs
-				// are single fibers dims[n] apart, to the end of the chunk.
-				fi, count, stride := r*dims[n]+j, r1-r, dims[n]
-				if sfn > 1 {
-					outer, q := r/sfn, r%sfn
-					fi, count, stride = (outer*dims[n]+j)*sfn+q, min(sfn-q, r1-r), 1
-				}
-				wr := w[(r-r0)*f:]
-				if sp != nil {
-					mat.FoldAdd(orow, sp[fi*f:], stride*f, wr, count, f)
-				} else {
-					for k := 0; k < count; k++ {
-						clear(s)
-						fb := (fi + k*stride) * i0n
-						mat.VecMatMulAdd(s, a0.Data, x[fb:fb+i0n], f)
-						mat.FoldAdd(orow, s, f, wr[k*f:], 1, f)
-					}
-				}
-				r += count
-			}
-		})
+		par.DoWorkers(workers, dims[n], ps.fold)
 	}
 }
 
-// parRowPanels splits [0, rows) into contiguous panels (at most one per
-// worker pass, at least 64 rows each) and runs fn on each. Panel bounds
-// never influence results: each output row is owned by exactly one panel.
-// The floor bounds the duplicated per-fiber weight work of the mode-0
-// callers, which recompute weights once per panel: with ≥64-row panels
-// the duplication stays under 1/128 of the panel's multiply-add work.
-func parRowPanels(workers, rows int, fn func(lo, hi int)) {
-	panel := (rows + workers - 1) / workers
-	if panel < 64 {
-		panel = 64
+// foldRow folds the current chunk's fibers into output row j.
+func (ps *fiberPass) foldRow(j int) {
+	f, sp, r0, r1, sfn, dn := ps.f, ps.sp, ps.r0, ps.r1, ps.sfn, ps.dn
+	var s []float64 // a fiber's product when no S holds it
+	if sp == nil {
+		bp := getScratch(f)
+		defer scratchPool.Put(bp)
+		s = *bp
 	}
-	np := (rows + panel - 1) / panel
-	par.DoWorkers(workers, np, func(p int) {
-		lo := p * panel
-		hi := lo + panel
-		if hi > rows {
-			hi = rows
+	orow := ps.dst.Row(j)
+	for r := r0; r < r1; {
+		// The stretch from r: to the end of its run, or, when runs are
+		// single fibers dn apart, to the end of the chunk.
+		fi, count, stride := r*dn+j, r1-r, dn
+		if sfn > 1 {
+			outer, q := r/sfn, r%sfn
+			fi, count, stride = (outer*dn+j)*sfn+q, min(sfn-q, r1-r), 1
 		}
-		fn(lo, hi)
-	})
+		wr := ps.w[(r-r0)*f:]
+		if sp != nil {
+			mat.FoldAdd(orow, sp[fi*f:], stride*f, wr, count, f)
+		} else {
+			a0, i0n := ps.factors[0].Data, ps.i0n
+			for k := 0; k < count; k++ {
+				clear(s)
+				fb := (fi + k*stride) * i0n
+				mat.VecMatMulAdd(s, a0, ps.x[fb:fb+i0n], f)
+				mat.FoldAdd(orow, s, f, wr[k*f:], 1, f)
+			}
+		}
+		r += count
+	}
+}
+
+// rowPanels splits [0, rows) into np contiguous panels of panel rows (the
+// last may be shorter): at most one per worker pass, at least 64 rows
+// each. Panel bounds never influence results: each output row is owned by
+// exactly one panel. The floor bounds the duplicated per-fiber weight work
+// of the mode-0 pass, which recomputes weights once per panel: with
+// ≥64-row panels the duplication stays under 1/128 of the panel's
+// multiply-add work.
+func rowPanels(workers, rows int) (panel, np int) {
+	panel = max((rows+workers-1)/workers, 64)
+	return panel, (rows + panel - 1) / panel
 }
 
 // MTTKRPSparse is MTTKRP over a COO tensor: cost O(nnz · N · F).

@@ -226,18 +226,18 @@ func TestMTTKRPGenericMatchesReferenceManyShapes(t *testing.T) {
 }
 
 func TestParRowPanelsCoversRows(t *testing.T) {
-	defer par.PopWorkers(par.PushWorkers(1)) // serial execution, per-w geometry
 	for _, rows := range []int{1, 15, 16, 17, 100, 1024} {
 		for _, w := range workerCounts {
 			seen := make([]bool, rows)
-			parRowPanels(w, rows, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
+			panel, np := rowPanels(w, rows)
+			for p := 0; p < np; p++ {
+				for i := p * panel; i < min((p+1)*panel, rows); i++ {
 					if seen[i] {
 						t.Fatalf("rows=%d workers=%d: row %d visited twice", rows, w, i)
 					}
 					seen[i] = true
 				}
-			})
+			}
 			for i, s := range seen {
 				if !s {
 					t.Fatalf("rows=%d workers=%d: row %d not visited", rows, w, i)
