@@ -115,11 +115,10 @@ type Sweep struct {
 	valid bool // s holds the products of the current factors[0]
 
 	// The S pass's argument and its task, bound to the sweep on first use:
-	// a fresh closure per pass would be a steady-state allocation. pass
-	// does the same for the mode-0 pass and the folds.
+	// a fresh closure per pass would be the sweep's one steady-state
+	// allocation.
 	a0    *mat.Matrix
 	group func(g int)
-	pass  fiberPass
 }
 
 // Bind points the sweep at t and drops the cached products. Bind(nil)
@@ -183,20 +182,15 @@ func (sw *Sweep) productGroup(g int) {
 }
 
 // mttkrpInto zeroes dst and accumulates the mode-n MTTKRP into it. sw is
-// the sweep whose fiber products modes n ≥ 1 share and whose tasks the
-// passes run; nil keeps no products and binds the tasks afresh.
+// the sweep whose fiber products modes n ≥ 1 share; nil keeps none.
 func mttkrpInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Sweep) {
 	dst.Zero()
 	f := dst.Cols
 	if len(t.Data) == 0 || f == 0 {
 		return
 	}
-	var ps *fiberPass
-	if sw != nil {
-		ps = &sw.pass
-	} else {
-		ps = new(fiberPass)
-	}
+	ps := passPool.Get().(*fiberPass)
+	defer passPool.Put(ps)
 	ps.dst, ps.x, ps.factors, ps.i0n, ps.f = dst, t.Data, factors, t.Dims[0], f
 	if n == 0 {
 		ps.mode0Pass(t.Dims)
@@ -208,8 +202,8 @@ func mttkrpInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 
 // fiberPass carries the arguments of a mode-0 pass or of a fold chunk to
 // the task that runs on each panel or output row. The tasks are method
-// values bound once per Sweep, like Sweep.group: a closure per pass or per
-// chunk would be a steady-state allocation.
+// values bound once per pooled fiberPass, as Sweep.group is per sweep: a
+// closure per pass or per chunk would be a steady-state allocation.
 type fiberPass struct {
 	dst     *mat.Matrix
 	x       []float64 // the tensor's data
@@ -229,6 +223,9 @@ type fiberPass struct {
 
 	mode0, fold func(i int)
 }
+
+// passPool lends each MTTKRP a fiberPass, its tasks already bound.
+var passPool = sync.Pool{New: func() any { return new(fiberPass) }}
 
 // runMode is the first mode other than 0 and n, the one whose factor rows
 // a run of mode-n fiber weights goes through. There is none when it is N
