@@ -1,12 +1,8 @@
 package twopcp_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -347,30 +343,7 @@ func TestResumeOverRemovedAcceleratorIsMismatch(t *testing.T) {
 	}
 
 	// Rewrite the fingerprint as the older build would have written it.
-	path := filepath.Join(dir, "manifest.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env struct {
-		Version int             `json:"version"`
-		CRC32   uint32          `json:"crc32"`
-		Body    json.RawMessage `json:"body"`
-	}
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatal(err)
-	}
-	body := bytes.Replace(env.Body, []byte(`"accelerator":"tucker"`), []byte(`"accelerator":"sketched"`), 1)
-	if bytes.Equal(body, env.Body) {
-		t.Fatalf("manifest body records no tucker accelerator:\n%s", env.Body)
-	}
-	env.Body, env.CRC32 = body, crc32.ChecksumIEEE(body)
-	if data, err = json.Marshal(env); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteManifest(t, dir, `"accelerator":"tucker"`, `"accelerator":"sketched"`)
 
 	for _, accel := range []twopcp.Accelerator{twopcp.AccelTucker, twopcp.AccelNone} {
 		re := accelOpts(accel)

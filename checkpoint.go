@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"twopcp/internal/cpals"
+	"twopcp/internal/refine"
 	"twopcp/internal/runstate"
 )
 
@@ -38,6 +39,7 @@ func openRunState(r *runCtx) (*runstate.Run, error) {
 		Accelerator:      opts.Accelerator.fingerprint(),
 		Phase0Rank:       opts.Phase0Rank,
 		SketchOversample: opts.SketchOversample,
+		Stitch:           refine.StitchVersion,
 	}
 	return runstate.Open(opts.Checkpoint, meta, p.NumBlocks(), opts.Resume)
 }

@@ -10,7 +10,9 @@
 //
 //  1. partitions X into a grid of sub-tensors and decomposes each block
 //     independently (Phase 1, parallel), then
-//  2. iteratively stitches the per-block sub-factors into full factor
+//  2. aligns the blocks' columns (order, sign and scale) with their
+//     neighbours', seeds each factor partition with the mean of its slab,
+//     and iteratively stitches the per-block sub-factors into full factor
 //     matrices (Phase 2), streaming mode-partition "data units" through a
 //     bounded buffer with re-use-promoting block schedules (fiber, Z-order,
 //     Hilbert-order) and a forward-looking, schedule-aware replacement
@@ -257,7 +259,10 @@
 // directory written before this layout (manifest version 1: one file per
 // block, one Phase-2 file) still returns its Result if the run had
 // finished; an unfinished one is refused with an error naming both
-// versions rather than restarted from nothing.
+// versions rather than restarted from nothing. The fingerprint also
+// carries the stitching version (how Phase 2's start is derived from the
+// Phase-1 blocks): an unfinished directory written before the blocks were
+// aligned is refused as a mismatch, a finished one returns its Result.
 // docs/crash-recovery.md has the layout and the argument.
 //
 // The Phase-2 data-unit store is scratch and needs no crash consistency:

@@ -30,8 +30,8 @@ func TestFormatBytesPinned(t *testing.T) {
 		{".tpsp", "1d489ad4c22f2e82cec4122c51a510caebcd7e303e8fbc9c3dfda2a4b8269f3d"},
 		{".tptl", "af76da2a13a1e2f7e2418f9cf3f5ea324434cc098adada576455d40913892624"},
 		{"TPU2 unit", "4798f96d8f7a1b3d2e5e20a06660f1a9b796c5fd7913b7107b2acee87144ee16"},
-		{"TPFS snapshot", "06d38e0ebd9e750d9166b6e17fc9fa584af6ecf41d373da67eeedbfa7f4b9d7d"},
-		{"manifest.json", "0cc26d494f4eff16e77426ad40a39445216c1c68357a2ce8484bd67fee7a67a8"},
+		{"TPFS snapshot", "a23ca44d7533149079e95fb3dd97222fdf658a1d1d5dd933f7de0d247572a5f6"},
+		{"manifest.json", "ee0cf8f808bfa3766e9c670fc0372696887ec7c5bb26e895eef3bf6f902beb94"},
 		{"TP1B log record", "429a03232f577d613077b893250e0d766d0ab67402fd629d81ebe4aa3780ee96"},
 		{"TP2S slot", "2e233bbfb93f0df76441916c141294dfca314988ecbbfbf72cc017620fa0aaf6"},
 		{"result.ckpt", "5f2d48cf9f33537f3f6e771f1ba9836b13086fb39aa8091a66dd88e28af035bd"},
@@ -108,7 +108,7 @@ func writeEveryFormat(t *testing.T) map[string][]byte {
 	meta := runstate.Meta{
 		InputKind: "dense", Dims: x.Dims, Partitions: []int{2, 2, 1},
 		Rank: 2, Schedule: "HO", Replacement: "FOR", BufferFraction: 0.5,
-		MaxIters: 20, Tol: 1e-2, Seed: 3,
+		MaxIters: 20, Tol: 1e-2, Seed: 3, Stitch: 1,
 	}
 	factors := []*mat.Matrix{pinMatrix(5, 2, 4), pinMatrix(4, 2, 5), pinMatrix(3, 2, 6)}
 	check(factorsnap.Write(filepath.Join(dir, "factors.snap"), []float64{1.5, -0.25}, factors, &meta))

@@ -18,6 +18,16 @@
 // products in place (docs/performance.md records the ablation). Only the
 // data units {A(i)_(ki); U(i)_slab} ever move between disk and buffer,
 // exactly as in the paper's Definition 4.
+//
+// The update assumes the blocks' sub-factors agree: column r of every
+// block the same component, with one sign and scale. Phase 1 solves each
+// block alone and promises none of that, so New first aligns the blocks
+// (alignBlocks: a breadth-first walk over the grid that permutes, flips and
+// rescales each block's columns against a neighbour's without changing
+// its [[U_l]]) and then seeds each A(i)_(ki) with the mean of its slab's
+// aligned U(i)_l. Phase 2 then starts near the surrogate instead of
+// spending its first cycles re-aligning partitions seeded from different
+// blocks.
 package refine
 
 import (

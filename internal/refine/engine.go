@@ -25,7 +25,9 @@ var ErrStopped = errors.New("refine: stopped before completion")
 
 // Config assembles a Phase-2 engine.
 type Config struct {
-	// Phase1 supplies the per-block sub-factors (required).
+	// Phase1 supplies the per-block sub-factors (required). New aligns a
+	// copy of them (see alignBlocks) and never writes this result, so one
+	// result may feed many engines.
 	Phase1 *phase1.Result
 	// Store receives the data units; Phase 2's I/O flows through it
 	// (required). Use blockstore.NewMemStore for counted simulation or
@@ -244,7 +246,11 @@ func New(cfg Config) (*Engine, error) {
 	for mode := range e.curA {
 		e.curA[mode] = make([]*mat.Matrix, p.K[mode])
 	}
-	e.comps = newComponents(cfg.Phase1)
+	// Phase 2 works on the aligned blocks from here on; the caller's
+	// result is never written (one result may feed many engines).
+	_, nonneg := e.solver.(cpals.Nonnegative)
+	e.cfg.Phase1 = alignBlocks(cfg.Phase1, nonneg)
+	e.comps = newComponents(e.cfg.Phase1)
 	if err := e.seedUnits(restored); err != nil {
 		return nil, err
 	}
@@ -275,31 +281,47 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// initialA builds the seed for A(mode)_(part): the mode's sub-factor of a
-// reference block — the first in the partition's slab with a non-empty
-// U(mode) — which is the grid-PARAFAC practice of starting the stitching
-// from Phase-1 output, or uniform [0,1) noise for a slab that has none.
+// initialA builds the seed for A(mode)_(part): the mean of the aligned
+// U(mode) of the slab's blocks that have a nonzero one, the grid-PARAFAC
+// practice of starting the stitching from Phase-1 output, or uniform [0,1)
+// noise for a slab that has none. Alignment (alignBlocks) is what makes the
+// mean meaningful: column r of every block is the same component. A slab
+// with one such block gets a copy of it, bit for bit.
 func (e *Engine) initialA(mode, part int, rng *rand.Rand) *mat.Matrix {
+	var sum *mat.Matrix
+	count := 0
 	for _, id := range e.comps.slab[mode][part] {
 		u := e.cfg.Phase1.Sub[id][mode]
-		if u.MaxAbs() > 0 {
-			return u.Clone()
+		switch {
+		case u.MaxAbs() == 0:
+			continue
+		case sum == nil:
+			sum = u.Clone()
+		default:
+			sum.AddInPlace(u)
 		}
+		count++
 	}
-	_, rows := e.pattern.ModeRange(mode, part)
-	return mat.Random(rows, e.cfg.Phase1.Rank, rng)
+	if sum == nil {
+		_, rows := e.pattern.ModeRange(mode, part)
+		return mat.Random(rows, e.cfg.Phase1.Rank, rng)
+	}
+	if count > 1 {
+		sum.Scale(1 / float64(count))
+	}
+	return sum
 }
 
 // seedUnits writes every ⟨mode, part⟩ unit into the store whole — the
-// seeded (or checkpoint-restored) A(i)_(ki) plus the slab's Phase-1 U(i)_l,
+// seeded (or checkpoint-restored) A(i)_(ki) plus the slab's aligned U(i)_l,
 // packed once; the only time a U is written, every later Put is a
 // write-back of A alone — and computes the initial P and Q from the same A
 // and slab rather than reading them back. Nothing in the store is trusted
 // across a restart: rewriting it here is what makes it consistent with the
 // checkpoint wherever the previous process died and whatever the crash did
 // to its files. The components are pure functions of the current A and the
-// Phase-1 U, which is why a resumed engine's P/Q state is bit-identical to
-// the uninterrupted run's. The stats reset keeps set-up writes out of the
+// aligned U, itself a pure function of the Phase-1 result, which is why a
+// resumed engine's P/Q state is bit-identical to the uninterrupted run's. The stats reset keeps set-up writes out of the
 // swap counts.
 func (e *Engine) seedUnits(restored *runstate.Phase2State) error {
 	rng := rand.New(rand.NewSource(e.cfg.Seed))

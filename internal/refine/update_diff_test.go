@@ -50,7 +50,7 @@ func TestBatchedUpdateMatchesPerBlockOracle(t *testing.T) {
 // updateEngine builds an engine whose mode 0 is one partition of the given
 // height, so unit ⟨0,0⟩'s slab is the whole grid: L = k² blocks. It returns
 // the engine and that unit.
-func updateEngine(t *testing.T, f, rows, k int) (*Engine, *phase1.Result, *blockstore.Unit) {
+func updateEngine(t *testing.T, f, rows, k int) (*Engine, *blockstore.Unit) {
 	t.Helper()
 	p := grid.MustNew([]int{rows, 2 * k, k}, []int{1, k, k})
 	rng := rand.New(rand.NewSource(int64(1000*f + 10*rows + k)))
@@ -67,7 +67,7 @@ func updateEngine(t *testing.T, f, rows, k int) (*Engine, *phase1.Result, *block
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, p1, u
+	return e, u
 }
 
 // TestUpdateAllocatesOnlyTheNewA: once its scratch exists, an update
@@ -77,7 +77,7 @@ func updateEngine(t *testing.T, f, rows, k int) (*Engine, *phase1.Result, *block
 // parallel dispatch.
 func TestUpdateAllocatesOnlyTheNewA(t *testing.T) {
 	const f, rows, k = 8, 32, 4
-	e, _, u := updateEngine(t, f, rows, k)
+	e, u := updateEngine(t, f, rows, k)
 	e.update(u)
 	var sink *mat.Matrix
 	newA := testing.AllocsPerRun(20, func() { sink = mat.New(rows, f) })
@@ -88,8 +88,9 @@ func TestUpdateAllocatesOnlyTheNewA(t *testing.T) {
 }
 
 func batchedVsPerBlock(t *testing.T, f, rows, k int) {
-	e, p1, u := updateEngine(t, f, rows, k)
-	p := p1.Pattern
+	e, u := updateEngine(t, f, rows, k)
+	p := e.pattern
+	sub := e.cfg.Phase1.Sub // the aligned blocks the engine works on
 
 	// The oracle reads the other modes' components before the update.
 	wantT, wantS := mat.New(rows, f), mat.New(f, f)
@@ -102,7 +103,7 @@ func batchedVsPerBlock(t *testing.T, f, rows, k int) {
 			g.HadamardInPlace(e.comps.p[id][h])
 			term.HadamardInPlace(e.comps.q[h][vec[h]])
 		}
-		mat.MulAddInto(wantT, p1.Sub[id][0], g)
+		mat.MulAddInto(wantT, sub[id][0], g)
 		wantS.AddInPlace(term)
 	}
 
@@ -111,6 +112,6 @@ func batchedVsPerBlock(t *testing.T, f, rows, k int) {
 	sameBits(t, "S", e.scratchS.Data, wantS.Data)
 	sameBits(t, "Q", e.comps.q[0][0].Data, mat.Gram(u.A).Data)
 	for _, id := range p.Slab(0, 0) {
-		sameBits(t, fmt.Sprintf("P of block %d", id), e.comps.p[id][0].Data, mat.TMul(p1.Sub[id][0], u.A).Data)
+		sameBits(t, fmt.Sprintf("P of block %d", id), e.comps.p[id][0].Data, mat.TMul(sub[id][0], u.A).Data)
 	}
 }

@@ -178,6 +178,13 @@ type Meta struct {
 	Accelerator      string `json:"accelerator,omitempty"`
 	Phase0Rank       int    `json:"phase0_rank,omitempty"`
 	SketchOversample int    `json:"sketch_oversample,omitempty"`
+	// Stitch is the version of how Phase 2's start is derived from the
+	// Phase-1 blocks (refine.StitchVersion). It changes every factor a
+	// run produces, and a resume re-derives that start from the block
+	// log, so an unfinished directory written under another version is
+	// refused; a finished one still returns its recorded result. A
+	// manifest from before the field was added records none.
+	Stitch int `json:"stitch,omitempty"`
 }
 
 // manifestBody is the CRC-protected content of manifest.json.
@@ -323,7 +330,13 @@ func (r *Run) open(meta Meta, numBlocks int, resume bool) error {
 			return fmt.Errorf("%w: %s is an unfinished run at manifest version %d and this build resumes version %d; finish it with the build that started it, or start over in a fresh directory",
 				ErrVersion, r.dir, version, Version)
 		}
-		if !reflect.DeepEqual(body.Meta, meta) {
+		recorded := body.Meta
+		if body.Stage == StageDone {
+			// A finished run's Result is final: how its Phase 2 started
+			// does not change what a no-op resume returns.
+			recorded.Stitch = meta.Stitch
+		}
+		if !reflect.DeepEqual(recorded, meta) {
 			return fmt.Errorf("%w: manifest records %+v, run has %+v", ErrMismatch, body.Meta, meta)
 		}
 		if body.NumBlocks != numBlocks {

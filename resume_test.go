@@ -1,9 +1,12 @@
 package twopcp_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -449,4 +452,80 @@ func readString(t *testing.T, path string) string {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// rewriteManifest replaces old with new in the body of dir's manifest and
+// re-seals it, as a build that fingerprinted differently would have written
+// it.
+func rewriteManifest(t *testing.T, dir, old, new string) {
+	t.Helper()
+	path := filepath.Join(dir, "manifest.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Version int             `json:"version"`
+		CRC32   uint32          `json:"crc32"`
+		Body    json.RawMessage `json:"body"`
+	}
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Replace(env.Body, []byte(old), []byte(new), 1)
+	if bytes.Equal(body, env.Body) {
+		t.Fatalf("manifest body holds no %s:\n%s", old, env.Body)
+	}
+	env.Body, env.CRC32 = body, crc32.ChecksumIEEE(body)
+	if data, err = json.Marshal(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeRefusesPreAlignmentCheckpoint: a checkpoint directory written
+// before Phase 2 started from aligned Phase-1 blocks records no stitching
+// version. An unfinished one holds Phase-2 state grown from the unaligned
+// start, and this build would re-derive a different start from the block
+// log, so its resume is refused with ErrMismatch instead of mixing the
+// two. A finished one still returns the result it recorded.
+func TestResumeRefusesPreAlignmentCheckpoint(t *testing.T) {
+	x := twopcp.RandomDense(rand.New(rand.NewSource(4)), 16, 16, 16)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	stop := make(chan struct{})
+	iters := 0
+	opts := resumeOpts(dir)
+	opts.CheckpointEverySteps = 1
+	opts.Stop = stop
+	opts.Observer = &twopcp.Observer{OnEvent: func(e twopcp.Event) {
+		if e.Name == "phase2.iter" {
+			if iters++; iters == 3 {
+				close(stop)
+			}
+		}
+	}}
+	if _, err := twopcp.Decompose(x, opts); !errors.Is(err, twopcp.ErrInterrupted) {
+		t.Fatalf("drained run: %v, want ErrInterrupted", err)
+	}
+	rewriteManifest(t, dir, `,"stitch":1`, ``)
+	reOpts := resumeOpts(dir)
+	reOpts.Resume = true
+	if _, err := twopcp.Decompose(x, reOpts); !errors.Is(err, runstate.ErrMismatch) {
+		t.Fatalf("resume of an unfinished run without a stitching version: got %v, want ErrMismatch", err)
+	}
+
+	done := filepath.Join(t.TempDir(), "done")
+	want, err := twopcp.Decompose(x, resumeOpts(done))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewriteManifest(t, done, `,"stitch":1`, ``)
+	reOpts.Checkpoint = done
+	got, err := twopcp.Decompose(x, reOpts)
+	if err != nil {
+		t.Fatalf("resume of a finished run without a stitching version: %v", err)
+	}
+	sameResult(t, "finished", got, want)
 }
