@@ -131,9 +131,6 @@ func columnNorms(sub []*mat.Matrix) (norms [][]float64, live []bool) {
 	for h, u := range sub {
 		norms[h] = u.ColumnNorms()
 	}
-	if len(sub) == 0 {
-		return norms, nil
-	}
 	live = make([]bool, sub[0].Cols)
 	for c := range live {
 		live[c] = true

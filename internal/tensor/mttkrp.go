@@ -190,7 +190,6 @@ func mttkrpInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 		return
 	}
 	ps := passPool.Get().(*fiberPass)
-	defer passPool.Put(ps)
 	ps.dst, ps.x, ps.factors, ps.i0n, ps.f = dst, t.Data, factors, t.Dims[0], f
 	if n == 0 {
 		ps.mode0Pass(t.Dims)
@@ -198,6 +197,7 @@ func mttkrpInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 		ps.foldFibers(t.Dims, n, sw)
 	}
 	*ps = fiberPass{mode0: ps.mode0, fold: ps.fold} // hold no argument past the pass
+	passPool.Put(ps)
 }
 
 // fiberPass carries the arguments of a mode-0 pass or of a fold chunk to

@@ -552,6 +552,7 @@ func (r *runCtx) phase2() (err error) {
 	if err != nil {
 		return err
 	}
+	r.p1 = nil // the engine works on its aligned copy of the blocks
 	out, err := eng.Run()
 	if err != nil {
 		if errors.Is(err, refine.ErrStopped) {
