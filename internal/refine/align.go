@@ -11,11 +11,11 @@ import (
 
 // StitchVersion names how New turns a Phase-1 result into Phase 2's
 // starting point: the block alignment below and the slab-mean seed of
-// initialA. It is part of the checkpoint fingerprint, because a change to
-// either changes every factor a run produces, so a checkpoint written
-// under another version must not be resumed. Version 1 is the aligned,
-// slab-mean start; the unversioned start before it seeded each partition
-// from the first block of its slab, unaligned.
+// initialA. It is part of the checkpoint fingerprint: a change to either
+// changes every factor a run produces, so an unfinished checkpoint written
+// under another version must not be resumed. Checkpoints that record no
+// version (zero) started each partition from the first block of its slab,
+// unaligned.
 const StitchVersion = 1
 
 // alignBlocks returns p1 with each block's columns brought into agreement
@@ -52,7 +52,7 @@ func alignBlocks(p1 *phase1.Result, nonneg bool) *phase1.Result {
 	n, nb := p.NModes(), p.NumBlocks()
 	out := *p1
 	out.Sub = slices.Clone(p1.Sub)
-	if nb < 2 || f == 0 {
+	if nb < 2 {
 		return &out
 	}
 	al := aligner{f: f, nonneg: nonneg, src: make([]int, f), taken: make([]bool, f),
@@ -74,7 +74,12 @@ func alignBlocks(p1 *phase1.Result, nonneg bool) *phase1.Result {
 	visited := make([]bool, nb)
 	queue := make([]int, 0, nb)
 	vec := make([]int, n)
-	nbrs := make([]int, 0, 2*n)
+	stride := make([]int, n) // a block's id steps by stride[h] along mode h
+	for h, s := 0, 1; h < n; h++ {
+		stride[h], s = s, s*p.K[h]
+	}
+	type neighbour struct{ id, mode int } // mode: the one the blocks differ in
+	nbrs := make([]neighbour, 0, 2*n)
 	for root := range nb {
 		if visited[root] || !usable[root] {
 			continue
@@ -85,43 +90,32 @@ func alignBlocks(p1 *phase1.Result, nonneg bool) *phase1.Result {
 			x := queue[0]
 			queue = queue[1:]
 			p.Unlinear(x, vec)
+			// The face neighbours in ascending id: a step back along the
+			// highest mode first, a step forward along the lowest last.
 			nbrs = nbrs[:0]
-			stride := 1
-			for h, k := range p.K {
+			for h := n - 1; h >= 0; h-- {
 				if vec[h] > 0 {
-					nbrs = append(nbrs, x-stride)
+					nbrs = append(nbrs, neighbour{x - stride[h], h})
 				}
-				if vec[h] < k-1 {
-					nbrs = append(nbrs, x+stride)
-				}
-				stride *= k
 			}
-			slices.Sort(nbrs)
-			for _, y := range nbrs {
+			for h := range n {
+				if vec[h] < p.K[h]-1 {
+					nbrs = append(nbrs, neighbour{x + stride[h], h})
+				}
+			}
+			for _, nbr := range nbrs {
+				y := nbr.id
 				if visited[y] || !usable[y] {
 					continue
 				}
-				d := differingMode(p.K, x, y)
-				out.Sub[y] = al.align(out.Sub[x], norms[x], live[x], p1.Sub[y], norms[y], live[y], d)
-				norms[y], _ = columnNorms(out.Sub[y])
+				out.Sub[y] = al.align(out.Sub[x], norms[x], live[x], p1.Sub[y], norms[y], live[y], nbr.mode)
+				norms[y], live[y] = columnNorms(out.Sub[y])
 				visited[y] = true
 				queue = append(queue, y)
 			}
 		}
 	}
 	return &out
-}
-
-// differingMode is the one mode in which face neighbours x and y differ.
-func differingMode(k []int, x, y int) int {
-	stride := 1
-	for h, kh := range k {
-		if (x/stride)%kh != (y/stride)%kh {
-			return h
-		}
-		stride *= kh
-	}
-	panic("refine: differingMode of one block")
 }
 
 // columnNorms returns the column norms of each mode's factor and which
@@ -232,25 +226,21 @@ func (al *aligner) align(x []*mat.Matrix, xn [][]float64, xl []bool, y []*mat.Ma
 }
 
 // match sets the scales that carry y's column b into column a: each
-// shared mode to x's norm, sign-fixed unless nonneg, and the differing
-// mode d the inverse of their product, with the flip that makes the count
-// even.
+// shared mode to x's norm, its sign flipped where the cosine is negative
+// (never under nonneg), and the differing mode d the inverse of their
+// product, which flips it too when the count of flips is odd.
 func (al *aligner) match(a, b int, xn, yn [][]float64, d int) {
-	flips, prod := 0, 1.0
+	prod := 1.0
 	for h := range al.scale {
 		if h == d {
 			continue
 		}
 		s := xn[h][a] / yn[h][b]
-		prod *= s
 		if !al.nonneg && al.cross[h].At(a, b) < 0 {
 			s = -s
-			flips++
 		}
 		al.scale[h][a] = s
+		prod *= s
 	}
 	al.scale[d][a] = 1 / prod
-	if flips%2 == 1 {
-		al.scale[d][a] = -al.scale[d][a]
-	}
 }

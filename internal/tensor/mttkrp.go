@@ -335,13 +335,13 @@ func (ps *fiberPass) mode0Pass(dims []int) {
 func (ps *fiberPass) mode0Panel(p int) {
 	lo := p * ps.panel
 	hi := min(lo+ps.panel, ps.i0n)
-	run, f, i0n := ps.run, ps.f, ps.i0n
+	run, f, i0n, x, factors := ps.run, ps.f, ps.i0n, ps.x, ps.factors
 	wp := getScratch(run * f)
 	w := *wp
 	panel := ps.dst.Data[lo*f : hi*f]
-	for r := 0; r < ps.runs; r++ {
-		fillRun(w, ps.factors, 0, r)
-		mat.OuterAdd(panel, w, ps.x[r*run*i0n+lo:], hi-lo, i0n, f)
+	for r := range ps.runs {
+		fillRun(w, factors, 0, r)
+		mat.OuterAdd(panel, w, x[r*run*i0n+lo:], hi-lo, i0n, f)
 	}
 	scratchPool.Put(wp)
 }
