@@ -1,7 +1,6 @@
 package refine
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -55,8 +54,8 @@ func alignBlocks(p1 *phase1.Result, nonneg bool) *phase1.Result {
 	if nb < 2 {
 		return &out
 	}
-	al := aligner{f: f, nonneg: nonneg, src: make([]int, f), taken: make([]bool, f),
-		cross: make([]*mat.Matrix, n), scale: make([][]float64, n)}
+	al := aligner{f: f, nonneg: nonneg, score: make([]float64, f*f), src: make([]int, f), best: make([]int, f),
+		taken: make([]bool, f), cross: make([]*mat.Matrix, n), scale: make([][]float64, n)}
 	for h := range al.cross {
 		al.cross[h] = mat.New(f, f)
 		al.scale[h] = make([]float64, f)
@@ -131,6 +130,7 @@ func columnNorms(sub []*mat.Matrix) (norms [][]float64, live []bool) {
 		for h := range sub {
 			if !(norms[h][c] > 0) {
 				live[c] = false
+				break
 			}
 		}
 	}
@@ -142,16 +142,11 @@ type aligner struct {
 	f      int
 	nonneg bool
 	cross  []*mat.Matrix // cross[h] = X(h)ᵀY(h) for each shared mode h
-	pairs  []colPair
-	src    []int       // src[c]: y's column that lands in column c
-	taken  []bool      // taken[b]: y's column b has landed
-	scale  [][]float64 // scale[h][c]: the factor column c takes in mode h
-}
-
-// colPair is a candidate match of reference column a with column b.
-type colPair struct {
-	score float64
-	a, b  int
+	score  []float64     // score[a·f+b] = Σ_{h≠d} |cos| of x's column a and y's b
+	src    []int         // src[c]: y's column that lands in column c
+	taken  []bool        // taken[b]: y's column b has landed
+	best   []int         // the greedy match's per-row cache (see align)
+	scale  [][]float64   // scale[h][c]: the factor column c takes in mode h
 }
 
 // align returns y's factors with their columns permuted, sign-fixed and
@@ -174,29 +169,44 @@ func (al *aligner) align(x []*mat.Matrix, xn [][]float64, xl []bool, y []*mat.Ma
 			al.src[c], al.taken[c] = c, true
 		}
 	}
-	al.pairs = al.pairs[:0]
 	for a := range f {
-		if !xl[a] || al.src[a] >= 0 {
-			continue
-		}
 		for b := range f {
-			if !yl[b] {
-				continue
-			}
 			var score float64
 			for h := range y {
 				if h != d {
 					score += math.Abs(al.cross[h].At(a, b)) / (xn[h][a] * yn[h][b])
 				}
 			}
-			al.pairs = append(al.pairs, colPair{score, a, b})
+			al.score[a*f+b] = score
 		}
 	}
-	slices.SortStableFunc(al.pairs, func(p, q colPair) int { return cmp.Compare(q.score, p.score) })
-	for _, pr := range al.pairs {
-		if al.src[pr.a] < 0 && !al.taken[pr.b] {
-			al.src[pr.a], al.taken[pr.b] = pr.b, true
-			al.match(pr.a, pr.b, xn, yn, d)
+	// Greedy: the best free pair of a live reference column and a live
+	// column of y, the first in (a, b) order on a tie, until none is left.
+	// best[a] caches row a's first best free column (-1: none, or a is
+	// not free); taking a column re-scans only the rows it was best for.
+	for a := range f {
+		al.best[a] = -1
+		if xl[a] && al.src[a] < 0 {
+			al.best[a] = al.rowBest(a, yl)
+		}
+	}
+	for {
+		ba := -1
+		for a, b := range al.best {
+			if b >= 0 && (ba < 0 || al.score[a*f+b] > al.score[ba*f+al.best[ba]]) {
+				ba = a
+			}
+		}
+		if ba < 0 {
+			break
+		}
+		bb := al.best[ba]
+		al.src[ba], al.taken[bb], al.best[ba] = bb, true, -1
+		al.match(ba, bb, xn, yn, d)
+		for a, b := range al.best {
+			if b == bb {
+				al.best[a] = al.rowBest(a, yl)
+			}
 		}
 	}
 	// Live columns left unmatched fill the free columns in ascending order.
@@ -212,12 +222,14 @@ func (al *aligner) align(x []*mat.Matrix, xn [][]float64, xl []bool, y []*mat.Ma
 	}
 
 	out := make([]*mat.Matrix, len(y))
+	perm := al.src[:f]
 	for h, u := range y {
 		v := mat.New(u.Rows, f)
-		for i := range u.Rows {
-			src, dst := u.Row(i), v.Row(i)
-			for c := range dst {
-				dst[c] = src[al.src[c]] * al.scale[h][c]
+		scale := al.scale[h][:f]
+		for i := 0; i < len(u.Data); i += f {
+			src, dst := u.Data[i:i+f], v.Data[i:i+f]
+			for c, j := range perm {
+				dst[c] = src[j] * scale[c]
 			}
 		}
 		out[h] = v
@@ -243,4 +255,16 @@ func (al *aligner) match(a, b int, xn, yn [][]float64, d int) {
 		prod *= s
 	}
 	al.scale[d][a] = 1 / prod
+}
+
+// rowBest returns the first of y's free live columns with the best score
+// against reference column a, or -1 when none is free.
+func (al *aligner) rowBest(a int, yl []bool) int {
+	top, bb := -1.0, -1
+	for b, s := range al.score[a*al.f : (a+1)*al.f] {
+		if yl[b] && !al.taken[b] && s > top {
+			top, bb = s, b
+		}
+	}
+	return bb
 }
