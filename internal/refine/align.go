@@ -39,8 +39,9 @@ const StitchVersion = 1
 // So every block's [[U_l]], and with it the surrogate Phase 2 fits, is
 // unchanged up to rounding. A column whose norm is zero in some mode adds
 // nothing to its block: it keeps its position and is neither matched nor a
-// reference. A block with no other column is never moved and never a
-// reference; the walk restarts at the lowest unvisited block that has one.
+// reference. A block with no other kind of column (an all-zero block among
+// them) is never moved and never a reference; the walk restarts at the
+// lowest unvisited block that has a live column.
 //
 // The result shares Pattern, Rank and the bookkeeping fields with p1; the
 // blocks that moved get fresh matrices, so p1 is never written. The walk

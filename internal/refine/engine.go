@@ -246,8 +246,7 @@ func New(cfg Config) (*Engine, error) {
 	for mode := range e.curA {
 		e.curA[mode] = make([]*mat.Matrix, p.K[mode])
 	}
-	// Phase 2 works on the aligned blocks from here on; the caller's
-	// result is never written (one result may feed many engines).
+	// Phase 2 works on an aligned copy of the blocks from here on.
 	_, nonneg := e.solver.(cpals.Nonnegative)
 	e.cfg.Phase1 = alignBlocks(cfg.Phase1, nonneg)
 	e.comps = newComponents(e.cfg.Phase1)
@@ -321,8 +320,8 @@ func (e *Engine) initialA(mode, part int, rng *rand.Rand) *mat.Matrix {
 // checkpoint wherever the previous process died and whatever the crash did
 // to its files. The components are pure functions of the current A and the
 // aligned U, itself a pure function of the Phase-1 result, which is why a
-// resumed engine's P/Q state is bit-identical to the uninterrupted run's. The stats reset keeps set-up writes out of the
-// swap counts.
+// resumed engine's P/Q state is bit-identical to the uninterrupted run's.
+// The stats reset keeps set-up writes out of the swap counts.
 func (e *Engine) seedUnits(restored *runstate.Phase2State) error {
 	rng := rand.New(rand.NewSource(e.cfg.Seed))
 	for mode := 0; mode < e.pattern.NModes(); mode++ {
