@@ -7,20 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"twopcp/internal/obs"
 )
-
-// chaosRetry is a fast retry policy for tests.
-func chaosRetry(maxRetries int) RetryPolicy {
-	return RetryPolicy{
-		MaxRetries:  maxRetries,
-		BaseBackoff: 10 * time.Microsecond,
-		MaxBackoff:  200 * time.Microsecond,
-		Seed:        7,
-	}
-}
 
 func sameResult(t *testing.T, name string, got, want *Result) {
 	t.Helper()
@@ -72,8 +61,8 @@ func TestChaosFaultSweepBitIdentical(t *testing.T) {
 	sawRetries := false
 	for _, rate := range []float64{0.001, 0.01, 0.05} {
 		opts := base
-		opts.Retry = chaosRetry(50)
-		opts.Chaos = Chaos{ReadRate: rate, WriteRate: rate, BlockRate: rate, Seed: 99}
+		opts.MaxRetries = 50
+		opts.Chaos = Chaos{ReadRate: rate, WriteRate: rate, Seed: 99}
 		res, err := Decompose(x, opts)
 		if err != nil {
 			t.Fatalf("rate %g: %v", rate, err)
@@ -99,7 +88,7 @@ func TestChaosRetryDisabledMatchesClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	withRetry := base
-	withRetry.Retry = chaosRetry(8)
+	withRetry.MaxRetries = 8
 	res, err := Decompose(x, withRetry)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +115,7 @@ func TestChaosPoisonQuarantineAndResume(t *testing.T) {
 	dir := t.TempDir()
 	poisoned := base
 	poisoned.Checkpoint = dir
-	poisoned.Retry = chaosRetry(2)
+	poisoned.MaxRetries = 2
 	poisoned.Chaos = Chaos{PoisonBlocks: []int{3}, Seed: 1}
 	_, err = Decompose(x, poisoned)
 	var qe *QuarantineError

@@ -128,7 +128,7 @@ func localFlags() (*flag.FlagSet, *localRun) {
 	fs.StringVar(&r.telemetry.MetricsPath, "metrics", "", "write a JSON metrics-registry snapshot to this file after the run")
 	fs.StringVar(&r.telemetry.PprofAddr, "pprof", "", "serve net/http/pprof and a Prometheus /metrics endpoint on this address while the run executes (e.g. localhost:6060)")
 	fs.DurationVar(&r.telemetry.Progress, "progress", 0, "print a progress line (fit, sweeps, blocks, I/O, buffer hit rate) to stderr at this interval (0 = off)")
-	fs.Float64Var(&r.chaos.ReadRate, "fault-rate", cli.EnvFloat("TWOPCP_FAULT_RATE"), "chaos testing: per-op probability of an injected transient fault on store and block reads (default $TWOPCP_FAULT_RATE)")
+	fs.Float64Var(&r.chaos.ReadRate, "fault-rate", cli.EnvFloat("TWOPCP_FAULT_RATE"), "chaos testing: per-read probability of an injected transient fault, one rate for Phase-1 block reads and Phase-2 store reads (default $TWOPCP_FAULT_RATE)")
 	fs.Float64Var(&r.chaos.WriteRate, "fault-write-rate", 0, "chaos testing: per-op probability of an injected transient fault on store writes")
 	fs.Int64Var(&r.chaos.Seed, "fault-seed", cli.EnvInt("TWOPCP_FAULT_SEED"), "chaos testing: fault-injection RNG seed (default $TWOPCP_FAULT_SEED)")
 	fs.Func("fault-poison-blocks", "chaos testing: comma-separated Phase-1 block `ids` that fail permanently on every read", func(ids string) (err error) {
@@ -150,7 +150,6 @@ func (r *localRun) options() (twopcp.Options, error) {
 	}
 	opts, err := r.spec.Options(checkpoint, r.store, resume)
 	opts.Chaos = r.chaos
-	opts.Chaos.BlockRate = r.chaos.ReadRate
 	return opts, err
 }
 

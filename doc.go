@@ -297,26 +297,27 @@
 //
 // # Fault tolerance
 //
-// Options.Retry arms a resilience layer for storage that fails without
-// killing the process — transient I/O errors and blocks that never load
-// (CLI: -retry). Faults divide into exactly two classes
+// Options.MaxRetries arms a resilience layer for storage that fails
+// without killing the process — transient I/O errors and blocks that
+// never load (CLI: -retry). Faults divide into exactly two classes
 // (blockstore.IsTransient): transient (an error wrapping ErrTransient)
 // and permanent (everything else), and each class has one behavior.
 // There is no per-operation deadline: a read of a regular file cannot be
 // cancelled cooperatively and the design refuses watchdog goroutines, so
 // an operation runs until the store answers.
 //
-//   - Transient faults are retried, up to Retry.MaxRetries per
-//     operation, with capped exponential backoff and deterministic
-//     seeded jitter. Both phases go through the same retry core
+//   - Transient faults are retried, up to MaxRetries per operation,
+//     with capped exponential backoff (blockstore's baseBackoff of 1 ms,
+//     doubling to its maxBackoff of 100 ms) and jitter seeded by
+//     Options.Seed. Both phases go through the same retry core
 //     (blockstore.Retryer): Phase 2's store reads and writes via the
 //     blockstore.Resilient wrapper, Phase 1's block loads and
 //     checkpoint saves directly. The wrapper is one layer of the
 //     Phase-2 store stack, which one function builds under one rule —
 //     a layer that is off is not in the stack: base store, then the
 //     chaos fault injector (Options.Chaos), then the resilience wrapper
-//     (Options.Retry), then instrumentation (Options.Observer), closed
-//     together when Phase 2 ends however it ends. That wrapper is the
+//     (Options.MaxRetries), then instrumentation (Options.Observer),
+//     closed together when Phase 2 ends however it ends. That wrapper is the
 //     only layer that repeats a store operation, so MaxRetries is the
 //     whole budget of a Get or Put at every PrefetchDepth and IOWorkers
 //     setting. A broken prefetch degrades rather than fails: it falls

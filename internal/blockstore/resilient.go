@@ -9,54 +9,29 @@ import (
 	"twopcp/internal/obs"
 )
 
-// RetryPolicy configures the resilience layer: how many times a transient
-// fault is retried and how backoff grows between attempts. The zero value
-// disables the layer (Enabled() == false); MaxRetries > 0 turns it on with
-// sane defaults for the unset knobs.
+// The backoff before retry k (1-based) is baseBackoff·2^(k−1), capped at
+// maxBackoff, with seeded jitter in [d/2, d].
+const (
+	baseBackoff = time.Millisecond
+	maxBackoff  = 100 * time.Millisecond
+)
+
+// Retryer executes operations under a retry budget: transient failures
+// (IsTransient) are retried up to maxRetries times per operation with
+// capped exponential backoff and deterministic seeded jitter; permanent
+// failures surface immediately. It is the retry core shared by
+// ResilientStore and Phase 1's per-block source reads, so both layers emit
+// the same store.retry events and count retries the same way.
 //
-// The policy is an execution knob like Workers or PrefetchDepth: it can
-// change what a run survives, never what it computes. Retried operations
-// leave Stats' Reads/Writes/Bytes counters and the deterministic trace
-// events untouched (only successful operations count), so factors,
-// FitTrace and swap counts are bit-identical to a fault-free run — and
-// the policy is excluded from the runstate fingerprint, so a resumed run
-// may use a different policy than the run that wrote the checkpoint.
-type RetryPolicy struct {
-	// MaxRetries is the per-operation retry budget for transient faults;
-	// 0 disables retrying (the first error surfaces).
-	MaxRetries int
-	// BaseBackoff is the first retry's backoff; it doubles per attempt up
-	// to MaxBackoff. Defaults: 1ms base, 100ms cap.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Seed drives the deterministic backoff jitter.
-	Seed int64
-}
-
-// Enabled reports whether the policy does anything at all.
-func (p RetryPolicy) Enabled() bool { return p.MaxRetries > 0 }
-
-// withDefaults fills the unset knobs.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 100 * time.Millisecond
-	}
-	return p
-}
-
-// Retryer executes operations under a RetryPolicy: transient failures
-// (IsTransient) are retried up to the budget with capped exponential
-// backoff and deterministic seeded jitter; permanent failures surface
-// immediately. It is the retry core shared by ResilientStore and Phase
-// 1's per-block source reads, so both layers emit the same store.retry
-// events and count retries the same way.
+// The budget changes what a run survives, never what it computes: only
+// successful operations count in Stats' Reads/Writes/Bytes and in the
+// deterministic trace, so factors, FitTrace and swap counts are
+// bit-identical to a fault-free run, and the budget is not fingerprinted,
+// so a resumed run may use another one.
 type Retryer struct {
-	pol     RetryPolicy
-	ob      *obs.Observer
-	retries *obs.Counter
+	maxRetries int
+	ob         *obs.Observer
+	retries    *obs.Counter
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -64,16 +39,16 @@ type Retryer struct {
 	nRetries int64
 }
 
-// NewRetryer returns a retryer for pol. A nil observer is valid (metrics
-// and events are skipped).
-func NewRetryer(pol RetryPolicy, ob *obs.Observer) *Retryer {
-	pol = pol.withDefaults()
+// NewRetryer returns a retryer that retries each operation up to
+// maxRetries times (0: the first error surfaces), its jitter seeded by
+// seed. A nil observer is valid (metrics and events are skipped).
+func NewRetryer(maxRetries int, seed int64, ob *obs.Observer) *Retryer {
 	return &Retryer{
-		pol:     pol,
-		ob:      ob,
-		retries: ob.Counter("store.retries"),
-		rng:     rand.New(rand.NewSource(pol.Seed)),
-		sleep:   time.Sleep,
+		maxRetries: maxRetries,
+		ob:         ob,
+		retries:    ob.Counter("store.retries"),
+		rng:        rand.New(rand.NewSource(seed)),
+		sleep:      time.Sleep,
 	}
 }
 
@@ -90,7 +65,7 @@ func (r *Retryer) Retries() int64 {
 // permanent immediately, or transient with the budget exhausted.
 func (r *Retryer) Do(opName string, mode, part int, op func() error) error {
 	err := op()
-	for attempt := 1; err != nil && IsTransient(err) && attempt <= r.pol.MaxRetries; attempt++ {
+	for attempt := 1; err != nil && IsTransient(err) && attempt <= r.maxRetries; attempt++ {
 		d := r.backoff(attempt)
 		r.note(opName, mode, part, attempt, d, err)
 		r.sleep(d)
@@ -100,12 +75,12 @@ func (r *Retryer) Do(opName string, mode, part int, op func() error) error {
 }
 
 // backoff returns the wait before retry `attempt` (1-based): exponential
-// from BaseBackoff, capped at MaxBackoff, with seeded jitter in
+// from baseBackoff, capped at maxBackoff, with seeded jitter in
 // [d/2, d] so concurrent retries decorrelate reproducibly.
 func (r *Retryer) backoff(attempt int) time.Duration {
-	d := r.pol.MaxBackoff
+	d := maxBackoff
 	if attempt-1 < 20 { // beyond 2^20× base the cap always wins
-		if e := r.pol.BaseBackoff << uint(attempt-1); e < d {
+		if e := baseBackoff << uint(attempt-1); e < d {
 			d = e
 		}
 	}
@@ -143,9 +118,10 @@ type ResilientStore struct {
 	retry *Retryer
 }
 
-// Resilient wraps inner under pol. A nil observer is valid.
-func Resilient(inner Store, pol RetryPolicy, ob *obs.Observer) *ResilientStore {
-	return &ResilientStore{Store: inner, retry: NewRetryer(pol, ob)}
+// Resilient wraps inner with a budget of maxRetries retries per operation,
+// its jitter seeded by seed. A nil observer is valid.
+func Resilient(inner Store, maxRetries int, seed int64, ob *obs.Observer) *ResilientStore {
+	return &ResilientStore{Store: inner, retry: NewRetryer(maxRetries, seed, ob)}
 }
 
 // SetSleep replaces the backoff sleeper (test seam).

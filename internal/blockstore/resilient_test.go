@@ -41,7 +41,7 @@ func TestResilientHealsTransientFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	mem := NewMemStore()
 	faulty := NewFaultyStore(mem)
-	rs := Resilient(faulty, RetryPolicy{MaxRetries: 5, Seed: 7}, nil)
+	rs := Resilient(faulty, 5, 7, nil)
 	rs.SetSleep(noSleep)
 
 	u := testUnit(rng)
@@ -72,7 +72,7 @@ func TestResilientHealsTransientFaults(t *testing.T) {
 func TestResilientBudgetExhausted(t *testing.T) {
 	mem := NewMemStore()
 	faulty := NewFaultyStore(mem)
-	rs := Resilient(faulty, RetryPolicy{MaxRetries: 2, Seed: 7}, nil)
+	rs := Resilient(faulty, 2, 7, nil)
 	rs.SetSleep(noSleep)
 	faulty.SetPlan(FaultPlan{ReadOutageFrom: 1, ReadOutageLen: 1 << 40})
 
@@ -93,7 +93,7 @@ func TestResilientBudgetExhausted(t *testing.T) {
 func TestResilientPermanentNotRetried(t *testing.T) {
 	mem := NewMemStore()
 	faulty := NewFaultyStore(mem)
-	rs := Resilient(faulty, RetryPolicy{MaxRetries: 5, Seed: 7}, nil)
+	rs := Resilient(faulty, 5, 7, nil)
 	rs.SetSleep(noSleep)
 	faulty.SetPlan(FaultPlan{ReadOutageFrom: 1, ReadOutageLen: 10, Permanent: true})
 
@@ -126,7 +126,7 @@ func TestResilientEveryOpGetsFullBudget(t *testing.T) {
 	}}
 	mem := NewMemStore()
 	faulty := NewFaultyStore(mem)
-	rs := Resilient(faulty, RetryPolicy{MaxRetries: 1, Seed: 7}, ob)
+	rs := Resilient(faulty, 1, 7, ob)
 	rs.SetSleep(noSleep)
 	u := testUnit(rng)
 	if err := rs.Put(u); err != nil {
@@ -169,7 +169,7 @@ func TestRetryEventsAndCounters(t *testing.T) {
 	}
 	mem := NewMemStore()
 	faulty := NewFaultyStore(mem)
-	rs := Resilient(faulty, RetryPolicy{MaxRetries: 2, Seed: 7}, ob)
+	rs := Resilient(faulty, 2, 7, ob)
 	rs.SetSleep(noSleep)
 	u := testUnit(rng)
 	if err := rs.Put(u); err != nil {
@@ -209,9 +209,8 @@ func TestRetryEventsAndCounters(t *testing.T) {
 // TestBackoffDeterministicAndBounded: same seed, same backoff sequence;
 // every wait lies in [base·2^(k-1)/2, min(cap, base·2^(k-1))].
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	pol := RetryPolicy{MaxRetries: 10, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Seed: 42}
 	seq := func() []time.Duration {
-		r := NewRetryer(pol, nil)
+		r := NewRetryer(10, 42, nil)
 		var ds []time.Duration
 		for a := 1; a <= 10; a++ {
 			ds = append(ds, r.backoff(a))
@@ -223,10 +222,7 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("backoff not deterministic at attempt %d: %v vs %v", i+1, a[i], b[i])
 		}
-		exp := pol.BaseBackoff << uint(i)
-		if exp > pol.MaxBackoff {
-			exp = pol.MaxBackoff
-		}
+		exp := min(baseBackoff<<uint(i), maxBackoff)
 		if a[i] < exp/2 || a[i] > exp {
 			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", i+1, a[i], exp/2, exp)
 		}

@@ -116,7 +116,7 @@ func TestWrapperContract(t *testing.T) {
 	for name, wrap := range map[string]func(Store) Store{
 		"faulty":       func(s Store) Store { return NewFaultyStore(s) },
 		"latency":      func(s Store) Store { return WithLatency(s, 0, 0) },
-		"resilient":    func(s Store) Store { return Resilient(s, RetryPolicy{MaxRetries: 2}, nil) },
+		"resilient":    func(s Store) Store { return Resilient(s, 2, 0, nil) },
 		"instrumented": func(s Store) Store { return Instrument(s, nil) },
 	} {
 		t.Run(name, func(t *testing.T) {

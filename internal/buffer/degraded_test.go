@@ -99,7 +99,7 @@ func TestDegradedFetchSurfacesDemandError(t *testing.T) {
 // resilient wraps s the way production does (storeStack): the store's
 // retry layer owns the one retry budget, here without the backoff sleeps.
 func resilient(s blockstore.Store, maxRetries int) *blockstore.ResilientStore {
-	rs := blockstore.Resilient(s, blockstore.RetryPolicy{MaxRetries: maxRetries, Seed: 7}, nil)
+	rs := blockstore.Resilient(s, maxRetries, 7, nil)
 	rs.SetSleep(func(time.Duration) {})
 	return rs
 }
@@ -208,12 +208,7 @@ func TestConcurrentResilientSandwich(t *testing.T) {
 	faulty := blockstore.NewFaultyStore(mem)
 	faulty.SetPlan(blockstore.FaultPlan{Seed: 99, ReadRate: 0.05, WriteRate: 0.05})
 	slow := blockstore.WithLatency(faulty, 20*time.Microsecond, 20*time.Microsecond)
-	rs := blockstore.Resilient(slow, blockstore.RetryPolicy{
-		MaxRetries:  20,
-		BaseBackoff: 10 * time.Microsecond,
-		MaxBackoff:  100 * time.Microsecond,
-		Seed:        7,
-	}, nil)
+	rs := blockstore.Resilient(slow, 20, 7, nil)
 	hammerManager(t, p, rs, 4*ub, 2)
 }
 
@@ -225,11 +220,6 @@ func TestConcurrentResilientSandwichFileStore(t *testing.T) {
 	faulty := blockstore.NewFaultyStore(store)
 	faulty.SetPlan(blockstore.FaultPlan{Seed: 3, ReadRate: 0.03, WriteRate: 0.03})
 	slow := blockstore.WithLatency(faulty, 10*time.Microsecond, 10*time.Microsecond)
-	rs := blockstore.Resilient(slow, blockstore.RetryPolicy{
-		MaxRetries:  20,
-		BaseBackoff: 10 * time.Microsecond,
-		MaxBackoff:  100 * time.Microsecond,
-		Seed:        11,
-	}, nil)
+	rs := blockstore.Resilient(slow, 20, 11, nil)
 	hammerManager(t, p, rs, 3*ub, 2)
 }

@@ -243,10 +243,7 @@ func (s *Spec) Options(ckptDir, storeDir string, resume bool) (twopcp.Options, e
 		Checkpoint:           ckptDir,
 		Resume:               resume,
 		CheckpointEverySteps: s.CheckpointEverySteps,
-		Retry: twopcp.RetryPolicy{
-			MaxRetries: s.MaxRetries,
-			Seed:       s.Seed,
-		},
+		MaxRetries:           s.MaxRetries,
 	}
 	if s.OutOfCore {
 		opts.StoreDir = storeDir

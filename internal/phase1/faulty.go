@@ -12,7 +12,7 @@ import (
 // FaultySource wraps a Source with seeded fault injection for chaos
 // testing the Phase-1 recovery paths: each Block read fails with
 // probability Rate (transient — wrapping blockstore.ErrTransient, so
-// Options.Retry heals it), and blocks listed in Poison fail permanently
+// Options.MaxRetries heals it), and blocks listed in Poison fail permanently
 // on every read (wrapping blockstore.ErrInjected, so they exhaust any
 // budget and land in quarantine).
 type FaultySource struct {

@@ -166,13 +166,14 @@ type Options struct {
 	// worker count) and blocks/sweeps counters.
 	// Nil disables it at ~zero cost.
 	Obs *obs.Observer
-	// Retry is the transient-fault policy for block reads and checkpoint
-	// writes: each failing Source.Block or SaveBlock is retried up to the
-	// budget with backoff before the block is quarantined. The zero value
-	// disables retrying (first failure quarantines). Retries never change
-	// numerics: a block decomposed after three read retries is seeded and
-	// swept identically to one that read cleanly.
-	Retry blockstore.RetryPolicy
+	// MaxRetries is the transient-fault budget for block reads and
+	// checkpoint writes: each failing Source.Block or SaveBlock is retried
+	// up to MaxRetries times with backoff (jitter seeded by Seed) before
+	// the block is quarantined. 0 disables retrying (first failure
+	// quarantines). Retries never change numerics: a block decomposed after
+	// three read retries is seeded and swept identically to one that read
+	// cleanly.
+	MaxRetries int
 	// Stop, when non-nil and closed, drains the run gracefully: workers
 	// finish (and checkpoint) the blocks they hold, no new blocks start,
 	// and Run returns ErrStopped.
@@ -197,7 +198,7 @@ type Result struct {
 	// must not be used.
 	Quarantined []int
 	// Retries counts the transient-fault retries performed under
-	// Options.Retry.
+	// Options.MaxRetries.
 	Retries int64
 }
 
@@ -227,7 +228,7 @@ func Run(src Source, opts Options) (*Result, error) {
 	// retryer heals transient faults on the block-read and
 	// checkpoint-write paths; trace events address Phase-1 blocks with
 	// mode -1 and the block id in part.
-	retryer := blockstore.NewRetryer(opts.Retry, opts.Obs)
+	retryer := blockstore.NewRetryer(opts.MaxRetries, opts.Seed, opts.Obs)
 	// block restores a checkpointed block without a read; any other is
 	// read and checkpointed under the retry budget, decomposed in between.
 	// A spent budget quarantines the block, an outcome rather than an error

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"twopcp/internal/blockstore"
 	"twopcp/internal/grid"
@@ -41,16 +40,6 @@ func (c *memCheckpointer) SaveBlock(id int, factors []*mat.Matrix, fit float64) 
 	return nil
 }
 
-// fastRetry is a retry policy with sub-millisecond backoff for tests.
-func fastRetry(maxRetries int) blockstore.RetryPolicy {
-	return blockstore.RetryPolicy{
-		MaxRetries:  maxRetries,
-		BaseBackoff: 10 * time.Microsecond,
-		MaxBackoff:  100 * time.Microsecond,
-		Seed:        7,
-	}
-}
-
 // TestRetryHealsTransientBlockFaults: seeded transient block-read faults
 // under a sufficient retry budget produce bit-identical sub-factors to a
 // fault-free run, with retries reported in the Result.
@@ -68,7 +57,7 @@ func TestRetryHealsTransientBlockFaults(t *testing.T) {
 
 	src2, _ := NewDenseSource(x, p)
 	faultyOpts := opts
-	faultyOpts.Retry = fastRetry(30)
+	faultyOpts.MaxRetries = 30
 	faulty, err := Run(NewFaultySource(src2, 0.4, 99, nil), faultyOpts)
 	if err != nil {
 		t.Fatalf("run with healable faults: %v", err)
@@ -99,7 +88,7 @@ func TestPoisonBlocksQuarantined(t *testing.T) {
 	poison := []int{5, 1}
 
 	res, err := Run(NewFaultySource(src, 0, 0, poison), Options{
-		Rank: 3, MaxIters: 10, Seed: 7, Retry: fastRetry(2),
+		Rank: 3, MaxIters: 10, Seed: 7, MaxRetries: 2,
 	})
 	var qe *QuarantineError
 	if !errors.As(err, &qe) {
@@ -150,7 +139,7 @@ func TestQuarantineResumable(t *testing.T) {
 	src1, _ := NewDenseSource(x, p)
 	o1 := opts
 	o1.Checkpoint = ck
-	o1.Retry = fastRetry(1)
+	o1.MaxRetries = 1
 	_, err = Run(NewFaultySource(src1, 0, 0, []int{3}), o1)
 	var qe *QuarantineError
 	if !errors.As(err, &qe) {

@@ -19,9 +19,10 @@ import (
 // order, so a summing merge has the serial bits at every worker count; at
 // one worker one block and one partial are live at a time.
 //
-// Stop is checked on its own before each hand-out: once it is closed no
-// block goes out, those in flight finish and merge, and Stream returns
-// ErrStopped (a nil stop never fires). An error from do stops the hand-out
+// Stop is checked on its own before each hand-out and once more at the
+// end: once it is closed no block goes out, those in flight finish and
+// merge, and Stream returns ErrStopped (a nil stop never fires), also when
+// it closed after the last hand-out. An error from do stops the hand-out
 // too; the lowest block id's error is returned, and only the blocks before
 // it merge. Every worker has exited when Stream returns.
 func Stream[W, P any](src Source, workers int, stop <-chan struct{}, bufs *Buffers,
@@ -104,6 +105,14 @@ func Stream[W, P any](src Source, workers int, stop <-chan struct{}, bufs *Buffe
 	}
 	close(jobs)
 	wg.Wait()
+	if err == nil && stopped == nil {
+		// Every block went out before Stop closed (say, in the last merge).
+		select {
+		case <-stop:
+			stopped = ErrStopped
+		default:
+		}
+	}
 	if err == nil {
 		err = stopped
 	}

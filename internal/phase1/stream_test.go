@@ -134,12 +134,13 @@ func TestStreamReturnsFirstError(t *testing.T) {
 // block. Closed before the stream starts, no block is read; closed during
 // block 2's merge at one worker, blocks 0–2 are all that ran; at four
 // workers every block that ran was merged, in order, and Stream reports
-// ErrStopped each time.
+// ErrStopped each time — also when Stop closes in the last block's merge,
+// after every block has gone out.
 func TestStreamStopHandsOutNothing(t *testing.T) {
 	p := grid.MustNew([]int{8, 8, 8}, []int{4, 4, 4})
 	for _, tc := range []struct {
 		workers, stopAt int // stopAt < 0: closed before the stream starts
-	}{{1, -1}, {4, -1}, {1, 2}, {4, 2}} {
+	}{{1, -1}, {4, -1}, {1, 2}, {4, 2}, {1, 63}, {4, 63}} {
 		stop := make(chan struct{})
 		if tc.stopAt < 0 {
 			close(stop)

@@ -155,7 +155,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 // Recorded baselines live in BENCH_resilience.json.
 func BenchmarkResilienceOverhead(b *testing.B) {
 	p1 := benchPhase1(b)
-	pol := blockstore.RetryPolicy{MaxRetries: 3, Seed: 1}
 	run := func(b *testing.B, resilient bool) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -172,7 +171,7 @@ func BenchmarkResilienceOverhead(b *testing.B) {
 				Seed:            5,
 			}
 			if resilient {
-				cfg.Store = blockstore.Resilient(cfg.Store, pol, nil)
+				cfg.Store = blockstore.Resilient(cfg.Store, 3, 1, nil)
 			}
 			eng, err := New(cfg)
 			if err != nil {

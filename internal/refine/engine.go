@@ -541,31 +541,13 @@ func (e *Engine) Run() (*Result, error) {
 	if res.VirtualIters > 0 {
 		res.SwapsPerVirtualIter = float64(res.BufferStats.Fetches) / float64(res.VirtualIters)
 	}
-	factors, err := e.assembleFactors()
-	if err != nil {
-		return nil, err
+	// The full factor A(i) stacks the current A(i)_(ki), which FlushAll has
+	// just made the store's too.
+	res.Factors = make([]*mat.Matrix, len(e.curA))
+	for mode, parts := range e.curA {
+		res.Factors[mode] = mat.VStack(parts...)
 	}
-	res.Factors = factors
 	return res, nil
-}
-
-// assembleFactors stacks the per-partition A(i)_(ki) (as persisted in the
-// store) into the full factor matrices A(i), reading the units in
-// ⟨mode, part⟩ order.
-func (e *Engine) assembleFactors() ([]*mat.Matrix, error) {
-	factors := make([]*mat.Matrix, e.pattern.NModes())
-	for mode := range factors {
-		parts := make([]*mat.Matrix, e.pattern.K[mode])
-		for part := range parts {
-			u, err := e.cfg.Store.Get(mode, part)
-			if err != nil {
-				return nil, err
-			}
-			parts[part] = u.A
-		}
-		factors[mode] = mat.VStack(parts...)
-	}
-	return factors, nil
 }
 
 // SurrogateFit exposes the current surrogate fit (see components) for

@@ -41,9 +41,17 @@ const (
 	coreSeedMix  = 0x3C6EF372FE94F82B // core ALS initialization, per restart
 )
 
-// pilotCoreIters caps each multistart pilot run on the core; only the
-// winning basin is polished to the caller's full iteration budget.
-const pilotCoreIters = 60
+// coreRestarts is the number of independently seeded core ALS runs; the
+// best-fit core model wins. The core is tiny, so restarts cost almost
+// nothing, and they make the warm start robust against the local optima
+// cold-started ALS is prone to on structured (orthogonal or collinear)
+// inputs. Deterministic: restart seeds derive from Seed, and ties keep the
+// earliest attempt. pilotCoreIters caps each pilot run; only the winning
+// basin is polished to the caller's full iteration budget.
+const (
+	coreRestarts   = 4
+	pilotCoreIters = 60
+)
 
 // Options configures the Phase-0 accelerator.
 type Options struct {
@@ -58,13 +66,6 @@ type Options struct {
 	// MaxIters and Tol configure the core CP-ALS (cpals defaults apply).
 	MaxIters int
 	Tol      float64
-	// Restarts is the number of independently seeded core ALS runs; the
-	// best-fit core model wins (default 4). The core is tiny, so restarts
-	// cost almost nothing, and they make the warm start robust against
-	// the local optima cold-started ALS is prone to on structured
-	// (orthogonal or collinear) inputs. Deterministic: restart seeds
-	// derive from Seed, and ties keep the earliest attempt.
-	Restarts int
 	// Seed derives the sketch matrices and the core ALS init. The same
 	// seed always produces the same warm start, bit for bit.
 	Seed int64
@@ -97,12 +98,6 @@ func (o *Options) normalize() (Options, error) {
 	}
 	if out.Oversample == 0 {
 		out.Oversample = 5
-	}
-	if out.Restarts < 0 {
-		return out, fmt.Errorf("sketch: restarts %d", out.Restarts)
-	}
-	if out.Restarts == 0 {
-		out.Restarts = 4
 	}
 	return out, nil
 }
@@ -179,15 +174,15 @@ func TuckerWarmStart(src phase1.Source, opts Options) (*Result, error) {
 	// basin (cold-started ALS on structured tensors is prone to local
 	// optima), then only the winner is polished to the full iteration
 	// budget. Sweeps on the core are cheap but not free — the pilots cost
-	// o.Restarts·pilotCoreIters sweeps instead of o.Restarts·o.MaxIters.
+	// coreRestarts·pilotCoreIters sweeps instead of coreRestarts·o.MaxIters.
 	pilot := o.MaxIters
 	if pilot <= 0 || pilot > pilotCoreIters {
 		pilot = pilotCoreIters
 	}
-	kts := make([]*cpals.KTensor, o.Restarts)
-	infos := make([]cpals.Info, o.Restarts)
+	kts := make([]*cpals.KTensor, coreRestarts)
+	infos := make([]cpals.Info, coreRestarts)
 	best := -1
-	for attempt := 0; attempt < o.Restarts; attempt++ {
+	for attempt := range coreRestarts {
 		seed := o.Seed ^ int64(attempt+1)*coreSeedMix
 		akt, ainfo, err := cpals.Decompose(g, cpals.Options{
 			Rank:     o.CPRank,

@@ -87,7 +87,7 @@ func TestStoreStackLayers(t *testing.T) {
 					want = append([]string{"*blockstore.FaultyStore"}, want...)
 				}
 				if retry {
-					opts.Retry.MaxRetries = 1
+					opts.MaxRetries = 1
 					want = append([]string{"*blockstore.ResilientStore"}, want...)
 				}
 				if observed {

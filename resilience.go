@@ -3,7 +3,6 @@ package twopcp
 import (
 	"errors"
 
-	"twopcp/internal/blockstore"
 	"twopcp/internal/cpals"
 	"twopcp/internal/phase1"
 )
@@ -13,10 +12,6 @@ import (
 // retries never change what the run computes, quarantine is typed and
 // resumable, and a graceful drain leaves a valid checkpoint behind.
 type (
-	// RetryPolicy configures transient-fault retries for both phases
-	// (Options.Retry). The zero value disables the resilience layer
-	// entirely — bit-for-bit the historical behavior.
-	RetryPolicy = blockstore.RetryPolicy
 	// QuarantineError reports Phase-1 blocks that exhausted the retry
 	// budget on a permanent fault. The run's other blocks completed and
 	// were checkpointed (when checkpointing), so fixing the fault and
@@ -46,13 +41,12 @@ var ErrNonFinite = cpals.ErrNonFinite
 // heals through retries produces bit-identical factors and FitTrace to a
 // fault-free run. The zero value injects nothing.
 type Chaos struct {
-	// ReadRate / WriteRate are the per-operation probabilities of an
-	// injected transient fault on Phase-2 store reads / writes.
-	ReadRate  float64
+	// ReadRate is the per-read probability of an injected transient fault,
+	// one rate for both Phase-1 block reads and Phase-2 store reads.
+	ReadRate float64
+	// WriteRate is the per-write probability of an injected transient
+	// fault on Phase-2 store writes.
 	WriteRate float64
-	// BlockRate is the per-read probability of an injected transient
-	// fault on Phase-1 block reads.
-	BlockRate float64
 	// PoisonBlocks lists Phase-1 linear block ids that fail permanently
 	// on every read (they exhaust any retry budget and land in
 	// quarantine).

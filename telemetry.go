@@ -104,7 +104,7 @@ type RunStats struct {
 	BytesRead    int64 `json:"bytes_read"`
 	BytesWritten int64 `json:"bytes_written"`
 	// Retries counts transient-fault retries absorbed by the resilience
-	// layer across both phases (0 when Options.Retry is disabled or no
+	// layer across both phases (0 when Options.MaxRetries is 0 or no
 	// faults occurred). Unlike every counter above it is NOT part of the
 	// determinism contract — faults are environmental — but it reconciles
 	// exactly with the store.retry events in a single-process trace

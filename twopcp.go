@@ -136,16 +136,16 @@ type Options struct {
 	// telemetry at ~zero cost. Telemetry never influences the run:
 	// results are bit-identical with any observer configuration.
 	Observer *Observer
-	// Retry configures the resilience layer: transient store and block
-	// faults are retried with capped exponential backoff (seeded jitter),
-	// at most 1+MaxRetries attempts per operation, and then the operation
-	// fails. Retries never change what the run computes — factors,
-	// FitTrace and the Result's I/O counters are bit-identical to a
-	// fault-free run (only successful operations count). The zero value
-	// disables the layer entirely. Excluded from the checkpoint
-	// fingerprint: a run may be resumed with different retry settings. See
-	// the "Fault tolerance" section of the package documentation.
-	Retry RetryPolicy
+	// MaxRetries arms the resilience layer: transient store and block
+	// faults are retried with capped exponential backoff (1 ms doubling to
+	// 100 ms, jitter seeded by Seed), at most 1+MaxRetries attempts per
+	// operation, and then the operation fails. Retries never change what
+	// the run computes — factors, FitTrace and the Result's I/O counters
+	// are bit-identical to a fault-free run (only successful operations
+	// count). 0 disables the layer entirely. Excluded from the checkpoint
+	// fingerprint: a run may be resumed with a different budget. See the
+	// "Fault tolerance" section of the package documentation.
+	MaxRetries int
 	// Stop, when non-nil, requests a graceful drain when closed: the run
 	// finishes its in-flight step, writes a checkpoint (when Checkpoint is
 	// set) and returns an error wrapping ErrInterrupted. The CLIs close it
@@ -301,15 +301,15 @@ func newRun(opts Options, in input) (*runCtx, error) {
 	r := &runCtx{opts: opts, in: in, pattern: p, solver: solver, ob: opts.Observer, res: &Result{}}
 	r.res.RunStats.Blocks = p.NumBlocks()
 	r.p1opts = phase1.Options{
-		Rank:     opts.Rank,
-		MaxIters: opts.Phase1MaxIters,
-		Tol:      opts.Phase1Tol,
-		Seed:     opts.Seed,
-		Workers:  opts.Workers,
-		Solver:   solver,
-		Obs:      r.ob,
-		Retry:    opts.Retry,
-		Stop:     opts.Stop,
+		Rank:       opts.Rank,
+		MaxIters:   opts.Phase1MaxIters,
+		Tol:        opts.Phase1Tol,
+		Seed:       opts.Seed,
+		Workers:    opts.Workers,
+		Solver:     solver,
+		Obs:        r.ob,
+		MaxRetries: opts.MaxRetries,
+		Stop:       opts.Stop,
 	}
 	r.p2cfg = refine.Config{
 		Schedule:        opts.Schedule,
@@ -365,8 +365,8 @@ func decompose(opts Options, in input) (res *Result, err error) {
 	// Chaos block-read faults wrap the source before any stage sees it; the
 	// injection RNG is independent of the run's numerics, so a healed run
 	// is bit-identical to a fault-free one.
-	if opts.Chaos.BlockRate > 0 || len(opts.Chaos.PoisonBlocks) > 0 {
-		r.src = phase1.NewFaultySource(r.src, opts.Chaos.BlockRate, opts.Chaos.Seed, opts.Chaos.PoisonBlocks)
+	if opts.Chaos.ReadRate > 0 || len(opts.Chaos.PoisonBlocks) > 0 {
+		r.src = phase1.NewFaultySource(r.src, opts.Chaos.ReadRate, opts.Chaos.Seed, opts.Chaos.PoisonBlocks)
 	}
 	// Close carries the run's last checkpoint sync, so its error is the
 	// run's. A drain that could not sync has not left the resumable
@@ -521,8 +521,8 @@ func storeStack(opts Options) (blockstore.Store, error) {
 		})
 		store = faulty
 	}
-	if opts.Retry.Enabled() {
-		store = blockstore.Resilient(store, opts.Retry, opts.Observer)
+	if opts.MaxRetries > 0 {
+		store = blockstore.Resilient(store, opts.MaxRetries, opts.Seed, opts.Observer)
 	}
 	if opts.Observer != nil {
 		store = blockstore.Instrument(store, opts.Observer)
