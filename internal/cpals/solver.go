@@ -115,17 +115,13 @@ func (s Ridge) validate() error {
 //
 //	A[:,f] ← max(0, A[:,f] + (M − A·V)[:,f] / V[f,f]),
 //
-// warm-started from the current factor. One pass is the textbook
-// HALS-per-ALS-sweep step; InnerIters raises the per-update pass count.
-// The update touches only rows×F² flops against the F×F Gram — the same
-// kernel structure as the unconstrained solve (Ballard et al., "Parallel
-// Nonnegative CP Decomposition of Dense Tensors"), so MTTKRP still
-// dominates and the constrained sweep stays within a small factor of the
-// unconstrained one.
-type Nonnegative struct {
-	// InnerIters is the number of HALS passes per update (default 1).
-	InnerIters int
-}
+// warm-started from the current factor: one pass per update, the textbook
+// HALS-per-ALS-sweep step. The update touches only rows×F² flops against
+// the F×F Gram — the same kernel structure as the unconstrained solve
+// (Ballard et al., "Parallel Nonnegative CP Decomposition of Dense
+// Tensors"), so MTTKRP still dominates and the constrained sweep stays
+// within a small factor of the unconstrained one.
+type Nonnegative struct{}
 
 // Name implements Solver.
 func (Nonnegative) Name() string { return "nonneg" }
@@ -137,44 +133,38 @@ func (Nonnegative) WarmStart() bool { return true }
 // nonnegative cone, so the output is element-wise nonnegative whatever the
 // initial content of a; every operation is serial and in fixed order, so
 // the update is deterministic.
-func (s Nonnegative) Solve(a, m, v *mat.Matrix, sc *SolverScratch) {
-	inner := s.InnerIters
-	if inner <= 0 {
-		inner = 1
-	}
+func (Nonnegative) Solve(a, m, v *mat.Matrix, sc *SolverScratch) {
 	for i, x := range a.Data {
 		if !(x > 0) {
 			a.Data[i] = 0
 		}
 	}
 	f := v.Rows
-	for it := 0; it < inner; it++ {
-		for c := 0; c < f; c++ {
-			// V is symmetric, so column c is row c (contiguous).
-			vcol := v.Row(c)
-			vcc := vcol[c]
-			if !(vcc > 0) {
-				// A dead component (zero column somewhere in the KR
-				// product) makes the objective flat in this column; pin it
-				// to zero deterministically, matching the λ-folding rule
-				// that reports dead columns with weight 1 and zero factors.
-				for i := 0; i < a.Rows; i++ {
-					a.Row(i)[c] = 0
-				}
-				continue
-			}
+	for c := 0; c < f; c++ {
+		// V is symmetric, so column c is row c (contiguous).
+		vcol := v.Row(c)
+		vcc := vcol[c]
+		if !(vcc > 0) {
+			// A dead component (zero column somewhere in the KR
+			// product) makes the objective flat in this column; pin it
+			// to zero deterministically, matching the λ-folding rule
+			// that reports dead columns with weight 1 and zero factors.
 			for i := 0; i < a.Rows; i++ {
-				row := a.Row(i)
-				g := m.At(i, c)
-				for k, vk := range vcol {
-					g -= row[k] * vk
-				}
-				x := row[c] + g/vcc
-				if !(x > 0) {
-					x = 0
-				}
-				row[c] = x
+				a.Row(i)[c] = 0
 			}
+			continue
+		}
+		for i := 0; i < a.Rows; i++ {
+			row := a.Row(i)
+			g := m.At(i, c)
+			for k, vk := range vcol {
+				g -= row[k] * vk
+			}
+			x := row[c] + g/vcc
+			if !(x > 0) {
+				x = 0
+			}
+			row[c] = x
 		}
 	}
 }

@@ -10,14 +10,21 @@
 //	T(i)_(ki) = Σ_{l: l_i=ki} U(i)_l · ⊛_{h≠i} (U(h)ᵀ_l A(h)_(l_h))
 //	S(i)_(ki) = Σ_{l: l_i=ki} ⊛_{h≠i} (A(h)ᵀ_(l_h) A(h)_(l_h))
 //
+// The mode-i slab of part ki holds every combination of the other modes'
+// parts, so the sum in S distributes over the Hadamard product:
+// S(i)_(ki) = ⊛_{h≠i} Σ_kh A(h)ᵀ_(kh)A(h)_(kh) = ⊛_{h≠i} A(h)ᵀA(h), the
+// normal matrix of dense CP-ALS. It depends neither on ki nor on U.
+//
 // The F×F products P[l][h] = U(h)ᵀ_l A(h)_(l_h) and Q[h][kh] =
 // A(h)ᵀ_(kh)A(h)_(kh) are maintained incrementally in memory as per-mode
-// components; the paper's Hadamard-division form P_l ⊘ (U(i)ᵀ_l A(i)_(ki))
-// is recovered by multiplying the h≠i components, which is algebraically
-// identical, avoids 0/0, and measured 1.7× faster than maintaining the
-// products in place (docs/performance.md records the ablation). Only the
-// data units {A(i)_(ki); U(i)_slab} ever move between disk and buffer,
-// exactly as in the paper's Definition 4.
+// components, and with every Q refresh the mode's Gram A(h)ᵀA(h) is
+// re-summed from its Q[h][·] in part order, so S is one Hadamard product
+// of the other modes' Grams per update. The paper's Hadamard-division form
+// P_l ⊘ (U(i)ᵀ_l A(i)_(ki)) is recovered by multiplying the h≠i
+// components, which is algebraically identical, avoids 0/0, and measured
+// 1.7× faster than maintaining the products in place (docs/performance.md
+// records the ablation). Only the data units {A(i)_(ki); U(i)_slab} ever
+// move between disk and buffer, exactly as in the paper's Definition 4.
 //
 // The update assumes the blocks' sub-factors agree: column r of every
 // block the same component, with one sign and scale. Phase 1 solves each
@@ -33,15 +40,12 @@ package refine
 import (
 	"math"
 
-	"twopcp/internal/grid"
 	"twopcp/internal/mat"
 	"twopcp/internal/phase1"
 )
 
 // components holds the memory-resident F×F bookkeeping of Phase 2.
 type components struct {
-	pattern *grid.Pattern
-	rank    int
 	// slab[mode][part] = the pattern's Slab(mode, part), the linear ids of
 	// the unit's blocks in packed order, computed once.
 	slab [][][]int
@@ -57,23 +61,22 @@ type components struct {
 	// q[mode][part] = A(mode)ᵀ_(part) A(mode)_(part); the per-mode factor
 	// of the paper's Q_l.
 	q [][]*mat.Matrix
+	// gram[mode] = Σ_part q[mode][part] = A(mode)ᵀA(mode), summed in part
+	// order: the per-mode factor of S and of the surrogate's model term.
+	gram []*mat.Matrix
 	// unorm2 = Σ_l ‖[[U_l]]‖², the surrogate data norm.
 	unorm2 float64
 	// SurrogateFit scratch, reused across termination checks (the engine
-	// runs single-threaded, so plain fields suffice): two F×F Hadamard
-	// accumulators, the all-ones weight vector and a block-vector buffer.
-	// qOfBlock is sTermInto's: one block's Q factors, by mode.
+	// runs single-threaded, so plain fields suffice): an F×F Hadamard
+	// accumulator and the all-ones weight vector.
 	fitCross *mat.Matrix
-	fitModel *mat.Matrix
 	fitOnes  []float64
-	fitVec   []int
-	qOfBlock []*mat.Matrix
 }
 
 func newComponents(p1 *phase1.Result) *components {
 	p := p1.Pattern
 	n, f := p.NModes(), p1.Rank
-	c := &components{pattern: p, rank: f}
+	c := &components{}
 	c.p = make([][]*mat.Matrix, p.NumBlocks())
 	c.ugram = make([][]*mat.Matrix, p.NumBlocks())
 	for id := range c.p {
@@ -86,7 +89,9 @@ func newComponents(p1 *phase1.Result) *components {
 	c.slab = make([][][]int, n)
 	c.pstack = make([][]*mat.Matrix, n)
 	c.q = make([][]*mat.Matrix, n)
+	c.gram = make([]*mat.Matrix, n)
 	for m := 0; m < n; m++ {
+		c.gram[m] = mat.New(f, f)
 		c.slab[m] = make([][]int, p.K[m])
 		c.pstack[m] = make([]*mat.Matrix, p.K[m])
 		c.q[m] = make([]*mat.Matrix, p.K[m])
@@ -102,10 +107,7 @@ func newComponents(p1 *phase1.Result) *components {
 		}
 	}
 	c.fitCross = mat.New(f, f)
-	c.fitModel = mat.New(f, f)
 	c.fitOnes = onesVec(f)
-	c.fitVec = make([]int, n)
-	c.qOfBlock = make([]*mat.Matrix, n)
 	// ‖[[U_l]]‖² = 1ᵀ(⊛_h U(h)ᵀU(h))1 per block.
 	for id := range c.ugram {
 		hadamardInto(c.fitCross.Data, c.ugram[id], -1)
@@ -115,19 +117,18 @@ func newComponents(p1 *phase1.Result) *components {
 }
 
 // setA refreshes the components that depend on A(mode)_(part): the Gram
-// q[mode][part] and, through one product against the unit's packed slab,
-// p[l][mode] for every block l of the mode slab.
+// q[mode][part], the mode's Gram sum, re-summed in part order so it stays a
+// pure function of A (never updated by subtracting the old Gram), and,
+// through one product against the unit's packed slab, p[l][mode] for every
+// block l of the mode slab.
 func (c *components) setA(mode, part int, a, slab *mat.Matrix) {
-	mat.GramInto(c.q[mode][part], a)
-	mat.TMulInto(c.pstack[mode][part], slab, a)
-}
-
-// sTermInto computes ⊛_{h≠i} Q[h][l_h] into dst's F·F values.
-func (c *components) sTermInto(dst []float64, blockVec []int, skipMode int) {
-	for h, kh := range blockVec {
-		c.qOfBlock[h] = c.q[h][kh]
+	q := c.q[mode]
+	mat.GramInto(q[part], a)
+	c.gram[mode].CopyFrom(q[0])
+	for _, qk := range q[1:] {
+		c.gram[mode].AddInPlace(qk)
 	}
-	hadamardInto(dst, c.qOfBlock, skipMode)
+	mat.TMulInto(c.pstack[mode][part], slab, a)
 }
 
 // SurrogateFit returns the fit of the current grid model against the
@@ -135,22 +136,23 @@ func (c *components) sTermInto(dst []float64, blockVec []int, skipMode int) {
 // components, so the termination check (paper Definition 3, virtual
 // iterations) costs no I/O:
 //
-//	‖X̃ − X̂‖² = Σ_l ( ‖[[U_l]]‖² − 2·1ᵀ(⊛_h P[l][h])1 + 1ᵀ(⊛_h Q_l)1 )
+//	‖X̃ − X̂‖² = Σ_l ‖[[U_l]]‖² − 2·Σ_l 1ᵀ(⊛_h P[l][h])1 + 1ᵀ(⊛_h A(h)ᵀA(h))1
+//
+// The model term Σ_l 1ᵀ(⊛_h Q[h][l_h])1 = ‖[[A(1), …, A(N)]]‖² factors
+// through the per-mode Gram sums because the grid holds every combination
+// of parts, so only the cross term is summed block by block.
 func (c *components) SurrogateFit() float64 {
 	if c.unorm2 == 0 {
 		return 1
 	}
 	ones := c.fitOnes
-	var err2 float64
-	vec := c.fitVec
+	var cross float64
 	for id := range c.p {
-		c.pattern.Unlinear(id, vec)
 		hadamardInto(c.fitCross.Data, c.p[id], -1)
-		cross := mat.QuadForm(c.fitCross, ones, ones)
-		c.sTermInto(c.fitModel.Data, vec, -1)
-		model := mat.QuadForm(c.fitModel, ones, ones)
-		err2 += -2*cross + model
+		cross += mat.QuadForm(c.fitCross, ones, ones)
 	}
+	hadamardInto(c.fitCross.Data, c.gram, -1)
+	err2 := -2*cross + mat.QuadForm(c.fitCross, ones, ones)
 	err2 += c.unorm2
 	if err2 < 0 {
 		err2 = 0

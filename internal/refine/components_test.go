@@ -47,37 +47,45 @@ func packSlab(t *testing.T, a *mat.Matrix, slabU map[int]*mat.Matrix) *mat.Matri
 	return slab
 }
 
+// TestSurrogateFitMatchesExplicit holds the Gram-sum model term to
+// materialized block models, on a cube and on an uneven grid whose parts
+// differ in height within and across modes: the factoring needs every
+// block of the grid, one per combination of parts.
 func TestSurrogateFitMatchesExplicit(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	x := tensor.RandomDense(rng, 6, 6, 6)
-	p := grid.UniformCube(3, 6, 2)
-	src, err := phase1.NewDenseSource(x, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := phase1.Run(src, phase1.Options{Rank: 2, MaxIters: 20, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Random A parts installed into fresh components.
-	comps := newComponents(p1)
-	parts := map[int]*mat.Matrix{}
-	for mode := 0; mode < 3; mode++ {
-		for part := 0; part < 2; part++ {
-			_, rows := p.ModeRange(mode, part)
-			a := mat.Random(rows, 2, rng)
-			parts[mode*1000+part] = a
-			slabU := map[int]*mat.Matrix{}
-			for _, id := range p.Slab(mode, part) {
-				slabU[id] = p1.Sub[id][mode]
-			}
-			comps.setA(mode, part, a, packSlab(t, a, slabU))
+	for _, p := range []*grid.Pattern{
+		grid.UniformCube(3, 6, 2),
+		grid.MustNew([]int{7, 9, 5}, []int{3, 4, 2}),
+	} {
+		rng := rand.New(rand.NewSource(10))
+		x := tensor.RandomDense(rng, p.Dims...)
+		src, err := phase1.NewDenseSource(x, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	got := comps.SurrogateFit()
-	want := explicitSurrogateFit(p1, parts)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("SurrogateFit = %g, explicit = %g", got, want)
+		p1, err := phase1.Run(src, phase1.Options{Rank: 2, MaxIters: 20, Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Random A parts installed into fresh components.
+		comps := newComponents(p1)
+		parts := map[int]*mat.Matrix{}
+		for mode := 0; mode < 3; mode++ {
+			for part := 0; part < p.K[mode]; part++ {
+				_, rows := p.ModeRange(mode, part)
+				a := mat.Random(rows, 2, rng)
+				parts[mode*1000+part] = a
+				slabU := map[int]*mat.Matrix{}
+				for _, id := range p.Slab(mode, part) {
+					slabU[id] = p1.Sub[id][mode]
+				}
+				comps.setA(mode, part, a, packSlab(t, a, slabU))
+			}
+		}
+		got := comps.SurrogateFit()
+		want := explicitSurrogateFit(p1, parts)
+		if math.Abs(got-want) > 1e-9 {
+			t.Fatalf("%v in %v parts: SurrogateFit = %g, explicit = %g", p.Dims, p.K, got, want)
+		}
 	}
 }
 

@@ -140,9 +140,7 @@ type Engine struct {
 	// stacked; scratchMTTKRP one rows×rank accumulator per distinct
 	// partition row count.
 	scratchS      *mat.Matrix
-	scratchTerm   []float64
 	scratchGamma  []float64
-	scratchVec    []int
 	scratchMTTKRP map[int]*mat.Matrix
 	solverScratch cpals.SolverScratch
 
@@ -357,7 +355,8 @@ func (e *Engine) seedUnits(restored *runstate.Phase2State) error {
 // is Phase 2's hot loop, and the new A is its one allocation. The Γ_l of
 // the slab are stacked in the slab's block order, so T = Σ_l U(i)_l·Γ_l is
 // one product of the packed slab with the stack: per element the one
-// front-to-back sum over (l, k) from zero.
+// front-to-back sum over (l, k) from zero. S is the Hadamard product of the
+// other modes' Gram sums (see the package comment).
 func (e *Engine) update(u *blockstore.Unit) {
 	mode, part := u.Mode, u.Part
 	rank := e.cfg.Phase1.Rank
@@ -365,8 +364,6 @@ func (e *Engine) update(u *blockstore.Unit) {
 	_, rows := e.pattern.ModeRange(mode, part)
 	if e.scratchS == nil {
 		e.scratchS = mat.New(rank, rank)
-		e.scratchTerm = make([]float64, ff)
-		e.scratchVec = make([]int, e.pattern.NModes())
 		e.scratchMTTKRP = make(map[int]*mat.Matrix)
 	}
 	t := e.scratchMTTKRP[rows]
@@ -376,26 +373,22 @@ func (e *Engine) update(u *blockstore.Unit) {
 	} else {
 		t.Zero()
 	}
-	s, term, vec := e.scratchS, e.scratchTerm, e.scratchVec
-	s.Zero()
 	slab := e.comps.slab[mode][part]
 	if len(e.scratchGamma) < len(slab)*ff {
 		e.scratchGamma = make([]float64, len(slab)*ff)
 	}
 	gamma := e.scratchGamma[:len(slab)*ff]
 	for l, id := range slab {
-		e.pattern.Unlinear(id, vec)
 		// Γ_l = ⊛_{h≠i} P[l][h], the paper's P_l ⊘ (U(i)ᵀ_l A(i)_(ki)).
 		hadamardInto(gamma[l*ff:(l+1)*ff], e.comps.p[id], mode)
-		e.comps.sTermInto(term, vec, mode)
-		mat.Axpy(s.Data, term, 1)
 	}
+	hadamardInto(e.scratchS.Data, e.comps.gram, mode)
 	mat.FibersMatMulAdd(t.Data, gamma, u.Slab.Data, len(slab)*rank, rank)
 	aNew := mat.New(rows, rank)
 	if e.solver.WarmStart() {
 		aNew.CopyFrom(u.A)
 	}
-	e.solver.Solve(aNew, t, s, &e.solverScratch)
+	e.solver.Solve(aNew, t, e.scratchS, &e.solverScratch)
 	u.A = aNew
 	e.comps.setA(mode, part, aNew, u.Slab)
 	e.curA[mode][part] = aNew

@@ -13,8 +13,8 @@ import (
 )
 
 // sameBits fails unless got and want agree element for element on
-// math.Float64bits — no tolerance: the batched update is the per-block one
-// with the loops moved, not an approximation of it.
+// math.Float64bits — no tolerance: the batched update is the oracle's
+// arithmetic with the loops moved, not an approximation of it.
 func sameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -22,7 +22,7 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 	for i, g := range got {
 		if math.Float64bits(g) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: [%d] = %x (%g), per-block oracle %x (%g)", what, i, math.Float64bits(g), g, math.Float64bits(want[i]), want[i])
+			t.Fatalf("%s: [%d] = %x (%g), oracle %x (%g)", what, i, math.Float64bits(g), g, math.Float64bits(want[i]), want[i])
 		}
 	}
 }
@@ -30,11 +30,16 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // TestBatchedUpdateMatchesPerBlockOracle drives Engine.update on a unit of
 // every rank, partition height and slab width in the grid below and compares
 // what it leaves behind — T and S before the solve, P and Q after — with
-// the rule written out block by block: Γ_l and the S term by filling with
-// ones and multiplying, T by one MulAddInto per block, P by one TMulInto per
-// block. Heights above 256 rows cross TMulInto's panel boundary; F = 1, 3
-// and 13 leave columns to the kernels' scalar tails. The comparison is on
-// bits, and holds on the vector kernels and under -tags purego alike.
+// the rule written out naively: Γ_l by filling with ones and multiplying, T
+// by one MulAddInto per block, P by one TMulInto per block, and S as the
+// Hadamard product of the other modes' Grams, each summed part by part in
+// part order from mat.Gram of the current partitions. Heights above 256
+// rows cross TMulInto's panel boundary; F = 1, 3 and 13 leave columns to
+// the kernels' scalar tails. The comparison is on bits, and holds on the
+// vector kernels and under -tags purego alike. The paper's per-block S
+// (one Hadamard term per slab block) sums in another order, so it is held
+// to 1e-12 of S's largest entry, and to the bit where the slab has one
+// block.
 func TestBatchedUpdateMatchesPerBlockOracle(t *testing.T) {
 	for _, f := range []int{1, 3, 4, 8, 13, 16} {
 		for _, rows := range []int{1, 7, 32, 256, 257, 600} {
@@ -92,8 +97,16 @@ func batchedVsPerBlock(t *testing.T, f, rows, k int) {
 	p := e.pattern
 	sub := e.cfg.Phase1.Sub // the aligned blocks the engine works on
 
-	// The oracle reads the other modes' components before the update.
-	wantT, wantS := mat.New(rows, f), mat.New(f, f)
+	// The oracles read the other modes' components before the update.
+	wantT, wantS, perBlockS := mat.New(rows, f), mat.New(f, f), mat.New(f, f)
+	wantS.Fill(1)
+	for h := 1; h < 3; h++ {
+		gram := mat.New(f, f)
+		for _, a := range e.curA[h] {
+			gram.AddInPlace(mat.Gram(a))
+		}
+		wantS.HadamardInPlace(gram)
+	}
 	g, term, vec := mat.New(f, f), mat.New(f, f), make([]int, 3)
 	for _, id := range p.Slab(0, 0) {
 		p.Unlinear(id, vec)
@@ -104,12 +117,21 @@ func batchedVsPerBlock(t *testing.T, f, rows, k int) {
 			term.HadamardInPlace(e.comps.q[h][vec[h]])
 		}
 		mat.MulAddInto(wantT, sub[id][0], g)
-		wantS.AddInPlace(term)
+		perBlockS.AddInPlace(term)
 	}
 
 	e.update(u)
 	sameBits(t, "T", e.scratchMTTKRP[rows].Data, wantT.Data)
 	sameBits(t, "S", e.scratchS.Data, wantS.Data)
+	if k == 1 {
+		sameBits(t, "S against the per-block sum", e.scratchS.Data, perBlockS.Data)
+	} else {
+		diff := e.scratchS.Clone()
+		diff.SubInPlace(perBlockS)
+		if d, scale := diff.MaxAbs(), perBlockS.MaxAbs(); d > 1e-12*scale {
+			t.Fatalf("S differs from the per-block sum by %g, %g of its largest entry", d, d/scale)
+		}
+	}
 	sameBits(t, "Q", e.comps.q[0][0].Data, mat.Gram(u.A).Data)
 	for _, id := range p.Slab(0, 0) {
 		sameBits(t, fmt.Sprintf("P of block %d", id), e.comps.p[id][0].Data, mat.TMul(sub[id][0], u.A).Data)
