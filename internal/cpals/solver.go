@@ -21,8 +21,12 @@ import (
 //
 //   - Solve must be deterministic: the same (a, m, v) bytes produce the
 //     same output bytes on every call, at every par worker count. All
-//     solvers here are serial over F×F/rows×F data — the expensive kernels
-//     (MTTKRP, Gram) run before the solve — so this holds by construction.
+//     solvers here run on one goroutine over F×F/rows×F data — the
+//     expensive kernels (MTTKRP, Gram) run before the solve — in one fixed
+//     order of operations: the Cholesky sweeps of mat.RightSolveSPDInto
+//     are mat.OuterAdd rank-one updates whose every element is one
+//     front-to-back chain, the same bits on the AVX2 and the Go kernels.
+//     So this holds by construction.
 //   - Solve must not retain or alias its arguments past the call, and may
 //     use sc for scratch (never shared between concurrent calls).
 //   - When WarmStart reports true, Solve reads a's initial contents as the

@@ -21,6 +21,15 @@ package mat
 // All primitives are strictly sequential front-to-back accumulations per
 // output element, so parallel callers that assign each output region to one
 // invocation get bit-identical results at any worker count.
+//
+// Callers: the dense MTTKRP of internal/tensor (OuterAdd for mode 0,
+// FibersMatMulAdd and FoldAdd for the other modes); MulInto (Axpy),
+// TMulInto and GramInto (OuterAdd); Phase 2's T product and Hadamards in
+// internal/refine (FibersMatMulAdd, HadamardVec); the query scans of
+// internal/serve (FibersMatMulAdd); both triangular sweeps of
+// RightSolveSPDInto (OuterAdd, one call per run of nonzero coefficients);
+// and tensor.(*Dense).Norm, whose squares go through FoldAdd in eight
+// lanes.
 
 // KernelPath names the implementation behind the primitives of this file
 // in this process: "avx2" or "generic".
@@ -135,8 +144,16 @@ func OuterAdd(rows, w, x []float64, n, xStride, f int) {
 	if n == 0 || f == 0 || len(w) < f {
 		return
 	}
-	count := len(w) / f
+	outerAdd(rows, w, x, len(w)/f, n, xStride, f)
+}
+
+// outerAdd is OuterAdd over count fibers for a caller that knows count, so
+// it need not divide len(w) by f: the solve's sweeps make F calls of a few
+// fibers each, where that division was a tenth of the time. count, n and f
+// must each be at least one.
+func outerAdd(rows, w, x []float64, count, n, xStride, f int) {
 	_ = rows[n*f-1]
+	_ = w[count*f-1]
 	_ = x[(count-1)*xStride+n-1]
 	c0 := 0
 	if useAVX2 && f >= 4 {

@@ -9,85 +9,77 @@ import (
 // m must be square and symmetric positive definite; otherwise ErrSingular
 // is returned. Only the lower triangle of m is read.
 func Cholesky(m *Matrix) (*Matrix, error) {
-	l := New(m.Rows, m.Rows)
-	if err := choleskyInto(l, m); err != nil {
+	if m.Cols != m.Rows {
+		panic(fmt.Sprintf("mat: Cholesky of %d×%d", m.Rows, m.Cols))
+	}
+	n := m.Rows
+	l := New(n, n)
+	if _, err := cholesky(l.Data, m.Data, n); err != nil {
 		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		for k, v := range l.Data[i*n : i*n+i] {
+			l.Data[i*n+k] = -v
+		}
 	}
 	return l, nil
 }
 
-// choleskyInto factors m into the caller-provided l (n×n, fully
-// overwritten), sparing the allocation in workspace-driven solves.
-func choleskyInto(l, m *Matrix) error {
-	n := m.Rows
-	if m.Cols != n {
-		panic(fmt.Sprintf("mat: Cholesky of %d×%d", m.Rows, m.Cols))
-	}
-	l.Zero()
+// cholesky factors the n×n row-major m into l (fully overwritten) on raw
+// slices, in the form the substitution sweeps of RightSolveSPDInto take:
+// L on the diagonal and −L below it. A negated product rounds the same, so
+// the factorization is L's bit for bit. Each entry is one front-to-back
+// chain over k; the entries below a pivot go four to a pass, so four
+// independent chains share the loads of the pivot's row. dense reports
+// that no entry below the diagonal is zero.
+func cholesky(l, m []float64, n int) (dense bool, err error) {
+	clear(l[:n*n])
+	dense = true
 	for j := 0; j < n; j++ {
-		d := m.At(j, j)
-		for k := 0; k < j; k++ {
-			v := l.At(j, k)
+		lj := l[j*n : j*n+j]
+		d := m[j*n+j]
+		for _, v := range lj {
 			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return fmt.Errorf("mat: Cholesky pivot %d is %g: %w", j, d, ErrSingular)
+			return false, fmt.Errorf("mat: Cholesky pivot %d is %g: %w", j, d, ErrSingular)
 		}
 		dj := math.Sqrt(d)
-		l.Set(j, j, dj)
-		for i := j + 1; i < n; i++ {
-			s := m.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+		l[j*n+j] = dj
+		ndj := -dj
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			l0 := l[i*n : i*n+j]
+			l1 := l[(i+1)*n : (i+1)*n+j]
+			l2 := l[(i+2)*n : (i+2)*n+j]
+			l3 := l[(i+3)*n : (i+3)*n+j]
+			s0, s1, s2, s3 := m[i*n+j], m[(i+1)*n+j], m[(i+2)*n+j], m[(i+3)*n+j]
+			for k, v := range lj {
+				s0 -= l0[k] * v
+				s1 -= l1[k] * v
+				s2 -= l2[k] * v
+				s3 -= l3[k] * v
 			}
-			l.Set(i, j, s/dj)
+			q0, q1, q2, q3 := s0/ndj, s1/ndj, s2/ndj, s3/ndj
+			if q0 == 0 || q1 == 0 || q2 == 0 || q3 == 0 {
+				dense = false
+			}
+			l[i*n+j], l[(i+1)*n+j], l[(i+2)*n+j], l[(i+3)*n+j] = q0, q1, q2, q3
+		}
+		for ; i < n; i++ {
+			li := l[i*n : i*n+j]
+			s := m[i*n+j]
+			for k, v := range lj {
+				s -= li[k] * v
+			}
+			q := s / ndj
+			if q == 0 {
+				dense = false
+			}
+			l[i*n+j] = q
 		}
 	}
-	return nil
-}
-
-// choleskySolveInPlace overwrites x (n×k) with the solution of L·Lᵀ·X = x.
-func choleskySolveInPlace(l, x *Matrix) {
-	n := l.Rows
-	if x.Rows != n {
-		panic(fmt.Sprintf("mat: Cholesky solve: L is %d×%d, B is %d×%d", l.Rows, l.Cols, x.Rows, x.Cols))
-	}
-	// Forward substitution: L·Y = B.
-	for i := 0; i < n; i++ {
-		xi := x.Row(i)
-		for k := 0; k < i; k++ {
-			lik := l.At(i, k)
-			if lik == 0 {
-				continue
-			}
-			xk := x.Row(k)
-			for j := range xi {
-				xi[j] -= lik * xk[j]
-			}
-		}
-		inv := 1 / l.At(i, i)
-		for j := range xi {
-			xi[j] *= inv
-		}
-	}
-	// Back substitution: Lᵀ·X = Y.
-	for i := n - 1; i >= 0; i-- {
-		xi := x.Row(i)
-		for k := i + 1; k < n; k++ {
-			lki := l.At(k, i)
-			if lki == 0 {
-				continue
-			}
-			xk := x.Row(k)
-			for j := range xi {
-				xi[j] -= lki * xk[j]
-			}
-		}
-		inv := 1 / l.At(i, i)
-		for j := range xi {
-			xi[j] *= inv
-		}
-	}
+	return dense, nil
 }
 
 // SymEig computes the eigendecomposition of a symmetric matrix m using the
@@ -263,20 +255,20 @@ func axpyRow(m *Matrix, i, j int, f float64) {
 // reshapes its header, so cycling through modes of different row counts
 // (non-cubic blocks) allocates nothing once warm.
 type SPDScratch struct {
-	l     *Matrix   // Cholesky factor, s.Rows×s.Rows
+	l     []float64 // the factor as cholesky leaves it, s.Rows×s.Rows
 	bt    Matrix    // Bᵀ staging header, s.Rows×b.Rows
 	btBuf []float64 // Bᵀ backing storage, grown on demand
 }
 
-func (sc *SPDScratch) ensure(n, rows int) (l, bt *Matrix) {
-	if sc.l == nil || sc.l.Rows != n {
-		sc.l = New(n, n)
+func (sc *SPDScratch) ensure(n, rows int) (l []float64, bt *Matrix) {
+	if cap(sc.l) < n*n {
+		sc.l = make([]float64, n*n)
 	}
 	if need := n * rows; cap(sc.btBuf) < need {
 		sc.btBuf = make([]float64, need)
 	}
 	sc.bt = Matrix{Rows: n, Cols: rows, Data: sc.btBuf[:n*rows]}
-	return sc.l, &sc.bt
+	return sc.l[:n*n], &sc.bt
 }
 
 // RightSolveSPD returns B·S⁻¹ for a symmetric (ideally positive definite)
@@ -296,33 +288,114 @@ func RightSolveSPD(b, s *Matrix) *Matrix {
 // live in sc. dst must be b.Rows×b.Cols and must not alias b or s; the
 // result is bit-identical to RightSolveSPD. The rare non-SPD fallback
 // still allocates (it eigendecomposes S).
+//
+// Both triangular sweeps run on the rows of Bᵀ as rank-one updates through
+// OuterAdd: row i takes −L[i][k]·row k (forward) or −L[k][i]·row k (back)
+// for k in ascending order, one call per run of nonzero coefficients (x +
+// (−l)·y is x − l·y bit for bit), and is then scaled by 1/L[i][i]. Every
+// element is one front-to-back chain in the order of the textbook
+// substitution, exact zeros of L skipped, so the result does not depend on
+// the kernel path.
 func RightSolveSPDInto(dst, b, s *Matrix, sc *SPDScratch) {
-	if b.Cols != s.Rows {
+	if b.Cols != s.Rows || s.Cols != s.Rows {
 		panic(fmt.Sprintf("mat: RightSolveSPD: B %d×%d, S %d×%d", b.Rows, b.Cols, s.Rows, s.Cols))
 	}
 	if dst.Rows != b.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: RightSolveSPDInto: dst %d×%d, want %d×%d", dst.Rows, dst.Cols, b.Rows, b.Cols))
 	}
-	l, bt := sc.ensure(s.Rows, b.Rows)
-	if err := choleskyInto(l, s); err == nil {
-		// X = B·S⁻¹  ⇔  S·Xᵀ = Bᵀ (S symmetric).
-		transposeInto(bt, b)
-		choleskySolveInPlace(l, bt)
-		transposeInto(dst, bt)
+	n, rows := s.Rows, b.Rows
+	if rows == 0 {
 		return
 	}
-	MulInto(dst, b, PseudoInverseSym(s, 0))
+	l, bt := sc.ensure(n, rows)
+	dense, err := cholesky(l, s.Data, n)
+	if err != nil {
+		MulInto(dst, b, PseudoInverseSym(s, 0))
+		return
+	}
+	// X = B·S⁻¹  ⇔  S·Xᵀ = Bᵀ (S symmetric).
+	transposeInto(bt, b)
+	x := bt.Data
+	// Forward substitution, L·Y = Bᵀ: the coefficients of row i are row i
+	// of −L.
+	for i := 0; i < n; i++ {
+		xi := x[i*rows : (i+1)*rows]
+		rankOneRuns(xi, x, l[i*n:], 1, 0, i, rows, dense)
+		scaleVec(xi, 1/l[i*n+i])
+	}
+	// Back substitution, Lᵀ·X = Y: the coefficients of row i are column i
+	// of −L, n apart.
+	for i := n - 1; i >= 0; i-- {
+		xi := x[i*rows : (i+1)*rows]
+		rankOneRuns(xi, x, l[i:], n, i+1, n, rows, dense)
+		scaleVec(xi, 1/l[i*n+i])
+	}
+	transposeInto(dst, bt)
 }
 
-// transposeInto writes mᵀ into dst (m.Cols×m.Rows).
-func transposeInto(dst, m *Matrix) {
-	if dst.Rows != m.Cols || dst.Cols != m.Rows {
-		panic(fmt.Sprintf("mat: transposeInto: dst %d×%d for %d×%d", dst.Rows, dst.Cols, m.Rows, m.Cols))
+// rankOneRuns adds c_k·x[k*rows:(k+1)*rows] to dst for k in [lo, hi) in
+// ascending order, c_k = coef[k*stride], skipping the k whose c_k is zero:
+// one OuterAdd per maximal run of nonzero coefficients. dense says that no
+// coefficient is zero, so the whole range is one run.
+func rankOneRuns(dst, x, coef []float64, stride, lo, hi, rows int, dense bool) {
+	if dense {
+		if lo < hi {
+			outerAdd(dst, x[lo*rows:hi*rows], coef[lo*stride:], hi-lo, 1, stride, rows)
+		}
+		return
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst.Data[j*m.Rows+i] = v
+	for k := lo; k < hi; {
+		if coef[k*stride] == 0 {
+			k++
+			continue
+		}
+		k0 := k
+		for k < hi && coef[k*stride] != 0 {
+			k++
+		}
+		outerAdd(dst, x[k0*rows:k*rows], coef[k0*stride:], k-k0, 1, stride, rows)
+	}
+}
+
+// scaleVec computes x[i] *= a, eight elements to a turn.
+func scaleVec(x []float64, a float64) {
+	i := 0
+	for ; i+8 <= len(x); i += 8 {
+		s := x[i : i+8 : i+8]
+		s[0] *= a
+		s[1] *= a
+		s[2] *= a
+		s[3] *= a
+		s[4] *= a
+		s[5] *= a
+		s[6] *= a
+		s[7] *= a
+	}
+	for ; i < len(x); i++ {
+		x[i] *= a
+	}
+}
+
+// transposeInto writes mᵀ into dst, which must be m.Cols×m.Rows, four rows
+// of m to a pass so each row of dst takes four adjacent stores.
+func transposeInto(dst, m *Matrix) {
+	r, c := m.Rows, m.Cols
+	i := 0
+	for ; i+4 <= r; i += 4 {
+		r0 := m.Data[i*c : (i+1)*c]
+		r1 := m.Data[(i+1)*c : (i+2)*c][:len(r0)]
+		r2 := m.Data[(i+2)*c : (i+3)*c][:len(r0)]
+		r3 := m.Data[(i+3)*c : (i+4)*c][:len(r0)]
+		p := i
+		for j, v := range r0 {
+			d := dst.Data[p : p+4 : p+4]
+			d[0], d[1], d[2], d[3] = v, r1[j], r2[j], r3[j]
+			p += r
+		}
+	}
+	for ; i < r; i++ {
+		for j, v := range m.Row(i) {
+			dst.Data[j*r+i] = v
 		}
 	}
 }

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -171,6 +172,195 @@ func TestRightSolveSPDMatchesInverse(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// choleskyInto is the scalar factorization RightSolveSPDInto's fast path
+// must reproduce bit for bit: l (n×n, fully overwritten) with m = L·Lᵀ,
+// through At and Set.
+func choleskyInto(l, m *Matrix) error {
+	n := m.Rows
+	l.Zero()
+	for j := 0; j < n; j++ {
+		d := m.At(j, j)
+		for k := 0; k < j; k++ {
+			v := l.At(j, k)
+			d -= v * v
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return fmt.Errorf("mat: Cholesky pivot %d is %g: %w", j, d, ErrSingular)
+		}
+		dj := math.Sqrt(d)
+		l.Set(j, j, dj)
+		for i := j + 1; i < n; i++ {
+			s := m.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= l.At(i, k) * l.At(j, k)
+			}
+			l.Set(i, j, s/dj)
+		}
+	}
+	return nil
+}
+
+// choleskySolveInPlace is the scalar substitution of the oracle: it
+// overwrites x (n×k) with the solution of L·Lᵀ·X = x, row by row, skipping
+// exact zeros of L.
+func choleskySolveInPlace(l, x *Matrix) {
+	n := l.Rows
+	for i := 0; i < n; i++ {
+		xi := x.Row(i)
+		for k := 0; k < i; k++ {
+			lik := l.At(i, k)
+			if lik == 0 {
+				continue
+			}
+			xk := x.Row(k)
+			for j := range xi {
+				xi[j] -= lik * xk[j]
+			}
+		}
+		inv := 1 / l.At(i, i)
+		for j := range xi {
+			xi[j] *= inv
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		xi := x.Row(i)
+		for k := i + 1; k < n; k++ {
+			lki := l.At(k, i)
+			if lki == 0 {
+				continue
+			}
+			xk := x.Row(k)
+			for j := range xi {
+				xi[j] -= lki * xk[j]
+			}
+		}
+		inv := 1 / l.At(i, i)
+		for j := range xi {
+			xi[j] *= inv
+		}
+	}
+}
+
+// scalarRightSolveSPD is the oracle of RightSolveSPDInto: the scalar
+// Cholesky solve of S·Xᵀ = Bᵀ, or B times the pseudo-inverse when S does
+// not factor.
+func scalarRightSolveSPD(b, s *Matrix) *Matrix {
+	l := New(s.Rows, s.Rows)
+	if err := choleskyInto(l, s); err != nil {
+		return Mul(b, PseudoInverseSym(s, 0))
+	}
+	bt := b.T()
+	choleskySolveInPlace(l, bt)
+	return bt.T()
+}
+
+// spdCase builds an F×F system of the given kind and a rows×F right-hand
+// side: 0 the Gram of random factors plus the identity, 1 a diagonal S, 2 a
+// block-diagonal S (exact zeros in L between the blocks), 3 a rank-one S
+// with a zero row and column, which fails the factorization at that pivot
+// at the latest and takes the pseudo-inverse fallback.
+func spdCase(rng *rand.Rand, kind, rows, f int) (b, s *Matrix) {
+	b = RandomNormal(rows, f, rng)
+	switch kind {
+	case 0:
+		s = randomSPD(f, rng)
+	case 1:
+		s = New(f, f)
+		for i := 0; i < f; i++ {
+			s.Set(i, i, 0.5+rng.Float64())
+		}
+	case 2:
+		s = New(f, f)
+		for lo := 0; lo < f; {
+			hi := min(f, lo+1+rng.Intn(4))
+			blk := randomSPD(hi-lo, rng)
+			for i := lo; i < hi; i++ {
+				for j := lo; j < hi; j++ {
+					s.Set(i, j, blk.At(i-lo, j-lo))
+				}
+			}
+			lo = hi
+		}
+	default:
+		v := RandomNormal(1, f, rng)
+		v.Data[rng.Intn(f)] = 0
+		s = Gram(v)
+	}
+	return b, s
+}
+
+func checkSolveMatchesScalar(t *testing.T, rng *rand.Rand, kind, rows, f int, sc *SPDScratch) {
+	t.Helper()
+	b, s := spdCase(rng, kind, rows, f)
+	if _, err := Cholesky(s); (err != nil) != (kind == 3) {
+		t.Fatalf("kind %d, F=%d: Cholesky err = %v", kind, f, err)
+	}
+	want := scalarRightSolveSPD(b, s)
+	got := New(rows, f)
+	RightSolveSPDInto(got, b, s, sc)
+	if i, ok := sameBits(got.Data, want.Data); !ok {
+		t.Fatalf("element %d: kind %d, %d×%d: RightSolveSPDInto differs from the scalar solve", i, kind, rows, f)
+	}
+}
+
+// TestRightSolveSPDMatchesScalar holds the fast path to the scalar oracle
+// bit for bit at every rows in 1..70 and F in 1..20, one scratch shared
+// across all shapes.
+func TestRightSolveSPDMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	var sc SPDScratch
+	for rows := 1; rows <= 70; rows++ {
+		for f := 1; f <= 20; f++ {
+			checkSolveMatchesScalar(t, rng, (rows+f)%4, rows, f, &sc)
+		}
+	}
+}
+
+func TestCholeskyMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for f := 1; f <= 20; f++ {
+		_, s := spdCase(rng, f%3, 1, f)
+		want := New(f, f)
+		if err := choleskyInto(want, s); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Cholesky(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := sameBits(got.Data, want.Data); !ok {
+			t.Fatalf("F=%d: Cholesky differs from the scalar factorization", f)
+		}
+	}
+}
+
+func FuzzRightSolveSPDMatchesScalar(f *testing.F) {
+	f.Add(uint8(32), uint8(16), uint8(0), int64(1))
+	f.Add(uint8(64), uint8(8), uint8(1), int64(2))
+	f.Add(uint8(7), uint8(13), uint8(2), int64(3))
+	f.Add(uint8(3), uint8(5), uint8(3), int64(4))
+	f.Fuzz(func(t *testing.T, rows, cols, kind uint8, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		var sc SPDScratch
+		checkSolveMatchesScalar(t, rng, int(kind%4), int(rows%70)+1, int(cols%20)+1, &sc)
+	})
+}
+
+// TestRightSolveSPDWarmAllocatesNothing pins the fast path's zero
+// allocations once the scratch has grown to the shape.
+func TestRightSolveSPDWarmAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, sh := range []struct{ rows, f int }{{32, 16}, {64, 8}, {5, 3}} {
+		b, s := spdCase(rng, 0, sh.rows, sh.f)
+		dst := New(sh.rows, sh.f)
+		var sc SPDScratch
+		RightSolveSPDInto(dst, b, s, &sc)
+		if n := testing.AllocsPerRun(20, func() { RightSolveSPDInto(dst, b, s, &sc) }); n != 0 {
+			t.Errorf("%d×%d: %v allocations per warm solve, want 0", sh.rows, sh.f, n)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Kernel parity smoke: internal/mat's AVX2 kernels (the fiber primitives
 # Axpy, OuterAdd, FibersMatMulAdd and FoldAdd, and HadamardVec) and its
-# pure-Go loops must produce the same bits through the whole pipeline.
+# pure-Go loops must produce the same bits through the whole pipeline:
+# the MTTKRP, the Grams, Phase 2's products, the SPD right-solve of every
+# factor update (its triangular sweeps are OuterAdd calls) and ‖X‖ (eight
+# FoldAdd lanes), which enters every fit.
 # Build cmd/twopcp twice — default, and with -tags purego, which leaves
 # only the Go loops — run both on one tiled file at ranks 8, 13 and 16
 # (one eight-column kernel block; one, a four-column block and a scalar
