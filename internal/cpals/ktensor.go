@@ -161,20 +161,14 @@ func (k *KTensor) FitSparse(x *tensor.COO) float64 {
 }
 
 // fitFromParts assembles the fit from ‖X‖, ‖X̂‖ and ⟨X,X̂⟩ using
-// ‖X−X̂‖² = ‖X‖² + ‖X̂‖² − 2⟨X,X̂⟩. The expansion cancels as X̂ nears X:
-// its round-off is a few ε·(‖X‖² + ‖X̂‖²), so a residual inside that band
-// cannot be told from zero and reads as an exact fit.
+// ‖X−X̂‖² = ‖X‖² + ‖X̂‖² − 2⟨X,X̂⟩ (clamped at 0 against round-off).
 func fitFromParts(normX, normModel, inner float64) float64 {
 	if normX == 0 {
 		return 1
 	}
-	sq := normX*normX + normModel*normModel
-	res2 := sq - 2*inner
-	if res2 <= 4*epsilon*sq {
+	res2 := normX*normX + normModel*normModel - 2*inner
+	if res2 < 0 {
 		res2 = 0
 	}
 	return 1 - math.Sqrt(res2)/normX
 }
-
-// epsilon is the float64 machine epsilon, 2⁻⁵².
-const epsilon = 0x1p-52

@@ -14,7 +14,7 @@ func Cholesky(m *Matrix) (*Matrix, error) {
 	}
 	n := m.Rows
 	l := New(n, n)
-	if _, err := cholesky(l.Data, m.Data, n); err != nil {
+	if err := cholesky(l.Data, m.Data, n); err != nil {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
@@ -30,11 +30,9 @@ func Cholesky(m *Matrix) (*Matrix, error) {
 // L on the diagonal and −L below it. A negated product rounds the same, so
 // the factorization is L's bit for bit. Each entry is one front-to-back
 // chain over k; the entries below a pivot go four to a pass, so four
-// independent chains share the loads of the pivot's row. dense reports
-// that no entry below the diagonal is zero.
-func cholesky(l, m []float64, n int) (dense bool, err error) {
+// independent chains share the loads of the pivot's row.
+func cholesky(l, m []float64, n int) error {
 	clear(l[:n*n])
-	dense = true
 	for j := 0; j < n; j++ {
 		lj := l[j*n : j*n+j]
 		d := m[j*n+j]
@@ -42,7 +40,7 @@ func cholesky(l, m []float64, n int) (dense bool, err error) {
 			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return false, fmt.Errorf("mat: Cholesky pivot %d is %g: %w", j, d, ErrSingular)
+			return fmt.Errorf("mat: Cholesky pivot %d is %g: %w", j, d, ErrSingular)
 		}
 		dj := math.Sqrt(d)
 		l[j*n+j] = dj
@@ -60,11 +58,7 @@ func cholesky(l, m []float64, n int) (dense bool, err error) {
 				s2 -= l2[k] * v
 				s3 -= l3[k] * v
 			}
-			q0, q1, q2, q3 := s0/ndj, s1/ndj, s2/ndj, s3/ndj
-			if q0 == 0 || q1 == 0 || q2 == 0 || q3 == 0 {
-				dense = false
-			}
-			l[i*n+j], l[(i+1)*n+j], l[(i+2)*n+j], l[(i+3)*n+j] = q0, q1, q2, q3
+			l[i*n+j], l[(i+1)*n+j], l[(i+2)*n+j], l[(i+3)*n+j] = s0/ndj, s1/ndj, s2/ndj, s3/ndj
 		}
 		for ; i < n; i++ {
 			li := l[i*n : i*n+j]
@@ -72,14 +66,10 @@ func cholesky(l, m []float64, n int) (dense bool, err error) {
 			for k, v := range lj {
 				s -= li[k] * v
 			}
-			q := s / ndj
-			if q == 0 {
-				dense = false
-			}
-			l[i*n+j] = q
+			l[i*n+j] = s / ndj
 		}
 	}
-	return dense, nil
+	return nil
 }
 
 // SymEig computes the eigendecomposition of a symmetric matrix m using the
@@ -308,8 +298,7 @@ func RightSolveSPDInto(dst, b, s *Matrix, sc *SPDScratch) {
 		return
 	}
 	l, bt := sc.ensure(n, rows)
-	dense, err := cholesky(l, s.Data, n)
-	if err != nil {
+	if err := cholesky(l, s.Data, n); err != nil {
 		MulInto(dst, b, PseudoInverseSym(s, 0))
 		return
 	}
@@ -320,14 +309,14 @@ func RightSolveSPDInto(dst, b, s *Matrix, sc *SPDScratch) {
 	// of −L.
 	for i := 0; i < n; i++ {
 		xi := x[i*rows : (i+1)*rows]
-		rankOneRuns(xi, x, l[i*n:], 1, 0, i, rows, dense)
+		rankOneRuns(xi, x, l[i*n:], 1, 0, i, rows)
 		scaleVec(xi, 1/l[i*n+i])
 	}
 	// Back substitution, Lᵀ·X = Y: the coefficients of row i are column i
 	// of −L, n apart.
 	for i := n - 1; i >= 0; i-- {
 		xi := x[i*rows : (i+1)*rows]
-		rankOneRuns(xi, x, l[i:], n, i+1, n, rows, dense)
+		rankOneRuns(xi, x, l[i:], n, i+1, n, rows)
 		scaleVec(xi, 1/l[i*n+i])
 	}
 	transposeInto(dst, bt)
@@ -335,15 +324,8 @@ func RightSolveSPDInto(dst, b, s *Matrix, sc *SPDScratch) {
 
 // rankOneRuns adds c_k·x[k*rows:(k+1)*rows] to dst for k in [lo, hi) in
 // ascending order, c_k = coef[k*stride], skipping the k whose c_k is zero:
-// one OuterAdd per maximal run of nonzero coefficients. dense says that no
-// coefficient is zero, so the whole range is one run.
-func rankOneRuns(dst, x, coef []float64, stride, lo, hi, rows int, dense bool) {
-	if dense {
-		if lo < hi {
-			outerAdd(dst, x[lo*rows:hi*rows], coef[lo*stride:], hi-lo, 1, stride, rows)
-		}
-		return
-	}
+// one OuterAdd per maximal run of nonzero coefficients.
+func rankOneRuns(dst, x, coef []float64, stride, lo, hi, rows int) {
 	for k := lo; k < hi; {
 		if coef[k*stride] == 0 {
 			k++
@@ -379,6 +361,9 @@ func scaleVec(x []float64, a float64) {
 // transposeInto writes mᵀ into dst, which must be m.Cols×m.Rows, four rows
 // of m to a pass so each row of dst takes four adjacent stores.
 func transposeInto(dst, m *Matrix) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("mat: transposeInto: dst %d×%d for %d×%d", dst.Rows, dst.Cols, m.Rows, m.Cols))
+	}
 	r, c := m.Rows, m.Cols
 	i := 0
 	for ; i+4 <= r; i += 4 {

@@ -112,14 +112,12 @@ func (t *Dense) Clone() *Dense {
 // added last. So ‖t‖² has one order of additions on every kernel path.
 func (t *Dense) Norm() float64 {
 	var lanes [8]float64
-	body := len(t.Data) &^ 7
-	if body > 0 {
-		d := t.Data[:body]
-		mat.FoldAdd(lanes[:], d, 8, d, body/8, 8)
-	}
+	d := t.Data
+	body := len(d) &^ 7
+	mat.FoldAdd(lanes[:], d, 8, d, body/8, 8)
 	s := ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-	for _, v := range t.Data[body:] {
-		s += v * v
+	for i := body; i < len(d); i++ {
+		s += d[i] * d[i]
 	}
 	return math.Sqrt(s)
 }
