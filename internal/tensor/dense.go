@@ -106,20 +106,23 @@ func (t *Dense) Clone() *Dense {
 	return out
 }
 
-// Norm returns the Frobenius norm ‖t‖. The squares go through mat.FoldAdd
-// in eight lanes, element i into lane i mod 8, each lane one front-to-back
+// Norm returns the Frobenius norm ‖t‖. It stays small enough to inline,
+// as the serial loop it replaced was, so its callers keep their code.
+func (t *Dense) Norm() float64 { return math.Sqrt(sumSquares(t.Data)) }
+
+// sumSquares returns Σ v² over d. The squares go through mat.FoldAdd in
+// eight lanes, element i into lane i mod 8, each lane one front-to-back
 // chain; the lanes are summed in one fixed tree and the len mod 8 tail is
-// added last. So ‖t‖² has one order of additions on every kernel path.
-func (t *Dense) Norm() float64 {
+// added last. So the sum has one order of additions on every kernel path.
+func sumSquares(d []float64) float64 {
 	var lanes [8]float64
-	d := t.Data
 	body := len(d) &^ 7
 	mat.FoldAdd(lanes[:], d, 8, d, body/8, 8)
 	s := ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
 	for i := body; i < len(d); i++ {
 		s += d[i] * d[i]
 	}
-	return math.Sqrt(s)
+	return s
 }
 
 // Dot returns the inner product ⟨t, u⟩. Shapes must match.
