@@ -104,13 +104,17 @@
 // rows are split into fixed-size panels — a constant, never derived from
 // the worker count — and the per-panel partials are added in ascending
 // panel order. Worker counts and scheduling therefore change wall-clock
-// time only. The same holds for the one cache on the kernel path: an ALS
-// sweep computes the mode-0 fiber products X_(0)ᵀ·A(0) once and shares
-// them between modes 1..N-1 (tensor.Sweep), but every product is the same
-// front-to-back sum from the same zero and is folded in the same fiber
-// order as a standalone MTTKRP, so holding it never changes a bit — with
-// or without the cache, and whether or not a shape is large enough to use
-// it. And it holds across the two implementations of the innermost loops:
+// time only. The same holds for the one cache on the kernel path: ALS
+// holds one contraction Y_m = X ×_m A(m) of a block with the factor it
+// has just rewritten and folds the next N−1 modes from it (tensor.Sweep),
+// so a sweep reads the block N/(N−1) times. Each row of Y_m is a fixed
+// front-to-back sum from zero, built by one worker, and is folded in a
+// fixed order, so a sweep's MTTKRPs are bit-identical at every worker
+// count. Which contraction answers a mode is fixed by the order of the
+// calls and the block's shape, never by the workers; on a contraction
+// with m ≥ 1 the products are summed in another association than a
+// standalone MTTKRP's, so the two agree to rounding, not to the bit. And
+// it holds across the two implementations of the innermost loops:
 // on amd64 CPUs with AVX2, internal/mat runs assembly kernels for its four
 // fiber primitives (Axpy, OuterAdd, FibersMatMulAdd, FoldAdd) and for
 // HadamardVec that

@@ -233,3 +233,40 @@ func TestGoldenVectorWidthFactors(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenShortModeZeroFactors pins runs whose blocks have I_0 as their
+// shortest mode: on 8×10×12 in 2×2×2 blocks of 4×5×6, Phase 1's MTTKRPs
+// fold from contractions on modes 1 and 2 (tensor.Sweep), which the
+// 12×10×8 fixture, whose blocks have I_0 longest, never reaches. The tiled
+// front-end must reproduce the dense run's bits.
+func TestGoldenShortModeZeroFactors(t *testing.T) {
+	x := twopcp.RandomDense(rand.New(rand.NewSource(44)), 8, 10, 12)
+	tiledPath := filepath.Join(t.TempDir(), "x.tptl")
+	if err := twopcp.SaveTiled(tiledPath, x, []int{2, 5, 3}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		constraint twopcp.Constraint
+	}{{"ls", twopcp.ConstraintNone}, {"nonneg", twopcp.ConstraintNonneg}} {
+		name := "i0short-" + tc.name
+		t.Run(name, func(t *testing.T) {
+			opts := goldenOpts(tc.constraint, 0)
+			res, err := twopcp.Decompose(x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dump := goldenDump(res)
+			if dump != goldenWant(t, name, dump) {
+				t.Fatalf("%s run drifted from golden %s", name, goldenPath(name))
+			}
+			tiled, err := twopcp.DecomposeTiledFile(tiledPath, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if goldenDump(tiled) != dump {
+				t.Fatalf("tiled %s run drifted from the dense run", name)
+			}
+		})
+	}
+}

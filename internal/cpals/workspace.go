@@ -6,8 +6,8 @@ import (
 )
 
 // Workspace holds the reusable scratch of a CP-ALS run: the per-mode MTTKRP
-// accumulators, the dense MTTKRP sweep with its fiber-product buffer
-// (cells·F/I_0 floats, unused when F > I_0), the Hadamard-of-Grams system
+// accumulators, the dense MTTKRP sweep with its contraction buffer (at
+// most cells·F/I_0 floats, unused when F > I_0), the Hadamard-of-Grams system
 // matrix V, the Gram cache, the normal-equation solve buffers and the
 // column-normalization scratch.
 //

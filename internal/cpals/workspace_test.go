@@ -63,22 +63,81 @@ func lowRankDense(dims []int, r int, seed int64) *tensor.Dense {
 	return NewKTensor(fs).Full()
 }
 
-// standaloneKernel is the dense MTTKRP with nothing shared between modes:
-// what Decompose ran before the workspace carried a tensor.Sweep.
-type standaloneKernel struct{ x *tensor.Dense }
-
-func (k standaloneKernel) Into(dst *mat.Matrix, factors []*mat.Matrix, n int) {
-	tensor.MTTKRPInto(dst, k.x, factors, n)
+// oracleKernel answers each Into as a tensor.Sweep must, from outside the
+// sweep: it replays the sweep's rule for which contraction Y_m = X ×_m A(m)
+// answers (none; the one it holds unless n = m; else one on the previous
+// Into's mode p when p ≠ n and I_p ≥ I_0, or on mode 0 for n ≥ 1, and only
+// when F ≤ I_0), and computes a fold from Y_m as the standalone MTTKRP of
+// the tensor with mode m moved to the front — the same products, fibers
+// and weights in the same order.
+type oracleKernel struct {
+	x       *tensor.Dense
+	m, prev int // the contraction's mode, the previous Into's mode; -1: none
+	front   map[int]*tensor.Dense
 }
 
-// TestSweepKernelBitIdenticalToStandalone runs whole decompositions on the
-// shared-fiber-product kernel and on standalone per-mode MTTKRPs and
-// requires identical factors, λ and fit traces under every solver: the
-// products are recomputed after every mode-0 update, whichever solver
-// wrote factor 0.
-func TestSweepKernelBitIdenticalToStandalone(t *testing.T) {
+func newOracleKernel(x *tensor.Dense) *oracleKernel {
+	return &oracleKernel{x: x, m: -1, prev: -1, front: map[int]*tensor.Dense{}}
+}
+
+func (k *oracleKernel) Into(dst *mat.Matrix, factors []*mat.Matrix, n int) {
+	dims := k.x.Dims
+	p := k.prev
+	if p < 0 {
+		p = (n + len(dims) - 1) % len(dims)
+	}
+	k.prev = n
+	if k.m == n {
+		k.m = -1
+	}
+	if k.m < 0 && dst.Cols <= dims[0] {
+		if p != n && dims[p] >= dims[0] {
+			k.m = p
+		} else if n != 0 {
+			k.m = 0
+		}
+	}
+	if k.m <= 0 {
+		tensor.MTTKRPInto(dst, k.x, factors, n)
+		return
+	}
+	m := k.m
+	fs := append(append([]*mat.Matrix{factors[m]}, factors[:m]...), factors[m+1:]...)
+	if n < m {
+		n++
+	}
+	tensor.MTTKRPInto(dst, k.modeFirst(m), fs, n)
+}
+
+// modeFirst returns x with mode m moved to the front, the others kept in
+// order.
+func (k *oracleKernel) modeFirst(m int) *tensor.Dense {
+	if y, ok := k.front[m]; ok {
+		return y
+	}
+	dims := k.x.Dims
+	pd := append(append([]int{dims[m]}, dims[:m]...), dims[m+1:]...)
+	y := tensor.NewDense(pd...)
+	src := make([]int, len(dims))
+	y.Fill(func(idx []int) float64 {
+		src[m] = idx[0]
+		copy(src[:m], idx[1:m+1])
+		copy(src[m+1:], idx[m+1:])
+		return k.x.At(src...)
+	})
+	k.front[m] = y
+	return y
+}
+
+// TestSweepKernelBitIdenticalToOracle runs whole decompositions on the
+// workspace's tensor.Sweep and on oracleKernel and requires identical
+// factors, λ and fit traces under every solver: every contraction is made
+// from the factor the solver has just written. The first two shapes have
+// I_0 longest (the S pass and the mode-0 pass, MTTKRPInto's bits), the
+// last two I_0 shortest (contractions on modes 1..N-1).
+func TestSweepKernelBitIdenticalToOracle(t *testing.T) {
 	solvers := []Solver{nil, Ridge{Lambda: 1e-3}, Nonnegative{}}
-	for _, dims := range [][]int{{14, 12, 10}, {9, 6, 5, 4}} {
+	for _, dims := range [][]int{{14, 12, 10}, {9, 6, 5, 4}, {10, 12, 14}, {4, 6, 5, 9}} {
 		x := lowRankDense(dims, 3, 17)
 		for _, solver := range solvers {
 			opts := func() Options {
@@ -88,7 +147,7 @@ func TestSweepKernelBitIdenticalToStandalone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantInfo, err := alsCore(x.Dims, x.Norm(), standaloneKernel{x}, opts())
+			want, wantInfo, err := alsCore(x.Dims, x.Norm(), newOracleKernel(x), opts())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +157,7 @@ func TestSweepKernelBitIdenticalToStandalone(t *testing.T) {
 			}
 			for k := range want.Factors {
 				if !got.Factors[k].Equal(want.Factors[k]) {
-					t.Fatalf("dims %v solver %s: factor %d differs from the standalone-kernel run", dims, name, k)
+					t.Fatalf("dims %v solver %s: factor %d differs from the oracle-kernel run", dims, name, k)
 				}
 			}
 			for i, l := range want.Lambda {

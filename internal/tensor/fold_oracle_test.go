@@ -84,6 +84,108 @@ func fiberWeight(buf []float64, factors []*mat.Matrix, idxLow, idxHigh []int, n 
 	return w
 }
 
+// contractFold is the oracle of a Sweep's fold from its contraction on
+// mode m, for an output mode n ≠ m: one cell of the modes other than m at a
+// time, in Fortran order over them, serial. The cell's contraction
+// y = Σ_{i_m} x·A(m)[i_m] runs front to back from zero in ascending i_m;
+// its weight is the Hadamard product of the factor rows of the modes other
+// than m and n, multiplied in ascending mode order (all ones when there is
+// none); and y ⊛ w joins output row i_n, each product multiplied, then
+// added.
+func contractFold(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, m, n int) {
+	dst.Zero()
+	dims, strides := t.Dims, t.Strides()
+	f := dst.Cols
+	y, w := make([]float64, f), make([]float64, f)
+	idx := make([]int, len(dims)) // idx[m] stays 0
+	for cell := 0; cell < len(t.Data)/dims[m]; cell++ {
+		off := 0
+		for k, i := range idx {
+			off += i * strides[k]
+		}
+		clear(y)
+		for i := 0; i < dims[m]; i++ {
+			x, a := t.Data[off+i*strides[m]], factors[m].Row(i)
+			for c := range y {
+				y[c] += x * a[c]
+			}
+		}
+		for c := range w {
+			w[c] = 1
+		}
+		first := true
+		for k := range dims {
+			if k == m || k == n {
+				continue
+			}
+			row := factors[k].Row(idx[k])
+			if first {
+				copy(w, row)
+				first = false
+				continue
+			}
+			for c := range w {
+				w[c] *= row[c]
+			}
+		}
+		orow := dst.Row(idx[n])
+		for c := range orow {
+			orow[c] += y[c] * w[c]
+		}
+		for k := range idx { // the next cell, skipping mode m
+			if k == m {
+				continue
+			}
+			if idx[k]++; idx[k] < dims[k] {
+				break
+			}
+			idx[k] = 0
+		}
+	}
+}
+
+// sweepWant is the oracle of sw's last Into(n), bit for bit: the fold from
+// its contraction on sw.m, or, when it holds none, the per-fiber oracles of
+// MTTKRPInto.
+func sweepWant(sw *Sweep, x *Dense, factors []*mat.Matrix, n int) *mat.Matrix {
+	want := mat.New(x.Dims[n], factors[0].Cols)
+	switch {
+	case sw.m >= 0:
+		contractFold(want, x, factors, sw.m, n)
+	case n == 0:
+		mode0PerFiber(want, x, factors)
+	default:
+		foldPerFiber(want, x, factors, n)
+	}
+	return want
+}
+
+// withinRoundoff reports whether got agrees with want, another association
+// of the same products, cell by cell within 4·cells·ε of scale, the MTTKRP
+// of |X| with the factors' absolute values.
+func withinRoundoff(got, want *mat.Matrix, x *Dense, factors []*mat.Matrix, n int) bool {
+	ax := x.Clone()
+	for i, v := range ax.Data {
+		ax.Data[i] = math.Abs(v)
+	}
+	af := make([]*mat.Matrix, len(factors))
+	for k, a := range factors {
+		af[k] = a.Clone()
+		for i, v := range af[k].Data {
+			af[k].Data[i] = math.Abs(v)
+		}
+	}
+	scale := mat.New(got.Rows, got.Cols)
+	MTTKRPInto(scale, ax, af, n)
+	tol := 4 * float64(len(x.Data)) * 0x1p-52
+	for i, v := range got.Data {
+		if math.Abs(v-want.Data[i]) > tol*scale.Data[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func sameMatrixBits(a, b *mat.Matrix) bool {
 	for i, v := range a.Data {
 		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
@@ -121,9 +223,10 @@ var foldOracleShapes = [][]int{
 var oracleRanks = []int{1, 3, 4, 6, 8, 13, 16, 20}
 
 // TestFoldMatchesPerFiberOracle pins every mode n ≥ 1 to the per-fiber
-// oracle on bit patterns, through a Sweep (folding from S) and standalone
-// (folding as it streams), at several worker counts, on foldOracleShapes
-// and oracleRanks.
+// oracle on bit patterns, standalone (folding as it streams), and the S
+// pass's fold to it too (contractFold on mode 0), at several worker counts,
+// on foldOracleShapes and oracleRanks; a Sweep's folds, from whichever
+// contraction it holds, are pinned to contractFold.
 func TestFoldMatchesPerFiberOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	var sw Sweep
@@ -134,6 +237,11 @@ func TestFoldMatchesPerFiberOracle(t *testing.T) {
 			for n := 1; n < len(dims); n++ {
 				want := mat.New(dims[n], f)
 				foldPerFiber(want, x, factors, n)
+				s0 := mat.New(dims[n], f)
+				contractFold(s0, x, factors, 0, n)
+				if !sameMatrixBits(s0, want) {
+					t.Fatalf("dims %v f %d mode %d: the contraction on mode 0 folds differently from the per-fiber fold", dims, f, n)
+				}
 				for _, w := range []int{1, 2, 7} {
 					func() {
 						defer par.PopWorkers(par.PushWorkers(w))
@@ -144,11 +252,11 @@ func TestFoldMatchesPerFiberOracle(t *testing.T) {
 							t.Fatalf("dims %v f %d mode %d workers %d: MTTKRPInto differs from the per-fiber fold", dims, f, n, w)
 						}
 						sw.Bind(x)
-						for round := 0; round < 2; round++ { // S built, then reused
+						for round := 0; round < 2; round++ { // contraction made, then reused
 							got.Fill(42)
 							sw.Into(got, factors, n)
-							if !sameMatrixBits(got, want) {
-								t.Fatalf("dims %v f %d mode %d workers %d round %d: Sweep differs from the per-fiber fold", dims, f, n, w, round)
+							if !sameMatrixBits(got, sweepWant(&sw, x, factors, n)) {
+								t.Fatalf("dims %v f %d mode %d workers %d round %d: Sweep differs from its oracle (contraction on %d)", dims, f, n, w, round, sw.m)
 							}
 						}
 					}()
@@ -244,8 +352,10 @@ var mode0OracleShapes = [][]int{
 }
 
 // TestMode0MatchesPerFiberOracle pins the mode-0 MTTKRP to the per-fiber
-// oracle on bit patterns, standalone and through a Sweep, at several
-// worker counts, on mode0OracleShapes and oracleRanks.
+// oracle on bit patterns, standalone, at several worker counts, on
+// mode0OracleShapes and oracleRanks. Through a Sweep, the first Into(0)
+// after Bind contracts on mode N−1 where I_{N−1} ≥ I_0, so its mode 0 is
+// pinned to contractFold there and to the per-fiber pass elsewhere.
 func TestMode0MatchesPerFiberOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	var sw Sweep
@@ -267,8 +377,8 @@ func TestMode0MatchesPerFiberOracle(t *testing.T) {
 					got.Fill(42)
 					sw.Bind(x)
 					sw.Into(got, factors, 0)
-					if !sameMatrixBits(got, want) {
-						t.Fatalf("dims %v f %d workers %d: Sweep differs from the per-fiber mode-0 pass", dims, f, w)
+					if !sameMatrixBits(got, sweepWant(&sw, x, factors, 0)) {
+						t.Fatalf("dims %v f %d workers %d: Sweep differs from its oracle (contraction on %d)", dims, f, w, sw.m)
 					}
 				}()
 			}
@@ -276,13 +386,30 @@ func TestMode0MatchesPerFiberOracle(t *testing.T) {
 	}
 }
 
-// FuzzMTTKRPMatchesOracles holds every mode of MTTKRPInto and of a Sweep
-// to the per-fiber oracles bit for bit on any shape of one to five modes
-// of 1..9 each and any rank 1..20. The input decodes to the mode count
-// (modes%5 + 1), the dims (1 + b%9 per byte, 1 past the end of dims), the
-// rank (rank%20 + 1) and the seed of the tensor's and factors' values.
+// sweepShapes have I_0 shorter than a later mode (I_0 shortest in all but
+// the last), so a Sweep contracts on modes m ≥ 1.
+var sweepShapes = [][]int{
+	{2, 9, 9},
+	{3, 5, 7},
+	{4, 9, 6},
+	{5, 4, 8},
+	{2, 4, 6, 8},
+	{1, 3, 5, 7, 9},
+	{3, 9},
+	{6, 2, 9, 3},
+}
+
+// FuzzMTTKRPMatchesOracles holds every mode of MTTKRPInto to the per-fiber
+// oracles bit for bit on any shape of one to five modes of 1..9 each and
+// any rank 1..20, and drives a Sweep through a random sequence of Into
+// calls, rewriting at random only the factor just computed, as ALS does.
+// Each of the sweep's outputs must match sweepWant bit for bit, MTTKRPInto
+// within withinRoundoff, and its own bits at 1, 2 and 7 workers. The input
+// decodes to the mode count (modes%5 + 1), the dims (1 + b%9 per byte, 1
+// past the end of dims), the rank (rank%20 + 1) and the seed of the
+// tensor's and factors' values and of the sequence.
 func FuzzMTTKRPMatchesOracles(f *testing.F) {
-	for _, shapes := range [][][]int{foldOracleShapes, mode0OracleShapes} {
+	for _, shapes := range [][][]int{foldOracleShapes, mode0OracleShapes, sweepShapes} {
 		for i, dims := range shapes {
 			b := make([]byte, len(dims))
 			for k, d := range dims {
@@ -303,8 +430,6 @@ func FuzzMTTKRPMatchesOracles(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		x := RandomDense(rng, dims...)
 		factors := randomFactors(rng, dims, fr)
-		var sw Sweep
-		sw.Bind(x)
 		for n := range dims {
 			want := mat.New(dims[n], fr)
 			if n == 0 {
@@ -317,11 +442,48 @@ func FuzzMTTKRPMatchesOracles(f *testing.F) {
 			if !sameMatrixBits(got, want) {
 				t.Fatalf("dims %v f %d mode %d: MTTKRPInto differs from the per-fiber oracle", dims, fr, n)
 			}
-			got.Fill(42)
-			sw.Into(got, factors, n)
-			if !sameMatrixBits(got, want) {
-				t.Fatalf("dims %v f %d mode %d: Sweep differs from the per-fiber oracle", dims, fr, n)
-			}
+		}
+
+		seq := make([]int, 3*len(dims)+2)
+		rewrite := make([]bool, len(seq))
+		for i := range seq {
+			seq[i], rewrite[i] = rng.Intn(len(dims)), rng.Intn(3) > 0
+		}
+		var outs []*mat.Matrix
+		for _, w := range []int{1, 2, 7} {
+			func() {
+				defer par.PopWorkers(par.PushWorkers(w))
+				fs := make([]*mat.Matrix, len(factors))
+				for k, a := range factors {
+					fs[k] = a.Clone()
+				}
+				var sw Sweep
+				sw.Bind(x)
+				for i, n := range seq {
+					got := mat.New(dims[n], fr)
+					got.Fill(42)
+					sw.Into(got, fs, n)
+					if w == 1 {
+						if !sameMatrixBits(got, sweepWant(&sw, x, fs, n)) {
+							t.Fatalf("dims %v f %d step %d mode %d: Sweep differs from its oracle (contraction on %d)", dims, fr, i, n, sw.m)
+						}
+						want := mat.New(dims[n], fr)
+						MTTKRPInto(want, x, fs, n)
+						if !withinRoundoff(got, want, x, fs, n) {
+							t.Fatalf("dims %v f %d step %d mode %d: Sweep is not MTTKRPInto to rounding", dims, fr, i, n)
+						}
+						outs = append(outs, got)
+					} else if !sameMatrixBits(got, outs[i]) {
+						t.Fatalf("dims %v f %d step %d mode %d: Sweep's bits differ at %d workers", dims, fr, i, n, w)
+					}
+					if rewrite[i] {
+						r := rand.New(rand.NewSource(seed + int64(i)))
+						for j := range fs[n].Data {
+							fs[n].Data[j] = r.NormFloat64()
+						}
+					}
+				}
+			}()
 		}
 	})
 }

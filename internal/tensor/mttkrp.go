@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"twopcp/internal/mat"
@@ -18,37 +19,41 @@ import (
 //     rows of modes 1..N-1 is constant along a fiber, and the whole fiber
 //     accumulates into the output panel as the rank-one update
 //     out += fiber ⊗ w, a run of equally spaced fibers to a mat.OuterAdd;
-//   - the S pass: the product s = fiberᵀ·A(0) of a fiber with the mode-0
-//     factor, accumulated front to back from zero (mat.FibersMatMulAdd
-//     over a run of fibers, mat.VecMatMulAdd for one). It depends on
-//     nothing but X and A(0), so it is the same for every mode n ≥ 1;
-//   - the fold (foldFibers): for n ≥ 1 every fiber belongs to exactly one
-//     output row, out[j] += s ⊛ w with w the Hadamard product of the
-//     remaining factor rows (everything but modes 0 and n).
+//   - the contraction Y_m = X ×_m A(m) on one mode m: one row of F floats
+//     per cell of the other modes, in Fortran order over them, each the
+//     front-to-back sum from zero, in ascending i_m, of the tensor's
+//     mode-m fiber times A(m). On m = 0 it is the S pass, s = fiberᵀ·A(0)
+//     for every contiguous fiber (mat.FibersMatMulAdd over a run of
+//     fibers, mat.VecMatMulAdd for one); on m ≥ 1 it is one mat.OuterAdd
+//     per panel of I_0 consecutive rows, over the I_m mode-0 fibers that
+//     panel sums, mode m's stride apart — the mode-0 pass's kernel with
+//     A(m) for weights;
+//   - the fold (foldFibers): for n ≠ m every row of Y_m belongs to exactly
+//     one output row, out[j] += y ⊛ w with w the Hadamard product of the
+//     remaining factor rows (everything but modes m and n). Y_m is the S
+//     of the tensor with mode m moved to the front, so the fold is the
+//     same code on the permuted dims and factors.
 //
 // The weights of mode n (n = 0 included), enumerated in Fortran order over
-// the modes other than 0 and n, come in runs: one weight per row of the
-// first such mode, the rows of the later modes held fixed. One builder,
-// fillRun, fills a run; the mode-0 pass applies each run as it is built,
-// the fold builds a chunk of runs and folds every output row over it. The
-// same code serves every number of modes.
+// the modes other than the front one and n, come in runs: one weight per
+// row of the first such mode, the rows of the later modes held fixed. One
+// builder, fillRun, fills a run; the mode-0 pass applies each run as it is
+// built, the fold builds a chunk of runs and folds every output row over
+// it. The same code serves every number of modes.
 //
 // A standalone MTTKRPInto(n ≥ 1) folds while it streams the S pass, a
-// fiber at a time, and keeps no product. Through a Sweep the first fold
-// after the mode-0 MTTKRP (which precedes every write of A(0)) is
-// preceded by an S pass over the whole tensor, in memory order, that
-// stores every s as a row of S = X_(0)ᵀ·A(0); that fold and the
-// remaining modes' then read S without touching X, so an ALS
-// sweep reads the tensor twice instead of N times. Each s is the same
-// front-to-back sum from the same zero and is folded in the same fiber
-// order whichever way it is reached, so the outputs are bit-identical.
+// fiber at a time, and keeps no product; its output is the per-fiber
+// association, the S pass then the fold. A Sweep keeps one contraction
+// and folds every mode it can from it (see Sweep): its outputs on a
+// contraction with m ≥ 1 sum the same products in another association, so
+// they agree with MTTKRPInto to rounding, not to the bit.
 //
-// Parallelism and determinism: work is distributed over mode-n output
-// rows (contiguous panels of them for mode 0), each owned by exactly one
-// worker invocation, and every row is accumulated in the same fiber order
-// as a serial sweep; the rows of S depend on one fiber each and are built
-// in fixed groups of consecutive fibers. The floating-point output is
-// therefore bit-identical at every worker count, including 1.
+// Parallelism and determinism: work is distributed over output rows
+// (contiguous panels of them for mode 0) and over fixed groups of rows of
+// Y_m (fiber groups for m = 0, I_0-row panels for m ≥ 1), each owned by
+// exactly one worker invocation, and every element is accumulated in the
+// same order as a serial pass. The floating-point output is therefore
+// bit-identical at every worker count, including 1.
 
 // scratchPool holds the buffers of the fiber kernels — a mode-0 panel's run
 // of fiber weights, a fold's chunk of runs, a fiber's product row — so a
@@ -96,73 +101,126 @@ func checkMTTKRPArgs(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int) {
 }
 
 // Sweep computes the MTTKRPs of one dense tensor across the modes of ALS
-// sweeps, sharing the fiber products S = X_(0)ᵀ·A(0) between modes
-// 1..N-1: the first Into(n ≥ 1) after Bind or Into(0) streams the tensor
-// and stores S, later ones fold from S alone. Every output is
-// bit-identical to MTTKRPInto's provided factors[0] is written only
-// between an Into(0) and the next Into(n ≥ 1) — the ALS order, where the
-// mode-0 update follows its own MTTKRP.
+// sweeps. It holds one contraction Y_m = X ×_m A(m) and answers every
+// Into(n) with n ≠ m by a fold from Y_m alone, without touching the
+// tensor. Into(m) drops Y_m: its caller is about to rewrite A(m). An Into
+// that finds no contraction makes one on the mode p of the previous Into —
+// the factor the caller has just rewritten, which then stays fixed for the
+// next N−1 updates, across the sweep boundary — so a sweep of ALS reads
+// the tensor N/(N−1) times instead of twice (1.5 passes for three modes;
+// Ma & Solomonik's multi-sweep dimension tree). After Bind, p is
+// (n−1) mod N.
 //
-// S holds len(Data)/Dims[0] rows of F floats. When F > Dims[0] that is
-// more than the tensor itself, so such shapes stream exactly like
-// MTTKRPInto. The buffer is kept across Bind calls (growing on demand), so
-// one Sweep serves tensors of any shapes and ranks without steady-state
-// allocation; it must not be used concurrently. The zero value is ready
-// for Bind.
+// The contraction on p is made only when I_p ≥ I_0, so Y_p never outgrows
+// the S = Y_0 that MTTKRPInto's S pass would store; otherwise, or when
+// p = n, Into takes the per-fiber path: the mode-0 pass for n = 0, the S
+// pass (stored as Y_0) and a fold for n ≥ 1. No contraction is kept when
+// F > I_0, where even S would outgrow the tensor: those folds stream it
+// like MTTKRPInto.
+//
+// The contract: between two Into calls the caller rewrites at most the
+// factor whose MTTKRP it has just taken, as ALS does. A caller that
+// rewrites any other factor (an extrapolation step that moves every mode
+// at once) must Bind again, which drops the contraction. Each output is
+// then a fixed association of the products: bit-identical at every worker
+// count and with or without the vector kernels, equal to MTTKRPInto's
+// bits on the per-fiber path and to rounding on a contraction with
+// m ≥ 1.
+//
+// Y_m holds len(Data)/I_m rows of F floats. The buffer is kept across
+// Bind calls (growing on demand), so one Sweep serves tensors of any
+// shapes and ranks without steady-state allocation; it must not be used
+// concurrently. The zero value is ready for Bind.
 type Sweep struct {
-	t     *Dense
-	s     []float64
-	valid bool // s holds the products of the current factors[0]
+	t    *Dense
+	y    []float64
+	m    int // the mode y is contracted on; -1 when it holds none
+	prev int // the mode of the previous Into; -1 after Bind
 
-	// The S pass's argument and its task, bound to the sweep on first use:
-	// a fresh closure per pass would be the sweep's one steady-state
-	// allocation.
-	a0    *mat.Matrix
-	group func(g int)
+	// passes counts the passes over the tensor: contractions, mode-0
+	// passes and streamed folds.
+	passes int
+
+	// The contraction's argument, panel geometry (for m ≥ 1: lowN panels
+	// per step of the modes after m, mode m's stride) and task, bound to
+	// the sweep on first use: a fresh closure per pass would be the
+	// sweep's one steady-state allocation.
+	a            *mat.Matrix
+	lowN, stride int
+	group        func(g int)
+
+	// The permuted view a fold from Y_m reads: dims and factors with mode
+	// m first, the rest in ascending order.
+	dims    []int
+	factors []*mat.Matrix
 }
 
-// Bind points the sweep at t and drops the cached products. Bind(nil)
-// releases the tensor while keeping the buffer.
+// Bind points the sweep at t and drops the contraction. Bind(nil) releases
+// the tensor while keeping the buffer.
 func (sw *Sweep) Bind(t *Dense) {
 	sw.t = t
-	sw.valid = false
+	sw.m, sw.prev = -1, -1
 }
 
-// Into is MTTKRPInto on the bound tensor. Into(0) drops the products: its
-// caller is about to rewrite factors[0].
+// Into is the mode-n MTTKRP of the bound tensor into dst (Dims[n]×F),
+// which is zeroed first: a fold from the sweep's contraction, made first
+// if there is none (see Sweep).
 func (sw *Sweep) Into(dst *mat.Matrix, factors []*mat.Matrix, n int) {
 	checkMTTKRPArgs(dst, sw.t, factors, n)
-	if n == 0 {
-		sw.valid = false
-	}
+	sw.prepare(factors, n, dst.Cols)
 	mttkrpInto(dst, sw.t, factors, n, sw)
 }
 
-// products returns S = X_(0)ᵀ·a0 for the bound tensor, running the S pass
-// first if the rows are not current. A nil sweep, or a shape whose S would
-// outgrow the tensor, gets nil: compute each product on the spot, keep
-// none.
-func (sw *Sweep) products(a0 *mat.Matrix) []float64 {
-	if sw == nil || a0.Cols > a0.Rows {
-		return nil
+// prepare leaves in the sweep the contraction that answers Into(n) at rank
+// f, dropping and making one as the rule says, and counts the pass that
+// Into makes when there is none.
+func (sw *Sweep) prepare(factors []*mat.Matrix, n, f int) {
+	dims := sw.t.Dims
+	p := sw.prev
+	if p < 0 {
+		p = (n + len(dims) - 1) % len(dims)
 	}
-	if !sw.valid {
-		i0n, f := a0.Rows, a0.Cols
-		nf := len(sw.t.Data) / i0n
-		if cap(sw.s) < nf*f {
-			sw.s = make([]float64, nf*f)
-		}
-		sw.s = sw.s[:nf*f]
-		sw.a0 = a0
-		if sw.group == nil {
-			sw.group = sw.productGroup
-		}
-		groups := (nf + productGroupFibers - 1) / productGroupFibers
-		par.DoWorkers(par.WorkersFor(nf*i0n*2*f), groups, sw.group)
-		sw.a0 = nil
-		sw.valid = true
+	sw.prev = n
+	if sw.m == n {
+		sw.m = -1
 	}
-	return sw.s
+	if sw.m < 0 && len(sw.t.Data) > 0 && f > 0 && f <= dims[0] {
+		switch {
+		case p != n && dims[p] >= dims[0]:
+			sw.contract(factors[p], p)
+		case n != 0:
+			sw.contract(factors[0], 0)
+		}
+	}
+	if sw.m < 0 {
+		sw.passes++ // the mode-0 pass or a streamed fold
+	}
+}
+
+// contract computes Y_m = X ×_m a into the sweep's buffer.
+func (sw *Sweep) contract(a *mat.Matrix, m int) {
+	dims, x, f := sw.t.Dims, sw.t.Data, a.Cols
+	rows := len(x) / dims[m]
+	if cap(sw.y) < rows*f {
+		sw.y = make([]float64, rows*f)
+	}
+	sw.y = sw.y[:rows*f]
+	sw.a, sw.m = a, m
+	tasks := (rows + productGroupFibers - 1) / productGroupFibers
+	if m > 0 {
+		sw.lowN = 1
+		for k := 1; k < m; k++ {
+			sw.lowN *= dims[k]
+		}
+		sw.stride = dims[0] * sw.lowN
+		tasks = rows / dims[0]
+	}
+	if sw.group == nil {
+		sw.group = sw.contractGroup
+	}
+	par.DoWorkers(par.WorkersFor(len(x)*2*f), tasks, sw.group)
+	sw.a = nil
+	sw.passes++
 }
 
 // productGroupFibers is how many consecutive fibers one task of the S pass
@@ -171,18 +229,42 @@ func (sw *Sweep) products(a0 *mat.Matrix) []float64 {
 // kernel's fiber batch.
 const productGroupFibers = 128
 
-// productGroup fills the rows of S for fiber group g.
-func (sw *Sweep) productGroup(g int) {
-	i0n, f := sw.a0.Rows, sw.a0.Cols
-	lo := g * productGroupFibers
-	hi := min(lo+productGroupFibers, len(sw.s)/f)
-	s := sw.s[lo*f : hi*f]
-	clear(s)
-	mat.FibersMatMulAdd(s, sw.a0.Data, sw.t.Data[lo*i0n:hi*i0n], i0n, f)
+// contractGroup fills task g's rows of Y_m: fiber group g of the S pass
+// for m = 0, panel g for m ≥ 1. Panel g is the I_0 rows of the g-th cell
+// of the modes other than 0 and m, in Fortran order; its fibers start at
+// that cell's offset in X with i_m = 0.
+func (sw *Sweep) contractGroup(g int) {
+	x, a, i0n := sw.t.Data, sw.a, sw.t.Dims[0]
+	f := a.Cols
+	if sw.m == 0 {
+		lo := g * productGroupFibers
+		hi := min(lo+productGroupFibers, len(sw.y)/f)
+		y := sw.y[lo*f : hi*f]
+		clear(y)
+		mat.FibersMatMulAdd(y, a.Data, x[lo*i0n:hi*i0n], i0n, f)
+		return
+	}
+	y := sw.y[g*i0n*f : (g+1)*i0n*f]
+	clear(y)
+	low, high := g%sw.lowN, g/sw.lowN
+	mat.OuterAdd(y, a.Data, x[low*i0n+high*sw.stride*a.Rows:], i0n, sw.stride, f)
 }
 
-// mttkrpInto zeroes dst and accumulates the mode-n MTTKRP into it. sw is
-// the sweep whose fiber products modes n ≥ 1 share; nil keeps none.
+// permute fills the sweep's view of the tensor with mode m in front and
+// returns its dims and the view's number of mode n.
+func (sw *Sweep) permute(factors []*mat.Matrix, n int) ([]int, int) {
+	dims, m := sw.t.Dims, sw.m
+	sw.dims = append(append(append(slices.Grow(sw.dims[:0], len(dims)), dims[m]), dims[:m]...), dims[m+1:]...)
+	sw.factors = append(append(append(slices.Grow(sw.factors[:0], len(dims)), factors[m]), factors[:m]...), factors[m+1:]...)
+	if n < m {
+		n++
+	}
+	return sw.dims, n
+}
+
+// mttkrpInto zeroes dst and accumulates the mode-n MTTKRP into it: folded
+// from sw's contraction when it holds one, the mode-0 pass or a streamed
+// fold otherwise (sw nil: always).
 func mttkrpInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Sweep) {
 	dst.Zero()
 	f := dst.Cols
@@ -191,10 +273,16 @@ func mttkrpInto(dst *mat.Matrix, t *Dense, factors []*mat.Matrix, n int, sw *Swe
 	}
 	ps := passPool.Get().(*fiberPass)
 	ps.dst, ps.x, ps.factors, ps.i0n, ps.f = dst, t.Data, factors, t.Dims[0], f
-	if n == 0 {
+	switch {
+	case sw != nil && sw.m >= 0:
+		dims, pn := sw.permute(factors, n)
+		ps.factors, ps.i0n, ps.sp = sw.factors, dims[0], sw.y
+		ps.foldFibers(dims, pn)
+		clear(sw.factors) // hold no factor past the call
+	case n == 0:
 		ps.mode0Pass(t.Dims)
-	} else {
-		ps.foldFibers(t.Dims, n, sw)
+	default:
+		ps.foldFibers(t.Dims, n)
 	}
 	*ps = fiberPass{mode0: ps.mode0, fold: ps.fold} // hold no argument past the pass
 	passPool.Put(ps)
@@ -215,7 +303,7 @@ type fiberPass struct {
 	panel, run, runs int
 
 	// A fold chunk: weights w of positions [r0, r1), fiber products sp
-	// (nil: compute each on the spot), dn = Dims[n] and sfn the fibers of
+	// (nil: compute each on the spot), dn = dims[n] and sfn the fibers of
 	// a run of one output row.
 	w, sp   []float64
 	r0, r1  int
@@ -348,8 +436,10 @@ func (ps *fiberPass) mode0Panel(p int) {
 
 // foldFibers accumulates the mode-n (n ≥ 1) MTTKRP: output row j adds
 // s ⊛ w for each of its fibers in ascending fiber order. s is the fiber's
-// row of sw's product matrix S, or, when there is no S, a scratch row
-// computed on the spot — in which case the fold streams the tensor once.
+// row of the product matrix ps.sp (S, or a sweep's Y_m with dims and
+// factors permuted to put mode m first), or, when ps.sp is nil, a scratch
+// row computed on the spot — in which case the fold streams the tensor
+// once.
 //
 // Fiber-space geometry: fibers are indexed by (i_1, ..., i_{N-1}) in
 // Fortran order, so the fibers of row j are outerN runs of sfn consecutive
@@ -359,7 +449,7 @@ func (ps *fiberPass) mode0Panel(p int) {
 // chunk of whole runs at a time, and every row folds the chunk. A fold is
 // one mat.FoldAdd per stretch of equally spaced rows of S: a whole run of
 // the row's fibers, or, when those are single fibers, all of them at once.
-func (ps *fiberPass) foldFibers(dims []int, n int, sw *Sweep) {
+func (ps *fiberPass) foldFibers(dims []int, n int) {
 	f := ps.f
 	nf := len(ps.x) / ps.i0n
 	ps.dn, ps.sfn = dims[n], 1
@@ -367,7 +457,6 @@ func (ps *fiberPass) foldFibers(dims []int, n int, sw *Sweep) {
 		ps.sfn *= dims[k]
 	}
 	perRow := nf / dims[n]
-	ps.sp = sw.products(ps.factors[0])
 	work := nf * 2 * f
 	if ps.sp == nil {
 		work *= ps.i0n

@@ -58,11 +58,12 @@ func BenchmarkMTTKRP4Mode(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepPasses times the three passes an ALS sweep over a 64³ block
-// is made of, one at a time, kernels serial: the mode-0 pass, the S pass
-// with the first fold (mode 1 after a mode-0 MTTKRP, whose time is not
-// counted), and a fold from S alone (mode 2). docs/performance.md's
-// per-pass table is this benchmark.
+// BenchmarkSweepPasses times the passes an ALS sweep over a 64³ block is
+// made of, one at a time, kernels serial: the contraction on each mode
+// (m = 0 is the S pass, m = 1 and 2 the OuterAdd panels), a fold from a
+// contraction (mode 0 from Y_2, the fold every third update of a sweep
+// takes), and the mode-0 pass, which a sweep still takes when I_0 is the
+// longest mode. docs/performance.md's per-pass table is this benchmark.
 func BenchmarkSweepPasses(b *testing.B) {
 	defer par.PopWorkers(par.PushWorkers(1))
 	rng := rand.New(rand.NewSource(3))
@@ -73,24 +74,23 @@ func BenchmarkSweepPasses(b *testing.B) {
 		out := mat.New(64, f)
 		var sw Sweep
 		sw.Bind(x)
-		b.Run(fmt.Sprintf("r%d/mode0", f), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sw.Into(out, factors, 0)
-			}
-		})
-		b.Run(fmt.Sprintf("r%d/S+fold", f), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				sw.Into(out, factors, 0)
-				b.StartTimer()
-				sw.Into(out, factors, 1)
-			}
-		})
+		for m := range dims {
+			b.Run(fmt.Sprintf("r%d/contract%d", f, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sw.contract(factors[m], m)
+				}
+			})
+		}
 		b.Run(fmt.Sprintf("r%d/fold", f), func(b *testing.B) {
-			sw.Into(out, factors, 1)
+			sw.contract(factors[2], 2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sw.Into(out, factors, 2)
+				sw.Into(out, factors, 0)
+			}
+		})
+		b.Run(fmt.Sprintf("r%d/mode0", f), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MTTKRPInto(out, x, factors, 0)
 			}
 		})
 	}
