@@ -69,10 +69,11 @@
 // Phase 2, which is
 // strictly sequential in the paper, optionally prefetches: with
 // Options.PrefetchDepth > 0 the engine issues buffer prefetches for the
-// next schedule steps while updating the current one, and
-// Options.IOWorkers goroutines fetch those units. Everything else —
-// demand fetches, the write-back of a dirty eviction, the final flush and
-// factor assembly — runs inline on the engine's goroutine. Prefetch is
+// next schedule steps while updating the current one, and each admitted
+// hint is one goroutine's store read, at most Options.IOWorkers at once.
+// Everything else — demand fetches, the write-back of a dirty eviction,
+// the final flush and factor assembly — runs inline on the engine's
+// goroutine, which owns the buffer manager outright. Prefetch is
 // pure data movement — every replacement decision is still taken in
 // schedule order — so FitTrace, the factors and the swap counts are
 // bit-for-bit identical at every depth (raw store byte counters may
@@ -383,8 +384,8 @@
 //     parallel kernels follow (see above), extended to observation.
 //   - The trace itself is deterministic. Events are emitted only at
 //     points whose occurrence is fixed by the schedule — buffer
-//     replacement decisions under the manager mutex, per-block Phase-1
-//     completions, schedule steps — so the multiset of events minus
+//     replacement decisions by the manager's owning goroutine, per-block
+//     Phase-1 completions, schedule steps — so the multiset of events minus
 //     the wall-clock ts/dur fields is identical across Workers,
 //     KernelWorkers, IOWorkers and PrefetchDepth. Operations whose
 //     count legitimately varies with concurrency or timing

@@ -33,7 +33,7 @@ func TestFormatBytesPinned(t *testing.T) {
 		{"TPFS snapshot", "a23ca44d7533149079e95fb3dd97222fdf658a1d1d5dd933f7de0d247572a5f6"},
 		{"manifest.json", "ee0cf8f808bfa3766e9c670fc0372696887ec7c5bb26e895eef3bf6f902beb94"},
 		{"TP1B log record", "429a03232f577d613077b893250e0d766d0ab67402fd629d81ebe4aa3780ee96"},
-		{"TP2S slot", "2e233bbfb93f0df76441916c141294dfca314988ecbbfbf72cc017620fa0aaf6"},
+		{"TP2S slot", "c7614ef1c89b2ffbc90262726f33e669179b238769d927feaf3333cac8c54196"},
 		{"result.ckpt", "5f2d48cf9f33537f3f6e771f1ba9836b13086fb39aa8091a66dd88e28af035bd"},
 	} {
 		b, ok := got[tc.name]

@@ -185,9 +185,9 @@ var ErrCorrupt = errors.New("blockstore: corrupt unit")
 //
 // Every Store implementation in this package (MemStore, FileStore, and
 // the LatencyStore/FaultyStore wrappers) is safe for concurrent use by
-// multiple goroutines; Phase 2's prefetch pool issues Gets against a store
-// while the engine's goroutine Gets and Puts (write-backs run inline on
-// it). The guarantees callers may rely on:
+// multiple goroutines; Phase 2's prefetch goroutines issue Gets against a
+// store while the engine's goroutine Gets and Puts (write-backs run inline
+// on it). The guarantees callers may rely on:
 //
 //   - U is immutable after the unit's first Put. That first, whole-unit
 //     Put (U or Slab set) is a set-up operation: it lays down A and the

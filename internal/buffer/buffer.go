@@ -11,17 +11,20 @@
 //
 // # Concurrency
 //
-// One goroutine calls Acquire, Prefetch, Release, FlushAll, Drain,
-// Snapshot, Restore and Close. When Config.Workers > 0 a pool of that many
-// prefetch goroutines is the only other party: Prefetch reserves capacity
-// and fetches units on it. The read-only accessors (Contains, InFlight,
-// UsedBytes, Stats) may be called from any goroutine. Every write-back —
-// on eviction and in FlushAll — is one inline Put on the calling
-// goroutine. Replacement decisions — hit/miss classification, eviction
-// victims, the schedule cursor and every Stats counter — are made inside
-// Acquire, so a schedule-ordered sequence of Acquire/Release calls produces
-// bit-for-bit identical statistics whether prefetching is on or off;
-// prefetching only moves the bytes earlier.
+// A Manager has one owner: the goroutine that drives it makes every call,
+// the accessors (Contains, InFlight, UsedBytes, Stats) included, and no
+// call takes a lock. When Config.Workers > 0, Prefetch admits a hint by
+// reserving capacity and starting one goroutine for it. That goroutine
+// runs one store Get while holding one of Workers semaphore slots, so at
+// most Workers prefetch reads are in flight; it writes only its own
+// in-flight record and then closes the record's done channel. The owner
+// reads the record only after receiving from done. Every write-back — on
+// eviction and in FlushAll — is one inline Put on the owner's goroutine.
+// Replacement decisions — hit/miss classification, eviction victims, the
+// schedule cursor and every Stats counter — are made inside Acquire, so a
+// schedule-ordered sequence of Acquire/Release calls produces bit-for-bit
+// identical statistics whether prefetching is on or off; prefetching only
+// moves the bytes earlier.
 //
 // # Checkpoints
 //
@@ -111,13 +114,13 @@ type entry struct {
 	dirty    bool
 }
 
-// inflight is one prefetch. The unit and err fields are written exactly
-// once, before done is closed.
+// inflight is one prefetch. Its goroutine writes unit and err exactly
+// once and then closes done; the owner reads them only after <-done.
 type inflight struct {
 	done  chan struct{}
 	unit  *blockstore.Unit
 	err   error
-	bytes int64 // capacity reservation held until Acquire consumes the unit
+	bytes int64 // capacity reservation held until Acquire consumes the record
 }
 
 // Manager is the buffer manager. See the package comment for the
@@ -127,32 +130,29 @@ type Manager struct {
 	pattern  *grid.Pattern
 	capacity int64
 	policy   Policy
-	workers  int
 	rank     int
 
-	mu       sync.Mutex
 	resident map[int]*entry // unit id → entry
 	used     int64
 	reserved int64 // bytes of in-flight prefetch reservations
 	clock    int64
 	stats    Stats
-	closed   bool
 
 	// infl holds prefetches in progress: a unit is in at most one of
 	// resident/infl. Completed prefetches stay here until an Acquire
 	// consumes them.
 	infl map[int]*inflight
 
-	fetchQ   chan func()
-	workerWG sync.WaitGroup // pool goroutines
-	ioWG     sync.WaitGroup // outstanding prefetches
+	// sem bounds the prefetch reads in flight to Workers; nil when the
+	// manager is synchronous or closed, which makes Prefetch a no-op.
+	sem  chan struct{}
+	ioWG sync.WaitGroup // outstanding prefetches
 
 	// Telemetry. The counters mirror the Stats fields into the observer's
-	// registry (monotonic — unlike stats they survive ResetStats); trace
-	// events are emitted where Acquire and FlushAll decide, so the package's
-	// prefetch-transparency contract makes them deterministic. Prefetches
-	// and Overflows are metrics-only: their counts legitimately vary with
-	// concurrency settings.
+	// registry; trace events are emitted where Acquire and FlushAll decide,
+	// so the package's prefetch-transparency contract makes them
+	// deterministic. Prefetches and Overflows are metrics-only: their
+	// counts legitimately vary with concurrency settings.
 	tele        *obs.Observer
 	cFetches    *obs.Counter
 	cHits       *obs.Counter
@@ -184,9 +184,10 @@ type Config struct {
 	// Schedule must be supplied for the Forward policy (its access string
 	// defines next-use distances); ignored otherwise.
 	Schedule *schedule.Schedule
-	// Workers sizes the prefetch pool. 0 (the default) keeps the manager
-	// fully synchronous, exactly the paper's sequential setting: Prefetch
-	// is a no-op. Dirty evictions write back inline at every setting.
+	// Workers bounds the prefetch reads in flight at once. 0 (the default)
+	// keeps the manager fully synchronous, exactly the paper's sequential
+	// setting: Prefetch is a no-op. Dirty evictions write back inline at
+	// every setting.
 	Workers int
 	// Rank is the decomposition rank, used to estimate unit sizes for
 	// prefetch capacity reservations. Required when Workers > 0.
@@ -197,7 +198,7 @@ type Config struct {
 }
 
 // Check validates the settings that do not depend on a store, a pattern or
-// a schedule: the policy, the capacity and the prefetch pool. NewManager
+// a schedule: the policy, the capacity and the prefetch bound. NewManager
 // runs it; callers that want to fail before any data exists (the Phase-2
 // engine's own pre-flight) run it earlier.
 func (cfg Config) Check() error {
@@ -229,7 +230,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		pattern:  cfg.Pattern,
 		capacity: cfg.CapacityBytes,
 		policy:   cfg.Policy,
-		workers:  cfg.Workers,
 		rank:     cfg.Rank,
 		resident: make(map[int]*entry),
 		infl:     make(map[int]*inflight),
@@ -257,21 +257,10 @@ func NewManager(cfg Config) (*Manager, error) {
 			m.occ[id] = append(m.occ[id], i)
 		}
 	}
-	if m.workers > 0 {
-		m.fetchQ = make(chan func(), 4*m.workers)
-		for i := 0; i < m.workers; i++ {
-			m.workerWG.Add(1)
-			go m.serve()
-		}
+	if cfg.Workers > 0 {
+		m.sem = make(chan struct{}, cfg.Workers)
 	}
 	return m, nil
-}
-
-func (m *Manager) serve() {
-	defer m.workerWG.Done()
-	for job := range m.fetchQ {
-		job()
-	}
 }
 
 // Prefetch asks the manager to stage unit ⟨mode, part⟩ for an upcoming
@@ -279,50 +268,34 @@ func (m *Manager) serve() {
 // has no effect on replacement decisions or statistics other than
 // Stats.Prefetches — the later Acquire still classifies the access as a
 // miss and counts the swap, it just finds the bytes already (or nearly)
-// there. The fetch runs on the I/O worker pool after reserving capacity;
-// the reservation is held until the Acquire consumes the staged unit, so
-// resident + staged data never exceeds two buffers' worth. The hint is
-// dropped when the unit is resident, already in flight, the reservation
-// budget is exhausted, the worker pool's queue is full, or the manager is
-// synchronous (Workers: 0) or closed.
+// there. The fetch runs on its own goroutine after reserving capacity;
+// the reservation is held until the Acquire consumes the record, failed
+// or not, so resident + staged data never exceeds two buffers' worth. The
+// hint is dropped when the unit is resident, already in flight, the
+// reservation budget is exhausted, or the manager is synchronous
+// (Workers: 0) or closed.
 func (m *Manager) Prefetch(mode, part int) {
-	if m.workers == 0 {
+	if m.sem == nil {
 		return
 	}
 	id := schedule.UnitID(m.pattern, mode, part)
 	est := schedule.UnitBytes(m.pattern, mode, part, m.rank)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed || m.resident[id] != nil || m.infl[id] != nil || m.reserved+est > m.capacity {
+	if m.resident[id] != nil || m.infl[id] != nil || m.reserved+est > m.capacity {
 		return
 	}
 	inf := &inflight{done: make(chan struct{}), bytes: est}
-	job := func() {
-		defer m.ioWG.Done()
-		u, err := m.store.Get(mode, part)
-		m.mu.Lock()
-		inf.unit, inf.err = u, err
-		if err != nil {
-			// Nothing was staged; free the reservation now. Successful
-			// fetches keep it until Acquire installs the unit.
-			m.reserved -= inf.bytes
-			inf.bytes = 0
-		}
-		m.mu.Unlock()
-		close(inf.done)
-	}
+	m.infl[id] = inf
+	m.reserved += est
+	m.stats.Prefetches++
+	m.cPrefetches.Inc()
 	m.ioWG.Add(1)
-	select {
-	case m.fetchQ <- job:
-		m.infl[id] = inf
-		m.reserved += est
-		m.stats.Prefetches++
-		m.cPrefetches.Inc()
-	default:
-		// Pool saturated: drop the hint rather than stall the caller's
-		// compute thread behind store I/O.
-		m.ioWG.Done()
-	}
+	go func(store blockstore.Store, sem chan struct{}) {
+		defer m.ioWG.Done()
+		sem <- struct{}{}
+		inf.unit, inf.err = store.Get(mode, part)
+		<-sem
+		close(inf.done)
+	}(m.store, m.sem)
 }
 
 // Acquire pins the unit ⟨mode, part⟩ in the buffer, fetching it from the
@@ -338,8 +311,6 @@ func (m *Manager) Prefetch(mode, part int) {
 // Release: once evicted, its storage is recycled into a later fetch.
 func (m *Manager) Acquire(mode, part int) (*blockstore.Unit, error) {
 	id := schedule.UnitID(m.pattern, mode, part)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.clock++
 	pos := m.cursor
 	if len(m.cycle) > 0 {
@@ -357,9 +328,7 @@ func (m *Manager) Acquire(mode, part int) (*blockstore.Unit, error) {
 	}
 	var u *blockstore.Unit
 	if inf := m.infl[id]; inf != nil {
-		m.mu.Unlock()
 		<-inf.done
-		m.mu.Lock()
 		delete(m.infl, id)
 		m.reserved -= inf.bytes
 		if inf.err != nil {
@@ -369,12 +338,8 @@ func (m *Manager) Acquire(mode, part int) (*blockstore.Unit, error) {
 		u = inf.unit
 	}
 	if u == nil {
-		// Nothing else can make this unit resident or start a prefetch of
-		// it meanwhile: both need the calling goroutine, which is here.
-		m.mu.Unlock()
 		var err error
 		u, err = m.store.Get(mode, part)
-		m.mu.Lock()
 		if err != nil {
 			return nil, err
 		}
@@ -399,8 +364,6 @@ func (m *Manager) Acquire(mode, part int) (*blockstore.Unit, error) {
 // eviction (or FlushAll) writes it back.
 func (m *Manager) Release(mode, part int, dirty bool) {
 	id := schedule.UnitID(m.pattern, mode, part)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	e, ok := m.resident[id]
 	if !ok || e.pins <= 0 {
 		panic(fmt.Sprintf("buffer: Release of unpinned unit ⟨%d,%d⟩", mode, part))
@@ -413,8 +376,7 @@ func (m *Manager) Release(mode, part int, dirty bool) {
 
 // shrink evicts unpinned units until usage fits capacity. If everything
 // resident is pinned the buffer temporarily overflows (counted, not fatal),
-// mirroring a real buffer manager that must keep its working set. Called
-// with mu held.
+// mirroring a real buffer manager that must keep its working set.
 func (m *Manager) shrink(pos int) error {
 	for m.used > m.capacity {
 		victim := m.pickVictim(pos)
@@ -431,7 +393,6 @@ func (m *Manager) shrink(pos int) error {
 }
 
 // pickVictim returns the unit id to evict, or -1 when nothing is evictable.
-// Called with mu held.
 func (m *Manager) pickVictim(pos int) int {
 	best := -1
 	var bestKey int64
@@ -473,17 +434,13 @@ func (m *Manager) nextUseDistance(id, pos int) int {
 }
 
 // evict drops the unit and recycles its allocation, writing a dirty unit
-// back first. The write-back runs with mu released, so a finished prefetch
-// can record its result meanwhile; the victim stays resident until it is
-// written, and a failed write-back leaves it so. Called with mu held.
+// back first. The victim stays resident until it is written, and a failed
+// write-back leaves it so.
 func (m *Manager) evict(id int) error {
 	e := m.resident[id]
 	if e.dirty {
 		m.noteWriteBack(e)
-		m.mu.Unlock()
-		err := m.writeBack(e.unit)
-		m.mu.Lock()
-		if err != nil {
+		if err := m.writeBack(e.unit); err != nil {
 			return err
 		}
 	}
@@ -504,7 +461,7 @@ func (m *Manager) evict(id int) error {
 
 // noteWriteBack counts a write-back of e — in Stats, the mirrored counter
 // and the trace — before its Put, so the counts do not depend on I/O
-// outcomes. Called with mu held.
+// outcomes.
 func (m *Manager) noteWriteBack(e *entry) {
 	m.stats.WriteBacks++
 	m.cWriteBacks.Inc()
@@ -530,12 +487,10 @@ func (m *Manager) Drain() {
 
 // FlushAll writes every dirty resident unit back to the store, in unit-id
 // order (deterministic store traffic), keeping it resident and clean.
-// Phase 2 calls this at termination. It drains the prefetch pool first, so
+// Phase 2 calls this at termination. It drains the prefetches first, so
 // the store is quiet when it returns.
 func (m *Manager) FlushAll() error {
 	m.Drain()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	ids := make([]int, 0, len(m.resident))
 	for id := range m.resident {
 		ids = append(ids, id)
@@ -555,25 +510,14 @@ func (m *Manager) FlushAll() error {
 	return nil
 }
 
-// Close drains and stops the prefetch pool and discards unconsumed
-// prefetches. It returns nil: every write-back error has already surfaced
-// from the Acquire or FlushAll that issued it. Close is idempotent; the
-// manager must not be used afterwards (except further Close calls).
+// Close drains the prefetches, discards the unconsumed ones and turns
+// Prefetch into a no-op. It returns nil: every write-back error has
+// already surfaced from the Acquire or FlushAll that issued it. Close is
+// idempotent; the manager must not be used afterwards (except further
+// Close calls).
 func (m *Manager) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
-	}
-	m.closed = true
-	m.mu.Unlock()
-	m.ioWG.Wait()
-	if m.workers > 0 {
-		close(m.fetchQ)
-	}
-	m.workerWG.Wait()
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.Drain()
+	m.sem = nil
 	m.infl = make(map[int]*inflight)
 	m.reserved = 0
 	return nil
@@ -581,8 +525,6 @@ func (m *Manager) Close() error {
 
 // Contains reports whether the unit is resident (for tests/diagnostics).
 func (m *Manager) Contains(mode, part int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	_, ok := m.resident[schedule.UnitID(m.pattern, mode, part)]
 	return ok
 }
@@ -590,33 +532,15 @@ func (m *Manager) Contains(mode, part int) bool {
 // InFlight reports whether a prefetch of the unit is outstanding or staged
 // but not yet consumed (for tests/diagnostics).
 func (m *Manager) InFlight(mode, part int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	_, ok := m.infl[schedule.UnitID(m.pattern, mode, part)]
 	return ok
 }
 
 // UsedBytes returns the resident payload volume.
-func (m *Manager) UsedBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.used
-}
+func (m *Manager) UsedBytes() int64 { return m.used }
 
 // Capacity returns the configured capacity in bytes.
 func (m *Manager) Capacity() int64 { return m.capacity }
 
 // Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
-
-// ResetStats zeroes the counters (the cursor and residency are kept, so a
-// warmed-up buffer can be measured in steady state).
-func (m *Manager) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats = Stats{}
-}
+func (m *Manager) Stats() Stats { return m.stats }

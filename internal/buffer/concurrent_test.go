@@ -2,7 +2,7 @@ package buffer
 
 import (
 	"math/rand"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,10 +42,10 @@ func fileFixture(t *testing.T, dims, k []int, rank int) (*grid.Pattern, *blockst
 
 // hammerManager drives the manager the way the Phase-2 engine does — one
 // goroutine acquiring a few units, hinting prefetches, dirtying and
-// releasing them — with a tight capacity, while the prefetch pool fetches
-// and another goroutine polls the read-only accessors. Every unit must
-// then hold its last written value in the store. Run with -race: it checks
-// the pool against the calling goroutine.
+// releasing them — with a tight capacity, while the prefetch goroutines
+// fetch. Every unit must then hold its last written value in the store.
+// Run with -race: it checks the prefetch goroutines' hand-off to the
+// owner.
 func hammerManager(t *testing.T, p *grid.Pattern, store blockstore.Store, capacity int64, rank int) {
 	t.Helper()
 	m, err := NewManager(Config{
@@ -56,23 +56,6 @@ func hammerManager(t *testing.T, p *grid.Pattern, store blockstore.Store, capaci
 		t.Fatal(err)
 	}
 	units := schedule.NumUnits(p)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				m.Stats()
-				m.UsedBytes()
-				m.Contains(0, 0)
-				m.InFlight(0, 0)
-			}
-		}
-	}()
 	rng := rand.New(rand.NewSource(1))
 	want := make(map[int]float64) // unit id → last value written to A[0,0]
 	var acquires int64
@@ -106,8 +89,6 @@ func hammerManager(t *testing.T, p *grid.Pattern, store blockstore.Store, capaci
 	if err := m.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	close(stop)
-	wg.Wait()
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +119,53 @@ func TestConcurrentAcquirePrefetchReleaseMemStore(t *testing.T) {
 func TestConcurrentAcquirePrefetchReleaseFileStore(t *testing.T) {
 	p, store, ub := fileFixture(t, []int{12, 12, 12}, []int{3, 3, 3}, 2)
 	hammerManager(t, p, store, 4*ub, 2)
+}
+
+// countingStore sleeps in every Get and records the most Gets it saw in
+// flight at once.
+type countingStore struct {
+	blockstore.Store
+	cur, peak atomic.Int64
+}
+
+func (s *countingStore) Get(mode, part int) (*blockstore.Unit, error) {
+	n := s.cur.Add(1)
+	defer s.cur.Add(-1)
+	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
+	}
+	time.Sleep(2 * time.Millisecond)
+	return s.Store.Get(mode, part)
+}
+
+// TestPrefetchReadsBoundedByWorkers: every unit is hinted at once and every
+// hint is admitted, yet the store never sees more than Workers prefetch
+// Gets in flight.
+func TestPrefetchReadsBoundedByWorkers(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		p, mem, ub := fixture(t, []int{16, 16, 16}, []int{4, 4, 4}, 2)
+		store := &countingStore{Store: mem}
+		m, err := NewManager(Config{
+			Store: store, Pattern: p, CapacityBytes: 100 * ub,
+			Policy: LRU, Workers: workers, Rank: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		units := schedule.NumUnits(p)
+		for id := 0; id < units; id++ {
+			m.Prefetch(schedule.UnitFromID(p, id))
+		}
+		m.Drain()
+		if got := m.Stats().Prefetches; got != int64(units) {
+			t.Fatalf("workers=%d: %d hints admitted, want all %d", workers, got, units)
+		}
+		if peak := store.peak.Load(); peak > int64(workers) {
+			t.Fatalf("workers=%d: %d prefetch Gets were in flight at once", workers, peak)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestPrefetchStagesUnitWithoutTouchingStats(t *testing.T) {

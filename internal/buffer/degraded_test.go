@@ -7,6 +7,7 @@ import (
 
 	"twopcp/internal/blockstore"
 	"twopcp/internal/obs"
+	"twopcp/internal/schedule"
 )
 
 // TestDegradedPrefetchFallsBackToSyncFetch: a prefetch whose background
@@ -93,6 +94,45 @@ func TestDegradedFetchSurfacesDemandError(t *testing.T) {
 	}
 	if st := m.Stats(); st.DegradedFetches != 1 {
 		t.Fatalf("DegradedFetches = %d, want 1", st.DegradedFetches)
+	}
+}
+
+// TestDegradedAcquireReleasesReservation: a failed prefetch holds its
+// capacity reservation until the Acquire that consumes it, which falls
+// back to a fresh fetch; from then on the budget admits new hints again.
+func TestDegradedAcquireReleasesReservation(t *testing.T) {
+	p, mem, _ := fixture(t, []int{4, 4}, []int{2, 2}, 2)
+	faulty := blockstore.NewFaultyStore(mem)
+	faulty.SetPlan(blockstore.FaultPlan{ReadOutageFrom: 1, ReadOutageLen: 1})
+	m, err := NewManager(Config{
+		Store: faulty, Pattern: p, CapacityBytes: schedule.UnitBytes(p, 0, 0, 2), // one reservation
+		Policy: LRU, Workers: 2, Rank: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	m.Prefetch(0, 0) // read 1 fails
+	m.Drain()
+	m.Prefetch(0, 1)
+	if m.InFlight(0, 1) {
+		t.Fatal("a hint was admitted past the failed prefetch's reservation")
+	}
+	if _, err := m.Acquire(0, 0); err != nil {
+		t.Fatalf("degraded Acquire: %v", err)
+	}
+	m.Release(0, 0, false)
+	if st := m.Stats(); st.DegradedFetches != 1 {
+		t.Fatalf("DegradedFetches = %d, want 1", st.DegradedFetches)
+	}
+	m.Prefetch(0, 1)
+	if !m.InFlight(0, 1) {
+		t.Fatal("the degraded Acquire did not release the failed prefetch's reservation")
+	}
+	m.Drain()
+	if st := m.Stats(); st.Prefetches != 2 {
+		t.Fatalf("Prefetches = %d, want 2", st.Prefetches)
 	}
 }
 

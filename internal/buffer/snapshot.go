@@ -40,8 +40,6 @@ type State struct {
 // deliberately excluded — a prefetch never changes hit/miss classification,
 // so dropping it costs at most a re-read after resume.
 func (m *Manager) Snapshot() (State, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	order := make([]int, 0, len(m.resident))
 	for id, e := range m.resident {
 		if e.pins > 0 {
@@ -70,16 +68,12 @@ func (m *Manager) Snapshot() (State, error) {
 // for the run so far — callers that also track store traffic should reset
 // the store's counters after Restore returns).
 func (m *Manager) Restore(st State) error {
-	m.mu.Lock()
 	if len(m.resident) != 0 || m.clock != 0 {
-		m.mu.Unlock()
 		return fmt.Errorf("buffer: Restore on a used manager")
 	}
 	if len(m.cycle) > 0 && (st.Cursor < 0 || st.Cursor >= len(m.cycle)) {
-		m.mu.Unlock()
 		return fmt.Errorf("buffer: Restore cursor %d outside cycle of %d", st.Cursor, len(m.cycle))
 	}
-	m.mu.Unlock()
 	numUnits := schedule.NumUnits(m.pattern)
 	for i, se := range st.Resident {
 		if se.ID < 0 || se.ID >= numUnits {
@@ -90,17 +84,13 @@ func (m *Manager) Restore(st State) error {
 		if err != nil {
 			return fmt.Errorf("buffer: Restore unit ⟨%d,%d⟩: %w", mode, part, err)
 		}
-		m.mu.Lock()
 		m.resident[se.ID] = &entry{unit: u, bytes: u.Bytes(), lastUsed: int64(i + 1), dirty: se.Dirty}
 		m.used += u.Bytes()
-		m.mu.Unlock()
 	}
-	m.mu.Lock()
 	m.clock = int64(len(st.Resident))
 	if len(m.cycle) > 0 {
 		m.cursor = st.Cursor
 	}
 	m.stats = st.Stats
-	m.mu.Unlock()
 	return nil
 }

@@ -103,22 +103,35 @@ func RunFigure12(cfg Figure12Config) (*Figure12Result, error) {
 				sched := schedule.New(kind, p1.Pattern)
 				// Warm up one full cycle, then measure MeasuredCycles.
 				warmup := int(math.Ceil(sched.VirtualIterationsPerCycle()))
-				measured := int(math.Ceil(sched.VirtualIterationsPerCycle())) * cfg.MeasuredCycles
+				measured := warmup * cfg.MeasuredCycles
 				for _, pol := range buffer.Policies {
-					r, _, err := cfg.IO.phase2(refine.Config{
-						Phase1: p1, Schedule: kind, Policy: pol,
-						BufferFraction:     frac,
-						MaxVirtualIters:    measured,
-						WarmupVirtualIters: warmup,
-						Tol:                math.Inf(-1),
-					})
+					// The swap count only grows and a run that stops after
+					// the warm-up has swapped exactly what the warm-up did,
+					// so the steady state is the difference of two runs.
+					fetches := func(iters int) (int64, error) {
+						r, _, err := cfg.IO.phase2(refine.Config{
+							Phase1: p1, Schedule: kind, Policy: pol,
+							BufferFraction:  frac,
+							MaxVirtualIters: iters,
+							Tol:             math.Inf(-1),
+						})
+						if err != nil {
+							return 0, err
+						}
+						return r.BufferStats.Fetches, nil
+					}
+					cold, err := fetches(warmup)
+					if err != nil {
+						return nil, err
+					}
+					total, err := fetches(warmup + measured)
 					if err != nil {
 						return nil, err
 					}
 					res.Cells = append(res.Cells, Figure12Cell{
 						Parts: parts, Fraction: frac,
 						Schedule: kind, Policy: pol,
-						Swaps: r.SwapsPerVirtualIter,
+						Swaps: float64(total-cold) / float64(measured),
 					})
 				}
 			}

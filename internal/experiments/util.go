@@ -22,7 +22,8 @@ type IO struct {
 	// PrefetchDepth is how many schedule steps ahead Phase 2 prefetches
 	// data units (0 = synchronous).
 	PrefetchDepth int
-	// IOWorkers sizes the prefetch pool (0 = auto when PrefetchDepth > 0).
+	// IOWorkers bounds the prefetch reads in flight (0 = auto when
+	// PrefetchDepth > 0).
 	IOWorkers int
 	// Checkpoint, when non-empty, makes the experiment's long decomposition
 	// runs durable: each run checkpoints into its own subdirectory of this

@@ -114,7 +114,7 @@ type Spec struct {
 	KernelWorkers int `json:"kernel_workers,omitempty"`
 	// PrefetchDepth is the Phase-2 prefetch depth in schedule steps.
 	PrefetchDepth int `json:"prefetch,omitempty"`
-	// IOWorkers is the Phase-2 prefetch worker count (0 = auto).
+	// IOWorkers bounds the Phase-2 prefetch reads in flight (0 = auto).
 	IOWorkers int `json:"io_workers,omitempty"`
 	// OutOfCore keeps Phase-2 data units on disk in the job directory
 	// instead of in memory.

@@ -84,9 +84,9 @@ var Schema = map[string][]FieldSpec{
 		{Name: "iter", Type: TypeNum},
 		{Name: "fit", Type: TypeNum},
 	},
-	// Buffer replacement decisions, emitted under the manager mutex at
-	// the decision point (deterministic per the buffer package's
-	// prefetch-transparency contract).
+	// Buffer replacement decisions, emitted on the manager's owning
+	// goroutine at the decision point (deterministic per the buffer
+	// package's prefetch-transparency contract).
 	"buffer.fetch": {
 		{Name: "mode", Type: TypeNum},
 		{Name: "part", Type: TypeNum},

@@ -14,7 +14,7 @@ import (
 // no update in flight), every Config.CheckpointEverySteps steps. A
 // checkpoint is the complete mutable state of the refinement — the
 // engine's runstate.Progress as it stands (schedule position, counters,
-// FitTrace, convergence and warm-up state), the buffer.State, the
+// FitTrace, convergence state), the buffer.State, the
 // cumulative store traffic and the current A factor partitions — so an
 // engine rebuilt from it replays the remaining steps bit-for-bit: the P/Q
 // components are pure functions of the checkpointed A (and the Phase-1
@@ -62,7 +62,7 @@ func (e *Engine) validateState(st *runstate.Phase2State) error {
 	if st.Pos < 0 || st.Pos >= e.sched.UpdatesPerCycle() {
 		return fmt.Errorf("refine: checkpoint position %d outside cycle of %d accesses", st.Pos, e.sched.UpdatesPerCycle())
 	}
-	if st.Updates < 0 || st.VirtualIters < 0 || st.WarmupLeft < 0 {
+	if st.Updates < 0 || st.VirtualIters < 0 {
 		return fmt.Errorf("refine: checkpoint has negative progress counters")
 	}
 	if len(st.FitTrace) != st.VirtualIters {

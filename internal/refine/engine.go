@@ -53,16 +53,6 @@ type Config struct {
 	// Seed drives the random seeding of a partition whose slab holds no
 	// usable Phase-1 sub-factor (see initialA).
 	Seed int64
-	// WarmupVirtualIters runs this many virtual iterations before swap
-	// counting starts (buffer statistics are reset at the boundary), so
-	// experiments can report steady-state swaps per iteration without
-	// cold-start pollution (paper §VIII-C.1 averages long runs). The
-	// warm-up iterations do not count toward MaxVirtualIters or the trace,
-	// and convergence checks are suspended during warm-up. The count left
-	// is part of runstate.Progress, so a resume inside the warm-up
-	// finishes it (and its stats reset) where the interrupted run would
-	// have; the setting itself only seeds a fresh run.
-	WarmupVirtualIters int
 	// PrefetchDepth is how many schedule steps ahead the engine issues
 	// buffer prefetches while updating the current step, overlapping the
 	// next steps' unit I/O with this step's compute. 0 (the default) keeps
@@ -72,9 +62,9 @@ type Config struct {
 	// depth > 0 — prefetches issued for steps that never ran, or wasted
 	// because the unit was evicted before its use.
 	PrefetchDepth int
-	// IOWorkers sizes the buffer manager's prefetch pool. Defaults to 2
-	// when PrefetchDepth > 0, else 0 (synchronous). Write-backs run inline
-	// on the engine's goroutine at every setting.
+	// IOWorkers bounds the buffer manager's concurrent prefetch reads.
+	// Defaults to 2 when PrefetchDepth > 0, else 0 (synchronous).
+	// Write-backs run inline on the engine's goroutine at every setting.
 	IOWorkers int
 	// Solver picks the per-partition row update (nil = least squares,
 	// bit-for-bit the historical path): the grid-PARAFAC rule solves
@@ -253,7 +243,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	// A fresh run's progress; a resume replaces it whole below.
 	e.prog.PrevFit = e.comps.SurrogateFit()
-	e.prog.WarmupLeft = cfg.WarmupVirtualIters
 
 	mgr, err := buffer.NewManager(buffer.Config{
 		Store:         cfg.Store,
@@ -478,14 +467,6 @@ func (e *Engine) Run() (*Result, error) {
 			prog.Updates++
 			e.cUpdates.Inc()
 			if prog.Updates%virtLen != 0 {
-				continue
-			}
-			if prog.WarmupLeft > 0 {
-				prog.WarmupLeft--
-				if prog.WarmupLeft == 0 {
-					e.mgr.ResetStats()
-				}
-				prog.PrevFit = e.comps.SurrogateFit()
 				continue
 			}
 			prog.VirtualIters++

@@ -33,7 +33,7 @@ type BufferState = buffer.State
 
 // Progress is Phase 2's position in its loop over schedule steps: where
 // replay resumes, how far the run has counted in virtual iterations and
-// the convergence and warm-up state at that point. The engine advances
+// the convergence state at that point. The engine advances
 // one Progress in place; a checkpoint carries it as it stands at a
 // schedule-step boundary and a resume continues from it.
 type Progress struct {
@@ -50,8 +50,6 @@ type Progress struct {
 	// PrevFit is the fit at the last virtual-iteration boundary (the
 	// convergence comparand); a fresh run starts it at the seeded fit.
 	PrevFit float64 `json:"prev_fit"`
-	// WarmupLeft is the remaining warm-up virtual iterations.
-	WarmupLeft int `json:"warmup_left"`
 }
 
 // Phase2State is one Phase-2 checkpoint, taken at a schedule-step boundary.

@@ -223,7 +223,7 @@ func TestPhase2RoundTripAndCorruption(t *testing.T) {
 	st := &Phase2State{
 		Progress: Progress{
 			NextStep: 5, Pos: 17, Updates: 40, VirtualIters: 3,
-			FitTrace: []float64{0.1, 0.2, 0.3}, PrevFit: 0.3, WarmupLeft: 1,
+			FitTrace: []float64{0.1, 0.2, 0.3}, PrevFit: 0.3,
 		},
 		Buffer: BufferState{
 			Resident: []buffer.SnapshotEntry{{ID: 2, Dirty: true}, {ID: 0}, {ID: 5, Dirty: true}},
@@ -245,7 +245,7 @@ func TestPhase2RoundTripAndCorruption(t *testing.T) {
 		t.Fatalf("LoadPhase2: ok=%v err=%v", ok, err)
 	}
 	if got.NextStep != st.NextStep || got.Pos != st.Pos || got.Updates != st.Updates ||
-		got.VirtualIters != st.VirtualIters || got.PrevFit != st.PrevFit || got.WarmupLeft != st.WarmupLeft {
+		got.VirtualIters != st.VirtualIters || got.PrevFit != st.PrevFit {
 		t.Fatalf("scalar state differs: %+v", got)
 	}
 	if len(got.FitTrace) != 3 || got.FitTrace[2] != 0.3 {
@@ -309,29 +309,41 @@ func TestPhase2RoundTripAndCorruption(t *testing.T) {
 }
 
 // TestPhase2IgnoresMetricsKey: Phase-2 slots used to carry a snapshot of
-// the metrics registry under a "metrics" header key. A slot that still has
-// one loads the same state as one without it, so such a checkpoint resumes
-// bit for bit and nothing of the snapshot reaches the resumed run.
+// the metrics registry under a "metrics" header key, and the warm-up
+// virtual iterations left under "warmup_left". A slot that still has
+// either loads the same state as one without it, so such a checkpoint
+// resumes bit for bit and nothing of the old key reaches the resumed run.
 func TestPhase2IgnoresMetricsKey(t *testing.T) {
 	st := phase2Sample(3)
-	old := struct {
-		phase2Header
-		Metrics map[string]int64 `json:"metrics"`
-	}{phase2Header{Phase2State: *st, AParts: []int{2, 1}}, map[string]int64{"jobs.submitted": 1}}
-	mats := []*mat.Matrix{st.A[0][0], st.A[0][1], st.A[1][0]}
-	section, err := appendSection(nil, "phase2", old, mats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(section), `"metrics":{"jobs.submitted":1}`) {
-		t.Fatal("the section has no metrics key to ignore")
-	}
-	got, err := decodePhase2(section)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, st) {
-		t.Fatalf("decoded %+v, want %+v", got, st)
+	hdr := phase2Header{Phase2State: *st, AParts: []int{2, 1}}
+	for _, tc := range []struct {
+		old any
+		key string
+	}{
+		{struct {
+			phase2Header
+			Metrics map[string]int64 `json:"metrics"`
+		}{hdr, map[string]int64{"jobs.submitted": 1}}, `"metrics":{"jobs.submitted":1}`},
+		{struct {
+			phase2Header
+			WarmupLeft int `json:"warmup_left"`
+		}{hdr, 1}, `"warmup_left":1`},
+	} {
+		mats := []*mat.Matrix{st.A[0][0], st.A[0][1], st.A[1][0]}
+		section, err := appendSection(nil, "phase2", tc.old, mats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(section), tc.key) {
+			t.Fatalf("the section has no %s key to ignore", tc.key)
+		}
+		got, err := decodePhase2(section)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, st) {
+			t.Fatalf("%s: decoded %+v, want %+v", tc.key, got, st)
+		}
 	}
 }
 

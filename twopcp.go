@@ -104,8 +104,9 @@ type Options struct {
 	// > 0, from prefetches issued for steps that never ran (termination
 	// mid-lookahead) or whose unit was evicted before use.
 	PrefetchDepth int
-	// IOWorkers sizes the Phase-2 prefetch pool (default 2 when
-	// PrefetchDepth > 0, else 0). Write-backs run inline at every setting.
+	// IOWorkers bounds the Phase-2 prefetch reads in flight at once
+	// (default 2 when PrefetchDepth > 0, else 0). Write-backs run inline
+	// at every setting.
 	IOWorkers int
 	// Checkpoint, when non-empty, names a directory in which the run keeps
 	// a durable, versioned manifest of its progress: every completed
